@@ -204,6 +204,10 @@ def validate_config(text: str) -> ExperimentConfig:
     if scenario == "peak-scaling":
         if t_max is not None and t_max <= 0:
             violations.append(f"t_max: must be > 0, got {t_max}")
+        # the arrival peak is taken on the clean, untilted chain
+        for key, value in (("sigma", sigma), ("g", g)):
+            if value:
+                violations.append(f"{key}: peak-scaling uses the clean chain, got {value}")
     else:
         if t_max is None:
             violations.append("t_max: missing (section [grid])")

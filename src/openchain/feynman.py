@@ -40,12 +40,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, PotentialProfile, diagonalize
-from .lindblad import (
-    BathSpec,
-    EnergyRepDensity,
-    relax_energy_density,
-    transition_rates,
-)
+from .lindblad import BathSpec, EnergyRepDensity, relax_energy_density, site_distribution
 from .series import ObservableSeries, write_csv
 
 Branch = Literal["U", "D"]
@@ -279,17 +274,6 @@ class BranchModel:
         return np.flatnonzero(self.basis.sites >= self.layout.b)
 
 
-def _series_from_site_probabilities(
-    t_grid: np.ndarray, prob: np.ndarray, sites: np.ndarray, region: np.ndarray
-) -> ObservableSeries:
-    # prob has shape (T, n); observables use physical-site positions
-    x = sites.astype(float)
-    mean = prob @ x
-    var = prob @ x**2 - mean**2
-    p_reg = prob[:, region].sum(axis=1)
-    return ObservableSeries(t_grid, mean, var, p_reg)
-
-
 def run_classical_input(
     layout: CircuitLayout,
     disorder: DisorderRealization,
@@ -309,25 +293,14 @@ def run_classical_input(
     """
     model = BranchModel.build(layout, branch, disorder, g, input_register)
     t_grid = np.asarray(t_grid, dtype=float)
-    n = layout.path_length
-    region = model.beyond_gate_coordinates()
-    if bath is None or bath.zeta == 0.0:
-        v, w = model.eig.eigenvectors, model.eig.eigenvalues
-        phases = np.exp(-1j * np.outer(t_grid, w)) * v[0, :][None, :]
-        prob = np.abs(phases @ v.T) ** 2  # (T, n)
-    else:
-        rates = transition_rates(model.eig.eigenvalues, bath)
-        rho0 = EnergyRepDensity.from_matrix(
-            np.outer(model.eig.eigenvectors[0], model.eig.eigenvectors[0])
-        )
-        states = relax_energy_density(model.eig.eigenvalues, rates, bath, rho0, t_grid)
-        v = model.eig.eigenvectors
-        prob = np.empty((t_grid.size, n))
-        for i, state in enumerate(states):
-            prob[i] = np.real(np.einsum("xm,mn,xn->x", v, state.matrix(), v))
-    series = _series_from_site_probabilities(t_grid, prob, model.basis.sites, region)
+    v = model.eig.eigenvectors
+    pops, amps = relax_energy_density(model.eig.eigenvalues, bath, v[0], t_grid)
+    prob = site_distribution(v, pops, amps)
+    series = ObservableSeries.from_site_probabilities(
+        t_grid, prob, model.basis.sites, model.beyond_gate_coordinates()
+    )
     if with_sites:
-        series.site_probabilities = prob
+        series.site_probabilities = prob.T
     return series
 
 
@@ -347,14 +320,6 @@ class BlockDensity:
     eig_up: EigenSystem
     eig_down: EigenSystem
 
-    @property
-    def trace_up(self) -> float:
-        return self.uu.trace()
-
-    @property
-    def trace_down(self) -> float:
-        return self.dd.trace()
-
     def position_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(uu, dd, ud) rotated to the path-coordinate (site) basis."""
         vu, vd = self.eig_up.eigenvectors, self.eig_down.eigenvectors
@@ -370,6 +335,35 @@ class BlockDensity:
         return np.block([[uu, ud], [ud.conj().T, dd]])
 
 
+def _register_states(
+    pops_up: np.ndarray,
+    pops_down: np.ndarray,
+    cross: np.ndarray,
+    maps: PathCoordinateMap,
+    bases: tuple[PeresBasis, PeresBasis],
+    region: Iterable[int] | None = None,
+) -> np.ndarray:
+    """Cursor traced out at every time at once -> (T, 4, 4) register states.
+
+    ``pops_up``/``pops_down`` are the (T, n) path-coordinate populations of the
+    diagonal blocks and ``cross`` the (T, len(maps.shared)) diagonal of the
+    cross block on the shared coordinates. Each entry is summed into its
+    register index by a product with a one-hot matrix.
+    """
+    idx_up, idx_down = bases[0].register_indices(), bases[1].register_indices()
+    shared = maps.shared
+    if region is not None:
+        sites = list(set(region))
+        pops_up = pops_up * np.isin(maps.up, sites)
+        pops_down = pops_down * np.isin(maps.down, sites)
+        cross = cross * np.isin(maps.up[shared], sites)
+    rho = np.zeros((pops_up.shape[0], 4, 4), dtype=complex)
+    diag = pops_up @ np.eye(4)[idx_up] + pops_down @ np.eye(4)[idx_down]
+    rho[:, np.arange(4), np.arange(4)] = diag
+    off = (cross @ np.eye(16)[4 * idx_up[shared] + idx_down[shared]]).reshape(-1, 4, 4)
+    return rho + off + np.conj(np.swapaxes(off, 1, 2))
+
+
 def register_reduced_state(
     block: BlockDensity,
     maps: PathCoordinateMap,
@@ -383,42 +377,24 @@ def register_reduced_state(
     cursor being there. Diagonal blocks contribute site populations; the
     cross block contributes only on sites traversed by both branches.
     """
-    basis_up, basis_down = bases
-    uu, dd, ud = block.position_blocks()
-    idx_up = basis_up.register_indices()
-    idx_down = basis_down.register_indices()
-    n = basis_up.path_length
-    if region is None:
-        keep_up = keep_down = np.ones(n, dtype=bool)
-    else:
-        sites = set(region)
-        keep_up = np.array([int(x) in sites for x in maps.up])
-        keep_down = np.array([int(x) in sites for x in maps.down])
-    rho = np.zeros((4, 4), dtype=complex)
-    pu = np.real(np.diag(uu))
-    pd = np.real(np.diag(dd))
-    for j in range(n):
-        if keep_up[j]:
-            rho[idx_up[j], idx_up[j]] += pu[j]
-        if keep_down[j]:
-            rho[idx_down[j], idx_down[j]] += pd[j]
-    for j in maps.shared:
-        if keep_up[j]:
-            rho[idx_up[j], idx_down[j]] += ud[j, j]
-            rho[idx_down[j], idx_up[j]] += np.conj(ud[j, j])
-    return rho
+    uu, dd, ud = (np.diag(m)[None] for m in block.position_blocks())
+    return _register_states(uu.real, dd.real, ud[:, maps.shared], maps, bases, region)[0]
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum lambda ln lambda over the eigenvalues (natural log, 0 ln 0 = 0)."""
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """-sum lambda ln lambda over the eigenvalues (natural log, 0 ln 0 = 0).
+
+    A stack of matrices (..., d, d) gives one entropy per matrix.
+    """
     lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    lam = lam[lam > 1e-15]
-    return float(-np.sum(lam * np.log(lam)))
+    lam = np.where(lam > 1e-15, lam, 1.0)  # 1 ln 1 = 0 drops the cut eigenvalues
+    return -np.sum(lam * np.log(lam), axis=-1)
 
 
-def bell_fidelity(rho: np.ndarray) -> float:
-    """Overlap of a 4x4 register state with the entangled target Phi+."""
-    return float(np.real(BELL_PHI_PLUS @ np.asarray(rho, dtype=complex) @ BELL_PHI_PLUS))
+def bell_fidelity(rho: np.ndarray) -> float | np.ndarray:
+    """Overlap of a 4x4 register state (or a stack of them) with the target Phi+."""
+    phi = BELL_PHI_PLUS
+    return np.real(np.einsum("i,...ij,j->...", phi, np.asarray(rho, dtype=complex), phi))
 
 
 @dataclass
@@ -463,76 +439,55 @@ def run_superposed_input(
     """Evolve the machine from the equal superposition of control up and down.
 
     The initial state is (|1, +1,-1> + |1, -1,-1>)/sqrt(2): cursor at path
-    start with all four blocks populated. Diagonal blocks follow their
-    branch's relaxation; the cross block dephases with the combined level
-    widths. ``bath = None`` (or zeta = 0) gives the unitary limit.
+    start with all four blocks populated. ``bath = None`` (or zeta = 0) gives
+    the unitary limit.
+
+    This factorization needs the pure initial state. With P_B, U_B a
+    :func:`relax_energy_density` run of branch B from path coordinate 1, each
+    diagonal block is half its branch run and the cross block is rank one,
+    rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal 1/2 (V_U U_U)_j
+    conj((V_D U_D)_j) on the shared coordinates j. The register states of the
+    whole grid are traced, diagonalized and projected as one (T, 4, 4) stack;
+    ``keep_blocks`` rebuilds per-time :class:`BlockDensity` objects from P, U.
     """
     up = BranchModel.build(layout, "U", disorder, g)
     down = BranchModel.build(layout, "D", disorder, g)
     t_grid = np.asarray(t_grid, dtype=float)
-    n = layout.path_length
     maps = coordinate_map(layout)
     bases = (up.basis, down.basis)
-    vu, wu = up.eig.eigenvectors, up.eig.eigenvalues
-    vd, wd = down.eig.eigenvectors, down.eig.eigenvalues
+    vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
+    pop_u, amp_u = relax_energy_density(up.eig.eigenvalues, bath, vu[0], t_grid)
+    pop_d, amp_d = relax_energy_density(down.eig.eigenvalues, bath, vd[0], t_grid)
 
-    uu0 = EnergyRepDensity.from_matrix(0.5 * np.outer(vu[0], vu[0]))
-    dd0 = EnergyRepDensity.from_matrix(0.5 * np.outer(vd[0], vd[0]))
-    ud0 = 0.5 * np.outer(vu[0], vd[0]).astype(complex)
-
-    unitary = bath is None or bath.zeta == 0.0
-    if unitary:
-        widths_u = np.zeros(n)
-        widths_d = np.zeros(n)
-        uu_states = [
-            EnergyRepDensity(
-                uu0.populations,
-                uu0.coherences * np.exp(-1j * (wu[:, None] - wu[None, :]) * t),
-            )
-            for t in t_grid
-        ]
-        dd_states = [
-            EnergyRepDensity(
-                dd0.populations,
-                dd0.coherences * np.exp(-1j * (wd[:, None] - wd[None, :]) * t),
-            )
-            for t in t_grid
-        ]
-    else:
-        rates_u = transition_rates(wu, bath)
-        rates_d = transition_rates(wd, bath)
-        widths_u = bath.zeta * rates_u.widths
-        widths_d = bath.zeta * rates_d.widths
-        uu_states = relax_energy_density(wu, rates_u, bath, uu0, t_grid)
-        dd_states = relax_energy_density(wd, rates_d, bath, dd0, t_grid)
-    cross_decay = -1j * (wu[:, None] - wd[None, :]) - 0.5 * (
-        widths_u[:, None] + widths_d[None, :]
+    sites_u = 0.5 * site_distribution(vu, pop_u, amp_u).T  # (T, n)
+    sites_d = 0.5 * site_distribution(vd, pop_d, amp_d).T
+    shared = maps.shared
+    cross = 0.5 * ((vu[shared] @ amp_u) * np.conj(vd[shared] @ amp_d)).T
+    p_beyond = (
+        sites_u[:, up.beyond_gate_coordinates()].sum(axis=1)
+        + sites_d[:, down.beyond_gate_coordinates()].sum(axis=1)
     )
+    entropy = von_neumann_entropy(_register_states(sites_u, sites_d, cross, maps, bases))
+    cond = _register_states(
+        sites_u, sites_d, cross, maps, bases, region=range(layout.b, layout.s + 1)
+    )
+    weight = np.real(np.trace(cond, axis1=1, axis2=2))
+    fidelity = np.full(t_grid.size, np.nan)
+    passed = weight > 1e-12
+    fidelity[passed] = bell_fidelity(cond[passed] / weight[passed, None, None])
 
-    region_sites = set(range(layout.b, layout.s + 1))
-    beyond_up = up.beyond_gate_coordinates()
-    beyond_down = down.beyond_gate_coordinates()
-    trace_uu = np.empty(t_grid.size)
-    trace_dd = np.empty(t_grid.size)
-    p_beyond = np.empty(t_grid.size)
-    entropy = np.empty(t_grid.size)
-    fidelity = np.empty(t_grid.size)
-    blocks: list[BlockDensity] | None = [] if keep_blocks else None
-    for i, t in enumerate(t_grid):
-        block = BlockDensity(
-            uu_states[i], dd_states[i], ud0 * np.exp(cross_decay * t), up.eig, down.eig
-        )
-        uu_pos, dd_pos, _ = block.position_blocks()
-        trace_uu[i] = block.trace_up
-        trace_dd[i] = block.trace_down
-        p_beyond[i] = float(
-            np.real(np.diag(uu_pos))[beyond_up].sum()
-            + np.real(np.diag(dd_pos))[beyond_down].sum()
-        )
-        entropy[i] = von_neumann_entropy(register_reduced_state(block, maps, bases))
-        cond = register_reduced_state(block, maps, bases, region=region_sites)
-        weight = float(np.real(np.trace(cond)))
-        fidelity[i] = bell_fidelity(cond / weight) if weight > 1e-12 else np.nan
-        if blocks is not None:
-            blocks.append(block)
+    blocks = None
+    if keep_blocks:
+        half = np.sqrt(0.5)
+        blocks = [
+            BlockDensity(
+                EnergyRepDensity.from_pure_run(0.5 * pop_u[:, i], half * amp_u[:, i]),
+                EnergyRepDensity.from_pure_run(0.5 * pop_d[:, i], half * amp_d[:, i]),
+                0.5 * np.outer(amp_u[:, i], np.conj(amp_d[:, i])),
+                up.eig,
+                down.eig,
+            )
+            for i in range(t_grid.size)
+        ]
+    trace_uu, trace_dd = 0.5 * pop_u.sum(axis=0), 0.5 * pop_d.sum(axis=0)
     return SwitchSeries(t_grid, trace_uu, trace_dd, p_beyond, entropy, fidelity, blocks)

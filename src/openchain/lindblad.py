@@ -19,6 +19,14 @@ autonomously,
 
 where G_m is the total outflow rate from level m. ``zeta = 0`` reduces every
 formula to the closed-system evolution.
+
+For a pure initial state (energy amplitudes c) the decay law factorizes:
+the coherences are the off-diagonal part of u u^H with
+u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A whole time grid is then the
+n x T populations P and amplitudes U (:func:`relax_energy_density`), and its
+site distribution |V U|^2 + (V*V)(P - |U|^2) is two matrix products
+(:func:`site_distribution`). This precondition, a pure start, holds for
+every pipeline in the package.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .chains import EigenSystem, HamiltonianOperator, diagonalize
@@ -103,35 +110,14 @@ def propagate_populations(
     bath: BathSpec,
     p0: np.ndarray,
     t: float,
-    method: str = "expm",
 ) -> np.ndarray:
-    """Populations at time t from the classical master equation.
-
-    ``method="expm"`` (default) is exact via the matrix exponential of the
-    generator; ``method="ivp"`` integrates with an adaptive Runge-Kutta
-    scheme and exists purely as an independent cross-check.
-    """
+    """Populations at time t from the classical master equation (exact, via expm)."""
     p0 = np.asarray(p0, dtype=float)
     if np.any(p0 < -1e-12):
         raise ValueError(f"negative input probabilities: min = {p0.min()}")
     if abs(p0.sum() - 1.0) > 1e-9:
         raise ValueError(f"input populations must sum to 1, got {p0.sum()}")
-    gen = population_generator(rates, bath)
-    if method == "expm":
-        return expm(gen * t) @ p0
-    if method == "ivp":
-        sol = solve_ivp(
-            lambda _, p: gen @ p,
-            (0.0, t),
-            p0,
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-13,
-        )
-        if not sol.success:
-            raise RuntimeError(f"population integrator failed: {sol.message}")
-        return sol.y[:, -1]
-    raise ValueError(f"unknown method {method!r}")
+    return expm(population_generator(rates, bath) * t) @ p0
 
 
 def coherence_decay_matrix(
@@ -194,6 +180,13 @@ class EnergyRepDensity:
         return float(self.populations.sum())
 
     @classmethod
+    def from_pure_run(cls, populations: np.ndarray, amplitudes: np.ndarray) -> "EnergyRepDensity":
+        """One time point of :func:`relax_energy_density`: diag(P) + (u u^H off the diagonal)."""
+        coh = np.outer(amplitudes, np.conj(amplitudes))
+        np.fill_diagonal(coh, 0.0)
+        return cls(populations, coh)
+
+    @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "EnergyRepDensity":
         rho = np.asarray(rho, dtype=complex)
         pops = np.real(np.diag(rho)).copy()
@@ -249,37 +242,57 @@ def density_observables(
 
 def relax_energy_density(
     eigenvalues: np.ndarray,
-    rates: TransitionRates,
-    bath: BathSpec,
-    rho0: EnergyRepDensity,
+    bath: BathSpec | None,
+    amplitudes: np.ndarray,
     t_grid: np.ndarray,
-) -> list[EnergyRepDensity]:
-    """Energy-representation state at each grid time (grid must be nondecreasing).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Populations P and amplitudes U (both n x T) of a pure start on a time grid.
 
-    Populations advance by exact exponential steps of the generator (cached per
-    distinct step size); coherences use their closed form.
+    ``amplitudes`` are the initial energy-basis amplitudes c; the grid must be
+    nondecreasing. U[m, i] = c_m exp((-i e_m - zeta G_m / 2) t_i), so the
+    coherences at t_i are u u^H - diag|u|^2 with u = U[:, i]. Populations
+    advance by exact exponential steps of the generator, cached per distinct
+    step size. Without a bath (``None`` or zeta = 0) U is the unitary phase
+    rotation and P = |U|^2, which is |c|^2 to rounding and makes the
+    coherence correction P - |U|^2 vanish exactly.
     """
+    e = np.asarray(eigenvalues, dtype=float)
+    c = np.asarray(amplitudes, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) < 0):
         raise ValueError("time grid must be nondecreasing")
+    if bath is None or bath.zeta == 0.0 or not t_grid.size:
+        amps = c[:, None] * np.exp(np.outer(-1j * e, t_grid))
+        return np.abs(amps) ** 2, amps
+    rates = transition_rates(e, bath)
     gen = population_generator(rates, bath)
-    decay = coherence_decay_matrix(eigenvalues, rates, bath)
     steps: dict[float, np.ndarray] = {}
-    pops = rho0.populations.copy()
-    out = []
-    prev_t = t_grid[0] if t_grid.size else 0.0
-    if t_grid.size and t_grid[0] > 0:
-        pops = expm(gen * t_grid[0]) @ pops
-    for t in t_grid:
+    pops = np.empty((e.size, t_grid.size))
+    p = np.abs(c) ** 2
+    if t_grid[0] > 0:
+        p = expm(gen * t_grid[0]) @ p
+    prev_t = t_grid[0]
+    for i, t in enumerate(t_grid):
         if t > prev_t:
             dt = round(float(t - prev_t), 12)
             if dt not in steps:
                 steps[dt] = expm(gen * dt)
-            pops = steps[dt] @ pops
+            p = steps[dt] @ p
         prev_t = t
-        coh = rho0.coherences * np.exp(decay * t)
-        out.append(EnergyRepDensity(pops.copy(), coh))
-    return out
+        pops[:, i] = p
+    decay = -1j * e - 0.5 * bath.zeta * rates.widths
+    return pops, c[:, None] * np.exp(np.outer(decay, t_grid))
+
+
+def site_distribution(
+    eigenvectors: np.ndarray, populations: np.ndarray, amplitudes: np.ndarray
+) -> np.ndarray:
+    """Site probabilities (n x T) of a :func:`relax_energy_density` result.
+
+    The diagonal of V (u u^H + diag(P - |u|^2)) V^T for every time at once.
+    """
+    v = eigenvectors
+    return np.abs(v @ amplitudes) ** 2 + (v * v) @ (populations - np.abs(amplitudes) ** 2)
 
 
 def dissipative_transport_run(
@@ -299,17 +312,14 @@ def dissipative_transport_run(
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    if region is None:
-        region = {h.dim}
-    region = sorted(set(region))
-    rates = transition_rates(eig.eigenvalues, bath)
-    rho0 = to_energy_representation(eig, np.outer(psi0, psi0.conj()))
+    sites = sorted(set(region)) if region is not None else [h.dim]
+    if sites and (sites[0] < 1 or sites[-1] > h.dim):
+        raise ValueError(f"region {sites} not contained in 1..{h.dim}")
     t_grid = np.asarray(t_grid, dtype=float)
-    states = relax_energy_density(eig.eigenvalues, rates, bath, rho0, t_grid)
-    mean = np.empty(t_grid.size)
-    var = np.empty(t_grid.size)
-    p_reg = np.empty(t_grid.size)
-    for i, state in enumerate(states):
-        rho_pos = to_position_representation(eig, state)
-        mean[i], var[i], p_reg[i] = density_observables(rho_pos, region)
-    return ObservableSeries(t_grid, mean, var, p_reg)
+    pops, amps = relax_energy_density(
+        eig.eigenvalues, bath, eig.eigenvectors.T @ psi0, t_grid
+    )
+    prob = site_distribution(eig.eigenvectors, pops, amps)
+    return ObservableSeries.from_site_probabilities(
+        t_grid, prob, np.arange(1, h.dim + 1), np.asarray(sites, dtype=int) - 1
+    )

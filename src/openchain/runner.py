@@ -17,6 +17,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,14 +87,20 @@ def _run_star(args: tuple[ExperimentConfig, int]) -> dict[str, np.ndarray]:
     return run_realization(*args)
 
 
+def _pool(config: ExperimentConfig, workers: int) -> ProcessPoolExecutor | nullcontext:
+    """One process pool for every ensemble of a run, or none when it runs serially."""
+    if workers > 1 and config.ensemble_size > 1:
+        return ProcessPoolExecutor(max_workers=workers)
+    return nullcontext()
+
+
 def _run_ensemble(
-    config: ExperimentConfig, workers: int
+    config: ExperimentConfig, pool: ProcessPoolExecutor | None
 ) -> tuple[list[int], list[dict[str, np.ndarray]]]:
     seeds = [realization_seed(config.seed, r) for r in range(config.ensemble_size)]
     jobs = [(config, seed) for seed in seeds]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_star, jobs))
+    if pool is not None:
+        results = list(pool.map(_run_star, jobs))
     else:
         results = [_run_star(job) for job in jobs]
     return seeds, results
@@ -157,7 +164,8 @@ def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
     started = time.perf_counter()
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds, results = _run_ensemble(config, workers)
+    with _pool(config, workers) as pool:
+        seeds, results = _run_ensemble(config, pool)
     outputs: dict[str, str] = {}
     for r, cols in enumerate(results):
         name = f"{config.scenario}_r{r:03d}.csv"
@@ -197,22 +205,25 @@ def sweep(
         raise ValueError("sweep needs at least one value")
     if vary in ("beta", "zeta") and not config.has_bath():
         raise ValueError(f"cannot sweep {vary!r}: the config has no bath section")
+    if vary in ("sigma", "g") and config.scenario == "peak-scaling":
+        raise ValueError(f"cannot sweep {vary!r}: peak-scaling uses the clean chain")
     started = time.perf_counter()
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict[str, float]] = []
     all_seeds: list[int] = []
-    for value in values:
-        cast = int(value) if vary == "s" else float(value)
-        point = dataclasses.replace(config, **{vary: cast})
-        seeds, results = _run_ensemble(point, workers)
-        all_seeds = seeds
-        row: dict[str, float] = {vary: cast}
-        for name in results[0]:
-            if name == "t":
-                continue
-            row[name] = float(np.mean([r[name][-1] for r in results]))
-        rows.append(row)
+    with _pool(config, workers) as pool:
+        for value in values:
+            cast = int(value) if vary == "s" else float(value)
+            point = dataclasses.replace(config, **{vary: cast})
+            seeds, results = _run_ensemble(point, pool)
+            all_seeds = seeds
+            row: dict[str, float] = {vary: cast}
+            for name in results[0]:
+                if name == "t":
+                    continue
+                row[name] = float(np.mean([r[name][-1] for r in results]))
+            rows.append(row)
     table = {k: np.array([row[k] for row in rows]) for k in rows[0]}
     name = f"{config.scenario}_sweep_{vary}.csv"
     write_csv(out_dir / name, table)

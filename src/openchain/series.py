@@ -70,6 +70,15 @@ class ObservableSeries:
             if self.p_region.shape != (n,):
                 raise ValueError("p_region must align with times")
 
+    @classmethod
+    def from_site_probabilities(
+        cls, times: np.ndarray, prob: np.ndarray, positions: np.ndarray, region: np.ndarray
+    ) -> "ObservableSeries":
+        """Moments of a (sites x T) distribution; ``region`` holds 0-based site rows."""
+        x = np.asarray(positions, dtype=float)
+        mean = x @ prob
+        return cls(times, mean, (x**2) @ prob - mean**2, prob[region].sum(axis=0))
+
     def columns(self, p_label: str = "p_region") -> dict[str, np.ndarray]:
         cols = {"t": self.times, "mean_Q": self.mean_q, "var_Q": self.var_q}
         if self.p_region is not None:

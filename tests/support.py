@@ -10,9 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from openchain.chains import DisorderRealization
-from openchain.feynman import CircuitLayout
+from openchain.chains import DisorderRealization, HamiltonianOperator, diagonalize
+from openchain.feynman import BranchModel, CircuitLayout, coordinate_map
+from openchain.lindblad import (
+    BathSpec,
+    EnergyRepDensity,
+    TransitionRates,
+    coherence_decay_matrix,
+    population_generator,
+    to_energy_representation,
+    to_position_representation,
+    transition_rates,
+)
 
 # register basis order (sigma3(c), sigma3(p)): (-1,-1), (-1,+1), (+1,-1), (+1,+1)
 P_CONTROL_UP = np.diag([0.0, 0.0, 1.0, 1.0])
@@ -122,3 +133,172 @@ def brute_force_lindblad(
     )
     assert sol.success, sol.message
     return sol.y[:, -1].reshape(n, n)
+
+
+def integrate_populations(gen: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
+    """Integrate dp/dt = A p with a high-order adaptive Runge-Kutta scheme."""
+    sol = solve_ivp(
+        lambda _, p: gen @ p,
+        (0.0, t),
+        np.asarray(p0, dtype=float),
+        method="DOP853",
+        rtol=1e-11,
+        atol=1e-13,
+    )
+    assert sol.success, sol.message
+    return sol.y[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# dense per-time-point pipelines: one n x n energy-basis state per grid time,
+# rotated to the site basis one at a time (the reference for the rank-one
+# kernel in openchain.lindblad)
+# ---------------------------------------------------------------------------
+
+
+def relax_energy_density_dense(
+    eigenvalues: np.ndarray,
+    rates: TransitionRates,
+    bath: BathSpec,
+    rho0: EnergyRepDensity,
+    t_grid: np.ndarray,
+) -> list[EnergyRepDensity]:
+    """Energy-representation state at each grid time (grid must be nondecreasing).
+
+    Populations advance by exact exponential steps of the generator (cached per
+    distinct step size); coherences use their closed form.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    assert np.all(np.diff(t_grid) >= 0), "time grid must be nondecreasing"
+    gen = population_generator(rates, bath)
+    decay = coherence_decay_matrix(eigenvalues, rates, bath)
+    steps: dict[float, np.ndarray] = {}
+    pops = rho0.populations.copy()
+    out = []
+    prev_t = t_grid[0] if t_grid.size else 0.0
+    if t_grid.size and t_grid[0] > 0:
+        pops = expm(gen * t_grid[0]) @ pops
+    for t in t_grid:
+        if t > prev_t:
+            dt = round(float(t - prev_t), 12)
+            if dt not in steps:
+                steps[dt] = expm(gen * dt)
+            pops = steps[dt] @ pops
+        prev_t = t
+        coh = rho0.coherences * np.exp(decay * t)
+        out.append(EnergyRepDensity(pops.copy(), coh))
+    return out
+
+
+#: no bath is the zero-coupling limit: constant populations, pure phase rotation
+CLOSED = BathSpec(beta=1.0, zeta=0.0)
+
+
+def _dense_states(eig, bath: BathSpec | None, rho0: EnergyRepDensity, t_grid) -> list:
+    bath = bath or CLOSED
+    rates = transition_rates(eig.eigenvalues, bath)
+    return relax_energy_density_dense(eig.eigenvalues, rates, bath, rho0, t_grid)
+
+
+def _moments(prob: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    mean = float(prob @ x)
+    return mean, max(float(prob @ x**2) - mean**2, 0.0)
+
+
+def dense_transport_columns(
+    h: HamiltonianOperator, bath: BathSpec, psi0: np.ndarray, t_grid: np.ndarray
+) -> dict[str, np.ndarray]:
+    """mean_Q, var_Q and last-site probability of a dissipative chain run."""
+    eig = diagonalize(h)
+    psi0 = np.asarray(psi0, dtype=complex)
+    rho0 = to_energy_representation(eig, np.outer(psi0, psi0.conj()))
+    x = np.arange(1, h.dim + 1)
+    rows = []
+    for state in _dense_states(eig, bath, rho0, t_grid):
+        prob = np.real(np.diag(to_position_representation(eig, state)))
+        rows.append((*_moments(prob, x), prob[-1]))
+    return dict(zip(("mean_Q", "var_Q", "p_region"), np.array(rows).T))
+
+
+def dense_classical_columns(
+    layout: CircuitLayout,
+    disorder: DisorderRealization,
+    g: float,
+    bath: BathSpec | None,
+    branch: str,
+    t_grid: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """mean_Q, var_Q (physical sites) and p_beyond_gate of one branch run."""
+    model = BranchModel.build(layout, branch, disorder, g)
+    v = model.eig.eigenvectors
+    rho0 = EnergyRepDensity.from_matrix(np.outer(v[0], v[0]))
+    x = model.basis.sites.astype(float)
+    beyond = model.beyond_gate_coordinates()
+    rows = []
+    for state in _dense_states(model.eig, bath, rho0, t_grid):
+        prob = np.real(np.diag(v @ state.matrix() @ v.T))
+        rows.append((*_moments(prob, x), prob[beyond].sum()))
+    return dict(zip(("mean_Q", "var_Q", "p_region"), np.array(rows).T))
+
+
+def loop_register_state(uu, dd, ud, maps, idx_up, idx_down, sites=None) -> np.ndarray:
+    """Cursor traced out entry by entry from site-basis blocks -> 4x4 register state."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for j in range(uu.shape[0]):
+        if sites is None or maps.up[j] in sites:
+            rho[idx_up[j], idx_up[j]] += uu[j, j].real
+        if sites is None or maps.down[j] in sites:
+            rho[idx_down[j], idx_down[j]] += dd[j, j].real
+    for j in maps.shared:
+        if sites is None or maps.up[j] in sites:
+            rho[idx_up[j], idx_down[j]] += ud[j, j]
+            rho[idx_down[j], idx_up[j]] += np.conj(ud[j, j])
+    return rho
+
+
+def dense_superposed_columns(
+    layout: CircuitLayout,
+    disorder: DisorderRealization,
+    g: float,
+    bath: BathSpec | None,
+    t_grid: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Every SwitchSeries column from dense blocks rotated one time point at a time."""
+    up = BranchModel.build(layout, "U", disorder, g)
+    down = BranchModel.build(layout, "D", disorder, g)
+    maps = coordinate_map(layout)
+    vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
+    idx_up, idx_down = up.basis.register_indices(), down.basis.register_indices()
+    uu_states = _dense_states(
+        up.eig, bath, EnergyRepDensity.from_matrix(0.5 * np.outer(vu[0], vu[0])), t_grid
+    )
+    dd_states = _dense_states(
+        down.eig, bath, EnergyRepDensity.from_matrix(0.5 * np.outer(vd[0], vd[0])), t_grid
+    )
+    bath = bath or CLOSED
+    widths = [bath.zeta * transition_rates(m.eig.eigenvalues, bath).widths for m in (up, down)]
+    cross_decay = -1j * np.subtract.outer(up.eig.eigenvalues, down.eig.eigenvalues) - 0.5 * (
+        widths[0][:, None] + widths[1][None, :]
+    )
+    ud0 = 0.5 * np.outer(vu[0], vd[0]).astype(complex)
+    region = set(range(layout.b, layout.s + 1))
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    rows = []
+    for t, uu_e, dd_e in zip(t_grid, uu_states, dd_states):
+        uu = vu @ uu_e.matrix() @ vu.T
+        dd = vd @ dd_e.matrix() @ vd.T
+        ud = vu @ (ud0 * np.exp(cross_decay * t)) @ vd.T
+        p_beyond = (
+            np.real(np.diag(uu))[up.beyond_gate_coordinates()].sum()
+            + np.real(np.diag(dd))[down.beyond_gate_coordinates()].sum()
+        )
+        lam = np.linalg.eigvalsh(loop_register_state(uu, dd, ud, maps, idx_up, idx_down))
+        lam = lam[lam > 1e-15]
+        cond = loop_register_state(uu, dd, ud, maps, idx_up, idx_down, region)
+        weight = np.trace(cond).real
+        fidelity = np.real(phi @ cond @ phi) / weight if weight > 1e-12 else np.nan
+        rows.append(
+            (uu_e.trace(), dd_e.trace(), p_beyond, -np.sum(lam * np.log(lam)), fidelity)
+        )
+    names = ("trace_UU", "trace_DD", "p_beyond_gate", "entropy", "bell_fidelity")
+    return dict(zip(names, np.array(rows).T))

@@ -93,6 +93,15 @@ dt = 0
         config = validate_config("[experiment]\nscenario = peak-scaling\n")
         assert config.t_max is None
 
+    def test_peak_scaling_rejects_disorder_and_tilt(self):
+        text = "[experiment]\nscenario = peak-scaling\n[chain]\nsigma = 0.5\ng = 1.0\n"
+        with pytest.raises(ConfigError) as err:
+            validate_config(text)
+        assert any(v.startswith("sigma:") for v in err.value.violations)
+        assert any(v.startswith("g:") for v in err.value.violations)
+        clean = "[experiment]\nscenario = peak-scaling\n[chain]\nsigma = 0\ng = 0.0\n"
+        assert validate_config(clean).sigma == 0.0
+
     def test_non_numeric_field(self):
         text = "[experiment]\nscenario = ballistic\n[chain]\ns = twenty\n"
         with pytest.raises(ConfigError) as err:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from support import brute_force_lindblad
+from support import brute_force_lindblad, integrate_populations, relax_energy_density_dense
 
 from openchain.chains import (
     ChainSpec,
@@ -119,8 +119,8 @@ class TestPropagatePopulations:
         rng = np.random.Generator(np.random.Philox(key=seed))
         p0 = rng.uniform(0.1, 1.0, dim)
         p0 /= p0.sum()
-        a = propagate_populations(rates, bath, p0, 4.0, method="expm")
-        b = propagate_populations(rates, bath, p0, 4.0, method="ivp")
+        a = propagate_populations(rates, bath, p0, 4.0)
+        b = integrate_populations(population_generator(rates, bath), p0, 4.0)
         assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -302,9 +302,7 @@ class TestDissipativeTransportRun:
         rates = transition_rates(eig.eigenvalues, bath)
         psi0 = PureState.site(12, 1).amplitudes
         rho0 = to_energy_representation(eig, np.outer(psi0, psi0.conj()))
-        from openchain.lindblad import relax_energy_density
-
-        for state in relax_energy_density(
+        for state in relax_energy_density_dense(
             eig.eigenvalues, rates, bath, rho0, np.linspace(0, 200, 41)
         ):
             assert state.trace() == pytest.approx(1.0, abs=1e-9)

@@ -170,6 +170,23 @@ class TestSweep:
             tmp_path / "b" / "peak-scaling_sweep_s.csv"
         ).read_bytes()
 
+    def test_one_process_pool_per_sweep(self, tmp_path, monkeypatch):
+        import openchain.runner as runner_mod
+
+        pools = []
+        real = runner_mod.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", counting_pool)
+        config = make_config(tmp_path, "peak-scaling", "ensemble_size = 2\n")
+        sweep(config, "s", [10, 12, 14], workers=2)
+        assert len(pools) == 1
+        table = read_csv(tmp_path / "out" / "peak-scaling_sweep_s.csv")
+        assert table["s"].tolist() == [10.0, 12.0, 14.0]
+
 
 class TestCli:
     def write_config(self, tmp_path, text):
@@ -208,6 +225,17 @@ class TestCli:
         assert main(["sweep", path, "--vary", "s", "--values", "12,16"]) == 0
         table = read_csv(tmp_path / "out" / "peak-scaling_sweep_s.csv")
         assert table["s"].tolist() == [12.0, 16.0]
+
+    def test_sweep_peak_scaling_sigma_exit_2(self, tmp_path, capsys):
+        # the arrival peak ignores disorder, so such a sweep would write
+        # identical rows
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = peak-scaling\noutput = {tmp_path / 'out'}\n",
+        )
+        assert main(["sweep", path, "--vary", "sigma", "--values", "0,0.5,2"]) == 2
+        assert "peak-scaling" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "peak-scaling_sweep_sigma.csv").exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         text = (
