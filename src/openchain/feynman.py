@@ -40,7 +40,13 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, PotentialProfile, diagonalize
-from .lindblad import BathSpec, EnergyRepDensity, relax_energy_density, site_distribution
+from .lindblad import (
+    BathSpec,
+    EnergyRepDensity,
+    relax_energy_density,
+    site_amplitudes,
+    site_distribution,
+)
 from .series import ObservableSeries, write_csv
 
 Branch = Literal["U", "D"]
@@ -446,9 +452,11 @@ def run_superposed_input(
     :func:`relax_energy_density` run of branch B from path coordinate 1, each
     diagonal block is half its branch run and the cross block is rank one,
     rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal 1/2 (V_U U_U)_j
-    conj((V_D U_D)_j) on the shared coordinates j. The register states of the
-    whole grid are traced, diagonalized and projected as one (T, 4, 4) stack;
-    ``keep_blocks`` rebuilds per-time :class:`BlockDensity` objects from P, U.
+    conj((V_D U_D)_j) on the shared coordinates j; each branch's V U is
+    computed once and feeds both its site distribution and the cross diagonal.
+    The register states of the whole grid are traced, diagonalized and
+    projected as one (T, 4, 4) stack; ``keep_blocks`` rebuilds per-time
+    :class:`BlockDensity` objects from P, U.
     """
     up = BranchModel.build(layout, "U", disorder, g)
     down = BranchModel.build(layout, "D", disorder, g)
@@ -459,10 +467,14 @@ def run_superposed_input(
     pop_u, amp_u = relax_energy_density(up.eig.eigenvalues, bath, vu[0], t_grid)
     pop_d, amp_d = relax_energy_density(down.eig.eigenvalues, bath, vd[0], t_grid)
 
-    sites_u = 0.5 * site_distribution(vu, pop_u, amp_u).T  # (T, n)
-    sites_d = 0.5 * site_distribution(vd, pop_d, amp_d).T
-    shared = maps.shared
-    cross = 0.5 * ((vu[shared] @ amp_u) * np.conj(vd[shared] @ amp_d)).T
+    w_u, w_d = site_amplitudes(vu, amp_u), site_amplitudes(vd, amp_d)
+    sites_u = 0.5 * site_distribution(vu, pop_u, amp_u, w_u).T  # (T, n)
+    sites_d = 0.5 * site_distribution(vd, pop_d, amp_d, w_d).T
+    w_u *= np.conj(w_d)  # in place: the cross diagonal on every coordinate
+    cross = 0.5 * w_u[maps.shared].T
+    del w_u, w_d
+    if pop_u is None:  # no bath: the populations are |U|^2
+        pop_u, pop_d = np.abs(amp_u) ** 2, np.abs(amp_d) ** 2
     p_beyond = (
         sites_u[:, up.beyond_gate_coordinates()].sum(axis=1)
         + sites_d[:, down.beyond_gate_coordinates()].sum(axis=1)

@@ -24,9 +24,10 @@ For a pure initial state (energy amplitudes c) the decay law factorizes:
 the coherences are the off-diagonal part of u u^H with
 u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A whole time grid is then the
 n x T populations P and amplitudes U (:func:`relax_energy_density`), and its
-site distribution |V U|^2 + (V*V)(P - |U|^2) is two matrix products
-(:func:`site_distribution`). This precondition, a pure start, holds for
-every pipeline in the package.
+site distribution |V U|^2 + (V*V)(P - |U|^2) is two matrix products, one
+without a bath (:func:`site_distribution`; V is real, so V U is a real
+product). This precondition, a pure start, holds for every pipeline in the
+package, the closed chain of :mod:`openchain.unitary` included.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def relax_energy_density(
     bath: BathSpec | None,
     amplitudes: np.ndarray,
     t_grid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Populations P and amplitudes U (both n x T) of a pure start on a time grid.
 
     ``amplitudes`` are the initial energy-basis amplitudes c; the grid must be
@@ -253,8 +254,8 @@ def relax_energy_density(
     coherences at t_i are u u^H - diag|u|^2 with u = U[:, i]. Populations
     advance by exact exponential steps of the generator, cached per distinct
     step size. Without a bath (``None`` or zeta = 0) U is the unitary phase
-    rotation and P = |U|^2, which is |c|^2 to rounding and makes the
-    coherence correction P - |U|^2 vanish exactly.
+    rotation and P is returned as None: the populations are |U|^2, so the
+    coherence correction of :func:`site_distribution` vanishes and is skipped.
     """
     e = np.asarray(eigenvalues, dtype=float)
     c = np.asarray(amplitudes, dtype=complex)
@@ -262,8 +263,7 @@ def relax_energy_density(
     if np.any(np.diff(t_grid) < 0):
         raise ValueError("time grid must be nondecreasing")
     if bath is None or bath.zeta == 0.0 or not t_grid.size:
-        amps = c[:, None] * np.exp(np.outer(-1j * e, t_grid))
-        return np.abs(amps) ** 2, amps
+        return None, c[:, None] * np.exp(np.outer(-1j * e, t_grid))
     rates = transition_rates(e, bath)
     gen = population_generator(rates, bath)
     steps: dict[float, np.ndarray] = {}
@@ -284,15 +284,30 @@ def relax_energy_density(
     return pops, c[:, None] * np.exp(np.outer(decay, t_grid))
 
 
+def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """V U for real V: one real product on the interleaved (re, im) view of U."""
+    return (eigenvectors @ np.ascontiguousarray(amplitudes).view(float)).view(complex)
+
+
 def site_distribution(
-    eigenvectors: np.ndarray, populations: np.ndarray, amplitudes: np.ndarray
+    eigenvectors: np.ndarray,
+    populations: np.ndarray | None,
+    amplitudes: np.ndarray,
+    rotated: np.ndarray | None = None,
 ) -> np.ndarray:
     """Site probabilities (n x T) of a :func:`relax_energy_density` result.
 
-    The diagonal of V (u u^H + diag(P - |u|^2)) V^T for every time at once.
+    The diagonal of V (u u^H + diag(P - |u|^2)) V^T for every time at once;
+    ``populations = None`` (no bath) drops the vanishing correction term.
+    ``rotated`` is V U when the caller has it already; it is left intact.
     """
-    v = eigenvectors
-    return np.abs(v @ amplitudes) ** 2 + (v * v) @ (populations - np.abs(amplitudes) ** 2)
+    w = site_amplitudes(eigenvectors, amplitudes) if rotated is None else rotated
+    prob = np.square(w.real)
+    prob += np.square(w.imag, out=w.imag if rotated is None else None)  # in place when w is ours
+    del w  # frees V U before the correction's temporaries
+    if populations is not None:
+        prob += (eigenvectors * eigenvectors) @ (populations - np.abs(amplitudes) ** 2)
+    return prob
 
 
 def dissipative_transport_run(

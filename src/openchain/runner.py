@@ -17,7 +17,6 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,23 +86,30 @@ def _run_star(args: tuple[ExperimentConfig, int]) -> dict[str, np.ndarray]:
     return run_realization(*args)
 
 
-def _pool(config: ExperimentConfig, workers: int) -> ProcessPoolExecutor | nullcontext:
-    """One process pool for every ensemble of a run, or none when it runs serially."""
-    if workers > 1 and config.ensemble_size > 1:
-        return ProcessPoolExecutor(max_workers=workers)
-    return nullcontext()
+def _run_jobs(
+    jobs: list[tuple[ExperimentConfig, int]], workers: int
+) -> list[dict[str, np.ndarray]]:
+    """Every (config, seed) job, in order: one process pool for all, or serial."""
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_star, jobs))
+    return [_run_star(job) for job in jobs]
 
 
-def _run_ensemble(
-    config: ExperimentConfig, pool: ProcessPoolExecutor | None
-) -> tuple[list[int], list[dict[str, np.ndarray]]]:
-    seeds = [realization_seed(config.seed, r) for r in range(config.ensemble_size)]
-    jobs = [(config, seed) for seed in seeds]
-    if pool is not None:
-        results = list(pool.map(_run_star, jobs))
-    else:
-        results = [_run_star(job) for job in jobs]
-    return seeds, results
+def _ensemble_seeds(config: ExperimentConfig) -> list[int]:
+    return [realization_seed(config.seed, r) for r in range(config.ensemble_size)]
+
+
+def _require_finite(name: str, columns: dict[str, np.ndarray]) -> None:
+    """Reject non-finite values; only ``bell_fidelity`` columns may hold NaN."""
+    for column, values in columns.items():
+        bad = ~np.isfinite(values)
+        if column.startswith("bell_fidelity"):
+            bad &= ~np.isnan(values)
+        if bad.any():
+            raise FloatingPointError(
+                f"{name}: column {column!r} holds {np.count_nonzero(bad)} non-finite values"
+            )
 
 
 def aggregate_columns(results: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -160,20 +166,26 @@ def _disorder_provenance(config: ExperimentConfig, seeds: list[int]) -> list[lis
 
 
 def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
-    """Run an ensemble: one CSV per realization, an aggregate CSV, a JSON manifest."""
+    """Run an ensemble: one CSV per realization, an aggregate CSV, a JSON manifest.
+
+    A non-finite value other than ``bell_fidelity``'s NaN raises
+    ``FloatingPointError`` before any CSV is written.
+    """
     started = time.perf_counter()
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _pool(config, workers) as pool:
-        seeds, results = _run_ensemble(config, pool)
+    seeds = _ensemble_seeds(config)
+    results = _run_jobs([(config, seed) for seed in seeds], workers)
+    tables = {f"{config.scenario}_r{r:03d}.csv": cols for r, cols in enumerate(results)}
+    for name, cols in tables.items():
+        _require_finite(name, cols)
+    agg_name = f"{config.scenario}_aggregate.csv"
+    tables[agg_name] = aggregate_columns(results)
+    _require_finite(agg_name, tables[agg_name])
     outputs: dict[str, str] = {}
-    for r, cols in enumerate(results):
-        name = f"{config.scenario}_r{r:03d}.csv"
+    for name, cols in tables.items():
         write_csv(out_dir / name, cols)
         outputs[name] = _sha256(out_dir / name)
-    agg_name = f"{config.scenario}_aggregate.csv"
-    write_csv(out_dir / agg_name, aggregate_columns(results))
-    outputs[agg_name] = _sha256(out_dir / agg_name)
     manifest = RunManifest(
         config=config.to_dict(),
         version=__version__,
@@ -197,7 +209,9 @@ def sweep(
 
     For ``peak-scaling`` a row holds the ensemble mean of (t_star, p_star);
     for time-series scenarios it holds the ensemble mean of each column at the
-    final grid time. Realization seeds are shared across values.
+    final grid time. Realization seeds are shared across values. With
+    ``workers > 1`` every (value, realization) job goes to one process pool.
+    Non-finite values are rejected as in :func:`run_scenario`.
     """
     if vary not in SWEEPABLE:
         raise ValueError(f"parameter {vary!r} is not sweepable; choose from {SWEEPABLE}")
@@ -210,28 +224,27 @@ def sweep(
     started = time.perf_counter()
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
+    casts = [int(value) if vary == "s" else float(value) for value in values]
+    seeds = _ensemble_seeds(config)
+    jobs = [(dataclasses.replace(config, **{vary: cast}), seed) for cast in casts for seed in seeds]
+    results = _run_jobs(jobs, workers)
     rows: list[dict[str, float]] = []
-    all_seeds: list[int] = []
-    with _pool(config, workers) as pool:
-        for value in values:
-            cast = int(value) if vary == "s" else float(value)
-            point = dataclasses.replace(config, **{vary: cast})
-            seeds, results = _run_ensemble(point, pool)
-            all_seeds = seeds
-            row: dict[str, float] = {vary: cast}
-            for name in results[0]:
-                if name == "t":
-                    continue
-                row[name] = float(np.mean([r[name][-1] for r in results]))
-            rows.append(row)
+    for i, cast in enumerate(casts):
+        ensemble = results[i * len(seeds) : (i + 1) * len(seeds)]
+        row: dict[str, float] = {vary: cast}
+        for name in ensemble[0]:
+            if name != "t":
+                row[name] = float(np.mean([r[name][-1] for r in ensemble]))
+        rows.append(row)
     table = {k: np.array([row[k] for row in rows]) for k in rows[0]}
     name = f"{config.scenario}_sweep_{vary}.csv"
+    _require_finite(name, table)
     write_csv(out_dir / name, table)
     manifest = RunManifest(
         config={**config.to_dict(), "vary": vary, "values": list(values)},
         version=__version__,
         master_seed=config.seed,
-        realization_seeds=all_seeds,
+        realization_seeds=seeds,
         wall_clock_s=time.perf_counter() - started,
         outputs={name: _sha256(out_dir / name)},
     )

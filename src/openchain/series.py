@@ -13,28 +13,28 @@ from pathlib import Path
 import numpy as np
 
 
+_REAL_FORMAT = "%.17g"  # 17 significant digits round-trip every double
+_CSV_BLOCK_ROWS = 256  # rows converted to Python floats at once: bounds the writer's memory
+
+
 def format_real(value: float) -> str:
-    return f"{value:.17g}"
+    return _REAL_FORMAT % value
 
 
 def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns (equal length) as CSV with 17-digit reals."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    length = arrays[0].shape[0]
-    if any(a.shape[0] != length for a in arrays):
+    """Write named columns (equal length) as CSV with 17-digit reals.
+
+    One ``%`` format call per row, a block of rows at a time (bounded memory).
+    """
+    arrays = [np.asarray(a, dtype=float) for a in columns.values()]
+    if any(a.shape[0] != arrays[0].shape[0] for a in arrays):
         raise ValueError("all columns must have the same length")
-    lines = [",".join(names)]
-    for i in range(length):
-        lines.append(",".join(format_real(float(a[i])) for a in arrays))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_csv(path: str | Path) -> dict[str, np.ndarray]:
-    lines = Path(path).read_text().strip().splitlines()
-    names = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return {n: data[:, i] for i, n in enumerate(names)}
+    row = ",".join([_REAL_FORMAT] * len(arrays)) + "\n"
+    with open(path, "w") as out:
+        out.write(",".join(columns) + "\n")
+        for start in range(0, arrays[0].shape[0], _CSV_BLOCK_ROWS):
+            block = np.column_stack([a[start : start + _CSV_BLOCK_ROWS] for a in arrays])
+            out.write("".join(row % tuple(r) for r in block.tolist()))
 
 
 @dataclass

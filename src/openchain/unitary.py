@@ -12,9 +12,10 @@ from typing import Iterable
 import numpy as np
 
 from .chains import EigenSystem
+from .lindblad import relax_energy_density, site_distribution
 from .series import ObservableSeries
 
-_TIME_CHUNK = 4096
+_BLOCK_BYTES = 1 << 20  # one complex n x block kernel array: cache-sized
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,22 @@ def site_probability(psi: PureState, region: Iterable[int]) -> float:
     return float(sum(prob[x - 1] for x in sites))
 
 
+def _site_blocks(eig: EigenSystem, psi0: PureState, times: np.ndarray, rows: slice = slice(None)):
+    """(columns, site probabilities of ``rows``) per cache-sized block of the grid.
+
+    Each block runs the pure-state kernel of :mod:`openchain.lindblad` without a bath.
+    """
+    if psi0.dim != eig.dim:
+        raise ValueError(f"state dim {psi0.dim} does not match system dim {eig.dim}")
+    coeff = eig.eigenvectors.T @ psi0.amplitudes
+    v = eig.eigenvectors[rows]
+    step = max(1, _BLOCK_BYTES // (16 * eig.dim))
+    for start in range(0, times.size, step):
+        cols = slice(start, start + step)
+        _, amps = relax_energy_density(eig.eigenvalues, None, coeff, times[cols])
+        yield cols, site_distribution(v, None, amps)
+
+
 def arrival_peak(
     eig: EigenSystem, psi0: PureState, t_max: float, dt: float = 0.05
 ) -> tuple[float, float]:
@@ -81,20 +98,10 @@ def arrival_peak(
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("t_max and dt must be positive")
-    if psi0.dim != eig.dim:
-        raise ValueError(f"state dim {psi0.dim} does not match system dim {eig.dim}")
-    coeff = eig.eigenvectors.T @ psi0.amplitudes
-    weights = eig.eigenvectors[-1, :] * coeff
     times = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
-    best_t, best_p = 0.0, -1.0
-    for start in range(0, times.size, _TIME_CHUNK):
-        chunk = times[start : start + _TIME_CHUNK]
-        amps = weights @ np.exp(-1j * np.outer(eig.eigenvalues, chunk))
-        probs = np.abs(amps) ** 2
-        i = int(np.argmax(probs))
-        if probs[i] > best_p:
-            best_t, best_p = float(chunk[i]), float(probs[i])
-    return best_t, best_p
+    last = np.concatenate([p[0] for _, p in _site_blocks(eig, psi0, times, slice(-1, None))])
+    i = int(np.argmax(last))
+    return float(times[i]), float(last[i])
 
 
 def unitary_observable_series(
@@ -112,16 +119,12 @@ def unitary_observable_series(
         if sites and (sites[0] < 1 or sites[-1] > eig.dim):
             raise ValueError(f"region {sites} not contained in 1..{eig.dim}")
         region_idx = np.asarray(sites, dtype=int) - 1
-    coeff = eig.eigenvectors.T @ psi0.amplitudes
     x = np.arange(1, eig.dim + 1)
     mean = np.empty(t_grid.size)
     var = np.empty(t_grid.size)
     p_reg = np.empty(t_grid.size) if region_idx is not None else None
     sites_out = np.empty((t_grid.size, eig.dim)) if with_sites else None
-    for start in range(0, t_grid.size, _TIME_CHUNK):
-        sl = slice(start, min(start + _TIME_CHUNK, t_grid.size))
-        phases = np.exp(-1j * np.outer(eig.eigenvalues, t_grid[sl])) * coeff[:, None]
-        prob = np.abs(eig.eigenvectors @ phases) ** 2  # (dim, chunk)
+    for sl, prob in _site_blocks(eig, psi0, t_grid):
         mean[sl] = x @ prob
         var[sl] = (x**2) @ prob - mean[sl] ** 2
         if p_reg is not None:

@@ -8,6 +8,8 @@ checks.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -24,6 +26,15 @@ from openchain.lindblad import (
     to_position_representation,
     transition_rates,
 )
+
+
+def read_csv(path) -> dict[str, np.ndarray]:
+    """Columns of a CSV written by ``openchain.series.write_csv``."""
+    lines = Path(path).read_text().strip().splitlines()
+    names = lines[0].split(",")
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return {n: data[:, i] for i, n in enumerate(names)}
+
 
 # register basis order (sigma3(c), sigma3(p)): (-1,-1), (-1,+1), (+1,-1), (+1,+1)
 P_CONTROL_UP = np.diag([0.0, 0.0, 1.0, 1.0])
@@ -302,3 +313,35 @@ def dense_superposed_columns(
         )
     names = ("trace_UU", "trace_DD", "p_beyond_gate", "entropy", "bell_fidelity")
     return dict(zip(names, np.array(rows).T))
+
+
+# ---------------------------------------------------------------------------
+# closed chain in 4096-column chunks with a complex product (the reference for
+# the cache-blocked kernel path of openchain.unitary)
+# ---------------------------------------------------------------------------
+
+
+def chunked_unitary_columns(
+    eig, psi0: np.ndarray, t_grid: np.ndarray, region_idx: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """mean_Q, var_Q, the region probability and the (T, n) site distribution."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    coeff = eig.eigenvectors.T @ psi0
+    x = np.arange(1, eig.dim + 1)
+    cols = {
+        "mean_Q": np.empty(t_grid.size),
+        "var_Q": np.empty(t_grid.size),
+        "sites": np.empty((t_grid.size, eig.dim)),
+    }
+    if region_idx is not None:
+        cols["p_region"] = np.empty(t_grid.size)
+    for start in range(0, t_grid.size, 4096):
+        sl = slice(start, min(start + 4096, t_grid.size))
+        phases = np.exp(-1j * np.outer(eig.eigenvalues, t_grid[sl])) * coeff[:, None]
+        prob = np.abs(eig.eigenvectors @ phases) ** 2  # (dim, chunk)
+        cols["mean_Q"][sl] = x @ prob
+        cols["var_Q"][sl] = np.maximum((x**2) @ prob - cols["mean_Q"][sl] ** 2, 0.0)
+        if region_idx is not None:
+            cols["p_region"][sl] = prob[region_idx, :].sum(axis=0)
+        cols["sites"][sl] = prob.T
+    return cols

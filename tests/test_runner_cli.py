@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from support import read_csv
 
 from openchain.cli import main
 from openchain.config import validate_config
 from openchain.runner import realization_seed, run_scenario, sweep
-from openchain.series import read_csv
 
 
 def make_config(tmp_path, scenario, extra="", out="out"):
@@ -187,6 +187,27 @@ class TestSweep:
         table = read_csv(tmp_path / "out" / "peak-scaling_sweep_s.csv")
         assert table["s"].tolist() == [10.0, 12.0, 14.0]
 
+    def test_values_run_in_one_pool(self, tmp_path, monkeypatch):
+        # one realization per value: the values themselves are the parallel jobs
+        import openchain.runner as runner_mod
+
+        pools = []
+        real = runner_mod.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", counting_pool)
+        values = [10, 12, 14, 16]
+        sweep(make_config(tmp_path, "peak-scaling", out="serial"), "s", values, workers=1)
+        assert pools == []
+        sweep(make_config(tmp_path, "peak-scaling", out="pooled"), "s", values, workers=2)
+        assert len(pools) == 1
+        assert (tmp_path / "serial" / "peak-scaling_sweep_s.csv").read_bytes() == (
+            tmp_path / "pooled" / "peak-scaling_sweep_s.csv"
+        ).read_bytes()
+
 
 class TestCli:
     def write_config(self, tmp_path, text):
@@ -268,3 +289,20 @@ class TestCli:
             "[grid]\nt_max = 5\ndt = 1\n",
         )
         assert main(["run", path]) == 3
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "s", "--values", "10,12"]])
+    def test_non_finite_value_exit_3(self, tmp_path, monkeypatch, capsys, command):
+        import openchain.runner as runner_mod
+
+        def overflowing(config, seed):
+            return {"t": np.array([0.0, 1.0]), "mean_Q": np.array([1.0, np.inf])}
+
+        monkeypatch.setattr(runner_mod, "run_realization", overflowing)
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = ballistic\noutput = {tmp_path / 'out'}\n"
+            "[grid]\nt_max = 1\ndt = 1\n",
+        )
+        assert main([command[0], path, *command[1:]]) == 3
+        assert "mean_Q" in capsys.readouterr().err
+        assert list((tmp_path / "out").glob("*.csv")) == []

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from support import read_csv
 
-from openchain.series import ObservableSeries, format_real, read_csv, write_csv
+from openchain.series import ObservableSeries, format_real, write_csv
 
 
 class TestCsv:
@@ -20,6 +21,33 @@ class TestCsv:
 
     def test_seventeen_digits(self):
         assert format_real(np.pi) == "3.1415926535897931"
+        assert [format_real(v) for v in (-0.0, 5e-324, 1e300, 100)] == [
+            "-0",
+            "4.9406564584124654e-324",
+            "1.0000000000000001e+300",
+            "100",
+        ]
+
+    def test_rows_match_per_cell_format(self, tmp_path):
+        # the row-at-a-time writer must give exactly the bytes of one
+        # format_real call per cell, special values and an integer column included
+        rng = np.random.Generator(np.random.Philox(key=2))
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, 2.0**53 + 2]
+        scales = 10.0 ** rng.integers(-300, 300, 200)
+        reals = np.concatenate([special, rng.normal(size=200) * scales])
+        cols = {
+            "s": np.arange(reals.size, dtype=int) * 37 - 100,
+            "x": reals,
+            "bits": rng.integers(0, 2**64, reals.size, dtype=np.uint64).view(np.float64),
+        }
+        path = tmp_path / "x.csv"
+        write_csv(path, cols)
+        lines = ["s,x,bits"] + [
+            ",".join(format_real(float(cols[n][i])) for n in cols) for i in range(reals.size)
+        ]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        assert "nan" in path.read_text() and "-inf" in path.read_text()
+        assert path.read_text().splitlines()[1].startswith("-100,nan,")
 
     def test_header_order(self, tmp_path):
         path = tmp_path / "x.csv"
