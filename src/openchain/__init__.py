@@ -3,7 +3,9 @@
 Closed-system propagation is exact (spectral decomposition); open-system
 dynamics uses nearest-level thermal jump rates in the energy eigenbasis, with
 populations advanced by the matrix exponential of the classical master
-equation and coherences by their closed-form decay.
+equation and coherences by their closed-form decay. Every pipeline runs one
+pure-state kernel (``lindblad.relax_energy_density`` and
+``lindblad.site_distribution``).
 """
 
 __version__ = "0.1.0"
@@ -27,17 +29,15 @@ from .chains import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, validate_config
 from .feynman import (
-    BlockDensity,
     CircuitLayout,
     PathCoordinateMap,
     PeresBasis,
     bell_fidelity,
     build_cnot_layout,
-    check_subspace_conservation,
     coordinate_map,
     peres_basis,
     reduced_chain_hamiltonian,
-    register_reduced_state,
+    register_states,
     run_classical_input,
     run_superposed_input,
     von_neumann_entropy,
@@ -45,16 +45,10 @@ from .feynman import (
 from .lindblad import (
     BathSpec,
     DegenerateGapError,
-    EnergyRepDensity,
     TransitionRates,
-    density_observables,
     dissipative_transport_run,
     population_generator,
-    propagate_coherences,
-    propagate_populations,
     thermal_fixed_point,
-    to_energy_representation,
-    to_position_representation,
     transition_rates,
 )
 from .runner import run_scenario, sweep
@@ -95,28 +89,20 @@ __all__ = [
     "BathSpec",
     "TransitionRates",
     "DegenerateGapError",
-    "EnergyRepDensity",
     "transition_rates",
     "population_generator",
-    "propagate_populations",
-    "propagate_coherences",
     "thermal_fixed_point",
-    "to_position_representation",
-    "to_energy_representation",
-    "density_observables",
     "dissipative_transport_run",
     "CircuitLayout",
     "PathCoordinateMap",
     "PeresBasis",
-    "BlockDensity",
     "build_cnot_layout",
     "coordinate_map",
     "peres_basis",
     "reduced_chain_hamiltonian",
-    "check_subspace_conservation",
     "run_classical_input",
     "run_superposed_input",
-    "register_reduced_state",
+    "register_states",
     "von_neumann_entropy",
     "bell_fidelity",
     "ExperimentConfig",

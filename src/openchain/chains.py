@@ -99,13 +99,6 @@ class HamiltonianOperator:
     def dim(self) -> int:
         return self.diagonal.size
 
-    def dense(self) -> np.ndarray:
-        """Full matrix representation."""
-        h = np.diag(self.diagonal)
-        if self.dim > 1:
-            h += np.diag(self.hopping, 1) + np.diag(self.hopping, -1)
-        return h
-
 
 @dataclass(frozen=True)
 class EigenSystem:

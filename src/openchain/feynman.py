@@ -39,14 +39,8 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, PotentialProfile, diagonalize
-from .lindblad import (
-    BathSpec,
-    EnergyRepDensity,
-    relax_energy_density,
-    site_amplitudes,
-    site_distribution,
-)
+from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
+from .lindblad import BathSpec, relax_energy_density, site_amplitudes, site_distribution
 from .series import ObservableSeries, write_csv
 
 Branch = Literal["U", "D"]
@@ -135,13 +129,6 @@ class PeresBasis:
     def path_length(self) -> int:
         return self.sites.size
 
-    @property
-    def entries(self) -> list[tuple[int, int, RegisterLabel]]:
-        return [
-            (j + 1, int(self.sites[j]), self.registers[j])
-            for j in range(self.path_length)
-        ]
-
     def register_indices(self) -> np.ndarray:
         return np.array([register_index(r) for r in self.registers])
 
@@ -188,61 +175,6 @@ def reduced_chain_hamiltonian(
     j = np.arange(1, layout.path_length + 1, dtype=float)
     diag = disorder.epsilons[sites - 1] - g * j
     return HamiltonianOperator(diag, -0.5 * np.ones(layout.path_length - 1))
-
-
-# ---------------------------------------------------------------------------
-# conservation of the computational subspace
-# ---------------------------------------------------------------------------
-
-
-def embedded_labels(basis: PeresBasis) -> list[RegisterLabel]:
-    """Register labels reachable along the branch, in order of first appearance."""
-    seen: list[RegisterLabel] = []
-    for label in basis.registers:
-        if label not in seen:
-            seen.append(label)
-    return seen
-
-
-def embedded_potential(
-    potential: PotentialProfile, basis: PeresBasis, labels: list[RegisterLabel] | None = None
-) -> np.ndarray:
-    """f(x) x identity on the (site, reachable-label) product space."""
-    labels = embedded_labels(basis) if labels is None else labels
-    return np.kron(np.diag(potential.values), np.eye(len(labels)))
-
-
-def embedded_subspace_projector(
-    basis: PeresBasis, s: int, labels: list[RegisterLabel] | None = None
-) -> np.ndarray:
-    """Projector onto the branch's computational subspace in the same product space."""
-    labels = embedded_labels(basis) if labels is None else labels
-    nlab = len(labels)
-    proj = np.zeros((s * nlab, s * nlab))
-    for j in range(basis.path_length):
-        idx = (int(basis.sites[j]) - 1) * nlab + labels.index(basis.registers[j])
-        proj[idx, idx] = 1.0
-    return proj
-
-
-def check_subspace_conservation(
-    potential: PotentialProfile, basis: PeresBasis
-) -> float:
-    """Frobenius norm of [V, P] for a site-diagonal potential V.
-
-    Zero (to machine precision) for every diagonal potential: the clock
-    position determines the register state, so no potential on the clock can
-    leak amplitude out of the computational subspace.
-    """
-    s = len(potential)
-    if s < basis.sites.max():
-        raise ValueError(
-            f"potential over {s} sites cannot cover a path reaching site {basis.sites.max()}"
-        )
-    labels = embedded_labels(basis)
-    v = embedded_potential(potential, basis, labels)
-    p = embedded_subspace_projector(basis, s, labels)
-    return float(np.linalg.norm(v @ p - p @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -310,38 +242,7 @@ def run_classical_input(
     return series
 
 
-@dataclass
-class BlockDensity:
-    """State of the superposed-control machine over the two branch subspaces.
-
-    ``uu``/``dd`` live in their branch's energy eigenbasis; ``ud`` is the
-    cross-branch coherence block with row index in the upper-branch eigenbasis
-    and column index in the lower-branch one. The eigensystems are kept so the
-    cursor can be traced out in the physical-site basis.
-    """
-
-    uu: EnergyRepDensity
-    dd: EnergyRepDensity
-    ud: np.ndarray
-    eig_up: EigenSystem
-    eig_down: EigenSystem
-
-    def position_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(uu, dd, ud) rotated to the path-coordinate (site) basis."""
-        vu, vd = self.eig_up.eigenvectors, self.eig_down.eigenvectors
-        return (
-            vu @ self.uu.matrix() @ vu.T,
-            vd @ self.dd.matrix() @ vd.T,
-            vu @ self.ud @ vd.T,
-        )
-
-    def full_matrix(self) -> np.ndarray:
-        """The complete 2n x 2n block matrix (position basis), for invariant checks."""
-        uu, dd, ud = self.position_blocks()
-        return np.block([[uu, ud], [ud.conj().T, dd]])
-
-
-def _register_states(
+def register_states(
     pops_up: np.ndarray,
     pops_down: np.ndarray,
     cross: np.ndarray,
@@ -349,12 +250,15 @@ def _register_states(
     bases: tuple[PeresBasis, PeresBasis],
     region: Iterable[int] | None = None,
 ) -> np.ndarray:
-    """Cursor traced out at every time at once -> (T, 4, 4) register states.
+    """Cursor traced out (physical-site basis) at every time -> (T, 4, 4) register states.
 
     ``pops_up``/``pops_down`` are the (T, n) path-coordinate populations of the
     diagonal blocks and ``cross`` the (T, len(maps.shared)) diagonal of the
-    cross block on the shared coordinates. Each entry is summed into its
-    register index by a product with a one-hot matrix.
+    cross block on the shared coordinates: the cross block contributes only on
+    sites traversed by both branches. Each entry is summed into its register
+    index by a product with a one-hot matrix. With ``region`` (a set of
+    physical sites) the trace is restricted to those sites and the states are
+    unnormalized: their trace is the probability of the cursor being there.
     """
     idx_up, idx_down = bases[0].register_indices(), bases[1].register_indices()
     shared = maps.shared
@@ -370,31 +274,16 @@ def _register_states(
     return rho + off + np.conj(np.swapaxes(off, 1, 2))
 
 
-def register_reduced_state(
-    block: BlockDensity,
-    maps: PathCoordinateMap,
-    bases: tuple[PeresBasis, PeresBasis],
-    region: Iterable[int] | None = None,
-) -> np.ndarray:
-    """Trace out the cursor position (physical-site basis) -> 4x4 register matrix.
-
-    With ``region`` (a set of physical sites) the trace is restricted to those
-    sites and the result is unnormalized: its trace is the probability of the
-    cursor being there. Diagonal blocks contribute site populations; the
-    cross block contributes only on sites traversed by both branches.
-    """
-    uu, dd, ud = (np.diag(m)[None] for m in block.position_blocks())
-    return _register_states(uu.real, dd.real, ud[:, maps.shared], maps, bases, region)[0]
-
-
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """-sum lambda ln lambda over the eigenvalues (natural log, 0 ln 0 = 0).
 
-    A stack of matrices (..., d, d) gives one entropy per matrix.
+    A stack of matrices (..., d, d) gives one entropy per matrix. A pure state
+    can carry an eigenvalue a rounding error above 1, whose term is slightly
+    negative; the result is clipped at 0.
     """
     lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     lam = np.where(lam > 1e-15, lam, 1.0)  # 1 ln 1 = 0 drops the cut eigenvalues
-    return -np.sum(lam * np.log(lam), axis=-1)
+    return np.maximum(-np.sum(lam * np.log(lam), axis=-1), 0.0)
 
 
 def bell_fidelity(rho: np.ndarray) -> float | np.ndarray:
@@ -409,7 +298,8 @@ class SwitchSeries:
 
     ``bell_fidelity`` is conditioned on the cursor having passed the switch
     (physical site >= b) and is NaN where that probability vanishes;
-    ``entropy`` is the unconditioned register entropy.
+    ``entropy`` is the entropy of ``register``, the (T, 4, 4) unconditioned
+    register states.
     """
 
     times: np.ndarray
@@ -418,7 +308,7 @@ class SwitchSeries:
     p_beyond_gate: np.ndarray
     entropy: np.ndarray
     bell_fidelity: np.ndarray
-    blocks: list[BlockDensity] | None = None
+    register: np.ndarray
 
     def columns(self) -> dict[str, np.ndarray]:
         return {
@@ -440,7 +330,6 @@ def run_superposed_input(
     g: float,
     bath: BathSpec | None,
     t_grid: np.ndarray,
-    keep_blocks: bool = False,
 ) -> SwitchSeries:
     """Evolve the machine from the equal superposition of control up and down.
 
@@ -454,9 +343,9 @@ def run_superposed_input(
     rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal 1/2 (V_U U_U)_j
     conj((V_D U_D)_j) on the shared coordinates j; each branch's V U is
     computed once and feeds both its site distribution and the cross diagonal.
-    The register states of the whole grid are traced, diagonalized and
-    projected as one (T, 4, 4) stack; ``keep_blocks`` rebuilds per-time
-    :class:`BlockDensity` objects from P, U.
+    The register states of the whole grid are traced (:func:`register_states`),
+    diagonalized and projected as one (T, 4, 4) stack, which the series keeps
+    as ``register``; no per-time state or dense block is formed.
     """
     up = BranchModel.build(layout, "U", disorder, g)
     down = BranchModel.build(layout, "D", disorder, g)
@@ -479,8 +368,9 @@ def run_superposed_input(
         sites_u[:, up.beyond_gate_coordinates()].sum(axis=1)
         + sites_d[:, down.beyond_gate_coordinates()].sum(axis=1)
     )
-    entropy = von_neumann_entropy(_register_states(sites_u, sites_d, cross, maps, bases))
-    cond = _register_states(
+    register = register_states(sites_u, sites_d, cross, maps, bases)
+    entropy = von_neumann_entropy(register)
+    cond = register_states(
         sites_u, sites_d, cross, maps, bases, region=range(layout.b, layout.s + 1)
     )
     weight = np.real(np.trace(cond, axis1=1, axis2=2))
@@ -488,18 +378,5 @@ def run_superposed_input(
     passed = weight > 1e-12
     fidelity[passed] = bell_fidelity(cond[passed] / weight[passed, None, None])
 
-    blocks = None
-    if keep_blocks:
-        half = np.sqrt(0.5)
-        blocks = [
-            BlockDensity(
-                EnergyRepDensity.from_pure_run(0.5 * pop_u[:, i], half * amp_u[:, i]),
-                EnergyRepDensity.from_pure_run(0.5 * pop_d[:, i], half * amp_d[:, i]),
-                0.5 * np.outer(amp_u[:, i], np.conj(amp_d[:, i])),
-                up.eig,
-                down.eig,
-            )
-            for i in range(t_grid.size)
-        ]
     trace_uu, trace_dd = 0.5 * pop_u.sum(axis=0), 0.5 * pop_d.sum(axis=0)
-    return SwitchSeries(t_grid, trace_uu, trace_dd, p_beyond, entropy, fidelity, blocks)
+    return SwitchSeries(t_grid, trace_uu, trace_dd, p_beyond, entropy, fidelity, register)

@@ -11,8 +11,7 @@ with omega the level gap, so detailed balance holds and the Gibbs vector is
 stationary. The chain-bath coupling strength ``zeta`` multiplies all rates.
 
 Under these rates the density matrix decouples in the energy eigenbasis:
-populations follow a classical master equation (solved exactly through the
-matrix exponential of its generator), while each coherence decays
+populations follow a classical master equation, while each coherence decays
 autonomously,
 
     rho_mn(t) = rho_mn(0) * exp([-i (e_m - e_n) - zeta (G_m + G_n)/2] t),
@@ -20,14 +19,16 @@ autonomously,
 where G_m is the total outflow rate from level m. ``zeta = 0`` reduces every
 formula to the closed-system evolution.
 
-For a pure initial state (energy amplitudes c) the decay law factorizes:
-the coherences are the off-diagonal part of u u^H with
-u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A whole time grid is then the
-n x T populations P and amplitudes U (:func:`relax_energy_density`), and its
-site distribution |V U|^2 + (V*V)(P - |U|^2) is two matrix products, one
-without a bath (:func:`site_distribution`; V is real, so V U is a real
-product). This precondition, a pure start, holds for every pipeline in the
-package, the closed chain of :mod:`openchain.unitary` included.
+Every run in the package starts from a pure state (energy amplitudes c), for
+which the decay law factorizes: the coherences are the off-diagonal part of
+u u^H with u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A whole time grid is
+then the n x T populations P (exact matrix-exponential steps of the master
+equation) and amplitudes U (:func:`relax_energy_density`), and its site
+distribution |V U|^2 + (V*V)(P - |U|^2) is two matrix products, one without a
+bath (:func:`site_distribution`; V is real, so V U is a real product). No
+dense n x n state is formed, and every pipeline runs on this kernel: the
+dissipative chain below, the closed chain of :mod:`openchain.unitary` and
+both switch pipelines of :mod:`openchain.feynman`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import expm
 
-from .chains import EigenSystem, HamiltonianOperator, diagonalize
+from .chains import HamiltonianOperator, diagonalize
 from .series import ObservableSeries
 
 
@@ -106,139 +107,11 @@ def population_generator(rates: TransitionRates, bath: BathSpec) -> np.ndarray:
     return a
 
 
-def propagate_populations(
-    rates: TransitionRates,
-    bath: BathSpec,
-    p0: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """Populations at time t from the classical master equation (exact, via expm)."""
-    p0 = np.asarray(p0, dtype=float)
-    if np.any(p0 < -1e-12):
-        raise ValueError(f"negative input probabilities: min = {p0.min()}")
-    if abs(p0.sum() - 1.0) > 1e-9:
-        raise ValueError(f"input populations must sum to 1, got {p0.sum()}")
-    return expm(population_generator(rates, bath) * t) @ p0
-
-
-def coherence_decay_matrix(
-    eigenvalues: np.ndarray, rates: TransitionRates, bath: BathSpec
-) -> np.ndarray:
-    """Complex per-element rate of the autonomous coherence equations."""
-    e = np.asarray(eigenvalues, dtype=float)
-    g = bath.zeta * rates.widths
-    return -1j * (e[:, None] - e[None, :]) - 0.5 * (g[:, None] + g[None, :])
-
-
-def propagate_coherences(
-    eigenvalues: np.ndarray,
-    rates: TransitionRates,
-    bath: BathSpec,
-    rho0_offdiag: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """Closed-form off-diagonal elements at time t (diagonal is returned as 0)."""
-    coh = np.asarray(rho0_offdiag, dtype=complex) * np.exp(
-        coherence_decay_matrix(eigenvalues, rates, bath) * t
-    )
-    np.fill_diagonal(coh, 0.0)
-    return coh
-
-
 def thermal_fixed_point(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs populations proportional to exp(-beta e_m)."""
     e = np.asarray(eigenvalues, dtype=float)
     w = np.exp(-beta * (e - e.min()))
     return w / w.sum()
-
-
-@dataclass
-class EnergyRepDensity:
-    """Density matrix split into populations and coherences in the energy basis.
-
-    Also used for the sub-unit-trace blocks of a two-branch state, so the
-    unit-trace check lives in :meth:`validate` rather than the constructor.
-    """
-
-    populations: np.ndarray
-    coherences: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.populations = np.asarray(self.populations, dtype=float)
-        self.coherences = np.asarray(self.coherences, dtype=complex)
-        n = self.populations.size
-        if self.coherences.shape != (n, n):
-            raise ValueError("coherence matrix must be dim x dim")
-
-    @property
-    def dim(self) -> int:
-        return self.populations.size
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.populations).astype(complex) + self.coherences
-
-    def trace(self) -> float:
-        return float(self.populations.sum())
-
-    @classmethod
-    def from_pure_run(cls, populations: np.ndarray, amplitudes: np.ndarray) -> "EnergyRepDensity":
-        """One time point of :func:`relax_energy_density`: diag(P) + (u u^H off the diagonal)."""
-        coh = np.outer(amplitudes, np.conj(amplitudes))
-        np.fill_diagonal(coh, 0.0)
-        return cls(populations, coh)
-
-    @classmethod
-    def from_matrix(cls, rho: np.ndarray) -> "EnergyRepDensity":
-        rho = np.asarray(rho, dtype=complex)
-        pops = np.real(np.diag(rho)).copy()
-        coh = rho.copy()
-        np.fill_diagonal(coh, 0.0)
-        return cls(pops, coh)
-
-    def validate(self, atol: float = 1e-9) -> None:
-        """Check the unit-trace, positivity and hermiticity invariants."""
-        if np.any(self.populations < -1e-12):
-            raise ValueError(f"negative population: min = {self.populations.min()}")
-        if abs(self.trace() - 1.0) > atol:
-            raise ValueError(f"trace is {self.trace()}, expected 1")
-        m = self.matrix()
-        if np.max(np.abs(m - m.conj().T)) > atol:
-            raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(m).min() < -atol:
-            raise ValueError("density matrix is not positive semidefinite")
-
-
-def to_position_representation(eig: EigenSystem, rho: EnergyRepDensity) -> np.ndarray:
-    """Rotate an energy-representation density matrix to the site basis."""
-    if rho.dim != eig.dim:
-        raise ValueError(f"density dim {rho.dim} does not match system dim {eig.dim}")
-    v = eig.eigenvectors
-    return v @ rho.matrix() @ v.T
-
-
-def to_energy_representation(eig: EigenSystem, rho_pos: np.ndarray) -> EnergyRepDensity:
-    """Inverse of :func:`to_position_representation`."""
-    v = eig.eigenvectors
-    return EnergyRepDensity.from_matrix(v.T @ np.asarray(rho_pos, dtype=complex) @ v)
-
-
-def density_observables(
-    rho: np.ndarray, region: Iterable[int] | None = None
-) -> tuple[float, float, float]:
-    """(mean_Q, var_Q, p_region) of a position-basis density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    prob = np.real(np.diag(rho))
-    dim = prob.size
-    x = np.arange(1, dim + 1)
-    mean = float(prob @ x)
-    var = max(float(prob @ x**2 - mean**2), 0.0)
-    p_reg = 1.0
-    if region is not None:
-        sites = sorted(set(region))
-        if sites and (sites[0] < 1 or sites[-1] > dim):
-            raise ValueError(f"region {sites} not contained in 1..{dim}")
-        p_reg = float(sum(prob[s - 1] for s in sites))
-    return mean, var, p_reg
 
 
 def relax_energy_density(

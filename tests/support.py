@@ -1,9 +1,12 @@
 """Independent oracles used by the tests.
 
-Everything here is deliberately written from scratch against the model
+The oracles are deliberately written from scratch against the model
 definitions (full product-space Hamiltonian, brute-force master-equation
-integration) so it shares no code path with the package implementations it
-checks.
+integration, dense per-time-point density matrices on plain ndarrays) so they
+share no code path with the package implementations they check; they take
+only the model inputs (spectrum, rates, branch geometry) from the package.
+The helpers under "kernel states" assemble dense matrices from the package's
+own pure-state kernel, for invariant checks of what the pipelines compute.
 """
 
 from __future__ import annotations
@@ -15,17 +18,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from openchain.chains import DisorderRealization, HamiltonianOperator, diagonalize
-from openchain.feynman import BranchModel, CircuitLayout, coordinate_map
-from openchain.lindblad import (
-    BathSpec,
-    EnergyRepDensity,
-    TransitionRates,
-    coherence_decay_matrix,
-    population_generator,
-    to_energy_representation,
-    to_position_representation,
-    transition_rates,
-)
+from openchain.feynman import BranchModel, CircuitLayout, PeresBasis, coordinate_map
+from openchain.lindblad import BathSpec, relax_energy_density, transition_rates
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -34,6 +28,14 @@ def read_csv(path) -> dict[str, np.ndarray]:
     names = lines[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return {n: data[:, i] for i, n in enumerate(names)}
+
+
+def dense_hamiltonian(h: HamiltonianOperator) -> np.ndarray:
+    """Full matrix of a tridiagonal operator."""
+    m = np.diag(h.diagonal)
+    if h.dim > 1:
+        m += np.diag(h.hopping, 1) + np.diag(h.hopping, -1)
+    return m
 
 
 # register basis order (sigma3(c), sigma3(p)): (-1,-1), (-1,+1), (+1,-1), (+1,+1)
@@ -87,6 +89,14 @@ def full_space_state(layout: CircuitLayout, register_amplitudes: np.ndarray) -> 
     psi = np.zeros(4 * layout.s, dtype=complex)
     psi[:4] = register_amplitudes
     return psi
+
+
+def subspace_projector(basis: PeresBasis, s: int) -> np.ndarray:
+    """Projector onto a branch's computational basis in the 4s-dim product space."""
+    proj = np.zeros((4 * s, 4 * s))
+    idx = 4 * (basis.sites - 1) + basis.register_indices()
+    proj[idx, idx] = 1.0
+    return proj
 
 
 def evolve_full(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -161,30 +171,35 @@ def integrate_populations(gen: np.ndarray, p0: np.ndarray, t: float) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# dense per-time-point pipelines: one n x n energy-basis state per grid time,
-# rotated to the site basis one at a time (the reference for the rank-one
-# kernel in openchain.lindblad)
+# dense per-time-point pipelines: one n x n energy-basis density matrix per
+# grid time, rotated to the site basis one at a time (the reference for the
+# rank-one kernel in openchain.lindblad)
 # ---------------------------------------------------------------------------
 
 
 def relax_energy_density_dense(
     eigenvalues: np.ndarray,
-    rates: TransitionRates,
-    bath: BathSpec,
-    rho0: EnergyRepDensity,
+    gamma: np.ndarray,
+    zeta: float,
+    rho0: np.ndarray,
     t_grid: np.ndarray,
-) -> list[EnergyRepDensity]:
-    """Energy-representation state at each grid time (grid must be nondecreasing).
+) -> list[np.ndarray]:
+    """Energy-basis density matrix at each grid time (grid must be nondecreasing).
 
-    Populations advance by exact exponential steps of the generator (cached per
-    distinct step size); coherences use their closed form.
+    Populations (the diagonal) advance by exact exponential steps of the
+    master-equation generator, cached per distinct step size; each coherence
+    follows its closed form rho_mn(0) exp([-i (e_m - e_n) - zeta (G_m + G_n)/2] t).
     """
+    e = np.asarray(eigenvalues, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     assert np.all(np.diff(t_grid) >= 0), "time grid must be nondecreasing"
-    gen = population_generator(rates, bath)
-    decay = coherence_decay_matrix(eigenvalues, rates, bath)
+    widths = gamma.sum(axis=0)
+    gen = zeta * (gamma - np.diag(widths))
+    decay = -1j * np.subtract.outer(e, e) - 0.5 * zeta * np.add.outer(widths, widths)
+    rho0 = np.asarray(rho0, dtype=complex)
+    pops = np.real(np.diag(rho0)).copy()
+    coh0 = rho0 - np.diag(np.diag(rho0))
     steps: dict[float, np.ndarray] = {}
-    pops = rho0.populations.copy()
     out = []
     prev_t = t_grid[0] if t_grid.size else 0.0
     if t_grid.size and t_grid[0] > 0:
@@ -196,8 +211,7 @@ def relax_energy_density_dense(
                 steps[dt] = expm(gen * dt)
             pops = steps[dt] @ pops
         prev_t = t
-        coh = rho0.coherences * np.exp(decay * t)
-        out.append(EnergyRepDensity(pops.copy(), coh))
+        out.append(np.diag(pops) + coh0 * np.exp(decay * t))
     return out
 
 
@@ -205,10 +219,10 @@ def relax_energy_density_dense(
 CLOSED = BathSpec(beta=1.0, zeta=0.0)
 
 
-def _dense_states(eig, bath: BathSpec | None, rho0: EnergyRepDensity, t_grid) -> list:
+def _dense_states(eig, bath: BathSpec | None, rho0: np.ndarray, t_grid) -> list:
     bath = bath or CLOSED
-    rates = transition_rates(eig.eigenvalues, bath)
-    return relax_energy_density_dense(eig.eigenvalues, rates, bath, rho0, t_grid)
+    gamma = transition_rates(eig.eigenvalues, bath).gamma
+    return relax_energy_density_dense(eig.eigenvalues, gamma, bath.zeta, rho0, t_grid)
 
 
 def _moments(prob: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -222,11 +236,12 @@ def dense_transport_columns(
     """mean_Q, var_Q and last-site probability of a dissipative chain run."""
     eig = diagonalize(h)
     psi0 = np.asarray(psi0, dtype=complex)
-    rho0 = to_energy_representation(eig, np.outer(psi0, psi0.conj()))
+    v = eig.eigenvectors
+    rho0 = v.T @ np.outer(psi0, psi0.conj()) @ v
     x = np.arange(1, h.dim + 1)
     rows = []
     for state in _dense_states(eig, bath, rho0, t_grid):
-        prob = np.real(np.diag(to_position_representation(eig, state)))
+        prob = np.real(np.diag(v @ state @ v.T))
         rows.append((*_moments(prob, x), prob[-1]))
     return dict(zip(("mean_Q", "var_Q", "p_region"), np.array(rows).T))
 
@@ -242,12 +257,12 @@ def dense_classical_columns(
     """mean_Q, var_Q (physical sites) and p_beyond_gate of one branch run."""
     model = BranchModel.build(layout, branch, disorder, g)
     v = model.eig.eigenvectors
-    rho0 = EnergyRepDensity.from_matrix(np.outer(v[0], v[0]))
+    rho0 = np.outer(v[0], v[0])
     x = model.basis.sites.astype(float)
     beyond = model.beyond_gate_coordinates()
     rows = []
     for state in _dense_states(model.eig, bath, rho0, t_grid):
-        prob = np.real(np.diag(v @ state.matrix() @ v.T))
+        prob = np.real(np.diag(v @ state @ v.T))
         rows.append((*_moments(prob, x), prob[beyond].sum()))
     return dict(zip(("mean_Q", "var_Q", "p_region"), np.array(rows).T))
 
@@ -280,12 +295,8 @@ def dense_superposed_columns(
     maps = coordinate_map(layout)
     vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
     idx_up, idx_down = up.basis.register_indices(), down.basis.register_indices()
-    uu_states = _dense_states(
-        up.eig, bath, EnergyRepDensity.from_matrix(0.5 * np.outer(vu[0], vu[0])), t_grid
-    )
-    dd_states = _dense_states(
-        down.eig, bath, EnergyRepDensity.from_matrix(0.5 * np.outer(vd[0], vd[0])), t_grid
-    )
+    uu_states = _dense_states(up.eig, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
+    dd_states = _dense_states(down.eig, bath, 0.5 * np.outer(vd[0], vd[0]), t_grid)
     bath = bath or CLOSED
     widths = [bath.zeta * transition_rates(m.eig.eigenvalues, bath).widths for m in (up, down)]
     cross_decay = -1j * np.subtract.outer(up.eig.eigenvalues, down.eig.eigenvalues) - 0.5 * (
@@ -296,8 +307,8 @@ def dense_superposed_columns(
     phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     rows = []
     for t, uu_e, dd_e in zip(t_grid, uu_states, dd_states):
-        uu = vu @ uu_e.matrix() @ vu.T
-        dd = vd @ dd_e.matrix() @ vd.T
+        uu = vu @ uu_e @ vu.T
+        dd = vd @ dd_e @ vd.T
         ud = vu @ (ud0 * np.exp(cross_decay * t)) @ vd.T
         p_beyond = (
             np.real(np.diag(uu))[up.beyond_gate_coordinates()].sum()
@@ -308,9 +319,8 @@ def dense_superposed_columns(
         cond = loop_register_state(uu, dd, ud, maps, idx_up, idx_down, region)
         weight = np.trace(cond).real
         fidelity = np.real(phi @ cond @ phi) / weight if weight > 1e-12 else np.nan
-        rows.append(
-            (uu_e.trace(), dd_e.trace(), p_beyond, -np.sum(lam * np.log(lam)), fidelity)
-        )
+        traces = (np.trace(uu_e).real, np.trace(dd_e).real)
+        rows.append((*traces, p_beyond, -np.sum(lam * np.log(lam)), fidelity))
     names = ("trace_UU", "trace_DD", "p_beyond_gate", "entropy", "bell_fidelity")
     return dict(zip(names, np.array(rows).T))
 
@@ -345,3 +355,43 @@ def chunked_unitary_columns(
             cols["p_region"][sl] = prob[region_idx, :].sum(axis=0)
         cols["sites"][sl] = prob.T
     return cols
+
+
+# ---------------------------------------------------------------------------
+# kernel states: dense matrices assembled from openchain.lindblad's pure-state
+# kernel, for invariant checks of what the pipelines compute
+# ---------------------------------------------------------------------------
+
+
+def kernel_states(populations: np.ndarray | None, amplitudes: np.ndarray) -> np.ndarray:
+    """(T, n, n) energy-basis states of a kernel run: diag(P) plus u u^H off the diagonal."""
+    u = amplitudes.T
+    rho = u[:, :, None] * u.conj()[:, None, :]
+    idx = np.arange(u.shape[1])
+    rho[:, idx, idx] = np.abs(u) ** 2 if populations is None else populations.T
+    return rho
+
+
+def switch_block_states(
+    layout: CircuitLayout,
+    disorder: DisorderRealization,
+    g: float,
+    bath: BathSpec | None,
+    t_grid: np.ndarray,
+) -> np.ndarray:
+    """(T, 2n, 2n) site-basis state of a superposed run, from its two branch kernel runs.
+
+    Each diagonal block is half its branch's kernel state rotated by the
+    branch eigenvectors V; the cross block is 1/2 (V_U u_U)(V_D u_D)^H.
+    """
+    models = [BranchModel.build(layout, branch, disorder, g) for branch in "UD"]
+    blocks = []
+    for m in models:
+        v = m.eig.eigenvectors
+        pops, amps = relax_energy_density(m.eig.eigenvalues, bath, v[0], t_grid)
+        blocks.append((v @ kernel_states(pops, amps) @ v.T, (v @ amps).T))
+    (uu, w_u), (dd, w_d) = blocks
+    ud = w_u[:, :, None] * w_d.conj()[:, None, :]
+    top = np.concatenate([uu, ud], axis=2)
+    bottom = np.concatenate([np.conj(np.swapaxes(ud, 1, 2)), dd], axis=2)
+    return 0.5 * np.concatenate([top, bottom], axis=1)

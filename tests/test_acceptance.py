@@ -12,12 +12,12 @@ from support import (
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
+    subspace_projector,
 )
 
 from openchain.chains import (
     ChainSpec,
     DisorderRealization,
-    PotentialProfile,
     build_chain_hamiltonian,
     build_free_chain,
     diagonalize,
@@ -25,21 +25,20 @@ from openchain.chains import (
     sample_disorder,
 )
 from openchain.feynman import (
+    BranchModel,
     build_cnot_layout,
-    check_subspace_conservation,
     coordinate_map,
     peres_basis,
     reduced_chain_hamiltonian,
     register_index,
-    register_reduced_state,
     run_classical_input,
     run_superposed_input,
     von_neumann_entropy,
 )
 from openchain.lindblad import (
     BathSpec,
-    propagate_coherences,
-    propagate_populations,
+    relax_energy_density,
+    site_distribution,
     thermal_fixed_point,
     transition_rates,
 )
@@ -128,9 +127,9 @@ def test_criterion_4_thermal_fixed_point():
         h = build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0))
         eig = diagonalize(h)
         bath = BathSpec(beta=1.0, zeta=0.05)
-        rates = transition_rates(eig.eigenvalues, bath)
-        p0 = eig.eigenvectors[0, :] ** 2  # cursor at site 1
-        p_final = propagate_populations(rates, bath, p0, 1e5)
+        # cursor at site 1: energy amplitudes are the first row of V
+        pops, _ = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], [1e5])
+        p_final = pops[:, 0]
         gibbs = thermal_fixed_point(eig.eigenvalues, 1.0)
         err = float(np.max(np.abs(p_final - gibbs)))
         c.check(err <= 1e-6, f"max norm deviation {err:.2e}")
@@ -158,12 +157,12 @@ def test_criterion_6_coherence_closed_form():
             evals = np.cumsum(rng.uniform(0.2, 2.0, dim)) + rng.uniform(-1, 1)
             bath = BathSpec(beta=float(rng.uniform(0.3, 3.0)), zeta=float(rng.uniform(0.0, 1.0)))
             rates = transition_rates(evals, bath)
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            rho0 = m @ m.conj().T
-            rho0 /= np.trace(rho0).real
-            np.fill_diagonal(rho0, 0.0)
+            amp0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            amp0 /= np.linalg.norm(amp0)
+            rho0 = np.outer(amp0, amp0.conj())
             t = float(rng.uniform(0.0, 5.0))
-            got = propagate_coherences(evals, rates, bath, rho0, t)
+            _, amps = relax_energy_density(evals, bath, amp0, [t])
+            got = np.outer(amps[:, 0], amps[:, 0].conj())  # off-diagonal: the coherences
             widths = rates.gamma.sum(axis=0)
             for i in range(dim):
                 for j in range(dim):
@@ -179,6 +178,8 @@ def test_criterion_6_coherence_closed_form():
 
 def test_criterion_7_conservation_law_and_exact_cnot():
     with Criterion(7, "subspace conservation and exact conditional CNOT", 60.0) as c:
+        # the computational subspace of each branch is invariant under the
+        # complete clock-register Hamiltonian (hopping, NOT bond, disorder, tilt)
         rng = np.random.Generator(np.random.Philox(key=7))
         worst = 0.0
         for _ in range(100):
@@ -190,8 +191,9 @@ def test_criterion_7_conservation_law_and_exact_cnot():
             basis = peres_basis(layout, branch, (control, int(rng.choice([-1, 1]))))
             eps = rng.normal(0.0, rng.uniform(0.1, 1.0), s)
             g = float(rng.uniform(0.0, 3.0))
-            potential = PotentialProfile(eps - g * np.arange(1, s + 1))
-            worst = max(worst, check_subspace_conservation(potential, basis))
+            h = full_switch_hamiltonian(layout, DisorderRealization(eps), g)
+            proj = subspace_projector(basis, s)
+            worst = max(worst, float(np.linalg.norm(h @ proj - proj @ h)))
         c.check(worst <= 1e-12, f"worst commutator norm {worst:.2e}")
 
         layout = build_cnot_layout(22, 9)
@@ -272,31 +274,29 @@ def test_criterion_10_full_space_oracle_equivalence():
         g = 2.0
         h_full = full_switch_hamiltonian(layout, disorder, g)
         maps = coordinate_map(layout)
-        bases = (
-            peres_basis(layout, "U", (+1, -1)),
-            peres_basis(layout, "D", (-1, -1)),
-        )
         grid = np.linspace(0.0, 50.0, 101)
 
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
         psi0 = full_space_state(layout, reg0)
-        series = run_superposed_input(layout, disorder, g, None, grid, keep_blocks=True)
-        worst_q = worst_reg = 0.0
+        series = run_superposed_input(layout, disorder, g, None, grid)
+        # mean_Q of the reduced model: half of each branch's kernel distribution
+        mean_red = np.zeros(grid.size)
+        for branch, sites in (("U", maps.up), ("D", maps.down)):
+            v = BranchModel.build(layout, branch, disorder, g).eig
+            pops, amps = relax_energy_density(v.eigenvalues, None, v.eigenvectors[0], grid)
+            mean_red += 0.5 * (sites @ site_distribution(v.eigenvectors, pops, amps))
+        worst_q = worst_reg = worst_p = 0.0
         for i, t in enumerate(grid):
-            mean_full, reg_full = full_space_observables(
-                evolve_full(h_full, psi0, t), layout.s
-            )
-            block = series.blocks[i]
-            uu, dd, _ = block.position_blocks()
-            mean_red = float(
-                np.real(np.diag(uu)) @ maps.up + np.real(np.diag(dd)) @ maps.down
-            )
-            reg_red = register_reduced_state(block, maps, bases)
-            worst_q = max(worst_q, abs(mean_full - mean_red))
-            worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - reg_red))))
+            psi = evolve_full(h_full, psi0, t)
+            mean_full, reg_full = full_space_observables(psi, layout.s)
+            p_full = float(np.sum(np.abs(psi.reshape(layout.s, 4)[layout.b - 1 :]) ** 2))
+            worst_q = max(worst_q, abs(mean_full - mean_red[i]))
+            worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - series.register[i]))))
+            worst_p = max(worst_p, abs(p_full - series.p_beyond_gate[i]))
         c.check(worst_q <= 1e-8, f"superposed mean_Q deviation {worst_q:.2e}")
         c.check(worst_reg <= 1e-8, f"superposed register deviation {worst_reg:.2e}")
+        c.check(worst_p <= 1e-8, f"superposed p_beyond_gate deviation {worst_p:.2e}")
 
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = 1.0
@@ -304,8 +304,7 @@ def test_criterion_10_full_space_oracle_equivalence():
         classical = run_classical_input(
             layout, disorder, g, None, "U", grid, with_sites=True
         )
-        basis_up = bases[0]
-        indices = basis_up.register_indices()
+        indices = peres_basis(layout, "U", (+1, -1)).register_indices()
         worst_q = worst_reg = 0.0
         for i, t in enumerate(grid):
             mean_full, reg_full = full_space_observables(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from support import dense_hamiltonian
 
 from openchain.chains import (
     ChainSpec,
@@ -28,7 +29,7 @@ class TestBuildFreeChain:
     def test_three_sites(self):
         h = build_free_chain(3)
         expected = np.array([[0, -0.5, 0], [-0.5, 0, -0.5], [0, -0.5, 0]])
-        assert np.array_equal(h.dense(), expected)
+        assert np.array_equal(dense_hamiltonian(h), expected)
 
     def test_larger_chain_dimension(self):
         assert build_free_chain(20).dim == 20
@@ -138,7 +139,7 @@ class TestDiagonalize:
     def test_eigen_equation(self):
         h = build_chain_hamiltonian(ChainSpec(25, 0.5, 2.0, seed=5))
         eig = diagonalize(h)
-        resid = h.dense() @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues
+        resid = dense_hamiltonian(h) @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues
         assert np.max(np.abs(resid)) < 1e-10
 
     def test_trace_invariance(self):

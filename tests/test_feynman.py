@@ -5,31 +5,49 @@ from support import (
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
+    subspace_projector,
+    switch_block_states,
 )
 
-from openchain.chains import ChainSpec, DisorderRealization, PotentialProfile, sample_disorder
+from openchain.chains import ChainSpec, DisorderRealization, sample_disorder
 from openchain.feynman import (
     BELL_PHI_PLUS,
+    BranchModel,
+    PeresBasis,
     bell_fidelity,
     build_cnot_layout,
-    check_subspace_conservation,
     coordinate_map,
-    embedded_labels,
-    embedded_potential,
-    embedded_subspace_projector,
     peres_basis,
     reduced_chain_hamiltonian,
     register_index,
-    register_reduced_state,
+    register_states,
     run_classical_input,
     run_superposed_input,
     von_neumann_entropy,
 )
-from openchain.lindblad import BathSpec
+from openchain.lindblad import BathSpec, relax_energy_density, site_distribution
 
 
 def disorder_for(s, sigma, seed):
     return sample_disorder(ChainSpec(s, sigma, 0.0, seed))
+
+
+def branch_runs(layout, disorder, g, bath, t_grid):
+    """(model, P, U) of the kernel run of each branch from path coordinate 1."""
+    runs = []
+    for branch in ("U", "D"):
+        model = BranchModel.build(layout, branch, disorder, g)
+        eig = model.eig
+        pops, amps = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], t_grid)
+        runs.append((model, pops, amps))
+    return runs
+
+
+def commutator_norm(layout, disorder, g, basis):
+    """Frobenius norm of [H, P]: full clock-register Hamiltonian, branch projector."""
+    h = full_switch_hamiltonian(layout, disorder, g)
+    proj = subspace_projector(basis, layout.s)
+    return float(np.linalg.norm(h @ proj - proj @ h))
 
 
 class TestLayout:
@@ -150,6 +168,8 @@ class TestReducedHamiltonian:
 
 
 class TestSubspaceConservation:
+    """The branch subspaces are invariant under the full clock-register Hamiltonian."""
+
     def test_random_diagonal_potentials_commute(self):
         rng = np.random.Generator(np.random.Philox(key=42))
         for _ in range(100):
@@ -161,46 +181,27 @@ class TestSubspaceConservation:
             basis = peres_basis(layout, branch, (c, int(rng.choice([-1, 1]))))
             g = float(rng.uniform(0, 3))
             eps = rng.normal(0, rng.uniform(0.1, 1.0), s)
-            x = np.arange(1, s + 1)
-            potential = PotentialProfile(eps - g * x)
-            assert check_subspace_conservation(potential, basis) <= 1e-12
+            assert commutator_norm(layout, DisorderRealization(eps), g, basis) <= 1e-12
 
     def test_identity_potential_exactly_zero(self):
         layout = build_cnot_layout(8, 1)
-        basis = peres_basis(layout, "U", (+1, -1))
-        assert check_subspace_conservation(PotentialProfile(np.ones(8)), basis) == 0.0
+        for c, p in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
+            basis = peres_basis(layout, "U" if c == 1 else "D", (c, p))
+            assert commutator_norm(layout, DisorderRealization(np.ones(8)), 0.0, basis) == 0.0
 
-    def test_hopping_perturbation_detected(self):
-        # 3-site hand oracle: basis {|1,Ra>, |2,Ra>, |3,Rb>} with two labels;
-        # a symmetric hop h between sites 2 and 3 gives [V,P] with four
-        # entries of magnitude h, i.e. Frobenius norm 2h
-        layout = build_cnot_layout(8, 1)
+    def test_misplaced_not_label_detected(self):
+        # negative control: labelling the passive flip one bond late puts
+        # (a+2, unflipped) in the subspace, which the NOT bond leaves
+        layout = build_cnot_layout(12, 3)
         basis = peres_basis(layout, "U", (+1, -1))
-        labels = embedded_labels(basis)
-        sub_sites = [1, 2, 3]
-        sub_regs = basis.registers[:3]
-        assert sub_regs[0] == sub_regs[1] != sub_regs[2]
-        nlab = len(labels)
-        proj = np.zeros((3 * nlab, 3 * nlab))
-        for x, reg in zip(sub_sites, sub_regs):
-            idx = (x - 1) * nlab + labels.index(reg)
-            proj[idx, idx] = 1.0
-        h = 0.7
-        hop = np.zeros((3, 3))
-        hop[1, 2] = hop[2, 1] = h
-        v = np.kron(hop, np.eye(nlab))
-        comm = v @ proj - proj @ v
-        assert np.linalg.norm(comm) == pytest.approx(2 * h, abs=1e-12)
-
-    def test_embedded_helpers_consistent(self):
-        layout = build_cnot_layout(10, 2)
-        basis = peres_basis(layout, "U", (+1, +1))
-        labels = embedded_labels(basis)
-        assert len(labels) == 2
-        v = embedded_potential(PotentialProfile(np.arange(10.0)), basis, labels)
-        p = embedded_subspace_projector(basis, 10, labels)
-        assert np.trace(p) == basis.path_length
-        assert np.linalg.norm(v @ p - p @ v) <= 1e-12
+        late = tuple(
+            (+1, -1) if j <= layout.a + 2 else (+1, +1) for j in range(1, layout.path_length + 1)
+        )
+        assert late != basis.registers
+        wrong = PeresBasis("U", basis.sites, late)
+        disorder = disorder_for(12, 0.5, 6)
+        assert commutator_norm(layout, disorder, 2.0, basis) <= 1e-12
+        assert commutator_norm(layout, disorder, 2.0, wrong) > 1.0
 
 
 class TestClassicalRuns:
@@ -270,26 +271,26 @@ class TestSuperposedRuns:
         assert defined.sum() > 150
         assert np.all(np.abs(series.bell_fidelity[defined] - 1.0) < 1e-10)
 
+    # the cross block is 1/2 u_U u_D^H: its Frobenius norm is 1/2 |u_U| |u_D|
+    # and its largest entry 1/2 max|u_U| max|u_D|
+
     def test_cross_block_norm_conserved_without_bath(self):
         layout = build_cnot_layout(22, 9)
         clean = DisorderRealization(np.zeros(22))
-        series = run_superposed_input(
-            layout, clean, 0.0, None, np.linspace(0, 80, 9), keep_blocks=True
-        )
-        norms = [np.linalg.norm(b.ud) for b in series.blocks]
+        (_, _, amp_u), (_, _, amp_d) = branch_runs(layout, clean, 0.0, None, np.linspace(0, 80, 9))
+        norms = 0.5 * np.linalg.norm(amp_u, axis=0) * np.linalg.norm(amp_d, axis=0)
         assert np.allclose(norms, norms[0], atol=1e-12)
 
     def test_cross_block_decays_under_bath(self):
         layout = build_cnot_layout(22, 9)
-        series = run_superposed_input(
+        (_, _, amp_u), (_, _, amp_d) = branch_runs(
             layout,
             disorder_for(22, 0.5, 3),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
             np.array([0.0, 100.0, 400.0]),
-            keep_blocks=True,
         )
-        norms = [np.abs(b.ud).max() for b in series.blocks]
+        norms = 0.5 * np.abs(amp_u).max(axis=0) * np.abs(amp_d).max(axis=0)
         assert norms[1] < 1e-2 * norms[0]
         assert norms[2] < 1e-8 * norms[0]
 
@@ -306,16 +307,14 @@ class TestSuperposedRuns:
 
     def test_block_matrix_stays_physical(self):
         layout = build_cnot_layout(12, 3)
-        series = run_superposed_input(
+        states = switch_block_states(
             layout,
             disorder_for(12, 0.5, 5),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
             np.linspace(0, 300, 31),
-            keep_blocks=True,
         )
-        for block in series.blocks:
-            full = block.full_matrix()
+        for full in states:
             assert np.max(np.abs(full - full.conj().T)) < 1e-9
             assert np.trace(full).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(full).min() > -1e-9
@@ -335,24 +334,11 @@ class TestSuperposedRuns:
 
 
 class TestRegisterReduction:
-    def _blocks(self, layout, disorder, g, bath, t_grid):
-        series = run_superposed_input(
-            layout, disorder, g, bath, t_grid, keep_blocks=True
-        )
-        maps = coordinate_map(layout)
-        bases = (
-            peres_basis(layout, "U", (+1, -1)),
-            peres_basis(layout, "D", (-1, -1)),
-        )
-        return series, maps, bases
-
     def test_start_is_pure_product(self):
         layout = build_cnot_layout(22, 9)
         clean = DisorderRealization(np.zeros(22))
-        series, maps, bases = self._blocks(
-            layout, clean, 0.0, None, np.array([0.0, 1.0])
-        )
-        rho = register_reduced_state(series.blocks[0], maps, bases)
+        series = run_superposed_input(layout, clean, 0.0, None, np.array([0.0, 1.0]))
+        rho = series.register[0]
         # (|+1,-1> + |-1,-1>)/sqrt(2)
         vec = np.zeros(4)
         vec[register_index((+1, -1))] = vec[register_index((-1, -1))] = 1 / np.sqrt(2)
@@ -360,23 +346,15 @@ class TestRegisterReduction:
         assert von_neumann_entropy(rho) < 1e-12
 
     def test_dephased_split_is_maximally_mixed_pair(self):
-        # zero the cross block and park half the population at each branch
-        # end: the register is the 50/50 mixture of the two outcomes
+        # no cross block and half the population at each branch end: the
+        # register is the 50/50 mixture of the two outcomes
         layout = build_cnot_layout(22, 9)
-        clean = DisorderRealization(np.zeros(22))
-        series, maps, bases = self._blocks(
-            layout, clean, 0.0, None, np.array([0.0])
-        )
-        block = series.blocks[0]
-        n = layout.path_length
-        end = np.zeros(n)
-        end[-1] = 0.5
-        from openchain.lindblad import to_energy_representation
-
-        block.uu = to_energy_representation(block.eig_up, np.diag(end).astype(complex))
-        block.dd = to_energy_representation(block.eig_down, np.diag(end).astype(complex))
-        block.ud = np.zeros((n, n), complex)
-        rho = register_reduced_state(block, maps, bases)
+        maps = coordinate_map(layout)
+        bases = (peres_basis(layout, "U", (+1, -1)), peres_basis(layout, "D", (-1, -1)))
+        end = np.zeros((1, layout.path_length))
+        end[0, -1] = 0.5
+        cross = np.zeros((1, maps.shared.size), complex)
+        rho = register_states(end, end, cross, maps, bases)[0]
         expected = np.zeros((4, 4))
         expected[register_index((+1, +1)), register_index((+1, +1))] = 0.5
         expected[register_index((-1, -1)), register_index((-1, -1))] = 0.5
@@ -418,29 +396,24 @@ class TestFullSpaceOracle:
         g = 2.0
         h_full = full_switch_hamiltonian(layout, disorder, g)
         maps = coordinate_map(layout)
-        bases = (
-            peres_basis(layout, "U", (+1, -1)),
-            peres_basis(layout, "D", (-1, -1)),
-        )
         grid = np.linspace(0.0, 50.0, 101)
 
         # superposed control
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
         psi0 = full_space_state(layout, reg0)
-        series = run_superposed_input(layout, disorder, g, None, grid, keep_blocks=True)
+        series = run_superposed_input(layout, disorder, g, None, grid)
+        mean_red = sum(
+            0.5 * (model.basis.sites @ site_distribution(model.eig.eigenvectors, pops, amps))
+            for model, pops, amps in branch_runs(layout, disorder, g, None, grid)
+        )
         for i, t in enumerate(grid):
-            mean_full, reg_full = full_space_observables(
-                evolve_full(h_full, psi0, t), layout.s
-            )
-            block = series.blocks[i]
-            uu, dd, _ = block.position_blocks()
-            mean_red = float(
-                np.real(np.diag(uu)) @ maps.up + np.real(np.diag(dd)) @ maps.down
-            )
-            reg_red = register_reduced_state(block, maps, bases)
-            assert abs(mean_full - mean_red) < 1e-8
-            assert np.max(np.abs(reg_full - reg_red)) < 1e-8
+            psi = evolve_full(h_full, psi0, t)
+            mean_full, reg_full = full_space_observables(psi, layout.s)
+            p_full = np.sum(np.abs(psi.reshape(layout.s, 4)[layout.b - 1 :]) ** 2)
+            assert abs(mean_full - mean_red[i]) < 1e-8
+            assert np.max(np.abs(reg_full - series.register[i])) < 1e-8
+            assert abs(p_full - series.p_beyond_gate[i]) < 1e-8
 
         # classical control (upper branch)
         reg0 = np.zeros(4)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from support import brute_force_lindblad, integrate_populations, relax_energy_density_dense
+from support import brute_force_lindblad, integrate_populations, kernel_states
 
 from openchain.chains import (
     ChainSpec,
@@ -11,17 +11,15 @@ from openchain.chains import (
 from openchain.lindblad import (
     BathSpec,
     DegenerateGapError,
-    EnergyRepDensity,
-    density_observables,
     dissipative_transport_run,
     population_generator,
-    propagate_coherences,
-    propagate_populations,
+    relax_energy_density,
+    site_amplitudes,
+    site_distribution,
     thermal_fixed_point,
-    to_energy_representation,
-    to_position_representation,
     transition_rates,
 )
+from openchain.series import ObservableSeries
 from openchain.unitary import PureState, unitary_observable_series
 
 
@@ -31,11 +29,24 @@ def random_spectrum(dim, seed, min_gap=0.2):
     return np.concatenate([[0.0], np.cumsum(gaps)]) + rng.uniform(-1, 1)
 
 
-def random_density(dim, seed):
+def random_pure(dim, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho).real
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return c / np.linalg.norm(c)
+
+
+def kernel_populations(evals, bath, p0, t):
+    """Populations at time t of the kernel run started from amplitudes sqrt(p0)."""
+    pops, _ = relax_energy_density(evals, bath, np.sqrt(p0), [t])
+    return pops[:, 0]
+
+
+def kernel_coherences(evals, bath, c, t):
+    """Off-diagonal part of the kernel state u u^H at time t (diagonal set to 0)."""
+    _, amps = relax_energy_density(evals, bath, c, [t])
+    coh = np.outer(amps[:, 0], amps[:, 0].conj())
+    np.fill_diagonal(coh, 0.0)
+    return coh
 
 
 class TestTransitionRates:
@@ -72,44 +83,33 @@ class TestTransitionRates:
 
 
 class TestPropagatePopulations:
+    """Populations of the pure-state kernel, started from amplitudes sqrt(p0)."""
+
     def test_zero_time(self):
-        rates = transition_rates([0.0, 1.0, 2.5], BathSpec(beta=1.0, zeta=0.3))
         p0 = np.array([0.2, 0.3, 0.5])
         assert np.allclose(
-            propagate_populations(rates, BathSpec(1.0, 0.3), p0, 0.0), p0, atol=1e-12
+            kernel_populations([0.0, 1.0, 2.5], BathSpec(1.0, 0.3), p0, 0.0), p0, atol=1e-12
         )
 
     def test_two_level_cold_decay(self):
         # beta large: pure decay of the upper level at unit rate
-        bath = BathSpec(beta=50.0, zeta=1.0)
-        rates = transition_rates([0.0, 1.0], bath)
-        p = propagate_populations(rates, bath, [0.0, 1.0], 1.0)
+        p = kernel_populations([0.0, 1.0], BathSpec(beta=50.0, zeta=1.0), [0.0, 1.0], 1.0)
         assert p[0] == pytest.approx(0.63212, abs=1e-5)
         assert p[1] == pytest.approx(0.36788, abs=1e-5)
 
     def test_relaxes_to_gibbs(self):
         evals = random_spectrum(7, 3)
-        bath = BathSpec(beta=1.3, zeta=0.4)
-        rates = transition_rates(evals, bath)
         p0 = np.zeros(7)
         p0[-1] = 1.0
-        p_inf = propagate_populations(rates, bath, p0, 2000.0)
+        p_inf = kernel_populations(evals, BathSpec(beta=1.3, zeta=0.4), p0, 2000.0)
         assert np.max(np.abs(p_inf - thermal_fixed_point(evals, 1.3))) < 1e-10
 
     def test_trace_preserved(self):
         evals = random_spectrum(9, 4)
         bath = BathSpec(beta=0.8, zeta=0.6)
-        rates = transition_rates(evals, bath)
         p0 = thermal_fixed_point(evals, 5.0)
         for t in (0.1, 3.0, 50.0):
-            assert propagate_populations(rates, bath, p0, t).sum() == pytest.approx(
-                1.0, abs=1e-9
-            )
-
-    def test_negative_input_rejected(self):
-        rates = transition_rates([0.0, 1.0], BathSpec(1.0, 1.0))
-        with pytest.raises(ValueError):
-            propagate_populations(rates, BathSpec(1.0, 1.0), [-0.1, 1.1], 1.0)
+            assert kernel_populations(evals, bath, p0, t).sum() == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("dim,seed", [(3, 5), (8, 6), (20, 7)])
     def test_expm_matches_adaptive_integrator(self, dim, seed):
@@ -119,18 +119,17 @@ class TestPropagatePopulations:
         rng = np.random.Generator(np.random.Philox(key=seed))
         p0 = rng.uniform(0.1, 1.0, dim)
         p0 /= p0.sum()
-        a = propagate_populations(rates, bath, p0, 4.0)
+        a = kernel_populations(evals, bath, p0, 4.0)
         b = integrate_populations(population_generator(rates, bath), p0, 4.0)
         assert np.max(np.abs(a - b)) < 1e-8
 
 
 class TestPropagateCoherences:
+    """Coherences of the pure-state kernel: u u^H off the diagonal."""
+
     def test_zero_coupling_is_phase_rotation(self):
         evals = np.array([0.0, 1.5, 2.0])
-        bath = BathSpec(beta=1.0, zeta=0.0)
-        rates = transition_rates(evals, bath)
-        rho0 = np.ones((3, 3), complex) - np.eye(3)
-        out = propagate_coherences(evals, rates, bath, rho0, 2.0)
+        out = kernel_coherences(evals, BathSpec(beta=1.0, zeta=0.0), np.ones(3), 2.0)
         for m in range(3):
             for n in range(3):
                 if m != n:
@@ -140,29 +139,16 @@ class TestPropagateCoherences:
     def test_two_level_decay(self):
         bath = BathSpec(beta=50.0, zeta=1.0)
         evals = np.array([0.0, 1.0])
-        rates = transition_rates(evals, bath)
-        rho0 = np.array([[0, 0.5], [0.5, 0]], complex)
-        out = propagate_coherences(evals, rates, bath, rho0, 2.0)
+        out = kernel_coherences(evals, bath, np.array([1.0, 1.0]) / np.sqrt(2.0), 2.0)
         assert abs(out[0, 1]) == pytest.approx(0.5 * np.exp(-1.0), abs=1e-10)
-
-    def test_hermiticity(self):
-        evals = random_spectrum(5, 8)
-        bath = BathSpec(beta=0.9, zeta=0.2)
-        rates = transition_rates(evals, bath)
-        rho0 = random_density(5, 9)
-        np.fill_diagonal(rho0, 0.0)
-        out = propagate_coherences(evals, rates, bath, rho0, 3.7)
-        assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_monotone_decay(self):
         evals = random_spectrum(4, 10)
         bath = BathSpec(beta=1.0, zeta=0.5)
-        rates = transition_rates(evals, bath)
-        rho0 = random_density(4, 11)
-        np.fill_diagonal(rho0, 0.0)
-        prev = np.abs(rho0)
+        c = random_pure(4, 11)
+        prev = np.abs(kernel_coherences(evals, bath, c, 0.0))
         for t in (0.5, 1.0, 2.0, 4.0):
-            cur = np.abs(propagate_coherences(evals, rates, bath, rho0, t))
+            cur = np.abs(kernel_coherences(evals, bath, c, t))
             assert np.all(cur <= prev + 1e-12)
             prev = cur
 
@@ -173,14 +159,10 @@ class TestPropagateCoherences:
             evals = random_spectrum(dim, seed)
             bath = BathSpec(beta=1.2, zeta=0.4)
             rates = transition_rates(evals, bath)
-            rho0 = random_density(dim, seed + 100)
+            c = random_pure(dim, seed + 100)
             t = 2.5
-            oracle = brute_force_lindblad(evals, rates.gamma, bath.zeta, rho0, t)
-            pops = propagate_populations(rates, bath, np.real(np.diag(rho0)), t)
-            offdiag = rho0.copy()
-            np.fill_diagonal(offdiag, 0.0)
-            cohs = propagate_coherences(evals, rates, bath, offdiag, t)
-            ours = np.diag(pops).astype(complex) + cohs
+            oracle = brute_force_lindblad(evals, rates.gamma, bath.zeta, np.outer(c, c.conj()), t)
+            ours = kernel_states(*relax_energy_density(evals, bath, c, [t]))[0]
             assert np.max(np.abs(ours - oracle)) < 1e-8
 
 
@@ -204,44 +186,49 @@ class TestThermalFixedPoint:
 
 
 class TestRepresentations:
+    """The kernel's rotation to the site basis."""
+
     def test_pure_eigenstate_population(self):
         eig = free_eigensystem(5)
-        pops = np.zeros(5)
-        pops[2] = 1.0
-        rho = to_position_representation(eig, EnergyRepDensity(pops, np.zeros((5, 5))))
-        v = eig.eigenvectors[:, 2]
-        assert np.max(np.abs(rho - np.outer(v, v))) < 1e-12
+        c = np.zeros(5)
+        c[2] = 1.0
+        pops, amps = relax_energy_density(eig.eigenvalues, None, c, [0.0])
+        prob = site_distribution(eig.eigenvectors, pops, amps)[:, 0]
+        assert np.max(np.abs(prob - eig.eigenvectors[:, 2] ** 2)) < 1e-12
 
     def test_maximally_mixed_invariant(self):
+        # uniform populations without coherences: flat in the site basis too
         eig = free_eigensystem(6)
-        rho = to_position_representation(
-            eig, EnergyRepDensity(np.full(6, 1 / 6), np.zeros((6, 6)))
-        )
-        assert np.max(np.abs(rho - np.eye(6) / 6)) < 1e-12
+        pops, amps = np.full((6, 1), 1 / 6), np.zeros((6, 1), complex)
+        prob = site_distribution(eig.eigenvectors, pops, amps)
+        assert np.max(np.abs(prob - 1 / 6)) < 1e-12
 
     def test_round_trip(self):
         eig = diagonalize(build_chain_hamiltonian(ChainSpec(7, 0.3, 1.0, seed=16)))
-        rho_pos = random_density(7, 17)
-        back = to_position_representation(eig, to_energy_representation(eig, rho_pos))
-        assert np.max(np.abs(back - rho_pos)) < 1e-12
-
-    def test_energy_density_validate(self):
-        good = EnergyRepDensity.from_matrix(random_density(4, 18))
-        good.validate()
-        bad = EnergyRepDensity(np.array([0.7, 0.7]), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            bad.validate()
+        psi = random_pure(7, 17)
+        back = site_amplitudes(eig.eigenvectors, (eig.eigenvectors.T @ psi)[:, None])[:, 0]
+        assert np.max(np.abs(back - psi)) < 1e-12
 
 
 class TestDensityObservables:
+    """Moments and region weight of a site distribution."""
+
+    @staticmethod
+    def observables(prob, region):
+        x = np.arange(1, prob.size + 1)
+        series = ObservableSeries.from_site_probabilities(
+            np.zeros(1), prob[:, None], x, np.asarray(sorted(region), dtype=int) - 1
+        )
+        return series.mean_q[0], series.var_q[0], series.p_region[0]
+
     def test_basis_state(self):
-        rho = np.zeros((10, 10), complex)
-        rho[6, 6] = 1.0
-        assert density_observables(rho, {7}) == pytest.approx((7.0, 0.0, 1.0))
-        assert density_observables(rho, {3})[2] == 0.0
+        prob = np.zeros(10)
+        prob[6] = 1.0
+        assert self.observables(prob, {7}) == pytest.approx((7.0, 0.0, 1.0))
+        assert self.observables(prob, {3})[2] == 0.0
 
     def test_maximally_mixed(self):
-        mean, _, _ = density_observables(np.eye(20) / 20)
+        mean, _, _ = self.observables(np.full(20, 1 / 20), ())
         assert mean == pytest.approx(10.5)
 
 
@@ -299,11 +286,9 @@ class TestDissipativeTransportRun:
         h = build_chain_hamiltonian(ChainSpec(12, 0.5, 2.0, seed=21))
         eig = diagonalize(h)
         bath = BathSpec(beta=1.0, zeta=0.1)
-        rates = transition_rates(eig.eigenvalues, bath)
-        psi0 = PureState.site(12, 1).amplitudes
-        rho0 = to_energy_representation(eig, np.outer(psi0, psi0.conj()))
-        for state in relax_energy_density_dense(
-            eig.eigenvalues, rates, bath, rho0, np.linspace(0, 200, 41)
-        ):
-            assert state.trace() == pytest.approx(1.0, abs=1e-9)
-            assert np.linalg.eigvalsh(state.matrix()).min() > -1e-9
+        pops, amps = relax_energy_density(
+            eig.eigenvalues, bath, eig.eigenvectors[0], np.linspace(0, 200, 41)
+        )
+        for state in kernel_states(pops, amps):
+            assert np.trace(state).real == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.eigvalsh(state).min() > -1e-9

@@ -1,0 +1,101 @@
+"""Invariants of the pure-state kernel and the superposed switch run across
+the parameter space.
+
+Hypothesis draws small chains, layouts and physical parameters; the profile
+is derandomized (fixed examples, no example database) so the suite stays
+deterministic.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from openchain.chains import ChainSpec, build_chain_hamiltonian, diagonalize, sample_disorder
+from openchain.feynman import build_cnot_layout, run_superposed_input
+from openchain.lindblad import (
+    BathSpec,
+    relax_energy_density,
+    site_distribution,
+    thermal_fixed_point,
+)
+
+settings.register_profile(
+    "derandomized", derandomize=True, database=None, max_examples=40, deadline=None
+)
+DERANDOMIZED = settings.get_profile("derandomized")
+
+
+@st.composite
+def switch_params(draw):
+    """(s, a, sigma, g, beta, zeta, disorder seed) of a small switch."""
+    s = draw(st.integers(7, 16))
+    a = draw(st.integers(1, s - 6))
+    sigma, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 3.0))
+    beta, zeta = draw(st.floats(0.2, 5.0)), draw(st.floats(0.0, 0.5))
+    return s, a, sigma, g, beta, zeta, draw(st.integers(0, 2**16))
+
+
+def superposed_run(s, a, sigma, g, beta, zeta, seed):
+    disorder = sample_disorder(ChainSpec(s, sigma, 0.0, seed))
+    grid = np.linspace(0.0, 300.0, 61)
+    return run_superposed_input(build_cnot_layout(s, a), disorder, g, BathSpec(beta, zeta), grid)
+
+
+@DERANDOMIZED
+@given(switch_params())
+def test_register_is_a_density_matrix(params):
+    series = superposed_run(*params)
+    reg = series.register
+    assert reg.shape == (series.times.size, 4, 4)
+    assert np.max(np.abs(reg - np.conj(np.swapaxes(reg, 1, 2)))) < 1e-12
+    assert np.max(np.abs(np.trace(reg, axis1=1, axis2=2) - 1.0)) < 1e-9
+    assert np.linalg.eigvalsh(reg).min() > -1e-9
+
+
+@DERANDOMIZED
+@given(switch_params())
+def test_entropy_bounds_and_branch_weights(params):
+    series = superposed_run(*params)
+    assert np.all(series.entropy >= 0.0)
+    assert np.all(series.entropy <= np.log(4.0) + 1e-12)
+    assert np.max(np.abs(series.trace_uu + series.trace_dd - 1.0)) < 1e-9
+
+
+@st.composite
+def chain_params(draw):
+    """(s, sigma, g, beta, zeta, disorder seed) of a small dissipative chain."""
+    s = draw(st.integers(2, 24))
+    sigma, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 3.0))
+    beta, zeta = draw(st.floats(0.2, 5.0)), draw(st.floats(0.01, 0.5))
+    return s, sigma, g, beta, zeta, draw(st.integers(0, 2**16))
+
+
+def chain_spectrum(s, sigma, g, seed):
+    return diagonalize(build_chain_hamiltonian(ChainSpec(s, sigma, g, seed)))
+
+
+@DERANDOMIZED
+@given(chain_params())
+def test_kernel_conserves_trace_and_positivity(params):
+    s, sigma, g, beta, zeta, seed = params
+    eig = chain_spectrum(s, sigma, g, seed)
+    grid = np.linspace(0.0, 500.0, 51)
+    bath = BathSpec(beta, zeta)
+    pops, amps = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], grid)
+    assert np.max(np.abs(pops.sum(axis=0) - 1.0)) < 1e-9
+    assert pops.min() > -1e-12
+    prob = site_distribution(eig.eigenvectors, pops, amps)
+    assert np.max(np.abs(prob.sum(axis=0) - 1.0)) < 1e-9
+    assert prob.min() > -1e-9
+
+
+@DERANDOMIZED
+@given(chain_params())
+def test_gibbs_populations_are_stationary(params):
+    s, sigma, g, beta, zeta, seed = params
+    eig = chain_spectrum(s, sigma, g, seed)
+    gibbs = thermal_fixed_point(eig.eigenvalues, beta)
+    pops, _ = relax_energy_density(
+        eig.eigenvalues, BathSpec(beta, zeta), np.sqrt(gibbs), np.linspace(0.0, 500.0, 11)
+    )
+    assert np.max(np.abs(pops - gibbs[:, None])) < 1e-9

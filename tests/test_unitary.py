@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from support import dense_hamiltonian
 
 from openchain.chains import (
     ChainSpec,
@@ -56,7 +57,7 @@ class TestEvolvePure:
         h = build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=6))
         eig = diagonalize(h)
         psi0 = random_state(12, 7)
-        hd = h.dense()
+        hd = dense_hamiltonian(h)
         e0 = np.real(psi0.amplitudes.conj() @ hd @ psi0.amplitudes)
         for t in (1.0, 10.0, 100.0):
             psi = evolve_pure(eig, psi0, t)
