@@ -16,9 +16,7 @@ order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -53,27 +51,6 @@ class DisorderRealization:
 
     def __len__(self) -> int:
         return len(self.epsilons)
-
-    def to_json(self) -> str:
-        """JSON array of the on-site energies, for run provenance."""
-        return json.dumps([float(e) for e in self.epsilons])
-
-    @classmethod
-    def from_json(cls, text: str) -> "DisorderRealization":
-        return cls(np.asarray(json.loads(text), dtype=float))
-
-
-@dataclass(frozen=True)
-class PotentialProfile:
-    """Diagonal potential f(x), one value per site."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -154,35 +131,11 @@ def sample_disorder(spec: ChainSpec) -> DisorderRealization:
     return DisorderRealization(rng.normal(0.0, spec.sigma, spec.s))
 
 
-def build_linear_potential(s: int, g: float) -> PotentialProfile:
-    """Uniform-force profile -g*x, x = 1..s."""
-    if g < 0:
-        raise ValueError(f"tilt strength must be >= 0, got {g}")
-    return PotentialProfile(-g * np.arange(1, s + 1, dtype=float))
-
-
-def assemble_hamiltonian(
-    free: HamiltonianOperator,
-    potentials: Sequence[PotentialProfile | DisorderRealization] = (),
-) -> HamiltonianOperator:
-    """Add diagonal potentials to a chain; the hopping band is untouched."""
-    diag = free.diagonal.copy()
-    for pot in potentials:
-        values = pot.values if isinstance(pot, PotentialProfile) else pot.epsilons
-        if len(values) != free.dim:
-            raise ValueError(
-                f"potential of length {len(values)} does not match chain of {free.dim} sites"
-            )
-        diag += values
-    return HamiltonianOperator(diag, free.hopping)
-
-
 def build_chain_hamiltonian(spec: ChainSpec) -> HamiltonianOperator:
-    """Free chain plus the disorder and tilt of ``spec`` in one step."""
-    return assemble_hamiltonian(
-        build_free_chain(spec.s),
-        [sample_disorder(spec), build_linear_potential(spec.s, spec.g)],
-    )
+    """Free chain plus the disorder and tilt of ``spec``: diagonal eps_x - g*x, x = 1..s."""
+    x = np.arange(1, spec.s + 1, dtype=float)
+    diag = sample_disorder(spec).epsilons - spec.g * x
+    return HamiltonianOperator(diag, build_free_chain(spec.s).hopping)
 
 
 def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:

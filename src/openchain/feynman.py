@@ -41,19 +41,17 @@ import numpy as np
 
 from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
 from .lindblad import BathSpec, relax_energy_density, site_amplitudes, site_distribution
-from .series import ObservableSeries, write_csv
+from .series import ObservableSeries
 
 Branch = Literal["U", "D"]
 RegisterLabel = tuple[int, int]
-
-#: two-qubit register basis order: (sigma3(c), sigma3(p))
-REGISTER_BASIS: tuple[RegisterLabel, ...] = ((-1, -1), (-1, +1), (+1, -1), (+1, +1))
 
 #: maximally entangled target state (|-1,-1> + |+1,+1>)/sqrt(2)
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
 
 def register_index(label: RegisterLabel) -> int:
+    """Index of (sigma3(c), sigma3(p)) in the basis (-1,-1), (-1,+1), (+1,-1), (+1,+1)."""
     c, p = label
     if c not in (-1, 1) or p not in (-1, 1):
         raise ValueError(f"register label must be a (+-1, +-1) pair, got {label}")
@@ -125,10 +123,6 @@ class PeresBasis:
     sites: np.ndarray
     registers: tuple[RegisterLabel, ...]
 
-    @property
-    def path_length(self) -> int:
-        return self.sites.size
-
     def register_indices(self) -> np.ndarray:
         return np.array([register_index(r) for r in self.registers])
 
@@ -184,12 +178,11 @@ def reduced_chain_hamiltonian(
 
 @dataclass
 class BranchModel:
-    """Everything needed to evolve one branch: basis, reduced operator, spectrum."""
+    """Everything needed to evolve one branch: basis and reduced spectrum."""
 
     layout: CircuitLayout
     branch: Branch
     basis: PeresBasis
-    hamiltonian: HamiltonianOperator
     eig: EigenSystem
 
     @classmethod
@@ -205,7 +198,7 @@ class BranchModel:
             input_register = (+1 if branch == "U" else -1, -1)
         basis = peres_basis(layout, branch, input_register)
         h = reduced_chain_hamiltonian(layout, branch, disorder, g)
-        return cls(layout, branch, basis, h, diagonalize(h))
+        return cls(layout, branch, basis, diagonalize(h))
 
     def beyond_gate_coordinates(self) -> np.ndarray:
         """0-based path coordinates whose physical site is >= b."""
@@ -220,26 +213,21 @@ def run_classical_input(
     branch: Branch,
     t_grid: np.ndarray,
     input_register: RegisterLabel | None = None,
-    with_sites: bool = False,
 ) -> ObservableSeries:
     """Cursor dynamics of one branch, started at path coordinate 1.
 
     Unitary when ``bath`` is None, Lindblad otherwise. ``p_region`` is the
     probability of the sites at and beyond the switch exit b. Position
-    observables are reported in physical-site coordinates; with ``with_sites``
-    the full path-coordinate distribution is kept on the series.
+    observables are reported in physical-site coordinates.
     """
     model = BranchModel.build(layout, branch, disorder, g, input_register)
     t_grid = np.asarray(t_grid, dtype=float)
     v = model.eig.eigenvectors
     pops, amps = relax_energy_density(model.eig.eigenvalues, bath, v[0], t_grid)
     prob = site_distribution(v, pops, amps)
-    series = ObservableSeries.from_site_probabilities(
+    return ObservableSeries.from_site_probabilities(
         t_grid, prob, model.basis.sites, model.beyond_gate_coordinates()
     )
-    if with_sites:
-        series.site_probabilities = prob.T
-    return series
 
 
 def register_states(
@@ -319,9 +307,6 @@ class SwitchSeries:
             "entropy": self.entropy,
             "bell_fidelity": self.bell_fidelity,
         }
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.columns())
 
 
 def run_superposed_input(

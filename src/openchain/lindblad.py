@@ -76,10 +76,6 @@ class TransitionRates:
     gamma: np.ndarray
     widths: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.widths.size
-
 
 def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> TransitionRates:
     """Thermal absorption/emission rates between adjacent levels."""

@@ -89,9 +89,11 @@ def _run_star(args: tuple[ExperimentConfig, int]) -> dict[str, np.ndarray]:
 def _run_jobs(
     jobs: list[tuple[ExperimentConfig, int]], workers: int
 ) -> list[dict[str, np.ndarray]]:
-    """Every (config, seed) job, in order: one process pool for all, or serial."""
+    """Every (config, seed) job, in order: one pool of at most one process per job, or serial."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(_run_star, jobs))
     return [_run_star(job) for job in jobs]
 
@@ -172,8 +174,6 @@ def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
     ``FloatingPointError`` before any CSV is written.
     """
     started = time.perf_counter()
-    out_dir = Path(config.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = _ensemble_seeds(config)
     results = _run_jobs([(config, seed) for seed in seeds], workers)
     tables = {f"{config.scenario}_r{r:03d}.csv": cols for r, cols in enumerate(results)}
@@ -182,6 +182,8 @@ def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
     agg_name = f"{config.scenario}_aggregate.csv"
     tables[agg_name] = aggregate_columns(results)
     _require_finite(agg_name, tables[agg_name])
+    out_dir = Path(config.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
     for name, cols in tables.items():
         write_csv(out_dir / name, cols)
@@ -221,9 +223,9 @@ def sweep(
         raise ValueError(f"cannot sweep {vary!r}: the config has no bath section")
     if vary in ("sigma", "g") and config.scenario == "peak-scaling":
         raise ValueError(f"cannot sweep {vary!r}: peak-scaling uses the clean chain")
+    if vary == "s" and not all(float(value).is_integer() for value in values):
+        raise ValueError(f"chain size s takes whole numbers, got {list(values)}")
     started = time.perf_counter()
-    out_dir = Path(config.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     casts = [int(value) if vary == "s" else float(value) for value in values]
     seeds = _ensemble_seeds(config)
     jobs = [(dataclasses.replace(config, **{vary: cast}), seed) for cast in casts for seed in seeds]
@@ -239,6 +241,8 @@ def sweep(
     table = {k: np.array([row[k] for row in rows]) for k in rows[0]}
     name = f"{config.scenario}_sweep_{vary}.csv"
     _require_finite(name, table)
+    out_dir = Path(config.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / name, table)
     manifest = RunManifest(
         config={**config.to_dict(), "vary": vary, "values": list(values)},

@@ -1,4 +1,4 @@
-"""Time-series containers and their CSV/JSON serialization.
+"""Time-series containers and their CSV serialization.
 
 CSV files carry a header row, a fixed column order, and reals formatted with
 17 significant digits so that values round-trip losslessly.
@@ -6,7 +6,6 @@ CSV files carry a header row, a fixed column order, and reals formatted with
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,15 +42,12 @@ class ObservableSeries:
 
     ``p_region`` is the probability of the scenario's target region (the last
     site for plain chains, the sites beyond the gate for switch circuits).
-    ``site_probabilities`` optionally holds the full site distribution, one
-    row per sample.
     """
 
     times: np.ndarray
     mean_q: np.ndarray
     var_q: np.ndarray
     p_region: np.ndarray | None = None
-    site_probabilities: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -84,12 +80,3 @@ class ObservableSeries:
         if self.p_region is not None:
             cols[p_label] = self.p_region
         return cols
-
-    def to_csv(self, path: str | Path, p_label: str = "p_region") -> None:
-        write_csv(path, self.columns(p_label))
-
-    def to_json(self, p_label: str = "p_region") -> str:
-        payload = {k: [float(v) for v in arr] for k, arr in self.columns(p_label).items()}
-        if self.site_probabilities is not None:
-            payload["site_probabilities"] = self.site_probabilities.tolist()
-        return json.dumps(payload)

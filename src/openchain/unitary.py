@@ -1,7 +1,9 @@
-"""Exact closed-system propagation by spectral decomposition.
+"""Closed-chain observable series and the arrival-peak scan.
 
 No time-stepping anywhere: psi_t = sum_k exp(-i e_k t) |e_k><e_k|psi_0>, so
-every evolved state is exact to machine precision at any t.
+every sample is exact to machine precision at any t. Whole grids run on the
+pure-state kernel of :mod:`openchain.lindblad` without a bath, in cache-sized
+blocks of grid columns.
 """
 
 from __future__ import annotations
@@ -45,33 +47,6 @@ class PureState:
         return cls(amp)
 
 
-def evolve_pure(eig: EigenSystem, psi0: PureState, t: float) -> PureState:
-    """Propagate psi0 for time t under the Hamiltonian behind ``eig``."""
-    if psi0.dim != eig.dim:
-        raise ValueError(f"state dim {psi0.dim} does not match system dim {eig.dim}")
-    v = eig.eigenvectors
-    coeff = v.T @ psi0.amplitudes
-    return PureState(v @ (np.exp(-1j * eig.eigenvalues * t) * coeff))
-
-
-def position_moments(psi: PureState) -> tuple[float, float]:
-    """Mean and variance of the position operator Q = sum_x x |x><x|."""
-    prob = np.abs(psi.amplitudes) ** 2
-    x = np.arange(1, psi.dim + 1)
-    mean = float(np.dot(prob, x))
-    var = float(np.dot(prob, x**2) - mean**2)
-    return mean, max(var, 0.0)
-
-
-def site_probability(psi: PureState, region: Iterable[int]) -> float:
-    """Total probability of finding the excitation in the given sites (1-based)."""
-    sites = sorted(set(region))
-    if sites and (sites[0] < 1 or sites[-1] > psi.dim):
-        raise ValueError(f"region {sites} not contained in 1..{psi.dim}")
-    prob = np.abs(psi.amplitudes) ** 2
-    return float(sum(prob[x - 1] for x in sites))
-
-
 def _site_blocks(eig: EigenSystem, psi0: PureState, times: np.ndarray, rows: slice = slice(None)):
     """(columns, site probabilities of ``rows``) per cache-sized block of the grid.
 
@@ -109,7 +84,6 @@ def unitary_observable_series(
     psi0: PureState,
     t_grid: np.ndarray,
     region: Iterable[int] | None = None,
-    with_sites: bool = False,
 ) -> ObservableSeries:
     """Sample mean_Q, var_Q and the region probability on a caller-supplied grid."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -123,12 +97,9 @@ def unitary_observable_series(
     mean = np.empty(t_grid.size)
     var = np.empty(t_grid.size)
     p_reg = np.empty(t_grid.size) if region_idx is not None else None
-    sites_out = np.empty((t_grid.size, eig.dim)) if with_sites else None
     for sl, prob in _site_blocks(eig, psi0, t_grid):
         mean[sl] = x @ prob
         var[sl] = (x**2) @ prob - mean[sl] ** 2
         if p_reg is not None:
             p_reg[sl] = prob[region_idx, :].sum(axis=0)
-        if sites_out is not None:
-            sites_out[sl] = prob.T
-    return ObservableSeries(t_grid, mean, var, p_reg, sites_out)
+    return ObservableSeries(t_grid, mean, var, p_reg)

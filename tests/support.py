@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 The oracles are deliberately written from scratch against the model
-definitions (full product-space Hamiltonian, brute-force master-equation
-integration, dense per-time-point density matrices on plain ndarrays) so they
+definitions (full product-space Hamiltonian, dense closed-chain propagation,
+brute-force master-equation integration, dense per-time-point density
+matrices on plain ndarrays) so they
 share no code path with the package implementations they check; they take
 only the model inputs (spectrum, rates, branch geometry) from the package.
 The helpers under "kernel states" assemble dense matrices from the package's
@@ -102,6 +103,14 @@ def subspace_projector(basis: PeresBasis, s: int) -> np.ndarray:
 def evolve_full(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+
+
+def evolve_pure(h: HamiltonianOperator, psi0: np.ndarray, t: float) -> np.ndarray:
+    """Closed-chain state at time t by dense ``eigh`` of the full matrix of ``h``.
+
+    Shares no code with the package's kernel or its tridiagonal ``diagonalize``.
+    """
+    return evolve_full(dense_hamiltonian(h), psi0, t)
 
 
 def full_space_observables(psi: np.ndarray, s: int) -> tuple[float, np.ndarray]:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 from support import (
     evolve_full,
+    evolve_pure,
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
@@ -42,7 +43,14 @@ from openchain.lindblad import (
     thermal_fixed_point,
     transition_rates,
 )
-from openchain.unitary import PureState, arrival_peak, evolve_pure
+from openchain.unitary import PureState, arrival_peak
+
+
+def branch_distribution(model: BranchModel, bath: BathSpec | None, grid) -> np.ndarray:
+    """Kernel site distribution (path coordinate x time) of a branch started at coordinate 1."""
+    v = model.eig.eigenvectors
+    pops, amps = relax_energy_density(model.eig.eigenvalues, bath, v[0], grid)
+    return site_distribution(v, pops, amps)
 
 
 class Criterion:
@@ -202,15 +210,15 @@ def test_criterion_7_conservation_law_and_exact_cnot():
             branch = "U" if control == 1 else "D"
             basis = peres_basis(layout, branch, (control, passive))
             expected = (control, -passive) if control == 1 else (control, passive)
+            # the branch evolves by the dense oracle: no kernel, no tridiagonal solver
             h = reduced_chain_hamiltonian(layout, branch, disorder, 2.0)
-            eig = diagonalize(h)
+            indices = basis.register_indices()
             past_gate = np.flatnonzero(basis.sites >= layout.b)
             for t in (30.0, 120.0, 450.0):
-                psi = evolve_pure(eig, PureState.site(layout.path_length, 1), t)
-                probs = np.abs(psi.amplitudes) ** 2
+                probs = np.abs(evolve_pure(h, PureState.site(h.dim, 1).amplitudes, t)) ** 2
                 rho = np.zeros((4, 4))
                 for j in past_gate:
-                    rho[register_index(basis.registers[j]), register_index(basis.registers[j])] += probs[j]
+                    rho[indices[j], indices[j]] += probs[j]
                 weight = np.trace(rho)
                 if weight == 0.0:
                     continue
@@ -233,16 +241,15 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
         c.check(end_err <= 1e-2, f"superposed end entropy off by {end_err:.2e}")
         c.check(peak_err <= 5e-2, f"superposed peak entropy off by {peak_err:.2e}")
 
-        classical = run_classical_input(
-            layout, disorder, 2.0, bath, "U", grid, with_sites=True
-        )
-        basis = peres_basis(layout, "U", (+1, -1))
-        indices = basis.register_indices()
+        # classical control (+1, -1): the register from the branch's kernel run
+        model = BranchModel.build(layout, "U", disorder, 2.0, (+1, -1))
+        prob = branch_distribution(model, bath, grid)
+        indices = model.basis.register_indices()
         entropy = np.empty(grid.size)
         for i in range(grid.size):
             rho = np.zeros((4, 4))
             for j in range(layout.path_length):
-                rho[indices[j], indices[j]] += classical.site_probabilities[i, j]
+                rho[indices[j], indices[j]] += prob[j, i]
             entropy[i] = von_neumann_entropy(rho)
         c.check(entropy[-1] <= 1e-2, f"classical end entropy {entropy[-1]:.2e}")
         peak_err = abs(entropy.max() - ln2)
@@ -283,9 +290,8 @@ def test_criterion_10_full_space_oracle_equivalence():
         # mean_Q of the reduced model: half of each branch's kernel distribution
         mean_red = np.zeros(grid.size)
         for branch, sites in (("U", maps.up), ("D", maps.down)):
-            v = BranchModel.build(layout, branch, disorder, g).eig
-            pops, amps = relax_energy_density(v.eigenvalues, None, v.eigenvectors[0], grid)
-            mean_red += 0.5 * (sites @ site_distribution(v.eigenvectors, pops, amps))
+            model = BranchModel.build(layout, branch, disorder, g)
+            mean_red += 0.5 * (sites @ branch_distribution(model, None, grid))
         worst_q = worst_reg = worst_p = 0.0
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
@@ -301,10 +307,10 @@ def test_criterion_10_full_space_oracle_equivalence():
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = 1.0
         psi0 = full_space_state(layout, reg0)
-        classical = run_classical_input(
-            layout, disorder, g, None, "U", grid, with_sites=True
-        )
-        indices = peres_basis(layout, "U", (+1, -1)).register_indices()
+        classical = run_classical_input(layout, disorder, g, None, "U", grid)
+        model = BranchModel.build(layout, "U", disorder, g, (+1, -1))
+        prob = branch_distribution(model, None, grid)
+        indices = model.basis.register_indices()
         worst_q = worst_reg = 0.0
         for i, t in enumerate(grid):
             mean_full, reg_full = full_space_observables(
@@ -313,7 +319,7 @@ def test_criterion_10_full_space_oracle_equivalence():
             worst_q = max(worst_q, abs(mean_full - classical.mean_q[i]))
             rho = np.zeros((4, 4))
             for j in range(layout.path_length):
-                rho[indices[j], indices[j]] += classical.site_probabilities[i, j]
+                rho[indices[j], indices[j]] += prob[j, i]
             worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - rho))))
         c.check(worst_q <= 1e-8, f"classical mean_Q deviation {worst_q:.2e}")
         c.check(worst_reg <= 1e-8, f"classical register deviation {worst_reg:.2e}")

@@ -4,13 +4,9 @@ from support import dense_hamiltonian
 
 from openchain.chains import (
     ChainSpec,
-    DisorderRealization,
     HamiltonianOperator,
-    PotentialProfile,
-    assemble_hamiltonian,
     build_chain_hamiltonian,
     build_free_chain,
-    build_linear_potential,
     diagonalize,
     free_eigensystem,
     localization_length_bloch,
@@ -81,47 +77,43 @@ class TestSampleDisorder:
         b = sample_disorder(ChainSpec(50, 0.3, 0.0, seed=2)).epsilons
         assert not np.array_equal(a, b)
 
-    def test_json_round_trip(self):
-        real = sample_disorder(ChainSpec(8, 0.5, 0.0, seed=9))
-        again = DisorderRealization.from_json(real.to_json())
-        assert np.array_equal(real.epsilons, again.epsilons)
-
 
 class TestLinearPotential:
+    """The tilt -g*x on the diagonal of ``build_chain_hamiltonian``."""
+
     def test_zero_strength(self):
-        assert np.array_equal(build_linear_potential(5, 0.0).values, np.zeros(5))
+        h = build_chain_hamiltonian(ChainSpec(5, 0.0, 0.0, seed=1))
+        assert np.array_equal(h.diagonal, np.zeros(5))
 
     def test_values(self):
-        assert np.array_equal(build_linear_potential(3, 2.0).values, [-2.0, -4.0, -6.0])
+        h = build_chain_hamiltonian(ChainSpec(3, 0.0, 2.0, seed=1))
+        assert np.array_equal(h.diagonal, [-2.0, -4.0, -6.0])
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
-            build_linear_potential(5, -1.0)
+            build_chain_hamiltonian(ChainSpec(5, 0.0, -1.0))
 
 
 class TestAssembleHamiltonian:
+    """Disorder and tilt added to the free chain; the hopping band is untouched."""
+
     def test_no_potentials(self):
         free = build_free_chain(4)
-        out = assemble_hamiltonian(free)
+        out = build_chain_hamiltonian(ChainSpec(4))
         assert np.array_equal(out.diagonal, free.diagonal)
         assert np.array_equal(out.hopping, free.hopping)
 
     def test_disorder_on_diagonal(self):
-        out = assemble_hamiltonian(
-            build_free_chain(2), [DisorderRealization([1.0, 2.0])]
-        )
-        assert np.array_equal(out.diagonal, [1.0, 2.0])
+        spec = ChainSpec(6, 0.5, 0.0, seed=3)
+        out = build_chain_hamiltonian(spec)
+        assert np.array_equal(out.diagonal, sample_disorder(spec).epsilons)
+        assert np.array_equal(out.hopping, build_free_chain(6).hopping)
 
     def test_disorder_plus_tilt(self):
-        out = assemble_hamiltonian(
-            build_free_chain(2),
-            [DisorderRealization([0.1, -0.2]), build_linear_potential(2, 2.0)],
-        )
-        assert np.allclose(out.diagonal, [-1.9, -4.2], atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            assemble_hamiltonian(build_free_chain(3), [PotentialProfile([1.0, 2.0])])
+        spec = ChainSpec(6, 0.5, 2.0, seed=3)
+        tilt = -2.0 * np.arange(1, 7)
+        out = build_chain_hamiltonian(spec)
+        assert np.allclose(out.diagonal, sample_disorder(spec).epsilons + tilt, atol=1e-12)
 
 
 class TestDiagonalize:

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import pytest
 
+from openchain.cli import main
 from openchain.config import ConfigError, validate_config
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 FIG_STYLE_SWITCH = """
 [experiment]
@@ -107,3 +112,9 @@ dt = 0
         with pytest.raises(ConfigError) as err:
             validate_config(text)
         assert any("s:" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_validates(path, capsys):
+    assert main(["validate", str(path)]) == 0
+    assert "config ok" in capsys.readouterr().out

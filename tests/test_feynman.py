@@ -106,7 +106,7 @@ class TestPeresBasis:
     def test_entry_count(self, branch):
         layout = build_cnot_layout(22, 9)
         c = +1 if branch == "U" else -1
-        assert peres_basis(layout, branch, (c, -1)).path_length == 20
+        assert peres_basis(layout, branch, (c, -1)).sites.size == 20
 
     def test_control_mismatch_rejected(self):
         layout = build_cnot_layout(8, 1)

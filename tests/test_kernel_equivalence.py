@@ -105,13 +105,15 @@ def test_unitary_observable_series(seed, grid, region):
     eig = diagonalize(build_chain_hamiltonian(ChainSpec(40, 0.5, 0.3, seed=seed)))
     psi0 = PureState.site(40, 1)
     sites = REGIONS[region]
-    series = unitary_observable_series(eig, psi0, UNITARY_GRIDS[grid], sites, with_sites=True)
+    series = unitary_observable_series(eig, psi0, UNITARY_GRIDS[grid], sites)
+    blocks = [prob for _, prob in unitary._site_blocks(eig, psi0, UNITARY_GRIDS[grid])]
+    prob = np.concatenate(blocks, axis=1)
     region_idx = None if sites is None else np.asarray(sites) - 1
     expected = chunked_unitary_columns(eig, psi0.amplitudes, UNITARY_GRIDS[grid], region_idx)
     got = series.columns()
     assert got.keys() - {"t"} == expected.keys() - {"sites"}
     for j in range(40):
-        got[f"site{j + 1}"] = series.site_probabilities[:, j]
+        got[f"site{j + 1}"] = prob[j]
         expected[f"site{j + 1}"] = expected["sites"][:, j]
     del expected["sites"]
     assert_columns_match(got, expected)

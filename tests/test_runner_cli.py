@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from support import read_csv
 
+from openchain.chains import ChainSpec, sample_disorder
 from openchain.cli import main
 from openchain.config import validate_config
 from openchain.runner import realization_seed, run_scenario, sweep
@@ -77,6 +78,22 @@ class TestRunScenario:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_pool_no_larger_than_the_jobs(self, tmp_path, monkeypatch):
+        # two realizations need two worker processes, whatever --workers asks for
+        import openchain.runner as runner_mod
+
+        sizes = []
+        real = runner_mod.ProcessPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            sizes.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", recording_pool)
+        extra = "ensemble_size = 2\n[grid]\nt_max = 5\ndt = 1\n"
+        run_scenario(make_config(tmp_path, "localized", extra), workers=6)
+        assert sizes == [2]
+
     def test_manifest_contents(self, tmp_path):
         config = make_config(
             tmp_path,
@@ -92,6 +109,10 @@ class TestRunScenario:
         ]
         assert len(manifest["disorder"]) == 2
         assert len(manifest["disorder"][0]) == 20
+        # the recorded disorder reads back bit-exactly as each realization's draw
+        for r, recorded in enumerate(manifest["disorder"]):
+            spec = ChainSpec(20, 0.5, 0.0, realization_seed(7, r))
+            assert np.array_equal(recorded, sample_disorder(spec).epsilons)
         import hashlib
 
         for name, digest in manifest["outputs"].items():
@@ -257,6 +278,30 @@ class TestCli:
         assert main(["sweep", path, "--vary", "sigma", "--values", "0,0.5,2"]) == 2
         assert "peak-scaling" in capsys.readouterr().err
         assert not (tmp_path / "out" / "peak-scaling_sweep_sigma.csv").exists()
+
+    def test_sweep_non_integer_s_exit_2(self, tmp_path, capsys):
+        # s = 20.7 must not run (and be recorded) as a 20-site chain
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = peak-scaling\noutput = {tmp_path / 'out'}\n",
+        )
+        assert main(["sweep", path, "--vary", "s", "--values", "20.7,30.2"]) == 2
+        assert "20.7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--vary", "s", "--values", "10,12"]], ids=["run", "sweep"]
+    )
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, command, workers):
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = ballistic\noutput = {tmp_path / 'out'}\n"
+            "[grid]\nt_max = 1\ndt = 1\n",
+        )
+        assert main([command[0], path, *command[1:], "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         text = (

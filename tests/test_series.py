@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from support import read_csv
@@ -72,15 +70,9 @@ class TestObservableSeries:
         series = ObservableSeries([0.0, 1.0], [1.0, 1.0], [0.0, -1e-12])
         assert series.var_q[1] == 0.0
 
-    def test_json_payload(self):
-        series = ObservableSeries([0.0, 1.0], [1.0, 2.0], [0.0, 0.5], [0.1, 0.2])
-        payload = json.loads(series.to_json())
-        assert payload["t"] == [0.0, 1.0]
-        assert payload["p_region"] == [0.1, 0.2]
-
     def test_csv_label(self, tmp_path):
         series = ObservableSeries([0.0, 1.0], [1.0, 2.0], [0.0, 0.5], [0.1, 0.2])
-        series.to_csv(tmp_path / "x.csv", p_label="p_beyond_gate")
+        write_csv(tmp_path / "x.csv", series.columns(p_label="p_beyond_gate"))
         assert read_csv(tmp_path / "x.csv").keys() == {
             "t",
             "mean_Q",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from support import dense_hamiltonian
+from support import dense_hamiltonian, evolve_pure
 
 from openchain.chains import (
     ChainSpec,
@@ -9,14 +9,7 @@ from openchain.chains import (
     free_eigensystem,
     localization_length_gaussian,
 )
-from openchain.unitary import (
-    PureState,
-    arrival_peak,
-    evolve_pure,
-    position_moments,
-    site_probability,
-    unitary_observable_series,
-)
+from openchain.unitary import PureState, arrival_peak, unitary_observable_series
 
 
 def random_state(dim, seed):
@@ -25,82 +18,110 @@ def random_state(dim, seed):
     return PureState(amp / np.linalg.norm(amp))
 
 
+def moments(psi):
+    """Mean and variance of the position x = 1..dim in the state psi."""
+    prob = np.abs(psi) ** 2
+    x = np.arange(1, prob.size + 1)
+    mean = prob @ x
+    return mean, prob @ x**2 - mean**2
+
+
 class TestEvolvePure:
+    """Closed-chain propagation: the kernel's series and the dense oracle."""
+
     def test_zero_time_identity(self):
-        eig = free_eigensystem(7)
         psi0 = random_state(7, 1)
-        out = evolve_pure(eig, psi0, 0.0)
-        assert np.allclose(out.amplitudes, psi0.amplitudes, atol=1e-12)
+        series = unitary_observable_series(free_eigensystem(7), psi0, [0.0], region={3})
+        mean, var = moments(psi0.amplitudes)
+        assert series.mean_q[0] == pytest.approx(mean, abs=1e-12)
+        assert series.var_q[0] == pytest.approx(var, abs=1e-12)
+        assert series.p_region[0] == pytest.approx(abs(psi0.amplitudes[2]) ** 2, abs=1e-12)
 
     def test_two_site_rabi(self):
         # 2x2 chain: P(site 2)(t) = sin^2(t/2), exactly 1 at t = pi
-        eig = free_eigensystem(2)
-        psi0 = PureState.site(2, 1)
-        for t in (0.3, 1.0, np.pi / 2, np.pi, 4.7):
-            psi = evolve_pure(eig, psi0, t)
-            assert abs(psi.amplitudes[1]) ** 2 == pytest.approx(np.sin(t / 2) ** 2, abs=1e-12)
+        times = np.array([0.3, 1.0, np.pi / 2, np.pi, 4.7])
+        series = unitary_observable_series(
+            free_eigensystem(2), PureState.site(2, 1), times, region={2}
+        )
+        assert np.max(np.abs(series.p_region - np.sin(times / 2) ** 2)) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 3.0, 57.0])
     def test_norm_preserved(self, t):
         eig = diagonalize(build_chain_hamiltonian(ChainSpec(15, 0.4, 1.0, seed=2)))
-        psi = evolve_pure(eig, random_state(15, 3), t)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-10
+        series = unitary_observable_series(eig, random_state(15, 3), [t], region=range(1, 16))
+        assert abs(series.p_region[0] - 1.0) < 1e-10
 
     def test_composition(self):
-        eig = diagonalize(build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=4)))
-        psi0 = random_state(12, 5)
-        one_shot = evolve_pure(eig, psi0, 5.2)
-        two_step = evolve_pure(eig, evolve_pure(eig, psi0, 2.0), 3.2)
-        assert np.max(np.abs(one_shot.amplitudes - two_step.amplitudes)) < 1e-9
+        h = build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=4))
+        psi0 = random_state(12, 5).amplitudes
+        one_shot = evolve_pure(h, psi0, 5.2)
+        two_step = evolve_pure(h, evolve_pure(h, psi0, 2.0), 3.2)
+        assert np.max(np.abs(one_shot - two_step)) < 1e-9
 
     def test_energy_conserved(self):
         h = build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=6))
-        eig = diagonalize(h)
-        psi0 = random_state(12, 7)
+        psi0 = random_state(12, 7).amplitudes
         hd = dense_hamiltonian(h)
-        e0 = np.real(psi0.amplitudes.conj() @ hd @ psi0.amplitudes)
+        e0 = np.real(psi0.conj() @ hd @ psi0)
         for t in (1.0, 10.0, 100.0):
-            psi = evolve_pure(eig, psi0, t)
-            e_t = np.real(psi.amplitudes.conj() @ hd @ psi.amplitudes)
+            psi = evolve_pure(h, psi0, t)
+            e_t = np.real(psi.conj() @ hd @ psi)
             assert abs(e_t - e0) < 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            evolve_pure(free_eigensystem(5), PureState.site(4, 1), 1.0)
+            unitary_observable_series(free_eigensystem(5), PureState.site(4, 1), [1.0])
 
 
 class TestPositionMoments:
+    """mean_Q and var_Q of the kernel's series at t = 0."""
+
+    @staticmethod
+    def at_start(amplitudes):
+        psi0 = PureState(amplitudes)
+        series = unitary_observable_series(free_eigensystem(psi0.dim), psi0, [0.0])
+        return series.mean_q[0], series.var_q[0]
+
     def test_basis_state(self):
-        assert position_moments(PureState.site(9, 5)) == (5.0, 0.0)
+        mean, var = self.at_start(PureState.site(9, 5).amplitudes)
+        assert mean == pytest.approx(5.0, abs=1e-12)
+        assert var == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_three_sites(self):
-        mean, var = position_moments(PureState(np.full(3, 1 / np.sqrt(3))))
+        mean, var = self.at_start(np.full(3, 1 / np.sqrt(3)))
         assert mean == pytest.approx(2.0)
         assert var == pytest.approx(2.0 / 3.0)
 
     def test_edge_superposition(self):
         amp = np.zeros(20)
         amp[0] = amp[19] = 1 / np.sqrt(2)
-        mean, var = position_moments(PureState(amp))
+        mean, var = self.at_start(amp)
         assert mean == pytest.approx(10.5)
         assert var == pytest.approx(90.25)
 
 
 class TestSiteProbability:
+    """Region probability of the kernel's series."""
+
     def test_all_sites(self):
-        psi = random_state(8, 11)
-        assert site_probability(psi, range(1, 9)) == pytest.approx(1.0)
+        series = unitary_observable_series(
+            free_eigensystem(8), random_state(8, 11), [0.0, 3.0], region=range(1, 9)
+        )
+        assert series.p_region == pytest.approx([1.0, 1.0])
 
     def test_empty_region(self):
-        assert site_probability(random_state(8, 12), []) == 0.0
+        series = unitary_observable_series(free_eigensystem(8), random_state(8, 12), [2.0], [])
+        assert series.p_region[0] == 0.0
 
     def test_half_transfer(self):
-        psi = evolve_pure(free_eigensystem(2), PureState.site(2, 1), np.pi / 2)
-        assert site_probability(psi, {2}) == pytest.approx(0.5, abs=1e-12)
+        series = unitary_observable_series(
+            free_eigensystem(2), PureState.site(2, 1), [np.pi / 2], region={2}
+        )
+        assert series.p_region[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            site_probability(random_state(5, 13), {6})
+            unitary_observable_series(free_eigensystem(5), random_state(5, 13), [0.0], {6})
 
 
 class TestArrivalPeak:
@@ -129,25 +150,25 @@ class TestArrivalPeak:
 
 class TestObservableSeries:
     def test_matches_pointwise_evolution(self):
-        eig = diagonalize(build_chain_hamiltonian(ChainSpec(10, 0.2, 0.7, seed=8)))
+        # against the dense oracle, which shares no code with the kernel
+        h = build_chain_hamiltonian(ChainSpec(10, 0.2, 0.7, seed=8))
         psi0 = PureState.site(10, 1)
         grid = np.linspace(0, 20, 41)
-        series = unitary_observable_series(eig, psi0, grid, region={9, 10})
+        series = unitary_observable_series(diagonalize(h), psi0, grid, region={9, 10})
         for i in (0, 7, 40):
-            psi = evolve_pure(eig, psi0, grid[i])
-            mean, var = position_moments(psi)
+            psi = evolve_pure(h, psi0.amplitudes, grid[i])
+            mean, var = moments(psi)
             assert series.mean_q[i] == pytest.approx(mean, abs=1e-10)
             assert series.var_q[i] == pytest.approx(var, abs=1e-10)
             assert series.p_region[i] == pytest.approx(
-                site_probability(psi, {9, 10}), abs=1e-10
+                np.sum(np.abs(psi[8:]) ** 2), abs=1e-10
             )
 
     def test_site_probabilities_normalized(self):
-        eig = free_eigensystem(6)
         series = unitary_observable_series(
-            eig, PureState.site(6, 1), np.linspace(0, 5, 11), with_sites=True
+            free_eigensystem(6), PureState.site(6, 1), np.linspace(0, 5, 11), range(1, 7)
         )
-        assert np.allclose(series.site_probabilities.sum(axis=1), 1.0, atol=1e-10)
+        assert np.allclose(series.p_region, 1.0, atol=1e-10)
 
     def test_disorder_keeps_excitation_near_start(self):
         # time-averaged position stays within the localization-length bound
