@@ -34,6 +34,7 @@ Validation reports every violation at once, not just the first.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -122,12 +123,14 @@ def _parse_number(raw: dict, key: str, kind, violations: list[str]):
     if key not in raw:
         return None
     try:
-        if kind is int:
-            return int(raw[key])
-        return float(raw[key])
+        value = kind(raw[key])
     except ValueError:
         violations.append(f"{key}: expected {kind.__name__}, got {raw[key]!r}")
         return None
+    if not math.isfinite(value):
+        violations.append(f"{key}: must be finite, got {raw[key]!r}")
+        return None
+    return value
 
 
 def validate_config(text: str) -> ExperimentConfig:

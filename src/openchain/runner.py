@@ -15,12 +15,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chains import ChainSpec, build_chain_hamiltonian, diagonalize, free_eigensystem, sample_disorder
@@ -139,9 +143,29 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _numeric_environment() -> dict:
+    """Python, numpy, scipy and BLAS versions and the CPU count: the stack behind the bytes."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its build config
+        blas = {}
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce a run bit-exactly, plus output digests."""
+    """Everything needed to reproduce a run bit-exactly, plus output digests.
+
+    CSV bytes are reproducible for a given numeric stack, which ``environment``
+    records.
+    """
 
     config: dict
     version: str
@@ -150,6 +174,7 @@ class RunManifest:
     wall_clock_s: float
     outputs: dict[str, str]
     disorder: list[list[float]] | None = None
+    environment: dict = dataclasses.field(default_factory=_numeric_environment)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2)
@@ -213,7 +238,8 @@ def sweep(
     for time-series scenarios it holds the ensemble mean of each column at the
     final grid time. Realization seeds are shared across values. With
     ``workers > 1`` every (value, realization) job goes to one process pool.
-    Non-finite values are rejected as in :func:`run_scenario`.
+    A non-finite parameter value raises ``ValueError`` before any job runs;
+    non-finite outputs are rejected as in :func:`run_scenario`.
     """
     if vary not in SWEEPABLE:
         raise ValueError(f"parameter {vary!r} is not sweepable; choose from {SWEEPABLE}")
@@ -223,6 +249,8 @@ def sweep(
         raise ValueError(f"cannot sweep {vary!r}: the config has no bath section")
     if vary in ("sigma", "g") and config.scenario == "peak-scaling":
         raise ValueError(f"cannot sweep {vary!r}: peak-scaling uses the clean chain")
+    if not all(math.isfinite(value) for value in values):
+        raise ValueError(f"sweep values must be finite, got {list(values)}")
     if vary == "s" and not all(float(value).is_integer() for value in values):
         raise ValueError(f"chain size s takes whole numbers, got {list(values)}")
     started = time.perf_counter()

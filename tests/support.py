@@ -179,6 +179,43 @@ def integrate_populations(gen: np.ndarray, p0: np.ndarray, t: float) -> np.ndarr
     return sol.y[:, -1]
 
 
+def direct_relax_energy_density(
+    eigenvalues: np.ndarray,
+    bath: BathSpec | None,
+    amplitudes: np.ndarray,
+    t_grid: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(P, U) of ``relax_energy_density`` by the direct formula on any grid.
+
+    U = c exp(d t) with one complex exponential per entry, d = -i e - zeta G / 2;
+    P advances by one cached ``expm`` step per grid column. The reference for
+    the kernel's uniform-grid tables and blocked population products.
+    """
+    e = np.asarray(eigenvalues, dtype=float)
+    c = np.asarray(amplitudes, dtype=complex)
+    t_grid = np.asarray(t_grid, dtype=float)
+    if bath is None or bath.zeta == 0.0:
+        return None, c[:, None] * np.exp(np.outer(-1j * e, t_grid))
+    rates = transition_rates(e, bath)
+    gen = bath.zeta * (rates.gamma - np.diag(rates.widths))
+    steps: dict[float, np.ndarray] = {}
+    pops = np.empty((e.size, t_grid.size))
+    p = np.abs(c) ** 2
+    if t_grid[0] > 0:
+        p = expm(gen * t_grid[0]) @ p
+    prev_t = t_grid[0]
+    for i, t in enumerate(t_grid):
+        if t > prev_t:
+            dt = round(float(t - prev_t), 12)
+            if dt not in steps:
+                steps[dt] = expm(gen * dt)
+            p = steps[dt] @ p
+        prev_t = t
+        pops[:, i] = p
+    decay = -1j * e - 0.5 * bath.zeta * rates.widths
+    return pops, c[:, None] * np.exp(np.outer(decay, t_grid))
+
+
 # ---------------------------------------------------------------------------
 # dense per-time-point pipelines: one n x n energy-basis density matrix per
 # grid time, rotated to the site basis one at a time (the reference for the

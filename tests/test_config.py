@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,23 @@ zeta = 0.05
 
 [layout]
 a = 9
+"""
+
+FULL_TRANSPORT = """
+[experiment]
+scenario = dissipative-transport
+
+[chain]
+sigma = 0.5
+g = 2.0
+
+[bath]
+beta = 1.0
+zeta = 0.05
+
+[grid]
+t_max = 100
+dt = 1.0
 """
 
 
@@ -106,6 +124,26 @@ dt = 0
         assert any(v.startswith("g:") for v in err.value.violations)
         clean = "[experiment]\nscenario = peak-scaling\n[chain]\nsigma = 0\ng = 0.0\n"
         assert validate_config(clean).sigma == 0.0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sigma", "nan"),
+            ("g", "nan"),
+            ("g", "-inf"),
+            ("t_max", "inf"),
+            ("dt", "nan"),
+            ("beta", "inf"),
+            ("zeta", "nan"),
+        ],
+    )
+    def test_non_finite_field(self, key, value):
+        # NaN fails every comparison, so range checks alone let it through
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FULL_TRANSPORT, flags=re.M)
+        assert validate_config(FULL_TRANSPORT).scenario == "dissipative-transport"
+        with pytest.raises(ConfigError) as err:
+            validate_config(text)
+        assert err.value.violations == [f"{key}: must be finite, got {value!r}"]
 
     def test_non_numeric_field(self):
         text = "[experiment]\nscenario = ballistic\n[chain]\ns = twenty\n"

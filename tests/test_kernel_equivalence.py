@@ -7,18 +7,28 @@ that starts after t = 0 (the initial exponential step). The closed chain,
 evaluated in cache-sized blocks of grid columns, is checked against one
 complex product per 4096-column chunk, on a grid of several blocks that ends
 in a partial one.
+
+The kernel's uniform-grid path (two sqrt(T) phase tables, populations in
+blocks of 32 columns) is held to the direct formula of
+``support.direct_relax_energy_density`` at s = 200, on grids whose last phase
+table and last population block are both partial; a grid with one perturbed
+point takes the general path and must match too.
 """
+
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from support import (
     chunked_unitary_columns,
+    direct_relax_energy_density,
     dense_classical_columns,
     dense_superposed_columns,
     dense_transport_columns,
 )
 
-from openchain import unitary
+from openchain import lindblad, unitary
 from openchain.chains import (
     ChainSpec,
     build_chain_hamiltonian,
@@ -27,7 +37,9 @@ from openchain.chains import (
     sample_disorder,
 )
 from openchain.feynman import build_cnot_layout, run_classical_input, run_superposed_input
-from openchain.lindblad import BathSpec, dissipative_transport_run
+from openchain.config import load_config
+from openchain.lindblad import BathSpec, dissipative_transport_run, site_distribution
+from openchain.runner import time_grid
 from openchain.unitary import PureState, arrival_peak, unitary_observable_series
 
 GRIDS = {
@@ -128,3 +140,54 @@ def test_arrival_peak(s):
     t_star, p_star = arrival_peak(eig, psi0, 1.5 * s + 10)
     assert t_star == times[np.argmax(last)]
     assert abs(p_star - last.max()) <= 1e-12
+
+
+#: uniform grids of 1001 columns: 31 full phase tables of b = 32 plus 9 columns,
+#: and likewise 31 full population blocks of 32 plus 9 columns
+FAST_GRIDS = {
+    "uniform": np.linspace(0.0, 1000.0, 1001),
+    "late-start": np.linspace(30.0, 1030.0, 1001),
+}
+PERTURBED = FAST_GRIDS["uniform"].copy()
+PERTURBED[500] += 1e-3
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+
+def test_fast_grids_end_in_partial_blocks():
+    for grid in FAST_GRIDS.values():
+        assert lindblad._uniform_step(grid) == 1.0
+        assert grid.size % (math.isqrt(grid.size - 1) + 1)
+        assert grid.size % (1 << lindblad._BLOCK_SQUARINGS)
+    assert lindblad._uniform_step(PERTURBED) is None
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_config_grids_are_uniform(config):
+    cfg = load_config(config)
+    t_max = cfg.t_max if cfg.t_max is not None else 1.5 * cfg.s + 10.0
+    assert lindblad._uniform_step(time_grid(t_max, cfg.dt)) is not None
+
+
+def kernel_columns(eig, pops, amps, populations_too: bool) -> dict[str, np.ndarray]:
+    """mean_Q, var_Q, the last-site probability and, if asked, each row of P."""
+    prob = site_distribution(eig.eigenvectors, pops, amps)
+    x = np.arange(1, eig.dim + 1)
+    mean = x @ prob
+    cols = {"mean_Q": mean, "var_Q": (x**2) @ prob - mean**2, "p_region": prob[-1]}
+    if populations_too:
+        cols.update({f"P{m}": row for m, row in enumerate(pops)})
+    return cols
+
+
+@pytest.mark.parametrize("grid", [*FAST_GRIDS, "perturbed"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("bath", BATHS)
+def test_uniform_path_matches_direct_formula(bath, seed, grid):
+    times = PERTURBED if grid == "perturbed" else FAST_GRIDS[grid]
+    spec = ChainSpec(200, 0.5, 2.0, seed) if bath == "bath" else ChainSpec(200, 0.5, 0.0, seed)
+    eig = diagonalize(build_chain_hamiltonian(spec))
+    c = eig.eigenvectors[0].astype(complex)
+    got = lindblad.relax_energy_density(eig.eigenvalues, BATHS[bath], c, times)
+    ref = direct_relax_energy_density(eig.eigenvalues, BATHS[bath], c, times)
+    with_pops = bath == "bath"
+    assert_columns_match(kernel_columns(eig, *got, with_pops), kernel_columns(eig, *ref, with_pops))

@@ -119,6 +119,18 @@ class TestRunScenario:
             payload = (tmp_path / "out" / name).read_bytes()
             assert hashlib.sha256(payload).hexdigest() == digest
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_manifest_records_the_numeric_stack(self, tmp_path, command):
+        config = make_config(tmp_path, "ballistic", "[grid]\nt_max = 2\ndt = 1\n")
+        if command == "run":
+            run_scenario(config)
+        else:
+            sweep(config, "s", [6, 8])
+        environment = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+        keys = {"python", "numpy", "scipy", "blas", "blas_version", "cpu_count"}
+        assert set(environment) == keys
+        assert all(environment[key] for key in keys)
+
     def test_different_seeds_differ(self, tmp_path):
         extra = "[chain]\nsigma = 0.5\n[grid]\nt_max = 10\ndt = 1\n"
         run_scenario(make_config(tmp_path, "localized", "seed = 1\n" + extra, out="s1"))
@@ -287,6 +299,22 @@ class TestCli:
         )
         assert main(["sweep", path, "--vary", "s", "--values", "20.7,30.2"]) == 2
         assert "20.7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("vary, value", [("beta", "nan"), ("zeta", "inf"), ("sigma", "nan")])
+    def test_sweep_non_finite_value_exit_2(self, tmp_path, capsys, monkeypatch, vary, value):
+        import openchain.runner as runner_mod
+
+        jobs = []
+        monkeypatch.setattr(runner_mod, "_run_jobs", lambda batch, workers: jobs.append(batch))
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = dissipative-transport\noutput = {tmp_path / 'out'}\n"
+            "[bath]\nbeta = 1.0\nzeta = 0.05\n",
+        )
+        assert main(["sweep", path, "--vary", vary, "--values", f"1,{value}"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert jobs == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
