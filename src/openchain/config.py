@@ -19,15 +19,16 @@ A config is a key-value file with sections::
 
     [layout]
     a = 9                              ; switch scenarios only
-    branch = U
+    branch = U                         ; cnot-classical only
 
     [grid]
-    t_max = 1000
+    t_max = 1000                       ; a whole number of dt steps
     dt = 1.0
 
 Chain, layout and grid fields default to each scenario's standard desk-scale
 parameters (see SCENARIO_DEFAULTS), so a minimal file only names the scenario
-and, for open-system runs, the bath. Bath parameters are never defaulted.
+and, for open-system runs, the bath. Bath parameters are never defaulted, and
+a bath or layout field that the scenario does not read is an error.
 Validation reports every violation at once, not just the first.
 """
 
@@ -71,6 +72,14 @@ _SECTIONS = {
     "bath": ("beta", "zeta"),
     "layout": ("a", "branch"),
     "grid": ("t_max", "dt"),
+}
+
+#: optional fields and the scenarios that read them; any other scenario rejects them
+_READ_BY = {
+    "beta": BATH_REQUIRED | {"cnot-classical"},
+    "zeta": BATH_REQUIRED | {"cnot-classical"},
+    "a": LAYOUT_REQUIRED,
+    "branch": {"cnot-classical"},
 }
 
 
@@ -205,17 +214,22 @@ def validate_config(text: str) -> ExperimentConfig:
         violations.append(f"branch: must be U or D, got {branch!r}")
 
     if scenario == "peak-scaling":
-        if t_max is not None and t_max <= 0:
-            violations.append(f"t_max: must be > 0, got {t_max}")
         # the arrival peak is taken on the clean, untilted chain
         for key, value in (("sigma", sigma), ("g", g)):
             if value:
                 violations.append(f"{key}: peak-scaling uses the clean chain, got {value}")
-    else:
-        if t_max is None:
-            violations.append("t_max: missing (section [grid])")
-        elif t_max <= 0:
-            violations.append(f"t_max: must be > 0, got {t_max}")
+    elif t_max is None:
+        violations.append("t_max: missing (section [grid])")
+    if t_max is not None and t_max <= 0:
+        violations.append(f"t_max: must be > 0, got {t_max}")
+    elif t_max is not None and dt > 0:
+        steps = round(t_max / dt)  # the grid steps by t_max / steps, which must be dt
+        if steps < 1 or not math.isclose(steps * dt, t_max, rel_tol=1e-9):
+            violations.append(f"t_max: must be a whole number >= 1 of dt = {dt} steps, got {t_max}")
+
+    for key, readers in _READ_BY.items():
+        if key in raw and scenario not in readers:
+            violations.append(f"{key}: scenario {scenario} does not read it, got {raw[key]}")
 
     if scenario in BATH_REQUIRED:
         if beta is None and "beta" not in raw:

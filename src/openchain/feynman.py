@@ -212,7 +212,6 @@ def run_classical_input(
     bath: BathSpec | None,
     branch: Branch,
     t_grid: np.ndarray,
-    input_register: RegisterLabel | None = None,
 ) -> ObservableSeries:
     """Cursor dynamics of one branch, started at path coordinate 1.
 
@@ -220,7 +219,7 @@ def run_classical_input(
     probability of the sites at and beyond the switch exit b. Position
     observables are reported in physical-site coordinates.
     """
-    model = BranchModel.build(layout, branch, disorder, g, input_register)
+    model = BranchModel.build(layout, branch, disorder, g)
     t_grid = np.asarray(t_grid, dtype=float)
     v = model.eig.eigenvectors
     pops, amps = relax_energy_density(model.eig.eigenvalues, bath, v[0], t_grid)

@@ -30,13 +30,12 @@ dense n x n state is formed, and every pipeline runs on this kernel: the
 dissipative chain below, the closed chain of :mod:`openchain.unitary` and
 both switch pipelines of :mod:`openchain.feynman`.
 
-Every grid the runner builds is uniform (an ``np.linspace``), and there the
-kernel takes a fast path. The phases exp(d t) with d = -i e - zeta G / 2 come
+The kernel takes uniform grids only (:func:`time_grid` builds them); any other
+grid raises ``ValueError``. The phases exp(d t) with d = -i e - zeta G / 2 come
 from two tables of about sqrt(T) columns, exp(d k dt) and c exp(d (t_0 + j b dt)),
 multiplied by one broadcast product, instead of n T complex exponentials. The
 populations take B matrix-vector steps of S = expm(A dt) and then one BLAS-3
-product S^B P per block of B columns. Non-uniform and short grids are stepped
-one column at a time.
+product S^B P per block of B columns.
 """
 
 from __future__ import annotations
@@ -49,9 +48,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chains import HamiltonianOperator, diagonalize
-from .series import ObservableSeries
+from .series import ObservableSeries, _region_rows
 
-_MIN_TABLE_COLUMNS = 16  # shorter grids take direct exponentials: tables would save little
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
 
 
@@ -122,54 +120,43 @@ def thermal_fixed_point(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _uniform_step(t_grid: np.ndarray) -> float | None:
-    """The step of a uniform grid, rounded as the step cache keys it, else None.
+def time_grid(t_max: float, dt: float) -> np.ndarray:
+    """The uniform grid 0 .. t_max in round(t_max / dt) equal steps."""
+    if dt <= 0 or t_max <= 0:
+        raise ValueError("t_max and dt must be positive")
+    return np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
 
-    A grid is uniform when every step rounds to the same 12-decimal key; grids
-    shorter than a useful table are reported as non-uniform.
+
+def _grid_step(t_grid: np.ndarray) -> float:
+    """The step dt = (t_{T-1} - t_0) / (T - 1) of a uniform grid, 0 for one point.
+
+    A grid is uniform when every step rounds to the same positive 12-decimal
+    key; any other grid (empty, decreasing, repeated or unevenly spaced times)
+    raises ``ValueError``.
     """
-    if t_grid.size < _MIN_TABLE_COLUMNS:
-        return None
+    if t_grid.size == 1:
+        return 0.0
     keys = np.round(np.diff(t_grid), 12)
-    return float(keys[0]) if np.all(keys == keys[0]) else None
+    if not keys.size or keys[0] <= 0 or np.any(keys != keys[0]):
+        raise ValueError("time grid must be uniform: one point, or equal positive steps")
+    return (t_grid[-1] - t_grid[0]) / (t_grid.size - 1)
 
 
-def _phases(d: np.ndarray, c: np.ndarray, t_grid: np.ndarray, uniform: bool) -> np.ndarray:
-    """c_m exp(d_m t_i) on the grid; on a uniform grid from two sqrt(T) tables.
+def _phases(d: np.ndarray, c: np.ndarray, t0: float, dt: float, size: int) -> np.ndarray:
+    """c_m exp(d_m t_i) on the grid t_i = t0 + i dt from two sqrt(T) tables.
 
-    With b = ceil(sqrt(T)) and dt = (t_{T-1} - t_0) / (T - 1), column j b + k is
-    the product of the fine table exp(d k dt) and the coarse table
-    c exp(d (t_0 + j b dt)).
+    With b = ceil(sqrt(T)), column j b + k is the product of the fine table
+    exp(d k dt) and the coarse table c exp(d (t0 + j b dt)).
     """
-    if not uniform:
-        return c[:, None] * np.exp(np.outer(d, t_grid))
-    size = t_grid.size
     b = math.isqrt(size - 1) + 1
     full = size // b
-    dt = (t_grid[-1] - t_grid[0]) / (size - 1)
     fine = np.exp(np.outer(d, dt * np.arange(b)))
-    coarse = c[:, None] * np.exp(np.outer(d, t_grid[0] + (b * dt) * np.arange(-(-size // b))))
+    coarse = c[:, None] * np.exp(np.outer(d, t0 + (b * dt) * np.arange(-(-size // b))))
     out = np.empty((d.size, size), dtype=complex)
     tables = out[:, : full * b].reshape(d.size, full, b)  # a view: the split axis is the last
     np.multiply(coarse[:, :full, None], fine[:, None, :], out=tables)
     out[:, full * b :] = coarse[:, full:] * fine[:, : size - full * b]
     return out
-
-
-def _step_populations(gen: np.ndarray, p: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Populations one exponential step per column, cached per distinct step size."""
-    steps: dict[float, np.ndarray] = {}
-    pops = np.empty((p.size, t_grid.size))
-    prev_t = t_grid[0]
-    for i, t in enumerate(t_grid):
-        if t > prev_t:
-            dt = round(float(t - prev_t), 12)
-            if dt not in steps:
-                steps[dt] = expm(gen * dt)
-            p = steps[dt] @ p
-        prev_t = t
-        pops[:, i] = p
-    return pops
 
 
 def _block_populations(gen: np.ndarray, p: np.ndarray, dt: float, size: int) -> np.ndarray:
@@ -194,41 +181,34 @@ def relax_energy_density(
     amplitudes: np.ndarray,
     t_grid: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Populations P and amplitudes U (both n x T) of a pure start on a time grid.
+    """Populations P and amplitudes U (both n x T) of a pure start on a uniform grid.
 
-    ``amplitudes`` are the initial energy-basis amplitudes c; the grid must be
-    nondecreasing. U[m, i] = c_m exp((-i e_m - zeta G_m / 2) t_i), so the
-    coherences at t_i are u u^H - diag|u|^2 with u = U[:, i]. Populations
-    advance by exact exponential steps of the generator. Without a bath
-    (``None`` or zeta = 0) U is the unitary phase rotation and P is returned
-    as None: the populations are |U|^2, so the coherence correction of
+    ``amplitudes`` are the initial energy-basis amplitudes c. The grid must be
+    uniform (one point, or steps that all round to one positive 12-decimal key);
+    any other grid raises ``ValueError``. U[m, i] = c_m exp((-i e_m - zeta G_m / 2) t_i),
+    so the coherences at t_i are u u^H - diag|u|^2 with u = U[:, i]. Without a
+    bath (``None`` or zeta = 0) U is the unitary phase rotation and P is
+    returned as None: the populations are |U|^2, so the coherence correction of
     :func:`site_distribution` vanishes and is skipped.
 
-    On a uniform grid (every step rounds to one 12-decimal key, at least
-    ``_MIN_TABLE_COLUMNS`` columns) U is the product of two sqrt(T)-column
-    exponential tables, and P advances by one S^B product per block of B = 32
-    columns (S = expm(A dt), S^B by squaring). Other grids evaluate every
-    exponential and step P one column at a time, caching expm per step size.
+    U is the product of two sqrt(T)-column exponential tables, and P advances
+    by exact exponential steps: one S^B product per block of B = 32 columns
+    (S = expm(A dt), S^B by squaring).
     """
     e = np.asarray(eigenvalues, dtype=float)
     c = np.asarray(amplitudes, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) < 0):
-        raise ValueError("time grid must be nondecreasing")
-    step = _uniform_step(t_grid)
-    if bath is None or bath.zeta == 0.0 or not t_grid.size:
-        return None, _phases(-1j * e, c, t_grid, step is not None)
+    dt = _grid_step(t_grid)
+    if bath is None or bath.zeta == 0.0:
+        return None, _phases(-1j * e, c, t_grid[0], dt, t_grid.size)
     rates = transition_rates(e, bath)
     gen = population_generator(rates, bath)
     p = np.abs(c) ** 2
     if t_grid[0] > 0:
         p = expm(gen * t_grid[0]) @ p
-    if step is None:
-        pops = _step_populations(gen, p, t_grid)
-    else:
-        pops = _block_populations(gen, p, step, t_grid.size)
+    pops = _block_populations(gen, p, dt, t_grid.size)
     decay = -1j * e - 0.5 * bath.zeta * rates.widths
-    return pops, _phases(decay, c, t_grid, step is not None)
+    return pops, _phases(decay, c, t_grid[0], dt, t_grid.size)
 
 
 def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -274,14 +254,12 @@ def dissipative_transport_run(
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    sites = sorted(set(region)) if region is not None else [h.dim]
-    if sites and (sites[0] < 1 or sites[-1] > h.dim):
-        raise ValueError(f"region {sites} not contained in 1..{h.dim}")
+    rows = _region_rows([h.dim] if region is None else region, h.dim)
     t_grid = np.asarray(t_grid, dtype=float)
     pops, amps = relax_energy_density(
         eig.eigenvalues, bath, eig.eigenvectors.T @ psi0, t_grid
     )
     prob = site_distribution(eig.eigenvectors, pops, amps)
     return ObservableSeries.from_site_probabilities(
-        t_grid, prob, np.arange(1, h.dim + 1), np.asarray(sites, dtype=int) - 1
+        t_grid, prob, np.arange(1, h.dim + 1), rows
     )

@@ -30,7 +30,7 @@ from . import __version__
 from .chains import ChainSpec, build_chain_hamiltonian, diagonalize, free_eigensystem, sample_disorder
 from .config import SWEEPABLE, ExperimentConfig
 from .feynman import build_cnot_layout, run_classical_input, run_superposed_input
-from .lindblad import BathSpec, dissipative_transport_run
+from .lindblad import BathSpec, dissipative_transport_run, time_grid
 from .series import write_csv
 from .unitary import PureState, arrival_peak, unitary_observable_series
 
@@ -41,10 +41,6 @@ def realization_seed(master: int, *key: int) -> int:
     """Documented, order-independent seed-splitting rule."""
     ss = np.random.SeedSequence(master, spawn_key=tuple(key))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def time_grid(t_max: float, dt: float) -> np.ndarray:
-    return np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
 
 
 def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -18,6 +19,14 @@ _CSV_BLOCK_ROWS = 256  # rows converted to Python floats at once: bounds the wri
 
 def format_real(value: float) -> str:
     return _REAL_FORMAT % value
+
+
+def _region_rows(region: Iterable[int], dim: int) -> np.ndarray:
+    """0-based rows of a set of 1-based sites, each of which must lie in 1..dim."""
+    sites = sorted(set(region))
+    if sites and (sites[0] < 1 or sites[-1] > dim):
+        raise ValueError(f"region {sites} not contained in 1..{dim}")
+    return np.asarray(sites, dtype=int) - 1
 
 
 def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
@@ -68,12 +77,13 @@ class ObservableSeries:
 
     @classmethod
     def from_site_probabilities(
-        cls, times: np.ndarray, prob: np.ndarray, positions: np.ndarray, region: np.ndarray
+        cls, times: np.ndarray, prob: np.ndarray, positions: np.ndarray, region: np.ndarray | None
     ) -> "ObservableSeries":
-        """Moments of a (sites x T) distribution; ``region`` holds 0-based site rows."""
+        """Moments of a (sites x T) distribution; ``region`` (0-based rows) may be None."""
         x = np.asarray(positions, dtype=float)
         mean = x @ prob
-        return cls(times, mean, (x**2) @ prob - mean**2, prob[region].sum(axis=0))
+        p_region = None if region is None else prob[region].sum(axis=0)
+        return cls(times, mean, (x**2) @ prob - mean**2, p_region)
 
     def columns(self, p_label: str = "p_region") -> dict[str, np.ndarray]:
         cols = {"t": self.times, "mean_Q": self.mean_q, "var_Q": self.var_q}

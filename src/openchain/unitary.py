@@ -14,8 +14,8 @@ from typing import Iterable
 import numpy as np
 
 from .chains import EigenSystem
-from .lindblad import relax_energy_density, site_distribution
-from .series import ObservableSeries
+from .lindblad import _grid_step, relax_energy_density, site_distribution, time_grid
+from .series import ObservableSeries, _region_rows
 
 _BLOCK_BYTES = 1 << 20  # one complex n x block kernel array: cache-sized
 
@@ -54,6 +54,7 @@ def _site_blocks(eig: EigenSystem, psi0: PureState, times: np.ndarray, rows: sli
     """
     if psi0.dim != eig.dim:
         raise ValueError(f"state dim {psi0.dim} does not match system dim {eig.dim}")
+    _grid_step(times)  # the whole grid must be uniform, not only each block
     coeff = eig.eigenvectors.T @ psi0.amplitudes
     v = eig.eigenvectors[rows]
     step = max(1, _BLOCK_BYTES // (16 * eig.dim))
@@ -71,9 +72,7 @@ def arrival_peak(
     Returns (t_star, p_star). Resolution is limited by dt; the default 0.05
     resolves the ballistic arrival peaks of all chain sizes used here.
     """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("t_max and dt must be positive")
-    times = np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
+    times = time_grid(t_max, dt)
     last = np.concatenate([p[0] for _, p in _site_blocks(eig, psi0, times, slice(-1, None))])
     i = int(np.argmax(last))
     return float(times[i]), float(last[i])
@@ -85,21 +84,21 @@ def unitary_observable_series(
     t_grid: np.ndarray,
     region: Iterable[int] | None = None,
 ) -> ObservableSeries:
-    """Sample mean_Q, var_Q and the region probability on a caller-supplied grid."""
+    """Sample mean_Q, var_Q and the region probability on a caller-supplied grid.
+
+    The grid must be uniform (see :func:`openchain.lindblad.relax_energy_density`);
+    ``region = None`` leaves ``p_region`` unset.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    region_idx = None
-    if region is not None:
-        sites = sorted(set(region))
-        if sites and (sites[0] < 1 or sites[-1] > eig.dim):
-            raise ValueError(f"region {sites} not contained in 1..{eig.dim}")
-        region_idx = np.asarray(sites, dtype=int) - 1
+    rows = None if region is None else _region_rows(region, eig.dim)
     x = np.arange(1, eig.dim + 1)
-    mean = np.empty(t_grid.size)
-    var = np.empty(t_grid.size)
-    p_reg = np.empty(t_grid.size) if region_idx is not None else None
-    for sl, prob in _site_blocks(eig, psi0, t_grid):
-        mean[sl] = x @ prob
-        var[sl] = (x**2) @ prob - mean[sl] ** 2
-        if p_reg is not None:
-            p_reg[sl] = prob[region_idx, :].sum(axis=0)
-    return ObservableSeries(t_grid, mean, var, p_reg)
+    blocks = [
+        ObservableSeries.from_site_probabilities(t_grid[cols], prob, x, rows)
+        for cols, prob in _site_blocks(eig, psi0, t_grid)
+    ]
+    return ObservableSeries(
+        t_grid,
+        np.concatenate([b.mean_q for b in blocks]),
+        np.concatenate([b.var_q for b in blocks]),
+        None if rows is None else np.concatenate([b.p_region for b in blocks]),
+    )

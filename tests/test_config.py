@@ -42,6 +42,17 @@ t_max = 100
 dt = 1.0
 """
 
+#: per scenario: config sections it never reads, and the keys to be reported
+UNREAD_FIELDS = {
+    "ballistic": ("[bath]\nbeta = 1\nzeta = 5\n[layout]\na = 3\nbranch = D\n",
+                  ["beta", "zeta", "a", "branch"]),
+    "localized": ("[bath]\nbeta = 1\nzeta = 0\n", ["beta", "zeta"]),
+    "bloch": ("[layout]\nbranch = U\n", ["branch"]),
+    "peak-scaling": ("[bath]\nbeta = 1\nzeta = 0.05\n[layout]\na = 3\n", ["beta", "zeta", "a"]),
+    "dissipative-transport": ("[bath]\nbeta = 1\nzeta = 0.05\n[layout]\nbranch = D\n", ["branch"]),
+    "cnot-superposed": ("[bath]\nbeta = 1\nzeta = 0.05\n[layout]\nbranch = U\n", ["branch"]),
+}
+
 
 class TestValidateConfig:
     def test_minimal_scenario_uses_defaults(self):
@@ -124,6 +135,41 @@ dt = 0
         assert any(v.startswith("g:") for v in err.value.violations)
         clean = "[experiment]\nscenario = peak-scaling\n[chain]\nsigma = 0\ng = 0.0\n"
         assert validate_config(clean).sigma == 0.0
+
+    @pytest.mark.parametrize("scenario", UNREAD_FIELDS)
+    def test_unread_fields_flagged(self, scenario):
+        # a field the scenario never reads would otherwise be silently ignored
+        extra, keys = UNREAD_FIELDS[scenario]
+        with pytest.raises(ConfigError) as err:
+            validate_config(f"[experiment]\nscenario = {scenario}\n{extra}")
+        assert sorted(v.split(":")[0] for v in err.value.violations) == sorted(keys)
+
+    def test_switch_reads_its_fields(self):
+        text = FIG_STYLE_SWITCH + "branch = D\n"
+        config = validate_config(text)
+        assert (config.beta, config.zeta, config.a, config.branch) == (1.0, 0.05, 9, "D")
+
+    @pytest.mark.parametrize(
+        "scenario, t_max, dt",
+        [("ballistic", 1, 5), ("ballistic", 10, 3), ("bloch", 0.04, 0.05), ("peak-scaling", 10, 3)],
+    )
+    def test_t_max_not_whole_steps(self, scenario, t_max, dt):
+        # the grid would step by t_max / round(t_max / dt), not by the recorded dt
+        text = f"[experiment]\nscenario = {scenario}\n[grid]\nt_max = {t_max}\ndt = {dt}\n"
+        with pytest.raises(ConfigError) as err:
+            validate_config(text)
+        assert [v.split(":")[0] for v in err.value.violations] == ["t_max"]
+
+    def test_default_t_max_not_whole_steps(self):
+        text = "[experiment]\nscenario = ballistic\n[grid]\ndt = 0.3\n"  # default t_max 40
+        with pytest.raises(ConfigError) as err:
+            validate_config(text)
+        assert [v.split(":")[0] for v in err.value.violations] == ["t_max"]
+
+    @pytest.mark.parametrize("t_max, dt", [(40, 0.05), (0.3, 0.1), (5000, 0.5), (1, 1)])
+    def test_t_max_whole_steps(self, t_max, dt):
+        text = f"[experiment]\nscenario = ballistic\n[grid]\nt_max = {t_max}\ndt = {dt}\n"
+        assert validate_config(text).t_max == t_max
 
     @pytest.mark.parametrize(
         "key, value",

@@ -248,9 +248,7 @@ class TestClassicalRuns:
             basis = peres_basis(layout, branch, (c, p))
             expected = (c, -p) if c == 1 else (c, p)
             assert basis.registers[-1] == expected
-            series = run_classical_input(
-                layout, clean, 0.0, None, branch, grid, input_register=(c, p)
-            )
+            series = run_classical_input(layout, clean, 0.0, None, branch, grid)
             # conditioned on arrival, the register label is exact: every
             # basis element past the gate carries the output label
             past_gate = [
@@ -288,11 +286,11 @@ class TestSuperposedRuns:
             disorder_for(22, 0.5, 3),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
-            np.array([0.0, 100.0, 400.0]),
+            np.linspace(0.0, 400.0, 5),  # t = 0, 100, ..., 400
         )
         norms = 0.5 * np.abs(amp_u).max(axis=0) * np.abs(amp_d).max(axis=0)
         assert norms[1] < 1e-2 * norms[0]
-        assert norms[2] < 1e-8 * norms[0]
+        assert norms[4] < 1e-8 * norms[0]
 
     def test_trace_preserved(self):
         layout = build_cnot_layout(22, 9)

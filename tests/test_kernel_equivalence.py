@@ -1,18 +1,18 @@
 """Rank-one kernel pipelines against the dense per-time-point references.
 
 Every column must match its reference to 1e-12 * max(1, max|column|), with
-NaN at the same positions, for several disorder seeds on a uniform grid, a
-non-uniform grid (one exponential step per distinct step size) and a grid
-that starts after t = 0 (the initial exponential step). The closed chain,
-evaluated in cache-sized blocks of grid columns, is checked against one
-complex product per 4096-column chunk, on a grid of several blocks that ends
-in a partial one.
+NaN at the same positions, for several disorder seeds on a uniform grid and a
+grid that starts after t = 0 (the initial exponential step). The kernel takes
+uniform grids only: every pipeline must reject a non-uniform grid with
+``ValueError``. The closed chain, evaluated in cache-sized blocks of grid
+columns, is checked against one complex product per 4096-column chunk, on a
+grid of several blocks that ends in a partial one.
 
-The kernel's uniform-grid path (two sqrt(T) phase tables, populations in
-blocks of 32 columns) is held to the direct formula of
-``support.direct_relax_energy_density`` at s = 200, on grids whose last phase
-table and last population block are both partial; a grid with one perturbed
-point takes the general path and must match too.
+The kernel (two sqrt(T) phase tables, populations in blocks of 32 columns) is
+held to the direct formula of ``support.direct_relax_energy_density`` at
+s = 200, on grids whose last phase table and last population block are both
+partial, and on short grids of 1, 2 and 15 points; a grid with one perturbed
+point must be rejected.
 """
 
 import math
@@ -39,7 +39,6 @@ from openchain.chains import (
 from openchain.feynman import build_cnot_layout, run_classical_input, run_superposed_input
 from openchain.config import load_config
 from openchain.lindblad import BathSpec, dissipative_transport_run, site_distribution
-from openchain.runner import time_grid
 from openchain.unitary import PureState, arrival_peak, unitary_observable_series
 
 GRIDS = {
@@ -61,14 +60,25 @@ def assert_columns_match(got: dict, expected: dict) -> None:
         assert worst <= 1e-12 * scale, f"{name}: max deviation {worst:.3e} (scale {scale:.3g})"
 
 
+def check_pipeline(grid: str, run, reference) -> None:
+    """``run`` rejects the non-uniform grid and matches ``reference`` on the others."""
+    if grid == "nonuniform":
+        with pytest.raises(ValueError, match="uniform"):
+            run(GRIDS[grid])
+    else:
+        assert_columns_match(run(GRIDS[grid]).columns(), reference(GRIDS[grid]))
+
+
 @pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dissipative_transport_run(grid, seed):
     h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=seed))
     psi0 = PureState.site(14, 1).amplitudes
-    series = dissipative_transport_run(h, BATHS["bath"], psi0, GRIDS[grid])
-    expected = dense_transport_columns(h, BATHS["bath"], psi0, GRIDS[grid])
-    assert_columns_match(series.columns(), expected)
+    check_pipeline(
+        grid,
+        lambda t: dissipative_transport_run(h, BATHS["bath"], psi0, t),
+        lambda t: dense_transport_columns(h, BATHS["bath"], psi0, t),
+    )
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -78,9 +88,11 @@ def test_dissipative_transport_run(grid, seed):
 def test_run_classical_input(branch, bath, seed, grid):
     layout = build_cnot_layout(16, 4)
     disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, seed))
-    series = run_classical_input(layout, disorder, 2.0, BATHS[bath], branch, GRIDS[grid])
-    expected = dense_classical_columns(layout, disorder, 2.0, BATHS[bath], branch, GRIDS[grid])
-    assert_columns_match(series.columns(), expected)
+    check_pipeline(
+        grid,
+        lambda t: run_classical_input(layout, disorder, 2.0, BATHS[bath], branch, t),
+        lambda t: dense_classical_columns(layout, disorder, 2.0, BATHS[bath], branch, t),
+    )
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -89,9 +101,11 @@ def test_run_classical_input(branch, bath, seed, grid):
 def test_run_superposed_input(bath, seed, grid):
     layout = build_cnot_layout(16, 4)
     disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, seed))
-    series = run_superposed_input(layout, disorder, 2.0, BATHS[bath], GRIDS[grid])
-    expected = dense_superposed_columns(layout, disorder, 2.0, BATHS[bath], GRIDS[grid])
-    assert_columns_match(series.columns(), expected)
+    check_pipeline(
+        grid,
+        lambda t: run_superposed_input(layout, disorder, 2.0, BATHS[bath], t),
+        lambda t: dense_superposed_columns(layout, disorder, 2.0, BATHS[bath], t),
+    )
 
 
 #: closed-chain grids: several kernel blocks of a 40-site chain plus a partial one
@@ -117,6 +131,10 @@ def test_unitary_observable_series(seed, grid, region):
     eig = diagonalize(build_chain_hamiltonian(ChainSpec(40, 0.5, 0.3, seed=seed)))
     psi0 = PureState.site(40, 1)
     sites = REGIONS[region]
+    if grid == "nonuniform":
+        with pytest.raises(ValueError, match="uniform"):
+            unitary_observable_series(eig, psi0, UNITARY_GRIDS[grid], sites)
+        return
     series = unitary_observable_series(eig, psi0, UNITARY_GRIDS[grid], sites)
     blocks = [prob for _, prob in unitary._site_blocks(eig, psi0, UNITARY_GRIDS[grid])]
     prob = np.concatenate(blocks, axis=1)
@@ -155,17 +173,18 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini")
 
 def test_fast_grids_end_in_partial_blocks():
     for grid in FAST_GRIDS.values():
-        assert lindblad._uniform_step(grid) == 1.0
+        assert lindblad._grid_step(grid) == 1.0
         assert grid.size % (math.isqrt(grid.size - 1) + 1)
         assert grid.size % (1 << lindblad._BLOCK_SQUARINGS)
-    assert lindblad._uniform_step(PERTURBED) is None
+    with pytest.raises(ValueError, match="uniform"):
+        lindblad._grid_step(PERTURBED)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_config_grids_are_uniform(config):
     cfg = load_config(config)
     t_max = cfg.t_max if cfg.t_max is not None else 1.5 * cfg.s + 10.0
-    assert lindblad._uniform_step(time_grid(t_max, cfg.dt)) is not None
+    assert lindblad._grid_step(lindblad.time_grid(t_max, cfg.dt)) == pytest.approx(cfg.dt, rel=1e-9)
 
 
 def kernel_columns(eig, pops, amps, populations_too: bool) -> dict[str, np.ndarray]:
@@ -179,15 +198,58 @@ def kernel_columns(eig, pops, amps, populations_too: bool) -> dict[str, np.ndarr
     return cols
 
 
-@pytest.mark.parametrize("grid", [*FAST_GRIDS, "perturbed"])
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("bath", BATHS)
-def test_uniform_path_matches_direct_formula(bath, seed, grid):
-    times = PERTURBED if grid == "perturbed" else FAST_GRIDS[grid]
+def relax_pair(bath: str, seed: int, times: np.ndarray):
+    """(kernel, direct formula) columns of one s = 200 chain from site 1 on ``times``."""
     spec = ChainSpec(200, 0.5, 2.0, seed) if bath == "bath" else ChainSpec(200, 0.5, 0.0, seed)
     eig = diagonalize(build_chain_hamiltonian(spec))
     c = eig.eigenvectors[0].astype(complex)
     got = lindblad.relax_energy_density(eig.eigenvalues, BATHS[bath], c, times)
     ref = direct_relax_energy_density(eig.eigenvalues, BATHS[bath], c, times)
     with_pops = bath == "bath"
-    assert_columns_match(kernel_columns(eig, *got, with_pops), kernel_columns(eig, *ref, with_pops))
+    return kernel_columns(eig, *got, with_pops), kernel_columns(eig, *ref, with_pops)
+
+
+@pytest.mark.parametrize("grid", [*FAST_GRIDS, "perturbed"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("bath", BATHS)
+def test_uniform_path_matches_direct_formula(bath, seed, grid):
+    if grid == "perturbed":
+        with pytest.raises(ValueError, match="uniform"):
+            relax_pair(bath, seed, PERTURBED)
+        return
+    assert_columns_match(*relax_pair(bath, seed, FAST_GRIDS[grid]))
+
+
+#: grids shorter than one population block of 32 columns, some starting late
+SHORT_GRIDS = {
+    "one-point": np.array([0.0]),
+    "two-points": np.array([0.0, 7.5]),
+    "fifteen-points": np.linspace(0.0, 140.0, 15),
+    "late-point": np.array([30.0]),
+    "late-two-points": np.array([30.0, 37.5]),
+}
+
+
+@pytest.mark.parametrize("grid", SHORT_GRIDS)
+@pytest.mark.parametrize("bath", BATHS)
+def test_short_grids_match_direct_formula(bath, grid):
+    assert_columns_match(*relax_pair(bath, 0, SHORT_GRIDS[grid]))
+
+
+IRREGULAR_GRIDS = {
+    "empty": np.array([]),
+    "nonuniform": GRIDS["nonuniform"],
+    "decreasing": np.linspace(400.0, 0.0, 81),
+    "repeated": np.array([0.0, 1.0, 1.0, 2.0]),
+    "constant": np.zeros(3),
+}
+
+
+@pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
+@pytest.mark.parametrize("bath", BATHS)
+def test_relax_energy_density_rejects_irregular_grids(bath, grid):
+    eig = free_eigensystem(8)
+    with pytest.raises(ValueError, match="uniform"):
+        lindblad.relax_energy_density(
+            eig.eigenvalues, BATHS[bath], eig.eigenvectors[0], IRREGULAR_GRIDS[grid]
+        )
