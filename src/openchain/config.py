@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 SCENARIOS = (
@@ -60,7 +60,7 @@ SCENARIO_DEFAULTS: dict[str, dict[str, Any]] = {
     "dissipative-transport": {"s": 20, "sigma": 0.5, "g": 2.0, "t_max": 1000.0, "dt": 1.0},
     "cnot-classical": {"s": 22, "a": 9, "sigma": 0.5, "g": 0.0, "t_max": 200.0, "dt": 0.1},
     "cnot-superposed": {"s": 22, "a": 9, "sigma": 0.5, "g": 2.0, "t_max": 2000.0, "dt": 1.0},
-    # peak-scaling: t_max omitted -> scan window auto-sized to 1.5 s + 10
+    # peak-scaling: t_max omitted -> scan window auto-sized to _scan_t_max(s) = 1.5 s + 10
     "peak-scaling": {"s": 50, "sigma": 0.0, "g": 0.0, "dt": 0.05},
 }
 
@@ -81,6 +81,17 @@ _READ_BY = {
     "a": LAYOUT_REQUIRED,
     "branch": {"cnot-classical"},
 }
+
+
+def _scan_t_max(s: int) -> float:
+    """peak-scaling's default scan window 0 .. 1.5 s + 10 for an s-site chain."""
+    return 1.5 * s + 10.0
+
+
+def _whole_steps(t_max: float, dt: float) -> bool:
+    """Whether 0 .. t_max is >= 1 whole dt steps (rel. 1e-9), so the grid steps by the recorded dt."""
+    steps = round(t_max / dt)
+    return steps >= 1 and math.isclose(steps * dt, t_max, rel_tol=1e-9)
 
 
 class ConfigError(ValueError):
@@ -111,21 +122,7 @@ class ExperimentConfig:
         return self.beta is not None and self.zeta is not None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "s": self.s,
-            "sigma": self.sigma,
-            "g": self.g,
-            "seed": self.seed,
-            "beta": self.beta,
-            "zeta": self.zeta,
-            "a": self.a,
-            "branch": self.branch,
-            "t_max": self.t_max,
-            "dt": self.dt,
-            "ensemble_size": self.ensemble_size,
-            "output": self.output,
-        }
+        return asdict(self)
 
 
 def _parse_number(raw: dict, key: str, kind, violations: list[str]):
@@ -213,19 +210,22 @@ def validate_config(text: str) -> ExperimentConfig:
     if branch not in ("U", "D"):
         violations.append(f"branch: must be U or D, got {branch!r}")
 
+    grid_t_max = t_max
     if scenario == "peak-scaling":
         # the arrival peak is taken on the clean, untilted chain
         for key, value in (("sigma", sigma), ("g", g)):
             if value:
                 violations.append(f"{key}: peak-scaling uses the clean chain, got {value}")
+        if t_max is None and s is not None:
+            grid_t_max = _scan_t_max(s)
     elif t_max is None:
         violations.append("t_max: missing (section [grid])")
     if t_max is not None and t_max <= 0:
         violations.append(f"t_max: must be > 0, got {t_max}")
-    elif t_max is not None and dt > 0:
-        steps = round(t_max / dt)  # the grid steps by t_max / steps, which must be dt
-        if steps < 1 or not math.isclose(steps * dt, t_max, rel_tol=1e-9):
-            violations.append(f"t_max: must be a whole number >= 1 of dt = {dt} steps, got {t_max}")
+    elif grid_t_max is not None and dt > 0 and not _whole_steps(grid_t_max, dt):
+        window = "" if t_max is not None else " (scan window 1.5 s + 10)"
+        violations.append(f"t_max: must be a whole number >= 1 of dt = {dt} steps, "
+                          f"got {grid_t_max}{window}")
 
     for key, readers in _READ_BY.items():
         if key in raw and scenario not in readers:

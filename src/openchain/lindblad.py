@@ -130,16 +130,23 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 def _grid_step(t_grid: np.ndarray) -> float:
     """The step dt = (t_{T-1} - t_0) / (T - 1) of a uniform grid, 0 for one point.
 
-    A grid is uniform when every step rounds to the same positive 12-decimal
-    key; any other grid (empty, decreasing, repeated or unevenly spaced times)
-    raises ``ValueError``.
+    A grid is uniform when it starts at t_0 >= 0, increases strictly, and each
+    t_i lies within 1e-9 dt + 8 eps t_{T-1} of t_0 + i dt (the second term is
+    ``np.linspace``'s rounding at the grid's magnitude); any other grid raises
+    ``ValueError``.
     """
-    if t_grid.size == 1:
-        return 0.0
-    keys = np.round(np.diff(t_grid), 12)
-    if not keys.size or keys[0] <= 0 or np.any(keys != keys[0]):
-        raise ValueError("time grid must be uniform: one point, or equal positive steps")
-    return (t_grid[-1] - t_grid[0]) / (t_grid.size - 1)
+    message = "time grid must be uniform from t >= 0: one point, or equal positive steps"
+    if not (t_grid.size and t_grid[0] >= 0 and math.isfinite(t_grid[-1])):
+        raise ValueError(message)
+    t0, t_end = t_grid[0], t_grid[-1]
+    dt = (t_end - t0) / max(t_grid.size - 1, 1)
+    tol = 1e-9 * dt + 8 * np.finfo(float).eps * t_end
+    if not (
+        np.all(np.diff(t_grid) > 0)
+        and np.all(np.abs(t_grid - (t0 + dt * np.arange(t_grid.size))) <= tol)
+    ):
+        raise ValueError(message)
+    return dt
 
 
 def _phases(d: np.ndarray, c: np.ndarray, t0: float, dt: float, size: int) -> np.ndarray:
@@ -184,7 +191,7 @@ def relax_energy_density(
     """Populations P and amplitudes U (both n x T) of a pure start on a uniform grid.
 
     ``amplitudes`` are the initial energy-basis amplitudes c. The grid must be
-    uniform (one point, or steps that all round to one positive 12-decimal key);
+    uniform from t >= 0 (one point, or equal positive steps up to float rounding);
     any other grid raises ``ValueError``. U[m, i] = c_m exp((-i e_m - zeta G_m / 2) t_i),
     so the coherences at t_i are u u^H - diag|u|^2 with u = U[:, i]. Without a
     bath (``None`` or zeta = 0) U is the unitary phase rotation and P is

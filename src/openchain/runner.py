@@ -28,7 +28,7 @@ import scipy
 
 from . import __version__
 from .chains import ChainSpec, build_chain_hamiltonian, diagonalize, free_eigensystem, sample_disorder
-from .config import SWEEPABLE, ExperimentConfig
+from .config import SWEEPABLE, ExperimentConfig, _scan_t_max, _whole_steps
 from .feynman import build_cnot_layout, run_classical_input, run_superposed_input
 from .lindblad import BathSpec, dissipative_transport_run, time_grid
 from .series import write_csv
@@ -47,39 +47,29 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     """One realization of a scenario -> named columns. Pure; safe to parallelize."""
     scenario = config.scenario
     if scenario == "peak-scaling":
-        t_max = config.t_max if config.t_max is not None else 1.5 * config.s + 10.0
+        t_max = config.t_max if config.t_max is not None else _scan_t_max(config.s)
         eig = free_eigensystem(config.s)
         t_star, p_star = arrival_peak(eig, PureState.site(config.s, 1), t_max, config.dt)
         return {"t_star": np.array([t_star]), "p_star": np.array([p_star])}
 
     grid = time_grid(config.t_max, config.dt)
-    if scenario in UNITARY_CHAIN_SCENARIOS:
-        spec = ChainSpec(config.s, config.sigma, config.g, seed)
-        eig = diagonalize(build_chain_hamiltonian(spec))
-        series = unitary_observable_series(
-            eig, PureState.site(config.s, 1), grid, region={config.s}
-        )
+    bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None
+    if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
+        h = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
+        psi0 = PureState.site(config.s, 1)
+        if scenario == "dissipative-transport":
+            series = dissipative_transport_run(h, bath, psi0.amplitudes, grid, region={config.s})
+        else:
+            series = unitary_observable_series(diagonalize(h), psi0, grid, region={config.s})
         return series.columns()
-    if scenario == "dissipative-transport":
-        spec = ChainSpec(config.s, config.sigma, config.g, seed)
-        h = build_chain_hamiltonian(spec)
-        bath = BathSpec(config.beta, config.zeta)
-        psi0 = PureState.site(config.s, 1).amplitudes
-        series = dissipative_transport_run(h, bath, psi0, grid, region={config.s})
-        return series.columns()
+    if scenario not in ("cnot-classical", "cnot-superposed"):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    layout = build_cnot_layout(config.s, config.a)
+    disorder = sample_disorder(ChainSpec(config.s, config.sigma, 0.0, seed))
     if scenario == "cnot-classical":
-        layout = build_cnot_layout(config.s, config.a)
-        disorder = sample_disorder(ChainSpec(config.s, config.sigma, 0.0, seed))
-        bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None
         series = run_classical_input(layout, disorder, config.g, bath, config.branch, grid)
         return series.columns(p_label="p_beyond_gate")
-    if scenario == "cnot-superposed":
-        layout = build_cnot_layout(config.s, config.a)
-        disorder = sample_disorder(ChainSpec(config.s, config.sigma, 0.0, seed))
-        bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None
-        series = run_superposed_input(layout, disorder, config.g, bath, grid)
-        return series.columns()
-    raise ValueError(f"unknown scenario {scenario!r}")
+    return run_superposed_input(layout, disorder, config.g, bath, grid).columns()
 
 
 def _run_star(args: tuple[ExperimentConfig, int]) -> dict[str, np.ndarray]:
@@ -234,7 +224,8 @@ def sweep(
     for time-series scenarios it holds the ensemble mean of each column at the
     final grid time. Realization seeds are shared across values. With
     ``workers > 1`` every (value, realization) job goes to one process pool.
-    A non-finite parameter value raises ``ValueError`` before any job runs;
+    A non-finite parameter value, or an s whose peak-scaling scan window is not
+    a whole number of dt steps, raises ``ValueError`` before any job runs;
     non-finite outputs are rejected as in :func:`run_scenario`.
     """
     if vary not in SWEEPABLE:
@@ -249,8 +240,12 @@ def sweep(
         raise ValueError(f"sweep values must be finite, got {list(values)}")
     if vary == "s" and not all(float(value).is_integer() for value in values):
         raise ValueError(f"chain size s takes whole numbers, got {list(values)}")
-    started = time.perf_counter()
     casts = [int(value) if vary == "s" else float(value) for value in values]
+    if vary == "s" and config.scenario == "peak-scaling" and config.t_max is None:
+        uneven = [s for s in casts if not _whole_steps(_scan_t_max(s), config.dt)]
+        if uneven:
+            raise ValueError(f"scan window 1.5 s + 10 is not whole dt steps for s = {uneven}")
+    started = time.perf_counter()
     seeds = _ensemble_seeds(config)
     jobs = [(dataclasses.replace(config, **{vary: cast}), seed) for cast in casts for seed in seeds]
     results = _run_jobs(jobs, workers)

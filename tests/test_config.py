@@ -160,11 +160,24 @@ dt = 0
             validate_config(text)
         assert [v.split(":")[0] for v in err.value.violations] == ["t_max"]
 
-    def test_default_t_max_not_whole_steps(self):
-        text = "[experiment]\nscenario = ballistic\n[grid]\ndt = 0.3\n"  # default t_max 40
+    @pytest.mark.parametrize(
+        "scenario, fields",
+        [
+            ("ballistic", "[grid]\ndt = 0.3\n"),  # default t_max 40
+            ("peak-scaling", "[grid]\ndt = 0.3\n"),  # default s = 50: scan window 85
+            ("peak-scaling", "[chain]\ns = 21\n[grid]\ndt = 0.2\n"),  # scan window 41.5
+        ],
+        ids=["ballistic", "peak-scaling", "peak-scaling-s21"],
+    )
+    def test_default_t_max_not_whole_steps(self, scenario, fields):
+        text = f"[experiment]\nscenario = {scenario}\n{fields}"
         with pytest.raises(ConfigError) as err:
             validate_config(text)
         assert [v.split(":")[0] for v in err.value.violations] == ["t_max"]
+
+    def test_scan_window_whole_steps(self):
+        text = "[experiment]\nscenario = peak-scaling\n[chain]\ns = 20\n[grid]\ndt = 0.2\n"
+        assert validate_config(text).t_max is None  # the runner scans 0 .. 40 in 200 steps
 
     @pytest.mark.parametrize("t_max, dt", [(40, 0.05), (0.3, 0.1), (5000, 0.5), (1, 1)])
     def test_t_max_whole_steps(self, t_max, dt):

@@ -7,7 +7,8 @@ from support import read_csv
 from openchain.chains import ChainSpec, sample_disorder
 from openchain.cli import main
 from openchain.config import validate_config
-from openchain.runner import realization_seed, run_scenario, sweep
+from openchain.lindblad import time_grid
+from openchain.runner import realization_seed, run_realization, run_scenario, sweep
 
 
 def make_config(tmp_path, scenario, extra="", out="out"):
@@ -169,6 +170,15 @@ class TestAllScenarios:
         assert f"{scenario}_r000.csv" in manifest.outputs
         assert f"{scenario}_aggregate.csv" in manifest.outputs
 
+    def test_long_grid_of_inexact_step(self, tmp_path):
+        # beyond t = 4096 linspace rounds 0.1 steps to the float spacing 2**-40
+        config = make_config(
+            tmp_path, "cnot-classical", "[chain]\ns = 10\n[layout]\na = 3\n[grid]\nt_max = 5000\ndt = 0.1\n"
+        )
+        columns = run_realization(config, realization_seed(config.seed, 0))
+        assert np.array_equal(columns["t"], time_grid(5000, 0.1))
+        assert all(np.isfinite(values).all() for values in columns.values())
+
 
 class TestSweep:
     def test_peak_scaling_rows(self, tmp_path):
@@ -300,6 +310,22 @@ class TestCli:
         assert main(["sweep", path, "--vary", "s", "--values", "20.7,30.2"]) == 2
         assert "20.7" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_uneven_scan_window_exit_2(self, tmp_path, capsys, monkeypatch):
+        # s = 21 scans 0 .. 41.5 = 207.5 steps of 0.2, which would run on a 0.2005 step
+        import openchain.runner as runner_mod
+
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = peak-scaling\noutput = {tmp_path / 'out'}\n"
+            "[chain]\ns = 20\n[grid]\ndt = 0.2\n",
+        )
+        assert main(["sweep", path, "--vary", "s", "--values", "20,22"]) == 0
+        jobs = []
+        monkeypatch.setattr(runner_mod, "_run_jobs", lambda batch, workers: jobs.append(batch))
+        assert main(["sweep", path, "--vary", "s", "--values", "20,21,23"]) == 2
+        assert "s = [21, 23]" in capsys.readouterr().err
+        assert jobs == []
 
     @pytest.mark.parametrize("vary, value", [("beta", "nan"), ("zeta", "inf"), ("sigma", "nan")])
     def test_sweep_non_finite_value_exit_2(self, tmp_path, capsys, monkeypatch, vary, value):
