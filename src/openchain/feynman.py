@@ -192,11 +192,9 @@ class BranchModel:
         branch: Branch,
         disorder: DisorderRealization,
         g: float,
-        input_register: RegisterLabel | None = None,
     ) -> "BranchModel":
-        if input_register is None:
-            input_register = (+1 if branch == "U" else -1, -1)
-        basis = peres_basis(layout, branch, input_register)
+        """The branch for its own control value (+1 up, -1 down) and passive qubit -1."""
+        basis = peres_basis(layout, branch, (+1 if branch == "U" else -1, -1))
         h = reduced_chain_hamiltonian(layout, branch, disorder, g)
         return cls(layout, branch, basis, diagonalize(h))
 

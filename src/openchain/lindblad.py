@@ -33,7 +33,8 @@ both switch pipelines of :mod:`openchain.feynman`.
 The kernel takes uniform grids only (:func:`time_grid` builds them); any other
 grid raises ``ValueError``. The phases exp(d t) with d = -i e - zeta G / 2 come
 from two tables of about sqrt(T) columns, exp(d k dt) and c exp(d (t_0 + j b dt)),
-multiplied by one broadcast product, instead of n T complex exponentials. The
+multiplied by one broadcast product, instead of n T complex exponentials; the
+closed chain of :mod:`openchain.unitary` builds them once per grid. The
 populations take B matrix-vector steps of S = expm(A dt) and then one BLAS-3
 product S^B P per block of B columns.
 """
@@ -167,15 +168,25 @@ def _phases(d: np.ndarray, c: np.ndarray, t0: float, dt: float, size: int) -> np
 
 
 def _block_populations(gen: np.ndarray, p: np.ndarray, dt: float, size: int) -> np.ndarray:
-    """Populations on a uniform grid: B steps of S = expm(A dt), then P_next = S^B P per block."""
+    """Populations on a uniform grid: B steps of S = expm(A dt), then P_next = S^B P per block.
+
+    A single point needs no S, and a grid of at most B columns no S^B. Entries
+    of S^B below the smallest normal float are set to zero: far off the band
+    they are subnormal, which slows every block product.
+    """
     block = 1 << _BLOCK_SQUARINGS
-    step = expm(gen * dt)
     pops = np.empty((p.size, size))
     pops[:, 0] = p
+    if size == 1:
+        return pops
+    step = expm(gen * dt)
     for i in range(1, min(block, size)):
         pops[:, i] = step @ pops[:, i - 1]
+    if size <= block:
+        return pops
     for _ in range(_BLOCK_SQUARINGS):
         step = step @ step
+    step[np.abs(step) < np.finfo(float).tiny] = 0.0
     for start in range(block, size, block):
         stop = min(start + block, size)
         pops[:, start:stop] = step @ pops[:, start - block : stop - block]

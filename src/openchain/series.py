@@ -17,10 +17,6 @@ _REAL_FORMAT = "%.17g"  # 17 significant digits round-trip every double
 _CSV_BLOCK_ROWS = 256  # rows converted to Python floats at once: bounds the writer's memory
 
 
-def format_real(value: float) -> str:
-    return _REAL_FORMAT % value
-
-
 def _region_rows(region: Iterable[int], dim: int) -> np.ndarray:
     """0-based rows of a set of 1-based sites, each of which must lie in 1..dim."""
     sites = sorted(set(region))
@@ -32,7 +28,7 @@ def _region_rows(region: Iterable[int], dim: int) -> np.ndarray:
 def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
     """Write named columns (equal length) as CSV with 17-digit reals.
 
-    One ``%`` format call per row, a block of rows at a time (bounded memory).
+    One ``%`` format call per block of rows (bounded memory).
     """
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
     if any(a.shape[0] != arrays[0].shape[0] for a in arrays):
@@ -42,7 +38,7 @@ def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
         out.write(",".join(columns) + "\n")
         for start in range(0, arrays[0].shape[0], _CSV_BLOCK_ROWS):
             block = np.column_stack([a[start : start + _CSV_BLOCK_ROWS] for a in arrays])
-            out.write("".join(row % tuple(r) for r in block.tolist()))
+            out.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 @dataclass

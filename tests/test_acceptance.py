@@ -242,7 +242,7 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
         c.check(peak_err <= 5e-2, f"superposed peak entropy off by {peak_err:.2e}")
 
         # classical control (+1, -1): the register from the branch's kernel run
-        model = BranchModel.build(layout, "U", disorder, 2.0, (+1, -1))
+        model = BranchModel.build(layout, "U", disorder, 2.0)
         prob = branch_distribution(model, bath, grid)
         indices = model.basis.register_indices()
         entropy = np.empty(grid.size)
@@ -308,7 +308,7 @@ def test_criterion_10_full_space_oracle_equivalence():
         reg0[register_index((+1, -1))] = 1.0
         psi0 = full_space_state(layout, reg0)
         classical = run_classical_input(layout, disorder, g, None, "U", grid)
-        model = BranchModel.build(layout, "U", disorder, g, (+1, -1))
+        model = BranchModel.build(layout, "U", disorder, g)
         prob = branch_distribution(model, None, grid)
         indices = model.basis.register_indices()
         worst_q = worst_reg = 0.0

@@ -14,7 +14,11 @@ s = 200, on grids whose last phase table and last population block are both
 partial, and on short grids of 1, 2 and 15 points; a grid with one perturbed
 point must be rejected. On the grid 0 .. 1e4 in steps of 0.1, whose float
 steps differ by about 1e-12 beyond t = 4096, the kernel and the closed chain
-must match their references to 1e-10 * max(1, max|column|).
+must match their references to 1e-10 * max(1, max|column|). At s = 400, where
+the kernel sets thousands of subnormal entries of S^32 to zero, the populations
+must still match the direct formula. The closed chain's later cache blocks are
+the first block's table times a phase shift: at s = 200, over 31 blocks, the
+first and last column of each must match dense ``eigh`` to the same 1e-10.
 """
 
 import math
@@ -22,12 +26,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from support import (
     chunked_unitary_columns,
     direct_relax_energy_density,
     dense_classical_columns,
     dense_superposed_columns,
     dense_transport_columns,
+    evolve_pure,
 )
 
 from openchain import lindblad, unitary
@@ -200,9 +206,9 @@ def kernel_columns(eig, pops, amps, populations_too: bool) -> dict[str, np.ndarr
     return cols
 
 
-def relax_pair(bath: str, seed: int, times: np.ndarray):
-    """(kernel, direct formula) columns of one s = 200 chain from site 1 on ``times``."""
-    spec = ChainSpec(200, 0.5, 2.0, seed) if bath == "bath" else ChainSpec(200, 0.5, 0.0, seed)
+def relax_pair(bath: str, seed: int, times: np.ndarray, s: int = 200):
+    """(kernel, direct formula) columns of one s-site chain from site 1 on ``times``."""
+    spec = ChainSpec(s, 0.5, 2.0, seed) if bath == "bath" else ChainSpec(s, 0.5, 0.0, seed)
     eig = diagonalize(build_chain_hamiltonian(spec))
     c = eig.eigenvectors[0].astype(complex)
     got = lindblad.relax_energy_density(eig.eigenvalues, BATHS[bath], c, times)
@@ -220,6 +226,18 @@ def test_uniform_path_matches_direct_formula(bath, seed, grid):
             relax_pair(bath, seed, PERTURBED)
         return
     assert_columns_match(*relax_pair(bath, seed, FAST_GRIDS[grid]))
+
+
+def test_flushed_block_step_matches_direct_formula():
+    # at s = 400 thousands of entries of S^32 are subnormal; the kernel sets
+    # them to zero, and its populations must still hold the direct formula's
+    eig = diagonalize(build_chain_hamiltonian(ChainSpec(400, 0.5, 2.0, 0)))
+    gen = lindblad.population_generator(
+        lindblad.transition_rates(eig.eigenvalues, BATHS["bath"]), BATHS["bath"]
+    )
+    step = np.linalg.matrix_power(expm(gen * lindblad._grid_step(FAST_GRIDS["uniform"])), 32)
+    assert np.count_nonzero((step != 0) & (np.abs(step) < np.finfo(float).tiny)) > 1000
+    assert_columns_match(*relax_pair("bath", 0, FAST_GRIDS["uniform"], s=400))
 
 
 #: grids shorter than one population block of 32 columns, some starting late
@@ -303,3 +321,23 @@ def test_unitary_observable_series_long_grid():
     expected = chunked_unitary_columns(eig, psi0.amplitudes, LONG_GRID, np.array([11]))
     del expected["sites"]
     assert_columns_match(series.columns(), expected, LONG_RTOL)
+
+
+def test_unitary_block_boundaries_match_dense_oracle():
+    # s = 200 on 0 .. 5000 in steps of 0.5: 31 cache blocks, the last one partial.
+    # Every later block is the first block's table times a phase shift, so its
+    # first and last columns are held to dense eigh of the full matrix.
+    h = build_chain_hamiltonian(ChainSpec(200, 0.5, 0.0, seed=0))
+    psi0 = PureState.site(200, 1)
+    times = lindblad.time_grid(5000.0, 0.5)
+    step = unitary._BLOCK_BYTES // (16 * 200)
+    starts = np.arange(0, times.size, step)
+    assert starts.size == 31 and times.size % step
+    edges = np.unique(np.concatenate([starts, np.minimum(starts + step, times.size) - 1]))
+    series = unitary_observable_series(diagonalize(h), psi0, times, [200])
+    x = np.arange(1, 201)
+    prob = np.array([np.abs(evolve_pure(h, psi0.amplitudes, t)) ** 2 for t in times[edges]]).T
+    mean = x @ prob
+    expected = {"mean_Q": mean, "var_Q": (x**2) @ prob - mean**2, "p_region": prob[-1]}
+    got = {name: col[edges] for name, col in series.columns().items()}
+    assert_columns_match(got, expected, LONG_RTOL)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from support import read_csv
 
-from openchain.series import ObservableSeries, format_real, write_csv
+from openchain.series import _CSV_BLOCK_ROWS, ObservableSeries, write_csv
+
+
+def per_cell(value) -> str:
+    """One 17-significant-digit format call per cell: the writer's byte reference."""
+    return "%.17g" % value
 
 
 class TestCsv:
@@ -17,9 +22,11 @@ class TestCsv:
         back = read_csv(path)
         assert np.array_equal(back["value"], cols["value"])
 
-    def test_seventeen_digits(self):
-        assert format_real(np.pi) == "3.1415926535897931"
-        assert [format_real(v) for v in (-0.0, 5e-324, 1e300, 100)] == [
+    def test_seventeen_digits(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, {"x": np.array([np.pi, -0.0, 5e-324, 1e300, 100])})
+        assert path.read_text().splitlines()[1:] == [
+            "3.1415926535897931",
             "-0",
             "4.9406564584124654e-324",
             "1.0000000000000001e+300",
@@ -27,12 +34,15 @@ class TestCsv:
         ]
 
     def test_rows_match_per_cell_format(self, tmp_path):
-        # the row-at-a-time writer must give exactly the bytes of one
-        # format_real call per cell, special values and an integer column included
+        # the block-at-a-time writer must give exactly the bytes of one format
+        # call per cell, special values and an integer column included, over
+        # more than two blocks of rows and a partial last block
         rng = np.random.Generator(np.random.Philox(key=2))
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, 2.0**53 + 2]
-        scales = 10.0 ** rng.integers(-300, 300, 200)
-        reals = np.concatenate([special, rng.normal(size=200) * scales])
+        size = 2 * _CSV_BLOCK_ROWS + 90
+        scales = 10.0 ** rng.integers(-300, 300, size)
+        reals = np.concatenate([special, rng.normal(size=size) * scales])
+        assert reals.size > 2 * _CSV_BLOCK_ROWS and reals.size % _CSV_BLOCK_ROWS
         cols = {
             "s": np.arange(reals.size, dtype=int) * 37 - 100,
             "x": reals,
@@ -41,7 +51,7 @@ class TestCsv:
         path = tmp_path / "x.csv"
         write_csv(path, cols)
         lines = ["s,x,bits"] + [
-            ",".join(format_real(float(cols[n][i])) for n in cols) for i in range(reals.size)
+            ",".join(per_cell(float(cols[n][i])) for n in cols) for i in range(reals.size)
         ]
         assert path.read_text() == "\n".join(lines) + "\n"
         assert "nan" in path.read_text() and "-inf" in path.read_text()
