@@ -125,6 +125,14 @@ class ExperimentConfig:
         return asdict(self)
 
 
+#: numeric fields and their types, in the order their violations are reported
+_NUMBERS = {"s": int, "sigma": float, "g": float, "seed": int, "beta": float, "zeta": float,
+            "a": int, "t_max": float, "dt": float, "ensemble_size": int}
+#: lower bound of a numeric field and whether the field may equal it
+_LOWER_BOUNDS = {"s": (2, True), "sigma": (0, True), "g": (0, True), "dt": (0, False),
+                 "ensemble_size": (1, True), "beta": (0, False), "zeta": (0, True)}
+
+
 def _parse_number(raw: dict, key: str, kind, violations: list[str]):
     if key not in raw:
         return None
@@ -137,6 +145,40 @@ def _parse_number(raw: dict, key: str, kind, violations: list[str]):
         violations.append(f"{key}: must be finite, got {raw[key]!r}")
         return None
     return value
+
+
+def _bound_violations(values: dict[str, Any]) -> list[str]:
+    """One line per field of ``values`` (None skipped) below its lower bound."""
+    found = []
+    for key, (bound, inclusive) in _LOWER_BOUNDS.items():
+        value = values.get(key)
+        if value is not None and (value < bound if inclusive else value <= bound):
+            found.append(f"{key}: must be {'>=' if inclusive else '>'} {bound}, got {value}")
+    return found
+
+
+def range_violations(config: ExperimentConfig) -> list[str]:
+    """The out-of-range fields of ``config``: checked for a config file and each sweep value."""
+    found = _bound_violations(asdict(config))
+    if config.branch not in ("U", "D"):
+        found.append(f"branch: must be U or D, got {config.branch!r}")
+    t_max = config.t_max
+    if config.scenario == "peak-scaling":
+        # the arrival peak is taken on the clean, untilted chain
+        for key in ("sigma", "g"):
+            if value := getattr(config, key):
+                found.append(f"{key}: peak-scaling uses the clean chain, got {value}")
+        t_max = _scan_t_max(config.s) if t_max is None else t_max
+    if config.t_max is not None and config.t_max <= 0:
+        found.append(f"t_max: must be > 0, got {config.t_max}")
+    elif t_max is not None and config.dt > 0 and not _whole_steps(t_max, config.dt):
+        window = "" if config.t_max is not None else " (scan window 1.5 s + 10)"
+        found.append(f"t_max: must be a whole number >= 1 of dt = {config.dt} steps, "
+                     f"got {t_max}{window}")
+    a = config.a
+    if config.scenario in LAYOUT_REQUIRED and a is not None and (a < 1 or config.s < a + 6):
+        found.append(f"a: need 1 <= a <= s - 6, got a={a}, s={config.s}")
+    return found
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -166,108 +208,36 @@ def validate_config(text: str) -> ExperimentConfig:
         violations.append(f"scenario: {scenario!r} is not one of {', '.join(SCENARIOS)}")
         scenario = None
 
-    s = _parse_number(raw, "s", int, violations)
-    sigma = _parse_number(raw, "sigma", float, violations)
-    g = _parse_number(raw, "g", float, violations)
-    seed = _parse_number(raw, "seed", int, violations)
-    beta = _parse_number(raw, "beta", float, violations)
-    zeta = _parse_number(raw, "zeta", float, violations)
-    a = _parse_number(raw, "a", int, violations)
-    t_max = _parse_number(raw, "t_max", float, violations)
-    dt = _parse_number(raw, "dt", float, violations)
-    ensemble = _parse_number(raw, "ensemble_size", int, violations)
-    branch = raw.get("branch", "U").strip()
-    output = raw.get("output", "out").strip()
-
+    values = {key: _parse_number(raw, key, kind, violations) for key, kind in _NUMBERS.items()}
     if scenario is None:
         # still surface whatever field problems are visible without defaults
-        if dt is not None and dt <= 0:
-            violations.append(f"dt: must be > 0, got {dt}")
-        if sigma is not None and sigma < 0:
-            violations.append(f"sigma: must be >= 0, got {sigma}")
-        raise ConfigError(violations)
-    defaults = SCENARIO_DEFAULTS[scenario]
-
-    s = defaults["s"] if s is None else s
-    sigma = defaults["sigma"] if sigma is None else sigma
-    g = defaults["g"] if g is None else g
-    a = defaults.get("a") if a is None else a
-    t_max = defaults.get("t_max") if t_max is None else t_max
-    dt = defaults["dt"] if dt is None else dt
-    seed = 0 if seed is None else seed
-    ensemble = 1 if ensemble is None else ensemble
-
-    if s is not None and s < 2:
-        violations.append(f"s: must be >= 2, got {s}")
-    if sigma is not None and sigma < 0:
-        violations.append(f"sigma: must be >= 0, got {sigma}")
-    if g is not None and g < 0:
-        violations.append(f"g: must be >= 0, got {g}")
-    if dt is not None and dt <= 0:
-        violations.append(f"dt: must be > 0, got {dt}")
-    if ensemble is not None and ensemble < 1:
-        violations.append(f"ensemble_size: must be >= 1, got {ensemble}")
-    if branch not in ("U", "D"):
-        violations.append(f"branch: must be U or D, got {branch!r}")
-
-    grid_t_max = t_max
-    if scenario == "peak-scaling":
-        # the arrival peak is taken on the clean, untilted chain
-        for key, value in (("sigma", sigma), ("g", g)):
-            if value:
-                violations.append(f"{key}: peak-scaling uses the clean chain, got {value}")
-        if t_max is None and s is not None:
-            grid_t_max = _scan_t_max(s)
-    elif t_max is None:
+        raise ConfigError(violations + _bound_violations(values))
+    for key, default in {**SCENARIO_DEFAULTS[scenario], "seed": 0, "ensemble_size": 1}.items():
+        values[key] = default if values[key] is None else values[key]
+    config = ExperimentConfig(
+        scenario=scenario,
+        branch=raw.get("branch", "U").strip(),
+        output=raw.get("output", "out").strip(),
+        **values,
+    )
+    violations += range_violations(config)
+    if scenario != "peak-scaling" and config.t_max is None:
         violations.append("t_max: missing (section [grid])")
-    if t_max is not None and t_max <= 0:
-        violations.append(f"t_max: must be > 0, got {t_max}")
-    elif grid_t_max is not None and dt > 0 and not _whole_steps(grid_t_max, dt):
-        window = "" if t_max is not None else " (scan window 1.5 s + 10)"
-        violations.append(f"t_max: must be a whole number >= 1 of dt = {dt} steps, "
-                          f"got {grid_t_max}{window}")
 
     for key, readers in _READ_BY.items():
         if key in raw and scenario not in readers:
             violations.append(f"{key}: scenario {scenario} does not read it, got {raw[key]}")
-
     if scenario in BATH_REQUIRED:
-        if beta is None and "beta" not in raw:
-            violations.append("beta: required for scenario "
-                              f"{scenario} (section [bath])")
-        if zeta is None and "zeta" not in raw:
-            violations.append("zeta: required for scenario "
-                              f"{scenario} (section [bath])")
+        violations += [f"{key}: required for scenario {scenario} (section [bath])"
+                       for key in ("beta", "zeta") if key not in raw]
     if ("beta" in raw) != ("zeta" in raw):
         violations.append("beta and zeta must be given together")
-    if beta is not None and beta <= 0:
-        violations.append(f"beta: must be > 0, got {beta}")
-    if zeta is not None and zeta < 0:
-        violations.append(f"zeta: must be >= 0, got {zeta}")
-
-    if scenario in LAYOUT_REQUIRED:
-        if a is None:
-            violations.append(f"a: required for scenario {scenario} (section [layout])")
-        elif s is not None and (a < 1 or s < a + 6):
-            violations.append(f"a: need 1 <= a <= s - 6, got a={a}, s={s}")
+    if scenario in LAYOUT_REQUIRED and config.a is None:
+        violations.append(f"a: required for scenario {scenario} (section [layout])")
 
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(
-        scenario=scenario,
-        s=s,
-        sigma=sigma,
-        g=g,
-        seed=seed,
-        beta=beta,
-        zeta=zeta,
-        a=a,
-        branch=branch,
-        t_max=t_max,
-        dt=dt,
-        ensemble_size=ensemble,
-        output=output,
-    )
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:

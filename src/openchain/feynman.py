@@ -25,7 +25,7 @@ only dephases (the bath jumps act within a branch and never transfer
 population between branches):
 
     rho^{UD}_mn(t) = rho^{UD}_mn(0)
-                     * exp([-i (e^U_m - e^D_n) - zeta (G^U_m + G^D_n)/2] t).
+                     * exp{[-i (e^U_m - e^D_n) - zeta (G^U_m + G^D_n)/2] t}.
 
 Tracing out the cursor in the physical-site basis gives the register state:
 diagonal blocks contribute their site populations; the cross block contributes
@@ -40,7 +40,8 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
-from .lindblad import BathSpec, relax_energy_density, site_amplitudes, site_distribution
+from .lindblad import BathSpec, pure_state_series, relax_energy_density
+from .lindblad import site_amplitudes, site_distribution
 from .series import ObservableSeries
 
 Branch = Literal["U", "D"]
@@ -218,12 +219,9 @@ def run_classical_input(
     observables are reported in physical-site coordinates.
     """
     model = BranchModel.build(layout, branch, disorder, g)
-    t_grid = np.asarray(t_grid, dtype=float)
-    v = model.eig.eigenvectors
-    pops, amps = relax_energy_density(model.eig.eigenvalues, bath, v[0], t_grid)
-    prob = site_distribution(v, pops, amps)
-    return ObservableSeries.from_site_probabilities(
-        t_grid, prob, model.basis.sites, model.beyond_gate_coordinates()
+    start = model.eig.eigenvectors[0]
+    return pure_state_series(
+        model.eig, bath, start, t_grid, model.basis.sites, model.beyond_gate_coordinates()
     )
 
 

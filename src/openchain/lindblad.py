@@ -21,22 +21,23 @@ formula to the closed-system evolution.
 
 Every run in the package starts from a pure state (energy amplitudes c), for
 which the decay law factorizes: the coherences are the off-diagonal part of
-u u^H with u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A whole time grid is
-then the n x T populations P (exact matrix-exponential steps of the master
-equation) and amplitudes U (:func:`relax_energy_density`), and its site
-distribution |V U|^2 + (V*V)(P - |U|^2) is two matrix products, one without a
-bath (:func:`site_distribution`; V is real, so V U is a real product). No
-dense n x n state is formed, and every pipeline runs on this kernel: the
-dissipative chain below, the closed chain of :mod:`openchain.unitary` and
-both switch pipelines of :mod:`openchain.feynman`.
+u u^H with u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A time grid is then
+the n x T populations P (exact matrix-exponential steps of the master
+equation) and amplitudes U, and its site distribution |V U|^2 + (V*V)(P - |U|^2)
+is two matrix products, one without a bath (:func:`site_distribution`; V is
+real, so V U is a real product). No dense n x n state is formed, and every
+pipeline runs on this kernel: the chain with or without a bath
+(:func:`pure_state_series`, also behind :mod:`openchain.unitary`) and both
+switch pipelines of :mod:`openchain.feynman`.
 
 The kernel takes uniform grids only (:func:`time_grid` builds them); any other
-grid raises ``ValueError``. The phases exp(d t) with d = -i e - zeta G / 2 come
-from two tables of about sqrt(T) columns, exp(d k dt) and c exp(d (t_0 + j b dt)),
-multiplied by one broadcast product, instead of n T complex exponentials; the
-closed chain of :mod:`openchain.unitary` builds them once per grid. The
-populations take B matrix-vector steps of S = expm(A dt) and then one BLAS-3
-product S^B P per block of B columns.
+grid raises ``ValueError``. :func:`energy_blocks` yields P and U in cache-sized
+blocks of grid columns. The phases exp(d t) with d = -i e - zeta G / 2 of the
+first block come from two tables of about sqrt(T) columns, exp(d k dt) and
+c exp(d (t_0 + j b dt)), multiplied by one broadcast product, instead of n T
+complex exponentials; every later block is that table times exp(d (t_start - t_0)).
+The populations take B matrix-vector steps of S = expm(A dt) and then one
+BLAS-3 product S^B P per block of B columns, once over the whole grid.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import expm
 
-from .chains import HamiltonianOperator, diagonalize
+from .chains import EigenSystem, HamiltonianOperator, diagonalize
 from .series import ObservableSeries, _region_rows
 
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
+_BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
 
 
 class DegenerateGapError(ValueError):
@@ -193,13 +195,60 @@ def _block_populations(gen: np.ndarray, p: np.ndarray, dt: float, size: int) -> 
     return pops
 
 
+def energy_blocks(
+    eigenvalues: np.ndarray,
+    bath: BathSpec | None,
+    amplitudes: np.ndarray,
+    t_grid: np.ndarray,
+):
+    """(columns, P block or None, U block) of a pure start per cache-sized block of a uniform grid.
+
+    A block spans as many grid columns as fit one complex n x width array of
+    about 1 MiB. The phase tables are built once, for the first block; the
+    block from column ``start`` on is that table times exp(d (t_start - t_0)),
+    d = -i e - zeta G / 2. P advances once over the whole grid; without a bath
+    it is None.
+    """
+    width = max(1, _BLOCK_BYTES // (16 * np.size(eigenvalues)))
+    return _blocks(eigenvalues, bath, amplitudes, t_grid, width)
+
+
+def _blocks(
+    eigenvalues: np.ndarray,
+    bath: BathSpec | None,
+    amplitudes: np.ndarray,
+    t_grid: np.ndarray,
+    width: int,
+):
+    """The blocks of :func:`energy_blocks`, each ``width`` grid columns wide."""
+    e = np.asarray(eigenvalues, dtype=float)
+    c = np.asarray(amplitudes, dtype=complex)
+    t_grid = np.asarray(t_grid, dtype=float)
+    dt = _grid_step(t_grid)
+    pops, d = None, -1j * e
+    if bath is not None and bath.zeta != 0.0:
+        rates = transition_rates(e, bath)
+        gen = population_generator(rates, bath)
+        p = np.abs(c) ** 2
+        if t_grid[0] > 0:
+            p = expm(gen * t_grid[0]) @ p
+        pops = _block_populations(gen, p, dt, t_grid.size)
+        d = d - 0.5 * bath.zeta * rates.widths
+    first = _phases(d, c, t_grid[0], dt, min(width, t_grid.size))
+    for start in range(0, t_grid.size, width):
+        cols = slice(start, start + width)
+        shift = np.exp(d * (t_grid[start] - t_grid[0]))
+        amps = first if start == 0 else first[:, : t_grid[cols].size] * shift[:, None]
+        yield cols, None if pops is None else pops[:, cols], amps
+
+
 def relax_energy_density(
     eigenvalues: np.ndarray,
     bath: BathSpec | None,
     amplitudes: np.ndarray,
     t_grid: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Populations P and amplitudes U (both n x T) of a pure start on a uniform grid.
+    """Populations P and amplitudes U (both n x T): one block of :func:`_blocks` spanning the grid.
 
     ``amplitudes`` are the initial energy-basis amplitudes c. The grid must be
     uniform from t >= 0 (one point, or equal positive steps up to float rounding);
@@ -208,25 +257,10 @@ def relax_energy_density(
     bath (``None`` or zeta = 0) U is the unitary phase rotation and P is
     returned as None: the populations are |U|^2, so the coherence correction of
     :func:`site_distribution` vanishes and is skipped.
-
-    U is the product of two sqrt(T)-column exponential tables, and P advances
-    by exact exponential steps: one S^B product per block of B = 32 columns
-    (S = expm(A dt), S^B by squaring).
     """
-    e = np.asarray(eigenvalues, dtype=float)
-    c = np.asarray(amplitudes, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
-    dt = _grid_step(t_grid)
-    if bath is None or bath.zeta == 0.0:
-        return None, _phases(-1j * e, c, t_grid[0], dt, t_grid.size)
-    rates = transition_rates(e, bath)
-    gen = population_generator(rates, bath)
-    p = np.abs(c) ** 2
-    if t_grid[0] > 0:
-        p = expm(gen * t_grid[0]) @ p
-    pops = _block_populations(gen, p, dt, t_grid.size)
-    decay = -1j * e - 0.5 * bath.zeta * rates.widths
-    return pops, _phases(decay, c, t_grid[0], dt, t_grid.size)
+    ((_, pops, amps),) = _blocks(eigenvalues, bath, amplitudes, t_grid, max(t_grid.size, 1))
+    return pops, amps
 
 
 def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -255,9 +289,39 @@ def site_distribution(
     return prob
 
 
+def pure_state_series(
+    eig: EigenSystem,
+    bath: BathSpec | None,
+    amplitudes: np.ndarray,
+    t_grid: np.ndarray,
+    positions: np.ndarray,
+    region: np.ndarray | None,
+) -> ObservableSeries:
+    """mean_Q, var_Q and p_region of a pure start, read out one cache block at a time.
+
+    ``amplitudes`` are the energy-basis amplitudes c, ``positions`` the
+    coordinate of each eigenvector row and ``region`` 0-based rows (None leaves
+    ``p_region`` unset). Beyond P, only one block of U and of the site
+    distribution is held at a time.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    blocks = [
+        ObservableSeries.from_site_probabilities(
+            t_grid[cols], site_distribution(eig.eigenvectors, p, u), positions, region
+        )
+        for cols, p, u in energy_blocks(eig.eigenvalues, bath, amplitudes, t_grid)
+    ]
+    return ObservableSeries(
+        t_grid,
+        np.concatenate([b.mean_q for b in blocks]),
+        np.concatenate([b.var_q for b in blocks]),
+        None if region is None else np.concatenate([b.p_region for b in blocks]),
+    )
+
+
 def dissipative_transport_run(
     h: HamiltonianOperator,
-    bath: BathSpec,
+    bath: BathSpec | None,
     psi0: np.ndarray,
     t_grid: np.ndarray,
     region: Iterable[int] | None = None,
@@ -266,18 +330,13 @@ def dissipative_transport_run(
 
     ``psi0`` is a position-basis pure state; ``region`` defaults to the last
     site. The initial energy-basis coherences are kept and propagated, so the
-    early-time transient is exact.
+    early-time transient is exact. ``bath = None`` (or zeta = 0) is the closed
+    chain.
     """
     eig = diagonalize(h)
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
     rows = _region_rows([h.dim] if region is None else region, h.dim)
-    t_grid = np.asarray(t_grid, dtype=float)
-    pops, amps = relax_energy_density(
-        eig.eigenvalues, bath, eig.eigenvectors.T @ psi0, t_grid
-    )
-    prob = site_distribution(eig.eigenvectors, pops, amps)
-    return ObservableSeries.from_site_probabilities(
-        t_grid, prob, np.arange(1, h.dim + 1), rows
-    )
+    c = eig.eigenvectors.T @ psi0
+    return pure_state_series(eig, bath, c, t_grid, np.arange(1, h.dim + 1), rows)

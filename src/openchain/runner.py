@@ -27,12 +27,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chains import ChainSpec, build_chain_hamiltonian, diagonalize, free_eigensystem, sample_disorder
-from .config import SWEEPABLE, ExperimentConfig, _scan_t_max, _whole_steps
+from .chains import ChainSpec, build_chain_hamiltonian, free_eigensystem, sample_disorder
+from .config import SWEEPABLE, ConfigError, ExperimentConfig, _scan_t_max, range_violations
 from .feynman import build_cnot_layout, run_classical_input, run_superposed_input
 from .lindblad import BathSpec, dissipative_transport_run, time_grid
 from .series import write_csv
-from .unitary import PureState, arrival_peak, unitary_observable_series
+from .unitary import PureState, arrival_peak
 
 UNITARY_CHAIN_SCENARIOS = {"ballistic", "localized", "bloch"}
 
@@ -56,12 +56,9 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None
     if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
         h = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
-        psi0 = PureState.site(config.s, 1)
-        if scenario == "dissipative-transport":
-            series = dissipative_transport_run(h, bath, psi0.amplitudes, grid, region={config.s})
-        else:
-            series = unitary_observable_series(diagonalize(h), psi0, grid, region={config.s})
-        return series.columns()
+        bath = None if scenario in UNITARY_CHAIN_SCENARIOS else bath
+        psi0 = PureState.site(config.s, 1).amplitudes
+        return dissipative_transport_run(h, bath, psi0, grid, region={config.s}).columns()
     if scenario not in ("cnot-classical", "cnot-superposed"):
         raise ValueError(f"unknown scenario {scenario!r}")
     layout = build_cnot_layout(config.s, config.a)
@@ -224,9 +221,10 @@ def sweep(
     for time-series scenarios it holds the ensemble mean of each column at the
     final grid time. Realization seeds are shared across values. With
     ``workers > 1`` every (value, realization) job goes to one process pool.
-    A non-finite parameter value, or an s whose peak-scaling scan window is not
-    a whole number of dt steps, raises ``ValueError`` before any job runs;
-    non-finite outputs are rejected as in :func:`run_scenario`.
+    A non-finite parameter value raises ``ValueError``, and a value that puts
+    the config out of range (:func:`openchain.config.range_violations`) raises
+    ``ConfigError``, before any job runs; non-finite outputs are rejected as in
+    :func:`run_scenario`.
     """
     if vary not in SWEEPABLE:
         raise ValueError(f"parameter {vary!r} is not sweepable; choose from {SWEEPABLE}")
@@ -234,20 +232,20 @@ def sweep(
         raise ValueError("sweep needs at least one value")
     if vary in ("beta", "zeta") and not config.has_bath():
         raise ValueError(f"cannot sweep {vary!r}: the config has no bath section")
-    if vary in ("sigma", "g") and config.scenario == "peak-scaling":
-        raise ValueError(f"cannot sweep {vary!r}: peak-scaling uses the clean chain")
     if not all(math.isfinite(value) for value in values):
         raise ValueError(f"sweep values must be finite, got {list(values)}")
     if vary == "s" and not all(float(value).is_integer() for value in values):
         raise ValueError(f"chain size s takes whole numbers, got {list(values)}")
     casts = [int(value) if vary == "s" else float(value) for value in values]
-    if vary == "s" and config.scenario == "peak-scaling" and config.t_max is None:
-        uneven = [s for s in casts if not _whole_steps(_scan_t_max(s), config.dt)]
-        if uneven:
-            raise ValueError(f"scan window 1.5 s + 10 is not whole dt steps for s = {uneven}")
+    swept = [dataclasses.replace(config, **{vary: cast}) for cast in casts]
+    found = [range_violations(c) for c in swept]
+    if any(found):
+        rejected = [cast for cast, lines in zip(casts, found) if lines]
+        rules = dict.fromkeys(line for lines in found for line in lines)  # each rule once
+        raise ConfigError([f"{vary} = {rejected} is out of range:", *rules])
     started = time.perf_counter()
     seeds = _ensemble_seeds(config)
-    jobs = [(dataclasses.replace(config, **{vary: cast}), seed) for cast in casts for seed in seeds]
+    jobs = [(c, seed) for c in swept for seed in seeds]
     results = _run_jobs(jobs, workers)
     rows: list[dict[str, float]] = []
     for i, cast in enumerate(casts):

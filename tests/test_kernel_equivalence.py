@@ -16,12 +16,17 @@ point must be rejected. On the grid 0 .. 1e4 in steps of 0.1, whose float
 steps differ by about 1e-12 beyond t = 4096, the kernel and the closed chain
 must match their references to 1e-10 * max(1, max|column|). At s = 400, where
 the kernel sets thousands of subnormal entries of S^32 to zero, the populations
-must still match the direct formula. The closed chain's later cache blocks are
-the first block's table times a phase shift: at s = 200, over 31 blocks, the
-first and last column of each must match dense ``eigh`` to the same 1e-10.
+must still match the direct formula. Every pipeline's later cache blocks are
+the first block's table times exp(d (t_start - t_0)): at s = 200, over 31
+blocks, the first and last column of each must match dense ``eigh`` (closed
+chain) or the direct formula (with a bath, where the shift carries the decay)
+to the same 1e-10. The bath pipelines read out one cache block at a time: at
+s = 200 on 5001 columns their traced peak allocation stays below twice the
+n x T float populations.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +41,7 @@ from support import (
     evolve_pure,
 )
 
-from openchain import lindblad, unitary
+from openchain import lindblad
 from openchain.chains import (
     ChainSpec,
     build_chain_hamiltonian,
@@ -126,7 +131,7 @@ REGIONS = {"last": [40], "several": [3, 17, 18, 19, 40], "none": None}
 
 
 def test_unitary_grid_spans_blocks():
-    step = unitary._BLOCK_BYTES // (16 * 40)
+    step = lindblad._BLOCK_BYTES // (16 * 40)
     for name in ("blocks", "nonuniform"):
         size = UNITARY_GRIDS[name].size
         assert size > 2 * step and size % step, name
@@ -144,7 +149,9 @@ def test_unitary_observable_series(seed, grid, region):
             unitary_observable_series(eig, psi0, UNITARY_GRIDS[grid], sites)
         return
     series = unitary_observable_series(eig, psi0, UNITARY_GRIDS[grid], sites)
-    blocks = [prob for _, prob in unitary._site_blocks(eig, psi0, UNITARY_GRIDS[grid])]
+    coeff = eig.eigenvectors.T @ psi0.amplitudes
+    kernel = lindblad.energy_blocks(eig.eigenvalues, None, coeff, UNITARY_GRIDS[grid])
+    blocks = [site_distribution(eig.eigenvectors, None, u) for *_, u in kernel]
     prob = np.concatenate(blocks, axis=1)
     region_idx = None if sites is None else np.asarray(sites) - 1
     expected = chunked_unitary_columns(eig, psi0.amplitudes, UNITARY_GRIDS[grid], region_idx)
@@ -323,6 +330,14 @@ def test_unitary_observable_series_long_grid():
     assert_columns_match(series.columns(), expected, LONG_RTOL)
 
 
+def block_edges(times: np.ndarray, dim: int) -> np.ndarray:
+    """First and last column of every cache block of a ``dim``-level kernel on ``times``."""
+    step = lindblad._BLOCK_BYTES // (16 * dim)
+    starts = np.arange(0, times.size, step)
+    assert starts.size == 31 and times.size % step  # many blocks, the last one partial
+    return np.unique(np.concatenate([starts, np.minimum(starts + step, times.size) - 1]))
+
+
 def test_unitary_block_boundaries_match_dense_oracle():
     # s = 200 on 0 .. 5000 in steps of 0.5: 31 cache blocks, the last one partial.
     # Every later block is the first block's table times a phase shift, so its
@@ -330,10 +345,7 @@ def test_unitary_block_boundaries_match_dense_oracle():
     h = build_chain_hamiltonian(ChainSpec(200, 0.5, 0.0, seed=0))
     psi0 = PureState.site(200, 1)
     times = lindblad.time_grid(5000.0, 0.5)
-    step = unitary._BLOCK_BYTES // (16 * 200)
-    starts = np.arange(0, times.size, step)
-    assert starts.size == 31 and times.size % step
-    edges = np.unique(np.concatenate([starts, np.minimum(starts + step, times.size) - 1]))
+    edges = block_edges(times, 200)
     series = unitary_observable_series(diagonalize(h), psi0, times, [200])
     x = np.arange(1, 201)
     prob = np.array([np.abs(evolve_pure(h, psi0.amplitudes, t)) ** 2 for t in times[edges]]).T
@@ -341,3 +353,49 @@ def test_unitary_block_boundaries_match_dense_oracle():
     expected = {"mean_Q": mean, "var_Q": (x**2) @ prob - mean**2, "p_region": prob[-1]}
     got = {name: col[edges] for name, col in series.columns().items()}
     assert_columns_match(got, expected, LONG_RTOL)
+
+
+def test_bath_block_boundaries_match_direct_formula():
+    # With a bath each later block is the first block's table times
+    # exp(d (t_start - t_0)), d = -i e - zeta G / 2: the shift must carry the
+    # decay as well as the phase. s = 200 on 0 .. 5000 in steps of 0.5 spans 31
+    # blocks; the first and last column of each is held to the direct formula.
+    h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
+    eig = diagonalize(h)
+    times = lindblad.time_grid(5000.0, 0.5)
+    edges = block_edges(times, 200)
+    bath = BATHS["bath"]
+    series = dissipative_transport_run(h, bath, PureState.site(200, 1).amplitudes, times)
+    ref = direct_relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], times[edges])
+    got = {name: col[edges] for name, col in series.columns().items() if name != "t"}
+    assert_columns_match(got, kernel_columns(eig, *ref, populations_too=False), LONG_RTOL)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes allocated while ``run()`` executes, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pipeline", ["transport", "classical"])
+def test_bath_read_out_memory(pipeline):
+    # The bath pipelines hold the n x T populations and one cache block of the
+    # read-out at a time, not the whole grid's amplitudes and site distribution:
+    # the traced peak stays below twice the float populations (15.3 MiB at n = 200).
+    times = lindblad.time_grid(5000.0, 1.0)
+    bath = BATHS["bath"]
+    if pipeline == "transport":
+        h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
+        psi0 = PureState.site(200, 1).amplitudes
+        n, peak = 200, traced_peak(lambda: dissipative_transport_run(h, bath, psi0, times))
+    else:
+        layout = build_cnot_layout(200, 9)
+        disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
+        n = layout.path_length
+        peak = traced_peak(lambda: run_classical_input(layout, disorder, 2.0, bath, "U", times))
+    populations = n * times.size * np.dtype(float).itemsize
+    assert peak < 2 * populations, f"traced peak {peak / 2**20:.1f} MiB"

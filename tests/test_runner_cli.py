@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +342,43 @@ class TestCli:
         )
         assert main(["sweep", path, "--vary", vary, "--values", f"1,{value}"]) == 2
         assert "finite" in capsys.readouterr().err
+        assert jobs == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, vary, values, rule",
+        [
+            ("transport", "sigma", "0.5,-1", "sigma: must be >= 0, got -1.0"),
+            ("transport", "beta", "1,0", "beta: must be > 0, got 0.0"),
+            ("transport", "g", "-2", "g: must be >= 0, got -2.0"),
+            ("transport", "s", "1", "s: must be >= 2, got 1"),
+            ("cnot_superposed.ini", "s", "22,10", "a: need 1 <= a <= s - 6, got a=9, s=10"),
+        ],
+        ids=["sigma", "beta", "g", "s", "s-below-layout"],
+    )
+    def test_sweep_out_of_range_value_exit_2(
+        self, tmp_path, capsys, monkeypatch, config, vary, values, rule
+    ):
+        # a value the config rules reject must stop the sweep before its first job,
+        # not in a worker after the earlier values' ensembles have run
+        import openchain.runner as runner_mod
+
+        jobs = []
+        monkeypatch.setattr(runner_mod, "_run_jobs", lambda batch, workers: jobs.append(batch))
+        if config == "transport":
+            text = (
+                "[experiment]\nscenario = dissipative-transport\n"
+                "[bath]\nbeta = 1.0\nzeta = 0.05\n"
+            )
+        else:
+            text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
+        text = re.sub(r"^output = .*$", "", text, flags=re.M).replace(
+            "[experiment]\n", f"[experiment]\noutput = {tmp_path / 'out'}\n"
+        )
+        path = self.write_config(tmp_path, text)
+        assert main(["sweep", path, "--vary", vary, "--values", values]) == 2
+        err = capsys.readouterr().err
+        assert rule in err and f"{vary} = [" in err
         assert jobs == []
         assert not (tmp_path / "out").exists()
 
