@@ -3,8 +3,8 @@
 Closed-system propagation is exact (spectral decomposition); open-system
 dynamics uses nearest-level thermal jump rates in the energy eigenbasis, with
 populations advanced by the matrix exponential of the classical master
-equation and coherences by their closed-form decay. Every pipeline runs one
-pure-state kernel (``lindblad.relax_energy_density`` and
+equation and coherences by their closed-form decay. Every pipeline reads one
+pure-state kernel block by block (``lindblad.energy_blocks`` and
 ``lindblad.site_distribution``).
 
 The package namespace carries what the README's Library example uses; the

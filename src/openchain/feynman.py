@@ -40,8 +40,8 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
-from .lindblad import BathSpec, pure_state_series, relax_energy_density
-from .lindblad import site_amplitudes, site_distribution
+from .lindblad import BathSpec, energy_blocks, pure_state_series, site_amplitudes
+from .lindblad import site_distribution
 from .series import ObservableSeries
 
 Branch = Literal["U", "D"]
@@ -317,46 +317,48 @@ def run_superposed_input(
     start with all four blocks populated. ``bath = None`` (or zeta = 0) gives
     the unitary limit.
 
-    This factorization needs the pure initial state. With P_B, U_B a
-    :func:`relax_energy_density` run of branch B from path coordinate 1, each
-    diagonal block is half its branch run and the cross block is rank one,
+    This factorization needs the pure initial state. With P_B, U_B the
+    :func:`energy_blocks` of branch B from path coordinate 1, each diagonal
+    block is half its branch run and the cross block is rank one,
     rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal 1/2 (V_U U_U)_j
     conj((V_D U_D)_j) on the shared coordinates j; each branch's V U is
     computed once and feeds both its site distribution and the cross diagonal.
-    The register states of the whole grid are traced (:func:`register_states`),
-    diagonalized and projected as one (T, 4, 4) stack, which the series keeps
-    as ``register``; no per-time state or dense block is formed.
+    Both branches have s - 2 levels, so their blocks span the same columns:
+    each pair is traced (:func:`register_states`), diagonalized and projected
+    as one (columns, 4, 4) stack, and only the O(T) series, the register stack
+    kept as ``register`` and the populations P are held across blocks.
     """
     up = BranchModel.build(layout, "U", disorder, g)
     down = BranchModel.build(layout, "D", disorder, g)
     t_grid = np.asarray(t_grid, dtype=float)
     maps = coordinate_map(layout)
     bases = (up.basis, down.basis)
+    beyond_u, beyond_d = up.beyond_gate_coordinates(), down.beyond_gate_coordinates()
     vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
-    pop_u, amp_u = relax_energy_density(up.eig.eigenvalues, bath, vu[0], t_grid)
-    pop_d, amp_d = relax_energy_density(down.eig.eigenvalues, bath, vd[0], t_grid)
-
-    w_u, w_d = site_amplitudes(vu, amp_u), site_amplitudes(vd, amp_d)
-    sites_u = 0.5 * site_distribution(vu, pop_u, amp_u, w_u).T  # (T, n)
-    sites_d = 0.5 * site_distribution(vd, pop_d, amp_d, w_d).T
-    w_u *= np.conj(w_d)  # in place: the cross diagonal on every coordinate
-    cross = 0.5 * w_u[maps.shared].T
-    del w_u, w_d
-    if pop_u is None:  # no bath: the populations are |U|^2
-        pop_u, pop_d = np.abs(amp_u) ** 2, np.abs(amp_d) ** 2
-    p_beyond = (
-        sites_u[:, up.beyond_gate_coordinates()].sum(axis=1)
-        + sites_d[:, down.beyond_gate_coordinates()].sum(axis=1)
-    )
-    register = register_states(sites_u, sites_d, cross, maps, bases)
-    entropy = von_neumann_entropy(register)
-    cond = register_states(
-        sites_u, sites_d, cross, maps, bases, region=range(layout.b, layout.s + 1)
-    )
-    weight = np.real(np.trace(cond, axis1=1, axis2=2))
+    trace_uu, trace_dd, p_beyond, entropy = (np.empty(t_grid.size) for _ in range(4))
     fidelity = np.full(t_grid.size, np.nan)
-    passed = weight > 1e-12
-    fidelity[passed] = bell_fidelity(cond[passed] / weight[passed, None, None])
-
-    trace_uu, trace_dd = 0.5 * pop_u.sum(axis=0), 0.5 * pop_d.sum(axis=0)
+    register = np.empty((t_grid.size, 4, 4), dtype=complex)
+    blocks = zip(
+        energy_blocks(up.eig.eigenvalues, bath, vu[0], t_grid),
+        energy_blocks(down.eig.eigenvalues, bath, vd[0], t_grid),
+    )
+    for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
+        w_u, w_d = site_amplitudes(vu, amp_u), site_amplitudes(vd, amp_d)
+        sites_u = 0.5 * site_distribution(vu, pop_u, amp_u, w_u).T  # (columns, n)
+        sites_d = 0.5 * site_distribution(vd, pop_d, amp_d, w_d).T
+        w_u *= np.conj(w_d)  # in place: the cross diagonal on every coordinate
+        cross = 0.5 * w_u[maps.shared].T
+        del w_u, w_d
+        if pop_u is None:  # no bath: the populations are |U|^2
+            pop_u, pop_d = np.abs(amp_u) ** 2, np.abs(amp_d) ** 2
+        trace_uu[cols], trace_dd[cols] = 0.5 * pop_u.sum(axis=0), 0.5 * pop_d.sum(axis=0)
+        p_beyond[cols] = sites_u[:, beyond_u].sum(axis=1) + sites_d[:, beyond_d].sum(axis=1)
+        register[cols] = register_states(sites_u, sites_d, cross, maps, bases)
+        entropy[cols] = von_neumann_entropy(register[cols])
+        cond = register_states(
+            sites_u, sites_d, cross, maps, bases, region=range(layout.b, layout.s + 1)
+        )
+        weight = np.real(np.trace(cond, axis1=1, axis2=2))
+        passed = weight > 1e-12
+        fidelity[cols][passed] = bell_fidelity(cond[passed] / weight[passed, None, None])
     return SwitchSeries(t_grid, trace_uu, trace_dd, p_beyond, entropy, fidelity, register)

@@ -26,9 +26,9 @@ the n x T populations P (exact matrix-exponential steps of the master
 equation) and amplitudes U, and its site distribution |V U|^2 + (V*V)(P - |U|^2)
 is two matrix products, one without a bath (:func:`site_distribution`; V is
 real, so V U is a real product). No dense n x n state is formed, and every
-pipeline runs on this kernel: the chain with or without a bath
-(:func:`pure_state_series`, also behind :mod:`openchain.unitary`) and both
-switch pipelines of :mod:`openchain.feynman`.
+pipeline reads this kernel one block at a time: the chain with or without a
+bath (:func:`pure_state_series`, also behind :mod:`openchain.unitary`) and
+both switch pipelines of :mod:`openchain.feynman`.
 
 The kernel takes uniform grids only (:func:`time_grid` builds them); any other
 grid raises ``ValueError``. :func:`energy_blocks` yields P and U in cache-sized
@@ -203,28 +203,23 @@ def energy_blocks(
 ):
     """(columns, P block or None, U block) of a pure start per cache-sized block of a uniform grid.
 
-    A block spans as many grid columns as fit one complex n x width array of
-    about 1 MiB. The phase tables are built once, for the first block; the
-    block from column ``start`` on is that table times exp(d (t_start - t_0)),
-    d = -i e - zeta G / 2. P advances once over the whole grid; without a bath
-    it is None.
+    ``amplitudes`` are the initial energy-basis amplitudes c. The grid must be
+    uniform from t >= 0 (one point, or equal positive steps up to float
+    rounding); any other grid raises ``ValueError`` at the first block.
+    U[m, i] = c_m exp(d_m t_i) with d = -i e - zeta G / 2, so the coherences at
+    t_i are u u^H - diag|u|^2 with u = U[:, i]. A block spans as many grid
+    columns as fit one complex n x width array of about 1 MiB. The phase
+    tables are built once, for the first block; the block from column
+    ``start`` on is that table times exp(d (t_start - t_0)). P advances once
+    over the whole grid; without a bath (``None`` or zeta = 0) it is None: the
+    populations are |U|^2, so the coherence correction of
+    :func:`site_distribution` vanishes and is skipped.
     """
-    width = max(1, _BLOCK_BYTES // (16 * np.size(eigenvalues)))
-    return _blocks(eigenvalues, bath, amplitudes, t_grid, width)
-
-
-def _blocks(
-    eigenvalues: np.ndarray,
-    bath: BathSpec | None,
-    amplitudes: np.ndarray,
-    t_grid: np.ndarray,
-    width: int,
-):
-    """The blocks of :func:`energy_blocks`, each ``width`` grid columns wide."""
     e = np.asarray(eigenvalues, dtype=float)
     c = np.asarray(amplitudes, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _grid_step(t_grid)
+    width = max(1, _BLOCK_BYTES // (16 * e.size))
     pops, d = None, -1j * e
     if bath is not None and bath.zeta != 0.0:
         rates = transition_rates(e, bath)
@@ -242,27 +237,6 @@ def _blocks(
         yield cols, None if pops is None else pops[:, cols], amps
 
 
-def relax_energy_density(
-    eigenvalues: np.ndarray,
-    bath: BathSpec | None,
-    amplitudes: np.ndarray,
-    t_grid: np.ndarray,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Populations P and amplitudes U (both n x T): one block of :func:`_blocks` spanning the grid.
-
-    ``amplitudes`` are the initial energy-basis amplitudes c. The grid must be
-    uniform from t >= 0 (one point, or equal positive steps up to float rounding);
-    any other grid raises ``ValueError``. U[m, i] = c_m exp((-i e_m - zeta G_m / 2) t_i),
-    so the coherences at t_i are u u^H - diag|u|^2 with u = U[:, i]. Without a
-    bath (``None`` or zeta = 0) U is the unitary phase rotation and P is
-    returned as None: the populations are |U|^2, so the coherence correction of
-    :func:`site_distribution` vanishes and is skipped.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    ((_, pops, amps),) = _blocks(eigenvalues, bath, amplitudes, t_grid, max(t_grid.size, 1))
-    return pops, amps
-
-
 def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """V U for real V: one real product on the interleaved (re, im) view of U."""
     return (eigenvectors @ np.ascontiguousarray(amplitudes).view(float)).view(complex)
@@ -274,7 +248,7 @@ def site_distribution(
     amplitudes: np.ndarray,
     rotated: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Site probabilities (n x T) of a :func:`relax_energy_density` result.
+    """Site probabilities (n x columns) of one block of :func:`energy_blocks`.
 
     The diagonal of V (u u^H + diag(P - |u|^2)) V^T for every time at once;
     ``populations = None`` (no bath) drops the vanishing correction term.

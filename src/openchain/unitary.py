@@ -77,7 +77,7 @@ def unitary_observable_series(
 ) -> ObservableSeries:
     """Sample mean_Q, var_Q and the region probability on a caller-supplied grid.
 
-    The grid must be uniform (see :func:`openchain.lindblad.relax_energy_density`);
+    The grid must be uniform (see :func:`openchain.lindblad.energy_blocks`);
     ``region = None`` leaves ``p_region`` unset.
     """
     rows = None if region is None else _region_rows(region, eig.dim)

@@ -6,8 +6,9 @@ brute-force master-equation integration, dense per-time-point density
 matrices on plain ndarrays) so they
 share no code path with the package implementations they check; they take
 only the model inputs (spectrum, rates, branch geometry) from the package.
-The helpers under "kernel states" assemble dense matrices from the package's
-own pure-state kernel, for invariant checks of what the pipelines compute.
+The helpers under "kernel states" join the package's own pure-state kernel
+blocks over a whole grid and assemble dense matrices from them, for invariant
+checks of what the pipelines compute.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.linalg import expm
 
 from openchain.chains import DisorderRealization, HamiltonianOperator, diagonalize
 from openchain.feynman import BranchModel, CircuitLayout, PeresBasis, coordinate_map
-from openchain.lindblad import BathSpec, relax_energy_density, transition_rates
+from openchain.lindblad import BathSpec, energy_blocks, transition_rates
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -404,9 +405,17 @@ def chunked_unitary_columns(
 
 
 # ---------------------------------------------------------------------------
-# kernel states: dense matrices assembled from openchain.lindblad's pure-state
-# kernel, for invariant checks of what the pipelines compute
+# kernel states: the whole-grid P and U of openchain.lindblad's pure-state
+# kernel, and dense matrices assembled from them, for invariant checks of what
+# the pipelines compute
 # ---------------------------------------------------------------------------
+
+
+def relax_energy_density(eigenvalues, bath, amplitudes, t_grid):
+    """(P or None, U), both n x T: the package's :func:`energy_blocks` of the whole grid, joined."""
+    blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_grid))
+    pops = None if blocks[0][1] is None else np.concatenate([p for _, p, _ in blocks], axis=1)
+    return pops, np.concatenate([u for *_, u in blocks], axis=1)
 
 
 def kernel_states(populations: np.ndarray | None, amplitudes: np.ndarray) -> np.ndarray:

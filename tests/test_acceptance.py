@@ -13,6 +13,7 @@ from support import (
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
+    relax_energy_density,
     subspace_projector,
 )
 
@@ -38,7 +39,6 @@ from openchain.feynman import (
 )
 from openchain.lindblad import (
     BathSpec,
-    relax_energy_density,
     site_distribution,
     thermal_fixed_point,
     transition_rates,

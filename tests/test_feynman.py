@@ -5,6 +5,7 @@ from support import (
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
+    relax_energy_density,
     subspace_projector,
     switch_block_states,
 )
@@ -25,7 +26,7 @@ from openchain.feynman import (
     run_superposed_input,
     von_neumann_entropy,
 )
-from openchain.lindblad import BathSpec, relax_energy_density, site_distribution
+from openchain.lindblad import BathSpec, site_distribution
 
 
 def disorder_for(s, sigma, seed):

@@ -19,10 +19,14 @@ the kernel sets thousands of subnormal entries of S^32 to zero, the populations
 must still match the direct formula. Every pipeline's later cache blocks are
 the first block's table times exp(d (t_start - t_0)): at s = 200, over 31
 blocks, the first and last column of each must match dense ``eigh`` (closed
-chain) or the direct formula (with a bath, where the shift carries the decay)
-to the same 1e-10. The bath pipelines read out one cache block at a time: at
-s = 200 on 5001 columns their traced peak allocation stays below twice the
-n x T float populations.
+chain), the direct formula (with a bath, where the shift carries the decay)
+or the dense states of both switch branches and their cross block (the
+superposed switch, with and without a bath) to the same 1e-10. The bath
+pipelines read out one cache block at a time: at s = 200 on 5001 columns
+their traced peak allocation stays below twice the n x T float populations.
+The superposed switch walks the blocks of both branches side by side: its
+traced peak stays below both branches' populations, its (T, 4, 4) register
+stack and a counted number of blocks.
 """
 
 import math
@@ -39,6 +43,7 @@ from support import (
     dense_superposed_columns,
     dense_transport_columns,
     evolve_pure,
+    relax_energy_density,
 )
 
 from openchain import lindblad
@@ -218,7 +223,7 @@ def relax_pair(bath: str, seed: int, times: np.ndarray, s: int = 200):
     spec = ChainSpec(s, 0.5, 2.0, seed) if bath == "bath" else ChainSpec(s, 0.5, 0.0, seed)
     eig = diagonalize(build_chain_hamiltonian(spec))
     c = eig.eigenvectors[0].astype(complex)
-    got = lindblad.relax_energy_density(eig.eigenvalues, BATHS[bath], c, times)
+    got = relax_energy_density(eig.eigenvalues, BATHS[bath], c, times)
     ref = direct_relax_energy_density(eig.eigenvalues, BATHS[bath], c, times)
     with_pops = bath == "bath"
     return kernel_columns(eig, *got, with_pops), kernel_columns(eig, *ref, with_pops)
@@ -276,11 +281,10 @@ IRREGULAR_GRIDS = {
 @pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
 @pytest.mark.parametrize("bath", BATHS)
 def test_relax_energy_density_rejects_irregular_grids(bath, grid):
+    # the helper drains lindblad.energy_blocks, which raises at its first block
     eig = free_eigensystem(8)
     with pytest.raises(ValueError, match="uniform"):
-        lindblad.relax_energy_density(
-            eig.eigenvalues, BATHS[bath], eig.eigenvectors[0], IRREGULAR_GRIDS[grid]
-        )
+        relax_energy_density(eig.eigenvalues, BATHS[bath], eig.eigenvectors[0], IRREGULAR_GRIDS[grid])
 
 
 #: beyond t = 4096 linspace rounds each 0.1 step to the float spacing 2**-40,
@@ -311,7 +315,7 @@ def test_long_grid_matches_direct_formula(bath):
     spec = ChainSpec(12, 0.5, 2.0, 0) if bath == "bath" else ChainSpec(12, 0.5, 0.0, 0)
     eig = diagonalize(build_chain_hamiltonian(spec))
     c = eig.eigenvectors[0].astype(complex)
-    pops, amps = lindblad.relax_energy_density(eig.eigenvalues, BATHS[bath], c, LONG_GRID)
+    pops, amps = relax_energy_density(eig.eigenvalues, BATHS[bath], c, LONG_GRID)
     cols = slice(None, None, 997)  # the direct formula on every 997th time
     if pops is not None:
         pops = pops[:, cols]
@@ -371,6 +375,22 @@ def test_bath_block_boundaries_match_direct_formula():
     assert_columns_match(got, kernel_columns(eig, *ref, populations_too=False), LONG_RTOL)
 
 
+@pytest.mark.parametrize("bath", BATHS)
+def test_superposed_block_boundaries_match_dense_oracle(bath):
+    # Both branches of an s = 200 switch have n = 198 levels, so their cache
+    # blocks span the same columns: 0 .. 5000 in steps of 0.5 is 31 blocks,
+    # the last one partial. The first and last column of each block is held
+    # to the dense per-time-point states of both branches and the cross block.
+    layout = build_cnot_layout(200, 9)
+    disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
+    times = lindblad.time_grid(5000.0, 0.5)
+    edges = block_edges(times, layout.path_length)
+    series = run_superposed_input(layout, disorder, 2.0, BATHS[bath], times)
+    got = {name: col[edges] for name, col in series.columns().items() if name != "t"}
+    expected = dense_superposed_columns(layout, disorder, 2.0, BATHS[bath], times[edges])
+    assert_columns_match(got, expected, LONG_RTOL)
+
+
 def traced_peak(run) -> int:
     """Peak bytes allocated while ``run()`` executes, as tracemalloc counts them."""
     tracemalloc.start()
@@ -399,3 +419,27 @@ def test_bath_read_out_memory(pipeline):
         peak = traced_peak(lambda: run_classical_input(layout, disorder, 2.0, bath, "U", times))
     populations = n * times.size * np.dtype(float).itemsize
     assert peak < 2 * populations, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("bath", BATHS)
+def test_superposed_read_out_memory(bath):
+    # The superposed switch walks both branches' blocks side by side. Across
+    # blocks it holds the n x T float populations of both branches (with a
+    # bath only), the (T, 4, 4) register stack and the O(T) series. At its
+    # peak, while the cross diagonal is formed, one block pair holds, in units
+    # of _BLOCK_BYTES (one complex n x width array): the first-block phase
+    # tables of both branches (2), their U blocks (2), their V U (2), the
+    # cross diagonal's row selection and its half, plus the previous block's
+    # (3), and both halved float site distributions (1). Two more cover the
+    # n x n eigenvector, rate and generator matrices (six of 0.3 at n = 198)
+    # and the series; one is margin. The whole-grid read-out peaked at 121.2
+    # MiB with the bath and 112.5 MiB without.
+    times = lindblad.time_grid(5000.0, 1.0)
+    layout = build_cnot_layout(200, 9)
+    disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
+    peak = traced_peak(lambda: run_superposed_input(layout, disorder, 2.0, BATHS[bath], times))
+    n = layout.path_length
+    populations = 0 if BATHS[bath] is None else 2 * n * times.size * np.dtype(float).itemsize
+    register = times.size * 16 * np.dtype(complex).itemsize
+    bound = populations + register + 13 * lindblad._BLOCK_BYTES
+    assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from support import brute_force_lindblad, integrate_populations, kernel_states
+from support import (
+    brute_force_lindblad,
+    integrate_populations,
+    kernel_states,
+    relax_energy_density,
+)
 
 from openchain.chains import (
     ChainSpec,
@@ -13,7 +18,6 @@ from openchain.lindblad import (
     DegenerateGapError,
     dissipative_transport_run,
     population_generator,
-    relax_energy_density,
     site_amplitudes,
     site_distribution,
     thermal_fixed_point,

@@ -9,12 +9,12 @@ deterministic.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import relax_energy_density
 
 from openchain.chains import ChainSpec, build_chain_hamiltonian, diagonalize, sample_disorder
 from openchain.feynman import build_cnot_layout, run_superposed_input
 from openchain.lindblad import (
     BathSpec,
-    relax_energy_density,
     site_distribution,
     thermal_fixed_point,
 )
