@@ -140,12 +140,8 @@ def build_chain_hamiltonian(spec: ChainSpec) -> HamiltonianOperator:
 
 def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:
     # deterministic convention: first significant component of each column > 0
-    for k in range(evecs.shape[1]):
-        col = evecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        idx = nz[0] if nz.size else 0
-        if col[idx] < 0:
-            evecs[:, k] = -col
+    first = np.argmax(np.abs(evecs) > 1e-12, axis=0)
+    evecs *= np.where(evecs[first, np.arange(evecs.shape[1])] < 0, -1.0, 1.0)
     return evecs
 
 

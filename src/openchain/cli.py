@@ -58,17 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config = _load(args.config)
         if args.command == "validate":
-            _load(args.config)
             print("config ok")
             return 0
         if args.command == "run":
-            config = _load(args.config)
             manifest = run_scenario(config, workers=args.workers)
-            print(f"wrote {len(manifest.outputs)} files to {config.output}")
-            return 0
-        config = _load(args.config)
-        manifest = sweep(config, args.vary, _parse_values(args.values), workers=args.workers)
+        else:
+            manifest = sweep(config, args.vary, _parse_values(args.values), workers=args.workers)
         print(f"wrote {len(manifest.outputs)} files to {config.output}")
         return 0
     except ConfigError as exc:

@@ -325,8 +325,8 @@ def run_superposed_input(
     computed once and feeds both its site distribution and the cross diagonal.
     Both branches have s - 2 levels, so their blocks span the same columns:
     each pair is traced (:func:`register_states`), diagonalized and projected
-    as one (columns, 4, 4) stack, and only the O(T) series, the register stack
-    kept as ``register`` and the populations P are held across blocks.
+    as one (columns, 4, 4) stack, and only the O(T) series and the register
+    stack kept as ``register`` are held across blocks.
     """
     up = BranchModel.build(layout, "U", disorder, g)
     down = BranchModel.build(layout, "D", disorder, g)

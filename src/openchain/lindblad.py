@@ -25,10 +25,11 @@ u u^H with u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A time grid is then
 the n x T populations P (exact matrix-exponential steps of the master
 equation) and amplitudes U, and its site distribution |V U|^2 + (V*V)(P - |U|^2)
 is two matrix products, one without a bath (:func:`site_distribution`; V is
-real, so V U is a real product). No dense n x n state is formed, and every
-pipeline reads this kernel one block at a time: the chain with or without a
-bath (:func:`pure_state_series`, also behind :mod:`openchain.unitary`) and
-both switch pipelines of :mod:`openchain.feynman`.
+real, so V U is a real product). No dense n x n state and no n x T array is
+formed: every pipeline reads this kernel one block at a time, in O(n x block)
+memory plus its O(T) outputs: the chain with or without a bath
+(:func:`pure_state_series`, also behind :mod:`openchain.unitary`) and both
+switch pipelines of :mod:`openchain.feynman`.
 
 The kernel takes uniform grids only (:func:`time_grid` builds them); any other
 grid raises ``ValueError``. :func:`energy_blocks` yields P and U in cache-sized
@@ -37,7 +38,8 @@ first block come from two tables of about sqrt(T) columns, exp(d k dt) and
 c exp(d (t_0 + j b dt)), multiplied by one broadcast product, instead of n T
 complex exponentials; every later block is that table times exp(d (t_start - t_0)).
 The populations take B matrix-vector steps of S = expm(A dt) and then one
-BLAS-3 product S^B P per block of B columns, once over the whole grid.
+BLAS-3 product S^B P per B columns, in the same block loop: each block starts
+from the last B columns of the one before it.
 """
 
 from __future__ import annotations
@@ -169,30 +171,33 @@ def _phases(d: np.ndarray, c: np.ndarray, t0: float, dt: float, size: int) -> np
     return out
 
 
-def _block_populations(gen: np.ndarray, p: np.ndarray, dt: float, size: int) -> np.ndarray:
-    """Populations on a uniform grid: B steps of S = expm(A dt), then P_next = S^B P per block.
+def _population_blocks(gen: np.ndarray, p: np.ndarray, dt: float, width: int, size: int):
+    """Populations on a uniform grid, one block of ``width`` >= B columns at a time.
 
-    A single point needs no S, and a grid of at most B columns no S^B. Entries
-    of S^B below the smallest normal float are set to zero: far off the band
-    they are subnormal, which slows every block product.
+    The first B columns take steps of S = expm(A dt); every later column i is
+    S^B times column i - B, one BLAS-3 product per B columns. Each block starts
+    from the last B columns of the block before it, so at most two blocks are
+    alive. Entries of S^B below the smallest normal float are set to zero: far
+    off the band they are subnormal, which slows every product.
     """
     block = 1 << _BLOCK_SQUARINGS
-    pops = np.empty((p.size, size))
-    pops[:, 0] = p
-    if size == 1:
-        return pops
     step = expm(gen * dt)
-    for i in range(1, min(block, size)):
+    pops = np.empty((p.size, block + min(width, size)))  # B carried columns, then the block
+    pops[:, block] = p
+    for i in range(block + 1, min(2 * block, pops.shape[1])):
         pops[:, i] = step @ pops[:, i - 1]
-    if size <= block:
-        return pops
     for _ in range(_BLOCK_SQUARINGS):
         step = step @ step
     step[np.abs(step) < np.finfo(float).tiny] = 0.0
-    for start in range(block, size, block):
-        stop = min(start + block, size)
-        pops[:, start:stop] = step @ pops[:, start - block : stop - block]
-    return pops
+    for start in range(0, size, width):
+        if start:
+            carried = np.empty((p.size, block + min(width, size - start)))
+            carried[:, :block] = pops[:, -block:]
+            pops = carried
+        for i in range(2 * block if start == 0 else block, pops.shape[1], block):
+            stop = min(i + block, pops.shape[1])
+            pops[:, i:stop] = step @ pops[:, i - block : stop - block]
+        yield pops[:, block:]
 
 
 def energy_blocks(
@@ -208,18 +213,19 @@ def energy_blocks(
     rounding); any other grid raises ``ValueError`` at the first block.
     U[m, i] = c_m exp(d_m t_i) with d = -i e - zeta G / 2, so the coherences at
     t_i are u u^H - diag|u|^2 with u = U[:, i]. A block spans as many grid
-    columns as fit one complex n x width array of about 1 MiB. The phase
-    tables are built once, for the first block; the block from column
-    ``start`` on is that table times exp(d (t_start - t_0)). P advances once
-    over the whole grid; without a bath (``None`` or zeta = 0) it is None: the
-    populations are |U|^2, so the coherence correction of
-    :func:`site_distribution` vanishes and is skipped.
+    columns as fit one complex n x width array of about 1 MiB, and at least
+    B = 32. The phase tables are built once, for the first block; the block
+    from column ``start`` on is that table times exp(d (t_start - t_0)). P
+    advances block by block, carrying the last B columns of each block into
+    the next, so at most two blocks of it are held; without a bath (``None``
+    or zeta = 0) it is None: the populations are |U|^2, so the coherence
+    correction of :func:`site_distribution` vanishes and is skipped.
     """
     e = np.asarray(eigenvalues, dtype=float)
     c = np.asarray(amplitudes, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _grid_step(t_grid)
-    width = max(1, _BLOCK_BYTES // (16 * e.size))
+    width = max(1 << _BLOCK_SQUARINGS, _BLOCK_BYTES // (16 * e.size))
     pops, d = None, -1j * e
     if bath is not None and bath.zeta != 0.0:
         rates = transition_rates(e, bath)
@@ -227,14 +233,14 @@ def energy_blocks(
         p = np.abs(c) ** 2
         if t_grid[0] > 0:
             p = expm(gen * t_grid[0]) @ p
-        pops = _block_populations(gen, p, dt, t_grid.size)
+        pops = _population_blocks(gen, p, dt, width, t_grid.size)
         d = d - 0.5 * bath.zeta * rates.widths
     first = _phases(d, c, t_grid[0], dt, min(width, t_grid.size))
     for start in range(0, t_grid.size, width):
         cols = slice(start, start + width)
         shift = np.exp(d * (t_grid[start] - t_grid[0]))
         amps = first if start == 0 else first[:, : t_grid[cols].size] * shift[:, None]
-        yield cols, None if pops is None else pops[:, cols], amps
+        yield cols, None if pops is None else next(pops), amps
 
 
 def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -275,8 +281,8 @@ def pure_state_series(
 
     ``amplitudes`` are the energy-basis amplitudes c, ``positions`` the
     coordinate of each eigenvector row and ``region`` 0-based rows (None leaves
-    ``p_region`` unset). Beyond P, only one block of U and of the site
-    distribution is held at a time.
+    ``p_region`` unset). Only one block of P, U and the site distribution is
+    held at a time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     blocks = [

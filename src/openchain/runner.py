@@ -122,10 +122,6 @@ def aggregate_columns(results: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
     return out
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _numeric_environment() -> dict:
     """Python, numpy, scipy and BLAS versions and the CPU count: the stack behind the bytes."""
     try:
@@ -175,6 +171,35 @@ def _disorder_provenance(config: ExperimentConfig, seeds: list[int]) -> list[lis
     ]
 
 
+def _write_outputs(
+    config: ExperimentConfig, tables: dict[str, dict[str, np.ndarray]], started: float, /, **fields
+) -> RunManifest:
+    """Write each table as a CSV in ``config.output``, then a manifest beside them.
+
+    ``fields`` are the :class:`RunManifest` fields that differ between a run and a sweep.
+
+    A non-finite value other than ``bell_fidelity``'s NaN raises
+    ``FloatingPointError`` before any file is written.
+    """
+    for name, cols in tables.items():
+        _require_finite(name, cols)
+    out_dir = Path(config.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs: dict[str, str] = {}
+    for name, cols in tables.items():
+        write_csv(out_dir / name, cols)
+        outputs[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    manifest = RunManifest(
+        version=__version__,
+        master_seed=config.seed,
+        wall_clock_s=time.perf_counter() - started,
+        outputs=outputs,
+        **fields,
+    )
+    manifest.write(out_dir / "manifest.json")
+    return manifest
+
+
 def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
     """Run an ensemble: one CSV per realization, an aggregate CSV, a JSON manifest.
 
@@ -186,27 +211,12 @@ def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
     results = _run_jobs([(config, seed) for seed in seeds], workers)
     tables = {f"{config.scenario}_r{r:03d}.csv": cols for r, cols in enumerate(results)}
     for name, cols in tables.items():
-        _require_finite(name, cols)
-    agg_name = f"{config.scenario}_aggregate.csv"
-    tables[agg_name] = aggregate_columns(results)
-    _require_finite(agg_name, tables[agg_name])
-    out_dir = Path(config.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: dict[str, str] = {}
-    for name, cols in tables.items():
-        write_csv(out_dir / name, cols)
-        outputs[name] = _sha256(out_dir / name)
-    manifest = RunManifest(
-        config=config.to_dict(),
-        version=__version__,
-        master_seed=config.seed,
-        realization_seeds=seeds,
-        wall_clock_s=time.perf_counter() - started,
-        outputs=outputs,
-        disorder=_disorder_provenance(config, seeds),
+        _require_finite(name, cols)  # before aggregating: quantiles of mixed infinities warn
+    tables[f"{config.scenario}_aggregate.csv"] = aggregate_columns(results)
+    disorder = _disorder_provenance(config, seeds)
+    return _write_outputs(
+        config, tables, started, config=config.to_dict(), realization_seeds=seeds, disorder=disorder
     )
-    manifest.write(out_dir / "manifest.json")
-    return manifest
 
 
 def sweep(
@@ -256,18 +266,6 @@ def sweep(
                 row[name] = float(np.mean([r[name][-1] for r in ensemble]))
         rows.append(row)
     table = {k: np.array([row[k] for row in rows]) for k in rows[0]}
+    settings = {**config.to_dict(), "vary": vary, "values": list(values)}
     name = f"{config.scenario}_sweep_{vary}.csv"
-    _require_finite(name, table)
-    out_dir = Path(config.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / name, table)
-    manifest = RunManifest(
-        config={**config.to_dict(), "vary": vary, "values": list(values)},
-        version=__version__,
-        master_seed=config.seed,
-        realization_seeds=seeds,
-        wall_clock_s=time.perf_counter() - started,
-        outputs={name: _sha256(out_dir / name)},
-    )
-    manifest.write(out_dir / "manifest.json")
-    return manifest
+    return _write_outputs(config, {name: table}, started, config=settings, realization_seeds=seeds)

@@ -78,8 +78,9 @@ class ObservableSeries:
         """Moments of a (sites x T) distribution; ``region`` (0-based rows) may be None."""
         x = np.asarray(positions, dtype=float)
         mean = x @ prob
+        y = x - mean[0]  # about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision
         p_region = None if region is None else prob[region].sum(axis=0)
-        return cls(times, mean, (x**2) @ prob - mean**2, p_region)
+        return cls(times, mean, (y**2) @ prob - (y @ prob) ** 2, p_region)
 
     def columns(self, p_label: str = "p_region") -> dict[str, np.ndarray]:
         cols = {"t": self.times, "mean_Q": self.mean_q, "var_Q": self.var_q}

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from support import dense_hamiltonian
 
 from openchain.chains import (
     ChainSpec,
     HamiltonianOperator,
+    _fix_eigenvector_signs,
     build_chain_hamiltonian,
     build_free_chain,
     diagonalize,
@@ -138,6 +140,22 @@ class TestDiagonalize:
         h = build_chain_hamiltonian(ChainSpec(40, 0.7, 1.5, seed=6))
         eig = diagonalize(h)
         assert abs(eig.eigenvalues.sum() - h.diagonal.sum()) < 1e-9
+
+    @pytest.mark.parametrize("s", [50, 400])
+    def test_sign_convention_matches_column_loop(self, s):
+        # the vectorised sign fix against the per-column rule it replaced; the
+        # tilted eigenvectors have many components below 1e-12, and the last
+        # column none above it (its sign is then set by the first component)
+        h = build_chain_hamiltonian(ChainSpec(s, 0.5, 2.0, seed=0))
+        _, raw = eigh_tridiagonal(h.diagonal, h.hopping)
+        raw[:, -1] = np.where(np.arange(s) % 2, 1e-13, -1e-13)
+        expected = raw.copy()
+        for k in range(s):
+            col = expected[:, k]
+            nz = np.flatnonzero(np.abs(col) > 1e-12)
+            if col[nz[0] if nz.size else 0] < 0:
+                expected[:, k] = -col
+        assert np.array_equal(_fix_eigenvector_signs(raw), expected)
 
     def test_tilted_ensemble_gap_ladder(self):
         # for g >= 1 and sigma <= 0.5 the spectrum is a near-uniform ladder

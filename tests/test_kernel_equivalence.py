@@ -11,22 +11,23 @@ grid of several blocks that ends in a partial one.
 The kernel (two sqrt(T) phase tables, populations in blocks of 32 columns) is
 held to the direct formula of ``support.direct_relax_energy_density`` at
 s = 200, on grids whose last phase table and last population block are both
-partial, and on short grids of 1, 2 and 15 points; a grid with one perturbed
-point must be rejected. On the grid 0 .. 1e4 in steps of 0.1, whose float
-steps differ by about 1e-12 beyond t = 4096, the kernel and the closed chain
-must match their references to 1e-10 * max(1, max|column|). At s = 400, where
-the kernel sets thousands of subnormal entries of S^32 to zero, the populations
-must still match the direct formula. Every pipeline's later cache blocks are
-the first block's table times exp(d (t_start - t_0)): at s = 200, over 31
-blocks, the first and last column of each must match dense ``eigh`` (closed
-chain), the direct formula (with a bath, where the shift carries the decay)
-or the dense states of both switch branches and their cross block (the
-superposed switch, with and without a bath) to the same 1e-10. The bath
-pipelines read out one cache block at a time: at s = 200 on 5001 columns
-their traced peak allocation stays below twice the n x T float populations.
-The superposed switch walks the blocks of both branches side by side: its
-traced peak stays below both branches' populations, its (T, 4, 4) register
-stack and a counted number of blocks.
+partial and whose last cache block is narrower than 32 columns (its
+populations come from a slice of the carried ones), and on short grids of
+1, 2 and 15 points; a grid with one perturbed point must be rejected. On the
+grid 0 .. 1e4 in steps of 0.1, whose float steps differ by about 1e-12 beyond
+t = 4096, the kernel and the closed chain must match their references to
+1e-10 * max(1, max|column|). At s = 400, where the kernel sets thousands of
+subnormal entries of S^32 to zero, the populations must still match the direct
+formula. Every pipeline's later cache blocks are the first block's table times
+exp(d (t_start - t_0)): at s = 200, over 31 blocks, the first and last column
+of each must match dense ``eigh`` (closed chain), the direct formula (with a
+bath, where the shift carries the decay) or the dense states of both switch
+branches and their cross block (the superposed switch, with and without a
+bath) to the same 1e-10. Every pipeline reads out one cache block at a time,
+populations included: at s = 200 on 5001 columns the traced peak allocation of
+the bath pipelines and of the superposed switch (which walks the blocks of
+both branches side by side) stays below a counted number of blocks plus the
+O(T) series and, for the switch, its (T, 4, 4) register stack.
 """
 
 import math
@@ -192,10 +193,14 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini")
 
 
 def test_fast_grids_end_in_partial_blocks():
+    width = lindblad._BLOCK_BYTES // (16 * 200)  # cache-block columns at s = 200
     for grid in FAST_GRIDS.values():
         assert lindblad._grid_step(grid) == 1.0
         assert grid.size % (math.isqrt(grid.size - 1) + 1)
         assert grid.size % (1 << lindblad._BLOCK_SQUARINGS)
+        # the last cache block is narrower than one population block: its
+        # populations come from a slice of the carried columns
+        assert grid.size > width and 0 < grid.size % width < 1 << lindblad._BLOCK_SQUARINGS
     with pytest.raises(ValueError, match="uniform"):
         lindblad._grid_step(PERTURBED)
 
@@ -403,43 +408,51 @@ def traced_peak(run) -> int:
 
 @pytest.mark.parametrize("pipeline", ["transport", "classical"])
 def test_bath_read_out_memory(pipeline):
-    # The bath pipelines hold the n x T populations and one cache block of the
-    # read-out at a time, not the whole grid's amplitudes and site distribution:
-    # the traced peak stays below twice the float populations (15.3 MiB at n = 200).
+    # The bath pipelines hold one cache block of populations, amplitudes and
+    # site distribution at a time, never a whole-grid array. At the peak, while
+    # the coherence correction is formed, they hold in units of _BLOCK_BYTES
+    # (one complex n x width array): the first-block phase table and the U
+    # block (2), the float site distribution and the correction's two float
+    # temporaries (1.5), the P block read out and, while the next is filled,
+    # the one before (1), and the n x n eigenvector, rate, generator, S^32 and
+    # V*V matrices (1.5: five of 0.3 at n = 200); one is margin. On top come
+    # the O(T) series: the grid, the per-block moments and their joined
+    # columns. The whole-grid populations peaked at 12.5 MiB here.
     times = lindblad.time_grid(5000.0, 1.0)
     bath = BATHS["bath"]
     if pipeline == "transport":
         h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
         psi0 = PureState.site(200, 1).amplitudes
-        n, peak = 200, traced_peak(lambda: dissipative_transport_run(h, bath, psi0, times))
+        peak = traced_peak(lambda: dissipative_transport_run(h, bath, psi0, times))
     else:
         layout = build_cnot_layout(200, 9)
         disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
-        n = layout.path_length
         peak = traced_peak(lambda: run_classical_input(layout, disorder, 2.0, bath, "U", times))
-    populations = n * times.size * np.dtype(float).itemsize
-    assert peak < 2 * populations, f"traced peak {peak / 2**20:.1f} MiB"
+    series = 7 * times.size * np.dtype(float).itemsize
+    bound = series + 7 * lindblad._BLOCK_BYTES
+    assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("bath", BATHS)
 def test_superposed_read_out_memory(bath):
     # The superposed switch walks both branches' blocks side by side. Across
-    # blocks it holds the n x T float populations of both branches (with a
-    # bath only), the (T, 4, 4) register stack and the O(T) series. At its
-    # peak, while the cross diagonal is formed, one block pair holds, in units
-    # of _BLOCK_BYTES (one complex n x width array): the first-block phase
-    # tables of both branches (2), their U blocks (2), their V U (2), the
-    # cross diagonal's row selection and its half, plus the previous block's
-    # (3), and both halved float site distributions (1). Two more cover the
-    # n x n eigenvector, rate and generator matrices (six of 0.3 at n = 198)
-    # and the series; one is margin. The whole-grid read-out peaked at 121.2
-    # MiB with the bath and 112.5 MiB without.
+    # blocks it holds the (T, 4, 4) register stack and six O(T) series (the
+    # grid and five columns). At its peak, while the cross diagonal is formed,
+    # one block pair holds, in units of _BLOCK_BYTES (one complex n x width
+    # array): the first-block phase tables of both branches (2), their U
+    # blocks (2), their V U (2), the cross diagonal's row selection and its
+    # half, plus the previous block's (3), and both halved float site
+    # distributions (1). One covers both eigenvector matrices, one is margin.
+    # A bath adds each branch's P block and, while the next is filled, the one
+    # before (2), and both branches' rate, generator and S^32 matrices (1: six
+    # of 0.3 at n = 198). The whole-grid populations peaked at 28.4 MiB with
+    # the bath.
     times = lindblad.time_grid(5000.0, 1.0)
     layout = build_cnot_layout(200, 9)
     disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
     peak = traced_peak(lambda: run_superposed_input(layout, disorder, 2.0, BATHS[bath], times))
-    n = layout.path_length
-    populations = 0 if BATHS[bath] is None else 2 * n * times.size * np.dtype(float).itemsize
+    series = 6 * times.size * np.dtype(float).itemsize
     register = times.size * 16 * np.dtype(complex).itemsize
-    bound = populations + register + 13 * lindblad._BLOCK_BYTES
+    blocks = 12 if BATHS[bath] is None else 15
+    bound = series + register + blocks * lindblad._BLOCK_BYTES
     assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"

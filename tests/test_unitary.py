@@ -164,6 +164,22 @@ class TestObservableSeries:
                 np.sum(np.abs(psi[8:]) ** 2), abs=1e-10
             )
 
+    def test_variance_far_from_origin(self):
+        # near x = 2000, <x^2> - <x>^2 about the origin cancels about s^2 of
+        # precision and came out below -1e-9 for these starts; the central form
+        # sum (x - <x>)^2 p is the reference
+        s = 2000
+        eig = diagonalize(build_chain_hamiltonian(ChainSpec(s, 0.0, 2.0, seed=0)))
+        grid = np.linspace(0.0, 10.0, 21)
+        x = np.arange(1, s + 1)[:, None]
+        phases = np.exp(-1j * np.outer(eig.eigenvalues, grid))
+        for start in (1988, 1994, 1998):
+            series = unitary_observable_series(eig, PureState.site(s, start), grid)
+            psi = eig.eigenvectors @ (eig.eigenvectors[start - 1][:, None] * phases)
+            prob = np.abs(psi) ** 2
+            var = np.sum((x - x.T @ prob) ** 2 * prob, axis=0)
+            assert np.max(np.abs(series.var_q - var)) <= 1e-10, start
+
     def test_site_probabilities_normalized(self):
         series = unitary_observable_series(
             free_eigensystem(6), PureState.site(6, 1), np.linspace(0, 5, 11), range(1, 7)
