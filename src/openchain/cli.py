@@ -1,8 +1,8 @@
 """Command-line interface: run, sweep, and validate experiment configs.
 
 Exit codes: 0 success, 2 invalid config or usage, 3 numeric failure. The
-environment variable ``OPENCHAIN_SEED`` overrides the master seed of any
-config it is run with.
+environment variable ``OPENCHAIN_SEED`` (a non-negative integer) overrides
+the master seed of any config it is run with.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ def _load(path: str):
     config = load_config(path)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
+        if not env_seed.strip().isdecimal():
+            raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env_seed!r}")
         config = dataclasses.replace(config, seed=int(env_seed))
     return config
 

@@ -129,8 +129,9 @@ class ExperimentConfig:
 _NUMBERS = {"s": int, "sigma": float, "g": float, "seed": int, "beta": float, "zeta": float,
             "a": int, "t_max": float, "dt": float, "ensemble_size": int}
 #: lower bound of a numeric field and whether the field may equal it
-_LOWER_BOUNDS = {"s": (2, True), "sigma": (0, True), "g": (0, True), "dt": (0, False),
-                 "ensemble_size": (1, True), "beta": (0, False), "zeta": (0, True)}
+_LOWER_BOUNDS = {"s": (2, True), "sigma": (0, True), "g": (0, True), "seed": (0, True),
+                 "dt": (0, False), "ensemble_size": (1, True), "beta": (0, False),
+                 "zeta": (0, True)}
 
 
 def _parse_number(raw: dict, key: str, kind, violations: list[str]):

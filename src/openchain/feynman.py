@@ -35,7 +35,7 @@ only where the two branches traverse the same physical site (1..a and b..s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -89,31 +89,12 @@ def build_cnot_layout(s: int, a: int) -> CircuitLayout:
     return CircuitLayout(s, a)
 
 
-@dataclass(frozen=True)
-class PathCoordinateMap:
-    """Physical site x(j) visited at each path coordinate j = 1..s-2, per branch."""
-
-    up: np.ndarray
-    down: np.ndarray
-
-    def sites(self, branch: Branch) -> np.ndarray:
-        return self.up if branch == "U" else self.down
-
-    @property
-    def shared(self) -> np.ndarray:
-        """0-based path coordinates where both branches sit on the same site."""
-        return np.flatnonzero(self.up == self.down)
-
-
-def coordinate_map(layout: CircuitLayout) -> PathCoordinateMap:
-    a, n = layout.a, layout.path_length
-    j = np.arange(1, n + 1)
-    up = np.where(j <= a + 2, j, j + 2)
-    down = j.copy()
-    down[j == a + 1] = a + 3
-    down[j == a + 2] = a + 4
-    down[j >= a + 3] = j[j >= a + 3] + 2
-    return PathCoordinateMap(up, down)
+def _path_sites(layout: CircuitLayout, branch: Branch) -> np.ndarray:
+    """Physical site x(j) at path coordinate j = 1..s-2: j up to a+2 (U) or a (D), then j+2."""
+    if branch not in ("U", "D"):
+        raise ValueError(f"branch must be U or D, got {branch!r}")
+    j = np.arange(1, layout.path_length + 1)
+    return np.where(j <= (layout.a + 2 if branch == "U" else layout.a), j, j + 2)
 
 
 @dataclass(frozen=True)
@@ -139,12 +120,12 @@ def peres_basis(
     """
     c, p = input_register
     register_index(input_register)  # validates the label
+    sites = _path_sites(layout, branch)  # validates the branch
     if (branch == "U") != (c == +1):
         raise ValueError(
             f"branch {branch} requires control {'+1' if branch == 'U' else '-1'}, "
             f"got sigma3(c) = {c}"
         )
-    maps = coordinate_map(layout)
     n = layout.path_length
     if branch == "U":
         registers = tuple(
@@ -152,7 +133,7 @@ def peres_basis(
         )
     else:
         registers = tuple((c, p) for _ in range(n))
-    return PeresBasis(branch, maps.sites(branch), registers)
+    return PeresBasis(branch, sites, registers)
 
 
 def reduced_chain_hamiltonian(
@@ -166,7 +147,7 @@ def reduced_chain_hamiltonian(
         raise ValueError(
             f"disorder has {len(disorder)} entries, layout has {layout.s} sites"
         )
-    sites = coordinate_map(layout).sites(branch)
+    sites = _path_sites(layout, branch)
     j = np.arange(1, layout.path_length + 1, dtype=float)
     diag = disorder.epsilons[sites - 1] - g * j
     return HamiltonianOperator(diag, -0.5 * np.ones(layout.path_length - 1))
@@ -179,10 +160,8 @@ def reduced_chain_hamiltonian(
 
 @dataclass
 class BranchModel:
-    """Everything needed to evolve one branch: basis and reduced spectrum."""
+    """One branch: its computational basis (whose ``sites`` are the geometry) and spectrum."""
 
-    layout: CircuitLayout
-    branch: Branch
     basis: PeresBasis
     eig: EigenSystem
 
@@ -197,11 +176,7 @@ class BranchModel:
         """The branch for its own control value (+1 up, -1 down) and passive qubit -1."""
         basis = peres_basis(layout, branch, (+1 if branch == "U" else -1, -1))
         h = reduced_chain_hamiltonian(layout, branch, disorder, g)
-        return cls(layout, branch, basis, diagonalize(h))
-
-    def beyond_gate_coordinates(self) -> np.ndarray:
-        """0-based path coordinates whose physical site is >= b."""
-        return np.flatnonzero(self.basis.sites >= self.layout.b)
+        return cls(basis, diagonalize(h))
 
 
 def run_classical_input(
@@ -219,9 +194,10 @@ def run_classical_input(
     observables are reported in physical-site coordinates.
     """
     model = BranchModel.build(layout, branch, disorder, g)
+    sites = model.basis.sites
     start = model.eig.eigenvectors[0]
     return pure_state_series(
-        model.eig, bath, start, t_grid, model.basis.sites, model.beyond_gate_coordinates()
+        model.eig, bath, start, t_grid, sites, np.flatnonzero(sites >= layout.b)
     )
 
 
@@ -229,31 +205,23 @@ def register_states(
     pops_up: np.ndarray,
     pops_down: np.ndarray,
     cross: np.ndarray,
-    maps: PathCoordinateMap,
     bases: tuple[PeresBasis, PeresBasis],
-    region: Iterable[int] | None = None,
 ) -> np.ndarray:
     """Cursor traced out (physical-site basis) at every time -> (T, 4, 4) register states.
 
     ``pops_up``/``pops_down`` are the (T, n) path-coordinate populations of the
-    diagonal blocks and ``cross`` the (T, len(maps.shared)) diagonal of the
-    cross block on the shared coordinates: the cross block contributes only on
-    sites traversed by both branches. Each entry is summed into its register
-    index by a product with a one-hot matrix. With ``region`` (a set of
-    physical sites) the trace is restricted to those sites and the states are
-    unnormalized: their trace is the probability of the cursor being there.
+    diagonal blocks and ``cross`` the (T, n) diagonal of the cross block on
+    every path coordinate; it contributes only where the two bases' ``sites``
+    agree (both branches on the same physical site). Each entry is summed into
+    its register index by a product with a one-hot matrix. Inputs zeroed off
+    some coordinates give the unnormalized state restricted to the rest.
     """
     idx_up, idx_down = bases[0].register_indices(), bases[1].register_indices()
-    shared = maps.shared
-    if region is not None:
-        sites = list(set(region))
-        pops_up = pops_up * np.isin(maps.up, sites)
-        pops_down = pops_down * np.isin(maps.down, sites)
-        cross = cross * np.isin(maps.up[shared], sites)
+    shared = np.flatnonzero(bases[0].sites == bases[1].sites)
     rho = np.zeros((pops_up.shape[0], 4, 4), dtype=complex)
     diag = pops_up @ np.eye(4)[idx_up] + pops_down @ np.eye(4)[idx_down]
     rho[:, np.arange(4), np.arange(4)] = diag
-    off = (cross @ np.eye(16)[4 * idx_up[shared] + idx_down[shared]]).reshape(-1, 4, 4)
+    off = (cross[:, shared] @ np.eye(16)[4 * idx_up[shared] + idx_down[shared]]).reshape(-1, 4, 4)
     return rho + off + np.conj(np.swapaxes(off, 1, 2))
 
 
@@ -321,19 +289,18 @@ def run_superposed_input(
     :func:`energy_blocks` of branch B from path coordinate 1, each diagonal
     block is half its branch run and the cross block is rank one,
     rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal 1/2 (V_U U_U)_j
-    conj((V_D U_D)_j) on the shared coordinates j; each branch's V U is
-    computed once and feeds both its site distribution and the cross diagonal.
-    Both branches have s - 2 levels, so their blocks span the same columns:
-    each pair is traced (:func:`register_states`), diagonalized and projected
-    as one (columns, 4, 4) stack, and only the O(T) series and the register
-    stack kept as ``register`` are held across blocks.
+    conj((V_D U_D)_j); each branch's V U feeds both its site distribution
+    and the cross diagonal. Both branches have s - 2 levels, so their blocks
+    span the same columns: each pair is traced (:func:`register_states`) once
+    whole and once past the gate (``sites`` >= b, the same coordinates on both
+    branches), the latter normalized by ``p_beyond_gate``. Only the O(T)
+    series and ``register`` are held across blocks.
     """
     up = BranchModel.build(layout, "U", disorder, g)
     down = BranchModel.build(layout, "D", disorder, g)
     t_grid = np.asarray(t_grid, dtype=float)
-    maps = coordinate_map(layout)
     bases = (up.basis, down.basis)
-    beyond_u, beyond_d = up.beyond_gate_coordinates(), down.beyond_gate_coordinates()
+    beyond = up.basis.sites >= layout.b
     vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
     trace_uu, trace_dd, p_beyond, entropy = (np.empty(t_grid.size) for _ in range(4))
     fidelity = np.full(t_grid.size, np.nan)
@@ -347,18 +314,16 @@ def run_superposed_input(
         sites_u = 0.5 * site_distribution(vu, pop_u, amp_u, w_u).T  # (columns, n)
         sites_d = 0.5 * site_distribution(vd, pop_d, amp_d, w_d).T
         w_u *= np.conj(w_d)  # in place: the cross diagonal on every coordinate
-        cross = 0.5 * w_u[maps.shared].T
+        cross = 0.5 * w_u.T
         del w_u, w_d
         if pop_u is None:  # no bath: the populations are |U|^2
             pop_u, pop_d = np.abs(amp_u) ** 2, np.abs(amp_d) ** 2
         trace_uu[cols], trace_dd[cols] = 0.5 * pop_u.sum(axis=0), 0.5 * pop_d.sum(axis=0)
-        p_beyond[cols] = sites_u[:, beyond_u].sum(axis=1) + sites_d[:, beyond_d].sum(axis=1)
-        register[cols] = register_states(sites_u, sites_d, cross, maps, bases)
+        weight = sites_u[:, beyond].sum(axis=1) + sites_d[:, beyond].sum(axis=1)
+        p_beyond[cols] = weight
+        register[cols] = register_states(sites_u, sites_d, cross, bases)
         entropy[cols] = von_neumann_entropy(register[cols])
-        cond = register_states(
-            sites_u, sites_d, cross, maps, bases, region=range(layout.b, layout.s + 1)
-        )
-        weight = np.real(np.trace(cond, axis1=1, axis2=2))
+        cond = register_states(sites_u * beyond, sites_d * beyond, cross * beyond, bases)
         passed = weight > 1e-12
         fidelity[cols][passed] = bell_fidelity(cond[passed] / weight[passed, None, None])
     return SwitchSeries(t_grid, trace_uu, trace_dd, p_beyond, entropy, fidelity, register)

@@ -5,7 +5,8 @@ definitions (full product-space Hamiltonian, dense closed-chain propagation,
 brute-force master-equation integration, dense per-time-point density
 matrices on plain ndarrays) so they
 share no code path with the package implementations they check; they take
-only the model inputs (spectrum, rates, branch geometry) from the package.
+only the model inputs (spectrum, rates) from the package. The branch geometry
+is written out here from the switch diagram (:func:`branch_sites`).
 The helpers under "kernel states" join the package's own pure-state kernel
 blocks over a whole grid and assemble dense matrices from them, for invariant
 checks of what the pipelines compute.
@@ -20,7 +21,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from openchain.chains import DisorderRealization, HamiltonianOperator, diagonalize
-from openchain.feynman import BranchModel, CircuitLayout, PeresBasis, coordinate_map
+from openchain.feynman import BranchModel, CircuitLayout, PeresBasis
 from openchain.lindblad import BathSpec, energy_blocks, transition_rates
 
 
@@ -38,6 +39,13 @@ def dense_hamiltonian(h: HamiltonianOperator) -> np.ndarray:
     if h.dim > 1:
         m += np.diag(h.hopping, 1) + np.diag(h.hopping, -1)
     return m
+
+
+def branch_sites(layout: CircuitLayout, branch: str) -> np.ndarray:
+    """Physical site at each path coordinate: 1..a, the branch's two switch sites, b..s."""
+    a, b, s = layout.a, layout.b, layout.s
+    middle = {"U": [a + 1, a + 2], "D": [a + 3, a + 4]}[branch]
+    return np.array(list(range(1, a + 1)) + middle + list(range(b, s + 1)))
 
 
 # register basis order (sigma3(c), sigma3(p)): (-1,-1), (-1,+1), (+1,-1), (+1,+1)
@@ -305,8 +313,9 @@ def dense_classical_columns(
     model = BranchModel.build(layout, branch, disorder, g)
     v = model.eig.eigenvectors
     rho0 = np.outer(v[0], v[0])
-    x = model.basis.sites.astype(float)
-    beyond = model.beyond_gate_coordinates()
+    sites = branch_sites(layout, branch)
+    x = sites.astype(float)
+    beyond = sites >= layout.b
     rows = []
     for state in _dense_states(model.eig, bath, rho0, t_grid):
         prob = np.real(np.diag(v @ state @ v.T))
@@ -314,16 +323,17 @@ def dense_classical_columns(
     return dict(zip(("mean_Q", "var_Q", "p_region"), np.array(rows).T))
 
 
-def loop_register_state(uu, dd, ud, maps, idx_up, idx_down, sites=None) -> np.ndarray:
+def loop_register_state(uu, dd, ud, layout, idx_up, idx_down, sites=None) -> np.ndarray:
     """Cursor traced out entry by entry from site-basis blocks -> 4x4 register state."""
+    up, down = branch_sites(layout, "U"), branch_sites(layout, "D")
     rho = np.zeros((4, 4), dtype=complex)
     for j in range(uu.shape[0]):
-        if sites is None or maps.up[j] in sites:
+        if sites is None or up[j] in sites:
             rho[idx_up[j], idx_up[j]] += uu[j, j].real
-        if sites is None or maps.down[j] in sites:
+        if sites is None or down[j] in sites:
             rho[idx_down[j], idx_down[j]] += dd[j, j].real
-    for j in maps.shared:
-        if sites is None or maps.up[j] in sites:
+    for j in range(uu.shape[0]):
+        if up[j] == down[j] and (sites is None or up[j] in sites):
             rho[idx_up[j], idx_down[j]] += ud[j, j]
             rho[idx_down[j], idx_up[j]] += np.conj(ud[j, j])
     return rho
@@ -339,7 +349,8 @@ def dense_superposed_columns(
     """Every SwitchSeries column from dense blocks rotated one time point at a time."""
     up = BranchModel.build(layout, "U", disorder, g)
     down = BranchModel.build(layout, "D", disorder, g)
-    maps = coordinate_map(layout)
+    beyond_u = branch_sites(layout, "U") >= layout.b
+    beyond_d = branch_sites(layout, "D") >= layout.b
     vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
     idx_up, idx_down = up.basis.register_indices(), down.basis.register_indices()
     uu_states = _dense_states(up.eig, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
@@ -358,12 +369,11 @@ def dense_superposed_columns(
         dd = vd @ dd_e @ vd.T
         ud = vu @ (ud0 * np.exp(cross_decay * t)) @ vd.T
         p_beyond = (
-            np.real(np.diag(uu))[up.beyond_gate_coordinates()].sum()
-            + np.real(np.diag(dd))[down.beyond_gate_coordinates()].sum()
+            np.real(np.diag(uu))[beyond_u].sum() + np.real(np.diag(dd))[beyond_d].sum()
         )
-        lam = np.linalg.eigvalsh(loop_register_state(uu, dd, ud, maps, idx_up, idx_down))
+        lam = np.linalg.eigvalsh(loop_register_state(uu, dd, ud, layout, idx_up, idx_down))
         lam = lam[lam > 1e-15]
-        cond = loop_register_state(uu, dd, ud, maps, idx_up, idx_down, region)
+        cond = loop_register_state(uu, dd, ud, layout, idx_up, idx_down, region)
         weight = np.trace(cond).real
         fidelity = np.real(phi @ cond @ phi) / weight if weight > 1e-12 else np.nan
         traces = (np.trace(uu_e).real, np.trace(dd_e).real)

@@ -29,7 +29,6 @@ from openchain.chains import (
 from openchain.feynman import (
     BranchModel,
     build_cnot_layout,
-    coordinate_map,
     peres_basis,
     reduced_chain_hamiltonian,
     register_index,
@@ -280,7 +279,6 @@ def test_criterion_10_full_space_oracle_equivalence():
         disorder = sample_disorder(ChainSpec(8, 0.5, 0.0, seed=7))
         g = 2.0
         h_full = full_switch_hamiltonian(layout, disorder, g)
-        maps = coordinate_map(layout)
         grid = np.linspace(0.0, 50.0, 101)
 
         reg0 = np.zeros(4)
@@ -289,9 +287,9 @@ def test_criterion_10_full_space_oracle_equivalence():
         series = run_superposed_input(layout, disorder, g, None, grid)
         # mean_Q of the reduced model: half of each branch's kernel distribution
         mean_red = np.zeros(grid.size)
-        for branch, sites in (("U", maps.up), ("D", maps.down)):
+        for branch in "UD":
             model = BranchModel.build(layout, branch, disorder, g)
-            mean_red += 0.5 * (sites @ branch_distribution(model, None, grid))
+            mean_red += 0.5 * (model.basis.sites @ branch_distribution(model, None, grid))
         worst_q = worst_reg = worst_p = 0.0
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)

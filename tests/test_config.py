@@ -117,6 +117,13 @@ dt = 0
             validate_config(text)
         assert any(v.startswith("a:") for v in err.value.violations)
 
+    def test_negative_seed(self):
+        # numpy's SeedSequence rejects a negative entropy only once the run starts
+        assert validate_config("[experiment]\nscenario = ballistic\nseed = 0\n").seed == 0
+        with pytest.raises(ConfigError) as err:
+            validate_config("[experiment]\nscenario = ballistic\nseed = -1\n")
+        assert err.value.violations == ["seed: must be >= 0, got -1"]
+
     def test_bath_must_come_together(self):
         text = "[experiment]\nscenario = cnot-classical\n[bath]\nbeta = 1.0\n"
         with pytest.raises(ConfigError) as err:

@@ -17,7 +17,6 @@ from openchain.feynman import (
     PeresBasis,
     bell_fidelity,
     build_cnot_layout,
-    coordinate_map,
     peres_basis,
     reduced_chain_hamiltonian,
     register_index,
@@ -75,17 +74,20 @@ class TestLayout:
 class TestCoordinateMap:
     def test_images_and_overlap(self):
         layout = build_cnot_layout(22, 9)
-        maps = coordinate_map(layout)
-        a, b, s = layout.a, layout.b, layout.s
-        assert list(maps.up) == list(range(1, a + 3)) + list(range(b, s + 1))
-        assert list(maps.down) == list(range(1, a + 1)) + [a + 3, a + 4] + list(
-            range(b, s + 1)
-        )
+        up = peres_basis(layout, "U", (+1, -1)).sites
+        down = peres_basis(layout, "D", (-1, -1)).sites
+        # a = 9, b = 14, s = 22: the upper branch detours over 10, 11, the lower over 12, 13
+        assert list(up) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20, 21, 22]
+        assert list(down) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22]
         # both injective, overlapping exactly on the inertial stretches
-        assert len(set(maps.up)) == layout.path_length
-        assert len(set(maps.down)) == layout.path_length
-        overlap = set(maps.up) & set(maps.down)
-        assert overlap == set(range(1, a + 1)) | set(range(b, s + 1))
+        assert len(set(up)) == len(set(down)) == layout.path_length
+        assert sorted(set(up) & set(down)) == [
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 15, 16, 17, 18, 19, 20, 21, 22
+        ]
+        # on the same path coordinates (0-based), so the cross block pairs them there
+        assert [j for j in range(20) if up[j] == down[j]] == [
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 17, 18, 19
+        ]
 
 
 class TestPeresBasis:
@@ -115,6 +117,10 @@ class TestPeresBasis:
             peres_basis(layout, "U", (-1, -1))
         with pytest.raises(ValueError):
             peres_basis(layout, "D", (+1, -1))
+        # any other branch name is rejected, not read as the lower branch
+        for branch in ("X", "u", "d", ""):
+            with pytest.raises(ValueError, match="branch must be U or D"):
+                peres_basis(layout, branch, (-1, -1))
 
     def test_register_index_order(self):
         assert [register_index(r) for r in [(-1, -1), (-1, 1), (1, -1), (1, 1)]] == [
@@ -157,7 +163,7 @@ class TestReducedHamiltonian:
         layout = build_cnot_layout(22, 9)
         disorder = disorder_for(22, 0.5, 2)
         h = reduced_chain_hamiltonian(layout, "D", disorder, 2.0)
-        sites = coordinate_map(layout).down
+        sites = peres_basis(layout, "D", (-1, -1)).sites
         eps = disorder.epsilons[sites - 1]
         steps = np.diff(h.diagonal - eps)
         assert np.allclose(steps, -2.0, atol=1e-12)
@@ -348,12 +354,11 @@ class TestRegisterReduction:
         # no cross block and half the population at each branch end: the
         # register is the 50/50 mixture of the two outcomes
         layout = build_cnot_layout(22, 9)
-        maps = coordinate_map(layout)
         bases = (peres_basis(layout, "U", (+1, -1)), peres_basis(layout, "D", (-1, -1)))
         end = np.zeros((1, layout.path_length))
         end[0, -1] = 0.5
-        cross = np.zeros((1, maps.shared.size), complex)
-        rho = register_states(end, end, cross, maps, bases)[0]
+        cross = np.zeros((1, layout.path_length), complex)
+        rho = register_states(end, end, cross, bases)[0]
         expected = np.zeros((4, 4))
         expected[register_index((+1, +1)), register_index((+1, +1))] = 0.5
         expected[register_index((-1, -1)), register_index((-1, -1))] = 0.5
@@ -394,7 +399,6 @@ class TestFullSpaceOracle:
         disorder = disorder_for(8, 0.5, 7)
         g = 2.0
         h_full = full_switch_hamiltonian(layout, disorder, g)
-        maps = coordinate_map(layout)
         grid = np.linspace(0.0, 50.0, 101)
 
         # superposed control

@@ -9,10 +9,21 @@ deterministic.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import relax_energy_density
+from support import (
+    evolve_full,
+    full_space_observables,
+    full_space_state,
+    full_switch_hamiltonian,
+    relax_energy_density,
+)
 
 from openchain.chains import ChainSpec, build_chain_hamiltonian, diagonalize, sample_disorder
-from openchain.feynman import build_cnot_layout, run_superposed_input
+from openchain.feynman import (
+    build_cnot_layout,
+    register_index,
+    run_classical_input,
+    run_superposed_input,
+)
 from openchain.lindblad import (
     BathSpec,
     site_distribution,
@@ -59,6 +70,49 @@ def test_entropy_bounds_and_branch_weights(params):
     assert np.all(series.entropy >= 0.0)
     assert np.all(series.entropy <= np.log(4.0) + 1e-12)
     assert np.max(np.abs(series.trace_uu + series.trace_dd - 1.0)) < 1e-9
+
+
+@st.composite
+def closed_switch_params(draw):
+    """(s, a, sigma, g, disorder seed, t_max) of a small switch without a bath."""
+    s = draw(st.integers(7, 14))
+    a = draw(st.integers(1, s - 6))
+    sigma, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 3.0))
+    return s, a, sigma, g, draw(st.integers(0, 2**16)), draw(st.floats(0.5, 60.0))
+
+
+def register_vector(*labels):
+    """Equal superposition of the given (sigma3(c), sigma3(p)) labels."""
+    vec = np.zeros(4)
+    vec[[register_index(label) for label in labels]] = 1.0 / np.sqrt(len(labels))
+    return vec
+
+
+@DERANDOMIZED
+@given(closed_switch_params())
+def test_reduced_switch_matches_full_space_oracle(params):
+    # the unitary reduced model against the complete clock-register evolution
+    # on the 4s-dimensional product space; the bath side is covered by the
+    # dense-oracle equivalence tests, since the full-space oracle is unitary
+    s, a, sigma, g, seed, t_max = params
+    layout = build_cnot_layout(s, a)
+    disorder = sample_disorder(ChainSpec(s, sigma, 0.0, seed))
+    h_full = full_switch_hamiltonian(layout, disorder, g)
+    grid = np.linspace(0.0, t_max, 5)
+    superposed = run_superposed_input(layout, disorder, g, None, grid)
+    psi0 = full_space_state(layout, register_vector((+1, -1), (-1, -1)))
+    for i, t in enumerate(grid):
+        psi = evolve_full(h_full, psi0, t)
+        _, reg_full = full_space_observables(psi, s)
+        p_full = np.sum(np.abs(psi.reshape(s, 4)[layout.b - 1 :]) ** 2)
+        assert np.max(np.abs(reg_full - superposed.register[i])) < 1e-8
+        assert abs(p_full - superposed.p_beyond_gate[i]) < 1e-8
+    for branch, control in (("U", +1), ("D", -1)):
+        series = run_classical_input(layout, disorder, g, None, branch, grid)
+        psi0 = full_space_state(layout, register_vector((control, -1)))
+        for i, t in enumerate(grid):
+            mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), s)
+            assert abs(mean_full - series.mean_q[i]) < 1e-8
 
 
 @st.composite
