@@ -5,12 +5,13 @@ dynamics uses nearest-level thermal jump rates in the energy eigenbasis, with
 populations advanced by the matrix exponential of the classical master
 equation and coherences by their closed-form decay. Every pipeline reads one
 pure-state kernel block by block (``lindblad.energy_blocks`` and
-``lindblad.site_distribution``).
+``lindblad.site_distribution``); the closed chain is the bath chain without a
+bath (``dissipative_transport_run(h, None, ...)``).
 
 The package namespace carries what the README's Library example uses; the
 rest of the API lives in the submodules (``openchain.chains``,
-``openchain.unitary``, ``openchain.lindblad``, ``openchain.feynman``,
-``openchain.config``, ``openchain.runner``, ``openchain.cli``).
+``openchain.lindblad``, ``openchain.feynman``, ``openchain.config``,
+``openchain.runner``, ``openchain.cli``).
 """
 
 __version__ = "0.1.0"
@@ -19,14 +20,12 @@ from .chains import ChainSpec, build_chain_hamiltonian, sample_disorder
 from .config import load_config
 from .feynman import build_cnot_layout, run_superposed_input
 from .lindblad import BathSpec, dissipative_transport_run
-from .unitary import PureState
 
 __all__ = [
     "__version__",
     "ChainSpec",
     "build_chain_hamiltonian",
     "sample_disorder",
-    "PureState",
     "BathSpec",
     "dissipative_transport_run",
     "build_cnot_layout",

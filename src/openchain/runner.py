@@ -30,9 +30,8 @@ from . import __version__
 from .chains import ChainSpec, build_chain_hamiltonian, free_eigensystem, sample_disorder
 from .config import SWEEPABLE, ConfigError, ExperimentConfig, _scan_t_max, range_violations
 from .feynman import build_cnot_layout, run_classical_input, run_superposed_input
-from .lindblad import BathSpec, dissipative_transport_run, time_grid
+from .lindblad import BathSpec, arrival_peak, dissipative_transport_run, time_grid
 from .series import write_csv
-from .unitary import PureState, arrival_peak
 
 UNITARY_CHAIN_SCENARIOS = {"ballistic", "localized", "bloch"}
 
@@ -49,7 +48,7 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     if scenario == "peak-scaling":
         t_max = config.t_max if config.t_max is not None else _scan_t_max(config.s)
         eig = free_eigensystem(config.s)
-        t_star, p_star = arrival_peak(eig, PureState.site(config.s, 1), t_max, config.dt)
+        t_star, p_star = arrival_peak(eig, t_max, config.dt)
         return {"t_star": np.array([t_star]), "p_star": np.array([p_star])}
 
     grid = time_grid(config.t_max, config.dt)
@@ -57,7 +56,7 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
         h = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
         bath = None if scenario in UNITARY_CHAIN_SCENARIOS else bath
-        psi0 = PureState.site(config.s, 1).amplitudes
+        psi0 = np.eye(config.s)[0]
         return dissipative_transport_run(h, bath, psi0, grid, region={config.s}).columns()
     if scenario not in ("cnot-classical", "cnot-superposed"):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -117,8 +116,9 @@ def aggregate_columns(results: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
             out["t"] = first["t"]
             continue
         out[f"{name}_mean"] = stack.mean(axis=0)
-        for q, tag in ((0.25, "q25"), (0.5, "q50"), (0.75, "q75")):
-            out[f"{name}_{tag}"] = np.quantile(stack, q, axis=0)
+        quartiles = np.quantile(stack, (0.25, 0.5, 0.75), axis=0)
+        for tag, values in zip(("q25", "q50", "q75"), quartiles):
+            out[f"{name}_{tag}"] = values
     return out
 
 

@@ -71,17 +71,6 @@ class ObservableSeries:
             if self.p_region.shape != (n,):
                 raise ValueError("p_region must align with times")
 
-    @classmethod
-    def from_site_probabilities(
-        cls, times: np.ndarray, prob: np.ndarray, positions: np.ndarray, region: np.ndarray | None
-    ) -> "ObservableSeries":
-        """Moments of a (sites x T) distribution; ``region`` (0-based rows) may be None."""
-        x = np.asarray(positions, dtype=float)
-        mean = x @ prob
-        y = x - mean[0]  # about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision
-        p_region = None if region is None else prob[region].sum(axis=0)
-        return cls(times, mean, (y**2) @ prob - (y @ prob) ** 2, p_region)
-
     def columns(self, p_label: str = "p_region") -> dict[str, np.ndarray]:
         cols = {"t": self.times, "mean_Q": self.mean_q, "var_Q": self.var_q}
         if self.p_region is not None:

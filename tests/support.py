@@ -9,7 +9,8 @@ only the model inputs (spectrum, rates) from the package. The branch geometry
 is written out here from the switch diagram (:func:`branch_sites`).
 The helpers under "kernel states" join the package's own pure-state kernel
 blocks over a whole grid and assemble dense matrices from them, for invariant
-checks of what the pipelines compute.
+checks of what the pipelines compute; ``closed_series`` reads out the closed
+chain through the package's ``pure_state_series``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from scipy.linalg import expm
 
 from openchain.chains import DisorderRealization, HamiltonianOperator, diagonalize
 from openchain.feynman import BranchModel, CircuitLayout, PeresBasis
-from openchain.lindblad import BathSpec, energy_blocks, transition_rates
+from openchain.lindblad import BathSpec, energy_blocks, pure_state_series, transition_rates
+from openchain.series import _region_rows
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -384,7 +386,7 @@ def dense_superposed_columns(
 
 # ---------------------------------------------------------------------------
 # closed chain in 4096-column chunks with a complex product (the reference for
-# the cache-blocked kernel path of openchain.unitary)
+# the cache-blocked read-out of the closed chain)
 # ---------------------------------------------------------------------------
 
 
@@ -417,8 +419,15 @@ def chunked_unitary_columns(
 # ---------------------------------------------------------------------------
 # kernel states: the whole-grid P and U of openchain.lindblad's pure-state
 # kernel, and dense matrices assembled from them, for invariant checks of what
-# the pipelines compute
+# the pipelines compute; the closed chain's series from a position-basis start
 # ---------------------------------------------------------------------------
+
+
+def closed_series(eig, psi0: np.ndarray, t_grid, region=None):
+    """The package's closed-chain series from the position-basis state psi0 (no region: no p_region)."""
+    rows = None if region is None else _region_rows(region, eig.dim)
+    c = eig.eigenvectors.T @ np.asarray(psi0)
+    return pure_state_series(eig, None, c, t_grid, np.arange(1, eig.dim + 1), rows)
 
 
 def relax_energy_density(eigenvalues, bath, amplitudes, t_grid):

@@ -38,11 +38,11 @@ from openchain.feynman import (
 )
 from openchain.lindblad import (
     BathSpec,
+    arrival_peak,
     site_distribution,
     thermal_fixed_point,
     transition_rates,
 )
-from openchain.unitary import PureState, arrival_peak
 
 
 def branch_distribution(model: BranchModel, bath: BathSpec | None, grid) -> np.ndarray:
@@ -101,12 +101,12 @@ def test_criterion_1_free_chain_spectrum():
 
 def test_criterion_2_ballistic_arrival_and_peak_scaling():
     with Criterion(2, "ballistic arrival time and peak-height scaling", 30.0) as c:
-        t_star, _ = arrival_peak(free_eigensystem(20), PureState.site(20, 1), 40.0)
+        t_star, _ = arrival_peak(free_eigensystem(20), 40.0)
         c.check(17.0 <= t_star <= 25.0, f"t* = {t_star}")
         sizes = [50, 100, 200, 400]
         p_stars = []
         for s in sizes:
-            _, p = arrival_peak(free_eigensystem(s), PureState.site(s, 1), 1.5 * s + 10)
+            _, p = arrival_peak(free_eigensystem(s), 1.5 * s + 10)
             p_stars.append(p)
         slope = float(np.polyfit(np.log(sizes), np.log(p_stars), 1)[0])
         c.check(-0.80 <= slope <= -0.55, f"slope = {slope}")
@@ -214,7 +214,7 @@ def test_criterion_7_conservation_law_and_exact_cnot():
             indices = basis.register_indices()
             past_gate = np.flatnonzero(basis.sites >= layout.b)
             for t in (30.0, 120.0, 450.0):
-                probs = np.abs(evolve_pure(h, PureState.site(h.dim, 1).amplitudes, t)) ** 2
+                probs = np.abs(evolve_pure(h, np.eye(h.dim)[0], t)) ** 2
                 rho = np.zeros((4, 4))
                 for j in past_gate:
                     rho[indices[j], indices[j]] += probs[j]

@@ -13,9 +13,9 @@ held to the direct formula of ``support.direct_relax_energy_density`` at
 s = 200, on grids whose last phase table and last population block are both
 partial and whose last cache block is narrower than 32 columns (its
 populations come from a slice of the carried ones), and on short grids of
-1, 2 and 15 points; a grid with one perturbed point must be rejected. On the
-grid 0 .. 1e4 in steps of 0.1, whose float steps differ by about 1e-12 beyond
-t = 4096, the kernel and the closed chain must match their references to
+1, 2 and 15 points; a grid with one perturbed point is rejected with the
+other irregular grids. On the grid 0 .. 1e4 in steps of 0.1, whose float steps
+differ by about 1e-12 beyond t = 4096, the kernel and the closed chain must match their references to
 1e-10 * max(1, max|column|). At s = 400, where the kernel sets thousands of
 subnormal entries of S^32 to zero, the populations must still match the direct
 formula. Every pipeline's later cache blocks are the first block's table times
@@ -39,6 +39,7 @@ import pytest
 from scipy.linalg import expm
 from support import (
     chunked_unitary_columns,
+    closed_series,
     direct_relax_energy_density,
     dense_classical_columns,
     dense_superposed_columns,
@@ -57,8 +58,12 @@ from openchain.chains import (
 )
 from openchain.feynman import build_cnot_layout, run_classical_input, run_superposed_input
 from openchain.config import _scan_t_max, load_config
-from openchain.lindblad import BathSpec, dissipative_transport_run, site_distribution
-from openchain.unitary import PureState, arrival_peak, unitary_observable_series
+from openchain.lindblad import (
+    BathSpec,
+    arrival_peak,
+    dissipative_transport_run,
+    site_distribution,
+)
 
 GRIDS = {
     "uniform": np.linspace(0.0, 400.0, 81),
@@ -92,7 +97,7 @@ def check_pipeline(grid: str, run, reference) -> None:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dissipative_transport_run(grid, seed):
     h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=seed))
-    psi0 = PureState.site(14, 1).amplitudes
+    psi0 = np.eye(14)[0]
     check_pipeline(
         grid,
         lambda t: dissipative_transport_run(h, BATHS["bath"], psi0, t),
@@ -148,19 +153,19 @@ def test_unitary_grid_spans_blocks():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unitary_observable_series(seed, grid, region):
     eig = diagonalize(build_chain_hamiltonian(ChainSpec(40, 0.5, 0.3, seed=seed)))
-    psi0 = PureState.site(40, 1)
+    psi0 = np.eye(40)[0]
     sites = REGIONS[region]
     if grid == "nonuniform":
         with pytest.raises(ValueError, match="uniform"):
-            unitary_observable_series(eig, psi0, UNITARY_GRIDS[grid], sites)
+            closed_series(eig, psi0, UNITARY_GRIDS[grid], sites)
         return
-    series = unitary_observable_series(eig, psi0, UNITARY_GRIDS[grid], sites)
-    coeff = eig.eigenvectors.T @ psi0.amplitudes
+    series = closed_series(eig, psi0, UNITARY_GRIDS[grid], sites)
+    coeff = eig.eigenvectors.T @ psi0
     kernel = lindblad.energy_blocks(eig.eigenvalues, None, coeff, UNITARY_GRIDS[grid])
     blocks = [site_distribution(eig.eigenvectors, None, u) for *_, u in kernel]
     prob = np.concatenate(blocks, axis=1)
     region_idx = None if sites is None else np.asarray(sites) - 1
-    expected = chunked_unitary_columns(eig, psi0.amplitudes, UNITARY_GRIDS[grid], region_idx)
+    expected = chunked_unitary_columns(eig, psi0, UNITARY_GRIDS[grid], region_idx)
     got = series.columns()
     assert got.keys() - {"t"} == expected.keys() - {"sites"}
     for j in range(40):
@@ -173,10 +178,9 @@ def test_unitary_observable_series(seed, grid, region):
 @pytest.mark.parametrize("s", [10, 40, 200])
 def test_arrival_peak(s):
     eig = free_eigensystem(s)
-    psi0 = PureState.site(s, 1)
     times = np.linspace(0.0, 1.5 * s + 10, int(round((1.5 * s + 10) / 0.05)) + 1)
-    last = chunked_unitary_columns(eig, psi0.amplitudes, times)["sites"][:, -1]
-    t_star, p_star = arrival_peak(eig, psi0, 1.5 * s + 10)
+    last = chunked_unitary_columns(eig, np.eye(s)[0], times)["sites"][:, -1]
+    t_star, p_star = arrival_peak(eig, 1.5 * s + 10)
     assert t_star == times[np.argmax(last)]
     assert abs(p_star - last.max()) <= 1e-12
 
@@ -234,14 +238,10 @@ def relax_pair(bath: str, seed: int, times: np.ndarray, s: int = 200):
     return kernel_columns(eig, *got, with_pops), kernel_columns(eig, *ref, with_pops)
 
 
-@pytest.mark.parametrize("grid", [*FAST_GRIDS, "perturbed"])
+@pytest.mark.parametrize("grid", FAST_GRIDS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("bath", BATHS)
 def test_uniform_path_matches_direct_formula(bath, seed, grid):
-    if grid == "perturbed":
-        with pytest.raises(ValueError, match="uniform"):
-            relax_pair(bath, seed, PERTURBED)
-        return
     assert_columns_match(*relax_pair(bath, seed, FAST_GRIDS[grid]))
 
 
@@ -280,6 +280,7 @@ IRREGULAR_GRIDS = {
     "repeated": np.array([0.0, 1.0, 1.0, 2.0]),
     "constant": np.zeros(3),
     "negative-start": np.linspace(-100.0, 0.0, 11),
+    "perturbed": PERTURBED,
 }
 
 
@@ -332,9 +333,9 @@ def test_long_grid_matches_direct_formula(bath):
 
 def test_unitary_observable_series_long_grid():
     eig = diagonalize(build_chain_hamiltonian(ChainSpec(12, 0.5, 0.0, seed=0)))
-    psi0 = PureState.site(12, 1)
-    series = unitary_observable_series(eig, psi0, LONG_GRID, [12])
-    expected = chunked_unitary_columns(eig, psi0.amplitudes, LONG_GRID, np.array([11]))
+    psi0 = np.eye(12)[0]
+    series = closed_series(eig, psi0, LONG_GRID, [12])
+    expected = chunked_unitary_columns(eig, psi0, LONG_GRID, np.array([11]))
     del expected["sites"]
     assert_columns_match(series.columns(), expected, LONG_RTOL)
 
@@ -352,12 +353,12 @@ def test_unitary_block_boundaries_match_dense_oracle():
     # Every later block is the first block's table times a phase shift, so its
     # first and last columns are held to dense eigh of the full matrix.
     h = build_chain_hamiltonian(ChainSpec(200, 0.5, 0.0, seed=0))
-    psi0 = PureState.site(200, 1)
+    psi0 = np.eye(200)[0]
     times = lindblad.time_grid(5000.0, 0.5)
     edges = block_edges(times, 200)
-    series = unitary_observable_series(diagonalize(h), psi0, times, [200])
+    series = dissipative_transport_run(h, None, psi0, times)
     x = np.arange(1, 201)
-    prob = np.array([np.abs(evolve_pure(h, psi0.amplitudes, t)) ** 2 for t in times[edges]]).T
+    prob = np.array([np.abs(evolve_pure(h, psi0, t)) ** 2 for t in times[edges]]).T
     mean = x @ prob
     expected = {"mean_Q": mean, "var_Q": (x**2) @ prob - mean**2, "p_region": prob[-1]}
     got = {name: col[edges] for name, col in series.columns().items()}
@@ -374,7 +375,7 @@ def test_bath_block_boundaries_match_direct_formula():
     times = lindblad.time_grid(5000.0, 0.5)
     edges = block_edges(times, 200)
     bath = BATHS["bath"]
-    series = dissipative_transport_run(h, bath, PureState.site(200, 1).amplitudes, times)
+    series = dissipative_transport_run(h, bath, np.eye(200)[0], times)
     ref = direct_relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], times[edges])
     got = {name: col[edges] for name, col in series.columns().items() if name != "t"}
     assert_columns_match(got, kernel_columns(eig, *ref, populations_too=False), LONG_RTOL)
@@ -416,13 +417,13 @@ def test_bath_read_out_memory(pipeline):
     # temporaries (1.5), the P block read out and, while the next is filled,
     # the one before (1), and the n x n eigenvector, rate, generator, S^32 and
     # V*V matrices (1.5: five of 0.3 at n = 200); one is margin. On top come
-    # the O(T) series: the grid, the per-block moments and their joined
-    # columns. The whole-grid populations peaked at 12.5 MiB here.
+    # the O(T) series: the grid and the columns that each block fills in. The
+    # whole-grid populations peaked at 12.5 MiB here.
     times = lindblad.time_grid(5000.0, 1.0)
     bath = BATHS["bath"]
     if pipeline == "transport":
         h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
-        psi0 = PureState.site(200, 1).amplitudes
+        psi0 = np.eye(200)[0]
         peak = traced_peak(lambda: dissipative_transport_run(h, bath, psi0, times))
     else:
         layout = build_cnot_layout(200, 9)

@@ -9,6 +9,7 @@ from support import (
 
 from openchain.chains import (
     ChainSpec,
+    EigenSystem,
     build_chain_hamiltonian,
     diagonalize,
     free_eigensystem,
@@ -18,13 +19,12 @@ from openchain.lindblad import (
     DegenerateGapError,
     dissipative_transport_run,
     population_generator,
+    pure_state_series,
     site_amplitudes,
     site_distribution,
     thermal_fixed_point,
     transition_rates,
 )
-from openchain.series import ObservableSeries
-from openchain.unitary import PureState, unitary_observable_series
 
 
 def random_spectrum(dim, seed, min_gap=0.2):
@@ -219,10 +219,11 @@ class TestDensityObservables:
 
     @staticmethod
     def observables(prob, region):
+        # with V = 1 the site distribution at t = 0 is |c|^2 = prob
+        eig = EigenSystem(np.arange(prob.size, dtype=float), np.eye(prob.size))
         x = np.arange(1, prob.size + 1)
-        series = ObservableSeries.from_site_probabilities(
-            np.zeros(1), prob[:, None], x, np.asarray(sorted(region), dtype=int) - 1
-        )
+        rows = np.asarray(sorted(region), dtype=int) - 1
+        series = pure_state_series(eig, None, np.sqrt(prob), np.zeros(1), x, rows)
         return series.mean_q[0], series.var_q[0], series.p_region[0]
 
     def test_basis_state(self):
@@ -241,22 +242,18 @@ class TestDissipativeTransportRun:
         spec = ChainSpec(10, 0.3, 1.0, seed=19)
         h = build_chain_hamiltonian(spec)
         grid = np.linspace(0, 10, 51)
-        psi0 = PureState.site(10, 1)
-        unitary = unitary_observable_series(diagonalize(h), psi0, grid, region={10})
-        open_sys = dissipative_transport_run(
-            h, BathSpec(beta=1.0, zeta=1e-9), psi0.amplitudes, grid
-        )
+        psi0 = np.eye(10)[0]
+        unitary = dissipative_transport_run(h, None, psi0, grid)
+        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=1e-9), psi0, grid)
         assert np.max(np.abs(open_sys.mean_q - unitary.mean_q)) < 1e-6
 
     def test_zero_coupling_exact(self):
         spec = ChainSpec(8, 0.4, 1.5, seed=20)
         h = build_chain_hamiltonian(spec)
         grid = np.linspace(0, 25, 26)
-        psi0 = PureState.site(8, 1)
-        unitary = unitary_observable_series(diagonalize(h), psi0, grid, region={8})
-        open_sys = dissipative_transport_run(
-            h, BathSpec(beta=1.0, zeta=0.0), psi0.amplitudes, grid
-        )
+        psi0 = np.eye(8)[0]
+        unitary = dissipative_transport_run(h, None, psi0, grid)
+        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.0), psi0, grid)
         assert np.max(np.abs(open_sys.mean_q - unitary.mean_q)) < 1e-12
         assert np.max(np.abs(open_sys.p_region - unitary.p_region)) < 1e-12
 
@@ -266,7 +263,7 @@ class TestDissipativeTransportRun:
         h = build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0))
         grid = np.linspace(0, 1000, 251)
         series = dissipative_transport_run(
-            h, BathSpec(beta=1.0, zeta=0.05), PureState.site(20, 1).amplitudes, grid
+            h, BathSpec(beta=1.0, zeta=0.05), np.eye(20)[0], grid
         )
         assert series.p_region[-1] >= 0.8
         # past the initial transient the drift is monotone to the right
@@ -279,7 +276,7 @@ class TestDissipativeTransportRun:
         h = build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0))
         grid = np.linspace(0, 600, 1201)
         series = dissipative_transport_run(
-            h, BathSpec(beta=50.0, zeta=0.05), PureState.site(20, 1).amplitudes, grid
+            h, BathSpec(beta=50.0, zeta=0.05), np.eye(20)[0], grid
         )
         t5 = np.interp(5.0, series.mean_q, grid)
         t15 = np.interp(15.0, series.mean_q, grid)

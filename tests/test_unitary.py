@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from support import dense_hamiltonian, evolve_pure
+from support import closed_series, dense_hamiltonian, evolve_pure
 
 from openchain.chains import (
     ChainSpec,
@@ -9,13 +9,13 @@ from openchain.chains import (
     free_eigensystem,
     localization_length_gaussian,
 )
-from openchain.unitary import PureState, arrival_peak, unitary_observable_series
+from openchain.lindblad import arrival_peak, dissipative_transport_run
 
 
 def random_state(dim, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)
 
 
 def moments(psi):
@@ -31,36 +31,34 @@ class TestEvolvePure:
 
     def test_zero_time_identity(self):
         psi0 = random_state(7, 1)
-        series = unitary_observable_series(free_eigensystem(7), psi0, [0.0], region={3})
-        mean, var = moments(psi0.amplitudes)
+        series = closed_series(free_eigensystem(7), psi0, [0.0], region={3})
+        mean, var = moments(psi0)
         assert series.mean_q[0] == pytest.approx(mean, abs=1e-12)
         assert series.var_q[0] == pytest.approx(var, abs=1e-12)
-        assert series.p_region[0] == pytest.approx(abs(psi0.amplitudes[2]) ** 2, abs=1e-12)
+        assert series.p_region[0] == pytest.approx(abs(psi0[2]) ** 2, abs=1e-12)
 
     def test_two_site_rabi(self):
         # 2x2 chain: P(site 2)(t) = sin^2(t/2), exactly 1 at t = pi
         times = np.linspace(0.0, 2 * np.pi, 9)  # holds pi/2 and pi
-        series = unitary_observable_series(
-            free_eigensystem(2), PureState.site(2, 1), times, region={2}
-        )
+        series = closed_series(free_eigensystem(2), np.eye(2)[0], times, region={2})
         assert np.max(np.abs(series.p_region - np.sin(times / 2) ** 2)) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 3.0, 57.0])
     def test_norm_preserved(self, t):
         eig = diagonalize(build_chain_hamiltonian(ChainSpec(15, 0.4, 1.0, seed=2)))
-        series = unitary_observable_series(eig, random_state(15, 3), [t], region=range(1, 16))
+        series = closed_series(eig, random_state(15, 3), [t], region=range(1, 16))
         assert abs(series.p_region[0] - 1.0) < 1e-10
 
     def test_composition(self):
         h = build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=4))
-        psi0 = random_state(12, 5).amplitudes
+        psi0 = random_state(12, 5)
         one_shot = evolve_pure(h, psi0, 5.2)
         two_step = evolve_pure(h, evolve_pure(h, psi0, 2.0), 3.2)
         assert np.max(np.abs(one_shot - two_step)) < 1e-9
 
     def test_energy_conserved(self):
         h = build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=6))
-        psi0 = random_state(12, 7).amplitudes
+        psi0 = random_state(12, 7)
         hd = dense_hamiltonian(h)
         e0 = np.real(psi0.conj() @ hd @ psi0)
         for t in (1.0, 10.0, 100.0):
@@ -70,7 +68,7 @@ class TestEvolvePure:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            unitary_observable_series(free_eigensystem(5), PureState.site(4, 1), [1.0])
+            closed_series(free_eigensystem(5), np.eye(4)[0], [1.0])
 
 
 class TestPositionMoments:
@@ -78,12 +76,11 @@ class TestPositionMoments:
 
     @staticmethod
     def at_start(amplitudes):
-        psi0 = PureState(amplitudes)
-        series = unitary_observable_series(free_eigensystem(psi0.dim), psi0, [0.0])
+        series = closed_series(free_eigensystem(amplitudes.size), amplitudes, [0.0])
         return series.mean_q[0], series.var_q[0]
 
     def test_basis_state(self):
-        mean, var = self.at_start(PureState.site(9, 5).amplitudes)
+        mean, var = self.at_start(np.eye(9)[4])
         assert mean == pytest.approx(5.0, abs=1e-12)
         assert var == pytest.approx(0.0, abs=1e-12)
 
@@ -104,59 +101,57 @@ class TestSiteProbability:
     """Region probability of the kernel's series."""
 
     def test_all_sites(self):
-        series = unitary_observable_series(
+        series = closed_series(
             free_eigensystem(8), random_state(8, 11), [0.0, 3.0], region=range(1, 9)
         )
         assert series.p_region == pytest.approx([1.0, 1.0])
 
     def test_empty_region(self):
-        series = unitary_observable_series(free_eigensystem(8), random_state(8, 12), [2.0], [])
+        series = closed_series(free_eigensystem(8), random_state(8, 12), [2.0], [])
         assert series.p_region[0] == 0.0
 
     def test_half_transfer(self):
-        series = unitary_observable_series(
-            free_eigensystem(2), PureState.site(2, 1), [np.pi / 2], region={2}
-        )
+        series = closed_series(free_eigensystem(2), np.eye(2)[0], [np.pi / 2], region={2})
         assert series.p_region[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            unitary_observable_series(free_eigensystem(5), random_state(5, 13), [0.0], {6})
+            closed_series(free_eigensystem(5), random_state(5, 13), [0.0], {6})
 
 
 class TestArrivalPeak:
     def test_two_site_peak(self):
-        t_star, p_star = arrival_peak(free_eigensystem(2), PureState.site(2, 1), 8.0, dt=1e-4)
+        t_star, p_star = arrival_peak(free_eigensystem(2), 8.0, dt=1e-4)
         assert t_star == pytest.approx(np.pi, abs=1e-3)
         assert p_star == pytest.approx(1.0, abs=1e-6)
 
     def test_ballistic_arrival_time(self):
-        t_star, _ = arrival_peak(free_eigensystem(20), PureState.site(20, 1), 40.0)
+        t_star, _ = arrival_peak(free_eigensystem(20), 40.0)
         assert 17.0 <= t_star <= 25.0
 
     def test_peak_scaling_exponent(self):
         sizes = [50, 100, 200, 400]
         p_stars = []
         for s in sizes:
-            _, p = arrival_peak(free_eigensystem(s), PureState.site(s, 1), 1.5 * s + 10)
+            _, p = arrival_peak(free_eigensystem(s), 1.5 * s + 10)
             p_stars.append(p)
         slope = np.polyfit(np.log(sizes), np.log(p_stars), 1)[0]
         assert -0.80 <= slope <= -0.55
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
-            arrival_peak(free_eigensystem(3), PureState.site(3, 1), 10.0, dt=0.0)
+            arrival_peak(free_eigensystem(3), 10.0, dt=0.0)
 
 
 class TestObservableSeries:
     def test_matches_pointwise_evolution(self):
         # against the dense oracle, which shares no code with the kernel
         h = build_chain_hamiltonian(ChainSpec(10, 0.2, 0.7, seed=8))
-        psi0 = PureState.site(10, 1)
+        psi0 = np.eye(10)[0]
         grid = np.linspace(0, 20, 41)
-        series = unitary_observable_series(diagonalize(h), psi0, grid, region={9, 10})
+        series = closed_series(diagonalize(h), psi0, grid, region={9, 10})
         for i in (0, 7, 40):
-            psi = evolve_pure(h, psi0.amplitudes, grid[i])
+            psi = evolve_pure(h, psi0, grid[i])
             mean, var = moments(psi)
             assert series.mean_q[i] == pytest.approx(mean, abs=1e-10)
             assert series.var_q[i] == pytest.approx(var, abs=1e-10)
@@ -174,15 +169,15 @@ class TestObservableSeries:
         x = np.arange(1, s + 1)[:, None]
         phases = np.exp(-1j * np.outer(eig.eigenvalues, grid))
         for start in (1988, 1994, 1998):
-            series = unitary_observable_series(eig, PureState.site(s, start), grid)
+            series = closed_series(eig, np.eye(s)[start - 1], grid)
             psi = eig.eigenvectors @ (eig.eigenvectors[start - 1][:, None] * phases)
             prob = np.abs(psi) ** 2
             var = np.sum((x - x.T @ prob) ** 2 * prob, axis=0)
             assert np.max(np.abs(series.var_q - var)) <= 1e-10, start
 
     def test_site_probabilities_normalized(self):
-        series = unitary_observable_series(
-            free_eigensystem(6), PureState.site(6, 1), np.linspace(0, 5, 11), range(1, 7)
+        series = closed_series(
+            free_eigensystem(6), np.eye(6)[0], np.linspace(0, 5, 11), range(1, 7)
         )
         assert np.allclose(series.p_region, 1.0, atol=1e-10)
 
@@ -194,7 +189,7 @@ class TestObservableSeries:
         ok = 0
         for seed in range(100):
             eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 0.0, seed)))
-            series = unitary_observable_series(eig, PureState.site(20, 1), grid)
+            series = closed_series(eig, np.eye(20)[0], grid)
             if series.mean_q.mean() < bound:
                 ok += 1
         assert ok >= 80
@@ -203,18 +198,13 @@ class TestObservableSeries:
         # clean tilted chain: mean position oscillates within about one
         # tilt-localization length of its start
         eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0)))
-        series = unitary_observable_series(
-            eig, PureState.site(20, 1), np.linspace(0, 500, 2001)
-        )
+        series = closed_series(eig, np.eye(20)[0], np.linspace(0, 500, 2001))
         bandwidth = free_eigensystem(20).bandwidth()
         assert series.mean_q.max() - series.mean_q.min() <= bandwidth / 2.0 + 1.0
 
 
 class TestPureStateValidation:
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            PureState(np.ones(4))
-
-    def test_site_out_of_range(self):
-        with pytest.raises(ValueError):
-            PureState.site(5, 6)
+        h = build_chain_hamiltonian(ChainSpec(4, 0.0, 0.0, seed=0))
+        with pytest.raises(ValueError, match="normalized"):
+            dissipative_transport_run(h, None, np.ones(4), [0.0])
