@@ -1,4 +1,4 @@
-"""Tight-binding chain Hamiltonians, disorder, and localization diagnostics.
+"""Tight-binding chain Hamiltonians, seeded disorder and their diagonalization.
 
 Conventions used throughout the package:
 
@@ -98,10 +98,6 @@ class EigenSystem:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def bandwidth(self) -> float:
-        """Spectral width e_max - e_min."""
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
 
 def build_free_chain(s: int) -> HamiltonianOperator:
     """Clean chain: zero on-site energies, hopping -1/2 on every bond."""
@@ -151,8 +147,6 @@ def diagonalize(h: HamiltonianOperator) -> EigenSystem:
     Eigenvalues come back ascending; eigenvector signs follow the package
     convention (first significant component positive).
     """
-    if h.dim == 1:
-        return EigenSystem(h.diagonal.copy(), np.ones((1, 1)))
     try:
         evals, evecs = eigh_tridiagonal(h.diagonal, h.hopping)
     except np.linalg.LinAlgError as exc:
@@ -161,35 +155,3 @@ def diagonalize(h: HamiltonianOperator) -> EigenSystem:
             f"(diagonal range [{h.diagonal.min():.3g}, {h.diagonal.max():.3g}]): {exc}"
         ) from exc
     return EigenSystem(evals, _fix_eigenvector_signs(evecs))
-
-
-def localization_length_gaussian(sigma: float) -> float:
-    """Disorder-induced localization length (2 pi^2 / sigma)^(2/3)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    return (2.0 * np.pi**2 / sigma) ** (2.0 / 3.0)
-
-
-def localization_length_bloch(bandwidth: float, g: float) -> float:
-    """Tilt-induced localization length bandwidth/g.
-
-    ``bandwidth`` is the spectral width of the chain *without* the tilt
-    (use ``EigenSystem.bandwidth()`` of the untilted operator).
-    """
-    if g <= 0:
-        raise ValueError(f"tilt strength must be > 0, got {g}")
-    if bandwidth < 0:
-        raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
-    return bandwidth / g
-
-
-def participation_ratio(state: np.ndarray) -> float:
-    """Inverse participation ratio 1 / sum |psi_x|^4 of a normalized state.
-
-    Equals 1 for a single-site state and dim for the uniform superposition.
-    """
-    psi = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"state must be normalized, got ||psi|| = {norm}")
-    return float(1.0 / np.sum(np.abs(psi) ** 4))

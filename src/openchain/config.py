@@ -213,14 +213,10 @@ def validate_config(text: str) -> ExperimentConfig:
     if scenario is None:
         # still surface whatever field problems are visible without defaults
         raise ConfigError(violations + _bound_violations(values))
-    for key, default in {**SCENARIO_DEFAULTS[scenario], "seed": 0, "ensemble_size": 1}.items():
-        values[key] = default if values[key] is None else values[key]
-    config = ExperimentConfig(
-        scenario=scenario,
-        branch=raw.get("branch", "U").strip(),
-        output=raw.get("output", "out").strip(),
-        **values,
-    )
+    # the scenario's defaults, overridden by what the file gives; the dataclass supplies the rest
+    given = {key: value for key, value in values.items() if value is not None}
+    given.update((key, raw[key].strip()) for key in ("branch", "output") if key in raw)
+    config = ExperimentConfig(scenario, **{**SCENARIO_DEFAULTS[scenario], **given})
     violations += range_violations(config)
     if scenario != "peak-scaling" and config.t_max is None:
         violations.append("t_max: missing (section [grid])")

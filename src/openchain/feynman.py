@@ -101,7 +101,6 @@ def _path_sites(layout: CircuitLayout, branch: Branch) -> np.ndarray:
 class PeresBasis:
     """Ordered computational basis of one branch: (path 1..n, site, register label)."""
 
-    branch: Branch
     sites: np.ndarray
     registers: tuple[RegisterLabel, ...]
 
@@ -133,7 +132,7 @@ def peres_basis(
         )
     else:
         registers = tuple((c, p) for _ in range(n))
-    return PeresBasis(branch, sites, registers)
+    return PeresBasis(sites, registers)
 
 
 def reduced_chain_hamiltonian(

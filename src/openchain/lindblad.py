@@ -19,9 +19,11 @@ autonomously,
 where G_m is the total outflow rate from level m. ``zeta = 0`` reduces every
 formula to the closed-system evolution.
 
-Every run in the package starts from a pure state (energy amplitudes c), for
-which the decay law factorizes: the coherences are the off-diagonal part of
-u u^H with u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A time grid is then
+Every run in the package starts from a pure state (energy amplitudes c); the
+chain runs release the excitation at site 1, c = V[0] (the first row of the
+eigenvectors V), and read the last site. From a pure start the decay law
+factorizes: the coherences are the off-diagonal part of u u^H with
+u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A time grid is then
 the n x T populations P (exact matrix-exponential steps of the master
 equation) and amplitudes U, and its site distribution |V U|^2 + (V*V)(P - |U|^2)
 is two matrix products, one without a bath (:func:`site_distribution`; V is
@@ -46,13 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.linalg import expm
 
 from .chains import EigenSystem, HamiltonianOperator, diagonalize
-from .series import ObservableSeries, _region_rows
+from .series import ObservableSeries
 
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
@@ -117,13 +118,6 @@ def population_generator(rates: TransitionRates, bath: BathSpec) -> np.ndarray:
     a = bath.zeta * rates.gamma.copy()
     np.fill_diagonal(a, -bath.zeta * rates.widths)
     return a
-
-
-def thermal_fixed_point(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs populations proportional to exp(-beta e_m)."""
-    e = np.asarray(eigenvalues, dtype=float)
-    w = np.exp(-beta * (e - e.min()))
-    return w / w.sum()
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -316,23 +310,15 @@ def arrival_peak(eig: EigenSystem, t_max: float, dt: float = 0.05) -> tuple[floa
 
 
 def dissipative_transport_run(
-    h: HamiltonianOperator,
-    bath: BathSpec | None,
-    psi0: np.ndarray,
-    t_grid: np.ndarray,
-    region: Iterable[int] | None = None,
+    h: HamiltonianOperator, bath: BathSpec | None, t_grid: np.ndarray
 ) -> ObservableSeries:
     """Full pipeline: diagonalize, relax in the energy basis, report site observables.
 
-    ``psi0`` is a position-basis pure state; ``region`` defaults to the last
-    site. The initial energy-basis coherences are kept and propagated, so the
-    early-time transient is exact. ``bath = None`` (or zeta = 0) is the closed
-    chain.
+    The excitation starts on site 1 (energy amplitudes ``V[0]``) and
+    ``p_region`` is the last site's probability. The initial energy-basis
+    coherences are kept and propagated, so the early-time transient is exact.
+    ``bath = None`` (or zeta = 0) is the closed chain.
     """
     eig = diagonalize(h)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise ValueError("initial state must be normalized")
-    rows = _region_rows([h.dim] if region is None else region, h.dim)
-    c = eig.eigenvectors.T @ psi0
-    return pure_state_series(eig, bath, c, t_grid, np.arange(1, h.dim + 1), rows)
+    sites = np.arange(1, h.dim + 1)
+    return pure_state_series(eig, bath, eig.eigenvectors[0], t_grid, sites, np.array([h.dim - 1]))

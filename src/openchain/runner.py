@@ -56,8 +56,7 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
         h = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
         bath = None if scenario in UNITARY_CHAIN_SCENARIOS else bath
-        psi0 = np.eye(config.s)[0]
-        return dissipative_transport_run(h, bath, psi0, grid, region={config.s}).columns()
+        return dissipative_transport_run(h, bath, grid).columns()
     if scenario not in ("cnot-classical", "cnot-superposed"):
         raise ValueError(f"unknown scenario {scenario!r}")
     layout = build_cnot_layout(config.s, config.a)

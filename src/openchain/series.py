@@ -8,21 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 
 _REAL_FORMAT = "%.17g"  # 17 significant digits round-trip every double
 _CSV_BLOCK_ROWS = 256  # rows converted to Python floats at once: bounds the writer's memory
-
-
-def _region_rows(region: Iterable[int], dim: int) -> np.ndarray:
-    """0-based rows of a set of 1-based sites, each of which must lie in 1..dim."""
-    sites = sorted(set(region))
-    if sites and (sites[0] < 1 or sites[-1] > dim):
-        raise ValueError(f"region {sites} not contained in 1..{dim}")
-    return np.asarray(sites, dtype=int) - 1
 
 
 def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:

@@ -10,7 +10,9 @@ is written out here from the switch diagram (:func:`branch_sites`).
 The helpers under "kernel states" join the package's own pure-state kernel
 blocks over a whole grid and assemble dense matrices from them, for invariant
 checks of what the pipelines compute; ``closed_series`` reads out the closed
-chain through the package's ``pure_state_series``.
+chain through the package's ``pure_state_series``. The closed-form
+diagnostics at the end (Gibbs populations, localization lengths,
+participation ratio, spectral width) are formulas that only the tests use.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from openchain.chains import DisorderRealization, HamiltonianOperator, diagonalize
+from openchain.chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
 from openchain.feynman import BranchModel, CircuitLayout, PeresBasis
 from openchain.lindblad import BathSpec, energy_blocks, pure_state_series, transition_rates
-from openchain.series import _region_rows
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -423,6 +424,14 @@ def chunked_unitary_columns(
 # ---------------------------------------------------------------------------
 
 
+def _region_rows(region, dim: int) -> np.ndarray:
+    """0-based rows of a set of 1-based sites, each of which must lie in 1..dim."""
+    sites = sorted(set(region))
+    if sites and (sites[0] < 1 or sites[-1] > dim):
+        raise ValueError(f"region {sites} not contained in 1..{dim}")
+    return np.asarray(sites, dtype=int) - 1
+
+
 def closed_series(eig, psi0: np.ndarray, t_grid, region=None):
     """The package's closed-chain series from the position-basis state psi0 (no region: no p_region)."""
     rows = None if region is None else _region_rows(region, eig.dim)
@@ -469,3 +478,53 @@ def switch_block_states(
     top = np.concatenate([uu, ud], axis=2)
     bottom = np.concatenate([np.conj(np.swapaxes(ud, 1, 2)), dd], axis=2)
     return 0.5 * np.concatenate([top, bottom], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# closed-form diagnostics the tests compare runs against: Gibbs populations,
+# localization lengths, participation ratio, spectral width
+# ---------------------------------------------------------------------------
+
+
+def thermal_fixed_point(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs populations proportional to exp(-beta e_m)."""
+    e = np.asarray(eigenvalues, dtype=float)
+    w = np.exp(-beta * (e - e.min()))
+    return w / w.sum()
+
+
+def bandwidth(eig: EigenSystem) -> float:
+    """Spectral width e_max - e_min."""
+    return float(eig.eigenvalues[-1] - eig.eigenvalues[0])
+
+
+def localization_length_gaussian(sigma: float) -> float:
+    """Disorder-induced localization length (2 pi^2 / sigma)^(2/3)."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    return (2.0 * np.pi**2 / sigma) ** (2.0 / 3.0)
+
+
+def localization_length_bloch(width: float, g: float) -> float:
+    """Tilt-induced localization length width/g.
+
+    ``width`` is the spectral width of the chain *without* the tilt
+    (:func:`bandwidth` of the untilted spectrum).
+    """
+    if g <= 0:
+        raise ValueError(f"tilt strength must be > 0, got {g}")
+    if width < 0:
+        raise ValueError(f"bandwidth must be >= 0, got {width}")
+    return width / g
+
+
+def participation_ratio(state: np.ndarray) -> float:
+    """Inverse participation ratio 1 / sum |psi_x|^4 of a normalized state.
+
+    Equals 1 for a single-site state and dim for the uniform superposition.
+    """
+    psi = np.asarray(state, dtype=complex)
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-8:
+        raise ValueError(f"state must be normalized, got ||psi|| = {norm}")
+    return float(1.0 / np.sum(np.abs(psi) ** 4))

@@ -15,6 +15,7 @@ from support import (
     full_switch_hamiltonian,
     relax_energy_density,
     subspace_projector,
+    thermal_fixed_point,
 )
 
 from openchain.chains import (
@@ -40,7 +41,6 @@ from openchain.lindblad import (
     BathSpec,
     arrival_peak,
     site_distribution,
-    thermal_fixed_point,
     transition_rates,
 )
 

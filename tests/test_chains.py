@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from support import dense_hamiltonian
+from support import (
+    bandwidth,
+    dense_hamiltonian,
+    localization_length_bloch,
+    localization_length_gaussian,
+    participation_ratio,
+)
 
 from openchain.chains import (
     ChainSpec,
@@ -11,9 +17,6 @@ from openchain.chains import (
     build_free_chain,
     diagonalize,
     free_eigensystem,
-    localization_length_bloch,
-    localization_length_gaussian,
-    participation_ratio,
     sample_disorder,
 )
 
@@ -187,7 +190,7 @@ class TestLocalizationLengths:
             localization_length_gaussian(0.0)
 
     def test_bloch_free_chain(self):
-        bw = free_eigensystem(20).bandwidth()
+        bw = bandwidth(free_eigensystem(20))
         assert bw == pytest.approx(2 * np.cos(np.pi / 21), abs=1e-12)
         assert localization_length_bloch(bw, 2.0) == pytest.approx(0.9888, abs=1e-4)
 

@@ -205,7 +205,7 @@ class TestSubspaceConservation:
             (+1, -1) if j <= layout.a + 2 else (+1, +1) for j in range(1, layout.path_length + 1)
         )
         assert late != basis.registers
-        wrong = PeresBasis("U", basis.sites, late)
+        wrong = PeresBasis(basis.sites, late)
         disorder = disorder_for(12, 0.5, 6)
         assert commutator_norm(layout, disorder, 2.0, basis) <= 1e-12
         assert commutator_norm(layout, disorder, 2.0, wrong) > 1.0

@@ -100,7 +100,7 @@ def test_dissipative_transport_run(grid, seed):
     psi0 = np.eye(14)[0]
     check_pipeline(
         grid,
-        lambda t: dissipative_transport_run(h, BATHS["bath"], psi0, t),
+        lambda t: dissipative_transport_run(h, BATHS["bath"], t),
         lambda t: dense_transport_columns(h, BATHS["bath"], psi0, t),
     )
 
@@ -356,7 +356,7 @@ def test_unitary_block_boundaries_match_dense_oracle():
     psi0 = np.eye(200)[0]
     times = lindblad.time_grid(5000.0, 0.5)
     edges = block_edges(times, 200)
-    series = dissipative_transport_run(h, None, psi0, times)
+    series = dissipative_transport_run(h, None, times)
     x = np.arange(1, 201)
     prob = np.array([np.abs(evolve_pure(h, psi0, t)) ** 2 for t in times[edges]]).T
     mean = x @ prob
@@ -375,7 +375,7 @@ def test_bath_block_boundaries_match_direct_formula():
     times = lindblad.time_grid(5000.0, 0.5)
     edges = block_edges(times, 200)
     bath = BATHS["bath"]
-    series = dissipative_transport_run(h, bath, np.eye(200)[0], times)
+    series = dissipative_transport_run(h, bath, times)
     ref = direct_relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], times[edges])
     got = {name: col[edges] for name, col in series.columns().items() if name != "t"}
     assert_columns_match(got, kernel_columns(eig, *ref, populations_too=False), LONG_RTOL)
@@ -423,8 +423,7 @@ def test_bath_read_out_memory(pipeline):
     bath = BATHS["bath"]
     if pipeline == "transport":
         h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
-        psi0 = np.eye(200)[0]
-        peak = traced_peak(lambda: dissipative_transport_run(h, bath, psi0, times))
+        peak = traced_peak(lambda: dissipative_transport_run(h, bath, times))
     else:
         layout = build_cnot_layout(200, 9)
         disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))

@@ -5,6 +5,7 @@ from support import (
     integrate_populations,
     kernel_states,
     relax_energy_density,
+    thermal_fixed_point,
 )
 
 from openchain.chains import (
@@ -22,7 +23,6 @@ from openchain.lindblad import (
     pure_state_series,
     site_amplitudes,
     site_distribution,
-    thermal_fixed_point,
     transition_rates,
 )
 
@@ -242,18 +242,16 @@ class TestDissipativeTransportRun:
         spec = ChainSpec(10, 0.3, 1.0, seed=19)
         h = build_chain_hamiltonian(spec)
         grid = np.linspace(0, 10, 51)
-        psi0 = np.eye(10)[0]
-        unitary = dissipative_transport_run(h, None, psi0, grid)
-        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=1e-9), psi0, grid)
+        unitary = dissipative_transport_run(h, None, grid)
+        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=1e-9), grid)
         assert np.max(np.abs(open_sys.mean_q - unitary.mean_q)) < 1e-6
 
     def test_zero_coupling_exact(self):
         spec = ChainSpec(8, 0.4, 1.5, seed=20)
         h = build_chain_hamiltonian(spec)
         grid = np.linspace(0, 25, 26)
-        psi0 = np.eye(8)[0]
-        unitary = dissipative_transport_run(h, None, psi0, grid)
-        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.0), psi0, grid)
+        unitary = dissipative_transport_run(h, None, grid)
+        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.0), grid)
         assert np.max(np.abs(open_sys.mean_q - unitary.mean_q)) < 1e-12
         assert np.max(np.abs(open_sys.p_region - unitary.p_region)) < 1e-12
 
@@ -262,9 +260,7 @@ class TestDissipativeTransportRun:
         # the last site and stays
         h = build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0))
         grid = np.linspace(0, 1000, 251)
-        series = dissipative_transport_run(
-            h, BathSpec(beta=1.0, zeta=0.05), np.eye(20)[0], grid
-        )
+        series = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.05), grid)
         assert series.p_region[-1] >= 0.8
         # past the initial transient the drift is monotone to the right
         tail = series.mean_q[grid >= 100]
@@ -275,9 +271,7 @@ class TestDissipativeTransportRun:
         # cold-bath regime: one site per 1/zeta time units, within 50%
         h = build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0))
         grid = np.linspace(0, 600, 1201)
-        series = dissipative_transport_run(
-            h, BathSpec(beta=50.0, zeta=0.05), np.eye(20)[0], grid
-        )
+        series = dissipative_transport_run(h, BathSpec(beta=50.0, zeta=0.05), grid)
         t5 = np.interp(5.0, series.mean_q, grid)
         t15 = np.interp(15.0, series.mean_q, grid)
         per_site = (t15 - t5) / 10.0

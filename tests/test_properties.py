@@ -15,6 +15,7 @@ from support import (
     full_space_state,
     full_switch_hamiltonian,
     relax_energy_density,
+    thermal_fixed_point,
 )
 
 from openchain.chains import ChainSpec, build_chain_hamiltonian, diagonalize, sample_disorder
@@ -24,11 +25,7 @@ from openchain.feynman import (
     run_classical_input,
     run_superposed_input,
 )
-from openchain.lindblad import (
-    BathSpec,
-    site_distribution,
-    thermal_fixed_point,
-)
+from openchain.lindblad import BathSpec, site_distribution
 
 settings.register_profile(
     "derandomized", derandomize=True, database=None, max_examples=40, deadline=None

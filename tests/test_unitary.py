@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from support import closed_series, dense_hamiltonian, evolve_pure
-
-from openchain.chains import (
-    ChainSpec,
-    build_chain_hamiltonian,
-    diagonalize,
-    free_eigensystem,
+from support import (
+    bandwidth,
+    closed_series,
+    dense_hamiltonian,
+    evolve_pure,
     localization_length_gaussian,
 )
-from openchain.lindblad import arrival_peak, dissipative_transport_run
+
+from openchain.chains import ChainSpec, build_chain_hamiltonian, diagonalize, free_eigensystem
+from openchain.lindblad import arrival_peak
 
 
 def random_state(dim, seed):
@@ -199,12 +199,5 @@ class TestObservableSeries:
         # tilt-localization length of its start
         eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0)))
         series = closed_series(eig, np.eye(20)[0], np.linspace(0, 500, 2001))
-        bandwidth = free_eigensystem(20).bandwidth()
-        assert series.mean_q.max() - series.mean_q.min() <= bandwidth / 2.0 + 1.0
-
-
-class TestPureStateValidation:
-    def test_unnormalized_rejected(self):
-        h = build_chain_hamiltonian(ChainSpec(4, 0.0, 0.0, seed=0))
-        with pytest.raises(ValueError, match="normalized"):
-            dissipative_transport_run(h, None, np.ones(4), [0.0])
+        width = bandwidth(free_eigensystem(20))
+        assert series.mean_q.max() - series.mean_q.min() <= width / 2.0 + 1.0
