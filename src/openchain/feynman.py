@@ -40,8 +40,7 @@ from typing import Literal
 import numpy as np
 
 from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
-from .lindblad import BathSpec, energy_blocks, pure_state_series, site_amplitudes
-from .lindblad import site_distribution
+from .lindblad import BathSpec, energy_blocks, pure_state_series, read_out, site_amplitudes
 from .series import ObservableSeries
 
 Branch = Literal["U", "D"]
@@ -200,27 +199,18 @@ def run_classical_input(
     )
 
 
-def register_states(
-    pops_up: np.ndarray,
-    pops_down: np.ndarray,
-    cross: np.ndarray,
-    bases: tuple[PeresBasis, PeresBasis],
-) -> np.ndarray:
+def register_states(diag_up: np.ndarray, diag_down: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Cursor traced out (physical-site basis) at every time -> (T, 4, 4) register states.
 
-    ``pops_up``/``pops_down`` are the (T, n) path-coordinate populations of the
-    diagonal blocks and ``cross`` the (T, n) diagonal of the cross block on
-    every path coordinate; it contributes only where the two bases' ``sites``
-    agree (both branches on the same physical site). Each entry is summed into
-    its register index by a product with a one-hot matrix. Inputs zeroed off
-    some coordinates give the unnormalized state restricted to the rest.
+    ``diag_up``/``diag_down`` (4 x T) are the diagonal blocks' site populations
+    summed by register index, ``cross`` (16 x T) the cross block's diagonal
+    summed by index pair 4 i_U + i_D where both branches sit on the same
+    physical site. Sums over some coordinates give the unnormalized state
+    restricted to them.
     """
-    idx_up, idx_down = bases[0].register_indices(), bases[1].register_indices()
-    shared = np.flatnonzero(bases[0].sites == bases[1].sites)
-    rho = np.zeros((pops_up.shape[0], 4, 4), dtype=complex)
-    diag = pops_up @ np.eye(4)[idx_up] + pops_down @ np.eye(4)[idx_down]
-    rho[:, np.arange(4), np.arange(4)] = diag
-    off = (cross[:, shared] @ np.eye(16)[4 * idx_up[shared] + idx_down[shared]]).reshape(-1, 4, 4)
+    rho = np.zeros((diag_up.shape[1], 4, 4), dtype=complex)
+    rho[:, np.arange(4), np.arange(4)] = (diag_up + diag_down).T
+    off = cross.T.reshape(-1, 4, 4)
     return rho + off + np.conj(np.swapaxes(off, 1, 2))
 
 
@@ -288,18 +278,24 @@ def run_superposed_input(
     :func:`energy_blocks` of branch B from path coordinate 1, each diagonal
     block is half its branch run and the cross block is rank one,
     rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal 1/2 (V_U U_U)_j
-    conj((V_D U_D)_j); each branch's V U feeds both its site distribution
-    and the cross diagonal. Both branches have s - 2 levels, so their blocks
-    span the same columns: each pair is traced (:func:`register_states`) once
-    whole and once past the gate (``sites`` >= b, the same coordinates on both
-    branches), the latter normalized by ``p_beyond_gate``. Only the O(T)
-    series and ``register`` are held across blocks.
+    conj((V_D U_D)_j); each branch's V U feeds both its read-out and the cross
+    diagonal. Both branches have s - 2 levels, so their blocks span the same
+    columns. The read-out rows, built once per run, are each branch's one-hot
+    register-index rows and the 16 index-pair rows of the cross diagonal on
+    the shared coordinates, each over its copy past the gate (``sites`` >= b
+    on both branches): they give the state (:func:`register_states`) and the
+    state past the gate, normalized by ``p_beyond_gate``. Only the O(T) series
+    and ``register`` are held across blocks.
     """
     up = BranchModel.build(layout, "U", disorder, g)
     down = BranchModel.build(layout, "D", disorder, g)
     t_grid = np.asarray(t_grid, dtype=float)
-    bases = (up.basis, down.basis)
     beyond = up.basis.sites >= layout.b
+    idx_up, idx_down = up.basis.register_indices(), down.basis.register_indices()
+    pairs = np.eye(16)[4 * idx_up + idx_down].T * (up.basis.sites == down.basis.sites)
+    rows_u, rows_d, pairs = (
+        np.concatenate([r, r * beyond]) for r in (np.eye(4)[idx_up].T, np.eye(4)[idx_down].T, pairs)
+    )
     vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
     trace_uu, trace_dd, p_beyond, entropy = (np.empty(t_grid.size) for _ in range(4))
     fidelity = np.full(t_grid.size, np.nan)
@@ -310,19 +306,17 @@ def run_superposed_input(
     )
     for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
         w_u, w_d = site_amplitudes(vu, amp_u), site_amplitudes(vd, amp_d)
-        sites_u = 0.5 * site_distribution(vu, pop_u, amp_u, w_u).T  # (columns, n)
-        sites_d = 0.5 * site_distribution(vd, pop_d, amp_d, w_d).T
+        diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, w_u)  # (8, columns)
+        diag_d = 0.5 * read_out(vd, rows_d, pop_d, amp_d, w_d)
         w_u *= np.conj(w_d)  # in place: the cross diagonal on every coordinate
-        cross = 0.5 * w_u.T
+        cross = 0.5 * site_amplitudes(pairs, w_u)  # (32, columns)
         del w_u, w_d
-        if pop_u is None:  # no bath: the populations are |U|^2
-            pop_u, pop_d = np.abs(amp_u) ** 2, np.abs(amp_d) ** 2
-        trace_uu[cols], trace_dd[cols] = 0.5 * pop_u.sum(axis=0), 0.5 * pop_d.sum(axis=0)
-        weight = sites_u[:, beyond].sum(axis=1) + sites_d[:, beyond].sum(axis=1)
+        trace_uu[cols], trace_dd[cols] = diag_u[:4].sum(axis=0), diag_d[:4].sum(axis=0)
+        weight = diag_u[4:].sum(axis=0) + diag_d[4:].sum(axis=0)
         p_beyond[cols] = weight
-        register[cols] = register_states(sites_u, sites_d, cross, bases)
+        register[cols] = register_states(diag_u[:4], diag_d[:4], cross[:16])
         entropy[cols] = von_neumann_entropy(register[cols])
-        cond = register_states(sites_u * beyond, sites_d * beyond, cross * beyond, bases)
+        cond = register_states(diag_u[4:], diag_d[4:], cross[16:])
         passed = weight > 1e-12
         fidelity[cols][passed] = bell_fidelity(cond[passed] / weight[passed, None, None])
     return SwitchSeries(t_grid, trace_uu, trace_dd, p_beyond, entropy, fidelity, register)

@@ -25,13 +25,13 @@ eigenvectors V), and read the last site. From a pure start the decay law
 factorizes: the coherences are the off-diagonal part of u u^H with
 u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A time grid is then
 the n x T populations P (exact matrix-exponential steps of the master
-equation) and amplitudes U, and its site distribution |V U|^2 + (V*V)(P - |U|^2)
-is two matrix products, one without a bath (:func:`site_distribution`; V is
-real, so V U is a real product). No dense n x n state and no n x T array is
-formed: every pipeline reads this kernel one block at a time, in O(n x block)
-memory plus its O(T) outputs: the chain with or without a bath
-(:func:`pure_state_series`), the arrival-peak scan (:func:`arrival_peak`, on
-the last site's row alone) and both switch pipelines of :mod:`openchain.feynman`.
+equation) and amplitudes U. No pipeline needs the whole site distribution
+|V U|^2 + (V*V)(P - |U|^2), only k rows R of it, R |V U|^2 + (R (V*V))(P - |U|^2)
+(:func:`read_out`; V is real, so V U is a real product). No dense n x n state
+and no n x T array is formed: every pipeline reads this kernel one block at a
+time, in O(n x block) memory plus its O(T) outputs: the chain with or without a
+bath (:func:`pure_state_series`), the arrival-peak scan (:func:`arrival_peak`,
+on V's last row alone) and the switch pipelines of :mod:`openchain.feynman`.
 
 The kernel takes uniform grids only (:func:`time_grid` builds them); any other
 grid raises ``ValueError``. :func:`energy_blocks` yields P and U in cache-sized
@@ -214,7 +214,7 @@ def energy_blocks(
     advances block by block, carrying the last B columns of each block into
     the next, so at most two blocks of it are held; without a bath (``None``
     or zeta = 0) it is None: the populations are |U|^2, so the coherence
-    correction of :func:`site_distribution` vanishes and is skipped.
+    correction of :func:`read_out` vanishes and is skipped.
     """
     e = np.asarray(eigenvalues, dtype=float)
     c = np.asarray(amplitudes, dtype=complex)
@@ -243,25 +243,27 @@ def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndar
     return (eigenvectors @ np.ascontiguousarray(amplitudes).view(float)).view(complex)
 
 
-def site_distribution(
+def read_out(
     eigenvectors: np.ndarray,
+    rows: np.ndarray,
     populations: np.ndarray | None,
     amplitudes: np.ndarray,
     rotated: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Site probabilities (n x columns) of one block of :func:`energy_blocks`.
+    """``rows`` (k x n) times the site distribution of one block of :func:`energy_blocks`.
 
-    The diagonal of V (u u^H + diag(P - |u|^2)) V^T for every time at once;
-    ``populations = None`` (no bath) drops the vanishing correction term.
-    ``rotated`` is V U when the caller has it already; it is left intact.
+    R |V U|^2 + (R (V*V))(P - |U|^2), k x columns: the bath correction is a k x n
+    product; ``populations = None`` (no bath) drops it. ``rotated`` is V U
+    when the caller has it already; it is left intact.
     """
     w = site_amplitudes(eigenvectors, amplitudes) if rotated is None else rotated
     prob = np.square(w.real)
     prob += np.square(w.imag, out=w.imag if rotated is None else None)  # in place when w is ours
     del w  # frees V U before the correction's temporaries
+    out = rows @ prob
     if populations is not None:
-        prob += (eigenvectors * eigenvectors) @ (populations - np.abs(amplitudes) ** 2)
-    return prob
+        out += (rows @ np.square(eigenvectors)) @ (populations - np.abs(amplitudes) ** 2)
+    return out
 
 
 def pure_state_series(
@@ -275,22 +277,23 @@ def pure_state_series(
     """mean_Q, var_Q and p_region of a pure start, read out one cache block at a time.
 
     ``amplitudes`` are the energy-basis amplitudes c, ``positions`` the
-    coordinate of each eigenvector row and ``region`` 0-based rows (None leaves
-    ``p_region`` unset). Only one block of P, U and the site distribution is
-    held at a time. var_Q is taken about each block's first mean: about the
-    origin, <x^2> - <x>^2 would cancel max(x)^2 of precision.
+    coordinate x of each eigenvector row and ``region`` 0-based rows (None
+    leaves ``p_region`` unset). Each block is read out on the rows x, y^2, y
+    and the region's indicator, with y = x - the block's first mean, read out
+    from that column alone: about the origin, <x^2> - <x>^2 would cancel
+    max(x)^2 of precision.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    x = np.asarray(positions, dtype=float)
+    v, x = eig.eigenvectors, np.asarray(positions, dtype=float)
+    indicator = [] if region is None else [np.bincount(region, minlength=x.size)]
     mean, var = np.empty(t_grid.size), np.empty(t_grid.size)
     p_region = None if region is None else np.empty(t_grid.size)
     for cols, p, u in energy_blocks(eig.eigenvalues, bath, amplitudes, t_grid):
-        prob = site_distribution(eig.eigenvectors, p, u)
-        mean[cols] = x @ prob
-        y = x - mean[cols.start]
-        var[cols] = (y**2) @ prob - (y @ prob) ** 2
+        y = x - read_out(v, x[None], None if p is None else p[:, :1], u[:, :1])[0, 0]
+        out = read_out(v, np.stack([x, y**2, y, *indicator]), p, u)
+        mean[cols], var[cols] = out[0], out[1] - out[2] ** 2
         if p_region is not None:
-            p_region[cols] = prob[region].sum(axis=0)
+            p_region[cols] = out[3]
     return ObservableSeries(t_grid, mean, var, p_region)
 
 
@@ -303,8 +306,8 @@ def arrival_peak(eig: EigenSystem, t_max: float, dt: float = 0.05) -> tuple[floa
     """
     times = time_grid(t_max, dt)
     blocks = energy_blocks(eig.eigenvalues, None, eig.eigenvectors[0], times)
-    row = eig.eigenvectors[-1:]
-    last = np.concatenate([site_distribution(row, None, u)[0] for *_, u in blocks])
+    row, one = eig.eigenvectors[-1:], np.ones((1, 1))
+    last = np.concatenate([read_out(row, one, None, u)[0] for *_, u in blocks])
     i = int(np.argmax(last))
     return float(times[i]), float(last[i])
 

@@ -13,7 +13,6 @@ every parameter value (common random numbers).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -184,10 +183,7 @@ def _write_outputs(
         _require_finite(name, cols)
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: dict[str, str] = {}
-    for name, cols in tables.items():
-        write_csv(out_dir / name, cols)
-        outputs[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    outputs = {name: write_csv(out_dir / name, cols) for name, cols in tables.items()}
     manifest = RunManifest(
         version=__version__,
         master_seed=config.seed,

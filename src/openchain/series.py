@@ -6,6 +6,7 @@ CSV files carry a header row, a fixed column order, and reals formatted with
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,20 +17,26 @@ _REAL_FORMAT = "%.17g"  # 17 significant digits round-trip every double
 _CSV_BLOCK_ROWS = 256  # rows converted to Python floats at once: bounds the writer's memory
 
 
-def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns (equal length) as CSV with 17-digit reals.
+def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> str:
+    """Write named columns (equal length) as CSV with 17-digit reals; return the file's sha256.
 
-    One ``%`` format call per block of rows (bounded memory).
+    One ``%`` format call per block of rows (bounded memory). The digest is
+    taken of the bytes as they are written, so the file is never read back.
     """
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
     if any(a.shape[0] != arrays[0].shape[0] for a in arrays):
         raise ValueError("all columns must have the same length")
     row = ",".join([_REAL_FORMAT] * len(arrays)) + "\n"
-    with open(path, "w") as out:
-        out.write(",".join(columns) + "\n")
-        for start in range(0, arrays[0].shape[0], _CSV_BLOCK_ROWS):
+    digest = hashlib.sha256()
+    with open(path, "wb") as out:
+        text = ",".join(columns) + "\n"  # the header goes out with the first block
+        for start in range(0, max(arrays[0].shape[0], 1), _CSV_BLOCK_ROWS):
             block = np.column_stack([a[start : start + _CSV_BLOCK_ROWS] for a in arrays])
-            out.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            data = (text + (row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+            digest.update(data)
+            out.write(data)
+            text = ""
+    return digest.hexdigest()
 
 
 @dataclass

@@ -40,7 +40,7 @@ from openchain.feynman import (
 from openchain.lindblad import (
     BathSpec,
     arrival_peak,
-    site_distribution,
+    read_out,
     transition_rates,
 )
 
@@ -49,7 +49,7 @@ def branch_distribution(model: BranchModel, bath: BathSpec | None, grid) -> np.n
     """Kernel site distribution (path coordinate x time) of a branch started at coordinate 1."""
     v = model.eig.eigenvectors
     pops, amps = relax_energy_density(model.eig.eigenvalues, bath, v[0], grid)
-    return site_distribution(v, pops, amps)
+    return read_out(v, np.eye(v.shape[0]), pops, amps)
 
 
 class Criterion:

@@ -25,7 +25,7 @@ from openchain.feynman import (
     run_superposed_input,
     von_neumann_entropy,
 )
-from openchain.lindblad import BathSpec, site_distribution
+from openchain.lindblad import BathSpec, read_out
 
 
 def disorder_for(s, sigma, seed):
@@ -355,10 +355,9 @@ class TestRegisterReduction:
         # register is the 50/50 mixture of the two outcomes
         layout = build_cnot_layout(22, 9)
         bases = (peres_basis(layout, "U", (+1, -1)), peres_basis(layout, "D", (-1, -1)))
-        end = np.zeros((1, layout.path_length))
-        end[0, -1] = 0.5
-        cross = np.zeros((1, layout.path_length), complex)
-        rho = register_states(end, end, cross, bases)[0]
+        up, down = (np.zeros((4, 1)) for _ in range(2))
+        up[bases[0].register_indices()[-1]] = down[bases[1].register_indices()[-1]] = 0.5
+        rho = register_states(up, down, np.zeros((16, 1), complex))[0]
         expected = np.zeros((4, 4))
         expected[register_index((+1, +1)), register_index((+1, +1))] = 0.5
         expected[register_index((-1, -1)), register_index((-1, -1))] = 0.5
@@ -407,8 +406,8 @@ class TestFullSpaceOracle:
         psi0 = full_space_state(layout, reg0)
         series = run_superposed_input(layout, disorder, g, None, grid)
         mean_red = sum(
-            0.5 * (model.basis.sites @ site_distribution(model.eig.eigenvectors, pops, amps))
-            for model, pops, amps in branch_runs(layout, disorder, g, None, grid)
+            0.5 * (m.basis.sites @ read_out(m.eig.eigenvectors, np.eye(m.eig.dim), pops, amps))
+            for m, pops, amps in branch_runs(layout, disorder, g, None, grid)
         )
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)

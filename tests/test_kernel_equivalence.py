@@ -4,7 +4,9 @@ Every column must match its reference to 1e-12 * max(1, max|column|), with
 NaN at the same positions, for several disorder seeds on a uniform grid and a
 grid that starts after t = 0 (the initial exponential step). The kernel takes
 uniform grids only: every pipeline must reject a non-uniform grid with
-``ValueError``. The closed chain, evaluated in cache-sized blocks of grid
+``ValueError``. ``read_out`` of random rows R must match R times the dense
+oracle's site distribution, with and without a bath, on a grid that crosses a
+cache-block edge. The closed chain, evaluated in cache-sized blocks of grid
 columns, is checked against one complex product per 4096-column chunk, on a
 grid of several blocks that ends in a partial one.
 
@@ -38,6 +40,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from support import (
+    _dense_states,
     chunked_unitary_columns,
     closed_series,
     direct_relax_energy_density,
@@ -62,7 +65,7 @@ from openchain.lindblad import (
     BathSpec,
     arrival_peak,
     dissipative_transport_run,
-    site_distribution,
+    read_out,
 )
 
 GRIDS = {
@@ -149,20 +152,16 @@ def test_unitary_grid_spans_blocks():
 
 
 @pytest.mark.parametrize("region", REGIONS)
-@pytest.mark.parametrize("grid", UNITARY_GRIDS)
+@pytest.mark.parametrize("grid", ["blocks", "late-start"])  # "nonuniform": rejection test below
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unitary_observable_series(seed, grid, region):
     eig = diagonalize(build_chain_hamiltonian(ChainSpec(40, 0.5, 0.3, seed=seed)))
     psi0 = np.eye(40)[0]
     sites = REGIONS[region]
-    if grid == "nonuniform":
-        with pytest.raises(ValueError, match="uniform"):
-            closed_series(eig, psi0, UNITARY_GRIDS[grid], sites)
-        return
     series = closed_series(eig, psi0, UNITARY_GRIDS[grid], sites)
     coeff = eig.eigenvectors.T @ psi0
     kernel = lindblad.energy_blocks(eig.eigenvalues, None, coeff, UNITARY_GRIDS[grid])
-    blocks = [site_distribution(eig.eigenvectors, None, u) for *_, u in kernel]
+    blocks = [read_out(eig.eigenvectors, np.eye(eig.dim), None, u) for *_, u in kernel]
     prob = np.concatenate(blocks, axis=1)
     region_idx = None if sites is None else np.asarray(sites) - 1
     expected = chunked_unitary_columns(eig, psi0, UNITARY_GRIDS[grid], region_idx)
@@ -218,7 +217,7 @@ def test_config_grids_are_uniform(config):
 
 def kernel_columns(eig, pops, amps, populations_too: bool) -> dict[str, np.ndarray]:
     """mean_Q, var_Q, the last-site probability and, if asked, each row of P."""
-    prob = site_distribution(eig.eigenvectors, pops, amps)
+    prob = read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps)
     x = np.arange(1, eig.dim + 1)
     mean = x @ prob
     cols = {"mean_Q": mean, "var_Q": (x**2) @ prob - mean**2, "p_region": prob[-1]}
@@ -291,6 +290,36 @@ def test_relax_energy_density_rejects_irregular_grids(bath, grid):
     eig = free_eigensystem(8)
     with pytest.raises(ValueError, match="uniform"):
         relax_energy_density(eig.eigenvalues, BATHS[bath], eig.eigenvectors[0], IRREGULAR_GRIDS[grid])
+
+
+@pytest.mark.parametrize("grid", [*IRREGULAR_GRIDS, "nonuniform-blocks"])
+@pytest.mark.parametrize("bath", BATHS)
+def test_pure_state_series_rejects_irregular_grids(bath, grid):
+    # the read-out of all three chain pipelines; the last grid spans several
+    # cache blocks of a 40-level chain and ends in a partial one
+    eig = free_eigensystem(40)
+    times = UNITARY_GRIDS["nonuniform"] if grid == "nonuniform-blocks" else IRREGULAR_GRIDS[grid]
+    with pytest.raises(ValueError, match="uniform"):
+        lindblad.pure_state_series(
+            eig, BATHS[bath], eig.eigenvectors[0], times, np.arange(1, 41), None
+        )
+
+
+@pytest.mark.parametrize("bath", BATHS)
+def test_read_out_matches_dense_site_distribution(bath):
+    # k = 5 random rows R against R times the diagonal of V rho V^T of the dense
+    # per-time-point states, on a grid of a 20-level chain that runs 40 columns
+    # past the first cache block
+    eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0)))
+    v, c = eig.eigenvectors, eig.eigenvectors[0]
+    size = lindblad._BLOCK_BYTES // (16 * 20) + 40
+    times = np.linspace(0.0, 0.5 * (size - 1), size)
+    rows = np.random.default_rng(0).standard_normal((5, 20))
+    kernel = lindblad.energy_blocks(eig.eigenvalues, BATHS[bath], c, times)
+    got = np.concatenate([lindblad.read_out(v, rows, p, u) for _, p, u in kernel], axis=1)
+    states = _dense_states(eig, BATHS[bath], np.outer(c, c), times)
+    prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
+    assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
 
 
 #: beyond t = 4096 linspace rounds each 0.1 step to the float spacing 2**-40,
@@ -410,15 +439,16 @@ def traced_peak(run) -> int:
 @pytest.mark.parametrize("pipeline", ["transport", "classical"])
 def test_bath_read_out_memory(pipeline):
     # The bath pipelines hold one cache block of populations, amplitudes and
-    # site distribution at a time, never a whole-grid array. At the peak, while
-    # the coherence correction is formed, they hold in units of _BLOCK_BYTES
+    # read-out at a time, never a whole-grid array. At the peak, while V U is
+    # squared into the site distribution, they hold in units of _BLOCK_BYTES
     # (one complex n x width array): the first-block phase table and the U
-    # block (2), the float site distribution and the correction's two float
-    # temporaries (1.5), the P block read out and, while the next is filled,
-    # the one before (1), and the n x n eigenvector, rate, generator, S^32 and
-    # V*V matrices (1.5: five of 0.3 at n = 200); one is margin. On top come
-    # the O(T) series: the grid and the columns that each block fills in. The
-    # whole-grid populations peaked at 12.5 MiB here.
+    # block (2), V U and the float site distribution (1.5; the correction's
+    # two float temporaries come after both are freed), the P block read out
+    # and, while the next is filled, the one before (1), and the n x n
+    # eigenvector, rate, generator, S^32 and V*V matrices (1.5: five of 0.3 at
+    # n = 200); one is margin. On top come the O(T) series: the grid and the
+    # columns that each block fills in. The whole-grid populations peaked at
+    # 12.5 MiB here.
     times = lindblad.time_grid(5000.0, 1.0)
     bath = BATHS["bath"]
     if pipeline == "transport":
@@ -437,22 +467,26 @@ def test_bath_read_out_memory(pipeline):
 def test_superposed_read_out_memory(bath):
     # The superposed switch walks both branches' blocks side by side. Across
     # blocks it holds the (T, 4, 4) register stack and six O(T) series (the
-    # grid and five columns). At its peak, while the cross diagonal is formed,
-    # one block pair holds, in units of _BLOCK_BYTES (one complex n x width
-    # array): the first-block phase tables of both branches (2), their U
-    # blocks (2), their V U (2), the cross diagonal's row selection and its
-    # half, plus the previous block's (3), and both halved float site
-    # distributions (1). One covers both eigenvector matrices, one is margin.
-    # A bath adds each branch's P block and, while the next is filled, the one
-    # before (2), and both branches' rate, generator and S^32 matrices (1: six
-    # of 0.3 at n = 198). The whole-grid populations peaked at 28.4 MiB with
-    # the bath.
+    # grid and five columns). At its peak one block pair holds, in units of
+    # _BLOCK_BYTES (one complex n x width array): the first-block phase tables
+    # of both branches (2), their U blocks (2) and their V U (2), plus either
+    # the float site distribution and its square inside a read-out or the
+    # conjugate of the lower V U while the cross diagonal is formed (1). The
+    # read-outs themselves are k x width with k <= 32. One covers both
+    # eigenvector matrices and is margin. A bath adds each branch's P block
+    # and, while the next is filled, the one before (2), and both branches'
+    # rate, generator and S^32 matrices (1: six of 0.3 at n = 198); the bath
+    # correction's temporaries (1) come after the site distribution is freed.
+    # Measured: 7.9 blocks without the bath and 11.0 with it; holding the
+    # (columns, n) site arrays, their masked copies and the cross diagonal's
+    # row selection took 10.9 and 13.4. The whole-grid populations peaked at
+    # 28.4 MiB with the bath.
     times = lindblad.time_grid(5000.0, 1.0)
     layout = build_cnot_layout(200, 9)
     disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
     peak = traced_peak(lambda: run_superposed_input(layout, disorder, 2.0, BATHS[bath], times))
     series = 6 * times.size * np.dtype(float).itemsize
     register = times.size * 16 * np.dtype(complex).itemsize
-    blocks = 12 if BATHS[bath] is None else 15
+    blocks = 9 if BATHS[bath] is None else 12
     bound = series + register + blocks * lindblad._BLOCK_BYTES
     assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"

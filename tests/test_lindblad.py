@@ -21,8 +21,8 @@ from openchain.lindblad import (
     dissipative_transport_run,
     population_generator,
     pure_state_series,
+    read_out,
     site_amplitudes,
-    site_distribution,
     transition_rates,
 )
 
@@ -197,14 +197,14 @@ class TestRepresentations:
         c = np.zeros(5)
         c[2] = 1.0
         pops, amps = relax_energy_density(eig.eigenvalues, None, c, [0.0])
-        prob = site_distribution(eig.eigenvectors, pops, amps)[:, 0]
+        prob = read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps)[:, 0]
         assert np.max(np.abs(prob - eig.eigenvectors[:, 2] ** 2)) < 1e-12
 
     def test_maximally_mixed_invariant(self):
         # uniform populations without coherences: flat in the site basis too
         eig = free_eigensystem(6)
         pops, amps = np.full((6, 1), 1 / 6), np.zeros((6, 1), complex)
-        prob = site_distribution(eig.eigenvectors, pops, amps)
+        prob = read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps)
         assert np.max(np.abs(prob - 1 / 6)) < 1e-12
 
     def test_round_trip(self):

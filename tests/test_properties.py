@@ -25,7 +25,7 @@ from openchain.feynman import (
     run_classical_input,
     run_superposed_input,
 )
-from openchain.lindblad import BathSpec, site_distribution
+from openchain.lindblad import BathSpec, read_out
 
 settings.register_profile(
     "derandomized", derandomize=True, database=None, max_examples=40, deadline=None
@@ -135,7 +135,7 @@ def test_kernel_conserves_trace_and_positivity(params):
     pops, amps = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], grid)
     assert np.max(np.abs(pops.sum(axis=0) - 1.0)) < 1e-9
     assert pops.min() > -1e-12
-    prob = site_distribution(eig.eigenvectors, pops, amps)
+    prob = read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps)
     assert np.max(np.abs(prob.sum(axis=0) - 1.0)) < 1e-9
     assert prob.min() > -1e-9
 

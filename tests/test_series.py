@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from support import read_csv
@@ -49,7 +51,8 @@ class TestCsv:
             "bits": rng.integers(0, 2**64, reals.size, dtype=np.uint64).view(np.float64),
         }
         path = tmp_path / "x.csv"
-        write_csv(path, cols)
+        digest = write_csv(path, cols)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         lines = ["s,x,bits"] + [
             ",".join(per_cell(float(cols[n][i])) for n in cols) for i in range(reals.size)
         ]
