@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * the hopping amplitude is -1/2 on every nearest-neighbour bond,
 * hbar = 1, all energies and times are dimensionless,
 * eigenvalues are always reported in ascending order; eigenvector columns are
-  sign-normalized so that the first significant component is positive.
+  sign-normalized so that the first significant component is positive;
+* :func:`diagonalize` is numpy's dense symmetric eigensolver (LAPACK), so the
+  package needs numpy alone.
 
 On-site disorder is drawn from a zero-mean Gaussian with the Philox4x64
 counter-based generator (``numpy.random.Philox``) keyed directly by the seed,
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,9 @@ class HamiltonianOperator:
             raise ValueError(
                 f"hopping must have length dim-1 = {diag.size - 1}, got {hop.size}"
             )
+        for name, values in (("diagonal", diag), ("hopping", hop)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
         object.__setattr__(self, "diagonal", diag)
         object.__setattr__(self, "hopping", hop)
 
@@ -144,14 +148,16 @@ def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:
 def diagonalize(h: HamiltonianOperator) -> EigenSystem:
     """Numerically diagonalize a symmetric tridiagonal operator.
 
-    Eigenvalues come back ascending; eigenvector signs follow the package
-    convention (first significant component positive).
+    ``numpy.linalg.eigh`` on the dense operator, of which only the lower band
+    is filled (``eigh`` reads the lower triangle). Eigenvalues come back
+    ascending; eigenvector signs follow the package convention (first
+    significant component positive).
     """
     try:
-        evals, evecs = eigh_tridiagonal(h.diagonal, h.hopping)
+        evals, evecs = np.linalg.eigh(np.diag(h.diagonal) + np.diag(h.hopping, -1))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"tridiagonal eigensolver failed for dim={h.dim} "
+            f"symmetric eigensolver failed for dim={h.dim} "
             f"(diagonal range [{h.diagonal.min():.3g}, {h.diagonal.max():.3g}]): {exc}"
         ) from exc
     return EigenSystem(evals, _fix_eigenvector_signs(evecs))

@@ -41,7 +41,8 @@ c exp(d (t_0 + j b dt)), multiplied by one broadcast product, instead of n T
 complex exponentials; every later block is that table times exp(d (t_start - t_0)).
 The populations take B matrix-vector steps of S = expm(A dt) and then one
 BLAS-3 product S^B P per B columns, in the same block loop: each block starts
-from the last B columns of the one before it.
+from the last B columns of the one before it. :func:`expm` is the package's
+own, in numpy: scaling and squaring around the degree-13 Pade approximant.
 """
 
 from __future__ import annotations
@@ -50,13 +51,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chains import EigenSystem, HamiltonianOperator, diagonalize
 from .series import ObservableSeries
 
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
+# degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which they need
+# no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 class DegenerateGapError(ValueError):
@@ -111,6 +119,32 @@ def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> TransitionRates
     gamma[k + 1, k] = occupation  # absorption
     gamma[k, k + 1] = occupation + 1.0  # stimulated + spontaneous emission
     return TransitionRates(gamma, gamma.sum(axis=0))
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real matrix by scaling and squaring around the degree-13 Pade approximant.
+
+    a is scaled by 2^-k so that its 1-norm is at most theta_13, the
+    approximant r = (V - U)^-1 (V + U) is taken in the form I + 2 (V - U)^-1 U,
+    which rounds less at small norms, and r is squared k times. A non-finite
+    a gives a non-finite result.
+    """
+    a = np.asarray(a, dtype=float)
+    norm = np.linalg.norm(a, 1)
+    k = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
+    a = a * 2.0**-k
+    b, ident = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+    u = a @ (u + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+    v += b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = ident + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(k):
+        r = r @ r
+    return r
 
 
 def population_generator(rates: TransitionRates, bath: BathSpec) -> np.ndarray:

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
+
+# numpy loads these on first use; load them with the package so that no module
+# is imported inside a run: numpy.random for the seeds and the disorder, numpy.ma
+# because np.quantile calls np.unique, which calls np.ma.is_masked
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import __version__
 from .chains import ChainSpec, build_chain_hamiltonian, free_eigensystem, sample_disorder
@@ -121,7 +126,7 @@ def aggregate_columns(results: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
 
 
 def _numeric_environment() -> dict:
-    """Python, numpy, scipy and BLAS versions and the CPU count: the stack behind the bytes."""
+    """Python, numpy and BLAS versions and the CPU count: the stack behind the bytes."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 only prints its build config
@@ -129,7 +134,6 @@ def _numeric_environment() -> dict:
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": blas.get("name", "unknown"),
         "blas_version": blas.get("version", "unknown"),
         "cpu_count": os.cpu_count(),

@@ -12,7 +12,8 @@ blocks over a whole grid and assemble dense matrices from them, for invariant
 checks of what the pipelines compute; ``closed_series`` reads out the closed
 chain through the package's ``pure_state_series``. The closed-form
 diagnostics at the end (Gibbs populations, localization lengths,
-participation ratio, spectral width) are formulas that only the tests use.
+participation ratio, spectral width, the clean chain's Bessel image sum) are
+formulas that only the tests use.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
+from scipy.special import jv
 
 from openchain.chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
 from openchain.feynman import BranchModel, CircuitLayout, PeresBasis
@@ -113,14 +115,16 @@ def subspace_projector(basis: PeresBasis, s: int) -> np.ndarray:
 
 
 def evolve_full(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
+    """State at time t by scipy's dense ``eigh`` (LAPACK ``syevr``) of the full matrix ``h``."""
+    w, v = eigh(h)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
 
 
 def evolve_pure(h: HamiltonianOperator, psi0: np.ndarray, t: float) -> np.ndarray:
     """Closed-chain state at time t by dense ``eigh`` of the full matrix of ``h``.
 
-    Shares no code with the package's kernel or its tridiagonal ``diagonalize``.
+    Shares no code with the package's kernel, and its LAPACK driver (``syevr``)
+    is not the one behind ``diagonalize`` (numpy's ``syevd``).
     """
     return evolve_full(dense_hamiltonian(h), psi0, t)
 
@@ -482,7 +486,7 @@ def switch_block_states(
 
 # ---------------------------------------------------------------------------
 # closed-form diagnostics the tests compare runs against: Gibbs populations,
-# localization lengths, participation ratio, spectral width
+# localization lengths, participation ratio, spectral width, clean-chain arrival
 # ---------------------------------------------------------------------------
 
 
@@ -528,3 +532,19 @@ def participation_ratio(state: np.ndarray) -> float:
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state must be normalized, got ||psi|| = {norm}")
     return float(1.0 / np.sum(np.abs(psi) ** 4))
+
+
+def clean_chain_last_site(s: int, t_grid) -> np.ndarray:
+    """Last-site probability of the clean s-site chain released at site 1, by Bessel images.
+
+    With hopping -1/2 the infinite chain's propagator is G(d, t) = i^d J_d(t);
+    the walls at sites 0 and s + 1 are images, so the amplitude is
+    sum_m [G(s - 1 - 2m(s+1), t) - G(s + 1 - 2m(s+1), t)], m = -3..3, which
+    holds while t is well below 7 (s + 1). No spectral sum is involved.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    psi = np.zeros(t.size, dtype=complex)
+    for m in range(-3, 4):
+        for d, sign in ((s - 1 - 2 * m * (s + 1), 1.0), (s + 1 - 2 * m * (s + 1), -1.0)):
+            psi += sign * (1, 1j, -1, -1j)[d % 4] * jv(d, t)
+    return np.abs(psi) ** 2

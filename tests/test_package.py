@@ -1,6 +1,9 @@
-"""The package namespace and the README's Library example."""
+"""The package namespace, the README's Library example and the modules a run loads."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,3 +28,33 @@ def test_readme_library_example_runs(capsys):
     # the figures the README's comments document
     assert namespace["series"].p_region[-1] == pytest.approx(0.82, abs=0.01)
     assert abs(namespace["run"].entropy[-1] - np.log(2.0)) <= 1e-2
+
+
+#: run in a fresh process, because the test process has scipy loaded already
+#: (``support.py``); argv[1] is a bath config
+IMPORT_GUARD = """
+import sys
+import openchain.cli
+loaded = set(sys.modules)
+scipy = sorted(m for m in loaded if m.split(".")[0] == "scipy")
+assert not scipy, f"import openchain.cli loaded {len(scipy)} scipy modules: {scipy[:3]}"
+assert openchain.cli.main(["run", sys.argv[1]]) == 0
+assert openchain.cli.main(["sweep", sys.argv[1], "--vary", "zeta", "--values", "0.05,0.1"]) == 0
+added = sorted(set(sys.modules) - loaded)
+assert not added, f"a run and a sweep imported {added}"
+"""
+
+
+def test_cli_import_loads_no_scipy_and_a_run_imports_nothing(tmp_path):
+    config = tmp_path / "bath.ini"
+    config.write_text(
+        "[experiment]\nscenario = dissipative-transport\nensemble_size = 3\n"
+        f"output = {tmp_path / 'out'}\n[chain]\ns = 10\n[bath]\nbeta = 1\nzeta = 0.05\n"
+        "[grid]\nt_max = 50\ndt = 1\n"
+    )
+    src = str(Path(openchain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(config)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -130,7 +130,7 @@ class TestRunScenario:
         else:
             sweep(config, "s", [6, 8])
         environment = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
-        keys = {"python", "numpy", "scipy", "blas", "blas_version", "cpu_count"}
+        keys = {"python", "numpy", "blas", "blas_version", "cpu_count"}
         assert set(environment) == keys
         assert all(environment[key] for key in keys)
 

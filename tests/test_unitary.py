@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 from support import (
     bandwidth,
+    clean_chain_last_site,
     closed_series,
     dense_hamiltonian,
     evolve_pure,
     localization_length_gaussian,
 )
 
-from openchain.chains import ChainSpec, build_chain_hamiltonian, diagonalize, free_eigensystem
-from openchain.lindblad import arrival_peak
+from openchain.chains import (
+    ChainSpec,
+    build_chain_hamiltonian,
+    build_free_chain,
+    diagonalize,
+    free_eigensystem,
+)
+from openchain.lindblad import arrival_peak, dissipative_transport_run, time_grid
 
 
 def random_state(dim, seed):
@@ -141,6 +148,25 @@ class TestArrivalPeak:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             arrival_peak(free_eigensystem(3), 10.0, dt=0.0)
+
+
+class TestCleanChainOracle:
+    """The clean chain against its Bessel image sum, which uses no eigensolver."""
+
+    @pytest.mark.parametrize("s", [50, 400, 1600])
+    def test_arrival_peak(self, s):
+        times = time_grid(1.5 * s + 10, 0.05)
+        oracle = clean_chain_last_site(s, times)
+        t_star, p_star = arrival_peak(free_eigensystem(s), 1.5 * s + 10)
+        assert t_star == times[np.argmax(oracle)]
+        assert abs(p_star - oracle.max()) <= 1e-13
+
+    @pytest.mark.parametrize("s", [50, 400])
+    def test_closed_run_last_site(self, s):
+        # the dense eigensolver path: dissipative_transport_run diagonalizes h
+        times = time_grid(1.5 * s + 10, 0.05)
+        series = dissipative_transport_run(build_free_chain(s), None, times)
+        assert np.max(np.abs(series.p_region - clean_chain_last_site(s, times))) <= 1e-13
 
 
 class TestObservableSeries:
