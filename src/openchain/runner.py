@@ -112,14 +112,14 @@ def aggregate_columns(results: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
     first = results[0]
     out: dict[str, np.ndarray] = {}
     for name in first:
-        stack = np.stack([r[name] for r in results])
         if name == "t":
-            if np.any(stack != stack[0]):
+            if not all(np.array_equal(r["t"], first["t"]) for r in results):
                 raise ValueError("realizations disagree on the time grid")
             out["t"] = first["t"]
             continue
+        stack = np.stack([r[name] for r in results])
         out[f"{name}_mean"] = stack.mean(axis=0)
-        quartiles = np.quantile(stack, (0.25, 0.5, 0.75), axis=0)
+        quartiles = np.quantile(stack, (0.25, 0.5, 0.75), axis=0, overwrite_input=True)
         for tag, values in zip(("q25", "q50", "q75"), quartiles):
             out[f"{name}_{tag}"] = values
     return out

@@ -96,7 +96,7 @@ def check_pipeline(grid: str, run, reference) -> None:
         assert_columns_match(run(GRIDS[grid]).columns(), reference(GRIDS[grid]))
 
 
-@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("grid", ["uniform", "late-start"])  # "nonuniform": rejection test below
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dissipative_transport_run(grid, seed):
     h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=seed))
@@ -303,6 +303,14 @@ def test_pure_state_series_rejects_irregular_grids(bath, grid):
         lindblad.pure_state_series(
             eig, BATHS[bath], eig.eigenvectors[0], times, np.arange(1, 41), None
         )
+
+
+@pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
+@pytest.mark.parametrize("bath", BATHS)
+def test_dissipative_transport_run_rejects_irregular_grids(bath, grid):
+    h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=0))
+    with pytest.raises(ValueError, match="uniform"):
+        dissipative_transport_run(h, BATHS[bath], IRREGULAR_GRIDS[grid])
 
 
 @pytest.mark.parametrize("bath", BATHS)

@@ -10,7 +10,13 @@ from openchain.chains import ChainSpec, sample_disorder
 from openchain.cli import main
 from openchain.config import validate_config
 from openchain.lindblad import time_grid
-from openchain.runner import realization_seed, run_realization, run_scenario, sweep
+from openchain.runner import (
+    aggregate_columns,
+    realization_seed,
+    run_realization,
+    run_scenario,
+    sweep,
+)
 
 
 def make_config(tmp_path, scenario, extra="", out="out"):
@@ -69,6 +75,20 @@ class TestRunScenario:
         agg = read_csv(tmp_path / "out" / "localized_aggregate.csv")
         assert np.array_equal(agg["mean_Q_mean"], single["mean_Q"])
         assert np.array_equal(agg["mean_Q_q50"], single["mean_Q"])
+
+    def test_aggregate_columns(self):
+        t = np.arange(3.0)
+        runs = [{"t": t, "x": np.array([1.0, 4.0, 2.0]) * k} for k in (1.0, 3.0, 2.0)]
+        stack = np.stack([r["x"] for r in runs])
+        agg = aggregate_columns(runs)
+        assert agg["t"] is t
+        assert np.array_equal(agg["x_mean"], stack.mean(axis=0))
+        for tag, q in (("q25", 0.25), ("q50", 0.5), ("q75", 0.75)):
+            assert np.array_equal(agg[f"x_{tag}"], np.quantile(stack, q, axis=0))
+        # the quartiles partition a stacked copy, never a realization's column
+        assert np.array_equal(runs[0]["x"], [1.0, 4.0, 2.0])
+        with pytest.raises(ValueError, match="time grid"):
+            aggregate_columns([runs[0], {"t": t + 1.0, "x": t}])
 
     def test_reproducible_and_thread_invariant(self, tmp_path):
         extra = "ensemble_size = 3\n[grid]\nt_max = 20\ndt = 1\n[chain]\nsigma = 0.5\n"
