@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import locale  # noqa: F401  (argparse's gettext loads it at the first parser build)
 import os
 import sys
 

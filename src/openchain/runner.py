@@ -18,17 +18,12 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-# numpy loads these on first use; load them with the package so that no module
-# is imported inside a run: numpy.random for the seeds and the disorder, numpy.ma
-# because np.quantile calls np.unique, which calls np.ma.is_masked
-import numpy.ma  # noqa: F401
-import numpy.random  # noqa: F401
+import numpy.random  # noqa: F401  (numpy loads it at the first seed; no import inside a run)
 
 from . import __version__
 from .chains import ChainSpec, build_chain_hamiltonian, free_eigensystem, sample_disorder
@@ -82,6 +77,7 @@ def _run_jobs(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run loads no pool
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(_run_star, jobs))
     return [_run_star(job) for job in jobs]
@@ -103,6 +99,27 @@ def _require_finite(name: str, columns: dict[str, np.ndarray]) -> None:
             )
 
 
+def _quartiles(stack: np.ndarray) -> list[np.ndarray]:
+    """``np.quantile(stack, (0.25, 0.5, 0.75), axis=0)`` bit for bit, without its numpy.ma import.
+
+    ``stack`` is partitioned in place at numpy's own indices, so that a tie of
+    -0.0 and 0.0 falls as in numpy; a column holding NaN gets NaN.
+    """
+    n = len(stack)
+    if n == 1:
+        return [stack[0]] * 3  # as numpy: a lone -0.0 stays -0.0
+    picks = [(math.floor(v), v - math.floor(v)) for v in ((n - 1) * q for q in (0.25, 0.5, 0.75))]
+    stack.partition(sorted({0, -1, *(i for lo, _ in picks for i in (lo, lo + 1))}), axis=0)
+    nan = np.isnan(stack[-1])
+    quartiles = []
+    for lo, g in picks:
+        a, b = stack[lo], stack[lo + 1]
+        values = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+        values[nan] = np.nan
+        quartiles.append(values)
+    return quartiles
+
+
 def aggregate_columns(results: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     """Pointwise mean and quartiles of every column across realizations.
 
@@ -119,8 +136,7 @@ def aggregate_columns(results: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
             continue
         stack = np.stack([r[name] for r in results])
         out[f"{name}_mean"] = stack.mean(axis=0)
-        quartiles = np.quantile(stack, (0.25, 0.5, 0.75), axis=0, overwrite_input=True)
-        for tag, values in zip(("q25", "q50", "q75"), quartiles):
+        for tag, values in zip(("q25", "q50", "q75"), _quartiles(stack)):
             out[f"{name}_{tag}"] = values
     return out
 
@@ -179,12 +195,8 @@ def _write_outputs(
     """Write each table as a CSV in ``config.output``, then a manifest beside them.
 
     ``fields`` are the :class:`RunManifest` fields that differ between a run and a sweep.
-
-    A non-finite value other than ``bell_fidelity``'s NaN raises
-    ``FloatingPointError`` before any file is written.
+    The callers have passed every table through :func:`_require_finite`.
     """
-    for name, cols in tables.items():
-        _require_finite(name, cols)
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {name: write_csv(out_dir / name, cols) for name, cols in tables.items()}
@@ -211,7 +223,9 @@ def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
     tables = {f"{config.scenario}_r{r:03d}.csv": cols for r, cols in enumerate(results)}
     for name, cols in tables.items():
         _require_finite(name, cols)  # before aggregating: quantiles of mixed infinities warn
-    tables[f"{config.scenario}_aggregate.csv"] = aggregate_columns(results)
+    aggregate = f"{config.scenario}_aggregate.csv"
+    tables[aggregate] = aggregate_columns(results)
+    _require_finite(aggregate, tables[aggregate])
     disorder = _disorder_provenance(config, seeds)
     return _write_outputs(
         config, tables, started, config=config.to_dict(), realization_seeds=seeds, disorder=disorder
@@ -267,4 +281,5 @@ def sweep(
     table = {k: np.array([row[k] for row in rows]) for k in rows[0]}
     settings = {**config.to_dict(), "vary": vary, "values": list(values)}
     name = f"{config.scenario}_sweep_{vary}.csv"
+    _require_finite(name, table)
     return _write_outputs(config, {name: table}, started, config=settings, realization_seeds=seeds)

@@ -31,13 +31,15 @@ def test_readme_library_example_runs(capsys):
 
 
 #: run in a fresh process, because the test process has scipy loaded already
-#: (``support.py``); argv[1] is a bath config
+#: (``support.py``) and the pool tests start process pools; argv[1] is a bath
+#: config. A serial run needs neither a pool nor numpy.ma.
 IMPORT_GUARD = """
 import sys
 import openchain.cli
 loaded = set(sys.modules)
-scipy = sorted(m for m in loaded if m.split(".")[0] == "scipy")
-assert not scipy, f"import openchain.cli loaded {len(scipy)} scipy modules: {scipy[:3]}"
+unused = ("scipy", "concurrent", "multiprocessing", "numpy.ma")
+found = sorted(m for m in loaded if any(m == u or m.startswith(u + ".") for u in unused))
+assert not found, f"import openchain.cli loaded {len(found)} unused modules: {found[:3]}"
 assert openchain.cli.main(["run", sys.argv[1]]) == 0
 assert openchain.cli.main(["sweep", sys.argv[1], "--vary", "zeta", "--values", "0.05,0.1"]) == 0
 added = sorted(set(sys.modules) - loaded)

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from support import read_csv
 
 from openchain.chains import ChainSpec, sample_disorder
@@ -90,6 +93,29 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="time grid"):
             aggregate_columns([runs[0], {"t": t + 1.0, "x": t}])
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: arrays(
+                np.float64,
+                (n, 4),
+                # NaN, signed zeros, subnormals and repeats, up to 1e±300 (no overflow)
+                elements=st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 1.0, -1e300])
+                | st.floats(-1e300, 1e300),
+            )
+        )
+    )
+    @example(np.array([[-0.0, 0.0, np.nan, 5e-324]]))
+    @example(np.array([[0.0], [-0.0], [-0.0], [1.0]]))
+    def test_aggregate_quartiles_are_numpys_bit_for_bit(self, stack):
+        expected = np.quantile(stack, (0.25, 0.5, 0.75), axis=0)
+        agg = aggregate_columns([{"x": row} for row in stack])
+        for tag, want in zip(("q25", "q50", "q75"), expected):
+            got = agg[f"x_{tag}"]
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
     def test_reproducible_and_thread_invariant(self, tmp_path):
         extra = "ensemble_size = 3\n[grid]\nt_max = 20\ndt = 1\n[chain]\nsigma = 0.5\n"
         config_a = make_config(tmp_path, "localized", extra, out="a")
@@ -103,16 +129,16 @@ class TestRunScenario:
 
     def test_pool_no_larger_than_the_jobs(self, tmp_path, monkeypatch):
         # two realizations need two worker processes, whatever --workers asks for
-        import openchain.runner as runner_mod
+        import concurrent.futures
 
         sizes = []
-        real = runner_mod.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def recording_pool(*args, **kwargs):
             sizes.append(kwargs["max_workers"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         extra = "ensemble_size = 2\n[grid]\nt_max = 5\ndt = 1\n"
         run_scenario(make_config(tmp_path, "localized", extra), workers=6)
         assert sizes == [2]
@@ -236,16 +262,16 @@ class TestSweep:
         ).read_bytes()
 
     def test_one_process_pool_per_sweep(self, tmp_path, monkeypatch):
-        import openchain.runner as runner_mod
+        import concurrent.futures
 
         pools = []
-        real = runner_mod.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
             pools.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         config = make_config(tmp_path, "peak-scaling", "ensemble_size = 2\n")
         sweep(config, "s", [10, 12, 14], workers=2)
         assert len(pools) == 1
@@ -254,16 +280,16 @@ class TestSweep:
 
     def test_values_run_in_one_pool(self, tmp_path, monkeypatch):
         # one realization per value: the values themselves are the parallel jobs
-        import openchain.runner as runner_mod
+        import concurrent.futures
 
         pools = []
-        real = runner_mod.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
             pools.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         values = [10, 12, 14, 16]
         sweep(make_config(tmp_path, "peak-scaling", out="serial"), "s", values, workers=1)
         assert pools == []
@@ -475,4 +501,24 @@ class TestCli:
         )
         assert main([command[0], path, *command[1:]]) == 3
         assert "mean_Q" in capsys.readouterr().err
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_aggregate_exit_3(self, tmp_path, monkeypatch, capsys):
+        # finite realizations whose ensemble mean overflows
+        import openchain.runner as runner_mod
+
+        peaks = iter([1e308, 1.7e308])
+
+        def finite(config, seed):
+            return {"t": np.array([0.0, 1.0]), "mean_Q": np.array([1.0, next(peaks)])}
+
+        monkeypatch.setattr(runner_mod, "run_realization", finite)
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = ballistic\nensemble_size = 2\noutput = {tmp_path / 'out'}\n"
+            "[grid]\nt_max = 1\ndt = 1\n",
+        )
+        assert main(["run", path]) == 3
+        assert "ballistic_aggregate.csv: column 'mean_Q_mean'" in capsys.readouterr().err
         assert list((tmp_path / "out").glob("*.csv")) == []
