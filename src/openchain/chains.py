@@ -10,10 +10,10 @@ Conventions used throughout the package:
 * :func:`diagonalize` is numpy's dense symmetric eigensolver (LAPACK), so the
   package needs numpy alone.
 
-On-site disorder is drawn from a zero-mean Gaussian with the Philox4x64
-counter-based generator (``numpy.random.Philox``) keyed directly by the seed,
-so realizations are reproducible across platforms and independent of call
-order.
+A disorder realization is the float array of the s on-site energies eps_x,
+drawn from a zero-mean Gaussian with the Philox4x64 counter-based generator
+(``numpy.random.Philox``) keyed directly by the seed, so realizations are
+reproducible across platforms and independent of call order.
 """
 
 from __future__ import annotations
@@ -39,19 +39,6 @@ class ChainSpec:
             raise ValueError(f"disorder standard deviation must be >= 0, got {self.sigma}")
         if self.g < 0:
             raise ValueError(f"tilt strength must be >= 0, got {self.g}")
-
-
-@dataclass(frozen=True)
-class DisorderRealization:
-    """One draw of the random on-site energies eps_x, x = 1..s."""
-
-    epsilons: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilons", np.asarray(self.epsilons, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.epsilons)
 
 
 @dataclass(frozen=True)
@@ -103,13 +90,6 @@ class EigenSystem:
         return self.eigenvalues.size
 
 
-def build_free_chain(s: int) -> HamiltonianOperator:
-    """Clean chain: zero on-site energies, hopping -1/2 on every bond."""
-    if s < 2:
-        raise ValueError(f"chain needs at least 2 sites, got s={s}")
-    return HamiltonianOperator(np.zeros(s), -0.5 * np.ones(s - 1))
-
-
 def free_eigensystem(s: int) -> EigenSystem:
     """Closed-form spectrum of the free chain.
 
@@ -125,17 +105,16 @@ def free_eigensystem(s: int) -> EigenSystem:
     return EigenSystem(evals, evecs)
 
 
-def sample_disorder(spec: ChainSpec) -> DisorderRealization:
-    """Draw the s on-site energies: i.i.d. normal(0, sigma^2), Philox keyed by seed."""
+def sample_disorder(spec: ChainSpec) -> np.ndarray:
+    """The s on-site energies eps_x: i.i.d. normal(0, sigma^2), Philox keyed by seed."""
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    return DisorderRealization(rng.normal(0.0, spec.sigma, spec.s))
+    return rng.normal(0.0, spec.sigma, spec.s)
 
 
 def build_chain_hamiltonian(spec: ChainSpec) -> HamiltonianOperator:
     """Free chain plus the disorder and tilt of ``spec``: diagonal eps_x - g*x, x = 1..s."""
     x = np.arange(1, spec.s + 1, dtype=float)
-    diag = sample_disorder(spec).epsilons - spec.g * x
-    return HamiltonianOperator(diag, build_free_chain(spec.s).hopping)
+    return HamiltonianOperator(sample_disorder(spec) - spec.g * x, np.full(spec.s - 1, -0.5))
 
 
 def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:

@@ -10,9 +10,11 @@ switch occupies sites a..b with b = a + 5:
 with plain (inertial) sites 1..a before and b..s after the switch. Because
 the register state is a function of the cursor position within a branch, each
 branch reduces exactly to an (s-2)-site chain in "path coordinates": hopping
--1/2, on-site energy eps_{x(j)} - g*j, where x(j) is the physical site visited
-at path coordinate j and the tilt is linear in j (the physical-site tilt is
--g*x before the branch split and -g*(x-2) after it, which is the same thing).
+-1/2, on-site energy eps_{x(j)} - g*j, where eps is the disorder realization
+(the array of the s on-site energies, :func:`openchain.chains.sample_disorder`),
+x(j) is the physical site visited at path coordinate j and the tilt is linear
+in j (the physical-site tilt is -g*x before the branch split and -g*(x-2) after
+it, which is the same thing).
 
 The pairing (path coordinate, physical site, register label) is the branch's
 computational basis; labels are classical product states, so any site-diagonal
@@ -39,7 +41,7 @@ from typing import Literal
 
 import numpy as np
 
-from .chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
+from .chains import EigenSystem, HamiltonianOperator, diagonalize
 from .lindblad import BathSpec, energy_blocks, pure_state_series, read_out, site_amplitudes
 from .series import ObservableSeries
 
@@ -137,7 +139,7 @@ def peres_basis(
 def reduced_chain_hamiltonian(
     layout: CircuitLayout,
     branch: Branch,
-    disorder: DisorderRealization,
+    disorder: np.ndarray,
     g: float,
 ) -> HamiltonianOperator:
     """Branch Hamiltonian in path coordinates: hopping -1/2, diagonal eps_x(j) - g*j."""
@@ -147,7 +149,7 @@ def reduced_chain_hamiltonian(
         )
     sites = _path_sites(layout, branch)
     j = np.arange(1, layout.path_length + 1, dtype=float)
-    diag = disorder.epsilons[sites - 1] - g * j
+    diag = disorder[sites - 1] - g * j
     return HamiltonianOperator(diag, -0.5 * np.ones(layout.path_length - 1))
 
 
@@ -156,30 +158,21 @@ def reduced_chain_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BranchModel:
-    """One branch: its computational basis (whose ``sites`` are the geometry) and spectrum."""
+def build_branch(
+    layout: CircuitLayout, branch: Branch, disorder: np.ndarray, g: float
+) -> tuple[PeresBasis, EigenSystem]:
+    """A branch's computational basis (whose ``sites`` are the geometry) and spectrum.
 
-    basis: PeresBasis
-    eig: EigenSystem
-
-    @classmethod
-    def build(
-        cls,
-        layout: CircuitLayout,
-        branch: Branch,
-        disorder: DisorderRealization,
-        g: float,
-    ) -> "BranchModel":
-        """The branch for its own control value (+1 up, -1 down) and passive qubit -1."""
-        basis = peres_basis(layout, branch, (+1 if branch == "U" else -1, -1))
-        h = reduced_chain_hamiltonian(layout, branch, disorder, g)
-        return cls(basis, diagonalize(h))
+    The basis is the one for the branch's own control value (+1 up, -1 down)
+    and passive qubit -1.
+    """
+    basis = peres_basis(layout, branch, (+1 if branch == "U" else -1, -1))
+    return basis, diagonalize(reduced_chain_hamiltonian(layout, branch, disorder, g))
 
 
 def run_classical_input(
     layout: CircuitLayout,
-    disorder: DisorderRealization,
+    disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
     branch: Branch,
@@ -191,11 +184,10 @@ def run_classical_input(
     probability of the sites at and beyond the switch exit b. Position
     observables are reported in physical-site coordinates.
     """
-    model = BranchModel.build(layout, branch, disorder, g)
-    sites = model.basis.sites
-    start = model.eig.eigenvectors[0]
+    basis, eig = build_branch(layout, branch, disorder, g)
+    sites = basis.sites
     return pure_state_series(
-        model.eig, bath, start, t_grid, sites, np.flatnonzero(sites >= layout.b)
+        eig, bath, eig.eigenvectors[0], t_grid, sites, np.flatnonzero(sites >= layout.b)
     )
 
 
@@ -263,7 +255,7 @@ class SwitchSeries:
 
 def run_superposed_input(
     layout: CircuitLayout,
-    disorder: DisorderRealization,
+    disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
     t_grid: np.ndarray,
@@ -287,22 +279,22 @@ def run_superposed_input(
     state past the gate, normalized by ``p_beyond_gate``. Only the O(T) series
     and ``register`` are held across blocks.
     """
-    up = BranchModel.build(layout, "U", disorder, g)
-    down = BranchModel.build(layout, "D", disorder, g)
+    basis_u, eig_u = build_branch(layout, "U", disorder, g)
+    basis_d, eig_d = build_branch(layout, "D", disorder, g)
     t_grid = np.asarray(t_grid, dtype=float)
-    beyond = up.basis.sites >= layout.b
-    idx_up, idx_down = up.basis.register_indices(), down.basis.register_indices()
-    pairs = np.eye(16)[4 * idx_up + idx_down].T * (up.basis.sites == down.basis.sites)
+    beyond = basis_u.sites >= layout.b
+    idx_up, idx_down = basis_u.register_indices(), basis_d.register_indices()
+    pairs = np.eye(16)[4 * idx_up + idx_down].T * (basis_u.sites == basis_d.sites)
     rows_u, rows_d, pairs = (
         np.concatenate([r, r * beyond]) for r in (np.eye(4)[idx_up].T, np.eye(4)[idx_down].T, pairs)
     )
-    vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
+    vu, vd = eig_u.eigenvectors, eig_d.eigenvectors
     trace_uu, trace_dd, p_beyond, entropy = (np.empty(t_grid.size) for _ in range(4))
     fidelity = np.full(t_grid.size, np.nan)
     register = np.empty((t_grid.size, 4, 4), dtype=complex)
     blocks = zip(
-        energy_blocks(up.eig.eigenvalues, bath, vu[0], t_grid),
-        energy_blocks(down.eig.eigenvalues, bath, vd[0], t_grid),
+        energy_blocks(eig_u.eigenvalues, bath, vu[0], t_grid),
+        energy_blocks(eig_d.eigenvalues, bath, vd[0], t_grid),
     )
     for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
         w_u, w_d = site_amplitudes(vu, amp_u), site_amplitudes(vd, amp_d)

@@ -8,7 +8,9 @@ at the thermal rates
     emission    n+1 -> n :  1 / (exp(beta*omega) - 1) + 1
 
 with omega the level gap, so detailed balance holds and the Gibbs vector is
-stationary. The chain-bath coupling strength ``zeta`` multiplies all rates.
+stationary. They form the bare-rate matrix gamma, gamma[m, n] the rate of
+n -> m (:func:`transition_rates`); the chain-bath coupling strength ``zeta``
+multiplies all rates.
 
 Under these rates the density matrix decouples in the energy eigenbasis:
 populations follow a classical master equation, while each coherence decays
@@ -16,8 +18,8 @@ autonomously,
 
     rho_mn(t) = rho_mn(0) * exp([-i (e_m - e_n) - zeta (G_m + G_n)/2] t),
 
-where G_m is the total outflow rate from level m. ``zeta = 0`` reduces every
-formula to the closed-system evolution.
+where G_m = sum_j gamma[j, m] is the total outflow rate from level m.
+``zeta = 0`` reduces every formula to the closed-system evolution.
 
 Every run in the package starts from a pure state (energy amplitudes c); the
 chain runs release the excitation at site 1, c = V[0] (the first row of the
@@ -89,20 +91,12 @@ class BathSpec:
             raise ValueError(f"coupling constant must be >= 0, got {self.zeta}")
 
 
-@dataclass(frozen=True)
-class TransitionRates:
-    """gamma[m, n] = bare rate of the level transition n -> m (zeta excluded).
+def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> np.ndarray:
+    """The bare-rate matrix: gamma[m, n] is the thermal rate of the level transition n -> m.
 
-    Only nearest-level entries are nonzero. ``widths[m]`` is the total outflow
-    rate G_m = sum_j gamma[j, m].
+    zeta is excluded. Only nearest-level entries (absorption and emission) are
+    nonzero; column m sums to the total outflow rate G_m of level m.
     """
-
-    gamma: np.ndarray
-    widths: np.ndarray
-
-
-def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> TransitionRates:
-    """Thermal absorption/emission rates between adjacent levels."""
     evals = np.asarray(eigenvalues, dtype=float)
     omega = np.diff(evals)
     not_ascending = np.flatnonzero(omega <= 0)
@@ -118,7 +112,7 @@ def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> TransitionRates
     gamma = np.zeros((evals.size, evals.size))
     gamma[k + 1, k] = occupation  # absorption
     gamma[k, k + 1] = occupation + 1.0  # stimulated + spontaneous emission
-    return TransitionRates(gamma, gamma.sum(axis=0))
+    return gamma
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -147,10 +141,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def population_generator(rates: TransitionRates, bath: BathSpec) -> np.ndarray:
-    """Generator A of dp/dt = A p; columns sum to zero (trace preserving)."""
-    a = bath.zeta * rates.gamma.copy()
-    np.fill_diagonal(a, -bath.zeta * rates.widths)
+def population_generator(gamma: np.ndarray, bath: BathSpec) -> np.ndarray:
+    """Generator A of dp/dt = A p from the bare rates; columns sum to zero (trace preserving)."""
+    a = bath.zeta * gamma
+    np.fill_diagonal(a, -bath.zeta * gamma.sum(axis=0))
     return a
 
 
@@ -257,13 +251,13 @@ def energy_blocks(
     width = max(1 << _BLOCK_SQUARINGS, _BLOCK_BYTES // (16 * e.size))
     pops, d = None, -1j * e
     if bath is not None and bath.zeta != 0.0:
-        rates = transition_rates(e, bath)
-        gen = population_generator(rates, bath)
+        gamma = transition_rates(e, bath)
+        gen = population_generator(gamma, bath)
         p = np.abs(c) ** 2
         if t_grid[0] > 0:
             p = expm(gen * t_grid[0]) @ p
         pops = _population_blocks(gen, p, dt, width, t_grid.size)
-        d = d - 0.5 * bath.zeta * rates.widths
+        d = d - 0.5 * bath.zeta * gamma.sum(axis=0)
     first = _phases(d, c, t_grid[0], dt, min(width, t_grid.size))
     for start in range(0, t_grid.size, width):
         cols = slice(start, start + width)

@@ -183,10 +183,7 @@ class RunManifest:
 def _disorder_provenance(config: ExperimentConfig, seeds: list[int]) -> list[list[float]] | None:
     if config.sigma == 0 or config.scenario == "peak-scaling":
         return None
-    return [
-        [float(e) for e in sample_disorder(ChainSpec(config.s, config.sigma, 0.0, sd)).epsilons]
-        for sd in seeds
-    ]
+    return [sample_disorder(ChainSpec(config.s, config.sigma, 0.0, sd)).tolist() for sd in seeds]
 
 
 def _write_outputs(

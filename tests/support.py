@@ -25,8 +25,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, expm
 from scipy.special import jv
 
-from openchain.chains import DisorderRealization, EigenSystem, HamiltonianOperator, diagonalize
-from openchain.feynman import BranchModel, CircuitLayout, PeresBasis
+from openchain.chains import EigenSystem, HamiltonianOperator, diagonalize
+from openchain.feynman import CircuitLayout, PeresBasis, build_branch
 from openchain.lindblad import BathSpec, energy_blocks, pure_state_series, transition_rates
 
 
@@ -36,6 +36,13 @@ def read_csv(path) -> dict[str, np.ndarray]:
     names = lines[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return {n: data[:, i] for i, n in enumerate(names)}
+
+
+def build_free_chain(s: int) -> HamiltonianOperator:
+    """Clean chain: zero on-site energies, hopping -1/2 on every bond."""
+    if s < 2:
+        raise ValueError(f"chain needs at least 2 sites, got s={s}")
+    return HamiltonianOperator(np.zeros(s), -0.5 * np.ones(s - 1))
 
 
 def dense_hamiltonian(h: HamiltonianOperator) -> np.ndarray:
@@ -69,7 +76,7 @@ def _hop(x: int, y: int, op: np.ndarray, s: int) -> np.ndarray:
 
 
 def full_switch_hamiltonian(
-    layout: CircuitLayout, disorder: DisorderRealization, g: float
+    layout: CircuitLayout, disorder: np.ndarray, g: float
 ) -> np.ndarray:
     """Complete clock-and-register Hamiltonian on the 4s-dimensional product space.
 
@@ -95,7 +102,7 @@ def full_switch_hamiltonian(
         h += -0.5 * (_hop(y, x, op, s) + _hop(x, y, op, s))
     x = np.arange(1, s + 1)
     tilt = np.where(x <= a + 2, -g * x, -g * (x - 2)).astype(float)
-    h += np.kron(np.diag(disorder.epsilons + tilt), I4)
+    h += np.kron(np.diag(disorder + tilt), I4)
     return h
 
 
@@ -212,8 +219,9 @@ def direct_relax_energy_density(
     t_grid = np.asarray(t_grid, dtype=float)
     if bath is None or bath.zeta == 0.0:
         return None, c[:, None] * np.exp(np.outer(-1j * e, t_grid))
-    rates = transition_rates(e, bath)
-    gen = bath.zeta * (rates.gamma - np.diag(rates.widths))
+    gamma = transition_rates(e, bath)
+    widths = gamma.sum(axis=0)
+    gen = bath.zeta * (gamma - np.diag(widths))
     steps: dict[float, np.ndarray] = {}
     pops = np.empty((e.size, t_grid.size))
     p = np.abs(c) ** 2
@@ -228,7 +236,7 @@ def direct_relax_energy_density(
             p = steps[dt] @ p
         prev_t = t
         pops[:, i] = p
-    decay = -1j * e - 0.5 * bath.zeta * rates.widths
+    decay = -1j * e - 0.5 * bath.zeta * widths
     return pops, c[:, None] * np.exp(np.outer(decay, t_grid))
 
 
@@ -283,7 +291,7 @@ CLOSED = BathSpec(beta=1.0, zeta=0.0)
 
 def _dense_states(eig, bath: BathSpec | None, rho0: np.ndarray, t_grid) -> list:
     bath = bath or CLOSED
-    gamma = transition_rates(eig.eigenvalues, bath).gamma
+    gamma = transition_rates(eig.eigenvalues, bath)
     return relax_energy_density_dense(eig.eigenvalues, gamma, bath.zeta, rho0, t_grid)
 
 
@@ -310,21 +318,21 @@ def dense_transport_columns(
 
 def dense_classical_columns(
     layout: CircuitLayout,
-    disorder: DisorderRealization,
+    disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
     branch: str,
     t_grid: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """mean_Q, var_Q (physical sites) and p_beyond_gate of one branch run."""
-    model = BranchModel.build(layout, branch, disorder, g)
-    v = model.eig.eigenvectors
+    _, eig = build_branch(layout, branch, disorder, g)
+    v = eig.eigenvectors
     rho0 = np.outer(v[0], v[0])
     sites = branch_sites(layout, branch)
     x = sites.astype(float)
     beyond = sites >= layout.b
     rows = []
-    for state in _dense_states(model.eig, bath, rho0, t_grid):
+    for state in _dense_states(eig, bath, rho0, t_grid):
         prob = np.real(np.diag(v @ state @ v.T))
         rows.append((*_moments(prob, x), prob[beyond].sum()))
     return dict(zip(("mean_Q", "var_Q", "p_region"), np.array(rows).T))
@@ -348,23 +356,25 @@ def loop_register_state(uu, dd, ud, layout, idx_up, idx_down, sites=None) -> np.
 
 def dense_superposed_columns(
     layout: CircuitLayout,
-    disorder: DisorderRealization,
+    disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
     t_grid: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Every SwitchSeries column from dense blocks rotated one time point at a time."""
-    up = BranchModel.build(layout, "U", disorder, g)
-    down = BranchModel.build(layout, "D", disorder, g)
+    basis_u, eig_u = build_branch(layout, "U", disorder, g)
+    basis_d, eig_d = build_branch(layout, "D", disorder, g)
     beyond_u = branch_sites(layout, "U") >= layout.b
     beyond_d = branch_sites(layout, "D") >= layout.b
-    vu, vd = up.eig.eigenvectors, down.eig.eigenvectors
-    idx_up, idx_down = up.basis.register_indices(), down.basis.register_indices()
-    uu_states = _dense_states(up.eig, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
-    dd_states = _dense_states(down.eig, bath, 0.5 * np.outer(vd[0], vd[0]), t_grid)
+    vu, vd = eig_u.eigenvectors, eig_d.eigenvectors
+    idx_up, idx_down = basis_u.register_indices(), basis_d.register_indices()
+    uu_states = _dense_states(eig_u, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
+    dd_states = _dense_states(eig_d, bath, 0.5 * np.outer(vd[0], vd[0]), t_grid)
     bath = bath or CLOSED
-    widths = [bath.zeta * transition_rates(m.eig.eigenvalues, bath).widths for m in (up, down)]
-    cross_decay = -1j * np.subtract.outer(up.eig.eigenvalues, down.eig.eigenvalues) - 0.5 * (
+    widths = [
+        bath.zeta * transition_rates(e.eigenvalues, bath).sum(axis=0) for e in (eig_u, eig_d)
+    ]
+    cross_decay = -1j * np.subtract.outer(eig_u.eigenvalues, eig_d.eigenvalues) - 0.5 * (
         widths[0][:, None] + widths[1][None, :]
     )
     ud0 = 0.5 * np.outer(vu[0], vd[0]).astype(complex)
@@ -461,7 +471,7 @@ def kernel_states(populations: np.ndarray | None, amplitudes: np.ndarray) -> np.
 
 def switch_block_states(
     layout: CircuitLayout,
-    disorder: DisorderRealization,
+    disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
     t_grid: np.ndarray,
@@ -471,11 +481,11 @@ def switch_block_states(
     Each diagonal block is half its branch's kernel state rotated by the
     branch eigenvectors V; the cross block is 1/2 (V_U u_U)(V_D u_D)^H.
     """
-    models = [BranchModel.build(layout, branch, disorder, g) for branch in "UD"]
     blocks = []
-    for m in models:
-        v = m.eig.eigenvectors
-        pops, amps = relax_energy_density(m.eig.eigenvalues, bath, v[0], t_grid)
+    for branch in "UD":
+        _, eig = build_branch(layout, branch, disorder, g)
+        v = eig.eigenvectors
+        pops, amps = relax_energy_density(eig.eigenvalues, bath, v[0], t_grid)
         blocks.append((v @ kernel_states(pops, amps) @ v.T, (v @ amps).T))
     (uu, w_u), (dd, w_d) = blocks
     ud = w_u[:, :, None] * w_d.conj()[:, None, :]

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 from support import (
+    build_free_chain,
     evolve_full,
     evolve_pure,
     full_space_observables,
@@ -20,15 +21,14 @@ from support import (
 
 from openchain.chains import (
     ChainSpec,
-    DisorderRealization,
+    EigenSystem,
     build_chain_hamiltonian,
-    build_free_chain,
     diagonalize,
     free_eigensystem,
     sample_disorder,
 )
 from openchain.feynman import (
-    BranchModel,
+    build_branch,
     build_cnot_layout,
     peres_basis,
     reduced_chain_hamiltonian,
@@ -45,10 +45,10 @@ from openchain.lindblad import (
 )
 
 
-def branch_distribution(model: BranchModel, bath: BathSpec | None, grid) -> np.ndarray:
+def branch_distribution(eig: EigenSystem, bath: BathSpec | None, grid) -> np.ndarray:
     """Kernel site distribution (path coordinate x time) of a branch started at coordinate 1."""
-    v = model.eig.eigenvectors
-    pops, amps = relax_energy_density(model.eig.eigenvalues, bath, v[0], grid)
+    v = eig.eigenvectors
+    pops, amps = relax_energy_density(eig.eigenvalues, bath, v[0], grid)
     return read_out(v, np.eye(v.shape[0]), pops, amps)
 
 
@@ -123,9 +123,7 @@ def test_criterion_3_anderson_suppression_in_the_switch():
             peaks.append(series.p_region.max())
         median_peak = float(np.median(peaks))
         c.check(median_peak < 0.3, f"disordered median peak = {median_peak}")
-        clean = run_classical_input(
-            layout, DisorderRealization(np.zeros(22)), 0.0, None, "U", grid
-        )
+        clean = run_classical_input(layout, np.zeros(22), 0.0, None, "U", grid)
         c.check(clean.p_region.max() >= 0.9, f"clean peak = {clean.p_region.max()}")
 
 
@@ -163,14 +161,14 @@ def test_criterion_6_coherence_closed_form():
             dim = int(rng.integers(2, 11))
             evals = np.cumsum(rng.uniform(0.2, 2.0, dim)) + rng.uniform(-1, 1)
             bath = BathSpec(beta=float(rng.uniform(0.3, 3.0)), zeta=float(rng.uniform(0.0, 1.0)))
-            rates = transition_rates(evals, bath)
+            gamma = transition_rates(evals, bath)
             amp0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             amp0 /= np.linalg.norm(amp0)
             rho0 = np.outer(amp0, amp0.conj())
             t = float(rng.uniform(0.0, 5.0))
             _, amps = relax_energy_density(evals, bath, amp0, [t])
             got = np.outer(amps[:, 0], amps[:, 0].conj())  # off-diagonal: the coherences
-            widths = rates.gamma.sum(axis=0)
+            widths = gamma.sum(axis=0)
             for i in range(dim):
                 for j in range(dim):
                     if i == j:
@@ -198,7 +196,7 @@ def test_criterion_7_conservation_law_and_exact_cnot():
             basis = peres_basis(layout, branch, (control, int(rng.choice([-1, 1]))))
             eps = rng.normal(0.0, rng.uniform(0.1, 1.0), s)
             g = float(rng.uniform(0.0, 3.0))
-            h = full_switch_hamiltonian(layout, DisorderRealization(eps), g)
+            h = full_switch_hamiltonian(layout, eps, g)
             proj = subspace_projector(basis, s)
             worst = max(worst, float(np.linalg.norm(h @ proj - proj @ h)))
         c.check(worst <= 1e-12, f"worst commutator norm {worst:.2e}")
@@ -241,9 +239,9 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
         c.check(peak_err <= 5e-2, f"superposed peak entropy off by {peak_err:.2e}")
 
         # classical control (+1, -1): the register from the branch's kernel run
-        model = BranchModel.build(layout, "U", disorder, 2.0)
-        prob = branch_distribution(model, bath, grid)
-        indices = model.basis.register_indices()
+        basis, eig = build_branch(layout, "U", disorder, 2.0)
+        prob = branch_distribution(eig, bath, grid)
+        indices = basis.register_indices()
         entropy = np.empty(grid.size)
         for i in range(grid.size):
             rho = np.zeros((4, 4))
@@ -258,7 +256,7 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
 def test_criterion_9_clean_unitary_entangling():
     with Criterion(9, "clean unitary run entangles the register exactly", 30.0) as c:
         layout = build_cnot_layout(22, 9)
-        clean = DisorderRealization(np.zeros(22))
+        clean = np.zeros(22)
         grid = np.linspace(0.0, 200.0, 401)
         series = run_superposed_input(layout, clean, 0.0, None, grid)
         defined = ~np.isnan(series.bell_fidelity)
@@ -288,8 +286,8 @@ def test_criterion_10_full_space_oracle_equivalence():
         # mean_Q of the reduced model: half of each branch's kernel distribution
         mean_red = np.zeros(grid.size)
         for branch in "UD":
-            model = BranchModel.build(layout, branch, disorder, g)
-            mean_red += 0.5 * (model.basis.sites @ branch_distribution(model, None, grid))
+            basis, eig = build_branch(layout, branch, disorder, g)
+            mean_red += 0.5 * (basis.sites @ branch_distribution(eig, None, grid))
         worst_q = worst_reg = worst_p = 0.0
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
@@ -306,9 +304,9 @@ def test_criterion_10_full_space_oracle_equivalence():
         reg0[register_index((+1, -1))] = 1.0
         psi0 = full_space_state(layout, reg0)
         classical = run_classical_input(layout, disorder, g, None, "U", grid)
-        model = BranchModel.build(layout, "U", disorder, g)
-        prob = branch_distribution(model, None, grid)
-        indices = model.basis.register_indices()
+        basis, eig = build_branch(layout, "U", disorder, g)
+        prob = branch_distribution(eig, None, grid)
+        indices = basis.register_indices()
         worst_q = worst_reg = 0.0
         for i, t in enumerate(grid):
             mean_full, reg_full = full_space_observables(

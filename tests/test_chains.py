@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from support import (
     bandwidth,
+    build_free_chain,
     dense_hamiltonian,
     localization_length_bloch,
     localization_length_gaussian,
@@ -14,7 +15,6 @@ from openchain.chains import (
     HamiltonianOperator,
     _fix_eigenvector_signs,
     build_chain_hamiltonian,
-    build_free_chain,
     diagonalize,
     free_eigensystem,
     sample_disorder,
@@ -65,21 +65,21 @@ class TestFreeEigensystem:
 
 class TestSampleDisorder:
     def test_zero_sigma(self):
-        eps = sample_disorder(ChainSpec(10, 0.0, 0.0, seed=3)).epsilons
+        eps = sample_disorder(ChainSpec(10, 0.0, 0.0, seed=3))
         assert np.array_equal(eps, np.zeros(10))
 
     def test_statistics(self):
-        eps = sample_disorder(ChainSpec(10_000, 0.5, 0.0, seed=1)).epsilons
+        eps = sample_disorder(ChainSpec(10_000, 0.5, 0.0, seed=1))
         assert abs(eps.mean()) < 0.015
         assert abs(eps.std() - 0.5) < 0.01
 
     def test_deterministic(self):
         spec = ChainSpec(50, 0.3, 0.0, seed=123)
-        assert np.array_equal(sample_disorder(spec).epsilons, sample_disorder(spec).epsilons)
+        assert np.array_equal(sample_disorder(spec), sample_disorder(spec))
 
     def test_seed_changes_draw(self):
-        a = sample_disorder(ChainSpec(50, 0.3, 0.0, seed=1)).epsilons
-        b = sample_disorder(ChainSpec(50, 0.3, 0.0, seed=2)).epsilons
+        a = sample_disorder(ChainSpec(50, 0.3, 0.0, seed=1))
+        b = sample_disorder(ChainSpec(50, 0.3, 0.0, seed=2))
         assert not np.array_equal(a, b)
 
 
@@ -111,14 +111,14 @@ class TestAssembleHamiltonian:
     def test_disorder_on_diagonal(self):
         spec = ChainSpec(6, 0.5, 0.0, seed=3)
         out = build_chain_hamiltonian(spec)
-        assert np.array_equal(out.diagonal, sample_disorder(spec).epsilons)
+        assert np.array_equal(out.diagonal, sample_disorder(spec))
         assert np.array_equal(out.hopping, build_free_chain(6).hopping)
 
     def test_disorder_plus_tilt(self):
         spec = ChainSpec(6, 0.5, 2.0, seed=3)
         tilt = -2.0 * np.arange(1, 7)
         out = build_chain_hamiltonian(spec)
-        assert np.allclose(out.diagonal, sample_disorder(spec).epsilons + tilt, atol=1e-12)
+        assert np.allclose(out.diagonal, sample_disorder(spec) + tilt, atol=1e-12)
 
 
 class TestDiagonalize:

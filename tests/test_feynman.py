@@ -10,12 +10,12 @@ from support import (
     switch_block_states,
 )
 
-from openchain.chains import ChainSpec, DisorderRealization, sample_disorder
+from openchain.chains import ChainSpec, sample_disorder
 from openchain.feynman import (
     BELL_PHI_PLUS,
-    BranchModel,
     PeresBasis,
     bell_fidelity,
+    build_branch,
     build_cnot_layout,
     peres_basis,
     reduced_chain_hamiltonian,
@@ -33,13 +33,12 @@ def disorder_for(s, sigma, seed):
 
 
 def branch_runs(layout, disorder, g, bath, t_grid):
-    """(model, P, U) of the kernel run of each branch from path coordinate 1."""
+    """(basis, eigensystem, P, U) of the kernel run of each branch from path coordinate 1."""
     runs = []
     for branch in ("U", "D"):
-        model = BranchModel.build(layout, branch, disorder, g)
-        eig = model.eig
+        basis, eig = build_branch(layout, branch, disorder, g)
         pops, amps = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], t_grid)
-        runs.append((model, pops, amps))
+        runs.append((basis, eig, pops, amps))
     return runs
 
 
@@ -134,7 +133,7 @@ class TestPeresBasis:
 class TestReducedHamiltonian:
     def test_clean_branches_are_free_chains(self):
         layout = build_cnot_layout(22, 9)
-        clean = DisorderRealization(np.zeros(22))
+        clean = np.zeros(22)
         from openchain.chains import diagonalize, free_eigensystem
 
         closed = free_eigensystem(20)
@@ -164,14 +163,14 @@ class TestReducedHamiltonian:
         disorder = disorder_for(22, 0.5, 2)
         h = reduced_chain_hamiltonian(layout, "D", disorder, 2.0)
         sites = peres_basis(layout, "D", (-1, -1)).sites
-        eps = disorder.epsilons[sites - 1]
+        eps = disorder[sites - 1]
         steps = np.diff(h.diagonal - eps)
         assert np.allclose(steps, -2.0, atol=1e-12)
 
     def test_disorder_length_mismatch(self):
         layout = build_cnot_layout(8, 1)
         with pytest.raises(ValueError):
-            reduced_chain_hamiltonian(layout, "U", DisorderRealization(np.zeros(7)), 0.0)
+            reduced_chain_hamiltonian(layout, "U", np.zeros(7), 0.0)
 
 
 class TestSubspaceConservation:
@@ -188,13 +187,13 @@ class TestSubspaceConservation:
             basis = peres_basis(layout, branch, (c, int(rng.choice([-1, 1]))))
             g = float(rng.uniform(0, 3))
             eps = rng.normal(0, rng.uniform(0.1, 1.0), s)
-            assert commutator_norm(layout, DisorderRealization(eps), g, basis) <= 1e-12
+            assert commutator_norm(layout, eps, g, basis) <= 1e-12
 
     def test_identity_potential_exactly_zero(self):
         layout = build_cnot_layout(8, 1)
         for c, p in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             basis = peres_basis(layout, "U" if c == 1 else "D", (c, p))
-            assert commutator_norm(layout, DisorderRealization(np.ones(8)), 0.0, basis) == 0.0
+            assert commutator_norm(layout, np.ones(8), 0.0, basis) == 0.0
 
     def test_misplaced_not_label_detected(self):
         # negative control: labelling the passive flip one bond late puts
@@ -214,7 +213,7 @@ class TestSubspaceConservation:
 class TestClassicalRuns:
     def test_clean_run_passes_gate(self):
         layout = build_cnot_layout(22, 9)
-        clean = DisorderRealization(np.zeros(22))
+        clean = np.zeros(22)
         grid = np.linspace(0, 200, 2001)
         series = run_classical_input(layout, clean, 0.0, None, "U", grid)
         assert series.p_region.max() >= 0.9
@@ -248,7 +247,7 @@ class TestClassicalRuns:
         # all four classical inputs, measured at the arrival peak conditioned
         # on the cursor being past the gate, give the gate's truth table
         layout = build_cnot_layout(22, 9)
-        clean = DisorderRealization(np.zeros(22))
+        clean = np.zeros(22)
         grid = np.linspace(0, 200, 2001)
         for c, p in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             branch = "U" if c == 1 else "D"
@@ -268,7 +267,7 @@ class TestClassicalRuns:
 class TestSuperposedRuns:
     def test_clean_unitary_conditional_bell_state(self):
         layout = build_cnot_layout(22, 9)
-        clean = DisorderRealization(np.zeros(22))
+        clean = np.zeros(22)
         series = run_superposed_input(
             layout, clean, 0.0, None, np.linspace(0.5, 100, 200)
         )
@@ -281,14 +280,14 @@ class TestSuperposedRuns:
 
     def test_cross_block_norm_conserved_without_bath(self):
         layout = build_cnot_layout(22, 9)
-        clean = DisorderRealization(np.zeros(22))
-        (_, _, amp_u), (_, _, amp_d) = branch_runs(layout, clean, 0.0, None, np.linspace(0, 80, 9))
+        clean = np.zeros(22)
+        (*_, amp_u), (*_, amp_d) = branch_runs(layout, clean, 0.0, None, np.linspace(0, 80, 9))
         norms = 0.5 * np.linalg.norm(amp_u, axis=0) * np.linalg.norm(amp_d, axis=0)
         assert np.allclose(norms, norms[0], atol=1e-12)
 
     def test_cross_block_decays_under_bath(self):
         layout = build_cnot_layout(22, 9)
-        (_, _, amp_u), (_, _, amp_d) = branch_runs(
+        (*_, amp_u), (*_, amp_d) = branch_runs(
             layout,
             disorder_for(22, 0.5, 3),
             2.0,
@@ -341,7 +340,7 @@ class TestSuperposedRuns:
 class TestRegisterReduction:
     def test_start_is_pure_product(self):
         layout = build_cnot_layout(22, 9)
-        clean = DisorderRealization(np.zeros(22))
+        clean = np.zeros(22)
         series = run_superposed_input(layout, clean, 0.0, None, np.array([0.0, 1.0]))
         rho = series.register[0]
         # (|+1,-1> + |-1,-1>)/sqrt(2)
@@ -406,8 +405,8 @@ class TestFullSpaceOracle:
         psi0 = full_space_state(layout, reg0)
         series = run_superposed_input(layout, disorder, g, None, grid)
         mean_red = sum(
-            0.5 * (m.basis.sites @ read_out(m.eig.eigenvectors, np.eye(m.eig.dim), pops, amps))
-            for m, pops, amps in branch_runs(layout, disorder, g, None, grid)
+            0.5 * (basis.sites @ read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps))
+            for basis, eig, pops, amps in branch_runs(layout, disorder, g, None, grid)
         )
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)

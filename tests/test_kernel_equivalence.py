@@ -122,7 +122,7 @@ def test_run_classical_input(branch, bath, seed, grid):
     )
 
 
-@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("grid", ["uniform", "late-start"])  # "nonuniform": rejection test below
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("bath", BATHS)
 def test_run_superposed_input(bath, seed, grid):
@@ -311,6 +311,15 @@ def test_dissipative_transport_run_rejects_irregular_grids(bath, grid):
     h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=0))
     with pytest.raises(ValueError, match="uniform"):
         dissipative_transport_run(h, BATHS[bath], IRREGULAR_GRIDS[grid])
+
+
+@pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
+@pytest.mark.parametrize("bath", BATHS)
+def test_run_superposed_input_rejects_irregular_grids(bath, grid):
+    layout = build_cnot_layout(16, 4)
+    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
+    with pytest.raises(ValueError, match="uniform"):
+        run_superposed_input(layout, disorder, 2.0, BATHS[bath], IRREGULAR_GRIDS[grid])
 
 
 @pytest.mark.parametrize("bath", BATHS)

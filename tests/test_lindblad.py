@@ -60,31 +60,30 @@ def kernel_coherences(evals, bath, c, t):
 
 class TestTransitionRates:
     def test_bose_factors(self):
-        rates = transition_rates([0.0, 1.0], BathSpec(beta=1.0, zeta=1.0))
-        assert rates.gamma[1, 0] == pytest.approx(0.58198, abs=1e-5)
-        assert rates.gamma[0, 1] == pytest.approx(1.58198, abs=1e-5)
+        gamma = transition_rates([0.0, 1.0], BathSpec(beta=1.0, zeta=1.0))
+        assert gamma[1, 0] == pytest.approx(0.58198, abs=1e-5)
+        assert gamma[0, 1] == pytest.approx(1.58198, abs=1e-5)
 
     def test_zero_temperature_limit(self):
-        rates = transition_rates([0.0, 1.0], BathSpec(beta=50.0, zeta=1.0))
-        assert rates.gamma[1, 0] < 1e-20
-        assert rates.gamma[0, 1] == pytest.approx(1.0, abs=1e-15)
+        gamma = transition_rates([0.0, 1.0], BathSpec(beta=50.0, zeta=1.0))
+        assert gamma[1, 0] < 1e-20
+        assert gamma[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_detailed_balance(self):
         evals = random_spectrum(8, 1)
         beta = 0.7
-        rates = transition_rates(evals, BathSpec(beta=beta, zeta=1.0))
+        gamma = transition_rates(evals, BathSpec(beta=beta, zeta=1.0))
         for k in range(7):
             omega = evals[k + 1] - evals[k]
-            assert rates.gamma[k + 1, k] / rates.gamma[k, k + 1] == pytest.approx(
+            assert gamma[k + 1, k] / gamma[k, k + 1] == pytest.approx(
                 np.exp(-beta * omega), rel=1e-12
             )
 
     def test_nearest_level_only(self):
-        rates = transition_rates(random_spectrum(6, 2), BathSpec(beta=1.0, zeta=1.0))
+        gamma = transition_rates(random_spectrum(6, 2), BathSpec(beta=1.0, zeta=1.0))
         mask = np.abs(np.subtract.outer(range(6), range(6))) == 1
-        assert np.all(rates.gamma[~mask] == 0.0)
-        assert np.all(rates.gamma >= 0.0)
-        assert np.allclose(rates.widths, rates.gamma.sum(axis=0))
+        assert np.all(gamma[~mask] == 0.0)
+        assert np.all(gamma >= 0.0)
 
     def test_degenerate_gap_rejected(self):
         with pytest.raises(DegenerateGapError):
@@ -124,12 +123,12 @@ class TestPropagatePopulations:
     def test_expm_matches_adaptive_integrator(self, dim, seed):
         evals = random_spectrum(dim, seed)
         bath = BathSpec(beta=1.1, zeta=0.7)
-        rates = transition_rates(evals, bath)
+        gamma = transition_rates(evals, bath)
         rng = np.random.Generator(np.random.Philox(key=seed))
         p0 = rng.uniform(0.1, 1.0, dim)
         p0 /= p0.sum()
         a = kernel_populations(evals, bath, p0, 4.0)
-        b = integrate_populations(population_generator(rates, bath), p0, 4.0)
+        b = integrate_populations(population_generator(gamma, bath), p0, 4.0)
         assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -193,10 +192,10 @@ class TestPropagateCoherences:
         for dim, seed in ((3, 12), (6, 13)):
             evals = random_spectrum(dim, seed)
             bath = BathSpec(beta=1.2, zeta=0.4)
-            rates = transition_rates(evals, bath)
+            gamma = transition_rates(evals, bath)
             c = random_pure(dim, seed + 100)
             t = 2.5
-            oracle = brute_force_lindblad(evals, rates.gamma, bath.zeta, np.outer(c, c.conj()), t)
+            oracle = brute_force_lindblad(evals, gamma, bath.zeta, np.outer(c, c.conj()), t)
             ours = kernel_states(*relax_energy_density(evals, bath, c, [t]))[0]
             assert np.max(np.abs(ours - oracle)) < 1e-8
 
@@ -214,8 +213,8 @@ class TestThermalFixedPoint:
     def test_generator_annihilates_gibbs(self):
         evals = random_spectrum(10, 15)
         bath = BathSpec(beta=1.4, zeta=0.9)
-        rates = transition_rates(evals, bath)
-        gen = population_generator(rates, bath)
+        gamma = transition_rates(evals, bath)
+        gen = population_generator(gamma, bath)
         resid = gen @ thermal_fixed_point(evals, 1.4)
         assert np.max(np.abs(resid)) < 1e-12
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from support import (
     bandwidth,
+    build_free_chain,
     clean_chain_last_site,
     closed_series,
     dense_hamiltonian,
@@ -12,7 +13,6 @@ from support import (
 from openchain.chains import (
     ChainSpec,
     build_chain_hamiltonian,
-    build_free_chain,
     diagonalize,
     free_eigensystem,
 )
