@@ -122,7 +122,7 @@ def test_run_classical_input(branch, bath, seed, grid):
     )
 
 
-@pytest.mark.parametrize("grid", ["uniform", "late-start"])  # "nonuniform": rejection test below
+@pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("bath", BATHS)
 def test_run_superposed_input(bath, seed, grid):
