@@ -6,7 +6,8 @@ populations advanced by the matrix exponential of the classical master
 equation and coherences by their closed-form decay. Every pipeline reads one
 pure-state kernel block by block (``lindblad.energy_blocks``), on the few rows
 of the site distribution it needs (``lindblad.read_out``); the closed chain is
-the bath chain without a bath (``dissipative_transport_run(h, None, ...)``).
+the bath chain without a bath
+(``dissipative_transport_run(energies, None, ...)``).
 
 The package namespace carries what the README's Library example uses; the
 rest of the API lives in the submodules (``openchain.chains``,

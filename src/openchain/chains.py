@@ -3,7 +3,9 @@
 Conventions used throughout the package:
 
 * sites are labelled x = 1..s (1-based in all formulas; arrays are 0-based),
-* the hopping amplitude is -1/2 on every nearest-neighbour bond,
+* the hopping amplitude is -1/2 on every nearest-neighbour bond, so a chain
+  is its s on-site energies: the Hamiltonian builders return that float
+  array and :func:`diagonalize` adds the hopping band itself,
 * hbar = 1, all energies and times are dimensionless,
 * eigenvalues are always reported in ascending order; eigenvector columns are
   sign-normalized so that the first significant component is positive;
@@ -39,33 +41,6 @@ class ChainSpec:
             raise ValueError(f"disorder standard deviation must be >= 0, got {self.sigma}")
         if self.g < 0:
             raise ValueError(f"tilt strength must be >= 0, got {self.g}")
-
-
-@dataclass(frozen=True)
-class HamiltonianOperator:
-    """Real symmetric tridiagonal operator: diagonal plus one hopping band."""
-
-    diagonal: np.ndarray
-    hopping: np.ndarray
-
-    def __post_init__(self) -> None:
-        diag = np.asarray(self.diagonal, dtype=float)
-        hop = np.asarray(self.hopping, dtype=float)
-        if diag.ndim != 1 or diag.size < 1:
-            raise ValueError("diagonal must be a non-empty 1-d array")
-        if hop.shape != (diag.size - 1,):
-            raise ValueError(
-                f"hopping must have length dim-1 = {diag.size - 1}, got {hop.size}"
-            )
-        for name, values in (("diagonal", diag), ("hopping", hop)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
-        object.__setattr__(self, "diagonal", diag)
-        object.__setattr__(self, "hopping", hop)
-
-    @property
-    def dim(self) -> int:
-        return self.diagonal.size
 
 
 @dataclass(frozen=True)
@@ -111,10 +86,10 @@ def sample_disorder(spec: ChainSpec) -> np.ndarray:
     return rng.normal(0.0, spec.sigma, spec.s)
 
 
-def build_chain_hamiltonian(spec: ChainSpec) -> HamiltonianOperator:
-    """Free chain plus the disorder and tilt of ``spec``: diagonal eps_x - g*x, x = 1..s."""
+def build_chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """On-site energies of the chain of ``spec``: disorder plus tilt, eps_x - g*x, x = 1..s."""
     x = np.arange(1, spec.s + 1, dtype=float)
-    return HamiltonianOperator(sample_disorder(spec) - spec.g * x, np.full(spec.s - 1, -0.5))
+    return sample_disorder(spec) - spec.g * x
 
 
 def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:
@@ -124,19 +99,27 @@ def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:
     return evecs
 
 
-def diagonalize(h: HamiltonianOperator) -> EigenSystem:
-    """Numerically diagonalize a symmetric tridiagonal operator.
+def diagonalize(energies: np.ndarray) -> EigenSystem:
+    """Numerically diagonalize the chain with these on-site energies and hopping -1/2.
 
-    ``numpy.linalg.eigh`` on the dense operator, of which only the lower band
-    is filled (``eigh`` reads the lower triangle). Eigenvalues come back
-    ascending; eigenvector signs follow the package convention (first
-    significant component positive).
+    ``numpy.linalg.eigh`` on the dense matrix, of which only the diagonal and
+    the lower band are filled (``eigh`` reads the lower triangle). Eigenvalues
+    come back ascending; eigenvector signs follow the package convention
+    (first significant component positive). A non-finite, empty or
+    non-1-d ``energies`` raises ``ValueError``.
     """
+    e = np.asarray(energies, dtype=float)
+    if e.ndim != 1 or e.size < 1:
+        raise ValueError(f"on-site energies must be a non-empty 1-d array, got shape {e.shape}")
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"on-site energies must be finite, got {e[~np.isfinite(e)][0]}")
+    h = np.diag(e)
+    np.fill_diagonal(h[1:], -0.5)  # the lower hopping band
     try:
-        evals, evecs = np.linalg.eigh(np.diag(h.diagonal) + np.diag(h.hopping, -1))
+        evals, evecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"symmetric eigensolver failed for dim={h.dim} "
-            f"(diagonal range [{h.diagonal.min():.3g}, {h.diagonal.max():.3g}]): {exc}"
+            f"symmetric eigensolver failed for dim={e.size} "
+            f"(on-site energies in [{e.min():.3g}, {e.max():.3g}]): {exc}"
         ) from exc
     return EigenSystem(evals, _fix_eigenvector_signs(evecs))

@@ -16,10 +16,12 @@ x(j) is the physical site visited at path coordinate j and the tilt is linear
 in j (the physical-site tilt is -g*x before the branch split and -g*(x-2) after
 it, which is the same thing).
 
-The pairing (path coordinate, physical site, register label) is the branch's
-computational basis; labels are classical product states, so any site-diagonal
-potential commutes with the projector onto the branch subspace and the
-computation survives disorder unharmed.
+The branch's computational basis pairs each path coordinate with a physical
+site and a register state; :func:`peres_basis` returns the two as integer
+arrays, the sites and the register indices (:func:`register_index`). The
+register states are classical product states, so any site-diagonal potential
+commutes with the projector onto the branch subspace and the computation
+survives disorder unharmed.
 
 For a superposed control the state is a 2x2 block matrix over the two branch
 subspaces. Each diagonal block relaxes like a single chain; the cross block
@@ -41,7 +43,7 @@ from typing import Literal
 
 import numpy as np
 
-from .chains import EigenSystem, HamiltonianOperator, diagonalize
+from .chains import EigenSystem, diagonalize
 from .lindblad import BathSpec, energy_blocks, pure_state_series, read_out, site_amplitudes
 from .series import ObservableSeries
 
@@ -98,42 +100,28 @@ def _path_sites(layout: CircuitLayout, branch: Branch) -> np.ndarray:
     return np.where(j <= (layout.a + 2 if branch == "U" else layout.a), j, j + 2)
 
 
-@dataclass(frozen=True)
-class PeresBasis:
-    """Ordered computational basis of one branch: (path 1..n, site, register label)."""
-
-    sites: np.ndarray
-    registers: tuple[RegisterLabel, ...]
-
-    def register_indices(self) -> np.ndarray:
-        return np.array([register_index(r) for r in self.registers])
-
-
 def peres_basis(
     layout: CircuitLayout, branch: Branch, input_register: RegisterLabel
-) -> PeresBasis:
-    """Computational basis of a branch for a classical input register.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Computational basis of a branch for a classical input register: (sites, registers).
 
-    The control qubit must match the branch (+1 up, -1 down). On the upper
-    branch the passive qubit flips across the NOT bond (path coordinates a+1
-    to a+2); the lower branch applies no primitive at all.
+    Both are integer arrays over the path coordinates 1..s-2: the physical
+    site and the register index (:func:`register_index`) at each. The control
+    qubit must match the branch (+1 up, -1 down). On the upper branch the
+    passive qubit flips across the NOT bond (path coordinates a+1 to a+2); the
+    lower branch applies no primitive at all.
     """
     c, p = input_register
-    register_index(input_register)  # validates the label
+    index = register_index(input_register)  # validates the label
     sites = _path_sites(layout, branch)  # validates the branch
     if (branch == "U") != (c == +1):
         raise ValueError(
             f"branch {branch} requires control {'+1' if branch == 'U' else '-1'}, "
             f"got sigma3(c) = {c}"
         )
-    n = layout.path_length
-    if branch == "U":
-        registers = tuple(
-            (c, p) if j <= layout.a + 1 else (c, -p) for j in range(1, n + 1)
-        )
-    else:
-        registers = tuple((c, p) for _ in range(n))
-    return PeresBasis(sites, registers)
+    j = np.arange(1, layout.path_length + 1)
+    flipped = (branch == "U") & (j > layout.a + 1)
+    return sites, np.where(flipped, register_index((c, -p)), index)
 
 
 def reduced_chain_hamiltonian(
@@ -141,16 +129,15 @@ def reduced_chain_hamiltonian(
     branch: Branch,
     disorder: np.ndarray,
     g: float,
-) -> HamiltonianOperator:
-    """Branch Hamiltonian in path coordinates: hopping -1/2, diagonal eps_x(j) - g*j."""
+) -> np.ndarray:
+    """On-site energies of a branch in path coordinates, eps_x(j) - g*j (hopping -1/2)."""
     if len(disorder) != layout.s:
         raise ValueError(
             f"disorder has {len(disorder)} entries, layout has {layout.s} sites"
         )
     sites = _path_sites(layout, branch)
     j = np.arange(1, layout.path_length + 1, dtype=float)
-    diag = disorder[sites - 1] - g * j
-    return HamiltonianOperator(diag, -0.5 * np.ones(layout.path_length - 1))
+    return disorder[sites - 1] - g * j
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +147,14 @@ def reduced_chain_hamiltonian(
 
 def build_branch(
     layout: CircuitLayout, branch: Branch, disorder: np.ndarray, g: float
-) -> tuple[PeresBasis, EigenSystem]:
-    """A branch's computational basis (whose ``sites`` are the geometry) and spectrum.
+) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
+    """A branch's sites (its geometry), register indices and spectrum: (sites, registers, eig).
 
-    The basis is the one for the branch's own control value (+1 up, -1 down)
-    and passive qubit -1.
+    ``sites`` and ``registers`` are :func:`peres_basis` for the branch's own
+    control value (+1 up, -1 down) and passive qubit -1.
     """
-    basis = peres_basis(layout, branch, (+1 if branch == "U" else -1, -1))
-    return basis, diagonalize(reduced_chain_hamiltonian(layout, branch, disorder, g))
+    sites, registers = peres_basis(layout, branch, (+1 if branch == "U" else -1, -1))
+    return sites, registers, diagonalize(reduced_chain_hamiltonian(layout, branch, disorder, g))
 
 
 def run_classical_input(
@@ -184,8 +171,7 @@ def run_classical_input(
     probability of the sites at and beyond the switch exit b. Position
     observables are reported in physical-site coordinates.
     """
-    basis, eig = build_branch(layout, branch, disorder, g)
-    sites = basis.sites
+    sites, _, eig = build_branch(layout, branch, disorder, g)
     return pure_state_series(
         eig, bath, eig.eigenvectors[0], t_grid, sites, np.flatnonzero(sites >= layout.b)
     )
@@ -279,12 +265,11 @@ def run_superposed_input(
     state past the gate, normalized by ``p_beyond_gate``. Only the O(T) series
     and ``register`` are held across blocks.
     """
-    basis_u, eig_u = build_branch(layout, "U", disorder, g)
-    basis_d, eig_d = build_branch(layout, "D", disorder, g)
+    sites_u, idx_up, eig_u = build_branch(layout, "U", disorder, g)
+    sites_d, idx_down, eig_d = build_branch(layout, "D", disorder, g)
     t_grid = np.asarray(t_grid, dtype=float)
-    beyond = basis_u.sites >= layout.b
-    idx_up, idx_down = basis_u.register_indices(), basis_d.register_indices()
-    pairs = np.eye(16)[4 * idx_up + idx_down].T * (basis_u.sites == basis_d.sites)
+    beyond = sites_u >= layout.b
+    pairs = np.eye(16)[4 * idx_up + idx_down].T * (sites_u == sites_d)
     rows_u, rows_d, pairs = (
         np.concatenate([r, r * beyond]) for r in (np.eye(4)[idx_up].T, np.eye(4)[idx_down].T, pairs)
     )

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EigenSystem, HamiltonianOperator, diagonalize
+from .chains import EigenSystem, diagonalize
 from .series import ObservableSeries
 
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
@@ -341,15 +341,17 @@ def arrival_peak(eig: EigenSystem, t_max: float, dt: float = 0.05) -> tuple[floa
 
 
 def dissipative_transport_run(
-    h: HamiltonianOperator, bath: BathSpec | None, t_grid: np.ndarray
+    energies: np.ndarray, bath: BathSpec | None, t_grid: np.ndarray
 ) -> ObservableSeries:
     """Full pipeline: diagonalize, relax in the energy basis, report site observables.
 
+    ``energies`` are the chain's on-site energies
+    (:func:`openchain.chains.build_chain_hamiltonian`); the hopping is -1/2.
     The excitation starts on site 1 (energy amplitudes ``V[0]``) and
     ``p_region`` is the last site's probability. The initial energy-basis
     coherences are kept and propagated, so the early-time transient is exact.
     ``bath = None`` (or zeta = 0) is the closed chain.
     """
-    eig = diagonalize(h)
-    sites = np.arange(1, h.dim + 1)
-    return pure_state_series(eig, bath, eig.eigenvectors[0], t_grid, sites, np.array([h.dim - 1]))
+    eig = diagonalize(energies)
+    sites = np.arange(1, eig.dim + 1)
+    return pure_state_series(eig, bath, eig.eigenvectors[0], t_grid, sites, np.array([eig.dim - 1]))

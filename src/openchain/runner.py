@@ -53,9 +53,9 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     grid = time_grid(config.t_max, config.dt)
     bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None
     if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
-        h = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
+        energies = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
         bath = None if scenario in UNITARY_CHAIN_SCENARIOS else bath
-        return dissipative_transport_run(h, bath, grid).columns()
+        return dissipative_transport_run(energies, bath, grid).columns()
     if scenario not in ("cnot-classical", "cnot-superposed"):
         raise ValueError(f"unknown scenario {scenario!r}")
     layout = build_cnot_layout(config.s, config.a)

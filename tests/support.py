@@ -6,7 +6,9 @@ brute-force master-equation integration, dense per-time-point density
 matrices on plain ndarrays) so they
 share no code path with the package implementations they check; they take
 only the model inputs (spectrum, rates) from the package. The branch geometry
-is written out here from the switch diagram (:func:`branch_sites`).
+and register labels are written out here from the switch diagram
+(:func:`branch_sites`, :func:`branch_registers`), and a chain's matrix from its
+on-site energies and the hopping -1/2 (:func:`dense_hamiltonian`).
 The helpers under "kernel states" join the package's own pure-state kernel
 blocks over a whole grid and assemble dense matrices from them, for invariant
 checks of what the pipelines compute; ``closed_series`` reads out the closed
@@ -25,8 +27,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, expm
 from scipy.special import jv
 
-from openchain.chains import EigenSystem, HamiltonianOperator, diagonalize
-from openchain.feynman import CircuitLayout, PeresBasis, build_branch
+from openchain.chains import EigenSystem, diagonalize
+from openchain.feynman import CircuitLayout, build_branch
 from openchain.lindblad import BathSpec, energy_blocks, pure_state_series, transition_rates
 
 
@@ -38,19 +40,17 @@ def read_csv(path) -> dict[str, np.ndarray]:
     return {n: data[:, i] for i, n in enumerate(names)}
 
 
-def build_free_chain(s: int) -> HamiltonianOperator:
-    """Clean chain: zero on-site energies, hopping -1/2 on every bond."""
+def build_free_chain(s: int) -> np.ndarray:
+    """Clean chain: its s on-site energies, all zero (the hopping is -1/2 on every bond)."""
     if s < 2:
         raise ValueError(f"chain needs at least 2 sites, got s={s}")
-    return HamiltonianOperator(np.zeros(s), -0.5 * np.ones(s - 1))
+    return np.zeros(s)
 
 
-def dense_hamiltonian(h: HamiltonianOperator) -> np.ndarray:
-    """Full matrix of a tridiagonal operator."""
-    m = np.diag(h.diagonal)
-    if h.dim > 1:
-        m += np.diag(h.hopping, 1) + np.diag(h.hopping, -1)
-    return m
+def dense_hamiltonian(energies: np.ndarray) -> np.ndarray:
+    """Full matrix of the chain with these on-site energies and hopping -1/2 on every bond."""
+    hopping = np.full(len(energies) - 1, -0.5)
+    return np.diag(energies) + np.diag(hopping, 1) + np.diag(hopping, -1)
 
 
 def branch_sites(layout: CircuitLayout, branch: str) -> np.ndarray:
@@ -60,13 +60,28 @@ def branch_sites(layout: CircuitLayout, branch: str) -> np.ndarray:
     return np.array(list(range(1, a + 1)) + middle + list(range(b, s + 1)))
 
 
-# register basis order (sigma3(c), sigma3(p)): (-1,-1), (-1,+1), (+1,-1), (+1,+1)
+# register basis order (sigma3(c), sigma3(p))
+REGISTER_LABELS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 P_CONTROL_UP = np.diag([0.0, 0.0, 1.0, 1.0])
 P_CONTROL_DOWN = np.diag([1.0, 1.0, 0.0, 0.0])
 NOT_PASSIVE = np.array(
     [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
 )
 I4 = np.eye(4)
+
+
+def branch_registers(layout: CircuitLayout, branch: str, input_register) -> np.ndarray:
+    """Register index at each path coordinate, in the order of :func:`branch_sites`.
+
+    The lower branch carries the input (c, p) throughout; the upper branch
+    carries it over 1..a+1 and (c, -p) from a+2 on, past its NOT bond a+1 -> a+2.
+    """
+    a, b, s = layout.a, layout.b, layout.s
+    c, p = input_register
+    before, after = REGISTER_LABELS.index((c, p)), REGISTER_LABELS.index((c, -p))
+    if branch == "U":  # sites 1..a+1 before the NOT bond; a+2 and b..s after it
+        return np.array([before] * (a + 1) + [after] * (1 + s - b + 1))
+    return np.array([before] * (s - 2))
 
 
 def _hop(x: int, y: int, op: np.ndarray, s: int) -> np.ndarray:
@@ -113,10 +128,10 @@ def full_space_state(layout: CircuitLayout, register_amplitudes: np.ndarray) -> 
     return psi
 
 
-def subspace_projector(basis: PeresBasis, s: int) -> np.ndarray:
-    """Projector onto a branch's computational basis in the 4s-dim product space."""
+def subspace_projector(sites: np.ndarray, registers: np.ndarray, s: int) -> np.ndarray:
+    """Projector onto a branch's basis (sites, register indices) in the 4s-dim product space."""
     proj = np.zeros((4 * s, 4 * s))
-    idx = 4 * (basis.sites - 1) + basis.register_indices()
+    idx = 4 * (sites - 1) + registers
     proj[idx, idx] = 1.0
     return proj
 
@@ -127,13 +142,13 @@ def evolve_full(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
 
 
-def evolve_pure(h: HamiltonianOperator, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Closed-chain state at time t by dense ``eigh`` of the full matrix of ``h``.
+def evolve_pure(energies: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
+    """Closed-chain state at time t by dense ``eigh`` of the chain's full matrix.
 
     Shares no code with the package's kernel, and its LAPACK driver (``syevr``)
     is not the one behind ``diagonalize`` (numpy's ``syevd``).
     """
-    return evolve_full(dense_hamiltonian(h), psi0, t)
+    return evolve_full(dense_hamiltonian(energies), psi0, t)
 
 
 def full_space_observables(psi: np.ndarray, s: int) -> tuple[float, np.ndarray]:
@@ -301,14 +316,14 @@ def _moments(prob: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 
 
 def dense_transport_columns(
-    h: HamiltonianOperator, bath: BathSpec, psi0: np.ndarray, t_grid: np.ndarray
+    energies: np.ndarray, bath: BathSpec, psi0: np.ndarray, t_grid: np.ndarray
 ) -> dict[str, np.ndarray]:
     """mean_Q, var_Q and last-site probability of a dissipative chain run."""
-    eig = diagonalize(h)
+    eig = diagonalize(energies)
     psi0 = np.asarray(psi0, dtype=complex)
     v = eig.eigenvectors
     rho0 = v.T @ np.outer(psi0, psi0.conj()) @ v
-    x = np.arange(1, h.dim + 1)
+    x = np.arange(1, eig.dim + 1)
     rows = []
     for state in _dense_states(eig, bath, rho0, t_grid):
         prob = np.real(np.diag(v @ state @ v.T))
@@ -325,7 +340,7 @@ def dense_classical_columns(
     t_grid: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """mean_Q, var_Q (physical sites) and p_beyond_gate of one branch run."""
-    _, eig = build_branch(layout, branch, disorder, g)
+    *_, eig = build_branch(layout, branch, disorder, g)
     v = eig.eigenvectors
     rho0 = np.outer(v[0], v[0])
     sites = branch_sites(layout, branch)
@@ -362,12 +377,13 @@ def dense_superposed_columns(
     t_grid: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Every SwitchSeries column from dense blocks rotated one time point at a time."""
-    basis_u, eig_u = build_branch(layout, "U", disorder, g)
-    basis_d, eig_d = build_branch(layout, "D", disorder, g)
+    *_, eig_u = build_branch(layout, "U", disorder, g)
+    *_, eig_d = build_branch(layout, "D", disorder, g)
     beyond_u = branch_sites(layout, "U") >= layout.b
     beyond_d = branch_sites(layout, "D") >= layout.b
     vu, vd = eig_u.eigenvectors, eig_d.eigenvectors
-    idx_up, idx_down = basis_u.register_indices(), basis_d.register_indices()
+    idx_up = branch_registers(layout, "U", (+1, -1))
+    idx_down = branch_registers(layout, "D", (-1, -1))
     uu_states = _dense_states(eig_u, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
     dd_states = _dense_states(eig_d, bath, 0.5 * np.outer(vd[0], vd[0]), t_grid)
     bath = bath or CLOSED
@@ -483,7 +499,7 @@ def switch_block_states(
     """
     blocks = []
     for branch in "UD":
-        _, eig = build_branch(layout, branch, disorder, g)
+        *_, eig = build_branch(layout, branch, disorder, g)
         v = eig.eigenvectors
         pops, amps = relax_energy_density(eig.eigenvalues, bath, v[0], t_grid)
         blocks.append((v @ kernel_states(pops, amps) @ v.T, (v @ amps).T))

@@ -193,11 +193,11 @@ def test_criterion_7_conservation_law_and_exact_cnot():
             layout = build_cnot_layout(s, a)
             branch = "U" if rng.integers(2) else "D"
             control = +1 if branch == "U" else -1
-            basis = peres_basis(layout, branch, (control, int(rng.choice([-1, 1]))))
+            sites, registers = peres_basis(layout, branch, (control, int(rng.choice([-1, 1]))))
             eps = rng.normal(0.0, rng.uniform(0.1, 1.0), s)
             g = float(rng.uniform(0.0, 3.0))
             h = full_switch_hamiltonian(layout, eps, g)
-            proj = subspace_projector(basis, s)
+            proj = subspace_projector(sites, registers, s)
             worst = max(worst, float(np.linalg.norm(h @ proj - proj @ h)))
         c.check(worst <= 1e-12, f"worst commutator norm {worst:.2e}")
 
@@ -205,14 +205,13 @@ def test_criterion_7_conservation_law_and_exact_cnot():
         disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed=1))
         for control, passive in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             branch = "U" if control == 1 else "D"
-            basis = peres_basis(layout, branch, (control, passive))
+            sites, indices = peres_basis(layout, branch, (control, passive))
             expected = (control, -passive) if control == 1 else (control, passive)
             # the branch evolves by the dense oracle: no kernel, no tridiagonal solver
             h = reduced_chain_hamiltonian(layout, branch, disorder, 2.0)
-            indices = basis.register_indices()
-            past_gate = np.flatnonzero(basis.sites >= layout.b)
+            past_gate = np.flatnonzero(sites >= layout.b)
             for t in (30.0, 120.0, 450.0):
-                probs = np.abs(evolve_pure(h, np.eye(h.dim)[0], t)) ** 2
+                probs = np.abs(evolve_pure(h, np.eye(h.size)[0], t)) ** 2
                 rho = np.zeros((4, 4))
                 for j in past_gate:
                     rho[indices[j], indices[j]] += probs[j]
@@ -239,9 +238,8 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
         c.check(peak_err <= 5e-2, f"superposed peak entropy off by {peak_err:.2e}")
 
         # classical control (+1, -1): the register from the branch's kernel run
-        basis, eig = build_branch(layout, "U", disorder, 2.0)
+        _, indices, eig = build_branch(layout, "U", disorder, 2.0)
         prob = branch_distribution(eig, bath, grid)
-        indices = basis.register_indices()
         entropy = np.empty(grid.size)
         for i in range(grid.size):
             rho = np.zeros((4, 4))
@@ -286,8 +284,8 @@ def test_criterion_10_full_space_oracle_equivalence():
         # mean_Q of the reduced model: half of each branch's kernel distribution
         mean_red = np.zeros(grid.size)
         for branch in "UD":
-            basis, eig = build_branch(layout, branch, disorder, g)
-            mean_red += 0.5 * (basis.sites @ branch_distribution(eig, None, grid))
+            sites, _, eig = build_branch(layout, branch, disorder, g)
+            mean_red += 0.5 * (sites @ branch_distribution(eig, None, grid))
         worst_q = worst_reg = worst_p = 0.0
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
@@ -304,9 +302,8 @@ def test_criterion_10_full_space_oracle_equivalence():
         reg0[register_index((+1, -1))] = 1.0
         psi0 = full_space_state(layout, reg0)
         classical = run_classical_input(layout, disorder, g, None, "U", grid)
-        basis, eig = build_branch(layout, "U", disorder, g)
+        _, indices, eig = build_branch(layout, "U", disorder, g)
         prob = branch_distribution(eig, None, grid)
-        indices = basis.register_indices()
         worst_q = worst_reg = 0.0
         for i, t in enumerate(grid):
             mean_full, reg_full = full_space_observables(

@@ -12,7 +12,6 @@ from support import (
 
 from openchain.chains import (
     ChainSpec,
-    HamiltonianOperator,
     _fix_eigenvector_signs,
     build_chain_hamiltonian,
     diagonalize,
@@ -24,8 +23,8 @@ from openchain.chains import (
 class TestBuildFreeChain:
     def test_two_sites(self):
         h = build_free_chain(2)
-        assert np.array_equal(h.diagonal, [0.0, 0.0])
-        assert np.array_equal(h.hopping, [-0.5])
+        assert np.array_equal(h, [0.0, 0.0])
+        assert np.array_equal(dense_hamiltonian(h), [[0.0, -0.5], [-0.5, 0.0]])
 
     def test_three_sites(self):
         h = build_free_chain(3)
@@ -33,7 +32,7 @@ class TestBuildFreeChain:
         assert np.array_equal(dense_hamiltonian(h), expected)
 
     def test_larger_chain_dimension(self):
-        assert build_free_chain(20).dim == 20
+        assert build_free_chain(20).size == 20
 
     @pytest.mark.parametrize("s", [1, 0, -3])
     def test_too_small(self, s):
@@ -88,11 +87,11 @@ class TestLinearPotential:
 
     def test_zero_strength(self):
         h = build_chain_hamiltonian(ChainSpec(5, 0.0, 0.0, seed=1))
-        assert np.array_equal(h.diagonal, np.zeros(5))
+        assert np.array_equal(h, np.zeros(5))
 
     def test_values(self):
         h = build_chain_hamiltonian(ChainSpec(3, 0.0, 2.0, seed=1))
-        assert np.array_equal(h.diagonal, [-2.0, -4.0, -6.0])
+        assert np.array_equal(h, [-2.0, -4.0, -6.0])
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
@@ -100,30 +99,27 @@ class TestLinearPotential:
 
 
 class TestAssembleHamiltonian:
-    """Disorder and tilt added to the free chain; the hopping band is untouched."""
+    """Disorder and tilt added to the free chain's on-site energies."""
 
     def test_no_potentials(self):
-        free = build_free_chain(4)
         out = build_chain_hamiltonian(ChainSpec(4))
-        assert np.array_equal(out.diagonal, free.diagonal)
-        assert np.array_equal(out.hopping, free.hopping)
+        assert np.array_equal(out, build_free_chain(4))
 
     def test_disorder_on_diagonal(self):
         spec = ChainSpec(6, 0.5, 0.0, seed=3)
         out = build_chain_hamiltonian(spec)
-        assert np.array_equal(out.diagonal, sample_disorder(spec))
-        assert np.array_equal(out.hopping, build_free_chain(6).hopping)
+        assert np.array_equal(out, sample_disorder(spec))
 
     def test_disorder_plus_tilt(self):
         spec = ChainSpec(6, 0.5, 2.0, seed=3)
         tilt = -2.0 * np.arange(1, 7)
         out = build_chain_hamiltonian(spec)
-        assert np.allclose(out.diagonal, sample_disorder(spec) + tilt, atol=1e-12)
+        assert np.allclose(out, sample_disorder(spec) + tilt, atol=1e-12)
 
 
 class TestDiagonalize:
     def test_single_site(self):
-        eig = diagonalize(HamiltonianOperator([2.5], []))
+        eig = diagonalize(np.array([2.5]))
         assert eig.eigenvalues[0] == 2.5
         assert eig.eigenvectors[0, 0] == 1.0
 
@@ -142,7 +138,7 @@ class TestDiagonalize:
     def test_trace_invariance(self):
         h = build_chain_hamiltonian(ChainSpec(40, 0.7, 1.5, seed=6))
         eig = diagonalize(h)
-        assert abs(eig.eigenvalues.sum() - h.diagonal.sum()) < 1e-9
+        assert abs(eig.eigenvalues.sum() - h.sum()) < 1e-9
 
     @pytest.mark.parametrize("s", [50, 400])
     def test_sign_convention_matches_column_loop(self, s):
@@ -150,7 +146,7 @@ class TestDiagonalize:
         # tilted eigenvectors have many components below 1e-12, and the last
         # column none above it (its sign is then set by the first component)
         h = build_chain_hamiltonian(ChainSpec(s, 0.5, 2.0, seed=0))
-        _, raw = eigh_tridiagonal(h.diagonal, h.hopping)
+        _, raw = eigh_tridiagonal(h, np.full(s - 1, -0.5))
         raw[:, -1] = np.where(np.arange(s) % 2, 1e-13, -1e-13)
         expected = raw.copy()
         for k in range(s):
@@ -170,7 +166,7 @@ class TestDiagonalize:
         # within 1.9e-16
         h = build_chain_hamiltonian(ChainSpec(s, sigma, g, seed=3))
         eig = diagonalize(h)
-        evals, evecs = eigh_tridiagonal(h.diagonal, h.hopping)
+        evals, evecs = eigh_tridiagonal(h, np.full(s - 1, -0.5))
         assert np.max(np.abs(eig.eigenvalues - evals)) <= 4e-16 * max(1.0, np.abs(evals).max())
         assert np.max(np.abs(eig.eigenvectors - _fix_eigenvector_signs(evecs))) <= 2e-15
 
@@ -258,16 +254,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ChainSpec(5, 0.0, -1.0, 0)
 
-    def test_hamiltonian_band_length(self):
-        with pytest.raises(ValueError):
-            HamiltonianOperator([0.0, 0.0], [])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["diagonal", "hopping"])
-    def test_hamiltonian_rejects_non_finite(self, field, bad):
-        # a ValueError naming the field (a config problem, exit 2), not an
-        # eigensolver failure
-        bands = {"diagonal": np.zeros(4), "hopping": -0.5 * np.ones(3)}
-        bands[field][1] = bad
-        with pytest.raises(ValueError, match=field):
-            HamiltonianOperator(**bands)
+    @pytest.mark.parametrize(
+        "energies",
+        [[0.0, np.nan, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0], [], np.zeros((2, 2))],
+        ids=["diagonal-nan", "diagonal-inf", "empty", "2-d"],
+    )
+    def test_hamiltonian_rejects_non_finite(self, energies):
+        # non-finite, empty or 2-d on-site energies are a ValueError naming
+        # them (a config problem, exit 2), not an eigensolver failure
+        with pytest.raises(ValueError, match="on-site energies"):
+            diagonalize(energies)

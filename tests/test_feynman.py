@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from support import (
+    branch_registers,
+    branch_sites,
     evolve_full,
     full_space_observables,
     full_space_state,
@@ -13,7 +15,6 @@ from support import (
 from openchain.chains import ChainSpec, sample_disorder
 from openchain.feynman import (
     BELL_PHI_PLUS,
-    PeresBasis,
     bell_fidelity,
     build_branch,
     build_cnot_layout,
@@ -33,19 +34,19 @@ def disorder_for(s, sigma, seed):
 
 
 def branch_runs(layout, disorder, g, bath, t_grid):
-    """(basis, eigensystem, P, U) of the kernel run of each branch from path coordinate 1."""
+    """(sites, eigensystem, P, U) of the kernel run of each branch from path coordinate 1."""
     runs = []
     for branch in ("U", "D"):
-        basis, eig = build_branch(layout, branch, disorder, g)
+        sites, _, eig = build_branch(layout, branch, disorder, g)
         pops, amps = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], t_grid)
-        runs.append((basis, eig, pops, amps))
+        runs.append((sites, eig, pops, amps))
     return runs
 
 
 def commutator_norm(layout, disorder, g, basis):
-    """Frobenius norm of [H, P]: full clock-register Hamiltonian, branch projector."""
+    """Frobenius norm of [H, P]: full clock-register Hamiltonian, projector on (sites, registers)."""
     h = full_switch_hamiltonian(layout, disorder, g)
-    proj = subspace_projector(basis, layout.s)
+    proj = subspace_projector(*basis, layout.s)
     return float(np.linalg.norm(h @ proj - proj @ h))
 
 
@@ -73,8 +74,8 @@ class TestLayout:
 class TestCoordinateMap:
     def test_images_and_overlap(self):
         layout = build_cnot_layout(22, 9)
-        up = peres_basis(layout, "U", (+1, -1)).sites
-        down = peres_basis(layout, "D", (-1, -1)).sites
+        up, _ = peres_basis(layout, "U", (+1, -1))
+        down, _ = peres_basis(layout, "D", (-1, -1))
         # a = 9, b = 14, s = 22: the upper branch detours over 10, 11, the lower over 12, 13
         assert list(up) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20, 21, 22]
         assert list(down) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22]
@@ -92,23 +93,24 @@ class TestCoordinateMap:
 class TestPeresBasis:
     def test_upper_branch_flips_passive(self):
         layout = build_cnot_layout(22, 9)
-        basis = peres_basis(layout, "U", (+1, -1))
-        assert basis.registers[0] == (+1, -1)
-        assert basis.registers[-1] == (+1, +1)
+        _, registers = peres_basis(layout, "U", (+1, -1))
+        assert registers[0] == register_index((+1, -1))
+        assert registers[-1] == register_index((+1, +1))
         # the flip happens between path coordinates a+1 and a+2
-        assert basis.registers[layout.a] == (+1, -1)
-        assert basis.registers[layout.a + 1] == (+1, +1)
+        assert registers[layout.a] == register_index((+1, -1))
+        assert registers[layout.a + 1] == register_index((+1, +1))
 
     def test_lower_branch_keeps_register(self):
         layout = build_cnot_layout(22, 9)
-        basis = peres_basis(layout, "D", (-1, -1))
-        assert all(r == (-1, -1) for r in basis.registers)
+        _, registers = peres_basis(layout, "D", (-1, -1))
+        assert np.all(registers == register_index((-1, -1)))
 
     @pytest.mark.parametrize("branch", ["U", "D"])
     def test_entry_count(self, branch):
         layout = build_cnot_layout(22, 9)
         c = +1 if branch == "U" else -1
-        assert peres_basis(layout, branch, (c, -1)).sites.size == 20
+        sites, registers = peres_basis(layout, branch, (c, -1))
+        assert sites.size == registers.size == 20
 
     def test_control_mismatch_rejected(self):
         layout = build_cnot_layout(8, 1)
@@ -120,6 +122,18 @@ class TestPeresBasis:
         for branch in ("X", "u", "d", ""):
             with pytest.raises(ValueError, match="branch must be U or D"):
                 peres_basis(layout, branch, (-1, -1))
+
+    @pytest.mark.parametrize("s,a", [(8, 1), (12, 3), (22, 9), (202, 100)])
+    @pytest.mark.parametrize(
+        "label", [(-1, -1), (-1, 1), (1, -1), (1, 1)], ids=lambda r: f"c{r[0]:+d}p{r[1]:+d}"
+    )
+    def test_matches_switch_diagram(self, s, a, label):
+        # the oracle's sites and register labels, written from the diagram
+        layout = build_cnot_layout(s, a)
+        branch = "U" if label[0] == 1 else "D"
+        sites, registers = peres_basis(layout, branch, label)
+        assert np.array_equal(sites, branch_sites(layout, branch))
+        assert np.array_equal(registers, branch_registers(layout, branch, label))
 
     def test_register_index_order(self):
         assert [register_index(r) for r in [(-1, -1), (-1, 1), (1, -1), (1, 1)]] == [
@@ -139,8 +153,7 @@ class TestReducedHamiltonian:
         closed = free_eigensystem(20)
         for branch in ("U", "D"):
             h = reduced_chain_hamiltonian(layout, branch, clean, 0.0)
-            assert np.array_equal(h.diagonal, np.zeros(20))
-            assert np.array_equal(h.hopping, -0.5 * np.ones(19))
+            assert np.array_equal(h, np.zeros(20))
             eig = diagonalize(h)
             assert np.max(np.abs(eig.eigenvalues - closed.eigenvalues)) < 1e-10
             assert np.max(np.abs(eig.eigenvectors - closed.eigenvectors)) < 1e-10
@@ -152,19 +165,19 @@ class TestReducedHamiltonian:
         h_down = reduced_chain_hamiltonian(layout, "D", disorder, 0.0)
         a = layout.a
         # inside the switch the branches pick up different on-site energies
-        assert h_up.diagonal[a] != h_down.diagonal[a]
-        assert h_up.diagonal[a + 1] != h_down.diagonal[a + 1]
+        assert h_up[a] != h_down[a]
+        assert h_up[a + 1] != h_down[a + 1]
         # outside they coincide
-        assert np.array_equal(h_up.diagonal[:a], h_down.diagonal[:a])
-        assert np.array_equal(h_up.diagonal[a + 2 :], h_down.diagonal[a + 2 :])
+        assert np.array_equal(h_up[:a], h_down[:a])
+        assert np.array_equal(h_up[a + 2 :], h_down[a + 2 :])
 
     def test_tilt_steps_in_path_coordinates(self):
         layout = build_cnot_layout(22, 9)
         disorder = disorder_for(22, 0.5, 2)
         h = reduced_chain_hamiltonian(layout, "D", disorder, 2.0)
-        sites = peres_basis(layout, "D", (-1, -1)).sites
+        sites, _ = peres_basis(layout, "D", (-1, -1))
         eps = disorder[sites - 1]
-        steps = np.diff(h.diagonal - eps)
+        steps = np.diff(h - eps)
         assert np.allclose(steps, -2.0, atol=1e-12)
 
     def test_disorder_length_mismatch(self):
@@ -199,15 +212,13 @@ class TestSubspaceConservation:
         # negative control: labelling the passive flip one bond late puts
         # (a+2, unflipped) in the subspace, which the NOT bond leaves
         layout = build_cnot_layout(12, 3)
-        basis = peres_basis(layout, "U", (+1, -1))
-        late = tuple(
-            (+1, -1) if j <= layout.a + 2 else (+1, +1) for j in range(1, layout.path_length + 1)
-        )
-        assert late != basis.registers
-        wrong = PeresBasis(basis.sites, late)
+        sites, registers = peres_basis(layout, "U", (+1, -1))
+        j = np.arange(1, layout.path_length + 1)
+        late = np.where(j <= layout.a + 2, register_index((+1, -1)), register_index((+1, +1)))
+        assert not np.array_equal(late, registers)
         disorder = disorder_for(12, 0.5, 6)
-        assert commutator_norm(layout, disorder, 2.0, basis) <= 1e-12
-        assert commutator_norm(layout, disorder, 2.0, wrong) > 1.0
+        assert commutator_norm(layout, disorder, 2.0, (sites, registers)) <= 1e-12
+        assert commutator_norm(layout, disorder, 2.0, (sites, late)) > 1.0
 
 
 class TestClassicalRuns:
@@ -251,16 +262,13 @@ class TestClassicalRuns:
         grid = np.linspace(0, 200, 2001)
         for c, p in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             branch = "U" if c == 1 else "D"
-            basis = peres_basis(layout, branch, (c, p))
-            expected = (c, -p) if c == 1 else (c, p)
-            assert basis.registers[-1] == expected
+            sites, registers = peres_basis(layout, branch, (c, p))
+            expected = register_index((c, -p) if c == 1 else (c, p))
+            assert registers[-1] == expected
             series = run_classical_input(layout, clean, 0.0, None, branch, grid)
             # conditioned on arrival, the register label is exact: every
             # basis element past the gate carries the output label
-            past_gate = [
-                r for x, r in zip(basis.sites, basis.registers) if x >= layout.b
-            ]
-            assert all(r == expected for r in past_gate)
+            assert np.all(registers[sites >= layout.b] == expected)
             assert series.p_region.max() >= 0.9
 
 
@@ -353,9 +361,10 @@ class TestRegisterReduction:
         # no cross block and half the population at each branch end: the
         # register is the 50/50 mixture of the two outcomes
         layout = build_cnot_layout(22, 9)
-        bases = (peres_basis(layout, "U", (+1, -1)), peres_basis(layout, "D", (-1, -1)))
+        _, reg_up = peres_basis(layout, "U", (+1, -1))
+        _, reg_down = peres_basis(layout, "D", (-1, -1))
         up, down = (np.zeros((4, 1)) for _ in range(2))
-        up[bases[0].register_indices()[-1]] = down[bases[1].register_indices()[-1]] = 0.5
+        up[reg_up[-1]] = down[reg_down[-1]] = 0.5
         rho = register_states(up, down, np.zeros((16, 1), complex))[0]
         expected = np.zeros((4, 4))
         expected[register_index((+1, +1)), register_index((+1, +1))] = 0.5
@@ -405,8 +414,8 @@ class TestFullSpaceOracle:
         psi0 = full_space_state(layout, reg0)
         series = run_superposed_input(layout, disorder, g, None, grid)
         mean_red = sum(
-            0.5 * (basis.sites @ read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps))
-            for basis, eig, pops, amps in branch_runs(layout, disorder, g, None, grid)
+            0.5 * (sites @ read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps))
+            for sites, eig, pops, amps in branch_runs(layout, disorder, g, None, grid)
         )
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)

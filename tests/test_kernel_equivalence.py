@@ -315,6 +315,15 @@ def test_dissipative_transport_run_rejects_irregular_grids(bath, grid):
 
 @pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
 @pytest.mark.parametrize("bath", BATHS)
+def test_run_classical_input_rejects_irregular_grids(bath, grid):
+    layout = build_cnot_layout(16, 4)
+    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
+    with pytest.raises(ValueError, match="uniform"):
+        run_classical_input(layout, disorder, 2.0, BATHS[bath], "U", IRREGULAR_GRIDS[grid])
+
+
+@pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
+@pytest.mark.parametrize("bath", BATHS)
 def test_run_superposed_input_rejects_irregular_grids(bath, grid):
     layout = build_cnot_layout(16, 4)
     disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
