@@ -7,8 +7,9 @@ Conventions used throughout the package:
   is its s on-site energies: the Hamiltonian builders return that float
   array and :func:`diagonalize` adds the hopping band itself,
 * hbar = 1, all energies and times are dimensionless,
-* eigenvalues are always reported in ascending order; eigenvector columns are
-  sign-normalized so that the first significant component is positive;
+* a spectrum is the pair (eigenvalues, eigenvectors) that
+  ``numpy.linalg.eigh`` returns: eigenvalues in ascending order, eigenvector
+  columns sign-normalized so that the first significant component is positive;
 * :func:`diagonalize` is numpy's dense symmetric eigensolver (LAPACK), so the
   package needs numpy alone.
 
@@ -43,30 +44,8 @@ class ChainSpec:
             raise ValueError(f"tilt strength must be >= 0, got {self.g}")
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues with the orthonormal eigenvector matrix (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.eigenvalues, dtype=float)
-        v = np.asarray(self.eigenvectors, dtype=float)
-        if v.shape != (w.size, w.size):
-            raise ValueError(f"eigenvector matrix must be {w.size}x{w.size}, got {v.shape}")
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be in ascending order")
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-
-def free_eigensystem(s: int) -> EigenSystem:
-    """Closed-form spectrum of the free chain.
+def free_eigensystem(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form spectrum of the free chain: (eigenvalues, eigenvectors), as ``eigh`` returns.
 
     e_k = -cos(k pi / (s+1)) and v_k(x) = sqrt(2/(s+1)) sin(k pi x / (s+1)),
     k = 1..s, already ascending and with positive first components.
@@ -77,7 +56,7 @@ def free_eigensystem(s: int) -> EigenSystem:
     x = np.arange(1, s + 1)
     evals = -np.cos(k * np.pi / (s + 1))
     evecs = np.sqrt(2.0 / (s + 1)) * np.sin(np.outer(x, k) * np.pi / (s + 1))
-    return EigenSystem(evals, evecs)
+    return evals, evecs
 
 
 def sample_disorder(spec: ChainSpec) -> np.ndarray:
@@ -99,13 +78,14 @@ def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:
     return evecs
 
 
-def diagonalize(energies: np.ndarray) -> EigenSystem:
+def diagonalize(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerically diagonalize the chain with these on-site energies and hopping -1/2.
 
     ``numpy.linalg.eigh`` on the dense matrix, of which only the diagonal and
-    the lower band are filled (``eigh`` reads the lower triangle). Eigenvalues
-    come back ascending; eigenvector signs follow the package convention
-    (first significant component positive). A non-finite, empty or
+    the lower band are filled (``eigh`` reads the lower triangle). Returns
+    ``eigh``'s pair (eigenvalues, eigenvectors): eigenvalues ascending,
+    eigenvectors as columns whose signs follow the package convention (first
+    significant component positive). A non-finite, empty or
     non-1-d ``energies`` raises ``ValueError``.
     """
     e = np.asarray(energies, dtype=float)
@@ -122,4 +102,4 @@ def diagonalize(energies: np.ndarray) -> EigenSystem:
             f"symmetric eigensolver failed for dim={e.size} "
             f"(on-site energies in [{e.min():.3g}, {e.max():.3g}]): {exc}"
         ) from exc
-    return EigenSystem(evals, _fix_eigenvector_signs(evecs))
+    return evals, _fix_eigenvector_signs(evecs)

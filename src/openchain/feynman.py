@@ -34,6 +34,10 @@ population between branches):
 Tracing out the cursor in the physical-site basis gives the register state:
 diagonal blocks contribute their site populations; the cross block contributes
 only where the two branches traverse the same physical site (1..a and b..s).
+
+Both runs return their CSV columns, a dict of named arrays
+(:func:`run_classical_input`, :func:`run_superposed_input`); the superposed run
+also returns the (T, 4, 4) register states.
 """
 
 from __future__ import annotations
@@ -43,9 +47,8 @@ from typing import Literal
 
 import numpy as np
 
-from .chains import EigenSystem, diagonalize
+from .chains import diagonalize
 from .lindblad import BathSpec, energy_blocks, pure_state_series, read_out, site_amplitudes
-from .series import ObservableSeries
 
 Branch = Literal["U", "D"]
 RegisterLabel = tuple[int, int]
@@ -147,11 +150,12 @@ def reduced_chain_hamiltonian(
 
 def build_branch(
     layout: CircuitLayout, branch: Branch, disorder: np.ndarray, g: float
-) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """A branch's sites (its geometry), register indices and spectrum: (sites, registers, eig).
 
     ``sites`` and ``registers`` are :func:`peres_basis` for the branch's own
-    control value (+1 up, -1 down) and passive qubit -1.
+    control value (+1 up, -1 down) and passive qubit -1; ``eig`` is the pair
+    (eigenvalues, eigenvectors) of :func:`openchain.chains.diagonalize`.
     """
     sites, registers = peres_basis(layout, branch, (+1 if branch == "U" else -1, -1))
     return sites, registers, diagonalize(reduced_chain_hamiltonian(layout, branch, disorder, g))
@@ -164,17 +168,19 @@ def run_classical_input(
     bath: BathSpec | None,
     branch: Branch,
     t_grid: np.ndarray,
-) -> ObservableSeries:
+) -> dict[str, np.ndarray]:
     """Cursor dynamics of one branch, started at path coordinate 1.
 
-    Unitary when ``bath`` is None, Lindblad otherwise. ``p_region`` is the
-    probability of the sites at and beyond the switch exit b. Position
-    observables are reported in physical-site coordinates.
+    Unitary when ``bath`` is None, Lindblad otherwise. Returns the columns t,
+    mean_Q, var_Q and p_beyond_gate, the probability of the sites at and
+    beyond the switch exit b. Position observables are reported in
+    physical-site coordinates.
     """
-    sites, _, eig = build_branch(layout, branch, disorder, g)
-    return pure_state_series(
-        eig, bath, eig.eigenvectors[0], t_grid, sites, np.flatnonzero(sites >= layout.b)
-    )
+    sites, _, (e, v) = build_branch(layout, branch, disorder, g)
+    beyond = np.flatnonzero(sites >= layout.b)
+    columns = pure_state_series((e, v), bath, v[0], t_grid, sites, beyond)
+    columns["p_beyond_gate"] = columns.pop("p_region")
+    return columns
 
 
 def register_states(diag_up: np.ndarray, diag_down: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -210,47 +216,22 @@ def bell_fidelity(rho: np.ndarray) -> float | np.ndarray:
     return np.real(np.einsum("i,...ij,j->...", phi, np.asarray(rho, dtype=complex), phi))
 
 
-@dataclass
-class SwitchSeries:
-    """Time series of a superposed-control run.
-
-    ``bell_fidelity`` is conditioned on the cursor having passed the switch
-    (physical site >= b) and is NaN where that probability vanishes;
-    ``entropy`` is the entropy of ``register``, the (T, 4, 4) unconditioned
-    register states.
-    """
-
-    times: np.ndarray
-    trace_uu: np.ndarray
-    trace_dd: np.ndarray
-    p_beyond_gate: np.ndarray
-    entropy: np.ndarray
-    bell_fidelity: np.ndarray
-    register: np.ndarray
-
-    def columns(self) -> dict[str, np.ndarray]:
-        return {
-            "t": self.times,
-            "trace_UU": self.trace_uu,
-            "trace_DD": self.trace_dd,
-            "p_beyond_gate": self.p_beyond_gate,
-            "entropy": self.entropy,
-            "bell_fidelity": self.bell_fidelity,
-        }
-
-
 def run_superposed_input(
     layout: CircuitLayout,
     disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
     t_grid: np.ndarray,
-) -> SwitchSeries:
-    """Evolve the machine from the equal superposition of control up and down.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Evolve the machine from the equal superposition of control up and down: (columns, register).
 
     The initial state is (|1, +1,-1> + |1, -1,-1>)/sqrt(2): cursor at path
     start with all four blocks populated. ``bath = None`` (or zeta = 0) gives
-    the unitary limit.
+    the unitary limit. ``columns`` are t, trace_UU, trace_DD, p_beyond_gate,
+    entropy and bell_fidelity, in the CSV's order; ``register`` is the (T, 4, 4)
+    stack of unconditioned register states, and ``entropy`` is their entropy.
+    ``bell_fidelity`` is conditioned on the cursor having passed the switch
+    (physical site >= b) and is NaN where that probability vanishes.
 
     This factorization needs the pure initial state. With P_B, U_B the
     :func:`energy_blocks` of branch B from path coordinate 1, each diagonal
@@ -265,22 +246,18 @@ def run_superposed_input(
     state past the gate, normalized by ``p_beyond_gate``. Only the O(T) series
     and ``register`` are held across blocks.
     """
-    sites_u, idx_up, eig_u = build_branch(layout, "U", disorder, g)
-    sites_d, idx_down, eig_d = build_branch(layout, "D", disorder, g)
+    sites_u, idx_up, (e_u, vu) = build_branch(layout, "U", disorder, g)
+    sites_d, idx_down, (e_d, vd) = build_branch(layout, "D", disorder, g)
     t_grid = np.asarray(t_grid, dtype=float)
     beyond = sites_u >= layout.b
     pairs = np.eye(16)[4 * idx_up + idx_down].T * (sites_u == sites_d)
     rows_u, rows_d, pairs = (
         np.concatenate([r, r * beyond]) for r in (np.eye(4)[idx_up].T, np.eye(4)[idx_down].T, pairs)
     )
-    vu, vd = eig_u.eigenvectors, eig_d.eigenvectors
     trace_uu, trace_dd, p_beyond, entropy = (np.empty(t_grid.size) for _ in range(4))
     fidelity = np.full(t_grid.size, np.nan)
     register = np.empty((t_grid.size, 4, 4), dtype=complex)
-    blocks = zip(
-        energy_blocks(eig_u.eigenvalues, bath, vu[0], t_grid),
-        energy_blocks(eig_d.eigenvalues, bath, vd[0], t_grid),
-    )
+    blocks = zip(energy_blocks(e_u, bath, vu[0], t_grid), energy_blocks(e_d, bath, vd[0], t_grid))
     for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
         w_u, w_d = site_amplitudes(vu, amp_u), site_amplitudes(vd, amp_d)
         diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, w_u)  # (8, columns)
@@ -296,4 +273,6 @@ def run_superposed_input(
         cond = register_states(diag_u[4:], diag_d[4:], cross[16:])
         passed = weight > 1e-12
         fidelity[cols][passed] = bell_fidelity(cond[passed] / weight[passed, None, None])
-    return SwitchSeries(t_grid, trace_uu, trace_dd, p_beyond, entropy, fidelity, register)
+    columns = {"t": t_grid, "trace_UU": trace_uu, "trace_DD": trace_dd, "p_beyond_gate": p_beyond,
+               "entropy": entropy, "bell_fidelity": fidelity}
+    return columns, register

@@ -34,6 +34,8 @@ and no n x T array is formed: every pipeline reads this kernel one block at a
 time, in O(n x block) memory plus its O(T) outputs: the chain with or without a
 bath (:func:`pure_state_series`), the arrival-peak scan (:func:`arrival_peak`,
 on V's last row alone) and the switch pipelines of :mod:`openchain.feynman`.
+A spectrum travels as the pair (e, V) that :func:`openchain.chains.diagonalize`
+returns, and a chain run returns its CSV columns: a dict of named arrays.
 
 The kernel takes uniform grids only (:func:`time_grid` builds them); any other
 grid raises ``ValueError``. :func:`energy_blocks` yields P and U in cache-sized
@@ -54,8 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import EigenSystem, diagonalize
-from .series import ObservableSeries
+from .chains import diagonalize
 
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
@@ -295,46 +296,50 @@ def read_out(
 
 
 def pure_state_series(
-    eig: EigenSystem,
+    eig: tuple[np.ndarray, np.ndarray],
     bath: BathSpec | None,
     amplitudes: np.ndarray,
     t_grid: np.ndarray,
     positions: np.ndarray,
-    region: np.ndarray | None,
-) -> ObservableSeries:
-    """mean_Q, var_Q and p_region of a pure start, read out one cache block at a time.
+    region: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Columns t, mean_Q, var_Q and p_region of a pure start, read out one cache block at a time.
 
-    ``amplitudes`` are the energy-basis amplitudes c, ``positions`` the
-    coordinate x of each eigenvector row and ``region`` 0-based rows (None
-    leaves ``p_region`` unset). Each block is read out on the rows x, y^2, y
+    ``eig`` is the spectrum (eigenvalues, eigenvectors), ``amplitudes`` the
+    energy-basis amplitudes c, ``positions`` the coordinate x of each
+    eigenvector row and ``region`` the 0-based rows summed into ``p_region``
+    (an empty array gives zeros). Each block is read out on the rows x, y^2, y
     and the region's indicator, with y = x - the block's first mean, read out
     from that column alone: about the origin, <x^2> - <x>^2 would cancel
-    max(x)^2 of precision.
+    max(x)^2 of precision. A variance below -1e-9 raises ``ValueError``; the
+    rounding-level negatives above it are clipped to 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    v, x = eig.eigenvectors, np.asarray(positions, dtype=float)
-    indicator = [] if region is None else [np.bincount(region, minlength=x.size)]
-    mean, var = np.empty(t_grid.size), np.empty(t_grid.size)
-    p_region = None if region is None else np.empty(t_grid.size)
-    for cols, p, u in energy_blocks(eig.eigenvalues, bath, amplitudes, t_grid):
+    (e, v), x = eig, np.asarray(positions, dtype=float)
+    indicator = np.bincount(region, minlength=x.size)
+    mean, var, p_region = (np.empty(t_grid.size) for _ in range(3))
+    for cols, p, u in energy_blocks(e, bath, amplitudes, t_grid):
         y = x - read_out(v, x[None], None if p is None else p[:, :1], u[:, :1])[0, 0]
-        out = read_out(v, np.stack([x, y**2, y, *indicator]), p, u)
-        mean[cols], var[cols] = out[0], out[1] - out[2] ** 2
-        if p_region is not None:
-            p_region[cols] = out[3]
-    return ObservableSeries(t_grid, mean, var, p_region)
+        out = read_out(v, np.stack([x, y**2, y, indicator]), p, u)
+        mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
+    if np.any(var < -1e-9):
+        raise ValueError("variance must be nonnegative")
+    return {"t": t_grid, "mean_Q": mean, "var_Q": np.maximum(var, 0.0), "p_region": p_region}
 
 
-def arrival_peak(eig: EigenSystem, t_max: float, dt: float = 0.05) -> tuple[float, float]:
+def arrival_peak(
+    eig: tuple[np.ndarray, np.ndarray], t_max: float, dt: float = 0.05
+) -> tuple[float, float]:
     """Grid-scan maximum of the last-site probability over [0, t_max] from site 1.
 
-    Returns (t_star, p_star). Resolution is limited by dt; the default 0.05
-    resolves the ballistic arrival peaks of all chain sizes used here. The
-    blocks are read out on the last site's row alone.
+    ``eig`` is the spectrum (eigenvalues, eigenvectors). Returns (t_star,
+    p_star). Resolution is limited by dt; the default 0.05 resolves the
+    ballistic arrival peaks of all chain sizes used here. The blocks are read
+    out on the last site's row alone.
     """
-    times = time_grid(t_max, dt)
-    blocks = energy_blocks(eig.eigenvalues, None, eig.eigenvectors[0], times)
-    row, one = eig.eigenvectors[-1:], np.ones((1, 1))
+    (e, v), times = eig, time_grid(t_max, dt)
+    blocks = energy_blocks(e, None, v[0], times)
+    row, one = v[-1:], np.ones((1, 1))
     last = np.concatenate([read_out(row, one, None, u)[0] for *_, u in blocks])
     i = int(np.argmax(last))
     return float(times[i]), float(last[i])
@@ -342,16 +347,17 @@ def arrival_peak(eig: EigenSystem, t_max: float, dt: float = 0.05) -> tuple[floa
 
 def dissipative_transport_run(
     energies: np.ndarray, bath: BathSpec | None, t_grid: np.ndarray
-) -> ObservableSeries:
+) -> dict[str, np.ndarray]:
     """Full pipeline: diagonalize, relax in the energy basis, report site observables.
 
     ``energies`` are the chain's on-site energies
     (:func:`openchain.chains.build_chain_hamiltonian`); the hopping is -1/2.
-    The excitation starts on site 1 (energy amplitudes ``V[0]``) and
-    ``p_region`` is the last site's probability. The initial energy-basis
-    coherences are kept and propagated, so the early-time transient is exact.
+    The excitation starts on site 1 (energy amplitudes ``V[0]``). Returns the
+    columns of :func:`pure_state_series`; ``p_region`` is the last site's
+    probability. The initial energy-basis coherences are kept and propagated,
+    so the early-time transient is exact.
     ``bath = None`` (or zeta = 0) is the closed chain.
     """
-    eig = diagonalize(energies)
-    sites = np.arange(1, eig.dim + 1)
-    return pure_state_series(eig, bath, eig.eigenvectors[0], t_grid, sites, np.array([eig.dim - 1]))
+    e, v = diagonalize(energies)
+    sites = np.arange(1, e.size + 1)
+    return pure_state_series((e, v), bath, v[0], t_grid, sites, np.array([e.size - 1]))

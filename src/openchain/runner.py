@@ -46,8 +46,7 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     scenario = config.scenario
     if scenario == "peak-scaling":
         t_max = config.t_max if config.t_max is not None else _scan_t_max(config.s)
-        eig = free_eigensystem(config.s)
-        t_star, p_star = arrival_peak(eig, t_max, config.dt)
+        t_star, p_star = arrival_peak(free_eigensystem(config.s), t_max, config.dt)
         return {"t_star": np.array([t_star]), "p_star": np.array([p_star])}
 
     grid = time_grid(config.t_max, config.dt)
@@ -55,19 +54,14 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
         energies = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
         bath = None if scenario in UNITARY_CHAIN_SCENARIOS else bath
-        return dissipative_transport_run(energies, bath, grid).columns()
+        return dissipative_transport_run(energies, bath, grid)
     if scenario not in ("cnot-classical", "cnot-superposed"):
         raise ValueError(f"unknown scenario {scenario!r}")
     layout = build_cnot_layout(config.s, config.a)
     disorder = sample_disorder(ChainSpec(config.s, config.sigma, 0.0, seed))
     if scenario == "cnot-classical":
-        series = run_classical_input(layout, disorder, config.g, bath, config.branch, grid)
-        return series.columns(p_label="p_beyond_gate")
-    return run_superposed_input(layout, disorder, config.g, bath, grid).columns()
-
-
-def _run_star(args: tuple[ExperimentConfig, int]) -> dict[str, np.ndarray]:
-    return run_realization(*args)
+        return run_classical_input(layout, disorder, config.g, bath, config.branch, grid)
+    return run_superposed_input(layout, disorder, config.g, bath, grid)[0]
 
 
 def _run_jobs(
@@ -78,9 +72,10 @@ def _run_jobs(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run loads no pool
+        configs, seeds = zip(*jobs)
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(_run_star, jobs))
-    return [_run_star(job) for job in jobs]
+            return list(pool.map(run_realization, configs, seeds))
+    return [run_realization(config, seed) for config, seed in jobs]
 
 
 def _ensemble_seeds(config: ExperimentConfig) -> list[int]:

@@ -1,4 +1,4 @@
-"""Time-series containers and their CSV serialization.
+"""CSV serialization of named time-series columns.
 
 CSV files carry a header row, a fixed column order, and reals formatted with
 17 significant digits so that values round-trip losslessly. Rows are formatted
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -164,40 +163,3 @@ def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> str:
             out.write(data)
             data = b""
     return digest.hexdigest()
-
-
-@dataclass
-class ObservableSeries:
-    """Aligned samples of position observables on a time grid.
-
-    ``p_region`` is the probability of the scenario's target region (the last
-    site for plain chains, the sites beyond the gate for switch circuits).
-    """
-
-    times: np.ndarray
-    mean_q: np.ndarray
-    var_q: np.ndarray
-    p_region: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.mean_q = np.asarray(self.mean_q, dtype=float)
-        self.var_q = np.asarray(self.var_q, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        n = self.times.size
-        if self.mean_q.shape != (n,) or self.var_q.shape != (n,):
-            raise ValueError("mean_q and var_q must align with times")
-        if np.any(self.var_q < -1e-9):
-            raise ValueError("variance must be nonnegative")
-        self.var_q = np.maximum(self.var_q, 0.0)
-        if self.p_region is not None:
-            self.p_region = np.asarray(self.p_region, dtype=float)
-            if self.p_region.shape != (n,):
-                raise ValueError("p_region must align with times")
-
-    def columns(self, p_label: str = "p_region") -> dict[str, np.ndarray]:
-        cols = {"t": self.times, "mean_Q": self.mean_q, "var_Q": self.var_q}
-        if self.p_region is not None:
-            cols[p_label] = self.p_region
-        return cols

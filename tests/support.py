@@ -27,7 +27,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, expm
 from scipy.special import jv
 
-from openchain.chains import EigenSystem, diagonalize
+from openchain.chains import diagonalize
 from openchain.feynman import CircuitLayout, build_branch
 from openchain.lindblad import BathSpec, energy_blocks, pure_state_series, transition_rates
 
@@ -304,10 +304,10 @@ def relax_energy_density_dense(
 CLOSED = BathSpec(beta=1.0, zeta=0.0)
 
 
-def _dense_states(eig, bath: BathSpec | None, rho0: np.ndarray, t_grid) -> list:
+def _dense_states(eigenvalues, bath: BathSpec | None, rho0: np.ndarray, t_grid) -> list:
     bath = bath or CLOSED
-    gamma = transition_rates(eig.eigenvalues, bath)
-    return relax_energy_density_dense(eig.eigenvalues, gamma, bath.zeta, rho0, t_grid)
+    gamma = transition_rates(eigenvalues, bath)
+    return relax_energy_density_dense(eigenvalues, gamma, bath.zeta, rho0, t_grid)
 
 
 def _moments(prob: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -319,13 +319,12 @@ def dense_transport_columns(
     energies: np.ndarray, bath: BathSpec, psi0: np.ndarray, t_grid: np.ndarray
 ) -> dict[str, np.ndarray]:
     """mean_Q, var_Q and last-site probability of a dissipative chain run."""
-    eig = diagonalize(energies)
+    e, v = diagonalize(energies)
     psi0 = np.asarray(psi0, dtype=complex)
-    v = eig.eigenvectors
     rho0 = v.T @ np.outer(psi0, psi0.conj()) @ v
-    x = np.arange(1, eig.dim + 1)
+    x = np.arange(1, e.size + 1)
     rows = []
-    for state in _dense_states(eig, bath, rho0, t_grid):
+    for state in _dense_states(e, bath, rho0, t_grid):
         prob = np.real(np.diag(v @ state @ v.T))
         rows.append((*_moments(prob, x), prob[-1]))
     return dict(zip(("mean_Q", "var_Q", "p_region"), np.array(rows).T))
@@ -340,17 +339,16 @@ def dense_classical_columns(
     t_grid: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """mean_Q, var_Q (physical sites) and p_beyond_gate of one branch run."""
-    *_, eig = build_branch(layout, branch, disorder, g)
-    v = eig.eigenvectors
+    *_, (e, v) = build_branch(layout, branch, disorder, g)
     rho0 = np.outer(v[0], v[0])
     sites = branch_sites(layout, branch)
     x = sites.astype(float)
     beyond = sites >= layout.b
     rows = []
-    for state in _dense_states(eig, bath, rho0, t_grid):
+    for state in _dense_states(e, bath, rho0, t_grid):
         prob = np.real(np.diag(v @ state @ v.T))
         rows.append((*_moments(prob, x), prob[beyond].sum()))
-    return dict(zip(("mean_Q", "var_Q", "p_region"), np.array(rows).T))
+    return dict(zip(("mean_Q", "var_Q", "p_beyond_gate"), np.array(rows).T))
 
 
 def loop_register_state(uu, dd, ud, layout, idx_up, idx_down, sites=None) -> np.ndarray:
@@ -376,21 +374,18 @@ def dense_superposed_columns(
     bath: BathSpec | None,
     t_grid: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Every SwitchSeries column from dense blocks rotated one time point at a time."""
-    *_, eig_u = build_branch(layout, "U", disorder, g)
-    *_, eig_d = build_branch(layout, "D", disorder, g)
+    """Every column of a superposed run from dense blocks rotated one time point at a time."""
+    *_, (e_u, vu) = build_branch(layout, "U", disorder, g)
+    *_, (e_d, vd) = build_branch(layout, "D", disorder, g)
     beyond_u = branch_sites(layout, "U") >= layout.b
     beyond_d = branch_sites(layout, "D") >= layout.b
-    vu, vd = eig_u.eigenvectors, eig_d.eigenvectors
     idx_up = branch_registers(layout, "U", (+1, -1))
     idx_down = branch_registers(layout, "D", (-1, -1))
-    uu_states = _dense_states(eig_u, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
-    dd_states = _dense_states(eig_d, bath, 0.5 * np.outer(vd[0], vd[0]), t_grid)
+    uu_states = _dense_states(e_u, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
+    dd_states = _dense_states(e_d, bath, 0.5 * np.outer(vd[0], vd[0]), t_grid)
     bath = bath or CLOSED
-    widths = [
-        bath.zeta * transition_rates(e.eigenvalues, bath).sum(axis=0) for e in (eig_u, eig_d)
-    ]
-    cross_decay = -1j * np.subtract.outer(eig_u.eigenvalues, eig_d.eigenvalues) - 0.5 * (
+    widths = [bath.zeta * transition_rates(e, bath).sum(axis=0) for e in (e_u, e_d)]
+    cross_decay = -1j * np.subtract.outer(e_u, e_d) - 0.5 * (
         widths[0][:, None] + widths[1][None, :]
     )
     ud0 = 0.5 * np.outer(vu[0], vd[0]).astype(complex)
@@ -426,19 +421,20 @@ def chunked_unitary_columns(
 ) -> dict[str, np.ndarray]:
     """mean_Q, var_Q, the region probability and the (T, n) site distribution."""
     t_grid = np.asarray(t_grid, dtype=float)
-    coeff = eig.eigenvectors.T @ psi0
-    x = np.arange(1, eig.dim + 1)
+    e, v = eig
+    coeff = v.T @ psi0
+    x = np.arange(1, e.size + 1)
     cols = {
         "mean_Q": np.empty(t_grid.size),
         "var_Q": np.empty(t_grid.size),
-        "sites": np.empty((t_grid.size, eig.dim)),
+        "sites": np.empty((t_grid.size, e.size)),
     }
     if region_idx is not None:
         cols["p_region"] = np.empty(t_grid.size)
     for start in range(0, t_grid.size, 4096):
         sl = slice(start, min(start + 4096, t_grid.size))
-        phases = np.exp(-1j * np.outer(eig.eigenvalues, t_grid[sl])) * coeff[:, None]
-        prob = np.abs(eig.eigenvectors @ phases) ** 2  # (dim, chunk)
+        phases = np.exp(-1j * np.outer(e, t_grid[sl])) * coeff[:, None]
+        prob = np.abs(v @ phases) ** 2  # (dim, chunk)
         cols["mean_Q"][sl] = x @ prob
         cols["var_Q"][sl] = np.maximum((x**2) @ prob - cols["mean_Q"][sl] ** 2, 0.0)
         if region_idx is not None:
@@ -462,11 +458,11 @@ def _region_rows(region, dim: int) -> np.ndarray:
     return np.asarray(sites, dtype=int) - 1
 
 
-def closed_series(eig, psi0: np.ndarray, t_grid, region=None):
-    """The package's closed-chain series from the position-basis state psi0 (no region: no p_region)."""
-    rows = None if region is None else _region_rows(region, eig.dim)
-    c = eig.eigenvectors.T @ np.asarray(psi0)
-    return pure_state_series(eig, None, c, t_grid, np.arange(1, eig.dim + 1), rows)
+def closed_series(eig, psi0: np.ndarray, t_grid, region=()):
+    """The package's closed-chain columns from the position-basis state psi0 (no region: 0)."""
+    e, v = eig
+    c, rows = v.T @ np.asarray(psi0), _region_rows(region, e.size)
+    return pure_state_series(eig, None, c, t_grid, np.arange(1, e.size + 1), rows)
 
 
 def relax_energy_density(eigenvalues, bath, amplitudes, t_grid):
@@ -499,9 +495,8 @@ def switch_block_states(
     """
     blocks = []
     for branch in "UD":
-        *_, eig = build_branch(layout, branch, disorder, g)
-        v = eig.eigenvectors
-        pops, amps = relax_energy_density(eig.eigenvalues, bath, v[0], t_grid)
+        *_, (e, v) = build_branch(layout, branch, disorder, g)
+        pops, amps = relax_energy_density(e, bath, v[0], t_grid)
         blocks.append((v @ kernel_states(pops, amps) @ v.T, (v @ amps).T))
     (uu, w_u), (dd, w_d) = blocks
     ud = w_u[:, :, None] * w_d.conj()[:, None, :]
@@ -523,9 +518,9 @@ def thermal_fixed_point(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def bandwidth(eig: EigenSystem) -> float:
-    """Spectral width e_max - e_min."""
-    return float(eig.eigenvalues[-1] - eig.eigenvalues[0])
+def bandwidth(eigenvalues: np.ndarray) -> float:
+    """Spectral width e_max - e_min of ascending eigenvalues."""
+    return float(eigenvalues[-1] - eigenvalues[0])
 
 
 def localization_length_gaussian(sigma: float) -> float:

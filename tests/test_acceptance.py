@@ -21,7 +21,6 @@ from support import (
 
 from openchain.chains import (
     ChainSpec,
-    EigenSystem,
     build_chain_hamiltonian,
     diagonalize,
     free_eigensystem,
@@ -45,10 +44,10 @@ from openchain.lindblad import (
 )
 
 
-def branch_distribution(eig: EigenSystem, bath: BathSpec | None, grid) -> np.ndarray:
+def branch_distribution(eig, bath: BathSpec | None, grid) -> np.ndarray:
     """Kernel site distribution (path coordinate x time) of a branch started at coordinate 1."""
-    v = eig.eigenvectors
-    pops, amps = relax_energy_density(eig.eigenvalues, bath, v[0], grid)
+    e, v = eig
+    pops, amps = relax_energy_density(e, bath, v[0], grid)
     return read_out(v, np.eye(v.shape[0]), pops, amps)
 
 
@@ -89,12 +88,12 @@ def test_criterion_1_free_chain_spectrum():
     with Criterion(1, "free-chain spectrum matches the closed form", 1.0) as c:
         worst = 0.0
         for s in range(2, 65):
-            closed = free_eigensystem(s)
-            numeric = diagonalize(build_free_chain(s))
+            closed_e, closed_v = free_eigensystem(s)
+            numeric_e, numeric_v = diagonalize(build_free_chain(s))
             worst = max(
                 worst,
-                np.max(np.abs(closed.eigenvalues - numeric.eigenvalues)),
-                np.max(np.abs(closed.eigenvectors - numeric.eigenvectors)),
+                np.max(np.abs(closed_e - numeric_e)),
+                np.max(np.abs(closed_v - numeric_v)),
             )
         c.check(worst <= 1e-10, f"max abs error {worst:.2e}")
 
@@ -120,22 +119,22 @@ def test_criterion_3_anderson_suppression_in_the_switch():
         for seed in range(100):
             disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed))
             series = run_classical_input(layout, disorder, 0.0, None, "U", grid)
-            peaks.append(series.p_region.max())
+            peaks.append(series["p_beyond_gate"].max())
         median_peak = float(np.median(peaks))
         c.check(median_peak < 0.3, f"disordered median peak = {median_peak}")
-        clean = run_classical_input(layout, np.zeros(22), 0.0, None, "U", grid)
-        c.check(clean.p_region.max() >= 0.9, f"clean peak = {clean.p_region.max()}")
+        clean = run_classical_input(layout, np.zeros(22), 0.0, None, "U", grid)["p_beyond_gate"]
+        c.check(clean.max() >= 0.9, f"clean peak = {clean.max()}")
 
 
 def test_criterion_4_thermal_fixed_point():
     with Criterion(4, "long-time populations reach the Gibbs vector", 5.0) as c:
         h = build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0))
-        eig = diagonalize(h)
+        e, v = diagonalize(h)
         bath = BathSpec(beta=1.0, zeta=0.05)
         # cursor at site 1: energy amplitudes are the first row of V
-        pops, _ = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], [1e5])
+        pops, _ = relax_energy_density(e, bath, v[0], [1e5])
         p_final = pops[:, 0]
-        gibbs = thermal_fixed_point(eig.eigenvalues, 1.0)
+        gibbs = thermal_fixed_point(e, 1.0)
         err = float(np.max(np.abs(p_final - gibbs)))
         c.check(err <= 1e-6, f"max norm deviation {err:.2e}")
 
@@ -148,9 +147,10 @@ def test_criterion_5_noise_assisted_gate_traversal():
         series = run_classical_input(
             layout, disorder, 2.0, BathSpec(beta=1.0, zeta=0.05), "U", grid
         )
-        min_step = float(np.diff(series.p_region).min())
+        p_beyond = series["p_beyond_gate"]
+        min_step = float(np.diff(p_beyond).min())
         c.check(min_step >= -1e-6, f"worst decrease {min_step:.2e}")
-        c.check(series.p_region[-1] >= 0.8, f"p(1000) = {series.p_region[-1]}")
+        c.check(p_beyond[-1] >= 0.8, f"p(1000) = {p_beyond[-1]}")
 
 
 def test_criterion_6_coherence_closed_form():
@@ -231,9 +231,9 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
         grid = np.linspace(0.0, 2000.0, 2001)
         ln2 = np.log(2.0)
 
-        superposed = run_superposed_input(layout, disorder, 2.0, bath, grid)
-        end_err = abs(superposed.entropy[-1] - ln2)
-        peak_err = abs(superposed.entropy.max() - 1.5 * ln2)
+        superposed, _ = run_superposed_input(layout, disorder, 2.0, bath, grid)
+        end_err = abs(superposed["entropy"][-1] - ln2)
+        peak_err = abs(superposed["entropy"].max() - 1.5 * ln2)
         c.check(end_err <= 1e-2, f"superposed end entropy off by {end_err:.2e}")
         c.check(peak_err <= 5e-2, f"superposed peak entropy off by {peak_err:.2e}")
 
@@ -256,8 +256,8 @@ def test_criterion_9_clean_unitary_entangling():
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
         grid = np.linspace(0.0, 200.0, 401)
-        series = run_superposed_input(layout, clean, 0.0, None, grid)
-        defined = ~np.isnan(series.bell_fidelity)
+        fidelity = run_superposed_input(layout, clean, 0.0, None, grid)[0]["bell_fidelity"]
+        defined = ~np.isnan(fidelity)
         # conditioning needs nonzero weight past the gate; before the
         # ballistic front arrives (t of order b) that weight underflows,
         # so the conditional state exists only from then on
@@ -265,7 +265,7 @@ def test_criterion_9_clean_unitary_entangling():
             np.all(defined[grid >= 15.0]),
             f"undefined points after front arrival: {np.flatnonzero(~defined)}",
         )
-        worst = float(np.max(np.abs(series.bell_fidelity[defined] - 1.0)))
+        worst = float(np.max(np.abs(fidelity[defined] - 1.0)))
         c.check(worst <= 1e-10, f"worst fidelity deviation {worst:.2e}")
 
 
@@ -280,7 +280,7 @@ def test_criterion_10_full_space_oracle_equivalence():
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
         psi0 = full_space_state(layout, reg0)
-        series = run_superposed_input(layout, disorder, g, None, grid)
+        series, register = run_superposed_input(layout, disorder, g, None, grid)
         # mean_Q of the reduced model: half of each branch's kernel distribution
         mean_red = np.zeros(grid.size)
         for branch in "UD":
@@ -292,8 +292,8 @@ def test_criterion_10_full_space_oracle_equivalence():
             mean_full, reg_full = full_space_observables(psi, layout.s)
             p_full = float(np.sum(np.abs(psi.reshape(layout.s, 4)[layout.b - 1 :]) ** 2))
             worst_q = max(worst_q, abs(mean_full - mean_red[i]))
-            worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - series.register[i]))))
-            worst_p = max(worst_p, abs(p_full - series.p_beyond_gate[i]))
+            worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - register[i]))))
+            worst_p = max(worst_p, abs(p_full - series["p_beyond_gate"][i]))
         c.check(worst_q <= 1e-8, f"superposed mean_Q deviation {worst_q:.2e}")
         c.check(worst_reg <= 1e-8, f"superposed register deviation {worst_reg:.2e}")
         c.check(worst_p <= 1e-8, f"superposed p_beyond_gate deviation {worst_p:.2e}")
@@ -309,7 +309,7 @@ def test_criterion_10_full_space_oracle_equivalence():
             mean_full, reg_full = full_space_observables(
                 evolve_full(h_full, psi0, t), layout.s
             )
-            worst_q = max(worst_q, abs(mean_full - classical.mean_q[i]))
+            worst_q = max(worst_q, abs(mean_full - classical["mean_Q"][i]))
             rho = np.zeros((4, 4))
             for j in range(layout.path_length):
                 rho[indices[j], indices[j]] += prob[j, i]

@@ -42,24 +42,24 @@ class TestBuildFreeChain:
 
 class TestFreeEigensystem:
     def test_three_site_eigenvalues(self):
-        eig = free_eigensystem(3)
-        assert np.allclose(eig.eigenvalues, [-np.sqrt(0.5), 0.0, np.sqrt(0.5)], atol=1e-12)
+        e, _ = free_eigensystem(3)
+        assert np.allclose(e, [-np.sqrt(0.5), 0.0, np.sqrt(0.5)], atol=1e-12)
 
     def test_three_site_first_eigenvector(self):
-        eig = free_eigensystem(3)
-        assert np.allclose(eig.eigenvectors[:, 0], [0.5, np.sqrt(0.5), 0.5], atol=1e-12)
+        _, v = free_eigensystem(3)
+        assert np.allclose(v[:, 0], [0.5, np.sqrt(0.5), 0.5], atol=1e-12)
 
     @pytest.mark.parametrize("s", [2, 5, 17, 40])
     def test_spectrum_antisymmetric(self, s):
-        e = free_eigensystem(s).eigenvalues
+        e, _ = free_eigensystem(s)
         assert np.allclose(e, -e[::-1], atol=1e-12)
 
     @pytest.mark.parametrize("s", range(2, 65))
     def test_matches_numeric_diagonalization(self, s):
-        closed = free_eigensystem(s)
-        numeric = diagonalize(build_free_chain(s))
-        assert np.max(np.abs(closed.eigenvalues - numeric.eigenvalues)) < 1e-10
-        assert np.max(np.abs(closed.eigenvectors - numeric.eigenvectors)) < 1e-10
+        closed_e, closed_v = free_eigensystem(s)
+        numeric_e, numeric_v = diagonalize(build_free_chain(s))
+        assert np.max(np.abs(closed_e - numeric_e)) < 1e-10
+        assert np.max(np.abs(closed_v - numeric_v)) < 1e-10
 
 
 class TestSampleDisorder:
@@ -119,26 +119,25 @@ class TestAssembleHamiltonian:
 
 class TestDiagonalize:
     def test_single_site(self):
-        eig = diagonalize(np.array([2.5]))
-        assert eig.eigenvalues[0] == 2.5
-        assert eig.eigenvectors[0, 0] == 1.0
+        e, v = diagonalize(np.array([2.5]))
+        assert e[0] == 2.5
+        assert v[0, 0] == 1.0
 
     def test_orthogonality(self):
         h = build_chain_hamiltonian(ChainSpec(30, 0.5, 2.0, seed=4))
-        eig = diagonalize(h)
-        v = eig.eigenvectors
+        _, v = diagonalize(h)
         assert np.max(np.abs(v.T @ v - np.eye(30))) < 1e-10
 
     def test_eigen_equation(self):
         h = build_chain_hamiltonian(ChainSpec(25, 0.5, 2.0, seed=5))
-        eig = diagonalize(h)
-        resid = dense_hamiltonian(h) @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues
+        e, v = diagonalize(h)
+        resid = dense_hamiltonian(h) @ v - v * e
         assert np.max(np.abs(resid)) < 1e-10
 
     def test_trace_invariance(self):
         h = build_chain_hamiltonian(ChainSpec(40, 0.7, 1.5, seed=6))
-        eig = diagonalize(h)
-        assert abs(eig.eigenvalues.sum() - h.sum()) < 1e-9
+        e, _ = diagonalize(h)
+        assert abs(e.sum() - h.sum()) < 1e-9
 
     @pytest.mark.parametrize("s", [50, 400])
     def test_sign_convention_matches_column_loop(self, s):
@@ -165,10 +164,10 @@ class TestDiagonalize:
         # measured over these cases: eigenvalues bitwise equal, eigenvectors
         # within 1.9e-16
         h = build_chain_hamiltonian(ChainSpec(s, sigma, g, seed=3))
-        eig = diagonalize(h)
+        e, v = diagonalize(h)
         evals, evecs = eigh_tridiagonal(h, np.full(s - 1, -0.5))
-        assert np.max(np.abs(eig.eigenvalues - evals)) <= 4e-16 * max(1.0, np.abs(evals).max())
-        assert np.max(np.abs(eig.eigenvectors - _fix_eigenvector_signs(evecs))) <= 2e-15
+        assert np.max(np.abs(e - evals)) <= 4e-16 * max(1.0, np.abs(evals).max())
+        assert np.max(np.abs(v - _fix_eigenvector_signs(evecs))) <= 2e-15
 
     def test_tilted_ensemble_gap_ladder(self):
         # for g >= 1 and sigma <= 0.5 the spectrum is a near-uniform ladder
@@ -176,8 +175,8 @@ class TestDiagonalize:
         g, sigma = 2.0, 0.5
         within = total = 0
         for seed in range(100):
-            eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, sigma, g, seed)))
-            gaps = np.diff(eig.eigenvalues)
+            e, _ = diagonalize(build_chain_hamiltonian(ChainSpec(20, sigma, g, seed)))
+            gaps = np.diff(e)
             within += np.sum(np.abs(gaps - g) <= 3 * sigma)
             total += gaps.size
         assert within / total >= 0.9
@@ -200,7 +199,7 @@ class TestLocalizationLengths:
             localization_length_gaussian(0.0)
 
     def test_bloch_free_chain(self):
-        bw = bandwidth(free_eigensystem(20))
+        bw = bandwidth(free_eigensystem(20)[0])
         assert bw == pytest.approx(2 * np.cos(np.pi / 21), abs=1e-12)
         assert localization_length_bloch(bw, 2.0) == pytest.approx(0.9888, abs=1e-4)
 
@@ -230,18 +229,18 @@ class TestParticipationRatio:
     def test_tilted_eigenstates_are_localized(self):
         prs = []
         for seed in range(100):
-            eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed)))
-            prs.append([participation_ratio(eig.eigenvectors[:, k]) for k in range(20)])
+            _, v = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed)))
+            prs.append([participation_ratio(v[:, k]) for k in range(20)])
         assert np.median(prs) <= 3.0
 
     def test_tilt_localizes_below_free_chain(self):
         free_pr = np.array(
-            [participation_ratio(v) for v in free_eigensystem(20).eigenvectors.T]
+            [participation_ratio(v) for v in free_eigensystem(20)[1].T]
         )
         prs = []
         for seed in range(100):
-            eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed)))
-            prs.append([participation_ratio(eig.eigenvectors[:, k]) for k in range(20)])
+            _, v = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed)))
+            prs.append([participation_ratio(v[:, k]) for k in range(20)])
         assert np.all(np.median(np.array(prs), axis=0) <= free_pr)
 
 

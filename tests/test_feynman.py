@@ -34,12 +34,12 @@ def disorder_for(s, sigma, seed):
 
 
 def branch_runs(layout, disorder, g, bath, t_grid):
-    """(sites, eigensystem, P, U) of the kernel run of each branch from path coordinate 1."""
+    """(sites, (eigenvalues, eigenvectors), P, U) of each branch's kernel run from coordinate 1."""
     runs = []
     for branch in ("U", "D"):
-        sites, _, eig = build_branch(layout, branch, disorder, g)
-        pops, amps = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], t_grid)
-        runs.append((sites, eig, pops, amps))
+        sites, _, (e, v) = build_branch(layout, branch, disorder, g)
+        pops, amps = relax_energy_density(e, bath, v[0], t_grid)
+        runs.append((sites, (e, v), pops, amps))
     return runs
 
 
@@ -150,13 +150,13 @@ class TestReducedHamiltonian:
         clean = np.zeros(22)
         from openchain.chains import diagonalize, free_eigensystem
 
-        closed = free_eigensystem(20)
+        closed_e, closed_v = free_eigensystem(20)
         for branch in ("U", "D"):
             h = reduced_chain_hamiltonian(layout, branch, clean, 0.0)
             assert np.array_equal(h, np.zeros(20))
-            eig = diagonalize(h)
-            assert np.max(np.abs(eig.eigenvalues - closed.eigenvalues)) < 1e-10
-            assert np.max(np.abs(eig.eigenvectors - closed.eigenvectors)) < 1e-10
+            e, v = diagonalize(h)
+            assert np.max(np.abs(e - closed_e)) < 1e-10
+            assert np.max(np.abs(v - closed_v)) < 1e-10
 
     def test_branches_feel_different_disorder(self):
         layout = build_cnot_layout(22, 9)
@@ -227,7 +227,7 @@ class TestClassicalRuns:
         clean = np.zeros(22)
         grid = np.linspace(0, 200, 2001)
         series = run_classical_input(layout, clean, 0.0, None, "U", grid)
-        assert series.p_region.max() >= 0.9
+        assert series["p_beyond_gate"].max() >= 0.9
 
     def test_disorder_suppresses_transmission(self):
         layout = build_cnot_layout(22, 9)
@@ -237,7 +237,7 @@ class TestClassicalRuns:
             series = run_classical_input(
                 layout, disorder_for(22, 0.5, seed), 0.0, None, "U", grid
             )
-            peaks.append(series.p_region.max())
+            peaks.append(series["p_beyond_gate"].max())
         assert np.median(peaks) < 0.3
 
     def test_bath_restores_transmission(self):
@@ -251,8 +251,8 @@ class TestClassicalRuns:
             "U",
             grid,
         )
-        assert np.all(np.diff(series.p_region) >= -1e-6)
-        assert series.p_region[-1] >= 0.8
+        assert np.all(np.diff(series["p_beyond_gate"]) >= -1e-6)
+        assert series["p_beyond_gate"][-1] >= 0.8
 
     def test_cnot_truth_table(self):
         # all four classical inputs, measured at the arrival peak conditioned
@@ -269,19 +269,19 @@ class TestClassicalRuns:
             # conditioned on arrival, the register label is exact: every
             # basis element past the gate carries the output label
             assert np.all(registers[sites >= layout.b] == expected)
-            assert series.p_region.max() >= 0.9
+            assert series["p_beyond_gate"].max() >= 0.9
 
 
 class TestSuperposedRuns:
     def test_clean_unitary_conditional_bell_state(self):
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        series = run_superposed_input(
+        series, _ = run_superposed_input(
             layout, clean, 0.0, None, np.linspace(0.5, 100, 200)
         )
-        defined = ~np.isnan(series.bell_fidelity)
+        defined = ~np.isnan(series["bell_fidelity"])
         assert defined.sum() > 150
-        assert np.all(np.abs(series.bell_fidelity[defined] - 1.0) < 1e-10)
+        assert np.all(np.abs(series["bell_fidelity"][defined] - 1.0) < 1e-10)
 
     # the cross block is 1/2 u_U u_D^H: its Frobenius norm is 1/2 |u_U| |u_D|
     # and its largest entry 1/2 max|u_U| max|u_D|
@@ -308,14 +308,14 @@ class TestSuperposedRuns:
 
     def test_trace_preserved(self):
         layout = build_cnot_layout(22, 9)
-        series = run_superposed_input(
+        series, _ = run_superposed_input(
             layout,
             disorder_for(22, 0.5, 4),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
             np.linspace(0, 500, 101),
         )
-        assert np.allclose(series.trace_uu + series.trace_dd, 1.0, atol=1e-9)
+        assert np.allclose(series["trace_UU"] + series["trace_DD"], 1.0, atol=1e-9)
 
     def test_block_matrix_stays_physical(self):
         layout = build_cnot_layout(12, 3)
@@ -339,18 +339,18 @@ class TestSuperposedRuns:
         disorder = disorder_for(22, 0.5, 0)
         bath = BathSpec(beta=1.0, zeta=0.05)
         grid = np.linspace(0, 2000, 2001)
-        sup = run_superposed_input(layout, disorder, 2.0, bath, grid)
+        entropy = run_superposed_input(layout, disorder, 2.0, bath, grid)[0]["entropy"]
         ln2 = np.log(2)
-        assert abs(sup.entropy[-1] - ln2) < 1e-2
-        assert abs(sup.entropy.max() - 1.5 * ln2) < 5e-2
+        assert abs(entropy[-1] - ln2) < 1e-2
+        assert abs(entropy.max() - 1.5 * ln2) < 5e-2
 
 
 class TestRegisterReduction:
     def test_start_is_pure_product(self):
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        series = run_superposed_input(layout, clean, 0.0, None, np.array([0.0, 1.0]))
-        rho = series.register[0]
+        _, register = run_superposed_input(layout, clean, 0.0, None, np.array([0.0, 1.0]))
+        rho = register[0]
         # (|+1,-1> + |-1,-1>)/sqrt(2)
         vec = np.zeros(4)
         vec[register_index((+1, -1))] = vec[register_index((-1, -1))] = 1 / np.sqrt(2)
@@ -412,18 +412,18 @@ class TestFullSpaceOracle:
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
         psi0 = full_space_state(layout, reg0)
-        series = run_superposed_input(layout, disorder, g, None, grid)
+        series, register = run_superposed_input(layout, disorder, g, None, grid)
         mean_red = sum(
-            0.5 * (sites @ read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps))
-            for sites, eig, pops, amps in branch_runs(layout, disorder, g, None, grid)
+            0.5 * (sites @ read_out(v, np.eye(e.size), pops, amps))
+            for sites, (e, v), pops, amps in branch_runs(layout, disorder, g, None, grid)
         )
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
             mean_full, reg_full = full_space_observables(psi, layout.s)
             p_full = np.sum(np.abs(psi.reshape(layout.s, 4)[layout.b - 1 :]) ** 2)
             assert abs(mean_full - mean_red[i]) < 1e-8
-            assert np.max(np.abs(reg_full - series.register[i])) < 1e-8
-            assert abs(p_full - series.p_beyond_gate[i]) < 1e-8
+            assert np.max(np.abs(reg_full - register[i])) < 1e-8
+            assert abs(p_full - series["p_beyond_gate"][i]) < 1e-8
 
         # classical control (upper branch)
         reg0 = np.zeros(4)
@@ -432,4 +432,4 @@ class TestFullSpaceOracle:
         series_u = run_classical_input(layout, disorder, g, None, "U", grid)
         for i, t in enumerate(grid):
             mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), layout.s)
-            assert abs(mean_full - series_u.mean_q[i]) < 1e-8
+            assert abs(mean_full - series_u["mean_Q"][i]) < 1e-8

@@ -13,7 +13,6 @@ from support import (
 
 from openchain.chains import (
     ChainSpec,
-    EigenSystem,
     build_chain_hamiltonian,
     diagonalize,
     free_eigensystem,
@@ -143,7 +142,7 @@ class TestExpm:
     def test_matches_scipy_on_population_generators(self, s):
         paths = set()
         for g in (0.2, 2.0):
-            evals = diagonalize(build_chain_hamiltonian(ChainSpec(s, 0.5, g, seed=0))).eigenvalues
+            evals, _ = diagonalize(build_chain_hamiltonian(ChainSpec(s, 0.5, g, seed=0)))
             for zeta, dt in itertools.product([0.05, 0.5], [0.05, 1.0, 32.0, 500.0]):
                 bath = BathSpec(beta=1.0, zeta=zeta)
                 a = population_generator(transition_rates(evals, bath), bath) * dt
@@ -223,24 +222,24 @@ class TestRepresentations:
     """The kernel's rotation to the site basis."""
 
     def test_pure_eigenstate_population(self):
-        eig = free_eigensystem(5)
+        e, v = free_eigensystem(5)
         c = np.zeros(5)
         c[2] = 1.0
-        pops, amps = relax_energy_density(eig.eigenvalues, None, c, [0.0])
-        prob = read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps)[:, 0]
-        assert np.max(np.abs(prob - eig.eigenvectors[:, 2] ** 2)) < 1e-12
+        pops, amps = relax_energy_density(e, None, c, [0.0])
+        prob = read_out(v, np.eye(e.size), pops, amps)[:, 0]
+        assert np.max(np.abs(prob - v[:, 2] ** 2)) < 1e-12
 
     def test_maximally_mixed_invariant(self):
         # uniform populations without coherences: flat in the site basis too
-        eig = free_eigensystem(6)
+        e, v = free_eigensystem(6)
         pops, amps = np.full((6, 1), 1 / 6), np.zeros((6, 1), complex)
-        prob = read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps)
+        prob = read_out(v, np.eye(e.size), pops, amps)
         assert np.max(np.abs(prob - 1 / 6)) < 1e-12
 
     def test_round_trip(self):
-        eig = diagonalize(build_chain_hamiltonian(ChainSpec(7, 0.3, 1.0, seed=16)))
+        _, v = diagonalize(build_chain_hamiltonian(ChainSpec(7, 0.3, 1.0, seed=16)))
         psi = random_pure(7, 17)
-        back = site_amplitudes(eig.eigenvectors, (eig.eigenvectors.T @ psi)[:, None])[:, 0]
+        back = site_amplitudes(v, (v.T @ psi)[:, None])[:, 0]
         assert np.max(np.abs(back - psi)) < 1e-12
 
 
@@ -250,11 +249,11 @@ class TestDensityObservables:
     @staticmethod
     def observables(prob, region):
         # with V = 1 the site distribution at t = 0 is |c|^2 = prob
-        eig = EigenSystem(np.arange(prob.size, dtype=float), np.eye(prob.size))
+        eig = np.arange(prob.size, dtype=float), np.eye(prob.size)
         x = np.arange(1, prob.size + 1)
         rows = np.asarray(sorted(region), dtype=int) - 1
         series = pure_state_series(eig, None, np.sqrt(prob), np.zeros(1), x, rows)
-        return series.mean_q[0], series.var_q[0], series.p_region[0]
+        return series["mean_Q"][0], series["var_Q"][0], series["p_region"][0]
 
     def test_basis_state(self):
         prob = np.zeros(10)
@@ -266,6 +265,16 @@ class TestDensityObservables:
         mean, _, _ = self.observables(np.full(20, 1 / 20), ())
         assert mean == pytest.approx(10.5)
 
+    def test_negative_variance_rejected(self):
+        # unnormalized weights 1, 1 on x = 1, 2: <x^2> - <x>^2 = 5 - 9 = -4
+        with pytest.raises(ValueError, match="variance"):
+            self.observables(np.ones(2), ())
+
+    def test_tiny_negative_variance_clipped(self):
+        # one site of weight w = 1 + 1e-4: the variance w (1 - w)^3 is about
+        # -1e-12, a rounding-level negative, and reads 0
+        assert self.observables(np.array([1.0 + 1e-4]), ())[1] == 0.0
+
 
 class TestDissipativeTransportRun:
     def test_weak_coupling_limit_matches_unitary(self):
@@ -274,7 +283,7 @@ class TestDissipativeTransportRun:
         grid = np.linspace(0, 10, 51)
         unitary = dissipative_transport_run(h, None, grid)
         open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=1e-9), grid)
-        assert np.max(np.abs(open_sys.mean_q - unitary.mean_q)) < 1e-6
+        assert np.max(np.abs(open_sys["mean_Q"] - unitary["mean_Q"])) < 1e-6
 
     def test_zero_coupling_exact(self):
         spec = ChainSpec(8, 0.4, 1.5, seed=20)
@@ -282,8 +291,8 @@ class TestDissipativeTransportRun:
         grid = np.linspace(0, 25, 26)
         unitary = dissipative_transport_run(h, None, grid)
         open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.0), grid)
-        assert np.max(np.abs(open_sys.mean_q - unitary.mean_q)) < 1e-12
-        assert np.max(np.abs(open_sys.p_region - unitary.p_region)) < 1e-12
+        assert np.max(np.abs(open_sys["mean_Q"] - unitary["mean_Q"])) < 1e-12
+        assert np.max(np.abs(open_sys["p_region"] - unitary["p_region"])) < 1e-12
 
     def test_transport_reaches_far_end(self):
         # tilted disordered chain with a cold bath: the excitation walks to
@@ -291,29 +300,27 @@ class TestDissipativeTransportRun:
         h = build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0))
         grid = np.linspace(0, 1000, 251)
         series = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.05), grid)
-        assert series.p_region[-1] >= 0.8
+        assert series["p_region"][-1] >= 0.8
         # past the initial transient the drift is monotone to the right
-        tail = series.mean_q[grid >= 100]
+        tail = series["mean_Q"][grid >= 100]
         assert np.all(np.diff(tail) >= -1e-9)
-        assert series.mean_q[-1] > 19.0
+        assert series["mean_Q"][-1] > 19.0
 
     def test_effective_hop_time(self):
         # cold-bath regime: one site per 1/zeta time units, within 50%
         h = build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0))
         grid = np.linspace(0, 600, 1201)
         series = dissipative_transport_run(h, BathSpec(beta=50.0, zeta=0.05), grid)
-        t5 = np.interp(5.0, series.mean_q, grid)
-        t15 = np.interp(15.0, series.mean_q, grid)
+        t5 = np.interp(5.0, series["mean_Q"], grid)
+        t15 = np.interp(15.0, series["mean_Q"], grid)
         per_site = (t15 - t5) / 10.0
         assert 10.0 <= per_site <= 30.0
 
     def test_trace_and_positivity_along_run(self):
         h = build_chain_hamiltonian(ChainSpec(12, 0.5, 2.0, seed=21))
-        eig = diagonalize(h)
+        e, v = diagonalize(h)
         bath = BathSpec(beta=1.0, zeta=0.1)
-        pops, amps = relax_energy_density(
-            eig.eigenvalues, bath, eig.eigenvectors[0], np.linspace(0, 200, 41)
-        )
+        pops, amps = relax_energy_density(e, bath, v[0], np.linspace(0, 200, 41))
         for state in kernel_states(pops, amps):
             assert np.trace(state).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(state).min() > -1e-9

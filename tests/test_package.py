@@ -26,8 +26,8 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), namespace)
     capsys.readouterr()
     # the figures the README's comments document
-    assert namespace["series"].p_region[-1] == pytest.approx(0.82, abs=0.01)
-    assert abs(namespace["run"].entropy[-1] - np.log(2.0)) <= 1e-2
+    assert namespace["series"]["p_region"][-1] == pytest.approx(0.82, abs=0.01)
+    assert abs(namespace["columns"]["entropy"][-1] - np.log(2.0)) <= 1e-2
 
 
 #: run in a fresh process, because the test process has scipy loaded already

@@ -52,9 +52,8 @@ def superposed_run(s, a, sigma, g, beta, zeta, seed):
 @DERANDOMIZED
 @given(switch_params())
 def test_register_is_a_density_matrix(params):
-    series = superposed_run(*params)
-    reg = series.register
-    assert reg.shape == (series.times.size, 4, 4)
+    series, reg = superposed_run(*params)
+    assert reg.shape == (series["t"].size, 4, 4)
     assert np.max(np.abs(reg - np.conj(np.swapaxes(reg, 1, 2)))) < 1e-12
     assert np.max(np.abs(np.trace(reg, axis1=1, axis2=2) - 1.0)) < 1e-9
     assert np.linalg.eigvalsh(reg).min() > -1e-9
@@ -63,10 +62,10 @@ def test_register_is_a_density_matrix(params):
 @DERANDOMIZED
 @given(switch_params())
 def test_entropy_bounds_and_branch_weights(params):
-    series = superposed_run(*params)
-    assert np.all(series.entropy >= 0.0)
-    assert np.all(series.entropy <= np.log(4.0) + 1e-12)
-    assert np.max(np.abs(series.trace_uu + series.trace_dd - 1.0)) < 1e-9
+    series, _ = superposed_run(*params)
+    assert np.all(series["entropy"] >= 0.0)
+    assert np.all(series["entropy"] <= np.log(4.0) + 1e-12)
+    assert np.max(np.abs(series["trace_UU"] + series["trace_DD"] - 1.0)) < 1e-9
 
 
 @st.composite
@@ -96,20 +95,20 @@ def test_reduced_switch_matches_full_space_oracle(params):
     disorder = sample_disorder(ChainSpec(s, sigma, 0.0, seed))
     h_full = full_switch_hamiltonian(layout, disorder, g)
     grid = np.linspace(0.0, t_max, 5)
-    superposed = run_superposed_input(layout, disorder, g, None, grid)
+    superposed, register = run_superposed_input(layout, disorder, g, None, grid)
     psi0 = full_space_state(layout, register_vector((+1, -1), (-1, -1)))
     for i, t in enumerate(grid):
         psi = evolve_full(h_full, psi0, t)
         _, reg_full = full_space_observables(psi, s)
         p_full = np.sum(np.abs(psi.reshape(s, 4)[layout.b - 1 :]) ** 2)
-        assert np.max(np.abs(reg_full - superposed.register[i])) < 1e-8
-        assert abs(p_full - superposed.p_beyond_gate[i]) < 1e-8
+        assert np.max(np.abs(reg_full - register[i])) < 1e-8
+        assert abs(p_full - superposed["p_beyond_gate"][i]) < 1e-8
     for branch, control in (("U", +1), ("D", -1)):
         series = run_classical_input(layout, disorder, g, None, branch, grid)
         psi0 = full_space_state(layout, register_vector((control, -1)))
         for i, t in enumerate(grid):
             mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), s)
-            assert abs(mean_full - series.mean_q[i]) < 1e-8
+            assert abs(mean_full - series["mean_Q"][i]) < 1e-8
 
 
 @st.composite
@@ -129,13 +128,13 @@ def chain_spectrum(s, sigma, g, seed):
 @given(chain_params())
 def test_kernel_conserves_trace_and_positivity(params):
     s, sigma, g, beta, zeta, seed = params
-    eig = chain_spectrum(s, sigma, g, seed)
+    e, v = chain_spectrum(s, sigma, g, seed)
     grid = np.linspace(0.0, 500.0, 51)
     bath = BathSpec(beta, zeta)
-    pops, amps = relax_energy_density(eig.eigenvalues, bath, eig.eigenvectors[0], grid)
+    pops, amps = relax_energy_density(e, bath, v[0], grid)
     assert np.max(np.abs(pops.sum(axis=0) - 1.0)) < 1e-9
     assert pops.min() > -1e-12
-    prob = read_out(eig.eigenvectors, np.eye(eig.dim), pops, amps)
+    prob = read_out(v, np.eye(s), pops, amps)
     assert np.max(np.abs(prob.sum(axis=0) - 1.0)) < 1e-9
     assert prob.min() > -1e-9
 
@@ -144,9 +143,9 @@ def test_kernel_conserves_trace_and_positivity(params):
 @given(chain_params())
 def test_gibbs_populations_are_stationary(params):
     s, sigma, g, beta, zeta, seed = params
-    eig = chain_spectrum(s, sigma, g, seed)
-    gibbs = thermal_fixed_point(eig.eigenvalues, beta)
+    e, _ = chain_spectrum(s, sigma, g, seed)
+    gibbs = thermal_fixed_point(e, beta)
     pops, _ = relax_energy_density(
-        eig.eigenvalues, BathSpec(beta, zeta), np.sqrt(gibbs), np.linspace(0.0, 500.0, 11)
+        e, BathSpec(beta, zeta), np.sqrt(gibbs), np.linspace(0.0, 500.0, 11)
     )
     assert np.max(np.abs(pops - gibbs[:, None])) < 1e-9

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import read_csv
 
-from openchain.series import _CSV_BLOCK_ROWS, ObservableSeries, write_csv
+from openchain.series import _CSV_BLOCK_ROWS, write_csv
 
 
 def per_cell(value) -> str:
@@ -145,27 +145,3 @@ class TestFormatter:
     def test_any_doubles_across_blocks(self, tmp_path_factory, table):
         # every table spans two or three blocks of rows
         assert_cells_match(tmp_path_factory.mktemp("cells"), table, table.shape[1])
-
-
-class TestObservableSeries:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservableSeries([0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            ObservableSeries([0.0, 1.0], [1.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            ObservableSeries([0.0, 1.0], [1.0, 1.0], [0.0, -1.0])
-
-    def test_tiny_negative_variance_clipped(self):
-        series = ObservableSeries([0.0, 1.0], [1.0, 1.0], [0.0, -1e-12])
-        assert series.var_q[1] == 0.0
-
-    def test_csv_label(self, tmp_path):
-        series = ObservableSeries([0.0, 1.0], [1.0, 2.0], [0.0, 0.5], [0.1, 0.2])
-        write_csv(tmp_path / "x.csv", series.columns(p_label="p_beyond_gate"))
-        assert read_csv(tmp_path / "x.csv").keys() == {
-            "t",
-            "mean_Q",
-            "var_Q",
-            "p_beyond_gate",
-        }
