@@ -1,16 +1,12 @@
 """Command-line interface: run, sweep, and validate experiment configs.
 
-Exit codes: 0 success, 2 invalid config or usage, 3 numeric failure. The
-environment variable ``OPENCHAIN_SEED`` (a non-negative integer) overrides
-the master seed of any config it is run with.
+Exit codes: 0 success, 2 invalid config or usage, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import locale  # noqa: F401  (argparse's gettext loads it at the first parser build)
-import os
 import sys
 
 import numpy as np
@@ -18,19 +14,6 @@ import numpy as np
 from .config import ConfigError, load_config
 from .lindblad import DegenerateGapError
 from .runner import run_scenario, sweep
-
-SEED_ENV_VAR = "OPENCHAIN_SEED"
-
-
-def _load(path: str):
-    config = load_config(path)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        if not env_seed.strip().isdecimal():
-            raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env_seed!r}")
-        config = dataclasses.replace(config, seed=int(env_seed))
-    return config
-
 
 def _parse_values(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
@@ -61,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load(args.config)
+        config = load_config(args.config)
         if args.command == "validate":
             print("config ok")
             return 0

@@ -39,6 +39,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from .lindblad import _whole_steps
+
 SCENARIOS = (
     "ballistic",
     "localized",
@@ -86,12 +88,6 @@ _READ_BY = {
 def _scan_t_max(s: int) -> float:
     """peak-scaling's default scan window 0 .. 1.5 s + 10 for an s-site chain."""
     return 1.5 * s + 10.0
-
-
-def _whole_steps(t_max: float, dt: float) -> bool:
-    """Whether 0 .. t_max is >= 1 whole dt steps (rel. 1e-9), so the grid steps by the recorded dt."""
-    steps = round(t_max / dt)
-    return steps >= 1 and math.isclose(steps * dt, t_max, rel_tol=1e-9)
 
 
 class ConfigError(ValueError):

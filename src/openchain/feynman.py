@@ -48,7 +48,14 @@ from typing import Literal
 import numpy as np
 
 from .chains import diagonalize
-from .lindblad import BathSpec, energy_blocks, pure_state_series, read_out, site_amplitudes
+from .lindblad import (
+    BathSpec,
+    energy_blocks,
+    pure_state_series,
+    read_out,
+    site_amplitudes,
+    time_grid,
+)
 
 Branch = Literal["U", "D"]
 RegisterLabel = tuple[int, int]
@@ -167,7 +174,8 @@ def run_classical_input(
     g: float,
     bath: BathSpec | None,
     branch: Branch,
-    t_grid: np.ndarray,
+    t_max: float,
+    dt: float,
 ) -> dict[str, np.ndarray]:
     """Cursor dynamics of one branch, started at path coordinate 1.
 
@@ -178,7 +186,7 @@ def run_classical_input(
     """
     sites, _, (e, v) = build_branch(layout, branch, disorder, g)
     beyond = np.flatnonzero(sites >= layout.b)
-    columns = pure_state_series((e, v), bath, v[0], t_grid, sites, beyond)
+    columns = pure_state_series((e, v), bath, v[0], t_max, dt, sites, beyond)
     columns["p_beyond_gate"] = columns.pop("p_region")
     return columns
 
@@ -221,7 +229,8 @@ def run_superposed_input(
     disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
-    t_grid: np.ndarray,
+    t_max: float,
+    dt: float,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Evolve the machine from the equal superposition of control up and down: (columns, register).
 
@@ -248,16 +257,18 @@ def run_superposed_input(
     """
     sites_u, idx_up, (e_u, vu) = build_branch(layout, "U", disorder, g)
     sites_d, idx_down, (e_d, vd) = build_branch(layout, "D", disorder, g)
-    t_grid = np.asarray(t_grid, dtype=float)
+    times = time_grid(t_max, dt)
     beyond = sites_u >= layout.b
     pairs = np.eye(16)[4 * idx_up + idx_down].T * (sites_u == sites_d)
     rows_u, rows_d, pairs = (
         np.concatenate([r, r * beyond]) for r in (np.eye(4)[idx_up].T, np.eye(4)[idx_down].T, pairs)
     )
-    trace_uu, trace_dd, p_beyond, entropy = (np.empty(t_grid.size) for _ in range(4))
-    fidelity = np.full(t_grid.size, np.nan)
-    register = np.empty((t_grid.size, 4, 4), dtype=complex)
-    blocks = zip(energy_blocks(e_u, bath, vu[0], t_grid), energy_blocks(e_d, bath, vd[0], t_grid))
+    trace_uu, trace_dd, p_beyond, entropy = (np.empty(times.size) for _ in range(4))
+    fidelity = np.full(times.size, np.nan)
+    register = np.empty((times.size, 4, 4), dtype=complex)
+    blocks = zip(
+        energy_blocks(e_u, bath, vu[0], t_max, dt), energy_blocks(e_d, bath, vd[0], t_max, dt)
+    )
     for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
         w_u, w_d = site_amplitudes(vu, amp_u), site_amplitudes(vd, amp_d)
         diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, w_u)  # (8, columns)
@@ -273,6 +284,6 @@ def run_superposed_input(
         cond = register_states(diag_u[4:], diag_d[4:], cross[16:])
         passed = weight > 1e-12
         fidelity[cols][passed] = bell_fidelity(cond[passed] / weight[passed, None, None])
-    columns = {"t": t_grid, "trace_UU": trace_uu, "trace_DD": trace_dd, "p_beyond_gate": p_beyond,
+    columns = {"t": times, "trace_UU": trace_uu, "trace_DD": trace_dd, "p_beyond_gate": p_beyond,
                "entropy": entropy, "bell_fidelity": fidelity}
     return columns, register

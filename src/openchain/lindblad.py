@@ -25,9 +25,10 @@ Every run in the package starts from a pure state (energy amplitudes c); the
 chain runs release the excitation at site 1, c = V[0] (the first row of the
 eigenvectors V), and read the last site. From a pure start the decay law
 factorizes: the coherences are the off-diagonal part of u u^H with
-u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A time grid is then
-the n x T populations P (exact matrix-exponential steps of the master
-equation) and amplitudes U. No pipeline needs the whole site distribution
+u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A run on the T points of
+``time_grid(t_max, dt)`` is then the n x T populations P (exact
+matrix-exponential steps of the master equation) and amplitudes U. No
+pipeline needs the whole site distribution
 |V U|^2 + (V*V)(P - |U|^2), only k rows R of it, R |V U|^2 + (R (V*V))(P - |U|^2)
 (:func:`read_out`; V is real, so V U is a real product). No dense n x n state
 and no n x T array is formed: every pipeline reads this kernel one block at a
@@ -37,12 +38,12 @@ on V's last row alone) and the switch pipelines of :mod:`openchain.feynman`.
 A spectrum travels as the pair (e, V) that :func:`openchain.chains.diagonalize`
 returns, and a chain run returns its CSV columns: a dict of named arrays.
 
-The kernel takes uniform grids only (:func:`time_grid` builds them); any other
-grid raises ``ValueError``. :func:`energy_blocks` yields P and U in cache-sized
-blocks of grid columns. The phases exp(d t) with d = -i e - zeta G / 2 of the
-first block come from two tables of about sqrt(T) columns, exp(d k dt) and
-c exp(d (t_0 + j b dt)), multiplied by one broadcast product, instead of n T
-complex exponentials; every later block is that table times exp(d (t_start - t_0)).
+Every run takes its time axis as (t_max, dt), and :func:`time_grid` is the one
+check on it. :func:`energy_blocks` yields P and U in cache-sized blocks of grid
+columns. The phases exp(d t) with d = -i e - zeta G / 2 of the first block come
+from two tables of about sqrt(T) columns, exp(d k dt) and c exp(d j b dt),
+multiplied by one broadcast product, instead of n T complex exponentials; every
+later block is that table times exp(d t_start).
 The populations take B matrix-vector steps of S = expm(A dt) and then one
 BLAS-3 product S^B P per B columns, in the same block loop: each block starts
 from the last B columns of the one before it. :func:`expm` is the package's
@@ -149,45 +150,37 @@ def population_generator(gamma: np.ndarray, bath: BathSpec) -> np.ndarray:
     return a
 
 
+def _whole_steps(t_max: float, dt: float) -> bool:
+    """Whether 0 .. t_max is >= 1 whole dt steps (rel. 1e-9), so a grid steps by the given dt."""
+    ratio = t_max / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0  # 1e300 / 1e-300 counts no steps
+    return steps >= 1 and math.isclose(steps * dt, t_max, rel_tol=1e-9)
+
+
 def time_grid(t_max: float, dt: float) -> np.ndarray:
-    """The uniform grid 0 .. t_max in round(t_max / dt) equal steps."""
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("t_max and dt must be positive")
+    """The uniform grid 0 .. t_max in round(t_max / dt) equal steps: every run's time axis.
+
+    t_max and dt must be finite and positive, and t_max a whole number >= 1 of
+    dt steps (:func:`_whole_steps`); anything else raises ``ValueError``.
+    """
+    if not (0 < t_max < math.inf and 0 < dt < math.inf and _whole_steps(t_max, dt)):
+        raise ValueError(
+            f"t_max and dt must be finite and positive, and t_max a whole number >= 1 "
+            f"of dt steps; got t_max={t_max}, dt={dt}"
+        )
     return np.linspace(0.0, t_max, int(round(t_max / dt)) + 1)
 
 
-def _grid_step(t_grid: np.ndarray) -> float:
-    """The step dt = (t_{T-1} - t_0) / (T - 1) of a uniform grid, 0 for one point.
-
-    A grid is uniform when it starts at t_0 >= 0, increases strictly, and each
-    t_i lies within 1e-9 dt + 8 eps t_{T-1} of t_0 + i dt (the second term is
-    ``np.linspace``'s rounding at the grid's magnitude); any other grid raises
-    ``ValueError``.
-    """
-    message = "time grid must be uniform from t >= 0: one point, or equal positive steps"
-    if not (t_grid.size and t_grid[0] >= 0 and math.isfinite(t_grid[-1])):
-        raise ValueError(message)
-    t0, t_end = t_grid[0], t_grid[-1]
-    dt = (t_end - t0) / max(t_grid.size - 1, 1)
-    tol = 1e-9 * dt + 8 * np.finfo(float).eps * t_end
-    if not (
-        np.all(np.diff(t_grid) > 0)
-        and np.all(np.abs(t_grid - (t0 + dt * np.arange(t_grid.size))) <= tol)
-    ):
-        raise ValueError(message)
-    return dt
-
-
-def _phases(d: np.ndarray, c: np.ndarray, t0: float, dt: float, size: int) -> np.ndarray:
-    """c_m exp(d_m t_i) on the grid t_i = t0 + i dt from two sqrt(T) tables.
+def _phases(d: np.ndarray, c: np.ndarray, dt: float, size: int) -> np.ndarray:
+    """c_m exp(d_m t_i) on the grid t_i = i dt from two sqrt(T) tables.
 
     With b = ceil(sqrt(T)), column j b + k is the product of the fine table
-    exp(d k dt) and the coarse table c exp(d (t0 + j b dt)).
+    exp(d k dt) and the coarse table c exp(d j b dt).
     """
     b = math.isqrt(size - 1) + 1
     full = size // b
     fine = np.exp(np.outer(d, dt * np.arange(b)))
-    coarse = c[:, None] * np.exp(np.outer(d, t0 + (b * dt) * np.arange(-(-size // b))))
+    coarse = c[:, None] * np.exp(np.outer(d, (b * dt) * np.arange(-(-size // b))))
     out = np.empty((d.size, size), dtype=complex)
     tables = out[:, : full * b].reshape(d.size, full, b)  # a view: the split axis is the last
     np.multiply(coarse[:, :full, None], fine[:, None, :], out=tables)
@@ -228,43 +221,39 @@ def energy_blocks(
     eigenvalues: np.ndarray,
     bath: BathSpec | None,
     amplitudes: np.ndarray,
-    t_grid: np.ndarray,
+    t_max: float,
+    dt: float,
 ):
-    """(columns, P block or None, U block) of a pure start per cache-sized block of a uniform grid.
+    """(columns, P block or None, U block) of a pure start per cache-sized block of the grid.
 
-    ``amplitudes`` are the initial energy-basis amplitudes c. The grid must be
-    uniform from t >= 0 (one point, or equal positive steps up to float
-    rounding); any other grid raises ``ValueError`` at the first block.
-    U[m, i] = c_m exp(d_m t_i) with d = -i e - zeta G / 2, so the coherences at
-    t_i are u u^H - diag|u|^2 with u = U[:, i]. A block spans as many grid
-    columns as fit one complex n x width array of about 1 MiB, and at least
-    B = 32. The phase tables are built once, for the first block; the block
-    from column ``start`` on is that table times exp(d (t_start - t_0)). P
-    advances block by block, carrying the last B columns of each block into
-    the next, so at most two blocks of it are held; without a bath (``None``
-    or zeta = 0) it is None: the populations are |U|^2, so the coherence
-    correction of :func:`read_out` vanishes and is skipped.
+    The grid is ``time_grid(t_max, dt)``, whose ``ValueError`` an invalid
+    axis raises at the first block. ``amplitudes`` are the initial
+    energy-basis amplitudes c. U[m, i] = c_m exp(d_m t_i) with
+    d = -i e - zeta G / 2, so the coherences at t_i are u u^H - diag|u|^2
+    with u = U[:, i]. A block spans as many grid columns as fit one complex
+    n x width array of about 1 MiB, and at least B = 32. The phase tables are
+    built once, for the first block; the block from column ``start`` on is
+    that table times exp(d t_start). P advances block by block, carrying the
+    last B columns of each block into the next, so at most two blocks of it
+    are held; without a bath (``None`` or zeta = 0) it is None: the
+    populations are |U|^2, so the coherence correction of :func:`read_out`
+    vanishes and is skipped.
     """
+    times = time_grid(t_max, dt)
     e = np.asarray(eigenvalues, dtype=float)
     c = np.asarray(amplitudes, dtype=complex)
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = _grid_step(t_grid)
+    step, size = t_max / (times.size - 1), times.size
     width = max(1 << _BLOCK_SQUARINGS, _BLOCK_BYTES // (16 * e.size))
     pops, d = None, -1j * e
     if bath is not None and bath.zeta != 0.0:
         gamma = transition_rates(e, bath)
         gen = population_generator(gamma, bath)
-        p = np.abs(c) ** 2
-        if t_grid[0] > 0:
-            p = expm(gen * t_grid[0]) @ p
-        pops = _population_blocks(gen, p, dt, width, t_grid.size)
+        pops = _population_blocks(gen, np.abs(c) ** 2, step, width, size)
         d = d - 0.5 * bath.zeta * gamma.sum(axis=0)
-    first = _phases(d, c, t_grid[0], dt, min(width, t_grid.size))
-    for start in range(0, t_grid.size, width):
-        cols = slice(start, start + width)
-        shift = np.exp(d * (t_grid[start] - t_grid[0]))
-        amps = first if start == 0 else first[:, : t_grid[cols].size] * shift[:, None]
-        yield cols, None if pops is None else next(pops), amps
+    first = _phases(d, c, step, min(width, size))
+    for start in range(0, size, width):
+        amps = first if start == 0 else first[:, : size - start] * np.exp(d * times[start])[:, None]
+        yield slice(start, start + width), None if pops is None else next(pops), amps
 
 
 def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -299,46 +288,47 @@ def pure_state_series(
     eig: tuple[np.ndarray, np.ndarray],
     bath: BathSpec | None,
     amplitudes: np.ndarray,
-    t_grid: np.ndarray,
+    t_max: float,
+    dt: float,
     positions: np.ndarray,
     region: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Columns t, mean_Q, var_Q and p_region of a pure start, read out one cache block at a time.
 
-    ``eig`` is the spectrum (eigenvalues, eigenvectors), ``amplitudes`` the
-    energy-basis amplitudes c, ``positions`` the coordinate x of each
-    eigenvector row and ``region`` the 0-based rows summed into ``p_region``
-    (an empty array gives zeros). Each block is read out on the rows x, y^2, y
-    and the region's indicator, with y = x - the block's first mean, read out
-    from that column alone: about the origin, <x^2> - <x>^2 would cancel
-    max(x)^2 of precision. A variance below -1e-9 raises ``ValueError``; the
-    rounding-level negatives above it are clipped to 0.
+    The ``t`` column is ``time_grid(t_max, dt)``. ``eig`` is the spectrum
+    (eigenvalues, eigenvectors), ``amplitudes`` the energy-basis amplitudes
+    c, ``positions`` the coordinate x of each eigenvector row and ``region``
+    the 0-based rows summed into ``p_region`` (an empty array gives zeros).
+    Each block is read out on the rows x, y^2, y and the region's indicator,
+    with y = x - the block's first mean, read out from that column alone:
+    about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision. A
+    variance below -1e-9 raises ``ValueError``; the rounding-level negatives
+    above it are clipped to 0.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     (e, v), x = eig, np.asarray(positions, dtype=float)
+    times = time_grid(t_max, dt)
     indicator = np.bincount(region, minlength=x.size)
-    mean, var, p_region = (np.empty(t_grid.size) for _ in range(3))
-    for cols, p, u in energy_blocks(e, bath, amplitudes, t_grid):
+    mean, var, p_region = (np.empty(times.size) for _ in range(3))
+    for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt):
         y = x - read_out(v, x[None], None if p is None else p[:, :1], u[:, :1])[0, 0]
         out = read_out(v, np.stack([x, y**2, y, indicator]), p, u)
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
     if np.any(var < -1e-9):
         raise ValueError("variance must be nonnegative")
-    return {"t": t_grid, "mean_Q": mean, "var_Q": np.maximum(var, 0.0), "p_region": p_region}
+    return {"t": times, "mean_Q": mean, "var_Q": np.maximum(var, 0.0), "p_region": p_region}
 
 
 def arrival_peak(
-    eig: tuple[np.ndarray, np.ndarray], t_max: float, dt: float = 0.05
+    eig: tuple[np.ndarray, np.ndarray], t_max: float, dt: float
 ) -> tuple[float, float]:
     """Grid-scan maximum of the last-site probability over [0, t_max] from site 1.
 
     ``eig`` is the spectrum (eigenvalues, eigenvectors). Returns (t_star,
-    p_star). Resolution is limited by dt; the default 0.05 resolves the
-    ballistic arrival peaks of all chain sizes used here. The blocks are read
-    out on the last site's row alone.
+    p_star) on ``time_grid(t_max, dt)``, so the resolution is dt. The blocks
+    are read out on the last site's row alone.
     """
     (e, v), times = eig, time_grid(t_max, dt)
-    blocks = energy_blocks(e, None, v[0], times)
+    blocks = energy_blocks(e, None, v[0], t_max, dt)
     row, one = v[-1:], np.ones((1, 1))
     last = np.concatenate([read_out(row, one, None, u)[0] for *_, u in blocks])
     i = int(np.argmax(last))
@@ -346,7 +336,7 @@ def arrival_peak(
 
 
 def dissipative_transport_run(
-    energies: np.ndarray, bath: BathSpec | None, t_grid: np.ndarray
+    energies: np.ndarray, bath: BathSpec | None, t_max: float, dt: float
 ) -> dict[str, np.ndarray]:
     """Full pipeline: diagonalize, relax in the energy basis, report site observables.
 
@@ -360,4 +350,4 @@ def dissipative_transport_run(
     """
     e, v = diagonalize(energies)
     sites = np.arange(1, e.size + 1)
-    return pure_state_series((e, v), bath, v[0], t_grid, sites, np.array([e.size - 1]))
+    return pure_state_series((e, v), bath, v[0], t_max, dt, sites, np.array([e.size - 1]))

@@ -29,7 +29,7 @@ from . import __version__
 from .chains import ChainSpec, build_chain_hamiltonian, free_eigensystem, sample_disorder
 from .config import SWEEPABLE, ConfigError, ExperimentConfig, _scan_t_max, range_violations
 from .feynman import build_cnot_layout, run_classical_input, run_superposed_input
-from .lindblad import BathSpec, arrival_peak, dissipative_transport_run, time_grid
+from .lindblad import BathSpec, arrival_peak, dissipative_transport_run
 from .series import write_csv
 
 UNITARY_CHAIN_SCENARIOS = {"ballistic", "localized", "bloch"}
@@ -49,19 +49,20 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
         t_star, p_star = arrival_peak(free_eigensystem(config.s), t_max, config.dt)
         return {"t_star": np.array([t_star]), "p_star": np.array([p_star])}
 
-    grid = time_grid(config.t_max, config.dt)
     bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None
     if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
         energies = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
         bath = None if scenario in UNITARY_CHAIN_SCENARIOS else bath
-        return dissipative_transport_run(energies, bath, grid)
+        return dissipative_transport_run(energies, bath, config.t_max, config.dt)
     if scenario not in ("cnot-classical", "cnot-superposed"):
         raise ValueError(f"unknown scenario {scenario!r}")
     layout = build_cnot_layout(config.s, config.a)
     disorder = sample_disorder(ChainSpec(config.s, config.sigma, 0.0, seed))
     if scenario == "cnot-classical":
-        return run_classical_input(layout, disorder, config.g, bath, config.branch, grid)
-    return run_superposed_input(layout, disorder, config.g, bath, grid)[0]
+        return run_classical_input(
+            layout, disorder, config.g, bath, config.branch, config.t_max, config.dt
+        )
+    return run_superposed_input(layout, disorder, config.g, bath, config.t_max, config.dt)[0]
 
 
 def _run_jobs(

@@ -223,7 +223,7 @@ def direct_relax_energy_density(
     amplitudes: np.ndarray,
     t_grid: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """(P, U) of ``relax_energy_density`` by the direct formula on any grid.
+    """(P, U) of ``relax_energy_density`` by the direct formula on any increasing times >= 0.
 
     U = c exp(d t) with one complex exponential per entry, d = -i e - zeta G / 2;
     P advances by one cached ``expm`` step per grid column. The reference for
@@ -231,7 +231,6 @@ def direct_relax_energy_density(
     """
     e = np.asarray(eigenvalues, dtype=float)
     c = np.asarray(amplitudes, dtype=complex)
-    t_grid = np.asarray(t_grid, dtype=float)
     if bath is None or bath.zeta == 0.0:
         return None, c[:, None] * np.exp(np.outer(-1j * e, t_grid))
     gamma = transition_rates(e, bath)
@@ -239,10 +238,7 @@ def direct_relax_energy_density(
     gen = bath.zeta * (gamma - np.diag(widths))
     steps: dict[float, np.ndarray] = {}
     pops = np.empty((e.size, t_grid.size))
-    p = np.abs(c) ** 2
-    if t_grid[0] > 0:
-        p = expm(gen * t_grid[0]) @ p
-    prev_t = t_grid[0]
+    p, prev_t = np.abs(c) ** 2, 0.0
     for i, t in enumerate(t_grid):
         if t > prev_t:
             dt = round(float(t - prev_t), 12)
@@ -269,15 +265,14 @@ def relax_energy_density_dense(
     rho0: np.ndarray,
     t_grid: np.ndarray,
 ) -> list[np.ndarray]:
-    """Energy-basis density matrix at each grid time (grid must be nondecreasing).
+    """Energy-basis density matrix at each grid time (times >= 0, nondecreasing).
 
     Populations (the diagonal) advance by exact exponential steps of the
     master-equation generator, cached per distinct step size; each coherence
     follows its closed form rho_mn(0) exp([-i (e_m - e_n) - zeta (G_m + G_n)/2] t).
     """
     e = np.asarray(eigenvalues, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    assert np.all(np.diff(t_grid) >= 0), "time grid must be nondecreasing"
+    assert np.all(np.diff(t_grid, prepend=0.0) >= 0), "times must be >= 0 and nondecreasing"
     widths = gamma.sum(axis=0)
     gen = zeta * (gamma - np.diag(widths))
     decay = -1j * np.subtract.outer(e, e) - 0.5 * zeta * np.add.outer(widths, widths)
@@ -285,10 +280,7 @@ def relax_energy_density_dense(
     pops = np.real(np.diag(rho0)).copy()
     coh0 = rho0 - np.diag(np.diag(rho0))
     steps: dict[float, np.ndarray] = {}
-    out = []
-    prev_t = t_grid[0] if t_grid.size else 0.0
-    if t_grid.size and t_grid[0] > 0:
-        pops = expm(gen * t_grid[0]) @ pops
+    out, prev_t = [], 0.0
     for t in t_grid:
         if t > prev_t:
             dt = round(float(t - prev_t), 12)
@@ -420,7 +412,6 @@ def chunked_unitary_columns(
     eig, psi0: np.ndarray, t_grid: np.ndarray, region_idx: np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
     """mean_Q, var_Q, the region probability and the (T, n) site distribution."""
-    t_grid = np.asarray(t_grid, dtype=float)
     e, v = eig
     coeff = v.T @ psi0
     x = np.arange(1, e.size + 1)
@@ -458,18 +449,28 @@ def _region_rows(region, dim: int) -> np.ndarray:
     return np.asarray(sites, dtype=int) - 1
 
 
-def closed_series(eig, psi0: np.ndarray, t_grid, region=()):
+def closed_series(eig, psi0: np.ndarray, t_max: float, dt: float, region=()):
     """The package's closed-chain columns from the position-basis state psi0 (no region: 0)."""
     e, v = eig
     c, rows = v.T @ np.asarray(psi0), _region_rows(region, e.size)
-    return pure_state_series(eig, None, c, t_grid, np.arange(1, e.size + 1), rows)
+    return pure_state_series(eig, None, c, t_max, dt, np.arange(1, e.size + 1), rows)
 
 
-def relax_energy_density(eigenvalues, bath, amplitudes, t_grid):
+def relax_energy_density(eigenvalues, bath, amplitudes, t_max: float, dt: float):
     """(P or None, U), both n x T: the package's :func:`energy_blocks` of the whole grid, joined."""
-    blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_grid))
+    blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_max, dt))
     pops = None if blocks[0][1] is None else np.concatenate([p for _, p, _ in blocks], axis=1)
     return pops, np.concatenate([u for *_, u in blocks], axis=1)
+
+
+def kernel_at(eigenvalues, bath, amplitudes, t: float):
+    """(P or None, U), both n x 1, at one time t >= 0: the last column of the grid 0, t.
+
+    At t = 0 it is the first column of the grid 0, 1.
+    """
+    pops, amps = relax_energy_density(eigenvalues, bath, amplitudes, t or 1.0, t or 1.0)
+    col = slice(-1, None) if t else slice(0, 1)
+    return None if pops is None else pops[:, col], amps[:, col]
 
 
 def kernel_states(populations: np.ndarray | None, amplitudes: np.ndarray) -> np.ndarray:
@@ -486,7 +487,8 @@ def switch_block_states(
     disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
-    t_grid: np.ndarray,
+    t_max: float,
+    dt: float,
 ) -> np.ndarray:
     """(T, 2n, 2n) site-basis state of a superposed run, from its two branch kernel runs.
 
@@ -496,7 +498,7 @@ def switch_block_states(
     blocks = []
     for branch in "UD":
         *_, (e, v) = build_branch(layout, branch, disorder, g)
-        pops, amps = relax_energy_density(e, bath, v[0], t_grid)
+        pops, amps = relax_energy_density(e, bath, v[0], t_max, dt)
         blocks.append((v @ kernel_states(pops, amps) @ v.T, (v @ amps).T))
     (uu, w_u), (dd, w_d) = blocks
     ud = w_u[:, :, None] * w_d.conj()[:, None, :]

@@ -14,6 +14,7 @@ from support import (
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
+    kernel_at,
     relax_energy_density,
     subspace_projector,
     thermal_fixed_point,
@@ -40,14 +41,15 @@ from openchain.lindblad import (
     BathSpec,
     arrival_peak,
     read_out,
+    time_grid,
     transition_rates,
 )
 
 
-def branch_distribution(eig, bath: BathSpec | None, grid) -> np.ndarray:
+def branch_distribution(eig, bath: BathSpec | None, t_max: float, dt: float) -> np.ndarray:
     """Kernel site distribution (path coordinate x time) of a branch started at coordinate 1."""
     e, v = eig
-    pops, amps = relax_energy_density(e, bath, v[0], grid)
+    pops, amps = relax_energy_density(e, bath, v[0], t_max, dt)
     return read_out(v, np.eye(v.shape[0]), pops, amps)
 
 
@@ -100,12 +102,12 @@ def test_criterion_1_free_chain_spectrum():
 
 def test_criterion_2_ballistic_arrival_and_peak_scaling():
     with Criterion(2, "ballistic arrival time and peak-height scaling", 30.0) as c:
-        t_star, _ = arrival_peak(free_eigensystem(20), 40.0)
+        t_star, _ = arrival_peak(free_eigensystem(20), 40.0, 0.05)
         c.check(17.0 <= t_star <= 25.0, f"t* = {t_star}")
         sizes = [50, 100, 200, 400]
         p_stars = []
         for s in sizes:
-            _, p = arrival_peak(free_eigensystem(s), 1.5 * s + 10)
+            _, p = arrival_peak(free_eigensystem(s), 1.5 * s + 10, 0.05)
             p_stars.append(p)
         slope = float(np.polyfit(np.log(sizes), np.log(p_stars), 1)[0])
         c.check(-0.80 <= slope <= -0.55, f"slope = {slope}")
@@ -114,15 +116,15 @@ def test_criterion_2_ballistic_arrival_and_peak_scaling():
 def test_criterion_3_anderson_suppression_in_the_switch():
     with Criterion(3, "static disorder suppresses unitary gate traversal", 120.0) as c:
         layout = build_cnot_layout(22, 9)
-        grid = np.linspace(0.0, 200.0, 4001)
         peaks = []
         for seed in range(100):
             disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed))
-            series = run_classical_input(layout, disorder, 0.0, None, "U", grid)
+            series = run_classical_input(layout, disorder, 0.0, None, "U", 200.0, 0.05)
             peaks.append(series["p_beyond_gate"].max())
         median_peak = float(np.median(peaks))
         c.check(median_peak < 0.3, f"disordered median peak = {median_peak}")
-        clean = run_classical_input(layout, np.zeros(22), 0.0, None, "U", grid)["p_beyond_gate"]
+        clean = run_classical_input(layout, np.zeros(22), 0.0, None, "U", 200.0, 0.05)
+        clean = clean["p_beyond_gate"]
         c.check(clean.max() >= 0.9, f"clean peak = {clean.max()}")
 
 
@@ -132,7 +134,7 @@ def test_criterion_4_thermal_fixed_point():
         e, v = diagonalize(h)
         bath = BathSpec(beta=1.0, zeta=0.05)
         # cursor at site 1: energy amplitudes are the first row of V
-        pops, _ = relax_energy_density(e, bath, v[0], [1e5])
+        pops, _ = kernel_at(e, bath, v[0], 1e5)
         p_final = pops[:, 0]
         gibbs = thermal_fixed_point(e, 1.0)
         err = float(np.max(np.abs(p_final - gibbs)))
@@ -143,9 +145,8 @@ def test_criterion_5_noise_assisted_gate_traversal():
     with Criterion(5, "bath plus tilt drives the cursor past the gate", 60.0) as c:
         layout = build_cnot_layout(22, 9)
         disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed=0))
-        grid = np.linspace(0.0, 1000.0, 1001)
         series = run_classical_input(
-            layout, disorder, 2.0, BathSpec(beta=1.0, zeta=0.05), "U", grid
+            layout, disorder, 2.0, BathSpec(beta=1.0, zeta=0.05), "U", 1000.0, 1.0
         )
         p_beyond = series["p_beyond_gate"]
         min_step = float(np.diff(p_beyond).min())
@@ -166,7 +167,7 @@ def test_criterion_6_coherence_closed_form():
             amp0 /= np.linalg.norm(amp0)
             rho0 = np.outer(amp0, amp0.conj())
             t = float(rng.uniform(0.0, 5.0))
-            _, amps = relax_energy_density(evals, bath, amp0, [t])
+            _, amps = kernel_at(evals, bath, amp0, t)
             got = np.outer(amps[:, 0], amps[:, 0].conj())  # off-diagonal: the coherences
             widths = gamma.sum(axis=0)
             for i in range(dim):
@@ -228,10 +229,9 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
         layout = build_cnot_layout(22, 9)
         disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed=0))
         bath = BathSpec(beta=1.0, zeta=0.05)
-        grid = np.linspace(0.0, 2000.0, 2001)
         ln2 = np.log(2.0)
 
-        superposed, _ = run_superposed_input(layout, disorder, 2.0, bath, grid)
+        superposed, _ = run_superposed_input(layout, disorder, 2.0, bath, 2000.0, 1.0)
         end_err = abs(superposed["entropy"][-1] - ln2)
         peak_err = abs(superposed["entropy"].max() - 1.5 * ln2)
         c.check(end_err <= 1e-2, f"superposed end entropy off by {end_err:.2e}")
@@ -239,9 +239,9 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
 
         # classical control (+1, -1): the register from the branch's kernel run
         _, indices, eig = build_branch(layout, "U", disorder, 2.0)
-        prob = branch_distribution(eig, bath, grid)
-        entropy = np.empty(grid.size)
-        for i in range(grid.size):
+        prob = branch_distribution(eig, bath, 2000.0, 1.0)
+        entropy = np.empty(prob.shape[1])
+        for i in range(prob.shape[1]):
             rho = np.zeros((4, 4))
             for j in range(layout.path_length):
                 rho[indices[j], indices[j]] += prob[j, i]
@@ -255,8 +255,8 @@ def test_criterion_9_clean_unitary_entangling():
     with Criterion(9, "clean unitary run entangles the register exactly", 30.0) as c:
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        grid = np.linspace(0.0, 200.0, 401)
-        fidelity = run_superposed_input(layout, clean, 0.0, None, grid)[0]["bell_fidelity"]
+        series = run_superposed_input(layout, clean, 0.0, None, 200.0, 0.5)[0]
+        grid, fidelity = series["t"], series["bell_fidelity"]
         defined = ~np.isnan(fidelity)
         # conditioning needs nonzero weight past the gate; before the
         # ballistic front arrives (t of order b) that weight underflows,
@@ -275,17 +275,17 @@ def test_criterion_10_full_space_oracle_equivalence():
         disorder = sample_disorder(ChainSpec(8, 0.5, 0.0, seed=7))
         g = 2.0
         h_full = full_switch_hamiltonian(layout, disorder, g)
-        grid = np.linspace(0.0, 50.0, 101)
+        grid = time_grid(50.0, 0.5)
 
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
         psi0 = full_space_state(layout, reg0)
-        series, register = run_superposed_input(layout, disorder, g, None, grid)
+        series, register = run_superposed_input(layout, disorder, g, None, 50.0, 0.5)
         # mean_Q of the reduced model: half of each branch's kernel distribution
         mean_red = np.zeros(grid.size)
         for branch in "UD":
             sites, _, eig = build_branch(layout, branch, disorder, g)
-            mean_red += 0.5 * (sites @ branch_distribution(eig, None, grid))
+            mean_red += 0.5 * (sites @ branch_distribution(eig, None, 50.0, 0.5))
         worst_q = worst_reg = worst_p = 0.0
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
@@ -301,9 +301,9 @@ def test_criterion_10_full_space_oracle_equivalence():
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = 1.0
         psi0 = full_space_state(layout, reg0)
-        classical = run_classical_input(layout, disorder, g, None, "U", grid)
+        classical = run_classical_input(layout, disorder, g, None, "U", 50.0, 0.5)
         _, indices, eig = build_branch(layout, "U", disorder, g)
-        prob = branch_distribution(eig, None, grid)
+        prob = branch_distribution(eig, None, 50.0, 0.5)
         worst_q = worst_reg = 0.0
         for i, t in enumerate(grid):
             mean_full, reg_full = full_space_observables(

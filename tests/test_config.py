@@ -158,7 +158,13 @@ dt = 0
 
     @pytest.mark.parametrize(
         "scenario, t_max, dt",
-        [("ballistic", 1, 5), ("ballistic", 10, 3), ("bloch", 0.04, 0.05), ("peak-scaling", 10, 3)],
+        [
+            ("ballistic", 1, 5),
+            ("ballistic", 10, 3),
+            ("bloch", 0.04, 0.05),
+            ("peak-scaling", 10, 3),
+            ("ballistic", 1e300, 1e-300),  # t_max / dt overflows to inf
+        ],
     )
     def test_t_max_not_whole_steps(self, scenario, t_max, dt):
         # the grid would step by t_max / round(t_max / dt), not by the recorded dt

@@ -26,19 +26,19 @@ from openchain.feynman import (
     run_superposed_input,
     von_neumann_entropy,
 )
-from openchain.lindblad import BathSpec, read_out
+from openchain.lindblad import BathSpec, read_out, time_grid
 
 
 def disorder_for(s, sigma, seed):
     return sample_disorder(ChainSpec(s, sigma, 0.0, seed))
 
 
-def branch_runs(layout, disorder, g, bath, t_grid):
+def branch_runs(layout, disorder, g, bath, t_max, dt):
     """(sites, (eigenvalues, eigenvectors), P, U) of each branch's kernel run from coordinate 1."""
     runs = []
     for branch in ("U", "D"):
         sites, _, (e, v) = build_branch(layout, branch, disorder, g)
-        pops, amps = relax_energy_density(e, bath, v[0], t_grid)
+        pops, amps = relax_energy_density(e, bath, v[0], t_max, dt)
         runs.append((sites, (e, v), pops, amps))
     return runs
 
@@ -225,31 +225,29 @@ class TestClassicalRuns:
     def test_clean_run_passes_gate(self):
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        grid = np.linspace(0, 200, 2001)
-        series = run_classical_input(layout, clean, 0.0, None, "U", grid)
+        series = run_classical_input(layout, clean, 0.0, None, "U", 200.0, 0.1)
         assert series["p_beyond_gate"].max() >= 0.9
 
     def test_disorder_suppresses_transmission(self):
         layout = build_cnot_layout(22, 9)
-        grid = np.linspace(0, 200, 2001)
         peaks = []
         for seed in range(100):
             series = run_classical_input(
-                layout, disorder_for(22, 0.5, seed), 0.0, None, "U", grid
+                layout, disorder_for(22, 0.5, seed), 0.0, None, "U", 200.0, 0.1
             )
             peaks.append(series["p_beyond_gate"].max())
         assert np.median(peaks) < 0.3
 
     def test_bath_restores_transmission(self):
         layout = build_cnot_layout(22, 9)
-        grid = np.linspace(0, 1000, 501)
         series = run_classical_input(
             layout,
             disorder_for(22, 0.5, 0),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
             "U",
-            grid,
+            1000.0,
+            2.0,
         )
         assert np.all(np.diff(series["p_beyond_gate"]) >= -1e-6)
         assert series["p_beyond_gate"][-1] >= 0.8
@@ -259,13 +257,12 @@ class TestClassicalRuns:
         # on the cursor being past the gate, give the gate's truth table
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        grid = np.linspace(0, 200, 2001)
         for c, p in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             branch = "U" if c == 1 else "D"
             sites, registers = peres_basis(layout, branch, (c, p))
             expected = register_index((c, -p) if c == 1 else (c, p))
             assert registers[-1] == expected
-            series = run_classical_input(layout, clean, 0.0, None, branch, grid)
+            series = run_classical_input(layout, clean, 0.0, None, branch, 200.0, 0.1)
             # conditioned on arrival, the register label is exact: every
             # basis element past the gate carries the output label
             assert np.all(registers[sites >= layout.b] == expected)
@@ -276,9 +273,7 @@ class TestSuperposedRuns:
     def test_clean_unitary_conditional_bell_state(self):
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        series, _ = run_superposed_input(
-            layout, clean, 0.0, None, np.linspace(0.5, 100, 200)
-        )
+        series, _ = run_superposed_input(layout, clean, 0.0, None, 100.0, 0.5)
         defined = ~np.isnan(series["bell_fidelity"])
         assert defined.sum() > 150
         assert np.all(np.abs(series["bell_fidelity"][defined] - 1.0) < 1e-10)
@@ -289,7 +284,7 @@ class TestSuperposedRuns:
     def test_cross_block_norm_conserved_without_bath(self):
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        (*_, amp_u), (*_, amp_d) = branch_runs(layout, clean, 0.0, None, np.linspace(0, 80, 9))
+        (*_, amp_u), (*_, amp_d) = branch_runs(layout, clean, 0.0, None, 80.0, 10.0)
         norms = 0.5 * np.linalg.norm(amp_u, axis=0) * np.linalg.norm(amp_d, axis=0)
         assert np.allclose(norms, norms[0], atol=1e-12)
 
@@ -300,7 +295,8 @@ class TestSuperposedRuns:
             disorder_for(22, 0.5, 3),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
-            np.linspace(0.0, 400.0, 5),  # t = 0, 100, ..., 400
+            400.0,
+            100.0,  # t = 0, 100, ..., 400
         )
         norms = 0.5 * np.abs(amp_u).max(axis=0) * np.abs(amp_d).max(axis=0)
         assert norms[1] < 1e-2 * norms[0]
@@ -313,7 +309,8 @@ class TestSuperposedRuns:
             disorder_for(22, 0.5, 4),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
-            np.linspace(0, 500, 101),
+            500.0,
+            5.0,
         )
         assert np.allclose(series["trace_UU"] + series["trace_DD"], 1.0, atol=1e-9)
 
@@ -324,7 +321,8 @@ class TestSuperposedRuns:
             disorder_for(12, 0.5, 5),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
-            np.linspace(0, 300, 31),
+            300.0,
+            10.0,
         )
         for full in states:
             assert np.max(np.abs(full - full.conj().T)) < 1e-9
@@ -338,8 +336,7 @@ class TestSuperposedRuns:
         layout = build_cnot_layout(22, 9)
         disorder = disorder_for(22, 0.5, 0)
         bath = BathSpec(beta=1.0, zeta=0.05)
-        grid = np.linspace(0, 2000, 2001)
-        entropy = run_superposed_input(layout, disorder, 2.0, bath, grid)[0]["entropy"]
+        entropy = run_superposed_input(layout, disorder, 2.0, bath, 2000.0, 1.0)[0]["entropy"]
         ln2 = np.log(2)
         assert abs(entropy[-1] - ln2) < 1e-2
         assert abs(entropy.max() - 1.5 * ln2) < 5e-2
@@ -349,7 +346,7 @@ class TestRegisterReduction:
     def test_start_is_pure_product(self):
         layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        _, register = run_superposed_input(layout, clean, 0.0, None, np.array([0.0, 1.0]))
+        _, register = run_superposed_input(layout, clean, 0.0, None, 1.0, 1.0)
         rho = register[0]
         # (|+1,-1> + |-1,-1>)/sqrt(2)
         vec = np.zeros(4)
@@ -406,16 +403,16 @@ class TestFullSpaceOracle:
         disorder = disorder_for(8, 0.5, 7)
         g = 2.0
         h_full = full_switch_hamiltonian(layout, disorder, g)
-        grid = np.linspace(0.0, 50.0, 101)
+        grid = time_grid(50.0, 0.5)
 
         # superposed control
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
         psi0 = full_space_state(layout, reg0)
-        series, register = run_superposed_input(layout, disorder, g, None, grid)
+        series, register = run_superposed_input(layout, disorder, g, None, 50.0, 0.5)
         mean_red = sum(
             0.5 * (sites @ read_out(v, np.eye(e.size), pops, amps))
-            for sites, (e, v), pops, amps in branch_runs(layout, disorder, g, None, grid)
+            for sites, (e, v), pops, amps in branch_runs(layout, disorder, g, None, 50.0, 0.5)
         )
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
@@ -429,7 +426,7 @@ class TestFullSpaceOracle:
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = 1.0
         psi0 = full_space_state(layout, reg0)
-        series_u = run_classical_input(layout, disorder, g, None, "U", grid)
+        series_u = run_classical_input(layout, disorder, g, None, "U", 50.0, 0.5)
         for i, t in enumerate(grid):
             mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), layout.s)
             assert abs(mean_full - series_u["mean_Q"][i]) < 1e-8

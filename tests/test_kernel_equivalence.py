@@ -1,35 +1,39 @@
 """Rank-one kernel pipelines against the dense per-time-point references.
 
-Every column must match its reference to 1e-12 * max(1, max|column|), with
-NaN at the same positions, for several disorder seeds on a uniform grid and a
-grid that starts after t = 0 (the initial exponential step). The kernel takes
-uniform grids only: every pipeline must reject a non-uniform grid with
-``ValueError``. ``read_out`` of random rows R must match R times the dense
-oracle's site distribution, with and without a bath, on a grid that crosses a
-cache-block edge. The closed chain, evaluated in cache-sized blocks of grid
-columns, is checked against one complex product per 4096-column chunk, on a
-grid of several blocks that ends in a partial one.
+Every run takes its time axis as (t_max, dt) and builds ``time_grid(t_max,
+dt)``. Every column must match its reference to 1e-12 * max(1, max|column|),
+with NaN at the same positions, for several disorder seeds, in the kernel's
+own cache blocks ("uniform") and in blocks narrowed to 32 columns, so that
+every block but the first starts late ("late-start"). ``time_grid`` is the one
+check on a time axis: it and every pipeline raise ``ValueError`` for a
+non-finite or non-positive t_max or dt, or a t_max that is not a whole number
+>= 1 of dt steps; each run's ``t`` column is that grid bit for bit.
+``read_out`` of random rows R must match R times the dense oracle's site
+distribution, with and without a bath, on a grid that crosses a cache-block
+edge. The closed chain, evaluated in cache-sized blocks of grid columns, is
+checked against one complex product per 4096-column chunk, on a grid of
+several blocks that ends in a partial one.
 
 The kernel (two sqrt(T) phase tables, populations in blocks of 32 columns) is
 held to the direct formula of ``support.direct_relax_energy_density`` at
 s = 200, on grids whose last phase table and last population block are both
 partial and whose last cache block is narrower than 32 columns (its
-populations come from a slice of the carried ones), and on short grids of
-1, 2 and 15 points; a grid with one perturbed point is rejected with the
-other irregular grids. On the grid 0 .. 1e4 in steps of 0.1, whose float steps
-differ by about 1e-12 beyond t = 4096, the kernel and the closed chain must match their references to
-1e-10 * max(1, max|column|). At s = 400, where the kernel sets thousands of
-subnormal entries of S^32 to zero, the populations must still match the direct
-formula. Every pipeline's later cache blocks are the first block's table times
-exp(d (t_start - t_0)): at s = 200, over 31 blocks, the first and last column
-of each must match dense ``eigh`` (closed chain), the direct formula (with a
-bath, where the shift carries the decay) or the dense states of both switch
-branches and their cross block (the superposed switch, with and without a
-bath) to the same 1e-10. Every pipeline reads out one cache block at a time,
-populations included: at s = 200 on 5001 columns the traced peak allocation of
-the bath pipelines and of the superposed switch (which walks the blocks of
-both branches side by side) stays below a counted number of blocks plus the
-O(T) series and, for the switch, its (T, 4, 4) register stack.
+populations come from a slice of the carried ones), and on short grids of 2,
+6 and 15 points. On the grid 0 .. 1e4 in steps of 0.1, whose float steps
+differ by about 1e-12 beyond t = 4096, the kernel and the closed chain must
+match their references to 1e-10 * max(1, max|column|). At s = 400, where the
+kernel sets thousands of subnormal entries of S^32 to zero, the populations
+must still match the direct formula. Every pipeline's later cache blocks are
+the first block's table times exp(d t_start): at s = 200, over 31 blocks, the
+first and last column of each must match dense ``eigh`` (closed chain), the
+direct formula (with a bath, where the shift carries the decay) or the dense
+states of both switch branches and their cross block (the superposed switch,
+with and without a bath) to the same 1e-10. Every pipeline reads out one cache
+block at a time, populations included: at s = 200 on 5001 columns the traced
+peak allocation of the bath pipelines and of the superposed switch (which
+walks the blocks of both branches side by side) stays below a counted number
+of blocks plus the O(T) series and, for the switch, its (T, 4, 4) register
+stack.
 """
 
 import math
@@ -66,15 +70,26 @@ from openchain.lindblad import (
     arrival_peak,
     dissipative_transport_run,
     read_out,
+    time_grid,
 )
 
-GRIDS = {
-    "uniform": np.linspace(0.0, 400.0, 81),
-    "nonuniform": np.concatenate([[0.0], np.cumsum(np.geomspace(0.05, 40.0, 40))]),
-    "late-start": np.linspace(30.0, 330.0, 61),
-}
+#: the grid of the pipeline equivalence tests: 0 .. 400 in 80 steps
+GRID = (400.0, 5.0)
 SEEDS = (0, 1, 2)
 BATHS = {"bath": BathSpec(beta=1.0, zeta=0.05), "closed": None}
+#: time axes from which no uniform grid can be built, each named after the
+#: irregular grid it would describe
+IRREGULAR = {
+    "empty": (0.0, 1.0),  # no time span
+    "nonuniform": (10.0, 3.0),  # the last step would be 1, not 3
+    "decreasing": (-400.0, -5.0),
+    "repeated": (10.0, 0.0),  # steps of zero
+    "constant": (0.0, 0.0),
+    "negative-start": (-100.0, 10.0),  # a grid running to negative times
+    "perturbed": (1000.001, 1.0),  # a thousandth of a step past a whole number
+}
+#: every run's time axis is checked by time_grid, which names the rule it breaks
+REJECTED = "whole number >= 1 of dt steps"
 
 
 def assert_columns_match(got: dict, expected: dict, rtol: float = 1e-12) -> None:
@@ -87,84 +102,120 @@ def assert_columns_match(got: dict, expected: dict, rtol: float = 1e-12) -> None
         assert worst <= rtol * scale, f"{name}: max deviation {worst:.3e} (scale {scale:.3g})"
 
 
-def check_pipeline(grid: str, run, reference) -> None:
-    """``run`` rejects the non-uniform grid and matches ``reference`` on the others."""
+def narrow_blocks(grid: str, monkeypatch) -> None:
+    """"late-start": cache blocks of B = 32 columns, so every block but the first starts late.
+
+    Such a block is the first block's phase table times exp(d t_start), and
+    its populations start from the last 32 columns of the block before.
+    """
+    if grid == "late-start":
+        monkeypatch.setattr(lindblad, "_BLOCK_BYTES", 1)  # width max(32, 1 // (16 n)) = 32
+
+
+def check_pipeline(grid: str, run, reference, monkeypatch) -> None:
+    """``run(t_max, dt)`` rejects the non-uniform axis and matches ``reference`` on ``GRID``."""
     if grid == "nonuniform":
-        with pytest.raises(ValueError, match="uniform"):
-            run(GRIDS[grid])
-    else:
-        assert_columns_match(run(GRIDS[grid]), reference(GRIDS[grid]))
+        with pytest.raises(ValueError, match=REJECTED):
+            run(*IRREGULAR["nonuniform"])
+        return
+    narrow_blocks(grid, monkeypatch)
+    assert_columns_match(run(*GRID), reference(time_grid(*GRID)))
 
 
-@pytest.mark.parametrize("grid", ["uniform", "late-start"])  # "nonuniform": rejection test below
+@pytest.mark.parametrize("grid", ["uniform", "late-start"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_dissipative_transport_run(grid, seed):
+def test_dissipative_transport_run(grid, seed, monkeypatch):
     h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=seed))
     psi0 = np.eye(14)[0]
     check_pipeline(
         grid,
-        lambda t: dissipative_transport_run(h, BATHS["bath"], t),
+        lambda *axis: dissipative_transport_run(h, BATHS["bath"], *axis),
         lambda t: dense_transport_columns(h, BATHS["bath"], psi0, t),
+        monkeypatch,
     )
 
 
-@pytest.mark.parametrize("grid", ["uniform", "late-start"])  # "nonuniform": rejection test below
+@pytest.mark.parametrize("grid", ["uniform", "late-start"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("bath", BATHS)
 @pytest.mark.parametrize("branch", ["U", "D"])
-def test_run_classical_input(branch, bath, seed, grid):
+def test_run_classical_input(branch, bath, seed, grid, monkeypatch):
     layout = build_cnot_layout(16, 4)
     disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, seed))
     check_pipeline(
         grid,
-        lambda t: run_classical_input(layout, disorder, 2.0, BATHS[bath], branch, t),
+        lambda *axis: run_classical_input(layout, disorder, 2.0, BATHS[bath], branch, *axis),
         lambda t: dense_classical_columns(layout, disorder, 2.0, BATHS[bath], branch, t),
+        monkeypatch,
     )
 
 
-@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform", "late-start"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("bath", BATHS)
-def test_run_superposed_input(bath, seed, grid):
+def test_run_superposed_input(bath, seed, grid, monkeypatch):
     layout = build_cnot_layout(16, 4)
     disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, seed))
     check_pipeline(
         grid,
-        lambda t: run_superposed_input(layout, disorder, 2.0, BATHS[bath], t)[0],
+        lambda *axis: run_superposed_input(layout, disorder, 2.0, BATHS[bath], *axis)[0],
         lambda t: dense_superposed_columns(layout, disorder, 2.0, BATHS[bath], t),
+        monkeypatch,
     )
 
 
-#: closed-chain grids: several kernel blocks of a 40-site chain plus a partial one
-UNITARY_GRIDS = {
-    "blocks": np.linspace(0.0, 2000.0, 4001),
-    "nonuniform": np.concatenate([[0.0], np.cumsum(np.geomspace(0.01, 5.0, 3500))]),
-    "late-start": np.linspace(30.0, 330.0, 61),
-}
+def test_time_axis_is_time_grid():
+    # every run's t column is time_grid(t_max, dt) bit for bit, here on a grid
+    # of inexact step, and the column slices of energy_blocks cover each grid
+    # column once, in order, when the last cache block is partial
+    t_max, dt = 500.0, 0.1
+    times = time_grid(t_max, dt)
+    e, v = free_eigensystem(40)
+    width = lindblad._BLOCK_BYTES // (16 * 40)
+    assert times.size > width and times.size % width
+    for bath in BATHS.values():
+        slices = [cols for cols, *_ in lindblad.energy_blocks(e, bath, v[0], t_max, dt)]
+        covered = np.concatenate([np.arange(times.size)[cols] for cols in slices])
+        assert np.array_equal(covered, np.arange(times.size))
+    layout = build_cnot_layout(16, 4)
+    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
+    runs = [
+        lindblad.pure_state_series((e, v), None, v[0], t_max, dt, np.arange(40), np.array([39])),
+        dissipative_transport_run(np.zeros(40), BATHS["bath"], t_max, dt),
+        run_classical_input(layout, disorder, 2.0, None, "U", t_max, dt),
+        run_superposed_input(layout, disorder, 2.0, BATHS["bath"], t_max, dt)[0],
+    ]
+    for columns in runs:
+        assert np.array_equal(columns["t"], times)
+    assert arrival_peak((e, v), t_max, dt)[0] in times
+
+
+#: closed-chain grid: several kernel blocks of a 40-site chain plus a partial one
+BLOCKS = (2000.0, 0.5)
 REGIONS = {"last": [40], "several": [3, 17, 18, 19, 40], "none": []}
 
 
 def test_unitary_grid_spans_blocks():
     step = lindblad._BLOCK_BYTES // (16 * 40)
-    for name in ("blocks", "nonuniform"):
-        size = UNITARY_GRIDS[name].size
-        assert size > 2 * step and size % step, name
+    size = time_grid(*BLOCKS).size
+    assert size > 2 * step and size % step
 
 
 @pytest.mark.parametrize("region", REGIONS)
-@pytest.mark.parametrize("grid", ["blocks", "late-start"])  # "nonuniform": rejection test below
+@pytest.mark.parametrize("grid", ["blocks", "late-start"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_unitary_observable_series(seed, grid, region):
+def test_unitary_observable_series(seed, grid, region, monkeypatch):
+    narrow_blocks(grid, monkeypatch)
     eig = diagonalize(build_chain_hamiltonian(ChainSpec(40, 0.5, 0.3, seed=seed)))
     psi0 = np.eye(40)[0]
     sites = REGIONS[region]
-    got = closed_series(eig, psi0, UNITARY_GRIDS[grid], sites)
+    got = closed_series(eig, psi0, *BLOCKS, sites)
     e, v = eig
-    kernel = lindblad.energy_blocks(e, None, v.T @ psi0, UNITARY_GRIDS[grid])
+    kernel = lindblad.energy_blocks(e, None, v.T @ psi0, *BLOCKS)
     blocks = [read_out(v, np.eye(e.size), None, u) for *_, u in kernel]
     prob = np.concatenate(blocks, axis=1)
     region_idx = np.asarray(sites, dtype=int) - 1
-    expected = chunked_unitary_columns(eig, psi0, UNITARY_GRIDS[grid], region_idx)
+    expected = chunked_unitary_columns(eig, psi0, time_grid(*BLOCKS), region_idx)
     assert got.keys() - {"t"} == expected.keys() - {"sites"}
     for j in range(40):
         got[f"site{j + 1}"] = prob[j]
@@ -176,42 +227,36 @@ def test_unitary_observable_series(seed, grid, region):
 @pytest.mark.parametrize("s", [10, 40, 200])
 def test_arrival_peak(s):
     eig = free_eigensystem(s)
-    times = np.linspace(0.0, 1.5 * s + 10, int(round((1.5 * s + 10) / 0.05)) + 1)
+    times = time_grid(1.5 * s + 10, 0.05)
     last = chunked_unitary_columns(eig, np.eye(s)[0], times)["sites"][:, -1]
-    t_star, p_star = arrival_peak(eig, 1.5 * s + 10)
+    t_star, p_star = arrival_peak(eig, 1.5 * s + 10, 0.05)
     assert t_star == times[np.argmax(last)]
     assert abs(p_star - last.max()) <= 1e-12
 
 
-#: uniform grids of 1001 columns: 31 full phase tables of b = 32 plus 9 columns,
-#: and likewise 31 full population blocks of 32 plus 9 columns
-FAST_GRIDS = {
-    "uniform": np.linspace(0.0, 1000.0, 1001),
-    "late-start": np.linspace(30.0, 1030.0, 1001),
-}
-PERTURBED = FAST_GRIDS["uniform"].copy()
-PERTURBED[500] += 1e-3
+#: 1001 columns: 31 full phase tables of b = 32 plus 9 columns, and likewise
+#: 31 full population blocks of 32 plus 9 columns
+FAST_GRID = (1000.0, 1.0)
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 
 def test_fast_grids_end_in_partial_blocks():
     width = lindblad._BLOCK_BYTES // (16 * 200)  # cache-block columns at s = 200
-    for grid in FAST_GRIDS.values():
-        assert lindblad._grid_step(grid) == 1.0
-        assert grid.size % (math.isqrt(grid.size - 1) + 1)
-        assert grid.size % (1 << lindblad._BLOCK_SQUARINGS)
-        # the last cache block is narrower than one population block: its
-        # populations come from a slice of the carried columns
-        assert grid.size > width and 0 < grid.size % width < 1 << lindblad._BLOCK_SQUARINGS
-    with pytest.raises(ValueError, match="uniform"):
-        lindblad._grid_step(PERTURBED)
+    size = time_grid(*FAST_GRID).size
+    assert size % (math.isqrt(size - 1) + 1)
+    assert size % (1 << lindblad._BLOCK_SQUARINGS)
+    # the last cache block is narrower than one population block: its
+    # populations come from a slice of the carried columns
+    assert size > width and 0 < size % width < 1 << lindblad._BLOCK_SQUARINGS
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_config_grids_are_uniform(config):
     cfg = load_config(config)
     t_max = cfg.t_max if cfg.t_max is not None else _scan_t_max(cfg.s)
-    assert lindblad._grid_step(lindblad.time_grid(t_max, cfg.dt)) == pytest.approx(cfg.dt, rel=1e-9)
+    times = time_grid(t_max, cfg.dt)
+    assert times[0] == 0.0 and times[-1] == t_max
+    assert np.diff(times) == pytest.approx(np.full(times.size - 1, cfg.dt), rel=1e-9)
 
 
 def kernel_columns(v, pops, amps, populations_too: bool) -> dict[str, np.ndarray]:
@@ -225,22 +270,23 @@ def kernel_columns(v, pops, amps, populations_too: bool) -> dict[str, np.ndarray
     return cols
 
 
-def relax_pair(bath: str, seed: int, times: np.ndarray, s: int = 200):
-    """(kernel, direct formula) columns of one s-site chain from site 1 on ``times``."""
+def relax_pair(bath: str, seed: int, t_max: float, dt: float, s: int = 200):
+    """(kernel, direct formula) columns of an s-site chain from site 1 on time_grid(t_max, dt)."""
     spec = ChainSpec(s, 0.5, 2.0, seed) if bath == "bath" else ChainSpec(s, 0.5, 0.0, seed)
     e, v = diagonalize(build_chain_hamiltonian(spec))
     c = v[0].astype(complex)
-    got = relax_energy_density(e, BATHS[bath], c, times)
-    ref = direct_relax_energy_density(e, BATHS[bath], c, times)
+    got = relax_energy_density(e, BATHS[bath], c, t_max, dt)
+    ref = direct_relax_energy_density(e, BATHS[bath], c, time_grid(t_max, dt))
     with_pops = bath == "bath"
     return kernel_columns(v, *got, with_pops), kernel_columns(v, *ref, with_pops)
 
 
-@pytest.mark.parametrize("grid", FAST_GRIDS)
+@pytest.mark.parametrize("grid", ["uniform", "late-start"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("bath", BATHS)
-def test_uniform_path_matches_direct_formula(bath, seed, grid):
-    assert_columns_match(*relax_pair(bath, seed, FAST_GRIDS[grid]))
+def test_uniform_path_matches_direct_formula(bath, seed, grid, monkeypatch):
+    narrow_blocks(grid, monkeypatch)
+    assert_columns_match(*relax_pair(bath, seed, *FAST_GRID))
 
 
 def test_flushed_block_step_matches_direct_formula():
@@ -248,84 +294,93 @@ def test_flushed_block_step_matches_direct_formula():
     # them to zero, and its populations must still hold the direct formula's
     e, _ = diagonalize(build_chain_hamiltonian(ChainSpec(400, 0.5, 2.0, 0)))
     gen = lindblad.population_generator(lindblad.transition_rates(e, BATHS["bath"]), BATHS["bath"])
-    step = np.linalg.matrix_power(expm(gen * lindblad._grid_step(FAST_GRIDS["uniform"])), 32)
+    step = np.linalg.matrix_power(expm(gen * FAST_GRID[1]), 32)
     assert np.count_nonzero((step != 0) & (np.abs(step) < np.finfo(float).tiny)) > 1000
-    assert_columns_match(*relax_pair("bath", 0, FAST_GRIDS["uniform"], s=400))
+    assert_columns_match(*relax_pair("bath", 0, *FAST_GRID, s=400))
 
 
-#: grids shorter than one population block of 32 columns, some starting late
+#: grids shorter than one population block of 32 columns; the late ones reach
+#: t = 30 in one step, and t = 30 and 37.5 in steps of 7.5
 SHORT_GRIDS = {
-    "one-point": np.array([0.0]),
-    "two-points": np.array([0.0, 7.5]),
-    "fifteen-points": np.linspace(0.0, 140.0, 15),
-    "late-point": np.array([30.0]),
-    "late-two-points": np.array([30.0, 37.5]),
+    "two-points": (7.5, 7.5),
+    "fifteen-points": (140.0, 10.0),
+    "late-point": (30.0, 30.0),
+    "late-two-points": (37.5, 7.5),
 }
 
 
 @pytest.mark.parametrize("grid", SHORT_GRIDS)
 @pytest.mark.parametrize("bath", BATHS)
 def test_short_grids_match_direct_formula(bath, grid):
-    assert_columns_match(*relax_pair(bath, 0, SHORT_GRIDS[grid]))
+    assert_columns_match(*relax_pair(bath, 0, *SHORT_GRIDS[grid]))
 
 
-IRREGULAR_GRIDS = {
-    "empty": np.array([]),
-    "nonuniform": GRIDS["nonuniform"],
-    "decreasing": np.linspace(400.0, 0.0, 81),
-    "repeated": np.array([0.0, 1.0, 1.0, 2.0]),
-    "constant": np.zeros(3),
-    "negative-start": np.linspace(-100.0, 0.0, 11),
-    "perturbed": PERTURBED,
+#: non-finite values, and a step count beyond float range, which time_grid
+#: rejects like the irregular axes
+INVALID_VALUES = {
+    "t_max-inf": (math.inf, 1.0),
+    "dt-inf": (10.0, math.inf),
+    "t_max-nan": (math.nan, 1.0),
+    "dt-nan": (10.0, math.nan),
+    "steps-overflow": (1e300, 1e-300),
 }
 
 
-@pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
+@pytest.mark.parametrize("axis", [*IRREGULAR, *INVALID_VALUES])
+def test_time_grid_rejects_invalid_axes(axis):
+    t_max, dt = {**IRREGULAR, **INVALID_VALUES}[axis]
+    with pytest.raises(ValueError, match=REJECTED):
+        time_grid(t_max, dt)
+    with pytest.raises(ValueError, match=REJECTED):
+        arrival_peak(free_eigensystem(4), t_max, dt)
+
+
+@pytest.mark.parametrize("grid", IRREGULAR)
 @pytest.mark.parametrize("bath", BATHS)
 def test_relax_energy_density_rejects_irregular_grids(bath, grid):
     # the helper drains lindblad.energy_blocks, which raises at its first block
     e, v = free_eigensystem(8)
-    with pytest.raises(ValueError, match="uniform"):
-        relax_energy_density(e, BATHS[bath], v[0], IRREGULAR_GRIDS[grid])
+    with pytest.raises(ValueError, match=REJECTED):
+        relax_energy_density(e, BATHS[bath], v[0], *IRREGULAR[grid])
 
 
-@pytest.mark.parametrize("grid", [*IRREGULAR_GRIDS, "nonuniform-blocks"])
+@pytest.mark.parametrize("grid", [*IRREGULAR, "nonuniform-blocks"])
 @pytest.mark.parametrize("bath", BATHS)
 def test_pure_state_series_rejects_irregular_grids(bath, grid):
-    # the read-out of all three chain pipelines; the last grid spans several
-    # cache blocks of a 40-level chain and ends in a partial one
+    # the read-out of all three chain pipelines; the last axis would span
+    # several cache blocks of a 40-level chain and end half a step short
     eig = free_eigensystem(40)
-    times = UNITARY_GRIDS["nonuniform"] if grid == "nonuniform-blocks" else IRREGULAR_GRIDS[grid]
-    with pytest.raises(ValueError, match="uniform"):
+    t_max, dt = (4000.5, 1.0) if grid == "nonuniform-blocks" else IRREGULAR[grid]
+    with pytest.raises(ValueError, match=REJECTED):
         lindblad.pure_state_series(
-            eig, BATHS[bath], eig[1][0], times, np.arange(1, 41), np.array([39])
+            eig, BATHS[bath], eig[1][0], t_max, dt, np.arange(1, 41), np.array([39])
         )
 
 
-@pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
+@pytest.mark.parametrize("grid", IRREGULAR)
 @pytest.mark.parametrize("bath", BATHS)
 def test_dissipative_transport_run_rejects_irregular_grids(bath, grid):
     h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=0))
-    with pytest.raises(ValueError, match="uniform"):
-        dissipative_transport_run(h, BATHS[bath], IRREGULAR_GRIDS[grid])
+    with pytest.raises(ValueError, match=REJECTED):
+        dissipative_transport_run(h, BATHS[bath], *IRREGULAR[grid])
 
 
-@pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
+@pytest.mark.parametrize("grid", IRREGULAR)
 @pytest.mark.parametrize("bath", BATHS)
 def test_run_classical_input_rejects_irregular_grids(bath, grid):
     layout = build_cnot_layout(16, 4)
     disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
-    with pytest.raises(ValueError, match="uniform"):
-        run_classical_input(layout, disorder, 2.0, BATHS[bath], "U", IRREGULAR_GRIDS[grid])
+    with pytest.raises(ValueError, match=REJECTED):
+        run_classical_input(layout, disorder, 2.0, BATHS[bath], "U", *IRREGULAR[grid])
 
 
-@pytest.mark.parametrize("grid", IRREGULAR_GRIDS)
+@pytest.mark.parametrize("grid", IRREGULAR)
 @pytest.mark.parametrize("bath", BATHS)
 def test_run_superposed_input_rejects_irregular_grids(bath, grid):
     layout = build_cnot_layout(16, 4)
     disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
-    with pytest.raises(ValueError, match="uniform"):
-        run_superposed_input(layout, disorder, 2.0, BATHS[bath], IRREGULAR_GRIDS[grid])
+    with pytest.raises(ValueError, match=REJECTED):
+        run_superposed_input(layout, disorder, 2.0, BATHS[bath], *IRREGULAR[grid])
 
 
 @pytest.mark.parametrize("bath", BATHS)
@@ -336,33 +391,18 @@ def test_read_out_matches_dense_site_distribution(bath):
     e, v = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0)))
     c = v[0]
     size = lindblad._BLOCK_BYTES // (16 * 20) + 40
-    times = np.linspace(0.0, 0.5 * (size - 1), size)
+    t_max, dt = 0.5 * (size - 1), 0.5
     rows = np.random.default_rng(0).standard_normal((5, 20))
-    kernel = lindblad.energy_blocks(e, BATHS[bath], c, times)
+    kernel = lindblad.energy_blocks(e, BATHS[bath], c, t_max, dt)
     got = np.concatenate([lindblad.read_out(v, rows, p, u) for _, p, u in kernel], axis=1)
-    states = _dense_states(e, BATHS[bath], np.outer(c, c), times)
+    states = _dense_states(e, BATHS[bath], np.outer(c, c), time_grid(t_max, dt))
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
 
 
 #: beyond t = 4096 linspace rounds each 0.1 step to the float spacing 2**-40,
 #: so consecutive steps differ by about 1e-12
-LONG_GRID = lindblad.time_grid(10000.0, 0.1)
-#: (grid, step) uniform up to float rounding. The times of 9000 + 1e-5 i lie up
-#: to 1.8e-12 (the float spacing at 9000) off the line through the end points,
-#: far beyond 1e-9 of a step.
-ROUNDED_GRIDS = {
-    "linspace": (LONG_GRID, 0.1),
-    "arange": (9000.0 + 1e-5 * np.arange(101), 1e-5),
-}
-
-
-@pytest.mark.parametrize("grid", ROUNDED_GRIDS)
-def test_grid_step_allows_float_rounding(grid):
-    times, step = ROUNDED_GRIDS[grid]
-    assert lindblad._grid_step(times) == pytest.approx(step, rel=1e-9)
-
-
+LONG_GRID = time_grid(10000.0, 0.1)
 #: at t = 1e4 a phase e t carries a rounding of about eps |e| t ~ 1e-12, and the
 #: populations take 3125 blocked products; 1e-10 bounds both
 LONG_RTOL = 1e-10
@@ -373,7 +413,7 @@ def test_long_grid_matches_direct_formula(bath):
     spec = ChainSpec(12, 0.5, 2.0, 0) if bath == "bath" else ChainSpec(12, 0.5, 0.0, 0)
     e, v = diagonalize(build_chain_hamiltonian(spec))
     c = v[0].astype(complex)
-    pops, amps = relax_energy_density(e, BATHS[bath], c, LONG_GRID)
+    pops, amps = relax_energy_density(e, BATHS[bath], c, 10000.0, 0.1)
     cols = slice(None, None, 997)  # the direct formula on every 997th time
     if pops is not None:
         pops = pops[:, cols]
@@ -386,7 +426,7 @@ def test_long_grid_matches_direct_formula(bath):
 def test_unitary_observable_series_long_grid():
     eig = diagonalize(build_chain_hamiltonian(ChainSpec(12, 0.5, 0.0, seed=0)))
     psi0 = np.eye(12)[0]
-    series = closed_series(eig, psi0, LONG_GRID, [12])
+    series = closed_series(eig, psi0, 10000.0, 0.1, [12])
     expected = chunked_unitary_columns(eig, psi0, LONG_GRID, np.array([11]))
     del expected["sites"]
     assert_columns_match(series, expected, LONG_RTOL)
@@ -406,9 +446,9 @@ def test_unitary_block_boundaries_match_dense_oracle():
     # first and last columns are held to dense eigh of the full matrix.
     h = build_chain_hamiltonian(ChainSpec(200, 0.5, 0.0, seed=0))
     psi0 = np.eye(200)[0]
-    times = lindblad.time_grid(5000.0, 0.5)
+    times = time_grid(5000.0, 0.5)
     edges = block_edges(times, 200)
-    series = dissipative_transport_run(h, None, times)
+    series = dissipative_transport_run(h, None, 5000.0, 0.5)
     x = np.arange(1, 201)
     prob = np.array([np.abs(evolve_pure(h, psi0, t)) ** 2 for t in times[edges]]).T
     mean = x @ prob
@@ -424,10 +464,10 @@ def test_bath_block_boundaries_match_direct_formula():
     # blocks; the first and last column of each is held to the direct formula.
     h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
     e, v = diagonalize(h)
-    times = lindblad.time_grid(5000.0, 0.5)
+    times = time_grid(5000.0, 0.5)
     edges = block_edges(times, 200)
     bath = BATHS["bath"]
-    series = dissipative_transport_run(h, bath, times)
+    series = dissipative_transport_run(h, bath, 5000.0, 0.5)
     ref = direct_relax_energy_density(e, bath, v[0], times[edges])
     got = {name: col[edges] for name, col in series.items() if name != "t"}
     assert_columns_match(got, kernel_columns(v, *ref, populations_too=False), LONG_RTOL)
@@ -441,9 +481,9 @@ def test_superposed_block_boundaries_match_dense_oracle(bath):
     # to the dense per-time-point states of both branches and the cross block.
     layout = build_cnot_layout(200, 9)
     disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
-    times = lindblad.time_grid(5000.0, 0.5)
+    times = time_grid(5000.0, 0.5)
     edges = block_edges(times, layout.path_length)
-    series, _ = run_superposed_input(layout, disorder, 2.0, BATHS[bath], times)
+    series, _ = run_superposed_input(layout, disorder, 2.0, BATHS[bath], 5000.0, 0.5)
     got = {name: col[edges] for name, col in series.items() if name != "t"}
     expected = dense_superposed_columns(layout, disorder, 2.0, BATHS[bath], times[edges])
     assert_columns_match(got, expected, LONG_RTOL)
@@ -472,16 +512,15 @@ def test_bath_read_out_memory(pipeline):
     # n = 200); one is margin. On top come the O(T) series: the grid and the
     # columns that each block fills in. The whole-grid populations peaked at
     # 12.5 MiB here.
-    times = lindblad.time_grid(5000.0, 1.0)
-    bath = BATHS["bath"]
+    axis, bath = (5000.0, 1.0), BATHS["bath"]
     if pipeline == "transport":
         h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
-        peak = traced_peak(lambda: dissipative_transport_run(h, bath, times))
+        peak = traced_peak(lambda: dissipative_transport_run(h, bath, *axis))
     else:
         layout = build_cnot_layout(200, 9)
         disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
-        peak = traced_peak(lambda: run_classical_input(layout, disorder, 2.0, bath, "U", times))
-    series = 7 * times.size * np.dtype(float).itemsize
+        peak = traced_peak(lambda: run_classical_input(layout, disorder, 2.0, bath, "U", *axis))
+    series = 7 * time_grid(*axis).size * np.dtype(float).itemsize
     bound = series + 7 * lindblad._BLOCK_BYTES
     assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
@@ -504,10 +543,11 @@ def test_superposed_read_out_memory(bath):
     # (columns, n) site arrays, their masked copies and the cross diagonal's
     # row selection took 10.9 and 13.4. The whole-grid populations peaked at
     # 28.4 MiB with the bath.
-    times = lindblad.time_grid(5000.0, 1.0)
+    axis = (5000.0, 1.0)
+    times = time_grid(*axis)
     layout = build_cnot_layout(200, 9)
     disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
-    peak = traced_peak(lambda: run_superposed_input(layout, disorder, 2.0, BATHS[bath], times))
+    peak = traced_peak(lambda: run_superposed_input(layout, disorder, 2.0, BATHS[bath], *axis))
     series = 6 * times.size * np.dtype(float).itemsize
     register = times.size * 16 * np.dtype(complex).itemsize
     blocks = 9 if BATHS[bath] is None else 12

@@ -6,6 +6,7 @@ import scipy.linalg
 from support import (
     brute_force_lindblad,
     integrate_populations,
+    kernel_at,
     kernel_states,
     relax_energy_density,
     thermal_fixed_point,
@@ -45,13 +46,13 @@ def random_pure(dim, seed):
 
 def kernel_populations(evals, bath, p0, t):
     """Populations at time t of the kernel run started from amplitudes sqrt(p0)."""
-    pops, _ = relax_energy_density(evals, bath, np.sqrt(p0), [t])
+    pops, _ = kernel_at(evals, bath, np.sqrt(p0), t)
     return pops[:, 0]
 
 
 def kernel_coherences(evals, bath, c, t):
     """Off-diagonal part of the kernel state u u^H at time t (diagonal set to 0)."""
-    _, amps = relax_energy_density(evals, bath, c, [t])
+    _, amps = kernel_at(evals, bath, c, t)
     coh = np.outer(amps[:, 0], amps[:, 0].conj())
     np.fill_diagonal(coh, 0.0)
     return coh
@@ -195,7 +196,7 @@ class TestPropagateCoherences:
             c = random_pure(dim, seed + 100)
             t = 2.5
             oracle = brute_force_lindblad(evals, gamma, bath.zeta, np.outer(c, c.conj()), t)
-            ours = kernel_states(*relax_energy_density(evals, bath, c, [t]))[0]
+            ours = kernel_states(*kernel_at(evals, bath, c, t))[0]
             assert np.max(np.abs(ours - oracle)) < 1e-8
 
 
@@ -225,7 +226,7 @@ class TestRepresentations:
         e, v = free_eigensystem(5)
         c = np.zeros(5)
         c[2] = 1.0
-        pops, amps = relax_energy_density(e, None, c, [0.0])
+        pops, amps = kernel_at(e, None, c, 0.0)
         prob = read_out(v, np.eye(e.size), pops, amps)[:, 0]
         assert np.max(np.abs(prob - v[:, 2] ** 2)) < 1e-12
 
@@ -252,7 +253,7 @@ class TestDensityObservables:
         eig = np.arange(prob.size, dtype=float), np.eye(prob.size)
         x = np.arange(1, prob.size + 1)
         rows = np.asarray(sorted(region), dtype=int) - 1
-        series = pure_state_series(eig, None, np.sqrt(prob), np.zeros(1), x, rows)
+        series = pure_state_series(eig, None, np.sqrt(prob), 1.0, 1.0, x, rows)
         return series["mean_Q"][0], series["var_Q"][0], series["p_region"][0]
 
     def test_basis_state(self):
@@ -280,17 +281,15 @@ class TestDissipativeTransportRun:
     def test_weak_coupling_limit_matches_unitary(self):
         spec = ChainSpec(10, 0.3, 1.0, seed=19)
         h = build_chain_hamiltonian(spec)
-        grid = np.linspace(0, 10, 51)
-        unitary = dissipative_transport_run(h, None, grid)
-        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=1e-9), grid)
+        unitary = dissipative_transport_run(h, None, 10.0, 0.2)
+        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=1e-9), 10.0, 0.2)
         assert np.max(np.abs(open_sys["mean_Q"] - unitary["mean_Q"])) < 1e-6
 
     def test_zero_coupling_exact(self):
         spec = ChainSpec(8, 0.4, 1.5, seed=20)
         h = build_chain_hamiltonian(spec)
-        grid = np.linspace(0, 25, 26)
-        unitary = dissipative_transport_run(h, None, grid)
-        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.0), grid)
+        unitary = dissipative_transport_run(h, None, 25.0, 1.0)
+        open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.0), 25.0, 1.0)
         assert np.max(np.abs(open_sys["mean_Q"] - unitary["mean_Q"])) < 1e-12
         assert np.max(np.abs(open_sys["p_region"] - unitary["p_region"])) < 1e-12
 
@@ -298,21 +297,19 @@ class TestDissipativeTransportRun:
         # tilted disordered chain with a cold bath: the excitation walks to
         # the last site and stays
         h = build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0))
-        grid = np.linspace(0, 1000, 251)
-        series = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.05), grid)
+        series = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.05), 1000.0, 4.0)
         assert series["p_region"][-1] >= 0.8
         # past the initial transient the drift is monotone to the right
-        tail = series["mean_Q"][grid >= 100]
+        tail = series["mean_Q"][series["t"] >= 100]
         assert np.all(np.diff(tail) >= -1e-9)
         assert series["mean_Q"][-1] > 19.0
 
     def test_effective_hop_time(self):
         # cold-bath regime: one site per 1/zeta time units, within 50%
         h = build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0))
-        grid = np.linspace(0, 600, 1201)
-        series = dissipative_transport_run(h, BathSpec(beta=50.0, zeta=0.05), grid)
-        t5 = np.interp(5.0, series["mean_Q"], grid)
-        t15 = np.interp(15.0, series["mean_Q"], grid)
+        series = dissipative_transport_run(h, BathSpec(beta=50.0, zeta=0.05), 600.0, 0.5)
+        t5 = np.interp(5.0, series["mean_Q"], series["t"])
+        t15 = np.interp(15.0, series["mean_Q"], series["t"])
         per_site = (t15 - t5) / 10.0
         assert 10.0 <= per_site <= 30.0
 
@@ -320,7 +317,7 @@ class TestDissipativeTransportRun:
         h = build_chain_hamiltonian(ChainSpec(12, 0.5, 2.0, seed=21))
         e, v = diagonalize(h)
         bath = BathSpec(beta=1.0, zeta=0.1)
-        pops, amps = relax_energy_density(e, bath, v[0], np.linspace(0, 200, 41))
+        pops, amps = relax_energy_density(e, bath, v[0], 200.0, 5.0)
         for state in kernel_states(pops, amps):
             assert np.trace(state).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(state).min() > -1e-9

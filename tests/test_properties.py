@@ -45,8 +45,8 @@ def switch_params(draw):
 
 def superposed_run(s, a, sigma, g, beta, zeta, seed):
     disorder = sample_disorder(ChainSpec(s, sigma, 0.0, seed))
-    grid = np.linspace(0.0, 300.0, 61)
-    return run_superposed_input(build_cnot_layout(s, a), disorder, g, BathSpec(beta, zeta), grid)
+    layout = build_cnot_layout(s, a)
+    return run_superposed_input(layout, disorder, g, BathSpec(beta, zeta), 300.0, 5.0)
 
 
 @DERANDOMIZED
@@ -94,8 +94,8 @@ def test_reduced_switch_matches_full_space_oracle(params):
     layout = build_cnot_layout(s, a)
     disorder = sample_disorder(ChainSpec(s, sigma, 0.0, seed))
     h_full = full_switch_hamiltonian(layout, disorder, g)
-    grid = np.linspace(0.0, t_max, 5)
-    superposed, register = run_superposed_input(layout, disorder, g, None, grid)
+    superposed, register = run_superposed_input(layout, disorder, g, None, t_max, t_max / 4)
+    grid = superposed["t"]
     psi0 = full_space_state(layout, register_vector((+1, -1), (-1, -1)))
     for i, t in enumerate(grid):
         psi = evolve_full(h_full, psi0, t)
@@ -104,7 +104,7 @@ def test_reduced_switch_matches_full_space_oracle(params):
         assert np.max(np.abs(reg_full - register[i])) < 1e-8
         assert abs(p_full - superposed["p_beyond_gate"][i]) < 1e-8
     for branch, control in (("U", +1), ("D", -1)):
-        series = run_classical_input(layout, disorder, g, None, branch, grid)
+        series = run_classical_input(layout, disorder, g, None, branch, t_max, t_max / 4)
         psi0 = full_space_state(layout, register_vector((control, -1)))
         for i, t in enumerate(grid):
             mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), s)
@@ -129,9 +129,7 @@ def chain_spectrum(s, sigma, g, seed):
 def test_kernel_conserves_trace_and_positivity(params):
     s, sigma, g, beta, zeta, seed = params
     e, v = chain_spectrum(s, sigma, g, seed)
-    grid = np.linspace(0.0, 500.0, 51)
-    bath = BathSpec(beta, zeta)
-    pops, amps = relax_energy_density(e, bath, v[0], grid)
+    pops, amps = relax_energy_density(e, BathSpec(beta, zeta), v[0], 500.0, 10.0)
     assert np.max(np.abs(pops.sum(axis=0) - 1.0)) < 1e-9
     assert pops.min() > -1e-12
     prob = read_out(v, np.eye(s), pops, amps)
@@ -145,7 +143,5 @@ def test_gibbs_populations_are_stationary(params):
     s, sigma, g, beta, zeta, seed = params
     e, _ = chain_spectrum(s, sigma, g, seed)
     gibbs = thermal_fixed_point(e, beta)
-    pops, _ = relax_energy_density(
-        e, BathSpec(beta, zeta), np.sqrt(gibbs), np.linspace(0.0, 500.0, 11)
-    )
+    pops, _ = relax_energy_density(e, BathSpec(beta, zeta), np.sqrt(gibbs), 500.0, 50.0)
     assert np.max(np.abs(pops - gibbs[:, None])) < 1e-9

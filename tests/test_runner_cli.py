@@ -442,29 +442,6 @@ class TestCli:
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        text = (
-            f"[experiment]\nscenario = localized\nseed = 1\noutput = {tmp_path / 'out'}\n"
-            "[grid]\nt_max = 5\ndt = 1\n"
-        )
-        path = self.write_config(tmp_path, text)
-        monkeypatch.setenv("OPENCHAIN_SEED", "99")
-        assert main(["run", path]) == 0
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["master_seed"] == 99
-
-    def test_env_seed_must_be_non_negative_integer(self, tmp_path, monkeypatch, capsys):
-        path = self.write_config(
-            tmp_path, f"[experiment]\nscenario = ballistic\noutput = {tmp_path / 'out'}\n"
-        )
-        for value in ("-5", "1.5", "seven"):
-            monkeypatch.setenv("OPENCHAIN_SEED", value)
-            assert main(["validate", path]) == 2
-            assert "OPENCHAIN_SEED" in capsys.readouterr().err
-            assert main(["run", path]) == 2
-            assert "OPENCHAIN_SEED" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
 

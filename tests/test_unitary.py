@@ -38,7 +38,7 @@ class TestEvolvePure:
 
     def test_zero_time_identity(self):
         psi0 = random_state(7, 1)
-        series = closed_series(free_eigensystem(7), psi0, [0.0], region={3})
+        series = closed_series(free_eigensystem(7), psi0, 1.0, 1.0, region={3})
         mean, var = moments(psi0)
         assert series["mean_Q"][0] == pytest.approx(mean, abs=1e-12)
         assert series["var_Q"][0] == pytest.approx(var, abs=1e-12)
@@ -46,15 +46,15 @@ class TestEvolvePure:
 
     def test_two_site_rabi(self):
         # 2x2 chain: P(site 2)(t) = sin^2(t/2), exactly 1 at t = pi
-        times = np.linspace(0.0, 2 * np.pi, 9)  # holds pi/2 and pi
-        series = closed_series(free_eigensystem(2), np.eye(2)[0], times, region={2})
+        series = closed_series(free_eigensystem(2), np.eye(2)[0], 2 * np.pi, np.pi / 4, region={2})
+        times = series["t"]  # holds pi/2 and pi
         assert np.max(np.abs(series["p_region"] - np.sin(times / 2) ** 2)) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 3.0, 57.0])
     def test_norm_preserved(self, t):
         eig = diagonalize(build_chain_hamiltonian(ChainSpec(15, 0.4, 1.0, seed=2)))
-        series = closed_series(eig, random_state(15, 3), [t], region=range(1, 16))
-        assert abs(series["p_region"][0] - 1.0) < 1e-10
+        series = closed_series(eig, random_state(15, 3), t, t, region=range(1, 16))
+        assert abs(series["p_region"][-1] - 1.0) < 1e-10
 
     def test_composition(self):
         h = build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=4))
@@ -75,7 +75,7 @@ class TestEvolvePure:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            closed_series(free_eigensystem(5), np.eye(4)[0], [1.0])
+            closed_series(free_eigensystem(5), np.eye(4)[0], 1.0, 1.0)
 
 
 class TestPositionMoments:
@@ -83,7 +83,7 @@ class TestPositionMoments:
 
     @staticmethod
     def at_start(amplitudes):
-        series = closed_series(free_eigensystem(amplitudes.size), amplitudes, [0.0])
+        series = closed_series(free_eigensystem(amplitudes.size), amplitudes, 1.0, 1.0)
         return series["mean_Q"][0], series["var_Q"][0]
 
     def test_basis_state(self):
@@ -109,21 +109,21 @@ class TestSiteProbability:
 
     def test_all_sites(self):
         series = closed_series(
-            free_eigensystem(8), random_state(8, 11), [0.0, 3.0], region=range(1, 9)
+            free_eigensystem(8), random_state(8, 11), 3.0, 3.0, region=range(1, 9)
         )
         assert series["p_region"] == pytest.approx([1.0, 1.0])
 
     def test_empty_region(self):
-        series = closed_series(free_eigensystem(8), random_state(8, 12), [2.0], [])
-        assert series["p_region"][0] == 0.0
+        series = closed_series(free_eigensystem(8), random_state(8, 12), 2.0, 2.0, [])
+        assert np.all(series["p_region"] == 0.0)
 
     def test_half_transfer(self):
-        series = closed_series(free_eigensystem(2), np.eye(2)[0], [np.pi / 2], region={2})
-        assert series["p_region"][0] == pytest.approx(0.5, abs=1e-12)
+        series = closed_series(free_eigensystem(2), np.eye(2)[0], np.pi / 2, np.pi / 2, region={2})
+        assert series["p_region"][-1] == pytest.approx(0.5, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            closed_series(free_eigensystem(5), random_state(5, 13), [0.0], {6})
+            closed_series(free_eigensystem(5), random_state(5, 13), 1.0, 1.0, {6})
 
 
 class TestArrivalPeak:
@@ -133,14 +133,14 @@ class TestArrivalPeak:
         assert p_star == pytest.approx(1.0, abs=1e-6)
 
     def test_ballistic_arrival_time(self):
-        t_star, _ = arrival_peak(free_eigensystem(20), 40.0)
+        t_star, _ = arrival_peak(free_eigensystem(20), 40.0, 0.05)
         assert 17.0 <= t_star <= 25.0
 
     def test_peak_scaling_exponent(self):
         sizes = [50, 100, 200, 400]
         p_stars = []
         for s in sizes:
-            _, p = arrival_peak(free_eigensystem(s), 1.5 * s + 10)
+            _, p = arrival_peak(free_eigensystem(s), 1.5 * s + 10, 0.05)
             p_stars.append(p)
         slope = np.polyfit(np.log(sizes), np.log(p_stars), 1)[0]
         assert -0.80 <= slope <= -0.55
@@ -157,7 +157,7 @@ class TestCleanChainOracle:
     def test_arrival_peak(self, s):
         times = time_grid(1.5 * s + 10, 0.05)
         oracle = clean_chain_last_site(s, times)
-        t_star, p_star = arrival_peak(free_eigensystem(s), 1.5 * s + 10)
+        t_star, p_star = arrival_peak(free_eigensystem(s), 1.5 * s + 10, 0.05)
         assert t_star == times[np.argmax(oracle)]
         assert abs(p_star - oracle.max()) <= 1e-13
 
@@ -165,7 +165,7 @@ class TestCleanChainOracle:
     def test_closed_run_last_site(self, s):
         # the dense eigensolver path: dissipative_transport_run diagonalizes h
         times = time_grid(1.5 * s + 10, 0.05)
-        series = dissipative_transport_run(build_free_chain(s), None, times)
+        series = dissipative_transport_run(build_free_chain(s), None, 1.5 * s + 10, 0.05)
         assert np.max(np.abs(series["p_region"] - clean_chain_last_site(s, times))) <= 1e-13
 
 
@@ -174,8 +174,8 @@ class TestObservableSeries:
         # against the dense oracle, which shares no code with the kernel
         h = build_chain_hamiltonian(ChainSpec(10, 0.2, 0.7, seed=8))
         psi0 = np.eye(10)[0]
-        grid = np.linspace(0, 20, 41)
-        series = closed_series(diagonalize(h), psi0, grid, region={9, 10})
+        series = closed_series(diagonalize(h), psi0, 20.0, 0.5, region={9, 10})
+        grid = series["t"]
         for i in (0, 7, 40):
             psi = evolve_pure(h, psi0, grid[i])
             mean, var = moments(psi)
@@ -191,11 +191,11 @@ class TestObservableSeries:
         # sum (x - <x>)^2 p is the reference
         s = 2000
         e, v = diagonalize(build_chain_hamiltonian(ChainSpec(s, 0.0, 2.0, seed=0)))
-        grid = np.linspace(0.0, 10.0, 21)
+        grid = time_grid(10.0, 0.5)
         x = np.arange(1, s + 1)[:, None]
         phases = np.exp(-1j * np.outer(e, grid))
         for start in (1988, 1994, 1998):
-            series = closed_series((e, v), np.eye(s)[start - 1], grid)
+            series = closed_series((e, v), np.eye(s)[start - 1], 10.0, 0.5)
             psi = v @ (v[start - 1][:, None] * phases)
             prob = np.abs(psi) ** 2
             var = np.sum((x - x.T @ prob) ** 2 * prob, axis=0)
@@ -203,7 +203,7 @@ class TestObservableSeries:
 
     def test_site_probabilities_normalized(self):
         series = closed_series(
-            free_eigensystem(6), np.eye(6)[0], np.linspace(0, 5, 11), range(1, 7)
+            free_eigensystem(6), np.eye(6)[0], 5.0, 0.5, range(1, 7)
         )
         assert np.allclose(series["p_region"], 1.0, atol=1e-10)
 
@@ -211,11 +211,10 @@ class TestObservableSeries:
         # time-averaged position stays within the localization-length bound
         # for the vast majority of realizations
         bound = 1 + 2 * localization_length_gaussian(0.5)
-        grid = np.linspace(0, 500, 1001)
         ok = 0
         for seed in range(100):
             eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 0.0, seed)))
-            series = closed_series(eig, np.eye(20)[0], grid)
+            series = closed_series(eig, np.eye(20)[0], 500.0, 0.5)
             if series["mean_Q"].mean() < bound:
                 ok += 1
         assert ok >= 80
@@ -224,6 +223,6 @@ class TestObservableSeries:
         # clean tilted chain: mean position oscillates within about one
         # tilt-localization length of its start
         eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0)))
-        series = closed_series(eig, np.eye(20)[0], np.linspace(0, 500, 2001))
+        series = closed_series(eig, np.eye(20)[0], 500.0, 0.25)
         width = bandwidth(free_eigensystem(20)[0])
         assert series["mean_Q"].max() - series["mean_Q"].min() <= width / 2.0 + 1.0
