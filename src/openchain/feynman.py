@@ -50,6 +50,7 @@ import numpy as np
 from .chains import diagonalize
 from .lindblad import (
     BathSpec,
+    _coherent_columns,
     energy_blocks,
     pure_state_series,
     read_out,
@@ -195,15 +196,16 @@ def register_states(diag_up: np.ndarray, diag_down: np.ndarray, cross: np.ndarra
     """Cursor traced out (physical-site basis) at every time -> (T, 4, 4) register states.
 
     ``diag_up``/``diag_down`` (4 x T) are the diagonal blocks' site populations
-    summed by register index, ``cross`` (16 x T) the cross block's diagonal
-    summed by index pair 4 i_U + i_D where both branches sit on the same
-    physical site. Sums over some coordinates give the unnormalized state
-    restricted to them.
+    summed by register index, ``cross`` (16 x k, k <= T) the cross block's
+    diagonal summed by index pair 4 i_U + i_D where both branches sit on the
+    same physical site, at the first k times; it is zero at the later ones.
+    Sums over some coordinates give the unnormalized state restricted to them.
     """
     rho = np.zeros((diag_up.shape[1], 4, 4), dtype=complex)
     rho[:, np.arange(4), np.arange(4)] = (diag_up + diag_down).T
     off = cross.T.reshape(-1, 4, 4)
-    return rho + off + np.conj(np.swapaxes(off, 1, 2))
+    rho[: off.shape[0]] += off + np.conj(np.swapaxes(off, 1, 2))
+    return rho
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
@@ -213,7 +215,14 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     can carry an eigenvalue a rounding error above 1, whose term is slightly
     negative; the result is clipped at 0.
     """
-    lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    return _spectral_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
+
+
+def _spectral_entropy(lam: np.ndarray) -> float | np.ndarray:
+    """-sum lambda ln lambda over the last axis of ascending eigenvalues (those <= 1e-15 cut).
+
+    The result is clipped at 0; :func:`von_neumann_entropy` explains why.
+    """
     lam = np.where(lam > 1e-15, lam, 1.0)  # 1 ln 1 = 0 drops the cut eigenvalues
     return np.maximum(-np.sum(lam * np.log(lam), axis=-1), 0.0)
 
@@ -254,6 +263,13 @@ def run_superposed_input(
     on both branches): they give the state (:func:`register_states`) and the
     state past the gate, normalized by ``p_beyond_gate``. Only the O(T) series
     and ``register`` are held across blocks.
+
+    With a bath, a block's columns from the later of the two branches' cuts
+    on (:func:`openchain.lindblad._coherent_columns`: ||u||^2 < 2^-70 on both)
+    form neither V U nor the cross diagonal. Their cross block is taken as
+    zero, since |cross| <= ||u_U|| ||u_D|| < 2^-70 there, so their register
+    states are diagonal and their entropy is taken from the sorted diagonal,
+    without an eigensolve.
     """
     sites_u, idx_up, (e_u, vu) = build_branch(layout, "U", disorder, g)
     sites_d, idx_down, (e_d, vd) = build_branch(layout, "D", disorder, g)
@@ -270,17 +286,21 @@ def run_superposed_input(
         energy_blocks(e_u, bath, vu[0], t_max, dt), energy_blocks(e_d, bath, vd[0], t_max, dt)
     )
     for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
-        w_u, w_d = site_amplitudes(vu, amp_u), site_amplitudes(vd, amp_d)
+        keep = max(_coherent_columns(amp_u), _coherent_columns(amp_d))
+        w_u, w_d = site_amplitudes(vu, amp_u[:, :keep]), site_amplitudes(vd, amp_d[:, :keep])
         diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, w_u)  # (8, columns)
         diag_d = 0.5 * read_out(vd, rows_d, pop_d, amp_d, w_d)
         w_u *= np.conj(w_d)  # in place: the cross diagonal on every coordinate
-        cross = 0.5 * site_amplitudes(pairs, w_u)  # (32, columns)
+        cross = 0.5 * site_amplitudes(pairs, w_u)  # (32, keep): zero after keep
         del w_u, w_d
         trace_uu[cols], trace_dd[cols] = diag_u[:4].sum(axis=0), diag_d[:4].sum(axis=0)
         weight = diag_u[4:].sum(axis=0) + diag_d[4:].sum(axis=0)
         p_beyond[cols] = weight
         register[cols] = register_states(diag_u[:4], diag_d[:4], cross[:16])
-        entropy[cols] = von_neumann_entropy(register[cols])
+        states = register[cols]
+        entropy[cols][:keep] = von_neumann_entropy(states[:keep])
+        diagonal = np.sort(np.diagonal(states[keep:], axis1=1, axis2=2).real, axis=-1)
+        entropy[cols][keep:] = _spectral_entropy(diagonal)
         cond = register_states(diag_u[4:], diag_d[4:], cross[16:])
         passed = weight > 1e-12
         fidelity[cols][passed] = bell_fidelity(cond[passed] / weight[passed, None, None])

@@ -48,6 +48,19 @@ The populations take B matrix-vector steps of S = expm(A dt) and then one
 BLAS-3 product S^B P per B columns, in the same block loop: each block starts
 from the last B columns of the one before it. :func:`expm` is the package's
 own, in numpy: scaling and squaring around the degree-13 Pade approximant.
+
+With a bath the coherences die out, and past a cut the read-out skips them.
+The coherent term R_r |V u|^2 of row r is at most max|R_r| ||u(t)||^2 (V is
+orthogonal), while the population term (R_r (V*V)) P already rounds by about
+eps max|R_r|, eps = 2^-53 the unit roundoff. Each |u_m(t)|^2 =
+|c_m|^2 exp(-zeta G_m t) can only fall, so once ||u||^2 < ``_DECAYED`` =
+2^-70 the coherent term is below 2^-17 of that rounding, and it only falls
+further. :func:`read_out` therefore forms V U and adds R |V U|^2 only on a
+block's columns before that cut (:func:`_coherent_columns` finds it by
+bisection, O(n log width) per block); the subtracted |U|^2 of the bath
+correction is kept on every column. The superposed switch stops its cross
+diagonal and its register eigensolve at the same cut. Without a bath
+||u|| = 1, and every column is read out in full.
 """
 
 from __future__ import annotations
@@ -61,6 +74,7 @@ from .chains import diagonalize
 
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
+_DECAYED = 2.0**-70  # ||u||^2 below which the coherences drop under rounding (see above)
 # degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which they need
 # no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
 _PADE13 = (
@@ -256,9 +270,34 @@ def energy_blocks(
         yield slice(start, start + width), None if pops is None else next(pops), amps
 
 
+def _coherent_columns(amplitudes: np.ndarray) -> int:
+    """How many leading columns u of a U block have ||u||^2 >= ``_DECAYED``.
+
+    ||u(t)||^2 = sum |c_m|^2 exp(-zeta G_m t) can only fall along the grid, so
+    the decayed columns are a suffix of the block: a bisection on the norms of
+    single columns finds where it starts.
+    """
+    lo, hi = 0, amplitudes.shape[1]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        column = amplitudes[:, mid]
+        if np.vdot(column, column).real >= _DECAYED:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """V U for real V: one real product on the interleaved (re, im) view of U."""
-    return (eigenvectors @ np.ascontiguousarray(amplitudes).view(float)).view(complex)
+    """V U for real V: one real product on the interleaved (re, im) view of U.
+
+    A U whose columns are adjacent in memory, such as the leading columns of
+    a block, is viewed in place; any other U is copied first.
+    """
+    u = np.asarray(amplitudes)
+    if u.strides[-1] != u.itemsize:
+        u = np.ascontiguousarray(u)
+    return (eigenvectors @ u.view(float)).view(complex)
 
 
 def read_out(
@@ -271,16 +310,27 @@ def read_out(
     """``rows`` (k x n) times the site distribution of one block of :func:`energy_blocks`.
 
     R |V U|^2 + (R (V*V))(P - |U|^2), k x columns: the bath correction is a k x n
-    product; ``populations = None`` (no bath) drops it. ``rotated`` is V U
-    when the caller has it already; it is left intact.
+    product; ``populations = None`` (no bath) drops it. With a bath, the
+    term R |V U|^2 is added only on the block's leading columns with
+    ||u||^2 >= 2^-70 (:func:`_coherent_columns`). Past them the dropped part
+    of row r is at most max|R_r| 2^-70, about 2^-17 of the population term's
+    own rounding, eps max|R_r| (eps = 2^-53). ``rotated`` is V U when the
+    caller has it already, at least on those leading columns; it is left
+    intact.
     """
-    w = site_amplitudes(eigenvectors, amplitudes) if rotated is None else rotated
+    keep = amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
+    if rotated is None:
+        w = site_amplitudes(eigenvectors, amplitudes[:, :keep])
+    else:
+        w = rotated[:, :keep]
     prob = np.square(w.real)
     prob += np.square(w.imag, out=w.imag if rotated is None else None)  # in place when w is ours
     del w  # frees V U before the correction's temporaries
-    out = rows @ prob
-    if populations is not None:
-        out += (rows @ np.square(eigenvectors)) @ (populations - np.abs(amplitudes) ** 2)
+    coherent = rows @ prob
+    if populations is None:
+        return coherent
+    out = (rows @ np.square(eigenvectors)) @ (populations - np.abs(amplitudes) ** 2)
+    out[:, :keep] += coherent
     return out
 
 
@@ -302,8 +352,9 @@ def pure_state_series(
     Each block is read out on the rows x, y^2, y and the region's indicator,
     with y = x - the block's first mean, read out from that column alone:
     about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision. A
-    variance below -1e-9 raises ``ValueError``; the rounding-level negatives
-    above it are clipped to 0.
+    variance below -1e-9 is a numeric failure and raises
+    ``FloatingPointError``; the rounding-level negatives above it are clipped
+    to 0.
     """
     (e, v), x = eig, np.asarray(positions, dtype=float)
     times = time_grid(t_max, dt)
@@ -314,7 +365,7 @@ def pure_state_series(
         out = read_out(v, np.stack([x, y**2, y, indicator]), p, u)
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
     if np.any(var < -1e-9):
-        raise ValueError("variance must be nonnegative")
+        raise FloatingPointError("variance must be nonnegative")
     return {"t": times, "mean_Q": mean, "var_Q": np.maximum(var, 0.0), "p_region": p_region}
 
 

@@ -10,9 +10,13 @@ non-finite or non-positive t_max or dt, or a t_max that is not a whole number
 >= 1 of dt steps; each run's ``t`` column is that grid bit for bit.
 ``read_out`` of random rows R must match R times the dense oracle's site
 distribution, with and without a bath, on a grid that crosses a cache-block
-edge. The closed chain, evaluated in cache-sized blocks of grid columns, is
-checked against one complex product per 4096-column chunk, on a grid of
-several blocks that ends in a partial one.
+edge, and with a bath on a grid whose second block holds the cut past which
+read_out drops the coherences (||u||^2 < 2^-70); past both branches' cuts the
+superposed switch must match the dense oracle, with diagonal register states
+whose entropy equals ``von_neumann_entropy`` within 1e-15. The closed chain,
+evaluated in cache-sized blocks of grid columns, is checked against one
+complex product per 4096-column chunk, on a grid of several blocks that ends
+in a partial one.
 
 The kernel (two sqrt(T) phase tables, populations in blocks of 32 columns) is
 held to the direct formula of ``support.direct_relax_energy_density`` at
@@ -63,7 +67,13 @@ from openchain.chains import (
     free_eigensystem,
     sample_disorder,
 )
-from openchain.feynman import build_cnot_layout, run_classical_input, run_superposed_input
+from openchain.feynman import (
+    build_branch,
+    build_cnot_layout,
+    run_classical_input,
+    run_superposed_input,
+    von_neumann_entropy,
+)
 from openchain.config import _scan_t_max, load_config
 from openchain.lindblad import (
     BathSpec,
@@ -398,6 +408,49 @@ def test_read_out_matches_dense_site_distribution(bath):
     states = _dense_states(e, BATHS[bath], np.outer(c, c), time_grid(t_max, dt))
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
+
+
+def test_read_out_matches_dense_site_distribution_past_the_cut():
+    # the same check on a grid whose second cache block holds the bath's cut:
+    # from the column where ||u||^2 < 2^-70 on, read_out adds no R |V U|^2,
+    # and the dropped part must stay far inside the oracle's bound
+    e, v = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0)))
+    c, bath = v[0], BATHS["bath"]
+    size = lindblad._BLOCK_BYTES // (16 * 20) + 1000
+    t_max, dt = 0.25 * (size - 1), 0.25
+    rows = np.random.default_rng(0).standard_normal((5, 20))
+    kernel = list(lindblad.energy_blocks(e, bath, c, t_max, dt))
+    got = np.concatenate([lindblad.read_out(v, rows, p, u) for _, p, u in kernel], axis=1)
+    states = _dense_states(e, bath, np.outer(c, c), time_grid(t_max, dt))
+    prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
+    assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
+    widths = [u.shape[1] for *_, u in kernel]
+    cuts = [lindblad._coherent_columns(u) for *_, u in kernel]
+    assert cuts[0] == widths[0] and 0 < cuts[1] < widths[1]  # the cut lies inside block 2
+
+
+def test_run_superposed_input_past_the_cut():
+    # From the later of the two branches' cuts (||u||^2 < 2^-70) on, the
+    # switch forms no cross diagonal: its register states are diagonal and
+    # their entropy comes from the sorted diagonal, not an eigensolve. Those
+    # columns are held to the dense oracle, and that entropy to
+    # von_neumann_entropy of the same states within 1e-15.
+    layout = build_cnot_layout(16, 4)
+    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
+    bath, (t_max, dt) = BATHS["bath"], (1600.0, 2.0)
+    cut = 0
+    for branch in "UD":
+        *_, (e, v) = build_branch(layout, branch, disorder, 2.0)
+        (_, _, u), = lindblad.energy_blocks(e, bath, v[0], t_max, dt)  # one cache block
+        cut = max(cut, lindblad._coherent_columns(u))
+    times = time_grid(t_max, dt)
+    assert 0 < cut < times.size - 100
+    series, register = run_superposed_input(layout, disorder, 2.0, bath, t_max, dt)
+    expected = dense_superposed_columns(layout, disorder, 2.0, bath, times[cut:])
+    assert_columns_match({name: col[cut:] for name, col in series.items()}, expected)
+    past = register[cut:]
+    assert np.count_nonzero(past - past * np.eye(4)) == 0
+    assert np.max(np.abs(series["entropy"][cut:] - von_neumann_entropy(past))) <= 1e-15
 
 
 #: beyond t = 4096 linspace rounds each 0.1 step to the float spacing 2**-40,

@@ -268,7 +268,7 @@ class TestDensityObservables:
 
     def test_negative_variance_rejected(self):
         # unnormalized weights 1, 1 on x = 1, 2: <x^2> - <x>^2 = 5 - 9 = -4
-        with pytest.raises(ValueError, match="variance"):
+        with pytest.raises(FloatingPointError, match="variance"):
             self.observables(np.ones(2), ())
 
     def test_tiny_negative_variance_clipped(self):

@@ -25,6 +25,7 @@ from openchain.feynman import (
     run_classical_input,
     run_superposed_input,
 )
+from openchain import lindblad
 from openchain.lindblad import BathSpec, read_out
 
 settings.register_profile(
@@ -145,3 +146,19 @@ def test_gibbs_populations_are_stationary(params):
     gibbs = thermal_fixed_point(e, beta)
     pops, _ = relax_energy_density(e, BathSpec(beta, zeta), np.sqrt(gibbs), 500.0, 50.0)
     assert np.max(np.abs(pops - gibbs[:, None])) < 1e-9
+
+
+@DERANDOMIZED
+@given(chain_params())
+def test_read_out_cut_drops_only_decayed_coherences(params):
+    # The cut is the first column with ||u||^2 < 2^-70, and past it read_out
+    # omits R |V U|^2: it must still equal the uncut read-out to rounding.
+    s, sigma, g, beta, zeta, seed = params
+    e, v = chain_spectrum(s, sigma, g, seed)
+    pops, amps = relax_energy_density(e, BathSpec(beta, zeta), v[0], 3000.0, 5.0)  # one block
+    decayed = np.flatnonzero(np.sum(np.abs(amps) ** 2, axis=0) < lindblad._DECAYED)
+    assert lindblad._coherent_columns(amps) == (decayed[0] if decayed.size else amps.shape[1])
+    rows = np.random.default_rng(seed).standard_normal((3, s))
+    uncut = rows @ np.abs(v @ amps) ** 2 + (rows @ np.square(v)) @ (pops - np.abs(amps) ** 2)
+    bound = np.finfo(float).eps * np.abs(rows).max() * s
+    assert np.max(np.abs(read_out(v, rows, pops, amps) - uncut)) <= bound

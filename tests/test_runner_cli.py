@@ -463,6 +463,29 @@ class TestCli:
         )
         assert main(["run", path]) == 3
 
+    def test_negative_variance_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a variance below -1e-9 is a numeric failure of the read-out, not a
+        # usage error
+        from openchain import lindblad
+
+        read_out = lindblad.read_out
+
+        def negative_variance(eigenvectors, rows, *args):
+            out = read_out(eigenvectors, rows, *args)
+            if rows.shape[0] == 4:  # the rows x, y^2, y, region: <y^2> - <y>^2 < 0
+                out[1] -= 1.0
+            return out
+
+        monkeypatch.setattr(lindblad, "read_out", negative_variance)
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = ballistic\noutput = {tmp_path / 'out'}\n"
+            "[grid]\nt_max = 5\ndt = 1\n",
+        )
+        assert main(["run", path]) == 3
+        assert "variance must be nonnegative" in capsys.readouterr().err
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "s", "--values", "10,12"]])
     def test_non_finite_value_exit_3(self, tmp_path, monkeypatch, capsys, command):
         import openchain.runner as runner_mod
