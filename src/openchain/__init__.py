@@ -7,7 +7,11 @@ equation and coherences by their closed-form decay. Every pipeline reads one
 pure-state kernel block by block (``lindblad.energy_blocks``), on the few rows
 of the site distribution it needs (``lindblad.read_out``); the closed chain is
 the bath chain without a bath
-(``dissipative_transport_run(energies, None, ...)``).
+(``dissipative_transport_run(energies, None, ...)``). Parameters travel as
+plain values: a chain is its disorder array (``sample_disorder(s, sigma,
+seed)``), tilted by ``build_chain_hamiltonian(disorder, g)``, and a switch is
+its entry site ``a`` on that same array (``run_superposed_input(a, disorder,
+g, ...)``).
 
 The package namespace carries what the README's Library example uses; the
 rest of the API lives in the submodules (``openchain.chains``,
@@ -17,19 +21,17 @@ rest of the API lives in the submodules (``openchain.chains``,
 
 __version__ = "0.1.0"
 
-from .chains import ChainSpec, build_chain_hamiltonian, sample_disorder
+from .chains import build_chain_hamiltonian, sample_disorder
 from .config import load_config
-from .feynman import build_cnot_layout, run_superposed_input
+from .feynman import run_superposed_input
 from .lindblad import BathSpec, dissipative_transport_run
 
 __all__ = [
     "__version__",
-    "ChainSpec",
     "build_chain_hamiltonian",
     "sample_disorder",
     "BathSpec",
     "dissipative_transport_run",
-    "build_cnot_layout",
     "run_superposed_input",
     "load_config",
 ]

@@ -13,35 +13,18 @@ Conventions used throughout the package:
 * :func:`diagonalize` is numpy's dense symmetric eigensolver (LAPACK), so the
   package needs numpy alone.
 
-A disorder realization is the float array of the s on-site energies eps_x,
-drawn from a zero-mean Gaussian with the Philox4x64 counter-based generator
-(``numpy.random.Philox``) keyed directly by the seed, so realizations are
-reproducible across platforms and independent of call order.
+A disorder realization is the float array of the s on-site energies eps_x
+that :func:`sample_disorder` draws from a zero-mean Gaussian with the
+Philox4x64 counter-based generator (``numpy.random.Philox``) keyed directly
+by the seed, so realizations are reproducible across platforms and
+independent of call order. A chain is its disorder array: its length is s,
+and :func:`build_chain_hamiltonian` adds the tilt, for the chain and for
+each switch branch alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Parameters of a disordered, tilted chain: size, disorder width, tilt, seed."""
-
-    s: int
-    sigma: float = 0.0
-    g: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.s < 2:
-            raise ValueError(f"chain needs at least 2 sites, got s={self.s}")
-        if self.sigma < 0:
-            raise ValueError(f"disorder standard deviation must be >= 0, got {self.sigma}")
-        if self.g < 0:
-            raise ValueError(f"tilt strength must be >= 0, got {self.g}")
 
 
 def free_eigensystem(s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,16 +42,25 @@ def free_eigensystem(s: int) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def sample_disorder(spec: ChainSpec) -> np.ndarray:
+def sample_disorder(s: int, sigma: float, seed: int) -> np.ndarray:
     """The s on-site energies eps_x: i.i.d. normal(0, sigma^2), Philox keyed by seed."""
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    return rng.normal(0.0, spec.sigma, spec.s)
+    if s < 2:
+        raise ValueError(f"chain needs at least 2 sites, got s={s}")
+    if sigma < 0:
+        raise ValueError(f"disorder standard deviation must be >= 0, got {sigma}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return rng.normal(0.0, sigma, s)
 
 
-def build_chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """On-site energies of the chain of ``spec``: disorder plus tilt, eps_x - g*x, x = 1..s."""
-    x = np.arange(1, spec.s + 1, dtype=float)
-    return sample_disorder(spec) - spec.g * x
+def build_chain_hamiltonian(disorder: np.ndarray, g: float) -> np.ndarray:
+    """On-site energies of the tilted chain: disorder plus tilt, eps_x - g*x, x = 1..len(disorder).
+
+    It serves a switch branch too, whose disorder is read along its
+    path coordinates (:func:`openchain.feynman.build_branch`).
+    """
+    if g < 0:
+        raise ValueError(f"tilt strength must be >= 0, got {g}")
+    return disorder - g * np.arange(1, len(disorder) + 1, dtype=float)
 
 
 def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:

@@ -7,14 +7,17 @@ switch occupies sites a..b with b = a + 5:
     upper branch (control up):    a -- a+1 --NOT-- a+2 -- b
     lower branch (control down):  a -- a+3 ------- a+4 -- b
 
-with plain (inertial) sites 1..a before and b..s after the switch. Because
-the register state is a function of the cursor position within a branch, each
-branch reduces exactly to an (s-2)-site chain in "path coordinates": hopping
--1/2, on-site energy eps_{x(j)} - g*j, where eps is the disorder realization
-(the array of the s on-site energies, :func:`openchain.chains.sample_disorder`),
-x(j) is the physical site visited at path coordinate j and the tilt is linear
-in j (the physical-site tilt is -g*x before the branch split and -g*(x-2) after
-it, which is the same thing).
+with plain (inertial) sites 1..a before and b..s after the switch. A switch
+is its entry site a: the clock's length s is that of the disorder realization
+(the array of the s on-site energies, :func:`openchain.chains.sample_disorder`)
+and the exit is a + 5, so every entry point takes (a, disorder). Because the
+register state is a function of the cursor position within a branch, each
+branch reduces exactly to an (s-2)-site chain in "path coordinates": the
+tilted chain of :func:`openchain.chains.build_chain_hamiltonian` on the
+disorder along the path, eps_{x(j)} - g*j, where x(j) is the physical site
+visited at path coordinate j and the tilt is linear in j (the physical-site
+tilt is -g*x before the branch split and -g*(x-2) after it, which is the same
+thing).
 
 The branch's computational basis pairs each path coordinate with a physical
 site and a register state; :func:`peres_basis` returns the two as integer
@@ -42,12 +45,11 @@ also returns the (T, 4, 4) register states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .chains import diagonalize
+from .chains import build_chain_hamiltonian, diagonalize
 from .lindblad import (
     BathSpec,
     _coherent_columns,
@@ -73,82 +75,44 @@ def register_index(label: RegisterLabel) -> int:
     return 2 * (c > 0) + (p > 0)
 
 
-@dataclass(frozen=True)
-class CircuitLayout:
-    """Switch geometry: s clock sites, switch entry a, exit b = a + 5."""
+def _path_sites(s: int, a: int, branch: Branch) -> np.ndarray:
+    """Physical site x(j) at path coordinate j = 1..s-2: j up to a+2 (U) or a (D), then j+2.
 
-    s: int
-    a: int
-
-    def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ValueError(f"switch entry must be >= 1, got a={self.a}")
-        if self.s < self.a + 6:
-            raise ValueError(
-                f"need s >= a + 6 so that an inertial site follows the switch; "
-                f"got s={self.s}, a={self.a}"
-            )
-
-    @property
-    def b(self) -> int:
-        return self.a + 5
-
-    @property
-    def path_length(self) -> int:
-        """Number of sites visited by either branch."""
-        return self.s - 2
-
-
-def build_cnot_layout(s: int, a: int) -> CircuitLayout:
-    return CircuitLayout(s, a)
-
-
-def _path_sites(layout: CircuitLayout, branch: Branch) -> np.ndarray:
-    """Physical site x(j) at path coordinate j = 1..s-2: j up to a+2 (U) or a (D), then j+2."""
+    Every switch path comes through here, so here the entry a is checked:
+    1 <= a <= s - 6, which leaves an inertial site after the exit b = a + 5.
+    """
     if branch not in ("U", "D"):
         raise ValueError(f"branch must be U or D, got {branch!r}")
-    j = np.arange(1, layout.path_length + 1)
-    return np.where(j <= (layout.a + 2 if branch == "U" else layout.a), j, j + 2)
+    if not 1 <= a <= s - 6:
+        raise ValueError(
+            f"need 1 <= a <= s - 6 so that an inertial site follows the switch; got s={s}, a={a}"
+        )
+    j = np.arange(1, s - 1)
+    return np.where(j <= (a + 2 if branch == "U" else a), j, j + 2)
 
 
 def peres_basis(
-    layout: CircuitLayout, branch: Branch, input_register: RegisterLabel
+    s: int, a: int, branch: Branch, input_register: RegisterLabel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Computational basis of a branch for a classical input register: (sites, registers).
 
-    Both are integer arrays over the path coordinates 1..s-2: the physical
-    site and the register index (:func:`register_index`) at each. The control
-    qubit must match the branch (+1 up, -1 down). On the upper branch the
-    passive qubit flips across the NOT bond (path coordinates a+1 to a+2); the
-    lower branch applies no primitive at all.
+    The switch sits at a..a+5 on a clock of s sites. Both arrays run over the
+    path coordinates 1..s-2: the physical site and the register index
+    (:func:`register_index`) at each. The control qubit must match the branch
+    (+1 up, -1 down). On the upper branch the passive qubit flips across the
+    NOT bond (path coordinates a+1 to a+2); the lower branch applies no
+    primitive at all.
     """
     c, p = input_register
     index = register_index(input_register)  # validates the label
-    sites = _path_sites(layout, branch)  # validates the branch
+    sites = _path_sites(s, a, branch)  # validates the branch and the entry
     if (branch == "U") != (c == +1):
         raise ValueError(
             f"branch {branch} requires control {'+1' if branch == 'U' else '-1'}, "
             f"got sigma3(c) = {c}"
         )
-    j = np.arange(1, layout.path_length + 1)
-    flipped = (branch == "U") & (j > layout.a + 1)
+    flipped = (branch == "U") & (np.arange(1, s - 1) > a + 1)
     return sites, np.where(flipped, register_index((c, -p)), index)
-
-
-def reduced_chain_hamiltonian(
-    layout: CircuitLayout,
-    branch: Branch,
-    disorder: np.ndarray,
-    g: float,
-) -> np.ndarray:
-    """On-site energies of a branch in path coordinates, eps_x(j) - g*j (hopping -1/2)."""
-    if len(disorder) != layout.s:
-        raise ValueError(
-            f"disorder has {len(disorder)} entries, layout has {layout.s} sites"
-        )
-    sites = _path_sites(layout, branch)
-    j = np.arange(1, layout.path_length + 1, dtype=float)
-    return disorder[sites - 1] - g * j
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +121,23 @@ def reduced_chain_hamiltonian(
 
 
 def build_branch(
-    layout: CircuitLayout, branch: Branch, disorder: np.ndarray, g: float
+    a: int, branch: Branch, disorder: np.ndarray, g: float
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """A branch's sites (its geometry), register indices and spectrum: (sites, registers, eig).
 
+    The clock has s = ``len(disorder)`` sites and the switch enters at ``a``.
     ``sites`` and ``registers`` are :func:`peres_basis` for the branch's own
     control value (+1 up, -1 down) and passive qubit -1; ``eig`` is the pair
-    (eigenvalues, eigenvectors) of :func:`openchain.chains.diagonalize`.
+    (eigenvalues, eigenvectors) of :func:`openchain.chains.diagonalize` of the
+    branch's chain, :func:`openchain.chains.build_chain_hamiltonian` of the
+    disorder along its path, eps_x(j) - g*j.
     """
-    sites, registers = peres_basis(layout, branch, (+1 if branch == "U" else -1, -1))
-    return sites, registers, diagonalize(reduced_chain_hamiltonian(layout, branch, disorder, g))
+    sites, registers = peres_basis(len(disorder), a, branch, (+1 if branch == "U" else -1, -1))
+    return sites, registers, diagonalize(build_chain_hamiltonian(disorder[sites - 1], g))
 
 
 def run_classical_input(
-    layout: CircuitLayout,
+    a: int,
     disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
@@ -180,13 +147,14 @@ def run_classical_input(
 ) -> dict[str, np.ndarray]:
     """Cursor dynamics of one branch, started at path coordinate 1.
 
-    Unitary when ``bath`` is None, Lindblad otherwise. Returns the columns t,
-    mean_Q, var_Q and p_beyond_gate, the probability of the sites at and
-    beyond the switch exit b. Position observables are reported in
+    The switch enters at ``a`` on a clock of ``len(disorder)`` sites. Unitary
+    when ``bath`` is None, Lindblad otherwise. Returns the columns t, mean_Q,
+    var_Q and p_beyond_gate, the probability of the sites at and beyond the
+    switch exit b = a + 5. Position observables are reported in
     physical-site coordinates.
     """
-    sites, _, (e, v) = build_branch(layout, branch, disorder, g)
-    beyond = np.flatnonzero(sites >= layout.b)
+    sites, _, (e, v) = build_branch(a, branch, disorder, g)
+    beyond = np.flatnonzero(sites >= a + 5)
     columns = pure_state_series((e, v), bath, v[0], t_max, dt, sites, beyond)
     columns["p_beyond_gate"] = columns.pop("p_region")
     return columns
@@ -234,7 +202,7 @@ def bell_fidelity(rho: np.ndarray) -> float | np.ndarray:
 
 
 def run_superposed_input(
-    layout: CircuitLayout,
+    a: int,
     disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
@@ -243,7 +211,8 @@ def run_superposed_input(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Evolve the machine from the equal superposition of control up and down: (columns, register).
 
-    The initial state is (|1, +1,-1> + |1, -1,-1>)/sqrt(2): cursor at path
+    The switch enters at ``a`` on a clock of ``len(disorder)`` sites. The
+    initial state is (|1, +1,-1> + |1, -1,-1>)/sqrt(2): cursor at path
     start with all four blocks populated. ``bath = None`` (or zeta = 0) gives
     the unitary limit. ``columns`` are t, trace_UU, trace_DD, p_beyond_gate,
     entropy and bell_fidelity, in the CSV's order; ``register`` is the (T, 4, 4)
@@ -271,10 +240,10 @@ def run_superposed_input(
     states are diagonal and their entropy is taken from the sorted diagonal,
     without an eigensolve.
     """
-    sites_u, idx_up, (e_u, vu) = build_branch(layout, "U", disorder, g)
-    sites_d, idx_down, (e_d, vd) = build_branch(layout, "D", disorder, g)
+    sites_u, idx_up, (e_u, vu) = build_branch(a, "U", disorder, g)
+    sites_d, idx_down, (e_d, vd) = build_branch(a, "D", disorder, g)
     times = time_grid(t_max, dt)
-    beyond = sites_u >= layout.b
+    beyond = sites_u >= a + 5
     pairs = np.eye(16)[4 * idx_up + idx_down].T * (sites_u == sites_d)
     rows_u, rows_d, pairs = (
         np.concatenate([r, r * beyond]) for r in (np.eye(4)[idx_up].T, np.eye(4)[idx_down].T, pairs)

@@ -94,17 +94,19 @@ class BathSpec:
     """Thermal reservoir: inverse temperature and coupling constant.
 
     ``zeta = 0`` is allowed and gives exactly unitary evolution (handy for
-    consistency checks); dissipative runs use zeta > 0.
+    consistency checks); dissipative runs use zeta > 0. ``beta = inf`` is zero
+    temperature (no upward jumps). NaN fails both checks, and so does an
+    infinite ``zeta``.
     """
 
     beta: float
     zeta: float
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError(f"inverse temperature must be > 0, got {self.beta}")
-        if self.zeta < 0:
-            raise ValueError(f"coupling constant must be >= 0, got {self.zeta}")
+        if not 0 <= self.zeta < math.inf:
+            raise ValueError(f"coupling constant must be finite and >= 0, got {self.zeta}")
 
 
 def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> np.ndarray:

@@ -26,9 +26,9 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it at the first seed; no import inside a run)
 
 from . import __version__
-from .chains import ChainSpec, build_chain_hamiltonian, free_eigensystem, sample_disorder
+from .chains import build_chain_hamiltonian, free_eigensystem, sample_disorder
 from .config import SWEEPABLE, ConfigError, ExperimentConfig, _scan_t_max, range_violations
-from .feynman import build_cnot_layout, run_classical_input, run_superposed_input
+from .feynman import run_classical_input, run_superposed_input
 from .lindblad import BathSpec, arrival_peak, dissipative_transport_run
 from .series import write_csv
 
@@ -50,19 +50,18 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
         return {"t_star": np.array([t_star]), "p_star": np.array([p_star])}
 
     bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None
+    disorder = sample_disorder(config.s, config.sigma, seed)
     if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
-        energies = build_chain_hamiltonian(ChainSpec(config.s, config.sigma, config.g, seed))
+        energies = build_chain_hamiltonian(disorder, config.g)
         bath = None if scenario in UNITARY_CHAIN_SCENARIOS else bath
         return dissipative_transport_run(energies, bath, config.t_max, config.dt)
-    if scenario not in ("cnot-classical", "cnot-superposed"):
-        raise ValueError(f"unknown scenario {scenario!r}")
-    layout = build_cnot_layout(config.s, config.a)
-    disorder = sample_disorder(ChainSpec(config.s, config.sigma, 0.0, seed))
     if scenario == "cnot-classical":
         return run_classical_input(
-            layout, disorder, config.g, bath, config.branch, config.t_max, config.dt
+            config.a, disorder, config.g, bath, config.branch, config.t_max, config.dt
         )
-    return run_superposed_input(layout, disorder, config.g, bath, config.t_max, config.dt)[0]
+    if scenario == "cnot-superposed":
+        return run_superposed_input(config.a, disorder, config.g, bath, config.t_max, config.dt)[0]
+    raise ValueError(f"unknown scenario {scenario!r}")
 
 
 def _run_jobs(
@@ -179,7 +178,7 @@ class RunManifest:
 def _disorder_provenance(config: ExperimentConfig, seeds: list[int]) -> list[list[float]] | None:
     if config.sigma == 0 or config.scenario == "peak-scaling":
         return None
-    return [sample_disorder(ChainSpec(config.s, config.sigma, 0.0, sd)).tolist() for sd in seeds]
+    return [sample_disorder(config.s, config.sigma, sd).tolist() for sd in seeds]
 
 
 def _write_outputs(

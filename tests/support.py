@@ -8,7 +8,10 @@ share no code path with the package implementations they check; they take
 only the model inputs (spectrum, rates) from the package. The branch geometry
 and register labels are written out here from the switch diagram
 (:func:`branch_sites`, :func:`branch_registers`), and a chain's matrix from its
-on-site energies and the hopping -1/2 (:func:`dense_hamiltonian`).
+on-site energies and the hopping -1/2 (:func:`dense_hamiltonian`). The switch
+oracles take the geometry as plain integers, as the package does: the clock's
+s sites (the length of a disorder array where one is passed) and the entry a,
+with the exit b = a + 5.
 The helpers under "kernel states" join the package's own pure-state kernel
 blocks over a whole grid and assemble dense matrices from them, for invariant
 checks of what the pipelines compute; ``closed_series`` reads out the closed
@@ -28,7 +31,7 @@ from scipy.linalg import eigh, expm
 from scipy.special import jv
 
 from openchain.chains import diagonalize
-from openchain.feynman import CircuitLayout, build_branch
+from openchain.feynman import build_branch
 from openchain.lindblad import BathSpec, energy_blocks, pure_state_series, transition_rates
 
 
@@ -53,9 +56,9 @@ def dense_hamiltonian(energies: np.ndarray) -> np.ndarray:
     return np.diag(energies) + np.diag(hopping, 1) + np.diag(hopping, -1)
 
 
-def branch_sites(layout: CircuitLayout, branch: str) -> np.ndarray:
+def branch_sites(s: int, a: int, branch: str) -> np.ndarray:
     """Physical site at each path coordinate: 1..a, the branch's two switch sites, b..s."""
-    a, b, s = layout.a, layout.b, layout.s
+    b = a + 5
     middle = {"U": [a + 1, a + 2], "D": [a + 3, a + 4]}[branch]
     return np.array(list(range(1, a + 1)) + middle + list(range(b, s + 1)))
 
@@ -70,13 +73,13 @@ NOT_PASSIVE = np.array(
 I4 = np.eye(4)
 
 
-def branch_registers(layout: CircuitLayout, branch: str, input_register) -> np.ndarray:
+def branch_registers(s: int, a: int, branch: str, input_register) -> np.ndarray:
     """Register index at each path coordinate, in the order of :func:`branch_sites`.
 
     The lower branch carries the input (c, p) throughout; the upper branch
     carries it over 1..a+1 and (c, -p) from a+2 on, past its NOT bond a+1 -> a+2.
     """
-    a, b, s = layout.a, layout.b, layout.s
+    b = a + 5
     c, p = input_register
     before, after = REGISTER_LABELS.index((c, p)), REGISTER_LABELS.index((c, -p))
     if branch == "U":  # sites 1..a+1 before the NOT bond; a+2 and b..s after it
@@ -90,10 +93,10 @@ def _hop(x: int, y: int, op: np.ndarray, s: int) -> np.ndarray:
     return np.kron(m, op)
 
 
-def full_switch_hamiltonian(
-    layout: CircuitLayout, disorder: np.ndarray, g: float
-) -> np.ndarray:
+def full_switch_hamiltonian(a: int, disorder: np.ndarray, g: float) -> np.ndarray:
     """Complete clock-and-register Hamiltonian on the 4s-dimensional product space.
+
+    The clock has s = ``len(disorder)`` sites and the switch spans a..a+5.
 
     Bond operators: control-up projector into and out of the upper branch with
     the passive-qubit NOT on its middle bond; control-down projector around
@@ -101,7 +104,7 @@ def full_switch_hamiltonian(
     The diagonal carries the disorder plus the tilt (-g x before the branch
     split, -g (x - 2) after it).
     """
-    s, a, b = layout.s, layout.a, layout.b
+    s, b = len(disorder), a + 5
     h = np.zeros((4 * s, 4 * s))
     bonds = [(x, x + 1, I4) for x in range(1, a)]
     bonds += [
@@ -121,9 +124,9 @@ def full_switch_hamiltonian(
     return h
 
 
-def full_space_state(layout: CircuitLayout, register_amplitudes: np.ndarray) -> np.ndarray:
-    """Cursor at site 1 tensor a register state given in the 4-dim basis."""
-    psi = np.zeros(4 * layout.s, dtype=complex)
+def full_space_state(s: int, register_amplitudes: np.ndarray) -> np.ndarray:
+    """Cursor at site 1 of s tensor a register state given in the 4-dim basis."""
+    psi = np.zeros(4 * s, dtype=complex)
     psi[:4] = register_amplitudes
     return psi
 
@@ -137,15 +140,22 @@ def subspace_projector(sites: np.ndarray, registers: np.ndarray, s: int) -> np.n
 
 
 def evolve_full(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """State at time t by scipy's dense ``eigh`` (LAPACK ``syevr``) of the full matrix ``h``."""
-    w, v = eigh(h)
+    """State at time t by scipy's dense ``eigh`` (LAPACK ``syev``) of the full matrix ``h``.
+
+    ``syev`` (tridiagonal QR) keeps the eigenvectors orthogonal to rounding
+    inside clusters of nearly equal eigenvalues. The full switch space has
+    such clusters, one copy of the clock per register state; ``syevr``
+    (scipy's default) lost orthogonality by 8e-6 there on a clean 7-site
+    switch.
+    """
+    w, v = eigh(h, driver="ev")
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
 
 
 def evolve_pure(energies: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """Closed-chain state at time t by dense ``eigh`` of the chain's full matrix.
 
-    Shares no code with the package's kernel, and its LAPACK driver (``syevr``)
+    Shares no code with the package's kernel, and its LAPACK driver (``syev``)
     is not the one behind ``diagonalize`` (numpy's ``syevd``).
     """
     return evolve_full(dense_hamiltonian(energies), psi0, t)
@@ -323,7 +333,7 @@ def dense_transport_columns(
 
 
 def dense_classical_columns(
-    layout: CircuitLayout,
+    a: int,
     disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
@@ -331,11 +341,11 @@ def dense_classical_columns(
     t_grid: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """mean_Q, var_Q (physical sites) and p_beyond_gate of one branch run."""
-    *_, (e, v) = build_branch(layout, branch, disorder, g)
+    *_, (e, v) = build_branch(a, branch, disorder, g)
     rho0 = np.outer(v[0], v[0])
-    sites = branch_sites(layout, branch)
+    sites = branch_sites(len(disorder), a, branch)
     x = sites.astype(float)
-    beyond = sites >= layout.b
+    beyond = sites >= a + 5
     rows = []
     for state in _dense_states(e, bath, rho0, t_grid):
         prob = np.real(np.diag(v @ state @ v.T))
@@ -343,9 +353,9 @@ def dense_classical_columns(
     return dict(zip(("mean_Q", "var_Q", "p_beyond_gate"), np.array(rows).T))
 
 
-def loop_register_state(uu, dd, ud, layout, idx_up, idx_down, sites=None) -> np.ndarray:
+def loop_register_state(uu, dd, ud, s, a, idx_up, idx_down, sites=None) -> np.ndarray:
     """Cursor traced out entry by entry from site-basis blocks -> 4x4 register state."""
-    up, down = branch_sites(layout, "U"), branch_sites(layout, "D")
+    up, down = branch_sites(s, a, "U"), branch_sites(s, a, "D")
     rho = np.zeros((4, 4), dtype=complex)
     for j in range(uu.shape[0]):
         if sites is None or up[j] in sites:
@@ -360,19 +370,20 @@ def loop_register_state(uu, dd, ud, layout, idx_up, idx_down, sites=None) -> np.
 
 
 def dense_superposed_columns(
-    layout: CircuitLayout,
+    a: int,
     disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
     t_grid: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Every column of a superposed run from dense blocks rotated one time point at a time."""
-    *_, (e_u, vu) = build_branch(layout, "U", disorder, g)
-    *_, (e_d, vd) = build_branch(layout, "D", disorder, g)
-    beyond_u = branch_sites(layout, "U") >= layout.b
-    beyond_d = branch_sites(layout, "D") >= layout.b
-    idx_up = branch_registers(layout, "U", (+1, -1))
-    idx_down = branch_registers(layout, "D", (-1, -1))
+    s, b = len(disorder), a + 5
+    *_, (e_u, vu) = build_branch(a, "U", disorder, g)
+    *_, (e_d, vd) = build_branch(a, "D", disorder, g)
+    beyond_u = branch_sites(s, a, "U") >= b
+    beyond_d = branch_sites(s, a, "D") >= b
+    idx_up = branch_registers(s, a, "U", (+1, -1))
+    idx_down = branch_registers(s, a, "D", (-1, -1))
     uu_states = _dense_states(e_u, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
     dd_states = _dense_states(e_d, bath, 0.5 * np.outer(vd[0], vd[0]), t_grid)
     bath = bath or CLOSED
@@ -381,7 +392,7 @@ def dense_superposed_columns(
         widths[0][:, None] + widths[1][None, :]
     )
     ud0 = 0.5 * np.outer(vu[0], vd[0]).astype(complex)
-    region = set(range(layout.b, layout.s + 1))
+    region = set(range(b, s + 1))
     phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     rows = []
     for t, uu_e, dd_e in zip(t_grid, uu_states, dd_states):
@@ -391,9 +402,9 @@ def dense_superposed_columns(
         p_beyond = (
             np.real(np.diag(uu))[beyond_u].sum() + np.real(np.diag(dd))[beyond_d].sum()
         )
-        lam = np.linalg.eigvalsh(loop_register_state(uu, dd, ud, layout, idx_up, idx_down))
+        lam = np.linalg.eigvalsh(loop_register_state(uu, dd, ud, s, a, idx_up, idx_down))
         lam = lam[lam > 1e-15]
-        cond = loop_register_state(uu, dd, ud, layout, idx_up, idx_down, region)
+        cond = loop_register_state(uu, dd, ud, s, a, idx_up, idx_down, region)
         weight = np.trace(cond).real
         fidelity = np.real(phi @ cond @ phi) / weight if weight > 1e-12 else np.nan
         traces = (np.trace(uu_e).real, np.trace(dd_e).real)
@@ -483,7 +494,7 @@ def kernel_states(populations: np.ndarray | None, amplitudes: np.ndarray) -> np.
 
 
 def switch_block_states(
-    layout: CircuitLayout,
+    a: int,
     disorder: np.ndarray,
     g: float,
     bath: BathSpec | None,
@@ -497,7 +508,7 @@ def switch_block_states(
     """
     blocks = []
     for branch in "UD":
-        *_, (e, v) = build_branch(layout, branch, disorder, g)
+        *_, (e, v) = build_branch(a, branch, disorder, g)
         pops, amps = relax_energy_density(e, bath, v[0], t_max, dt)
         blocks.append((v @ kernel_states(pops, amps) @ v.T, (v @ amps).T))
     (uu, w_u), (dd, w_d) = blocks

@@ -21,7 +21,6 @@ from support import (
 )
 
 from openchain.chains import (
-    ChainSpec,
     build_chain_hamiltonian,
     diagonalize,
     free_eigensystem,
@@ -29,9 +28,7 @@ from openchain.chains import (
 )
 from openchain.feynman import (
     build_branch,
-    build_cnot_layout,
     peres_basis,
-    reduced_chain_hamiltonian,
     register_index,
     run_classical_input,
     run_superposed_input,
@@ -115,22 +112,21 @@ def test_criterion_2_ballistic_arrival_and_peak_scaling():
 
 def test_criterion_3_anderson_suppression_in_the_switch():
     with Criterion(3, "static disorder suppresses unitary gate traversal", 120.0) as c:
-        layout = build_cnot_layout(22, 9)
         peaks = []
         for seed in range(100):
-            disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed))
-            series = run_classical_input(layout, disorder, 0.0, None, "U", 200.0, 0.05)
+            disorder = sample_disorder(22, 0.5, seed)
+            series = run_classical_input(9, disorder, 0.0, None, "U", 200.0, 0.05)
             peaks.append(series["p_beyond_gate"].max())
         median_peak = float(np.median(peaks))
         c.check(median_peak < 0.3, f"disordered median peak = {median_peak}")
-        clean = run_classical_input(layout, np.zeros(22), 0.0, None, "U", 200.0, 0.05)
+        clean = run_classical_input(9, np.zeros(22), 0.0, None, "U", 200.0, 0.05)
         clean = clean["p_beyond_gate"]
         c.check(clean.max() >= 0.9, f"clean peak = {clean.max()}")
 
 
 def test_criterion_4_thermal_fixed_point():
     with Criterion(4, "long-time populations reach the Gibbs vector", 5.0) as c:
-        h = build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0))
+        h = build_chain_hamiltonian(sample_disorder(20, 0.5, 0), 2.0)
         e, v = diagonalize(h)
         bath = BathSpec(beta=1.0, zeta=0.05)
         # cursor at site 1: energy amplitudes are the first row of V
@@ -143,10 +139,9 @@ def test_criterion_4_thermal_fixed_point():
 
 def test_criterion_5_noise_assisted_gate_traversal():
     with Criterion(5, "bath plus tilt drives the cursor past the gate", 60.0) as c:
-        layout = build_cnot_layout(22, 9)
-        disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed=0))
+        disorder = sample_disorder(22, 0.5, 0)
         series = run_classical_input(
-            layout, disorder, 2.0, BathSpec(beta=1.0, zeta=0.05), "U", 1000.0, 1.0
+            9, disorder, 2.0, BathSpec(beta=1.0, zeta=0.05), "U", 1000.0, 1.0
         )
         p_beyond = series["p_beyond_gate"]
         min_step = float(np.diff(p_beyond).min())
@@ -191,26 +186,25 @@ def test_criterion_7_conservation_law_and_exact_cnot():
         for _ in range(100):
             s = int(rng.integers(7, 32))
             a = int(rng.integers(1, s - 5))
-            layout = build_cnot_layout(s, a)
             branch = "U" if rng.integers(2) else "D"
             control = +1 if branch == "U" else -1
-            sites, registers = peres_basis(layout, branch, (control, int(rng.choice([-1, 1]))))
+            sites, registers = peres_basis(s, a, branch, (control, int(rng.choice([-1, 1]))))
             eps = rng.normal(0.0, rng.uniform(0.1, 1.0), s)
             g = float(rng.uniform(0.0, 3.0))
-            h = full_switch_hamiltonian(layout, eps, g)
+            h = full_switch_hamiltonian(a, eps, g)
             proj = subspace_projector(sites, registers, s)
             worst = max(worst, float(np.linalg.norm(h @ proj - proj @ h)))
         c.check(worst <= 1e-12, f"worst commutator norm {worst:.2e}")
 
-        layout = build_cnot_layout(22, 9)
-        disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed=1))
+        disorder = sample_disorder(22, 0.5, 1)
         for control, passive in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             branch = "U" if control == 1 else "D"
-            sites, indices = peres_basis(layout, branch, (control, passive))
+            sites, indices = peres_basis(22, 9, branch, (control, passive))
             expected = (control, -passive) if control == 1 else (control, passive)
-            # the branch evolves by the dense oracle: no kernel, no tridiagonal solver
-            h = reduced_chain_hamiltonian(layout, branch, disorder, 2.0)
-            past_gate = np.flatnonzero(sites >= layout.b)
+            # the branch (the tilted chain on the disorder along its path) evolves
+            # by the dense oracle: no kernel, no tridiagonal solver
+            h = build_chain_hamiltonian(disorder[sites - 1], 2.0)
+            past_gate = np.flatnonzero(sites >= 9 + 5)
             for t in (30.0, 120.0, 450.0):
                 probs = np.abs(evolve_pure(h, np.eye(h.size)[0], t)) ** 2
                 rho = np.zeros((4, 4))
@@ -226,24 +220,23 @@ def test_criterion_7_conservation_law_and_exact_cnot():
 
 def test_criterion_8_entanglement_destroyed_by_the_bath():
     with Criterion(8, "register entropy: superposed vs classical control", 120.0) as c:
-        layout = build_cnot_layout(22, 9)
-        disorder = sample_disorder(ChainSpec(22, 0.5, 0.0, seed=0))
+        disorder = sample_disorder(22, 0.5, 0)
         bath = BathSpec(beta=1.0, zeta=0.05)
         ln2 = np.log(2.0)
 
-        superposed, _ = run_superposed_input(layout, disorder, 2.0, bath, 2000.0, 1.0)
+        superposed, _ = run_superposed_input(9, disorder, 2.0, bath, 2000.0, 1.0)
         end_err = abs(superposed["entropy"][-1] - ln2)
         peak_err = abs(superposed["entropy"].max() - 1.5 * ln2)
         c.check(end_err <= 1e-2, f"superposed end entropy off by {end_err:.2e}")
         c.check(peak_err <= 5e-2, f"superposed peak entropy off by {peak_err:.2e}")
 
         # classical control (+1, -1): the register from the branch's kernel run
-        _, indices, eig = build_branch(layout, "U", disorder, 2.0)
+        _, indices, eig = build_branch(9, "U", disorder, 2.0)
         prob = branch_distribution(eig, bath, 2000.0, 1.0)
         entropy = np.empty(prob.shape[1])
         for i in range(prob.shape[1]):
             rho = np.zeros((4, 4))
-            for j in range(layout.path_length):
+            for j in range(indices.size):
                 rho[indices[j], indices[j]] += prob[j, i]
             entropy[i] = von_neumann_entropy(rho)
         c.check(entropy[-1] <= 1e-2, f"classical end entropy {entropy[-1]:.2e}")
@@ -253,9 +246,8 @@ def test_criterion_8_entanglement_destroyed_by_the_bath():
 
 def test_criterion_9_clean_unitary_entangling():
     with Criterion(9, "clean unitary run entangles the register exactly", 30.0) as c:
-        layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        series = run_superposed_input(layout, clean, 0.0, None, 200.0, 0.5)[0]
+        series = run_superposed_input(9, clean, 0.0, None, 200.0, 0.5)[0]
         grid, fidelity = series["t"], series["bell_fidelity"]
         defined = ~np.isnan(fidelity)
         # conditioning needs nonzero weight past the gate; before the
@@ -271,26 +263,26 @@ def test_criterion_9_clean_unitary_entangling():
 
 def test_criterion_10_full_space_oracle_equivalence():
     with Criterion(10, "reduced model equals the full clock-register space", 60.0) as c:
-        layout = build_cnot_layout(8, 1)
-        disorder = sample_disorder(ChainSpec(8, 0.5, 0.0, seed=7))
+        s, a = 8, 1
+        disorder = sample_disorder(s, 0.5, 7)
         g = 2.0
-        h_full = full_switch_hamiltonian(layout, disorder, g)
+        h_full = full_switch_hamiltonian(a, disorder, g)
         grid = time_grid(50.0, 0.5)
 
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
-        psi0 = full_space_state(layout, reg0)
-        series, register = run_superposed_input(layout, disorder, g, None, 50.0, 0.5)
+        psi0 = full_space_state(s, reg0)
+        series, register = run_superposed_input(a, disorder, g, None, 50.0, 0.5)
         # mean_Q of the reduced model: half of each branch's kernel distribution
         mean_red = np.zeros(grid.size)
         for branch in "UD":
-            sites, _, eig = build_branch(layout, branch, disorder, g)
+            sites, _, eig = build_branch(a, branch, disorder, g)
             mean_red += 0.5 * (sites @ branch_distribution(eig, None, 50.0, 0.5))
         worst_q = worst_reg = worst_p = 0.0
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
-            mean_full, reg_full = full_space_observables(psi, layout.s)
-            p_full = float(np.sum(np.abs(psi.reshape(layout.s, 4)[layout.b - 1 :]) ** 2))
+            mean_full, reg_full = full_space_observables(psi, s)
+            p_full = float(np.sum(np.abs(psi.reshape(s, 4)[a + 4 :]) ** 2))  # sites b = a + 5 on
             worst_q = max(worst_q, abs(mean_full - mean_red[i]))
             worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - register[i]))))
             worst_p = max(worst_p, abs(p_full - series["p_beyond_gate"][i]))
@@ -300,18 +292,18 @@ def test_criterion_10_full_space_oracle_equivalence():
 
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = 1.0
-        psi0 = full_space_state(layout, reg0)
-        classical = run_classical_input(layout, disorder, g, None, "U", 50.0, 0.5)
-        _, indices, eig = build_branch(layout, "U", disorder, g)
+        psi0 = full_space_state(s, reg0)
+        classical = run_classical_input(a, disorder, g, None, "U", 50.0, 0.5)
+        _, indices, eig = build_branch(a, "U", disorder, g)
         prob = branch_distribution(eig, None, 50.0, 0.5)
         worst_q = worst_reg = 0.0
         for i, t in enumerate(grid):
             mean_full, reg_full = full_space_observables(
-                evolve_full(h_full, psi0, t), layout.s
+                evolve_full(h_full, psi0, t), s
             )
             worst_q = max(worst_q, abs(mean_full - classical["mean_Q"][i]))
             rho = np.zeros((4, 4))
-            for j in range(layout.path_length):
+            for j in range(indices.size):
                 rho[indices[j], indices[j]] += prob[j, i]
             worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - rho))))
         c.check(worst_q <= 1e-8, f"classical mean_Q deviation {worst_q:.2e}")

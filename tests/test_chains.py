@@ -11,7 +11,6 @@ from support import (
 )
 
 from openchain.chains import (
-    ChainSpec,
     _fix_eigenvector_signs,
     build_chain_hamiltonian,
     diagonalize,
@@ -64,21 +63,20 @@ class TestFreeEigensystem:
 
 class TestSampleDisorder:
     def test_zero_sigma(self):
-        eps = sample_disorder(ChainSpec(10, 0.0, 0.0, seed=3))
+        eps = sample_disorder(10, 0.0, 3)
         assert np.array_equal(eps, np.zeros(10))
 
     def test_statistics(self):
-        eps = sample_disorder(ChainSpec(10_000, 0.5, 0.0, seed=1))
+        eps = sample_disorder(10_000, 0.5, 1)
         assert abs(eps.mean()) < 0.015
         assert abs(eps.std() - 0.5) < 0.01
 
     def test_deterministic(self):
-        spec = ChainSpec(50, 0.3, 0.0, seed=123)
-        assert np.array_equal(sample_disorder(spec), sample_disorder(spec))
+        assert np.array_equal(sample_disorder(50, 0.3, 123), sample_disorder(50, 0.3, 123))
 
     def test_seed_changes_draw(self):
-        a = sample_disorder(ChainSpec(50, 0.3, 0.0, seed=1))
-        b = sample_disorder(ChainSpec(50, 0.3, 0.0, seed=2))
+        a = sample_disorder(50, 0.3, 1)
+        b = sample_disorder(50, 0.3, 2)
         assert not np.array_equal(a, b)
 
 
@@ -86,35 +84,35 @@ class TestLinearPotential:
     """The tilt -g*x on the diagonal of ``build_chain_hamiltonian``."""
 
     def test_zero_strength(self):
-        h = build_chain_hamiltonian(ChainSpec(5, 0.0, 0.0, seed=1))
+        h = build_chain_hamiltonian(sample_disorder(5, 0.0, 1), 0.0)
         assert np.array_equal(h, np.zeros(5))
 
     def test_values(self):
-        h = build_chain_hamiltonian(ChainSpec(3, 0.0, 2.0, seed=1))
+        h = build_chain_hamiltonian(sample_disorder(3, 0.0, 1), 2.0)
         assert np.array_equal(h, [-2.0, -4.0, -6.0])
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
-            build_chain_hamiltonian(ChainSpec(5, 0.0, -1.0))
+            build_chain_hamiltonian(np.zeros(5), -1.0)
 
 
 class TestAssembleHamiltonian:
     """Disorder and tilt added to the free chain's on-site energies."""
 
     def test_no_potentials(self):
-        out = build_chain_hamiltonian(ChainSpec(4))
+        out = build_chain_hamiltonian(sample_disorder(4, 0.0, 0), 0.0)
         assert np.array_equal(out, build_free_chain(4))
 
     def test_disorder_on_diagonal(self):
-        spec = ChainSpec(6, 0.5, 0.0, seed=3)
-        out = build_chain_hamiltonian(spec)
-        assert np.array_equal(out, sample_disorder(spec))
+        disorder = sample_disorder(6, 0.5, 3)
+        out = build_chain_hamiltonian(disorder, 0.0)
+        assert np.array_equal(out, disorder)
 
     def test_disorder_plus_tilt(self):
-        spec = ChainSpec(6, 0.5, 2.0, seed=3)
+        disorder = sample_disorder(6, 0.5, 3)
         tilt = -2.0 * np.arange(1, 7)
-        out = build_chain_hamiltonian(spec)
-        assert np.allclose(out, sample_disorder(spec) + tilt, atol=1e-12)
+        out = build_chain_hamiltonian(disorder, 2.0)
+        assert np.allclose(out, disorder + tilt, atol=1e-12)
 
 
 class TestDiagonalize:
@@ -124,18 +122,18 @@ class TestDiagonalize:
         assert v[0, 0] == 1.0
 
     def test_orthogonality(self):
-        h = build_chain_hamiltonian(ChainSpec(30, 0.5, 2.0, seed=4))
+        h = build_chain_hamiltonian(sample_disorder(30, 0.5, 4), 2.0)
         _, v = diagonalize(h)
         assert np.max(np.abs(v.T @ v - np.eye(30))) < 1e-10
 
     def test_eigen_equation(self):
-        h = build_chain_hamiltonian(ChainSpec(25, 0.5, 2.0, seed=5))
+        h = build_chain_hamiltonian(sample_disorder(25, 0.5, 5), 2.0)
         e, v = diagonalize(h)
         resid = dense_hamiltonian(h) @ v - v * e
         assert np.max(np.abs(resid)) < 1e-10
 
     def test_trace_invariance(self):
-        h = build_chain_hamiltonian(ChainSpec(40, 0.7, 1.5, seed=6))
+        h = build_chain_hamiltonian(sample_disorder(40, 0.7, 6), 1.5)
         e, _ = diagonalize(h)
         assert abs(e.sum() - h.sum()) < 1e-9
 
@@ -144,7 +142,7 @@ class TestDiagonalize:
         # the vectorised sign fix against the per-column rule it replaced; the
         # tilted eigenvectors have many components below 1e-12, and the last
         # column none above it (its sign is then set by the first component)
-        h = build_chain_hamiltonian(ChainSpec(s, 0.5, 2.0, seed=0))
+        h = build_chain_hamiltonian(sample_disorder(s, 0.5, 0), 2.0)
         _, raw = eigh_tridiagonal(h, np.full(s - 1, -0.5))
         raw[:, -1] = np.where(np.arange(s) % 2, 1e-13, -1e-13)
         expected = raw.copy()
@@ -163,7 +161,7 @@ class TestDiagonalize:
         # dense numpy eigh against scipy's tridiagonal solver, sign-fixed alike;
         # measured over these cases: eigenvalues bitwise equal, eigenvectors
         # within 1.9e-16
-        h = build_chain_hamiltonian(ChainSpec(s, sigma, g, seed=3))
+        h = build_chain_hamiltonian(sample_disorder(s, sigma, 3), g)
         e, v = diagonalize(h)
         evals, evecs = eigh_tridiagonal(h, np.full(s - 1, -0.5))
         assert np.max(np.abs(e - evals)) <= 4e-16 * max(1.0, np.abs(evals).max())
@@ -175,7 +173,7 @@ class TestDiagonalize:
         g, sigma = 2.0, 0.5
         within = total = 0
         for seed in range(100):
-            e, _ = diagonalize(build_chain_hamiltonian(ChainSpec(20, sigma, g, seed)))
+            e, _ = diagonalize(build_chain_hamiltonian(sample_disorder(20, sigma, seed), g))
             gaps = np.diff(e)
             within += np.sum(np.abs(gaps - g) <= 3 * sigma)
             total += gaps.size
@@ -229,7 +227,7 @@ class TestParticipationRatio:
     def test_tilted_eigenstates_are_localized(self):
         prs = []
         for seed in range(100):
-            _, v = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed)))
+            _, v = diagonalize(build_chain_hamiltonian(sample_disorder(20, 0.5, seed), 2.0))
             prs.append([participation_ratio(v[:, k]) for k in range(20)])
         assert np.median(prs) <= 3.0
 
@@ -239,19 +237,20 @@ class TestParticipationRatio:
         )
         prs = []
         for seed in range(100):
-            _, v = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed)))
+            _, v = diagonalize(build_chain_hamiltonian(sample_disorder(20, 0.5, seed), 2.0))
             prs.append([participation_ratio(v[:, k]) for k in range(20)])
         assert np.all(np.median(np.array(prs), axis=0) <= free_pr)
 
 
 class TestSpecValidation:
     def test_chain_spec_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            ChainSpec(1, 0.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            ChainSpec(5, -0.1, 0.0, 0)
-        with pytest.raises(ValueError):
-            ChainSpec(5, 0.0, -1.0, 0)
+        # each parameter is checked by the one function that takes it
+        with pytest.raises(ValueError, match="at least 2 sites"):
+            sample_disorder(1, 0.0, 0)
+        with pytest.raises(ValueError, match="standard deviation"):
+            sample_disorder(5, -0.1, 0)
+        with pytest.raises(ValueError, match="tilt strength"):
+            build_chain_hamiltonian(np.zeros(5), -1.0)
 
     @pytest.mark.parametrize(
         "energies",

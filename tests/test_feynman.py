@@ -12,14 +12,12 @@ from support import (
     switch_block_states,
 )
 
-from openchain.chains import ChainSpec, sample_disorder
+from openchain.chains import build_chain_hamiltonian, sample_disorder
 from openchain.feynman import (
     BELL_PHI_PLUS,
     bell_fidelity,
     build_branch,
-    build_cnot_layout,
     peres_basis,
-    reduced_chain_hamiltonian,
     register_index,
     register_states,
     run_classical_input,
@@ -29,58 +27,72 @@ from openchain.feynman import (
 from openchain.lindblad import BathSpec, read_out, time_grid
 
 
-def disorder_for(s, sigma, seed):
-    return sample_disorder(ChainSpec(s, sigma, 0.0, seed))
-
-
-def branch_runs(layout, disorder, g, bath, t_max, dt):
+def branch_runs(a, disorder, g, bath, t_max, dt):
     """(sites, (eigenvalues, eigenvectors), P, U) of each branch's kernel run from coordinate 1."""
     runs = []
     for branch in ("U", "D"):
-        sites, _, (e, v) = build_branch(layout, branch, disorder, g)
+        sites, _, (e, v) = build_branch(a, branch, disorder, g)
         pops, amps = relax_energy_density(e, bath, v[0], t_max, dt)
         runs.append((sites, (e, v), pops, amps))
     return runs
 
 
-def commutator_norm(layout, disorder, g, basis):
+def branch_energies(a, branch, disorder, g):
+    """A branch's on-site energies in path coordinates: the tilted chain on the disorder it visits."""
+    return build_chain_hamiltonian(disorder[branch_sites(len(disorder), a, branch) - 1], g)
+
+
+def commutator_norm(a, disorder, g, basis):
     """Frobenius norm of [H, P]: full clock-register Hamiltonian, projector on (sites, registers)."""
-    h = full_switch_hamiltonian(layout, disorder, g)
-    proj = subspace_projector(*basis, layout.s)
+    h = full_switch_hamiltonian(a, disorder, g)
+    proj = subspace_projector(*basis, len(disorder))
     return float(np.linalg.norm(h @ proj - proj @ h))
+
+
+def geometry(s, a):
+    """(path coordinates, exit): the branches' length and the first site they share past a."""
+    up, _ = peres_basis(s, a, "U", (+1, -1))
+    down, _ = peres_basis(s, a, "D", (-1, -1))
+    assert up.size == down.size
+    return up.size, min(set(up[up > a]) & set(down[down > a]))
 
 
 class TestLayout:
     def test_standard_geometry(self):
-        layout = build_cnot_layout(22, 9)
-        assert layout.b == 14
-        assert layout.path_length == 20
+        assert geometry(22, 9) == (20, 14)
 
     def test_minimal_geometry(self):
-        layout = build_cnot_layout(8, 1)
-        assert layout.b == 6
-        assert layout.path_length == 6
+        assert geometry(8, 1) == (6, 6)
 
     def test_smallest_valid(self):
-        assert build_cnot_layout(7, 1).path_length == 5
+        assert geometry(7, 1)[0] == 5
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            build_cnot_layout(6, 1)
-        with pytest.raises(ValueError):
-            build_cnot_layout(22, 17)
+        # the entry must leave an inertial site past the exit: 1 <= a <= s - 6,
+        # checked by every switch entry point on (a, an s-entry disorder)
+        entries = [
+            lambda s, a: peres_basis(s, a, "U", (+1, -1)),
+            lambda s, a: peres_basis(s, a, "D", (-1, -1)),
+            lambda s, a: build_branch(a, "U", np.zeros(s), 0.0),
+            lambda s, a: build_branch(a, "D", np.zeros(s), 0.0),
+            lambda s, a: run_classical_input(a, np.zeros(s), 0.0, None, "U", 1.0, 1.0),
+            lambda s, a: run_superposed_input(a, np.zeros(s), 0.0, None, 1.0, 1.0),
+        ]
+        for entry in entries:
+            for s, a in [(6, 1), (22, 17)]:
+                with pytest.raises(ValueError, match="need 1 <= a <= s - 6"):
+                    entry(s, a)
 
 
 class TestCoordinateMap:
     def test_images_and_overlap(self):
-        layout = build_cnot_layout(22, 9)
-        up, _ = peres_basis(layout, "U", (+1, -1))
-        down, _ = peres_basis(layout, "D", (-1, -1))
+        up, _ = peres_basis(22, 9, "U", (+1, -1))
+        down, _ = peres_basis(22, 9, "D", (-1, -1))
         # a = 9, b = 14, s = 22: the upper branch detours over 10, 11, the lower over 12, 13
         assert list(up) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20, 21, 22]
         assert list(down) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22]
         # both injective, overlapping exactly on the inertial stretches
-        assert len(set(up)) == len(set(down)) == layout.path_length
+        assert len(set(up)) == len(set(down)) == 20
         assert sorted(set(up) & set(down)) == [
             1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 15, 16, 17, 18, 19, 20, 21, 22
         ]
@@ -92,36 +104,33 @@ class TestCoordinateMap:
 
 class TestPeresBasis:
     def test_upper_branch_flips_passive(self):
-        layout = build_cnot_layout(22, 9)
-        _, registers = peres_basis(layout, "U", (+1, -1))
+        a = 9
+        _, registers = peres_basis(22, a, "U", (+1, -1))
         assert registers[0] == register_index((+1, -1))
         assert registers[-1] == register_index((+1, +1))
         # the flip happens between path coordinates a+1 and a+2
-        assert registers[layout.a] == register_index((+1, -1))
-        assert registers[layout.a + 1] == register_index((+1, +1))
+        assert registers[a] == register_index((+1, -1))
+        assert registers[a + 1] == register_index((+1, +1))
 
     def test_lower_branch_keeps_register(self):
-        layout = build_cnot_layout(22, 9)
-        _, registers = peres_basis(layout, "D", (-1, -1))
+        _, registers = peres_basis(22, 9, "D", (-1, -1))
         assert np.all(registers == register_index((-1, -1)))
 
     @pytest.mark.parametrize("branch", ["U", "D"])
     def test_entry_count(self, branch):
-        layout = build_cnot_layout(22, 9)
         c = +1 if branch == "U" else -1
-        sites, registers = peres_basis(layout, branch, (c, -1))
+        sites, registers = peres_basis(22, 9, branch, (c, -1))
         assert sites.size == registers.size == 20
 
     def test_control_mismatch_rejected(self):
-        layout = build_cnot_layout(8, 1)
         with pytest.raises(ValueError):
-            peres_basis(layout, "U", (-1, -1))
+            peres_basis(8, 1, "U", (-1, -1))
         with pytest.raises(ValueError):
-            peres_basis(layout, "D", (+1, -1))
+            peres_basis(8, 1, "D", (+1, -1))
         # any other branch name is rejected, not read as the lower branch
         for branch in ("X", "u", "d", ""):
             with pytest.raises(ValueError, match="branch must be U or D"):
-                peres_basis(layout, branch, (-1, -1))
+                peres_basis(8, 1, branch, (-1, -1))
 
     @pytest.mark.parametrize("s,a", [(8, 1), (12, 3), (22, 9), (202, 100)])
     @pytest.mark.parametrize(
@@ -129,11 +138,10 @@ class TestPeresBasis:
     )
     def test_matches_switch_diagram(self, s, a, label):
         # the oracle's sites and register labels, written from the diagram
-        layout = build_cnot_layout(s, a)
         branch = "U" if label[0] == 1 else "D"
-        sites, registers = peres_basis(layout, branch, label)
-        assert np.array_equal(sites, branch_sites(layout, branch))
-        assert np.array_equal(registers, branch_registers(layout, branch, label))
+        sites, registers = peres_basis(s, a, branch, label)
+        assert np.array_equal(sites, branch_sites(s, a, branch))
+        assert np.array_equal(registers, branch_registers(s, a, branch, label))
 
     def test_register_index_order(self):
         assert [register_index(r) for r in [(-1, -1), (-1, 1), (1, -1), (1, 1)]] == [
@@ -146,24 +154,20 @@ class TestPeresBasis:
 
 class TestReducedHamiltonian:
     def test_clean_branches_are_free_chains(self):
-        layout = build_cnot_layout(22, 9)
-        clean = np.zeros(22)
-        from openchain.chains import diagonalize, free_eigensystem
+        from openchain.chains import free_eigensystem
 
         closed_e, closed_v = free_eigensystem(20)
         for branch in ("U", "D"):
-            h = reduced_chain_hamiltonian(layout, branch, clean, 0.0)
-            assert np.array_equal(h, np.zeros(20))
-            e, v = diagonalize(h)
+            assert np.array_equal(branch_energies(9, branch, np.zeros(22), 0.0), np.zeros(20))
+            _, _, (e, v) = build_branch(9, branch, np.zeros(22), 0.0)
             assert np.max(np.abs(e - closed_e)) < 1e-10
             assert np.max(np.abs(v - closed_v)) < 1e-10
 
     def test_branches_feel_different_disorder(self):
-        layout = build_cnot_layout(22, 9)
-        disorder = disorder_for(22, 0.5, 1)
-        h_up = reduced_chain_hamiltonian(layout, "U", disorder, 0.0)
-        h_down = reduced_chain_hamiltonian(layout, "D", disorder, 0.0)
-        a = layout.a
+        a = 9
+        disorder = sample_disorder(22, 0.5, 1)
+        h_up = branch_energies(a, "U", disorder, 0.0)
+        h_down = branch_energies(a, "D", disorder, 0.0)
         # inside the switch the branches pick up different on-site energies
         assert h_up[a] != h_down[a]
         assert h_up[a + 1] != h_down[a + 1]
@@ -172,18 +176,19 @@ class TestReducedHamiltonian:
         assert np.array_equal(h_up[a + 2 :], h_down[a + 2 :])
 
     def test_tilt_steps_in_path_coordinates(self):
-        layout = build_cnot_layout(22, 9)
-        disorder = disorder_for(22, 0.5, 2)
-        h = reduced_chain_hamiltonian(layout, "D", disorder, 2.0)
-        sites, _ = peres_basis(layout, "D", (-1, -1))
+        disorder = sample_disorder(22, 0.5, 2)
+        h = branch_energies(9, "D", disorder, 2.0)
+        sites, _ = peres_basis(22, 9, "D", (-1, -1))
         eps = disorder[sites - 1]
         steps = np.diff(h - eps)
         assert np.allclose(steps, -2.0, atol=1e-12)
 
     def test_disorder_length_mismatch(self):
-        layout = build_cnot_layout(8, 1)
-        with pytest.raises(ValueError):
-            reduced_chain_hamiltonian(layout, "U", np.zeros(7), 0.0)
+        # s is the disorder's length: fewer than a + 6 entries leave no site past the exit
+        for a in (1, 3):
+            with pytest.raises(ValueError, match="need 1 <= a <= s - 6"):
+                build_branch(a, "U", np.zeros(a + 5), 0.0)
+            assert build_branch(a, "U", np.zeros(a + 6), 0.0)[0].size == a + 4
 
 
 class TestSubspaceConservation:
@@ -194,55 +199,50 @@ class TestSubspaceConservation:
         for _ in range(100):
             s = int(rng.integers(7, 30))
             a = int(rng.integers(1, s - 5))
-            layout = build_cnot_layout(s, a)
             branch = "U" if rng.integers(2) else "D"
             c = +1 if branch == "U" else -1
-            basis = peres_basis(layout, branch, (c, int(rng.choice([-1, 1]))))
+            basis = peres_basis(s, a, branch, (c, int(rng.choice([-1, 1]))))
             g = float(rng.uniform(0, 3))
             eps = rng.normal(0, rng.uniform(0.1, 1.0), s)
-            assert commutator_norm(layout, eps, g, basis) <= 1e-12
+            assert commutator_norm(a, eps, g, basis) <= 1e-12
 
     def test_identity_potential_exactly_zero(self):
-        layout = build_cnot_layout(8, 1)
         for c, p in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
-            basis = peres_basis(layout, "U" if c == 1 else "D", (c, p))
-            assert commutator_norm(layout, np.ones(8), 0.0, basis) == 0.0
+            basis = peres_basis(8, 1, "U" if c == 1 else "D", (c, p))
+            assert commutator_norm(1, np.ones(8), 0.0, basis) == 0.0
 
     def test_misplaced_not_label_detected(self):
         # negative control: labelling the passive flip one bond late puts
         # (a+2, unflipped) in the subspace, which the NOT bond leaves
-        layout = build_cnot_layout(12, 3)
-        sites, registers = peres_basis(layout, "U", (+1, -1))
-        j = np.arange(1, layout.path_length + 1)
-        late = np.where(j <= layout.a + 2, register_index((+1, -1)), register_index((+1, +1)))
+        a = 3
+        sites, registers = peres_basis(12, a, "U", (+1, -1))
+        j = np.arange(1, 11)
+        late = np.where(j <= a + 2, register_index((+1, -1)), register_index((+1, +1)))
         assert not np.array_equal(late, registers)
-        disorder = disorder_for(12, 0.5, 6)
-        assert commutator_norm(layout, disorder, 2.0, (sites, registers)) <= 1e-12
-        assert commutator_norm(layout, disorder, 2.0, (sites, late)) > 1.0
+        disorder = sample_disorder(12, 0.5, 6)
+        assert commutator_norm(a, disorder, 2.0, (sites, registers)) <= 1e-12
+        assert commutator_norm(a, disorder, 2.0, (sites, late)) > 1.0
 
 
 class TestClassicalRuns:
     def test_clean_run_passes_gate(self):
-        layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        series = run_classical_input(layout, clean, 0.0, None, "U", 200.0, 0.1)
+        series = run_classical_input(9, clean, 0.0, None, "U", 200.0, 0.1)
         assert series["p_beyond_gate"].max() >= 0.9
 
     def test_disorder_suppresses_transmission(self):
-        layout = build_cnot_layout(22, 9)
         peaks = []
         for seed in range(100):
             series = run_classical_input(
-                layout, disorder_for(22, 0.5, seed), 0.0, None, "U", 200.0, 0.1
+                9, sample_disorder(22, 0.5, seed), 0.0, None, "U", 200.0, 0.1
             )
             peaks.append(series["p_beyond_gate"].max())
         assert np.median(peaks) < 0.3
 
     def test_bath_restores_transmission(self):
-        layout = build_cnot_layout(22, 9)
         series = run_classical_input(
-            layout,
-            disorder_for(22, 0.5, 0),
+            9,
+            sample_disorder(22, 0.5, 0),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
             "U",
@@ -255,25 +255,23 @@ class TestClassicalRuns:
     def test_cnot_truth_table(self):
         # all four classical inputs, measured at the arrival peak conditioned
         # on the cursor being past the gate, give the gate's truth table
-        layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
         for c, p in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             branch = "U" if c == 1 else "D"
-            sites, registers = peres_basis(layout, branch, (c, p))
+            sites, registers = peres_basis(22, 9, branch, (c, p))
             expected = register_index((c, -p) if c == 1 else (c, p))
             assert registers[-1] == expected
-            series = run_classical_input(layout, clean, 0.0, None, branch, 200.0, 0.1)
+            series = run_classical_input(9, clean, 0.0, None, branch, 200.0, 0.1)
             # conditioned on arrival, the register label is exact: every
-            # basis element past the gate carries the output label
-            assert np.all(registers[sites >= layout.b] == expected)
+            # basis element past the gate (b = 14) carries the output label
+            assert np.all(registers[sites >= 14] == expected)
             assert series["p_beyond_gate"].max() >= 0.9
 
 
 class TestSuperposedRuns:
     def test_clean_unitary_conditional_bell_state(self):
-        layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        series, _ = run_superposed_input(layout, clean, 0.0, None, 100.0, 0.5)
+        series, _ = run_superposed_input(9, clean, 0.0, None, 100.0, 0.5)
         defined = ~np.isnan(series["bell_fidelity"])
         assert defined.sum() > 150
         assert np.all(np.abs(series["bell_fidelity"][defined] - 1.0) < 1e-10)
@@ -282,17 +280,15 @@ class TestSuperposedRuns:
     # and its largest entry 1/2 max|u_U| max|u_D|
 
     def test_cross_block_norm_conserved_without_bath(self):
-        layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        (*_, amp_u), (*_, amp_d) = branch_runs(layout, clean, 0.0, None, 80.0, 10.0)
+        (*_, amp_u), (*_, amp_d) = branch_runs(9, clean, 0.0, None, 80.0, 10.0)
         norms = 0.5 * np.linalg.norm(amp_u, axis=0) * np.linalg.norm(amp_d, axis=0)
         assert np.allclose(norms, norms[0], atol=1e-12)
 
     def test_cross_block_decays_under_bath(self):
-        layout = build_cnot_layout(22, 9)
         (*_, amp_u), (*_, amp_d) = branch_runs(
-            layout,
-            disorder_for(22, 0.5, 3),
+            9,
+            sample_disorder(22, 0.5, 3),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
             400.0,
@@ -303,10 +299,9 @@ class TestSuperposedRuns:
         assert norms[4] < 1e-8 * norms[0]
 
     def test_trace_preserved(self):
-        layout = build_cnot_layout(22, 9)
         series, _ = run_superposed_input(
-            layout,
-            disorder_for(22, 0.5, 4),
+            9,
+            sample_disorder(22, 0.5, 4),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
             500.0,
@@ -315,10 +310,9 @@ class TestSuperposedRuns:
         assert np.allclose(series["trace_UU"] + series["trace_DD"], 1.0, atol=1e-9)
 
     def test_block_matrix_stays_physical(self):
-        layout = build_cnot_layout(12, 3)
         states = switch_block_states(
-            layout,
-            disorder_for(12, 0.5, 5),
+            3,
+            sample_disorder(12, 0.5, 5),
             2.0,
             BathSpec(beta=1.0, zeta=0.05),
             300.0,
@@ -333,10 +327,9 @@ class TestSuperposedRuns:
         # with dissipation the register ends in the two-outcome mixture
         # (entropy ln 2) for a superposed control and in a pure state for a
         # classical one; both transients peak at the predicted mixtures
-        layout = build_cnot_layout(22, 9)
-        disorder = disorder_for(22, 0.5, 0)
+        disorder = sample_disorder(22, 0.5, 0)
         bath = BathSpec(beta=1.0, zeta=0.05)
-        entropy = run_superposed_input(layout, disorder, 2.0, bath, 2000.0, 1.0)[0]["entropy"]
+        entropy = run_superposed_input(9, disorder, 2.0, bath, 2000.0, 1.0)[0]["entropy"]
         ln2 = np.log(2)
         assert abs(entropy[-1] - ln2) < 1e-2
         assert abs(entropy.max() - 1.5 * ln2) < 5e-2
@@ -344,9 +337,8 @@ class TestSuperposedRuns:
 
 class TestRegisterReduction:
     def test_start_is_pure_product(self):
-        layout = build_cnot_layout(22, 9)
         clean = np.zeros(22)
-        _, register = run_superposed_input(layout, clean, 0.0, None, 1.0, 1.0)
+        _, register = run_superposed_input(9, clean, 0.0, None, 1.0, 1.0)
         rho = register[0]
         # (|+1,-1> + |-1,-1>)/sqrt(2)
         vec = np.zeros(4)
@@ -357,9 +349,8 @@ class TestRegisterReduction:
     def test_dephased_split_is_maximally_mixed_pair(self):
         # no cross block and half the population at each branch end: the
         # register is the 50/50 mixture of the two outcomes
-        layout = build_cnot_layout(22, 9)
-        _, reg_up = peres_basis(layout, "U", (+1, -1))
-        _, reg_down = peres_basis(layout, "D", (-1, -1))
+        _, reg_up = peres_basis(22, 9, "U", (+1, -1))
+        _, reg_down = peres_basis(22, 9, "D", (-1, -1))
         up, down = (np.zeros((4, 1)) for _ in range(2))
         up[reg_up[-1]] = down[reg_down[-1]] = 0.5
         rho = register_states(up, down, np.zeros((16, 1), complex))[0]
@@ -399,25 +390,25 @@ class TestFullSpaceOracle:
     def test_reduced_model_matches_full_hamiltonian(self):
         # complete clock-plus-register evolution on the 4s-dimensional space
         # against the path-coordinate model, classical and superposed inputs
-        layout = build_cnot_layout(8, 1)
-        disorder = disorder_for(8, 0.5, 7)
+        s, a = 8, 1
+        disorder = sample_disorder(s, 0.5, 7)
         g = 2.0
-        h_full = full_switch_hamiltonian(layout, disorder, g)
+        h_full = full_switch_hamiltonian(a, disorder, g)
         grid = time_grid(50.0, 0.5)
 
         # superposed control
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
-        psi0 = full_space_state(layout, reg0)
-        series, register = run_superposed_input(layout, disorder, g, None, 50.0, 0.5)
+        psi0 = full_space_state(s, reg0)
+        series, register = run_superposed_input(a, disorder, g, None, 50.0, 0.5)
         mean_red = sum(
             0.5 * (sites @ read_out(v, np.eye(e.size), pops, amps))
-            for sites, (e, v), pops, amps in branch_runs(layout, disorder, g, None, 50.0, 0.5)
+            for sites, (e, v), pops, amps in branch_runs(a, disorder, g, None, 50.0, 0.5)
         )
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
-            mean_full, reg_full = full_space_observables(psi, layout.s)
-            p_full = np.sum(np.abs(psi.reshape(layout.s, 4)[layout.b - 1 :]) ** 2)
+            mean_full, reg_full = full_space_observables(psi, s)
+            p_full = np.sum(np.abs(psi.reshape(s, 4)[a + 4 :]) ** 2)  # sites b = a + 5 on
             assert abs(mean_full - mean_red[i]) < 1e-8
             assert np.max(np.abs(reg_full - register[i])) < 1e-8
             assert abs(p_full - series["p_beyond_gate"][i]) < 1e-8
@@ -425,8 +416,8 @@ class TestFullSpaceOracle:
         # classical control (upper branch)
         reg0 = np.zeros(4)
         reg0[register_index((+1, -1))] = 1.0
-        psi0 = full_space_state(layout, reg0)
-        series_u = run_classical_input(layout, disorder, g, None, "U", 50.0, 0.5)
+        psi0 = full_space_state(s, reg0)
+        series_u = run_classical_input(a, disorder, g, None, "U", 50.0, 0.5)
         for i, t in enumerate(grid):
-            mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), layout.s)
+            mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), s)
             assert abs(mean_full - series_u["mean_Q"][i]) < 1e-8

@@ -61,7 +61,6 @@ from support import (
 
 from openchain import lindblad
 from openchain.chains import (
-    ChainSpec,
     build_chain_hamiltonian,
     diagonalize,
     free_eigensystem,
@@ -69,7 +68,6 @@ from openchain.chains import (
 )
 from openchain.feynman import (
     build_branch,
-    build_cnot_layout,
     run_classical_input,
     run_superposed_input,
     von_neumann_entropy,
@@ -135,7 +133,7 @@ def check_pipeline(grid: str, run, reference, monkeypatch) -> None:
 @pytest.mark.parametrize("grid", ["uniform", "late-start"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dissipative_transport_run(grid, seed, monkeypatch):
-    h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=seed))
+    h = build_chain_hamiltonian(sample_disorder(14, 0.5, seed), 2.0)
     psi0 = np.eye(14)[0]
     check_pipeline(
         grid,
@@ -150,12 +148,11 @@ def test_dissipative_transport_run(grid, seed, monkeypatch):
 @pytest.mark.parametrize("bath", BATHS)
 @pytest.mark.parametrize("branch", ["U", "D"])
 def test_run_classical_input(branch, bath, seed, grid, monkeypatch):
-    layout = build_cnot_layout(16, 4)
-    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, seed))
+    disorder = sample_disorder(16, 0.5, seed)
     check_pipeline(
         grid,
-        lambda *axis: run_classical_input(layout, disorder, 2.0, BATHS[bath], branch, *axis),
-        lambda t: dense_classical_columns(layout, disorder, 2.0, BATHS[bath], branch, t),
+        lambda *axis: run_classical_input(4, disorder, 2.0, BATHS[bath], branch, *axis),
+        lambda t: dense_classical_columns(4, disorder, 2.0, BATHS[bath], branch, t),
         monkeypatch,
     )
 
@@ -164,12 +161,11 @@ def test_run_classical_input(branch, bath, seed, grid, monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("bath", BATHS)
 def test_run_superposed_input(bath, seed, grid, monkeypatch):
-    layout = build_cnot_layout(16, 4)
-    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, seed))
+    disorder = sample_disorder(16, 0.5, seed)
     check_pipeline(
         grid,
-        lambda *axis: run_superposed_input(layout, disorder, 2.0, BATHS[bath], *axis)[0],
-        lambda t: dense_superposed_columns(layout, disorder, 2.0, BATHS[bath], t),
+        lambda *axis: run_superposed_input(4, disorder, 2.0, BATHS[bath], *axis)[0],
+        lambda t: dense_superposed_columns(4, disorder, 2.0, BATHS[bath], t),
         monkeypatch,
     )
 
@@ -187,13 +183,12 @@ def test_time_axis_is_time_grid():
         slices = [cols for cols, *_ in lindblad.energy_blocks(e, bath, v[0], t_max, dt)]
         covered = np.concatenate([np.arange(times.size)[cols] for cols in slices])
         assert np.array_equal(covered, np.arange(times.size))
-    layout = build_cnot_layout(16, 4)
-    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
+    disorder = sample_disorder(16, 0.5, 0)
     runs = [
         lindblad.pure_state_series((e, v), None, v[0], t_max, dt, np.arange(40), np.array([39])),
         dissipative_transport_run(np.zeros(40), BATHS["bath"], t_max, dt),
-        run_classical_input(layout, disorder, 2.0, None, "U", t_max, dt),
-        run_superposed_input(layout, disorder, 2.0, BATHS["bath"], t_max, dt)[0],
+        run_classical_input(4, disorder, 2.0, None, "U", t_max, dt),
+        run_superposed_input(4, disorder, 2.0, BATHS["bath"], t_max, dt)[0],
     ]
     for columns in runs:
         assert np.array_equal(columns["t"], times)
@@ -216,7 +211,7 @@ def test_unitary_grid_spans_blocks():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unitary_observable_series(seed, grid, region, monkeypatch):
     narrow_blocks(grid, monkeypatch)
-    eig = diagonalize(build_chain_hamiltonian(ChainSpec(40, 0.5, 0.3, seed=seed)))
+    eig = diagonalize(build_chain_hamiltonian(sample_disorder(40, 0.5, seed), 0.3))
     psi0 = np.eye(40)[0]
     sites = REGIONS[region]
     got = closed_series(eig, psi0, *BLOCKS, sites)
@@ -282,8 +277,8 @@ def kernel_columns(v, pops, amps, populations_too: bool) -> dict[str, np.ndarray
 
 def relax_pair(bath: str, seed: int, t_max: float, dt: float, s: int = 200):
     """(kernel, direct formula) columns of an s-site chain from site 1 on time_grid(t_max, dt)."""
-    spec = ChainSpec(s, 0.5, 2.0, seed) if bath == "bath" else ChainSpec(s, 0.5, 0.0, seed)
-    e, v = diagonalize(build_chain_hamiltonian(spec))
+    g = 2.0 if bath == "bath" else 0.0
+    e, v = diagonalize(build_chain_hamiltonian(sample_disorder(s, 0.5, seed), g))
     c = v[0].astype(complex)
     got = relax_energy_density(e, BATHS[bath], c, t_max, dt)
     ref = direct_relax_energy_density(e, BATHS[bath], c, time_grid(t_max, dt))
@@ -302,7 +297,7 @@ def test_uniform_path_matches_direct_formula(bath, seed, grid, monkeypatch):
 def test_flushed_block_step_matches_direct_formula():
     # at s = 400 thousands of entries of S^32 are subnormal; the kernel sets
     # them to zero, and its populations must still hold the direct formula's
-    e, _ = diagonalize(build_chain_hamiltonian(ChainSpec(400, 0.5, 2.0, 0)))
+    e, _ = diagonalize(build_chain_hamiltonian(sample_disorder(400, 0.5, 0), 2.0))
     gen = lindblad.population_generator(lindblad.transition_rates(e, BATHS["bath"]), BATHS["bath"])
     step = np.linalg.matrix_power(expm(gen * FAST_GRID[1]), 32)
     assert np.count_nonzero((step != 0) & (np.abs(step) < np.finfo(float).tiny)) > 1000
@@ -370,7 +365,7 @@ def test_pure_state_series_rejects_irregular_grids(bath, grid):
 @pytest.mark.parametrize("grid", IRREGULAR)
 @pytest.mark.parametrize("bath", BATHS)
 def test_dissipative_transport_run_rejects_irregular_grids(bath, grid):
-    h = build_chain_hamiltonian(ChainSpec(14, 0.5, 2.0, seed=0))
+    h = build_chain_hamiltonian(sample_disorder(14, 0.5, 0), 2.0)
     with pytest.raises(ValueError, match=REJECTED):
         dissipative_transport_run(h, BATHS[bath], *IRREGULAR[grid])
 
@@ -378,19 +373,17 @@ def test_dissipative_transport_run_rejects_irregular_grids(bath, grid):
 @pytest.mark.parametrize("grid", IRREGULAR)
 @pytest.mark.parametrize("bath", BATHS)
 def test_run_classical_input_rejects_irregular_grids(bath, grid):
-    layout = build_cnot_layout(16, 4)
-    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
+    disorder = sample_disorder(16, 0.5, 0)
     with pytest.raises(ValueError, match=REJECTED):
-        run_classical_input(layout, disorder, 2.0, BATHS[bath], "U", *IRREGULAR[grid])
+        run_classical_input(4, disorder, 2.0, BATHS[bath], "U", *IRREGULAR[grid])
 
 
 @pytest.mark.parametrize("grid", IRREGULAR)
 @pytest.mark.parametrize("bath", BATHS)
 def test_run_superposed_input_rejects_irregular_grids(bath, grid):
-    layout = build_cnot_layout(16, 4)
-    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
+    disorder = sample_disorder(16, 0.5, 0)
     with pytest.raises(ValueError, match=REJECTED):
-        run_superposed_input(layout, disorder, 2.0, BATHS[bath], *IRREGULAR[grid])
+        run_superposed_input(4, disorder, 2.0, BATHS[bath], *IRREGULAR[grid])
 
 
 @pytest.mark.parametrize("bath", BATHS)
@@ -398,7 +391,7 @@ def test_read_out_matches_dense_site_distribution(bath):
     # k = 5 random rows R against R times the diagonal of V rho V^T of the dense
     # per-time-point states, on a grid of a 20-level chain that runs 40 columns
     # past the first cache block
-    e, v = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0)))
+    e, v = diagonalize(build_chain_hamiltonian(sample_disorder(20, 0.5, 0), 2.0))
     c = v[0]
     size = lindblad._BLOCK_BYTES // (16 * 20) + 40
     t_max, dt = 0.5 * (size - 1), 0.5
@@ -414,7 +407,7 @@ def test_read_out_matches_dense_site_distribution_past_the_cut():
     # the same check on a grid whose second cache block holds the bath's cut:
     # from the column where ||u||^2 < 2^-70 on, read_out adds no R |V U|^2,
     # and the dropped part must stay far inside the oracle's bound
-    e, v = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0)))
+    e, v = diagonalize(build_chain_hamiltonian(sample_disorder(20, 0.5, 0), 2.0))
     c, bath = v[0], BATHS["bath"]
     size = lindblad._BLOCK_BYTES // (16 * 20) + 1000
     t_max, dt = 0.25 * (size - 1), 0.25
@@ -435,18 +428,17 @@ def test_run_superposed_input_past_the_cut():
     # their entropy comes from the sorted diagonal, not an eigensolve. Those
     # columns are held to the dense oracle, and that entropy to
     # von_neumann_entropy of the same states within 1e-15.
-    layout = build_cnot_layout(16, 4)
-    disorder = sample_disorder(ChainSpec(16, 0.5, 0.0, 0))
+    disorder = sample_disorder(16, 0.5, 0)
     bath, (t_max, dt) = BATHS["bath"], (1600.0, 2.0)
     cut = 0
     for branch in "UD":
-        *_, (e, v) = build_branch(layout, branch, disorder, 2.0)
+        *_, (e, v) = build_branch(4, branch, disorder, 2.0)
         (_, _, u), = lindblad.energy_blocks(e, bath, v[0], t_max, dt)  # one cache block
         cut = max(cut, lindblad._coherent_columns(u))
     times = time_grid(t_max, dt)
     assert 0 < cut < times.size - 100
-    series, register = run_superposed_input(layout, disorder, 2.0, bath, t_max, dt)
-    expected = dense_superposed_columns(layout, disorder, 2.0, bath, times[cut:])
+    series, register = run_superposed_input(4, disorder, 2.0, bath, t_max, dt)
+    expected = dense_superposed_columns(4, disorder, 2.0, bath, times[cut:])
     assert_columns_match({name: col[cut:] for name, col in series.items()}, expected)
     past = register[cut:]
     assert np.count_nonzero(past - past * np.eye(4)) == 0
@@ -463,8 +455,8 @@ LONG_RTOL = 1e-10
 
 @pytest.mark.parametrize("bath", BATHS)
 def test_long_grid_matches_direct_formula(bath):
-    spec = ChainSpec(12, 0.5, 2.0, 0) if bath == "bath" else ChainSpec(12, 0.5, 0.0, 0)
-    e, v = diagonalize(build_chain_hamiltonian(spec))
+    g = 2.0 if bath == "bath" else 0.0
+    e, v = diagonalize(build_chain_hamiltonian(sample_disorder(12, 0.5, 0), g))
     c = v[0].astype(complex)
     pops, amps = relax_energy_density(e, BATHS[bath], c, 10000.0, 0.1)
     cols = slice(None, None, 997)  # the direct formula on every 997th time
@@ -477,7 +469,7 @@ def test_long_grid_matches_direct_formula(bath):
 
 
 def test_unitary_observable_series_long_grid():
-    eig = diagonalize(build_chain_hamiltonian(ChainSpec(12, 0.5, 0.0, seed=0)))
+    eig = diagonalize(build_chain_hamiltonian(sample_disorder(12, 0.5, 0), 0.0))
     psi0 = np.eye(12)[0]
     series = closed_series(eig, psi0, 10000.0, 0.1, [12])
     expected = chunked_unitary_columns(eig, psi0, LONG_GRID, np.array([11]))
@@ -497,7 +489,7 @@ def test_unitary_block_boundaries_match_dense_oracle():
     # s = 200 on 0 .. 5000 in steps of 0.5: 31 cache blocks, the last one partial.
     # Every later block is the first block's table times a phase shift, so its
     # first and last columns are held to dense eigh of the full matrix.
-    h = build_chain_hamiltonian(ChainSpec(200, 0.5, 0.0, seed=0))
+    h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 0.0)
     psi0 = np.eye(200)[0]
     times = time_grid(5000.0, 0.5)
     edges = block_edges(times, 200)
@@ -515,7 +507,7 @@ def test_bath_block_boundaries_match_direct_formula():
     # exp(d (t_start - t_0)), d = -i e - zeta G / 2: the shift must carry the
     # decay as well as the phase. s = 200 on 0 .. 5000 in steps of 0.5 spans 31
     # blocks; the first and last column of each is held to the direct formula.
-    h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
+    h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 2.0)
     e, v = diagonalize(h)
     times = time_grid(5000.0, 0.5)
     edges = block_edges(times, 200)
@@ -532,13 +524,12 @@ def test_superposed_block_boundaries_match_dense_oracle(bath):
     # blocks span the same columns: 0 .. 5000 in steps of 0.5 is 31 blocks,
     # the last one partial. The first and last column of each block is held
     # to the dense per-time-point states of both branches and the cross block.
-    layout = build_cnot_layout(200, 9)
-    disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
+    disorder = sample_disorder(200, 0.5, 0)
     times = time_grid(5000.0, 0.5)
-    edges = block_edges(times, layout.path_length)
-    series, _ = run_superposed_input(layout, disorder, 2.0, BATHS[bath], 5000.0, 0.5)
+    edges = block_edges(times, 198)  # the branches have s - 2 levels
+    series, _ = run_superposed_input(9, disorder, 2.0, BATHS[bath], 5000.0, 0.5)
     got = {name: col[edges] for name, col in series.items() if name != "t"}
-    expected = dense_superposed_columns(layout, disorder, 2.0, BATHS[bath], times[edges])
+    expected = dense_superposed_columns(9, disorder, 2.0, BATHS[bath], times[edges])
     assert_columns_match(got, expected, LONG_RTOL)
 
 
@@ -567,12 +558,11 @@ def test_bath_read_out_memory(pipeline):
     # 12.5 MiB here.
     axis, bath = (5000.0, 1.0), BATHS["bath"]
     if pipeline == "transport":
-        h = build_chain_hamiltonian(ChainSpec(200, 0.5, 2.0, seed=0))
+        h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 2.0)
         peak = traced_peak(lambda: dissipative_transport_run(h, bath, *axis))
     else:
-        layout = build_cnot_layout(200, 9)
-        disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
-        peak = traced_peak(lambda: run_classical_input(layout, disorder, 2.0, bath, "U", *axis))
+        disorder = sample_disorder(200, 0.5, 0)
+        peak = traced_peak(lambda: run_classical_input(9, disorder, 2.0, bath, "U", *axis))
     series = 7 * time_grid(*axis).size * np.dtype(float).itemsize
     bound = series + 7 * lindblad._BLOCK_BYTES
     assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
@@ -598,9 +588,8 @@ def test_superposed_read_out_memory(bath):
     # 28.4 MiB with the bath.
     axis = (5000.0, 1.0)
     times = time_grid(*axis)
-    layout = build_cnot_layout(200, 9)
-    disorder = sample_disorder(ChainSpec(200, 0.5, 0.0, 0))
-    peak = traced_peak(lambda: run_superposed_input(layout, disorder, 2.0, BATHS[bath], *axis))
+    disorder = sample_disorder(200, 0.5, 0)
+    peak = traced_peak(lambda: run_superposed_input(9, disorder, 2.0, BATHS[bath], *axis))
     series = 6 * times.size * np.dtype(float).itemsize
     register = times.size * 16 * np.dtype(complex).itemsize
     blocks = 9 if BATHS[bath] is None else 12

@@ -13,10 +13,10 @@ from support import (
 )
 
 from openchain.chains import (
-    ChainSpec,
     build_chain_hamiltonian,
     diagonalize,
     free_eigensystem,
+    sample_disorder,
 )
 from openchain.lindblad import (
     _THETA13,
@@ -56,6 +56,25 @@ def kernel_coherences(evals, bath, c, t):
     coh = np.outer(amps[:, 0], amps[:, 0].conj())
     np.fill_diagonal(coh, 0.0)
     return coh
+
+
+class TestBathSpec:
+    @pytest.mark.parametrize(
+        "beta,zeta",
+        [(0.0, 0.05), (-1.0, 0.05), (1.0, -0.1), (np.nan, 0.05), (1.0, np.nan), (1.0, np.inf)],
+        ids=["beta-zero", "beta-negative", "zeta-negative", "beta-nan", "zeta-nan", "zeta-inf"],
+    )
+    def test_rejects_bad_fields(self, beta, zeta):
+        # NaN passes every ordered comparison that fails, so the checks are
+        # written as what a valid field satisfies
+        with pytest.raises(ValueError):
+            BathSpec(beta, zeta)
+
+    def test_zero_temperature_runs_finite(self):
+        # beta = inf is zero temperature: no upward jumps, 1/expm1(inf) = 0
+        h = build_chain_hamiltonian(sample_disorder(10, 0.5, 0), 2.0)
+        columns = dissipative_transport_run(h, BathSpec(np.inf, 0.05), 10.0, 1.0)
+        assert all(np.all(np.isfinite(values)) for values in columns.values())
 
 
 class TestTransitionRates:
@@ -143,7 +162,7 @@ class TestExpm:
     def test_matches_scipy_on_population_generators(self, s):
         paths = set()
         for g in (0.2, 2.0):
-            evals, _ = diagonalize(build_chain_hamiltonian(ChainSpec(s, 0.5, g, seed=0)))
+            evals, _ = diagonalize(build_chain_hamiltonian(sample_disorder(s, 0.5, 0), g))
             for zeta, dt in itertools.product([0.05, 0.5], [0.05, 1.0, 32.0, 500.0]):
                 bath = BathSpec(beta=1.0, zeta=zeta)
                 a = population_generator(transition_rates(evals, bath), bath) * dt
@@ -238,7 +257,7 @@ class TestRepresentations:
         assert np.max(np.abs(prob - 1 / 6)) < 1e-12
 
     def test_round_trip(self):
-        _, v = diagonalize(build_chain_hamiltonian(ChainSpec(7, 0.3, 1.0, seed=16)))
+        _, v = diagonalize(build_chain_hamiltonian(sample_disorder(7, 0.3, 16), 1.0))
         psi = random_pure(7, 17)
         back = site_amplitudes(v, (v.T @ psi)[:, None])[:, 0]
         assert np.max(np.abs(back - psi)) < 1e-12
@@ -279,15 +298,13 @@ class TestDensityObservables:
 
 class TestDissipativeTransportRun:
     def test_weak_coupling_limit_matches_unitary(self):
-        spec = ChainSpec(10, 0.3, 1.0, seed=19)
-        h = build_chain_hamiltonian(spec)
+        h = build_chain_hamiltonian(sample_disorder(10, 0.3, 19), 1.0)
         unitary = dissipative_transport_run(h, None, 10.0, 0.2)
         open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=1e-9), 10.0, 0.2)
         assert np.max(np.abs(open_sys["mean_Q"] - unitary["mean_Q"])) < 1e-6
 
     def test_zero_coupling_exact(self):
-        spec = ChainSpec(8, 0.4, 1.5, seed=20)
-        h = build_chain_hamiltonian(spec)
+        h = build_chain_hamiltonian(sample_disorder(8, 0.4, 20), 1.5)
         unitary = dissipative_transport_run(h, None, 25.0, 1.0)
         open_sys = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.0), 25.0, 1.0)
         assert np.max(np.abs(open_sys["mean_Q"] - unitary["mean_Q"])) < 1e-12
@@ -296,7 +313,7 @@ class TestDissipativeTransportRun:
     def test_transport_reaches_far_end(self):
         # tilted disordered chain with a cold bath: the excitation walks to
         # the last site and stays
-        h = build_chain_hamiltonian(ChainSpec(20, 0.5, 2.0, seed=0))
+        h = build_chain_hamiltonian(sample_disorder(20, 0.5, 0), 2.0)
         series = dissipative_transport_run(h, BathSpec(beta=1.0, zeta=0.05), 1000.0, 4.0)
         assert series["p_region"][-1] >= 0.8
         # past the initial transient the drift is monotone to the right
@@ -306,7 +323,7 @@ class TestDissipativeTransportRun:
 
     def test_effective_hop_time(self):
         # cold-bath regime: one site per 1/zeta time units, within 50%
-        h = build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0))
+        h = build_chain_hamiltonian(sample_disorder(20, 0.0, 0), 2.0)
         series = dissipative_transport_run(h, BathSpec(beta=50.0, zeta=0.05), 600.0, 0.5)
         t5 = np.interp(5.0, series["mean_Q"], series["t"])
         t15 = np.interp(15.0, series["mean_Q"], series["t"])
@@ -314,7 +331,7 @@ class TestDissipativeTransportRun:
         assert 10.0 <= per_site <= 30.0
 
     def test_trace_and_positivity_along_run(self):
-        h = build_chain_hamiltonian(ChainSpec(12, 0.5, 2.0, seed=21))
+        h = build_chain_hamiltonian(sample_disorder(12, 0.5, 21), 2.0)
         e, v = diagonalize(h)
         bath = BathSpec(beta=1.0, zeta=0.1)
         pops, amps = relax_energy_density(e, bath, v[0], 200.0, 5.0)

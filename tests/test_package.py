@@ -14,16 +14,27 @@ import openchain
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def readme_python_block() -> str:
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
 def test_all_names_resolve():
     missing = [name for name in openchain.__all__ if not hasattr(openchain, name)]
     assert missing == []
 
 
+def test_namespace_is_what_readme_says():
+    # README: the names its example uses, plus load_config and __version__;
+    # so a deleted or unused name does not stay exported
+    used = set(re.findall(r"\boc\.(\w+)", readme_python_block()))
+    assert set(openchain.__all__) == used | {"load_config", "__version__"}
+
+
 def test_readme_library_example_runs(capsys):
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
-    assert len(blocks) == 1
     namespace: dict = {}
-    exec(compile(blocks[0], str(README), "exec"), namespace)
+    exec(compile(readme_python_block(), str(README), "exec"), namespace)
     capsys.readouterr()
     # the figures the README's comments document
     assert namespace["series"]["p_region"][-1] == pytest.approx(0.82, abs=0.01)

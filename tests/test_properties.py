@@ -18,9 +18,8 @@ from support import (
     thermal_fixed_point,
 )
 
-from openchain.chains import ChainSpec, build_chain_hamiltonian, diagonalize, sample_disorder
+from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
 from openchain.feynman import (
-    build_cnot_layout,
     register_index,
     run_classical_input,
     run_superposed_input,
@@ -45,9 +44,8 @@ def switch_params(draw):
 
 
 def superposed_run(s, a, sigma, g, beta, zeta, seed):
-    disorder = sample_disorder(ChainSpec(s, sigma, 0.0, seed))
-    layout = build_cnot_layout(s, a)
-    return run_superposed_input(layout, disorder, g, BathSpec(beta, zeta), 300.0, 5.0)
+    disorder = sample_disorder(s, sigma, seed)
+    return run_superposed_input(a, disorder, g, BathSpec(beta, zeta), 300.0, 5.0)
 
 
 @DERANDOMIZED
@@ -92,21 +90,20 @@ def test_reduced_switch_matches_full_space_oracle(params):
     # on the 4s-dimensional product space; the bath side is covered by the
     # dense-oracle equivalence tests, since the full-space oracle is unitary
     s, a, sigma, g, seed, t_max = params
-    layout = build_cnot_layout(s, a)
-    disorder = sample_disorder(ChainSpec(s, sigma, 0.0, seed))
-    h_full = full_switch_hamiltonian(layout, disorder, g)
-    superposed, register = run_superposed_input(layout, disorder, g, None, t_max, t_max / 4)
+    disorder = sample_disorder(s, sigma, seed)
+    h_full = full_switch_hamiltonian(a, disorder, g)
+    superposed, register = run_superposed_input(a, disorder, g, None, t_max, t_max / 4)
     grid = superposed["t"]
-    psi0 = full_space_state(layout, register_vector((+1, -1), (-1, -1)))
+    psi0 = full_space_state(s, register_vector((+1, -1), (-1, -1)))
     for i, t in enumerate(grid):
         psi = evolve_full(h_full, psi0, t)
         _, reg_full = full_space_observables(psi, s)
-        p_full = np.sum(np.abs(psi.reshape(s, 4)[layout.b - 1 :]) ** 2)
+        p_full = np.sum(np.abs(psi.reshape(s, 4)[a + 4 :]) ** 2)  # sites b = a + 5 on
         assert np.max(np.abs(reg_full - register[i])) < 1e-8
         assert abs(p_full - superposed["p_beyond_gate"][i]) < 1e-8
     for branch, control in (("U", +1), ("D", -1)):
-        series = run_classical_input(layout, disorder, g, None, branch, t_max, t_max / 4)
-        psi0 = full_space_state(layout, register_vector((control, -1)))
+        series = run_classical_input(a, disorder, g, None, branch, t_max, t_max / 4)
+        psi0 = full_space_state(s, register_vector((control, -1)))
         for i, t in enumerate(grid):
             mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), s)
             assert abs(mean_full - series["mean_Q"][i]) < 1e-8
@@ -122,7 +119,7 @@ def chain_params(draw):
 
 
 def chain_spectrum(s, sigma, g, seed):
-    return diagonalize(build_chain_hamiltonian(ChainSpec(s, sigma, g, seed)))
+    return diagonalize(build_chain_hamiltonian(sample_disorder(s, sigma, seed), g))
 
 
 @DERANDOMIZED

@@ -11,10 +11,10 @@ from support import (
 )
 
 from openchain.chains import (
-    ChainSpec,
     build_chain_hamiltonian,
     diagonalize,
     free_eigensystem,
+    sample_disorder,
 )
 from openchain.lindblad import arrival_peak, dissipative_transport_run, time_grid
 
@@ -52,19 +52,19 @@ class TestEvolvePure:
 
     @pytest.mark.parametrize("t", [0.1, 3.0, 57.0])
     def test_norm_preserved(self, t):
-        eig = diagonalize(build_chain_hamiltonian(ChainSpec(15, 0.4, 1.0, seed=2)))
+        eig = diagonalize(build_chain_hamiltonian(sample_disorder(15, 0.4, 2), 1.0))
         series = closed_series(eig, random_state(15, 3), t, t, region=range(1, 16))
         assert abs(series["p_region"][-1] - 1.0) < 1e-10
 
     def test_composition(self):
-        h = build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=4))
+        h = build_chain_hamiltonian(sample_disorder(12, 0.3, 4), 0.5)
         psi0 = random_state(12, 5)
         one_shot = evolve_pure(h, psi0, 5.2)
         two_step = evolve_pure(h, evolve_pure(h, psi0, 2.0), 3.2)
         assert np.max(np.abs(one_shot - two_step)) < 1e-9
 
     def test_energy_conserved(self):
-        h = build_chain_hamiltonian(ChainSpec(12, 0.3, 0.5, seed=6))
+        h = build_chain_hamiltonian(sample_disorder(12, 0.3, 6), 0.5)
         psi0 = random_state(12, 7)
         hd = dense_hamiltonian(h)
         e0 = np.real(psi0.conj() @ hd @ psi0)
@@ -172,7 +172,7 @@ class TestCleanChainOracle:
 class TestObservableSeries:
     def test_matches_pointwise_evolution(self):
         # against the dense oracle, which shares no code with the kernel
-        h = build_chain_hamiltonian(ChainSpec(10, 0.2, 0.7, seed=8))
+        h = build_chain_hamiltonian(sample_disorder(10, 0.2, 8), 0.7)
         psi0 = np.eye(10)[0]
         series = closed_series(diagonalize(h), psi0, 20.0, 0.5, region={9, 10})
         grid = series["t"]
@@ -190,7 +190,7 @@ class TestObservableSeries:
         # precision and came out below -1e-9 for these starts; the central form
         # sum (x - <x>)^2 p is the reference
         s = 2000
-        e, v = diagonalize(build_chain_hamiltonian(ChainSpec(s, 0.0, 2.0, seed=0)))
+        e, v = diagonalize(build_chain_hamiltonian(sample_disorder(s, 0.0, 0), 2.0))
         grid = time_grid(10.0, 0.5)
         x = np.arange(1, s + 1)[:, None]
         phases = np.exp(-1j * np.outer(e, grid))
@@ -213,7 +213,7 @@ class TestObservableSeries:
         bound = 1 + 2 * localization_length_gaussian(0.5)
         ok = 0
         for seed in range(100):
-            eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.5, 0.0, seed)))
+            eig = diagonalize(build_chain_hamiltonian(sample_disorder(20, 0.5, seed), 0.0))
             series = closed_series(eig, np.eye(20)[0], 500.0, 0.5)
             if series["mean_Q"].mean() < bound:
                 ok += 1
@@ -222,7 +222,7 @@ class TestObservableSeries:
     def test_tilt_confines_oscillation(self):
         # clean tilted chain: mean position oscillates within about one
         # tilt-localization length of its start
-        eig = diagonalize(build_chain_hamiltonian(ChainSpec(20, 0.0, 2.0, seed=0)))
+        eig = diagonalize(build_chain_hamiltonian(sample_disorder(20, 0.0, 0), 2.0))
         series = closed_series(eig, np.eye(20)[0], 500.0, 0.25)
         width = bandwidth(free_eigensystem(20)[0])
         assert series["mean_Q"].max() - series["mean_Q"].min() <= width / 2.0 + 1.0
