@@ -1,6 +1,7 @@
 """Command-line interface: run, sweep, and validate experiment configs.
 
-Exit codes: 0 success, 2 invalid config or usage, 3 numeric failure.
+Exit codes: 0 success, 2 invalid config or usage, 3 numeric failure (a run too
+large for memory included).
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ def main(argv: list[str] | None = None) -> int:
             manifest = run_scenario(config, workers=args.workers)
         else:
             manifest = sweep(config, args.vary, _parse_values(args.values), workers=args.workers)
-        print(f"wrote {len(manifest.outputs)} files to {config.output}")
+        print(f"wrote {len(manifest['outputs'])} files to {config.output}")
         return 0
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (DegenerateGapError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (DegenerateGapError, np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

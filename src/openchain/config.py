@@ -26,7 +26,7 @@ A config is a key-value file with sections::
     dt = 1.0
 
 Chain, layout and grid fields default to each scenario's standard desk-scale
-parameters (see SCENARIO_DEFAULTS), so a minimal file only names the scenario
+parameters (see SCENARIOS), so a minimal file only names the scenario
 and, for open-system runs, the bath. Bath parameters are never defaulted, and
 a bath or layout field that the scenario does not read is an error.
 Validation reports every violation at once, not just the first.
@@ -41,30 +41,22 @@ from typing import Any
 
 from .lindblad import _whole_steps
 
-SCENARIOS = (
-    "ballistic",
-    "localized",
-    "bloch",
-    "dissipative-transport",
-    "cnot-classical",
-    "cnot-superposed",
-    "peak-scaling",
-)
-
-BATH_REQUIRED = {"dissipative-transport", "cnot-superposed"}
-LAYOUT_REQUIRED = {"cnot-classical", "cnot-superposed"}
-
-#: chain/layout/grid defaults per scenario (desk-scale figures)
-SCENARIO_DEFAULTS: dict[str, dict[str, Any]] = {
+#: each scenario's chain/layout/grid defaults (desk-scale figures); a scenario
+#: reads a layout field (a, branch) only if its row has a default for it
+SCENARIOS: dict[str, dict[str, Any]] = {
     "ballistic": {"s": 20, "sigma": 0.0, "g": 0.0, "t_max": 40.0, "dt": 0.05},
     "localized": {"s": 20, "sigma": 0.5, "g": 0.0, "t_max": 500.0, "dt": 0.5},
     "bloch": {"s": 20, "sigma": 0.0, "g": 2.0, "t_max": 40.0, "dt": 0.05},
     "dissipative-transport": {"s": 20, "sigma": 0.5, "g": 2.0, "t_max": 1000.0, "dt": 1.0},
-    "cnot-classical": {"s": 22, "a": 9, "sigma": 0.5, "g": 0.0, "t_max": 200.0, "dt": 0.1},
+    "cnot-classical": {"s": 22, "a": 9, "sigma": 0.5, "g": 0.0, "t_max": 200.0, "dt": 0.1,
+                       "branch": "U"},
     "cnot-superposed": {"s": 22, "a": 9, "sigma": 0.5, "g": 2.0, "t_max": 2000.0, "dt": 1.0},
     # peak-scaling: t_max omitted -> scan window auto-sized to _scan_t_max(s) = 1.5 s + 10
     "peak-scaling": {"s": 50, "sigma": 0.0, "g": 0.0, "dt": 0.05},
 }
+
+#: the scenarios that read a [bath] section, each mapped to whether it requires one
+_BATH = {"dissipative-transport": True, "cnot-classical": False, "cnot-superposed": True}
 
 SWEEPABLE = ("s", "sigma", "g", "zeta", "beta")
 
@@ -74,14 +66,6 @@ _SECTIONS = {
     "bath": ("beta", "zeta"),
     "layout": ("a", "branch"),
     "grid": ("t_max", "dt"),
-}
-
-#: optional fields and the scenarios that read them; any other scenario rejects them
-_READ_BY = {
-    "beta": BATH_REQUIRED | {"cnot-classical"},
-    "zeta": BATH_REQUIRED | {"cnot-classical"},
-    "a": LAYOUT_REQUIRED,
-    "branch": {"cnot-classical"},
 }
 
 
@@ -116,9 +100,6 @@ class ExperimentConfig:
 
     def has_bath(self) -> bool:
         return self.beta is not None and self.zeta is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 #: numeric fields and their types, in the order their violations are reported
@@ -173,7 +154,7 @@ def range_violations(config: ExperimentConfig) -> list[str]:
         found.append(f"t_max: must be a whole number >= 1 of dt = {config.dt} steps, "
                      f"got {t_max}{window}")
     a = config.a
-    if config.scenario in LAYOUT_REQUIRED and a is not None and (a < 1 or config.s < a + 6):
+    if "a" in SCENARIOS[config.scenario] and not 1 <= a <= config.s - 6:
         found.append(f"a: need 1 <= a <= s - 6, got a={a}, s={config.s}")
     return found
 
@@ -212,21 +193,17 @@ def validate_config(text: str) -> ExperimentConfig:
     # the scenario's defaults, overridden by what the file gives; the dataclass supplies the rest
     given = {key: value for key, value in values.items() if value is not None}
     given.update((key, raw[key].strip()) for key in ("branch", "output") if key in raw)
-    config = ExperimentConfig(scenario, **{**SCENARIO_DEFAULTS[scenario], **given})
+    config = ExperimentConfig(scenario, **{**SCENARIOS[scenario], **given})
     violations += range_violations(config)
-    if scenario != "peak-scaling" and config.t_max is None:
-        violations.append("t_max: missing (section [grid])")
 
-    for key, readers in _READ_BY.items():
-        if key in raw and scenario not in readers:
-            violations.append(f"{key}: scenario {scenario} does not read it, got {raw[key]}")
-    if scenario in BATH_REQUIRED:
+    reads = {*SCENARIOS[scenario], *(("beta", "zeta") if scenario in _BATH else ())}
+    violations += [f"{key}: scenario {scenario} does not read it, got {raw[key]}"
+                   for key in ("beta", "zeta", "a", "branch") if key in raw and key not in reads]
+    if _BATH.get(scenario):
         violations += [f"{key}: required for scenario {scenario} (section [bath])"
                        for key in ("beta", "zeta") if key not in raw]
     if ("beta" in raw) != ("zeta" in raw):
         violations.append("beta and zeta must be given together")
-    if scenario in LAYOUT_REQUIRED and config.a is None:
-        violations.append(f"a: required for scenario {scenario} (section [layout])")
 
     if violations:
         raise ConfigError(violations)

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +26,17 @@ import numpy.random  # noqa: F401  (numpy loads it at the first seed; no import 
 
 from . import __version__
 from .chains import build_chain_hamiltonian, free_eigensystem, sample_disorder
-from .config import SWEEPABLE, ConfigError, ExperimentConfig, _scan_t_max, range_violations
+from .config import (
+    SCENARIOS, SWEEPABLE, ConfigError, ExperimentConfig, _scan_t_max, range_violations,
+)
 from .feynman import run_classical_input, run_superposed_input
 from .lindblad import BathSpec, arrival_peak, dissipative_transport_run
 from .series import write_csv
 
-UNITARY_CHAIN_SCENARIOS = {"ballistic", "localized", "bloch"}
 
-
-def realization_seed(master: int, *key: int) -> int:
+def realization_seed(master: int, r: int) -> int:
     """Documented, order-independent seed-splitting rule."""
-    ss = np.random.SeedSequence(master, spawn_key=tuple(key))
+    ss = np.random.SeedSequence(master, spawn_key=(r,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -51,16 +50,15 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
 
     bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None
     disorder = sample_disorder(config.s, config.sigma, seed)
-    if scenario in UNITARY_CHAIN_SCENARIOS or scenario == "dissipative-transport":
-        energies = build_chain_hamiltonian(disorder, config.g)
-        bath = None if scenario in UNITARY_CHAIN_SCENARIOS else bath
-        return dissipative_transport_run(energies, bath, config.t_max, config.dt)
     if scenario == "cnot-classical":
         return run_classical_input(
             config.a, disorder, config.g, bath, config.branch, config.t_max, config.dt
         )
     if scenario == "cnot-superposed":
         return run_superposed_input(config.a, disorder, config.g, bath, config.t_max, config.dt)[0]
+    if scenario in SCENARIOS:  # the four chain scenarios; a config gives only one of them a bath
+        energies = build_chain_hamiltonian(disorder, config.g)
+        return dissipative_transport_run(energies, bath, config.t_max, config.dt)
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -151,30 +149,6 @@ def _numeric_environment() -> dict:
     }
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run bit-exactly, plus output digests.
-
-    CSV bytes are reproducible for a given numeric stack, which ``environment``
-    records.
-    """
-
-    config: dict
-    version: str
-    master_seed: int
-    realization_seeds: list[int]
-    wall_clock_s: float
-    outputs: dict[str, str]
-    disorder: list[list[float]] | None = None
-    environment: dict = dataclasses.field(default_factory=_numeric_environment)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2)
-
-    def write(self, path: Path) -> None:
-        path.write_text(self.to_json() + "\n")
-
-
 def _disorder_provenance(config: ExperimentConfig, seeds: list[int]) -> list[list[float]] | None:
     if config.sigma == 0 or config.scenario == "peak-scaling":
         return None
@@ -182,29 +156,35 @@ def _disorder_provenance(config: ExperimentConfig, seeds: list[int]) -> list[lis
 
 
 def _write_outputs(
-    config: ExperimentConfig, tables: dict[str, dict[str, np.ndarray]], started: float, /, **fields
-) -> RunManifest:
-    """Write each table as a CSV in ``config.output``, then a manifest beside them.
+    config: ExperimentConfig, tables: dict[str, dict[str, np.ndarray]], started: float,
+    settings: dict, seeds: list[int], disorder: list[list[float]] | None = None,
+) -> dict:
+    """Write each table as a CSV in ``config.output``, then the manifest beside them; return it.
 
-    ``fields`` are the :class:`RunManifest` fields that differ between a run and a sweep.
-    The callers have passed every table through :func:`_require_finite`.
+    The manifest (``manifest.json``) holds everything needed to reproduce the
+    run bit-exactly, plus the output digests. CSV bytes are reproducible for a
+    given numeric stack, which ``environment`` records. The callers have passed
+    every table through :func:`_require_finite`.
     """
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {name: write_csv(out_dir / name, cols) for name, cols in tables.items()}
-    manifest = RunManifest(
-        version=__version__,
-        master_seed=config.seed,
-        wall_clock_s=time.perf_counter() - started,
-        outputs=outputs,
-        **fields,
-    )
-    manifest.write(out_dir / "manifest.json")
+    manifest = {
+        "config": settings,
+        "version": __version__,
+        "master_seed": config.seed,
+        "realization_seeds": seeds,
+        "wall_clock_s": time.perf_counter() - started,
+        "outputs": outputs,
+        "disorder": disorder,
+        "environment": _numeric_environment(),
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 
-def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
-    """Run an ensemble: one CSV per realization, an aggregate CSV, a JSON manifest.
+def run_scenario(config: ExperimentConfig, workers: int = 1) -> dict:
+    """Run an ensemble: one CSV per realization, an aggregate CSV, a JSON manifest (returned).
 
     A non-finite value other than ``bell_fidelity``'s NaN raises
     ``FloatingPointError`` before any CSV is written.
@@ -219,9 +199,7 @@ def run_scenario(config: ExperimentConfig, workers: int = 1) -> RunManifest:
     tables[aggregate] = aggregate_columns(results)
     _require_finite(aggregate, tables[aggregate])
     disorder = _disorder_provenance(config, seeds)
-    return _write_outputs(
-        config, tables, started, config=config.to_dict(), realization_seeds=seeds, disorder=disorder
-    )
+    return _write_outputs(config, tables, started, dataclasses.asdict(config), seeds, disorder)
 
 
 def sweep(
@@ -229,7 +207,7 @@ def sweep(
     vary: str,
     values: list[float],
     workers: int = 1,
-) -> RunManifest:
+) -> dict:
     """One aggregate row per parameter value.
 
     For ``peak-scaling`` a row holds the ensemble mean of (t_star, p_star);
@@ -238,8 +216,8 @@ def sweep(
     ``workers > 1`` every (value, realization) job goes to one process pool.
     A non-finite parameter value raises ``ValueError``, and a value that puts
     the config out of range (:func:`openchain.config.range_violations`) raises
-    ``ConfigError``, before any job runs; non-finite outputs are rejected as in
-    :func:`run_scenario`.
+    ``ConfigError``, before any job runs; non-finite outputs are rejected, and
+    the manifest returned, as in :func:`run_scenario`.
     """
     if vary not in SWEEPABLE:
         raise ValueError(f"parameter {vary!r} is not sweepable; choose from {SWEEPABLE}")
@@ -271,7 +249,7 @@ def sweep(
                 row[name] = float(np.mean([r[name][-1] for r in ensemble]))
         rows.append(row)
     table = {k: np.array([row[k] for row in rows]) for k in rows[0]}
-    settings = {**config.to_dict(), "vary": vary, "values": list(values)}
+    settings = {**dataclasses.asdict(config), "vary": vary, "values": list(values)}
     name = f"{config.scenario}_sweep_{vary}.csv"
     _require_finite(name, table)
-    return _write_outputs(config, {name: table}, started, config=settings, realization_seeds=seeds)
+    return _write_outputs(config, {name: table}, started, settings, seeds)

@@ -43,8 +43,9 @@ dt = 1.0
 """
 
 #: per scenario: config sections it never reads, and the keys to be reported
+#: (ballistic's a = 30 would break the switch layout rule, which it does not read)
 UNREAD_FIELDS = {
-    "ballistic": ("[bath]\nbeta = 1\nzeta = 5\n[layout]\na = 3\nbranch = D\n",
+    "ballistic": ("[bath]\nbeta = 1\nzeta = 5\n[layout]\na = 30\nbranch = D\n",
                   ["beta", "zeta", "a", "branch"]),
     "localized": ("[bath]\nbeta = 1\nzeta = 0\n", ["beta", "zeta"]),
     "bloch": ("[layout]\nbranch = U\n", ["branch"]),

@@ -333,11 +333,24 @@ INVALID_VALUES = {
 
 @pytest.mark.parametrize("axis", [*IRREGULAR, *INVALID_VALUES])
 def test_time_grid_rejects_invalid_axes(axis):
+    # every entry point builds its grid with time_grid before any code that
+    # reads the bath, so each axis reaches each entry point once, with a bath
     t_max, dt = {**IRREGULAR, **INVALID_VALUES}[axis]
-    with pytest.raises(ValueError, match=REJECTED):
-        time_grid(t_max, dt)
-    with pytest.raises(ValueError, match=REJECTED):
-        arrival_peak(free_eigensystem(4), t_max, dt)
+    e, v = free_eigensystem(8)
+    bath, disorder = BATHS["bath"], sample_disorder(16, 0.5, 0)
+    sites, last = np.arange(1, 9), np.array([7])
+    entry_points = [
+        lambda: time_grid(t_max, dt),
+        lambda: arrival_peak((e, v), t_max, dt),
+        lambda: relax_energy_density(e, bath, v[0], t_max, dt),
+        lambda: lindblad.pure_state_series((e, v), bath, v[0], t_max, dt, sites, last),
+        lambda: dissipative_transport_run(e, bath, t_max, dt),
+        lambda: run_classical_input(4, disorder, 2.0, bath, "U", t_max, dt),
+        lambda: run_superposed_input(4, disorder, 2.0, bath, t_max, dt),
+    ]
+    for run in entry_points:
+        with pytest.raises(ValueError, match=REJECTED):
+            run()
 
 
 @pytest.mark.parametrize("grid", IRREGULAR)

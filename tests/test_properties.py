@@ -3,11 +3,21 @@ the parameter space.
 
 Hypothesis draws small chains, layouts and physical parameters; the profile
 is derandomized (fixed examples, no example database) so the suite stays
-deterministic.
+deterministic. Derandomized draws are seeded from each test's source, so an
+edit to a test swaps its examples: the known hard cases are pinned as
+``@example`` rows (the default switch, and a 7-site switch whose full-space
+spectrum has clusters of nearly equal eigenvalues).
+
+The paper's claim that noise hinders entanglement holds here as an
+inequality at every time: the register's cross block between the control
+branches is 1/2 U_U U_D^H, so each entry that links control +1 to control -1
+is at most 1/2 ||u_U|| ||u_D||, and past the gate, where the state sits on
+(-1,-1) and (+1,+1) only, |F - 1/2| <= ||u_U|| ||u_D|| / (2 w), with
+||u(t)||^2 = sum_m |c_m|^2 exp(-zeta G_m t) computed apart from the kernel.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
     evolve_full,
@@ -20,12 +30,13 @@ from support import (
 
 from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
 from openchain.feynman import (
+    build_branch,
     register_index,
     run_classical_input,
     run_superposed_input,
 )
 from openchain import lindblad
-from openchain.lindblad import BathSpec, read_out
+from openchain.lindblad import BathSpec, read_out, transition_rates
 
 settings.register_profile(
     "derandomized", derandomize=True, database=None, max_examples=40, deadline=None
@@ -43,6 +54,11 @@ def switch_params(draw):
     return s, a, sigma, g, beta, zeta, draw(st.integers(0, 2**16))
 
 
+#: the cnot-superposed defaults with configs/cnot_superposed.ini's bath, on disorder
+#: seed 0: (s, a, sigma, g, beta, zeta, disorder seed)
+DEFAULT_SWITCH = (22, 9, 0.5, 2.0, 1.0, 0.05, 0)
+
+
 def superposed_run(s, a, sigma, g, beta, zeta, seed):
     disorder = sample_disorder(s, sigma, seed)
     return run_superposed_input(a, disorder, g, BathSpec(beta, zeta), 300.0, 5.0)
@@ -50,6 +66,7 @@ def superposed_run(s, a, sigma, g, beta, zeta, seed):
 
 @DERANDOMIZED
 @given(switch_params())
+@example(DEFAULT_SWITCH)
 def test_register_is_a_density_matrix(params):
     series, reg = superposed_run(*params)
     assert reg.shape == (series["t"].size, 4, 4)
@@ -60,11 +77,36 @@ def test_register_is_a_density_matrix(params):
 
 @DERANDOMIZED
 @given(switch_params())
+@example(DEFAULT_SWITCH)
 def test_entropy_bounds_and_branch_weights(params):
     series, _ = superposed_run(*params)
     assert np.all(series["entropy"] >= 0.0)
     assert np.all(series["entropy"] <= np.log(4.0) + 1e-12)
     assert np.max(np.abs(series["trace_UU"] + series["trace_DD"] - 1.0)) < 1e-9
+
+
+def branch_norm(a, disorder, g, bath, branch, times):
+    """||u(t)|| of a branch started at path coordinate 1: c = V[0], G the rates' column sums."""
+    _, _, (e, v) = build_branch(a, branch, disorder, g)
+    outflow = transition_rates(e, bath).sum(axis=0)
+    return np.sqrt(np.exp(-bath.zeta * np.outer(times, outflow)) @ v[0] ** 2)
+
+
+@DERANDOMIZED
+@given(switch_params())
+@example(DEFAULT_SWITCH)
+def test_noise_bounds_the_entanglement(params):
+    s, a, sigma, g, beta, zeta, seed = params
+    series, reg = superposed_run(*params)
+    disorder, bath = sample_disorder(s, sigma, seed), BathSpec(beta, zeta)
+    overlap = np.prod([branch_norm(a, disorder, g, bath, b, series["t"]) for b in "UD"], axis=0)
+    eps = np.finfo(float).eps
+    for block in (reg[:, 2:, :2], reg[:, :2, 2:]):  # control +1 against control -1
+        assert np.all(np.abs(block).max(axis=(1, 2)) <= 0.5 * overlap + 4 * eps)
+    w = series["p_beyond_gate"]
+    passed = w > 1e-12
+    excess = np.abs(series["bell_fidelity"][passed] - 0.5) - overlap[passed] / (2 * w[passed])
+    assert np.all(excess <= 4 * eps)
 
 
 @st.composite
@@ -85,6 +127,10 @@ def register_vector(*labels):
 
 @DERANDOMIZED
 @given(closed_switch_params())
+# (s, a, sigma, g, seed, t_max): a 7-site switch with sigma = g ~ 7e-49, whose
+# full-space spectrum has one cluster of nearly equal eigenvalues per register
+# state; there LAPACK syevr's eigenvectors are orthogonal only to ~1e-5
+@example((7, 1, 6.859409746981352e-49, 6.859409746981352e-49, 1, 1.0))
 def test_reduced_switch_matches_full_space_oracle(params):
     # the unitary reduced model against the complete clock-register evolution
     # on the 4s-dimensional product space; the bath side is covered by the

@@ -37,7 +37,7 @@ class TestRunScenario:
         data = read_csv(tmp_path / "out" / "ballistic_r000.csv")
         assert list(data) == ["t", "mean_Q", "var_Q", "p_region"]
         assert data["t"].size == 401
-        assert set(manifest.outputs) == {
+        assert set(manifest["outputs"]) == {
             "ballistic_r000.csv",
             "ballistic_aggregate.csv",
         }
@@ -168,6 +168,13 @@ class TestRunScenario:
             assert hashlib.sha256(payload).hexdigest() == digest
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_returns_the_manifest_it_writes(self, tmp_path, command):
+        # the manifest is one dict: what run_scenario and sweep return is what they wrote
+        config = make_config(tmp_path, "localized", "ensemble_size = 2\n[grid]\nt_max = 2\ndt = 1\n")
+        manifest = run_scenario(config) if command == "run" else sweep(config, "sigma", [0.1, 0.5])
+        assert manifest == json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_manifest_records_the_numeric_stack(self, tmp_path, command):
         config = make_config(tmp_path, "ballistic", "[grid]\nt_max = 2\ndt = 1\n")
         if command == "run":
@@ -214,8 +221,8 @@ class TestAllScenarios:
     )
     def test_scenario_produces_outputs(self, tmp_path, scenario, extra):
         manifest = run_scenario(make_config(tmp_path, scenario, extra))
-        assert f"{scenario}_r000.csv" in manifest.outputs
-        assert f"{scenario}_aggregate.csv" in manifest.outputs
+        assert f"{scenario}_r000.csv" in manifest["outputs"]
+        assert f"{scenario}_aggregate.csv" in manifest["outputs"]
 
     def test_long_grid_of_inexact_step(self, tmp_path):
         # beyond t = 4096 linspace rounds 0.1 steps to the float spacing 2**-40
@@ -461,6 +468,24 @@ class TestCli:
             "[grid]\nt_max = 5\ndt = 1\n",
         )
         assert main(["run", path]) == 3
+
+    def test_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a valid config whose grid or chain cannot fit in memory is a numeric
+        # failure, reported in one line, not a traceback
+        def too_large(config, workers=1):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)")
+
+        monkeypatch.setattr("openchain.cli.run_scenario", too_large)
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = ballistic\noutput = {tmp_path / 'out'}\n"
+            "[grid]\nt_max = 1e12\ndt = 1\n",
+        )
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"
+        ]
+        assert list(tmp_path.glob("out/*.csv")) == []
 
     def test_negative_variance_exit_3(self, tmp_path, monkeypatch, capsys):
         # a variance below -1e-9 is a numeric failure of the read-out, not a
