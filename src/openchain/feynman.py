@@ -251,14 +251,16 @@ def run_superposed_input(
     trace_uu, trace_dd, p_beyond, entropy = (np.empty(times.size) for _ in range(4))
     fidelity = np.full(times.size, np.nan)
     register = np.empty((times.size, 4, 4), dtype=complex)
+    dissipative = bath is not None and bath.zeta != 0.0  # V*V feeds only the bath term
+    squared_u, squared_d = (np.square(vu), np.square(vd)) if dissipative else (None, None)
     blocks = zip(
         energy_blocks(e_u, bath, vu[0], t_max, dt), energy_blocks(e_d, bath, vd[0], t_max, dt)
     )
     for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
         keep = max(_coherent_columns(amp_u), _coherent_columns(amp_d))
         w_u, w_d = site_amplitudes(vu, amp_u[:, :keep]), site_amplitudes(vd, amp_d[:, :keep])
-        diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, w_u)  # (8, columns)
-        diag_d = 0.5 * read_out(vd, rows_d, pop_d, amp_d, w_d)
+        diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, squared_u, w_u)  # (8, columns)
+        diag_d = 0.5 * read_out(vd, rows_d, pop_d, amp_d, squared_d, w_d)
         w_u *= np.conj(w_d)  # in place: the cross diagonal on every coordinate
         cross = 0.5 * site_amplitudes(pairs, w_u)  # (32, keep): zero after keep
         del w_u, w_d

@@ -47,7 +47,14 @@ later block is that table times exp(d t_start).
 The populations take B matrix-vector steps of S = expm(A dt) and then one
 BLAS-3 product S^B P per B columns, in the same block loop: each block starts
 from the last B columns of the one before it. :func:`expm` is the package's
-own, in numpy: scaling and squaring around the degree-13 Pade approximant.
+own, in numpy: a degree-12 Taylor polynomial (five products, no solve) up to
+1-norm 1/4, which covers the production ||A dt|| of about 0.2, and scaling
+and squaring around the degree-13 Pade approximant above. Far off the band
+S and its powers hold entries whose products turn subnormal, and subnormal
+products run at a fraction of BLAS speed. So S is flushed (entries below
+1e-150 in absolute value set to zero) right after expm and after each of its
+five squarings to S^B: the product of two kept entries is a normal float.
+P is not flushed.
 
 With a bath the coherences die out, and past a cut the read-out skips them.
 The coherent term R_r |V u|^2 of row r is at most max|R_r| ||u(t)||^2 (V is
@@ -75,6 +82,7 @@ from .chains import diagonalize
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
 _DECAYED = 2.0**-70  # ||u||^2 below which the coherences drop under rounding (see above)
+_FLUSH = 1e-150  # entries of S and S^2 .. S^B set to zero below it: no subnormal products
 # degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which they need
 # no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
 _PADE13 = (
@@ -83,6 +91,9 @@ _PADE13 = (
     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+# Taylor coefficients 1 / k! of the degree-12 polynomial that expm takes up to 1-norm 1/4
+_TAYLOR12 = tuple(1.0 / math.factorial(k) for k in range(13))
+_TAYLOR_NORM = 0.25
 
 
 class DegenerateGapError(ValueError):
@@ -134,18 +145,31 @@ def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> np.ndarray:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a real matrix by scaling and squaring around the degree-13 Pade approximant.
+    """exp(a) of a real matrix: a degree-12 Taylor polynomial up to 1-norm 1/4, Pade-13 above.
 
-    a is scaled by 2^-k so that its 1-norm is at most theta_13, the
-    approximant r = (V - U)^-1 (V + U) is taken in the form I + 2 (V - U)^-1 U,
-    which rounds less at small norms, and r is squared k times. A non-finite
-    a gives a non-finite result.
+    At ||a||_1 <= 1/4 the Taylor remainder is below ||a||_1^13 / 13! < 3e-18,
+    and the polynomial takes five products and no solve: a^2, a^3 and a^4,
+    then two Horner steps in a^4 (Paterson and Stockmeyer, SIAM J. Comput. 2,
+    60 (1973)). Above 1/4, a is scaled by 2^-k so that its 1-norm is at most
+    theta_13, the degree-13 Pade approximant r = (V - U)^-1 (V + U) is taken
+    in the form I + 2 (V - U)^-1 U, which rounds less at small norms, and r
+    is squared k times. Both add the identity last. A non-finite a gives a
+    non-finite result.
     """
     a = np.asarray(a, dtype=float)
     norm = np.linalg.norm(a, 1)
+    ident = np.eye(a.shape[0])
+    if norm <= _TAYLOR_NORM:
+        c = _TAYLOR12
+        a2 = a @ a
+        a3, a4 = a2 @ a, a2 @ a2
+        r = a4 @ (c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * ident)
+        r = a4 @ (r + c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * ident)
+        r += c[3] * a3 + c[2] * a2 + a
+        return r + ident
     k = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
     a = a * 2.0**-k
-    b, ident = _PADE13, np.eye(a.shape[0])
+    b = _PADE13
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -210,18 +234,22 @@ def _population_blocks(gen: np.ndarray, p: np.ndarray, dt: float, width: int, si
     The first B columns take steps of S = expm(A dt); every later column i is
     S^B times column i - B, one BLAS-3 product per B columns. Each block starts
     from the last B columns of the block before it, so at most two blocks are
-    alive. Entries of S^B below the smallest normal float are set to zero: far
-    off the band they are subnormal, which slows every product.
+    alive. Far off the band the entries of S and its powers fall below 1e-150,
+    and their products turn subnormal, which slows every product. So entries
+    of S below ``_FLUSH`` = 1e-150 in absolute value are set to zero right
+    after :func:`expm` and again after each squaring: the product of two
+    kept entries is then a normal float. P is not flushed.
     """
     block = 1 << _BLOCK_SQUARINGS
     step = expm(gen * dt)
+    step[np.abs(step) < _FLUSH] = 0.0
     pops = np.empty((p.size, block + min(width, size)))  # B carried columns, then the block
     pops[:, block] = p
     for i in range(block + 1, min(2 * block, pops.shape[1])):
         pops[:, i] = step @ pops[:, i - 1]
     for _ in range(_BLOCK_SQUARINGS):
         step = step @ step
-    step[np.abs(step) < np.finfo(float).tiny] = 0.0
+        step[np.abs(step) < _FLUSH] = 0.0
     for start in range(0, size, width):
         if start:
             carried = np.empty((p.size, block + min(width, size - start)))
@@ -307,6 +335,7 @@ def read_out(
     rows: np.ndarray,
     populations: np.ndarray | None,
     amplitudes: np.ndarray,
+    squared: np.ndarray | None = None,
     rotated: np.ndarray | None = None,
 ) -> np.ndarray:
     """``rows`` (k x n) times the site distribution of one block of :func:`energy_blocks`.
@@ -316,9 +345,10 @@ def read_out(
     term R |V U|^2 is added only on the block's leading columns with
     ||u||^2 >= 2^-70 (:func:`_coherent_columns`). Past them the dropped part
     of row r is at most max|R_r| 2^-70, about 2^-17 of the population term's
-    own rounding, eps max|R_r| (eps = 2^-53). ``rotated`` is V U when the
-    caller has it already, at least on those leading columns; it is left
-    intact.
+    own rounding, eps max|R_r| (eps = 2^-53). ``squared`` is V*V and
+    ``rotated`` is V U, at least on those leading columns, when the caller
+    has them already; both are left intact. A run that reads out many blocks
+    of one spectrum squares V once.
     """
     keep = amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
     if rotated is None:
@@ -331,7 +361,12 @@ def read_out(
     coherent = rows @ prob
     if populations is None:
         return coherent
-    out = (rows @ np.square(eigenvectors)) @ (populations - np.abs(amplitudes) ** 2)
+    if squared is None:
+        squared = np.square(eigenvectors)
+    correction = np.abs(amplitudes, out=np.empty(amplitudes.shape))  # P - |U|^2 in one buffer
+    np.square(correction, out=correction)
+    np.subtract(populations, correction, out=correction)
+    out = (rows @ squared) @ correction
     out[:, :keep] += coherent
     return out
 
@@ -362,9 +397,12 @@ def pure_state_series(
     times = time_grid(t_max, dt)
     indicator = np.bincount(region, minlength=x.size)
     mean, var, p_region = (np.empty(times.size) for _ in range(3))
+    dissipative = bath is not None and bath.zeta != 0.0  # V*V feeds only the bath term
+    squared = np.square(v) if dissipative else None
     for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt):
-        y = x - read_out(v, x[None], None if p is None else p[:, :1], u[:, :1])[0, 0]
-        out = read_out(v, np.stack([x, y**2, y, indicator]), p, u)
+        first = None if p is None else p[:, :1]
+        y = x - read_out(v, x[None], first, u[:, :1], squared)[0, 0]
+        out = read_out(v, np.stack([x, y**2, y, indicator]), p, u, squared)
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
     if np.any(var < -1e-9):
         raise FloatingPointError("variance must be nonnegative")

@@ -304,6 +304,28 @@ def test_flushed_block_step_matches_direct_formula():
     assert_columns_match(*relax_pair("bath", 0, *FAST_GRID, s=400))
 
 
+def flushed_half_bandwidth(e: np.ndarray, bath: BathSpec) -> int:
+    """Half-bandwidth of the direct S^32 (scipy's expm) over its entries >= 1e-150."""
+    gen = lindblad.population_generator(lindblad.transition_rates(e, bath), bath)
+    step = np.linalg.matrix_power(expm(gen * FAST_GRID[1]), 32)
+    rows, cols = np.nonzero(np.abs(step) >= 1e-150)
+    return int(np.max(np.abs(rows - cols)))
+
+
+def test_flushed_kernel_on_a_wide_band():
+    # S^32's band grows with 1/beta: at beta = 0.1 it is wider than at the
+    # test above's beta = 1 (half-bandwidths 170 and 111 at s = 400), and
+    # A dt takes expm's Pade path. The kernel, which flushes S and each of its
+    # squares at 1e-150, must still hold the direct formula at the same bound.
+    e, v = diagonalize(build_chain_hamiltonian(sample_disorder(400, 0.5, 0), 2.0))
+    wide = BathSpec(beta=0.1, zeta=0.05)
+    assert flushed_half_bandwidth(e, wide) > flushed_half_bandwidth(e, BATHS["bath"])
+    c = v[0].astype(complex)
+    got = relax_energy_density(e, wide, c, *FAST_GRID)
+    ref = direct_relax_energy_density(e, wide, c, time_grid(*FAST_GRID))
+    assert_columns_match(kernel_columns(v, *got, True), kernel_columns(v, *ref, True))
+
+
 #: grids shorter than one population block of 32 columns; the late ones reach
 #: t = 30 in one step, and t = 30 and 37.5 in steps of 7.5
 SHORT_GRIDS = {
@@ -563,7 +585,7 @@ def test_bath_read_out_memory(pipeline):
     # squared into the site distribution, they hold in units of _BLOCK_BYTES
     # (one complex n x width array): the first-block phase table and the U
     # block (2), V U and the float site distribution (1.5; the correction's
-    # two float temporaries come after both are freed), the P block read out
+    # float buffer comes after both are freed), the P block read out
     # and, while the next is filled, the one before (1), and the n x n
     # eigenvector, rate, generator, S^32 and V*V matrices (1.5: five of 0.3 at
     # n = 200); one is margin. On top come the O(T) series: the grid and the
@@ -593,9 +615,10 @@ def test_superposed_read_out_memory(bath):
     # read-outs themselves are k x width with k <= 32. One covers both
     # eigenvector matrices and is margin. A bath adds each branch's P block
     # and, while the next is filled, the one before (2), and both branches'
-    # rate, generator and S^32 matrices (1: six of 0.3 at n = 198); the bath
-    # correction's temporaries (1) come after the site distribution is freed.
-    # Measured: 7.9 blocks without the bath and 11.0 with it; holding the
+    # rate, generator, S^32 and V*V matrices (1: eight of 0.3 at n = 198, not
+    # all alive at once); the bath correction's buffer (0.5) comes after the
+    # site distribution is freed.
+    # Measured: 8.0 blocks without the bath and 11.7 with it; holding the
     # (columns, n) site arrays, their masked copies and the cross diagonal's
     # row selection took 10.9 and 13.4. The whole-grid populations peaked at
     # 28.4 MiB with the bath.

@@ -152,7 +152,7 @@ class TestPropagatePopulations:
 
 
 class TestExpm:
-    """The package's scaling-and-squaring Pade expm against scipy.linalg.expm.
+    """The package's expm (Taylor up to 1-norm 1/4, Pade above) against scipy.linalg.expm.
 
     The bounds are the worst deviations measured over this grid (2.6e-15 and
     6.6e-14; column sums 8.9e-16 and 3.0e-13) times about four.
@@ -172,6 +172,25 @@ class TestExpm:
                 assert np.max(np.abs(out - scipy.linalg.expm(a))) <= (3e-13 if scaled else 1e-14)
                 assert np.max(np.abs(out.sum(axis=0) - 1.0)) <= (1.2e-12 if scaled else 4e-15)
         assert paths == {False, True}
+
+    @pytest.mark.parametrize("s", [20, 200])
+    def test_taylor_and_pade_meet_at_a_quarter(self, s, monkeypatch):
+        # just below 1-norm 1/4 expm takes the Taylor polynomial, which solves
+        # nothing; just above, the unscaled Pade approximant and its one solve
+        evals, _ = diagonalize(build_chain_hamiltonian(sample_disorder(s, 0.5, 0), 2.0))
+        bath = BathSpec(beta=1.0, zeta=0.05)
+        gen = population_generator(transition_rates(evals, bath), bath)
+        solves, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+        paths = set()
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            a = gen * (factor * 0.25 / np.linalg.norm(gen, 1))
+            del solves[:]
+            out = expm(a)
+            paths.add(len(solves))
+            assert np.max(np.abs(out - scipy.linalg.expm(a))) <= 1e-14
+            assert np.max(np.abs(out.sum(axis=0) - 1.0)) <= 4e-15
+        assert paths == {0, 1}
 
     def test_zero_is_identity(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))

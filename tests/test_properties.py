@@ -6,7 +6,8 @@ is derandomized (fixed examples, no example database) so the suite stays
 deterministic. Derandomized draws are seeded from each test's source, so an
 edit to a test swaps its examples: the known hard cases are pinned as
 ``@example`` rows (the default switch, and a 7-site switch whose full-space
-spectrum has clusters of nearly equal eigenvalues).
+spectrum has clusters of nearly equal eigenvalues; for the chain tests, the
+default dissipative-transport chain and the same chain with sigma = g = 0).
 
 The paper's claim that noise hinders entanglement holds here as an
 inequality at every time: the register's cross block between the control
@@ -164,12 +165,20 @@ def chain_params(draw):
     return s, sigma, g, beta, zeta, draw(st.integers(0, 2**16))
 
 
+#: (s, sigma, g, beta, zeta, disorder seed): the dissipative-transport defaults with
+#: configs/assisted_transport.ini's bath on disorder seed 0, and the same chain clean
+TRANSPORT_CHAIN = (20, 0.5, 2.0, 1.0, 0.05, 0)
+CLEAN_CHAIN = (20, 0.0, 0.0, 1.0, 0.05, 0)
+
+
 def chain_spectrum(s, sigma, g, seed):
     return diagonalize(build_chain_hamiltonian(sample_disorder(s, sigma, seed), g))
 
 
 @DERANDOMIZED
 @given(chain_params())
+@example(TRANSPORT_CHAIN)
+@example(CLEAN_CHAIN)
 def test_kernel_conserves_trace_and_positivity(params):
     s, sigma, g, beta, zeta, seed = params
     e, v = chain_spectrum(s, sigma, g, seed)
@@ -183,6 +192,8 @@ def test_kernel_conserves_trace_and_positivity(params):
 
 @DERANDOMIZED
 @given(chain_params())
+@example(TRANSPORT_CHAIN)
+@example(CLEAN_CHAIN)
 def test_gibbs_populations_are_stationary(params):
     s, sigma, g, beta, zeta, seed = params
     e, _ = chain_spectrum(s, sigma, g, seed)
@@ -193,6 +204,8 @@ def test_gibbs_populations_are_stationary(params):
 
 @DERANDOMIZED
 @given(chain_params())
+@example(TRANSPORT_CHAIN)
+@example(CLEAN_CHAIN)
 def test_read_out_cut_drops_only_decayed_coherences(params):
     # The cut is the first column with ||u||^2 < 2^-70, and past it read_out
     # omits R |V U|^2: it must still equal the uncut read-out to rounding.
