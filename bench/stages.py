@@ -1,9 +1,10 @@
 """Stage timings of the bath chain at large s, paired against a parent tree.
 
 The case is the chain of the ``transport`` scenario grown in size: sigma = 0.5,
-g = 2, beta = 1, zeta = 0.05, disorder seed 0, dt = 1 and T grid points, from
-site 1. Each measurement runs in a fresh process that imports ``openchain``
-from one tree's ``src`` with one BLAS thread, and times these stages:
+g = 2, beta = 1, zeta = 0.05, disorder seed 0, dt = 1 and T = 10001 grid
+points, from site 1, at s = 100, 400 and 800, ten runs of each tree. Each
+measurement runs in a fresh process that imports ``openchain`` from one
+tree's ``src`` with one BLAS thread, and times these stages:
 
 * ``diagonalize``: ``chains.diagonalize`` of the chain;
 * ``expm``: S = ``lindblad.expm(A dt)`` and its five squarings to S^32, timed as
@@ -23,7 +24,7 @@ tree at PATH back to back, alternating which goes first; the JSON records,
 per stage, each side's runs, median and quartiles, and the pairs this tree
 won (ties count for neither). The machine is recorded beside them.
 
-    python bench/stages.py --out BENCH.json --base ../parent --pairs 10
+    python bench/stages.py --out BENCH.json --base ../parent
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 CASE = {"sigma": 0.5, "g": 2.0, "beta": 1.0, "zeta": 0.05, "seed": 0, "dt": 1.0}
+SIZES, POINTS, PAIRS = (100, 400, 800), 10001, 10
 STAGES = ("diagonalize", "expm", "populations", "read_out", "run", "write_csv")
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 TREE = Path(__file__).resolve().parents[1]
@@ -163,9 +165,6 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="the JSON file to write")
     parser.add_argument("--base", type=Path, help="a parent tree to pair against")
-    parser.add_argument("--sizes", default="100,400,800", help="chain sizes s, comma-separated")
-    parser.add_argument("--points", type=int, default=10001, help="grid points T")
-    parser.add_argument("--pairs", type=int, default=10, help="fresh-process runs per side")
     parser.add_argument("--worker", type=int, nargs=2, metavar=("S", "POINTS"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -174,8 +173,7 @@ def main(argv: list[str] | None = None) -> None:
         return
     if args.out is None:
         parser.error("--out is required")
-    sizes = [int(s) for s in args.sizes.split(",")]
-    report = compare(sizes, args.points, args.pairs, args.base and args.base.resolve())
+    report = compare(SIZES, POINTS, PAIRS, args.base and args.base.resolve())
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
 

@@ -251,8 +251,7 @@ def run_superposed_input(
     trace_uu, trace_dd, p_beyond, entropy = (np.empty(times.size) for _ in range(4))
     fidelity = np.full(times.size, np.nan)
     register = np.empty((times.size, 4, 4), dtype=complex)
-    dissipative = bath is not None and bath.zeta != 0.0  # V*V feeds only the bath term
-    squared_u, squared_d = (np.square(vu), np.square(vd)) if dissipative else (None, None)
+    squared_u, squared_d = np.square(vu), np.square(vd)  # V*V, once per spectrum
     blocks = zip(
         energy_blocks(e_u, bath, vu[0], t_max, dt), energy_blocks(e_d, bath, vd[0], t_max, dt)
     )

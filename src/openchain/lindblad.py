@@ -347,8 +347,9 @@ def read_out(
     of row r is at most max|R_r| 2^-70, about 2^-17 of the population term's
     own rounding, eps max|R_r| (eps = 2^-53). ``squared`` is V*V and
     ``rotated`` is V U, at least on those leading columns, when the caller
-    has them already; both are left intact. A run that reads out many blocks
-    of one spectrum squares V once.
+    has them already; both are left intact. The package's runs pass V*V,
+    squared once per spectrum; without it (one-off calls, as in the tests)
+    read_out squares V itself.
     """
     keep = amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
     if rotated is None:
@@ -397,8 +398,7 @@ def pure_state_series(
     times = time_grid(t_max, dt)
     indicator = np.bincount(region, minlength=x.size)
     mean, var, p_region = (np.empty(times.size) for _ in range(3))
-    dissipative = bath is not None and bath.zeta != 0.0  # V*V feeds only the bath term
-    squared = np.square(v) if dissipative else None
+    squared = np.square(v)  # V*V, once per spectrum
     for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt):
         first = None if p is None else p[:, :1]
         y = x - read_out(v, x[None], first, u[:, :1], squared)[0, 0]

@@ -50,31 +50,22 @@ def _layout() -> tuple[np.ndarray, ...]:
     X), each group's significant digits by word, p + 3 by X for p integer
     digits, and the masks by (significant digits, p + 3).
     """
-    x = np.arange(_X_MIN, _X_MAX + 1)
-    tens, ones = np.divmod(np.arange(100), 10)
-    pairs = np.full((100, 4), ord("."), np.uint8)  # "t.o." for the two digits t, o
-    pairs[:, 0], pairs[:, 2] = tens + ord("0"), ones + ord("0")
-    pairs = pairs.view("<u4").ravel()
+    x_all = range(_X_MIN, _X_MAX + 1)
+
+    def padded(chunks):  # each chunk NUL-padded to one word
+        return np.frombuffer(b"".join(c.ljust(8, b"\0") for c in chunks), _WORD)
+
+    pairs = np.frombuffer(b"".join(b"%d.%d." % divmod(i, 10) for i in range(100)), "<u4")
     groups = (pairs[:, None] | pairs.astype(_WORD) << np.uint64(32)).ravel()
-    last = np.where(ones > 0, 2, np.where(tens > 0, 1, -99)).astype(np.int16)
+    last = np.array([2 if i % 10 else 1 if i else -99 for i in range(100)], np.int16)
     sig = np.where(last > 0, last + 2, last[:, None]).ravel() + np.int16([[1], [5], [9], [13]])
-    slot = np.arange(8)  # the bytes of one word
-    # after the sign byte, "0." and -X - 1 zeros for -4 <= X < 0; nothing otherwise
-    fraction = (slot >= 1) & (slot < 2 - x[:, None]) & ((x >= -4) & (x < 0))[:, None]
-    small = (np.where(slot == 2, ord("."), ord("0")) * fraction).astype(np.uint8).view(_WORD)
-    first = np.zeros((10, 8), np.uint8)
-    first[:, 6], first[:, 7] = np.arange(10) + ord("0"), ord(".")
-    lead = (small | first.view(_WORD).ravel()).ravel()
+    small = padded(b"\0" + b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in x_all)
+    lead = (small[:, None] | padded(b"\0" * 6 + b"%d." % d for d in range(10))).ravel()
     # "e+XX" or "e+XXX" (a NUL hundreds digit below 100); nothing in fixed notation
-    hundreds, rest = np.divmod(np.abs(x), 100)
-    exp = np.zeros((x.size, 8), np.uint8)
-    exp[:, 0], exp[:, 1] = ord("e"), np.where(x < 0, ord("-"), ord("+"))
-    exp[:, 2:5] = np.stack([hundreds, *np.divmod(rest, 10)], axis=1) + ord("0")
-    exp[:, 2] *= hundreds > 0
-    exp[(x >= -4) & (x <= 16)] = 0
-    tail = exp.view(_WORD).ravel() | np.array([[ord(",") << 40], [ord("\n") << 40]], _WORD)
-    tail = tail.ravel()
-    integer = np.full(x.size, 4)
+    exp = padded((b"e%+04d" % x).replace(b"0", b"\0", abs(x) < 100) * (x < -4 or x > 16)
+                 for x in x_all)
+    tail = (exp | np.array([[ord(",") << 40], [ord("\n") << 40]], _WORD)).ravel()
+    integer = np.full(len(x_all), 4)
     integer[-4 - _X_MIN : 17 - _X_MIN] = np.arange(21)
     n_sig, p = np.divmod(np.arange(18 * 21)[:, None], 21)
     p -= 3

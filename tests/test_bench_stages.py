@@ -22,10 +22,8 @@ def stages():
     return module
 
 
-def test_one_repetition_writes_every_stage(stages, tmp_path):
-    out = tmp_path / "bench.json"
-    stages.main(["--out", str(out), "--sizes", "20", "--points", "101", "--pairs", "1"])
-    report = json.loads(out.read_text())
+def test_one_repetition_writes_every_stage(stages):
+    report = json.loads(json.dumps(stages.compare([20], 101, 1, None)))
     assert report.keys() == {"case", "sides", "cases", "machine"}
     assert report["case"]["points"] == 101 and report["sides"] == ["change"]
     assert report["machine"].keys() == {"environment", "platform", "processor", "blas_threads"}

@@ -613,12 +613,12 @@ def test_superposed_read_out_memory(bath):
     # the float site distribution and its square inside a read-out or the
     # conjugate of the lower V U while the cross diagonal is formed (1). The
     # read-outs themselves are k x width with k <= 32. One covers both
-    # eigenvector matrices and is margin. A bath adds each branch's P block
-    # and, while the next is filled, the one before (2), and both branches'
-    # rate, generator, S^32 and V*V matrices (1: eight of 0.3 at n = 198, not
-    # all alive at once); the bath correction's buffer (0.5) comes after the
-    # site distribution is freed.
-    # Measured: 8.0 blocks without the bath and 11.7 with it; holding the
+    # eigenvector matrices and their squares V*V (four of 0.3 at n = 198) and
+    # is margin. A bath adds each branch's P block and, while the next is
+    # filled, the one before (2), and both branches' rate, generator and S^32
+    # matrices (1: six of 0.3, not all alive at once); the bath correction's
+    # buffer (0.5) comes after the site distribution is freed.
+    # Measured: 8.6 blocks without the bath and 11.7 with it; holding the
     # (columns, n) site arrays, their masked copies and the cross diagonal's
     # row selection took 10.9 and 13.4. The whole-grid populations peaked at
     # 28.4 MiB with the bath.
