@@ -1,4 +1,4 @@
-"""Stage timings of the bath chain at large s, paired against a parent tree.
+"""Stage timings of the bath chain and the peak scan at large s, paired against a parent tree.
 
 The case is the chain of the ``transport`` scenario grown in size: sigma = 0.5,
 g = 2, beta = 1, zeta = 0.05, disorder seed 0, dt = 1 and T = 10001 grid
@@ -16,7 +16,10 @@ tree's ``src`` with one BLAS thread, and times these stages:
   ``dissipative_transport_run``;
 * ``run``: that ``dissipative_transport_run``, end to end;
 * ``write_csv``: ``series.write_csv`` of the run's columns with their sha256,
-  cold, as each CLI process pays it once (the formatter's tables included).
+  cold, as each CLI process pays it once (the formatter's tables included);
+* ``peak_scan``: ``runner.run_realization`` of a ``peak-scaling`` config at
+  the same s, its own window 0 .. 1.5 s + 10 in steps of 0.05 (the clean
+  chain: the case's disorder, tilt, bath and grid do not apply).
 
 Each stage is imported by name, so a rename raises ``ImportError`` instead of
 dropping the stage. With ``--base PATH`` every pair runs this tree and the
@@ -43,7 +46,7 @@ import numpy as np
 
 CASE = {"sigma": 0.5, "g": 2.0, "beta": 1.0, "zeta": 0.05, "seed": 0, "dt": 1.0}
 SIZES, POINTS, PAIRS = (100, 400, 800), 10001, 10
-STAGES = ("diagonalize", "expm", "populations", "read_out", "run", "write_csv")
+STAGES = ("diagonalize", "expm", "populations", "read_out", "run", "write_csv", "peak_scan")
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 TREE = Path(__file__).resolve().parents[1]
 
@@ -52,6 +55,7 @@ def measure(s: int, points: int) -> dict:
     """Seconds per stage of one bath chain of s sites on ``points`` grid points."""
     from openchain import lindblad
     from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
+    from openchain.config import ExperimentConfig
     from openchain.lindblad import (
         _BLOCK_BYTES,
         _BLOCK_SQUARINGS,
@@ -62,7 +66,7 @@ def measure(s: int, points: int) -> dict:
         read_out,
         transition_rates,
     )
-    from openchain.runner import _numeric_environment
+    from openchain.runner import _numeric_environment, run_realization
     from openchain.series import write_csv
 
     bath, dt = BathSpec(CASE["beta"], CASE["zeta"]), CASE["dt"]
@@ -108,6 +112,11 @@ def measure(s: int, points: int) -> dict:
         start = time.perf_counter()
         write_csv(Path(scratch) / "run.csv", columns)
         times["write_csv"] = time.perf_counter() - start
+
+    peak = ExperimentConfig(scenario="peak-scaling", s=s, sigma=0.0, g=0.0)
+    start = time.perf_counter()
+    run_realization(peak, 0)
+    times["peak_scan"] = time.perf_counter() - start
     return {"stages": times, "environment": _numeric_environment()}
 
 

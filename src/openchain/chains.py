@@ -27,19 +27,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def free_eigensystem(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form spectrum of the free chain: (eigenvalues, eigenvectors), as ``eigh`` returns.
+def free_end_weights(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The clean chain's energies e and end weights w = V[0] * V[-1], in closed form.
 
-    e_k = -cos(k pi / (s+1)) and v_k(x) = sqrt(2/(s+1)) sin(k pi x / (s+1)),
-    k = 1..s, already ascending and with positive first components.
+    e_k = -cos(theta_k) and w_k = (2/(s+1)) sin(theta_k) sin(s theta_k), theta_k =
+    k pi / (s+1), k = 1..s. sin(s theta_k) = (-1)^(k+1) sin(theta_k) is taken in
+    that form: the argument s theta_k would add an error of about eps s k.
     """
     if s < 2:
         raise ValueError(f"chain needs at least 2 sites, got s={s}")
     k = np.arange(1, s + 1)
-    x = np.arange(1, s + 1)
-    evals = -np.cos(k * np.pi / (s + 1))
-    evecs = np.sqrt(2.0 / (s + 1)) * np.sin(np.outer(x, k) * np.pi / (s + 1))
-    return evals, evecs
+    theta = k * np.pi / (s + 1)
+    sign = np.where(k % 2, 1.0, -1.0)
+    return -np.cos(theta), sign * (2.0 / (s + 1)) * np.square(np.sin(theta))
 
 
 def sample_disorder(s: int, sigma: float, seed: int) -> np.ndarray:

@@ -34,9 +34,10 @@ pipeline needs the whole site distribution
 and no n x T array is formed: every pipeline reads this kernel one block at a
 time, in O(n x block) memory plus its O(T) outputs: the chain with or without a
 bath (:func:`pure_state_series`), the arrival-peak scan (:func:`arrival_peak`,
-on V's last row alone) and the switch pipelines of :mod:`openchain.feynman`.
-A spectrum travels as the pair (e, V) that :func:`openchain.chains.diagonalize`
-returns, and a chain run returns its CSV columns: a dict of named arrays.
+on the end weights V[0] * V[-1] alone) and the switch pipelines of
+:mod:`openchain.feynman`. A spectrum travels as the pair (e, V) that
+:func:`openchain.chains.diagonalize` returns, and a chain run returns its CSV
+columns: a dict of named arrays.
 
 Every run takes its time axis as (t_max, dt), and :func:`time_grid` is the one
 check on it. :func:`energy_blocks` yields P and U in cache-sized blocks of grid
@@ -410,18 +411,17 @@ def pure_state_series(
 
 
 def arrival_peak(
-    eig: tuple[np.ndarray, np.ndarray], t_max: float, dt: float
+    energies: np.ndarray, weights: np.ndarray, t_max: float, dt: float
 ) -> tuple[float, float]:
-    """Grid-scan maximum of the last-site probability over [0, t_max] from site 1.
+    """Grid-scan maximum of |A(t)|^2, A(t) = sum_m w_m exp(-i e_m t), over [0, t_max].
 
-    ``eig`` is the spectrum (eigenvalues, eigenvectors). Returns (t_star,
-    p_star) on ``time_grid(t_max, dt)``, so the resolution is dt. The blocks
-    are read out on the last site's row alone.
+    With w = V[0] * V[-1], A is the last site's amplitude from site 1. Returns
+    (t_star, p_star) on ``time_grid(t_max, dt)``, so the resolution is dt; A
+    is the column sum of each block of :func:`energy_blocks` started from w.
     """
-    (e, v), times = eig, time_grid(t_max, dt)
-    blocks = energy_blocks(e, None, v[0], t_max, dt)
-    row, one = v[-1:], np.ones((1, 1))
-    last = np.concatenate([read_out(row, one, None, u)[0] for *_, u in blocks])
+    times = time_grid(t_max, dt)
+    sums = (u.sum(axis=0) for *_, u in energy_blocks(energies, None, weights, t_max, dt))
+    last = np.concatenate([np.square(a.real) + np.square(a.imag) for a in sums])
     i = int(np.argmax(last))
     return float(times[i]), float(last[i])
 

@@ -25,7 +25,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it at the first seed; no import inside a run)
 
 from . import __version__
-from .chains import build_chain_hamiltonian, free_eigensystem, sample_disorder
+from .chains import build_chain_hamiltonian, free_end_weights, sample_disorder
 from .config import (
     SCENARIOS, SWEEPABLE, ConfigError, ExperimentConfig, _scan_t_max, range_violations,
 )
@@ -45,7 +45,7 @@ def run_realization(config: ExperimentConfig, seed: int) -> dict[str, np.ndarray
     scenario = config.scenario
     if scenario == "peak-scaling":
         t_max = config.t_max if config.t_max is not None else _scan_t_max(config.s)
-        t_star, p_star = arrival_peak(free_eigensystem(config.s), t_max, config.dt)
+        t_star, p_star = arrival_peak(*free_end_weights(config.s), t_max, config.dt)
         return {"t_star": np.array([t_star]), "p_star": np.array([p_star])}
 
     bath = BathSpec(config.beta, config.zeta) if config.has_bath() else None

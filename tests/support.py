@@ -7,8 +7,9 @@ matrices on plain ndarrays) so they
 share no code path with the package implementations they check; they take
 only the model inputs (spectrum, rates) from the package. The branch geometry
 and register labels are written out here from the switch diagram
-(:func:`branch_sites`, :func:`branch_registers`), and a chain's matrix from its
-on-site energies and the hopping -1/2 (:func:`dense_hamiltonian`). The switch
+(:func:`branch_sites`, :func:`branch_registers`), a chain's matrix from its
+on-site energies and the hopping -1/2 (:func:`dense_hamiltonian`), and the
+clean chain's eigenvectors in closed form (:func:`free_eigensystem`). The switch
 oracles take the geometry as plain integers, as the package does: the clock's
 s sites (the length of a disorder array where one is passed) and the entry a,
 with the exit b = a + 5.
@@ -48,6 +49,21 @@ def build_free_chain(s: int) -> np.ndarray:
     if s < 2:
         raise ValueError(f"chain needs at least 2 sites, got s={s}")
     return np.zeros(s)
+
+
+def free_eigensystem(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form spectrum of the free chain: (eigenvalues, eigenvectors), as ``eigh`` returns.
+
+    e_k = -cos(k pi / (s+1)) and v_k(x) = sqrt(2/(s+1)) sin(k pi x / (s+1)),
+    k = 1..s, already ascending and with positive first components.
+    """
+    if s < 2:
+        raise ValueError(f"chain needs at least 2 sites, got s={s}")
+    k = np.arange(1, s + 1)
+    x = np.arange(1, s + 1)
+    evals = -np.cos(k * np.pi / (s + 1))
+    evecs = np.sqrt(2.0 / (s + 1)) * np.sin(np.outer(x, k) * np.pi / (s + 1))
+    return evals, evecs
 
 
 def dense_hamiltonian(energies: np.ndarray) -> np.ndarray:

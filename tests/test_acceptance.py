@@ -11,6 +11,7 @@ from support import (
     build_free_chain,
     evolve_full,
     evolve_pure,
+    free_eigensystem,
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
@@ -23,7 +24,7 @@ from support import (
 from openchain.chains import (
     build_chain_hamiltonian,
     diagonalize,
-    free_eigensystem,
+    free_end_weights,
     sample_disorder,
 )
 from openchain.feynman import (
@@ -99,12 +100,12 @@ def test_criterion_1_free_chain_spectrum():
 
 def test_criterion_2_ballistic_arrival_and_peak_scaling():
     with Criterion(2, "ballistic arrival time and peak-height scaling", 30.0) as c:
-        t_star, _ = arrival_peak(free_eigensystem(20), 40.0, 0.05)
+        t_star, _ = arrival_peak(*free_end_weights(20), 40.0, 0.05)
         c.check(17.0 <= t_star <= 25.0, f"t* = {t_star}")
         sizes = [50, 100, 200, 400]
         p_stars = []
         for s in sizes:
-            _, p = arrival_peak(free_eigensystem(s), 1.5 * s + 10, 0.05)
+            _, p = arrival_peak(*free_end_weights(s), 1.5 * s + 10, 0.05)
             p_stars.append(p)
         slope = float(np.polyfit(np.log(sizes), np.log(p_stars), 1)[0])
         c.check(-0.80 <= slope <= -0.55, f"slope = {slope}")

@@ -30,6 +30,7 @@ def test_one_repetition_writes_every_stage(stages):
     assert report["machine"]["environment"]["change"].keys() >= {"python", "numpy", "blas"}
     [case] = report["cases"]
     assert case["s"] == 20 and case["stages"].keys() == set(stages.STAGES)
+    assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
     for entry in case["stages"].values():
         assert entry.keys() == {"change"}
         assert entry["change"].keys() == {"median", "q25", "q75", "runs"}

@@ -4,6 +4,7 @@ from support import (
     branch_registers,
     branch_sites,
     evolve_full,
+    free_eigensystem,
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
@@ -154,8 +155,6 @@ class TestPeresBasis:
 
 class TestReducedHamiltonian:
     def test_clean_branches_are_free_chains(self):
-        from openchain.chains import free_eigensystem
-
         closed_e, closed_v = free_eigensystem(20)
         for branch in ("U", "D"):
             assert np.array_equal(branch_energies(9, branch, np.zeros(22), 0.0), np.zeros(20))

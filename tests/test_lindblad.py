@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from support import (
     brute_force_lindblad,
+    free_eigensystem,
     integrate_populations,
     kernel_at,
     kernel_states,
@@ -15,7 +16,6 @@ from support import (
 from openchain.chains import (
     build_chain_hamiltonian,
     diagonalize,
-    free_eigensystem,
     sample_disorder,
 )
 from openchain.lindblad import (

@@ -7,13 +7,14 @@ from support import (
     closed_series,
     dense_hamiltonian,
     evolve_pure,
+    free_eigensystem,
     localization_length_gaussian,
 )
 
 from openchain.chains import (
     build_chain_hamiltonian,
     diagonalize,
-    free_eigensystem,
+    free_end_weights,
     sample_disorder,
 )
 from openchain.lindblad import arrival_peak, dissipative_transport_run, time_grid
@@ -128,26 +129,26 @@ class TestSiteProbability:
 
 class TestArrivalPeak:
     def test_two_site_peak(self):
-        t_star, p_star = arrival_peak(free_eigensystem(2), 8.0, dt=1e-4)
+        t_star, p_star = arrival_peak(*free_end_weights(2), 8.0, dt=1e-4)
         assert t_star == pytest.approx(np.pi, abs=1e-3)
         assert p_star == pytest.approx(1.0, abs=1e-6)
 
     def test_ballistic_arrival_time(self):
-        t_star, _ = arrival_peak(free_eigensystem(20), 40.0, 0.05)
+        t_star, _ = arrival_peak(*free_end_weights(20), 40.0, 0.05)
         assert 17.0 <= t_star <= 25.0
 
     def test_peak_scaling_exponent(self):
         sizes = [50, 100, 200, 400]
         p_stars = []
         for s in sizes:
-            _, p = arrival_peak(free_eigensystem(s), 1.5 * s + 10, 0.05)
+            _, p = arrival_peak(*free_end_weights(s), 1.5 * s + 10, 0.05)
             p_stars.append(p)
         slope = np.polyfit(np.log(sizes), np.log(p_stars), 1)[0]
         assert -0.80 <= slope <= -0.55
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
-            arrival_peak(free_eigensystem(3), 10.0, dt=0.0)
+            arrival_peak(*free_end_weights(3), 10.0, dt=0.0)
 
 
 class TestCleanChainOracle:
@@ -157,7 +158,7 @@ class TestCleanChainOracle:
     def test_arrival_peak(self, s):
         times = time_grid(1.5 * s + 10, 0.05)
         oracle = clean_chain_last_site(s, times)
-        t_star, p_star = arrival_peak(free_eigensystem(s), 1.5 * s + 10, 0.05)
+        t_star, p_star = arrival_peak(*free_end_weights(s), 1.5 * s + 10, 0.05)
         assert t_star == times[np.argmax(oracle)]
         assert abs(p_star - oracle.max()) <= 1e-13
 
