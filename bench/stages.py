@@ -1,4 +1,4 @@
-"""Stage timings of the bath chain and the peak scan at large s, paired against a parent tree.
+"""Stage timings of the bath and closed chains and the peak scan at large s, against a parent.
 
 The case is the chain of the ``transport`` scenario grown in size: sigma = 0.5,
 g = 2, beta = 1, zeta = 0.05, disorder seed 0, dt = 1 and T = 10001 grid
@@ -17,6 +17,8 @@ tree's ``src`` with one BLAS thread, and times these stages:
 * ``run``: that ``dissipative_transport_run``, end to end;
 * ``write_csv``: ``series.write_csv`` of the run's columns with their sha256,
   cold, as each CLI process pays it once (the formatter's tables included);
+* ``closed``: ``dissipative_transport_run`` of the same chain and grid
+  without the bath;
 * ``peak_scan``: ``runner.run_realization`` of a ``peak-scaling`` config at
   the same s, its own window 0 .. 1.5 s + 10 in steps of 0.05 (the clean
   chain: the case's disorder, tilt, bath and grid do not apply).
@@ -46,7 +48,8 @@ import numpy as np
 
 CASE = {"sigma": 0.5, "g": 2.0, "beta": 1.0, "zeta": 0.05, "seed": 0, "dt": 1.0}
 SIZES, POINTS, PAIRS = (100, 400, 800), 10001, 10
-STAGES = ("diagonalize", "expm", "populations", "read_out", "run", "write_csv", "peak_scan")
+STAGES = ("diagonalize", "expm", "populations", "read_out", "run", "write_csv", "closed",
+          "peak_scan")
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 TREE = Path(__file__).resolve().parents[1]
 
@@ -112,6 +115,10 @@ def measure(s: int, points: int) -> dict:
         start = time.perf_counter()
         write_csv(Path(scratch) / "run.csv", columns)
         times["write_csv"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    dissipative_transport_run(energies, None, t_max, dt)
+    times["closed"] = time.perf_counter() - start
 
     peak = ExperimentConfig(scenario="peak-scaling", s=s, sigma=0.0, g=0.0)
     start = time.perf_counter()

@@ -107,8 +107,8 @@ _NUMBERS = {"s": int, "sigma": float, "g": float, "seed": int, "beta": float, "z
             "a": int, "t_max": float, "dt": float, "ensemble_size": int}
 #: lower bound of a numeric field and whether the field may equal it
 _LOWER_BOUNDS = {"s": (2, True), "sigma": (0, True), "g": (0, True), "seed": (0, True),
-                 "dt": (0, False), "ensemble_size": (1, True), "beta": (0, False),
-                 "zeta": (0, True)}
+                 "t_max": (0, False), "dt": (0, False), "ensemble_size": (1, True),
+                 "beta": (0, False), "zeta": (0, True)}
 
 
 def _parse_number(raw: dict, key: str, kind, violations: list[str]):
@@ -147,9 +147,7 @@ def range_violations(config: ExperimentConfig) -> list[str]:
             if value := getattr(config, key):
                 found.append(f"{key}: peak-scaling uses the clean chain, got {value}")
         t_max = _scan_t_max(config.s) if t_max is None else t_max
-    if config.t_max is not None and config.t_max <= 0:
-        found.append(f"t_max: must be > 0, got {config.t_max}")
-    elif t_max is not None and config.dt > 0 and not _whole_steps(t_max, config.dt):
+    if t_max is not None and t_max > 0 and config.dt > 0 and not _whole_steps(t_max, config.dt):
         window = "" if config.t_max is not None else " (scan window 1.5 s + 10)"
         found.append(f"t_max: must be a whole number >= 1 of dt = {config.dt} steps, "
                      f"got {t_max}{window}")

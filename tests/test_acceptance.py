@@ -90,11 +90,12 @@ def test_criterion_1_free_chain_spectrum():
         for s in range(2, 65):
             closed_e, closed_v = free_eigensystem(s)
             numeric_e, numeric_v = diagonalize(build_free_chain(s))
-            worst = max(
+            # np.max, unlike max, carries a NaN through to the check
+            worst = np.max([
                 worst,
                 np.max(np.abs(closed_e - numeric_e)),
                 np.max(np.abs(closed_v - numeric_v)),
-            )
+            ])
         c.check(worst <= 1e-10, f"max abs error {worst:.2e}")
 
 
@@ -279,14 +280,15 @@ def test_criterion_10_full_space_oracle_equivalence():
         for branch in "UD":
             sites, _, eig = build_branch(a, branch, disorder, g)
             mean_red += 0.5 * (sites @ branch_distribution(eig, None, 50.0, 0.5))
+        # np.maximum, unlike max, carries a NaN at any time through to the checks
         worst_q = worst_reg = worst_p = 0.0
         for i, t in enumerate(grid):
             psi = evolve_full(h_full, psi0, t)
             mean_full, reg_full = full_space_observables(psi, s)
             p_full = float(np.sum(np.abs(psi.reshape(s, 4)[a + 4 :]) ** 2))  # sites b = a + 5 on
-            worst_q = max(worst_q, abs(mean_full - mean_red[i]))
-            worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - register[i]))))
-            worst_p = max(worst_p, abs(p_full - series["p_beyond_gate"][i]))
+            worst_q = np.maximum(worst_q, abs(mean_full - mean_red[i]))
+            worst_reg = np.maximum(worst_reg, np.max(np.abs(reg_full - register[i])))
+            worst_p = np.maximum(worst_p, abs(p_full - series["p_beyond_gate"][i]))
         c.check(worst_q <= 1e-8, f"superposed mean_Q deviation {worst_q:.2e}")
         c.check(worst_reg <= 1e-8, f"superposed register deviation {worst_reg:.2e}")
         c.check(worst_p <= 1e-8, f"superposed p_beyond_gate deviation {worst_p:.2e}")
@@ -302,10 +304,10 @@ def test_criterion_10_full_space_oracle_equivalence():
             mean_full, reg_full = full_space_observables(
                 evolve_full(h_full, psi0, t), s
             )
-            worst_q = max(worst_q, abs(mean_full - classical["mean_Q"][i]))
+            worst_q = np.maximum(worst_q, abs(mean_full - classical["mean_Q"][i]))
             rho = np.zeros((4, 4))
             for j in range(indices.size):
                 rho[indices[j], indices[j]] += prob[j, i]
-            worst_reg = max(worst_reg, float(np.max(np.abs(reg_full - rho))))
+            worst_reg = np.maximum(worst_reg, np.max(np.abs(reg_full - rho)))
         c.check(worst_q <= 1e-8, f"classical mean_Q deviation {worst_q:.2e}")
         c.check(worst_reg <= 1e-8, f"classical register deviation {worst_reg:.2e}")

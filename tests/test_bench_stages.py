@@ -31,6 +31,7 @@ def test_one_repetition_writes_every_stage(stages):
     [case] = report["cases"]
     assert case["s"] == 20 and case["stages"].keys() == set(stages.STAGES)
     assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
+    assert "closed" in case["stages"]  # the case's chain and grid without the bath
     for entry in case["stages"].values():
         assert entry.keys() == {"change"}
         assert entry["change"].keys() == {"median", "q25", "q75", "runs"}

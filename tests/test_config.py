@@ -189,6 +189,16 @@ dt = 0
             validate_config(text)
         assert [v.split(":")[0] for v in err.value.violations] == ["t_max"]
 
+    @pytest.mark.parametrize("t_max", ["0", "-5"])
+    @pytest.mark.parametrize("scenario", ["scenario = ballistic\n", ""], ids=["ballistic", "none"])
+    def test_t_max_not_positive(self, scenario, t_max):
+        # one t_max line, also from a file with no scenario, whose defaults are unknown
+        text = f"[experiment]\n{scenario}[grid]\nt_max = {t_max}\n"
+        with pytest.raises(ConfigError) as err:
+            validate_config(text)
+        found = [v for v in err.value.violations if v.startswith("t_max")]
+        assert found == [f"t_max: must be > 0, got {float(t_max)}"]
+
     def test_scan_window_whole_steps(self):
         text = "[experiment]\nscenario = peak-scaling\n[chain]\ns = 20\n[grid]\ndt = 0.2\n"
         assert validate_config(text).t_max is None  # the runner scans 0 .. 40 in 200 steps

@@ -3,10 +3,7 @@ import pytest
 from support import (
     branch_registers,
     branch_sites,
-    evolve_full,
     free_eigensystem,
-    full_space_observables,
-    full_space_state,
     full_switch_hamiltonian,
     relax_energy_density,
     subspace_projector,
@@ -25,7 +22,7 @@ from openchain.feynman import (
     run_superposed_input,
     von_neumann_entropy,
 )
-from openchain.lindblad import BathSpec, read_out, time_grid
+from openchain.lindblad import BathSpec
 
 
 def branch_runs(a, disorder, g, bath, t_max, dt):
@@ -322,17 +319,6 @@ class TestSuperposedRuns:
             assert np.trace(full).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(full).min() > -1e-9
 
-    def test_entropy_limits(self):
-        # with dissipation the register ends in the two-outcome mixture
-        # (entropy ln 2) for a superposed control and in a pure state for a
-        # classical one; both transients peak at the predicted mixtures
-        disorder = sample_disorder(22, 0.5, 0)
-        bath = BathSpec(beta=1.0, zeta=0.05)
-        entropy = run_superposed_input(9, disorder, 2.0, bath, 2000.0, 1.0)[0]["entropy"]
-        ln2 = np.log(2)
-        assert abs(entropy[-1] - ln2) < 1e-2
-        assert abs(entropy.max() - 1.5 * ln2) < 5e-2
-
 
 class TestRegisterReduction:
     def test_start_is_pure_product(self):
@@ -383,40 +369,3 @@ class TestEntropyAndFidelity:
         pure_up = np.zeros((4, 4))
         pure_up[3, 3] = 1.0
         assert bell_fidelity(pure_up) == pytest.approx(0.5)
-
-
-class TestFullSpaceOracle:
-    def test_reduced_model_matches_full_hamiltonian(self):
-        # complete clock-plus-register evolution on the 4s-dimensional space
-        # against the path-coordinate model, classical and superposed inputs
-        s, a = 8, 1
-        disorder = sample_disorder(s, 0.5, 7)
-        g = 2.0
-        h_full = full_switch_hamiltonian(a, disorder, g)
-        grid = time_grid(50.0, 0.5)
-
-        # superposed control
-        reg0 = np.zeros(4)
-        reg0[register_index((+1, -1))] = reg0[register_index((-1, -1))] = 1 / np.sqrt(2)
-        psi0 = full_space_state(s, reg0)
-        series, register = run_superposed_input(a, disorder, g, None, 50.0, 0.5)
-        mean_red = sum(
-            0.5 * (sites @ read_out(v, np.eye(e.size), pops, amps))
-            for sites, (e, v), pops, amps in branch_runs(a, disorder, g, None, 50.0, 0.5)
-        )
-        for i, t in enumerate(grid):
-            psi = evolve_full(h_full, psi0, t)
-            mean_full, reg_full = full_space_observables(psi, s)
-            p_full = np.sum(np.abs(psi.reshape(s, 4)[a + 4 :]) ** 2)  # sites b = a + 5 on
-            assert abs(mean_full - mean_red[i]) < 1e-8
-            assert np.max(np.abs(reg_full - register[i])) < 1e-8
-            assert abs(p_full - series["p_beyond_gate"][i]) < 1e-8
-
-        # classical control (upper branch)
-        reg0 = np.zeros(4)
-        reg0[register_index((+1, -1))] = 1.0
-        psi0 = full_space_state(s, reg0)
-        series_u = run_classical_input(a, disorder, g, None, "U", 50.0, 0.5)
-        for i, t in enumerate(grid):
-            mean_full, _ = full_space_observables(evolve_full(h_full, psi0, t), s)
-            assert abs(mean_full - series_u["mean_Q"][i]) < 1e-8

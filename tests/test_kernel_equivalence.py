@@ -5,9 +5,11 @@ dt)``. Every column must match its reference to 1e-12 * max(1, max|column|),
 with NaN at the same positions, for several disorder seeds, in the kernel's
 own cache blocks ("uniform") and in blocks narrowed to 32 columns, so that
 every block but the first starts late ("late-start"). ``time_grid`` is the one
-check on a time axis: it and every pipeline raise ``ValueError`` for a
-non-finite or non-positive t_max or dt, or a t_max that is not a whole number
->= 1 of dt steps; each run's ``t`` column is that grid bit for bit.
+check on a time axis: it, ``arrival_peak`` and every pipeline, with a bath and
+without, raise ``ValueError`` for a non-finite or non-positive t_max or dt, or
+a t_max that is not a whole number >= 1 of dt steps, on one table of axes (one
+of them would span several cache blocks); each run's ``t`` column is that grid
+bit for bit.
 ``read_out`` of random rows R must match R times the dense oracle's site
 distribution, with and without a bath, on a grid that crosses a cache-block
 edge, and with a bath on a grid whose second block holds the cut past which
@@ -87,19 +89,6 @@ from openchain.runner import run_realization
 GRID = (400.0, 5.0)
 SEEDS = (0, 1, 2)
 BATHS = {"bath": BathSpec(beta=1.0, zeta=0.05), "closed": None}
-#: time axes from which no uniform grid can be built, each named after the
-#: irregular grid it would describe
-IRREGULAR = {
-    "empty": (0.0, 1.0),  # no time span
-    "nonuniform": (10.0, 3.0),  # the last step would be 1, not 3
-    "decreasing": (-400.0, -5.0),
-    "repeated": (10.0, 0.0),  # steps of zero
-    "constant": (0.0, 0.0),
-    "negative-start": (-100.0, 10.0),  # a grid running to negative times
-    "perturbed": (1000.001, 1.0),  # a thousandth of a step past a whole number
-}
-#: every run's time axis is checked by time_grid, which names the rule it breaks
-REJECTED = "whole number >= 1 of dt steps"
 
 
 def assert_columns_match(got: dict, expected: dict, rtol: float = 1e-12) -> None:
@@ -354,83 +343,66 @@ def test_short_grids_match_direct_formula(bath, grid):
     assert_columns_match(*relax_pair(bath, 0, *SHORT_GRIDS[grid]))
 
 
-#: non-finite values, and a step count beyond float range, which time_grid
-#: rejects like the irregular axes
-INVALID_VALUES = {
+#: time axes from which time_grid builds no uniform grid, each named after the
+#: grid it would describe
+AXES = {
+    "empty": (0.0, 1.0),  # no time span
+    "nonuniform": (10.0, 3.0),  # the last step would be 1, not 3
+    "decreasing": (-400.0, -5.0),
+    "repeated": (10.0, 0.0),  # steps of zero
+    "constant": (0.0, 0.0),
+    "negative-start": (-100.0, 10.0),  # a grid running to negative times
+    "perturbed": (1000.001, 1.0),  # a thousandth of a step past a whole number
     "t_max-inf": (math.inf, 1.0),
     "dt-inf": (10.0, math.inf),
     "t_max-nan": (math.nan, 1.0),
     "dt-nan": (10.0, math.nan),
-    "steps-overflow": (1e300, 1e-300),
+    "steps-overflow": (1e300, 1e-300),  # a step count beyond float range
+    # several cache blocks of a 40-level chain, ending half a step short
+    "nonuniform-blocks": (4000.5, 1.0),
 }
+#: every run's time axis is checked by time_grid, which names the rule it breaks
+REJECTED = "whole number >= 1 of dt steps"
 
 
-@pytest.mark.parametrize("axis", [*IRREGULAR, *INVALID_VALUES])
-def test_time_grid_rejects_invalid_axes(axis):
+def rejects(run) -> bool:
+    """Whether ``run()`` raises time_grid's ``ValueError``."""
+    try:
+        run()
+    except ValueError as err:
+        return REJECTED in str(err)
+    return False
+
+
+@pytest.mark.parametrize(
+    "bath, axis",
+    # a case with the bath is named after its axis alone
+    [pytest.param(bath, axis, id=axis if BATHS[bath] else f"closed-{axis}")
+     for axis in AXES for bath in BATHS],
+)
+def test_time_grid_rejects_invalid_axes(bath, axis):
     # every entry point builds its grid with time_grid before any code that
-    # reads the bath, so each axis reaches each entry point once, with a bath
-    t_max, dt = {**IRREGULAR, **INVALID_VALUES}[axis]
-    e, v = free_eigensystem(8)
-    bath, disorder = BATHS["bath"], sample_disorder(16, 0.5, 0)
-    sites, last = np.arange(1, 9), np.array([7])
-    entry_points = [
-        lambda: time_grid(t_max, dt),
-        lambda: arrival_peak(e, v[0] * v[-1], t_max, dt),
-        lambda: relax_energy_density(e, bath, v[0], t_max, dt),
-        lambda: lindblad.pure_state_series((e, v), bath, v[0], t_max, dt, sites, last),
-        lambda: dissipative_transport_run(e, bath, t_max, dt),
-        lambda: run_classical_input(4, disorder, 2.0, bath, "U", t_max, dt),
-        lambda: run_superposed_input(4, disorder, 2.0, bath, t_max, dt),
-    ]
-    for run in entry_points:
-        with pytest.raises(ValueError, match=REJECTED):
-            run()
-
-
-@pytest.mark.parametrize("grid", IRREGULAR)
-@pytest.mark.parametrize("bath", BATHS)
-def test_relax_energy_density_rejects_irregular_grids(bath, grid):
-    # the helper drains lindblad.energy_blocks, which raises at its first block
-    e, v = free_eigensystem(8)
-    with pytest.raises(ValueError, match=REJECTED):
-        relax_energy_density(e, BATHS[bath], v[0], *IRREGULAR[grid])
-
-
-@pytest.mark.parametrize("grid", [*IRREGULAR, "nonuniform-blocks"])
-@pytest.mark.parametrize("bath", BATHS)
-def test_pure_state_series_rejects_irregular_grids(bath, grid):
-    # the read-out of all three chain pipelines; the last axis would span
-    # several cache blocks of a 40-level chain and end half a step short
-    eig = free_eigensystem(40)
-    t_max, dt = (4000.5, 1.0) if grid == "nonuniform-blocks" else IRREGULAR[grid]
-    with pytest.raises(ValueError, match=REJECTED):
-        lindblad.pure_state_series(
-            eig, BATHS[bath], eig[1][0], t_max, dt, np.arange(1, 41), np.array([39])
-        )
-
-
-@pytest.mark.parametrize("grid", IRREGULAR)
-@pytest.mark.parametrize("bath", BATHS)
-def test_dissipative_transport_run_rejects_irregular_grids(bath, grid):
-    h = build_chain_hamiltonian(sample_disorder(14, 0.5, 0), 2.0)
-    with pytest.raises(ValueError, match=REJECTED):
-        dissipative_transport_run(h, BATHS[bath], *IRREGULAR[grid])
-
-
-@pytest.mark.parametrize("grid", IRREGULAR)
-@pytest.mark.parametrize("bath", BATHS)
-def test_run_classical_input_rejects_irregular_grids(bath, grid):
-    disorder = sample_disorder(16, 0.5, 0)
-    with pytest.raises(ValueError, match=REJECTED):
-        run_classical_input(4, disorder, 2.0, BATHS[bath], "U", *IRREGULAR[grid])
-
-
-@pytest.mark.parametrize("grid", IRREGULAR)
-@pytest.mark.parametrize("bath", ["closed"])  # test_time_grid_rejects_invalid_axes has the bath
-def test_run_superposed_input_rejects_irregular_grids(bath, grid):
-    disorder = sample_disorder(16, 0.5, 0)
-    with pytest.raises(ValueError, match=REJECTED):
-        run_superposed_input(4, disorder, 2.0, BATHS[bath], *IRREGULAR[grid])
+    # reads the bath, so each axis reaches each entry point once with a bath
+    # and once without; time_grid and arrival_peak take no bath and run once,
+    # beside the bath
+    t_max, dt = AXES[axis]
+    e, v = free_eigensystem(40)
+    disorder, sites, last = sample_disorder(16, 0.5, 0), np.arange(1, 41), np.array([39])
+    spec = BATHS[bath]
+    entry_points = {
+        "relax_energy_density": lambda: relax_energy_density(e, spec, v[0], t_max, dt),
+        "pure_state_series": lambda: lindblad.pure_state_series(
+            (e, v), spec, v[0], t_max, dt, sites, last
+        ),
+        "dissipative_transport_run": lambda: dissipative_transport_run(e, spec, t_max, dt),
+        "run_classical_input": lambda: run_classical_input(4, disorder, 2.0, spec, "U", t_max, dt),
+        "run_superposed_input": lambda: run_superposed_input(4, disorder, 2.0, spec, t_max, dt),
+    }
+    if spec is not None:
+        entry_points["time_grid"] = lambda: time_grid(t_max, dt)
+        entry_points["arrival_peak"] = lambda: arrival_peak(e, v[0] * v[-1], t_max, dt)
+    accepted = [name for name, run in entry_points.items() if not rejects(run)]
+    assert not accepted, f"not rejected by {', '.join(accepted)}"
 
 
 @pytest.mark.parametrize("bath", BATHS)

@@ -133,23 +133,6 @@ class TestArrivalPeak:
         assert t_star == pytest.approx(np.pi, abs=1e-3)
         assert p_star == pytest.approx(1.0, abs=1e-6)
 
-    def test_ballistic_arrival_time(self):
-        t_star, _ = arrival_peak(*free_end_weights(20), 40.0, 0.05)
-        assert 17.0 <= t_star <= 25.0
-
-    def test_peak_scaling_exponent(self):
-        sizes = [50, 100, 200, 400]
-        p_stars = []
-        for s in sizes:
-            _, p = arrival_peak(*free_end_weights(s), 1.5 * s + 10, 0.05)
-            p_stars.append(p)
-        slope = np.polyfit(np.log(sizes), np.log(p_stars), 1)[0]
-        assert -0.80 <= slope <= -0.55
-
-    def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            arrival_peak(*free_end_weights(3), 10.0, dt=0.0)
-
 
 class TestCleanChainOracle:
     """The clean chain against its Bessel image sum, which uses no eigensolver."""
