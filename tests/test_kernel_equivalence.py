@@ -405,6 +405,20 @@ def test_time_grid_rejects_invalid_axes(bath, axis):
     assert not accepted, f"not rejected by {', '.join(accepted)}"
 
 
+#: the axes of AXES that describe an irregular grid, not a non-finite value
+IRREGULAR = (
+    "empty", "nonuniform", "decreasing", "repeated", "constant", "negative-start", "perturbed"
+)
+
+
+@pytest.mark.parametrize("grid", IRREGULAR)
+@pytest.mark.parametrize("bath", ["closed"])  # test_time_grid_rejects_invalid_axes has the bath
+def test_run_superposed_input_rejects_irregular_grids(bath, grid):
+    disorder = sample_disorder(16, 0.5, 0)
+    with pytest.raises(ValueError, match=REJECTED):
+        run_superposed_input(4, disorder, 2.0, BATHS[bath], *AXES[grid])
+
+
 @pytest.mark.parametrize("bath", BATHS)
 def test_read_out_matches_dense_site_distribution(bath):
     # k = 5 random rows R against R times the diagonal of V rho V^T of the dense
