@@ -23,8 +23,10 @@ tree's ``src`` with one BLAS thread, and times these stages:
   the same s, its own window 0 .. 1.5 s + 10 in steps of 0.05 (the clean
   chain: the case's disorder, tilt, bath and grid do not apply).
 
-Each stage is imported by name, so a rename raises ``ImportError`` instead of
-dropping the stage. With ``--base PATH`` every pair runs this tree and the
+Each case also records ``kept``: the modes and sites of the bath run's
+coherent term (``lindblad._reach``), counted on this tree; a parent tree from
+before that cut records none. Each stage is imported by name, so a rename
+raises ``ImportError`` instead of dropping the stage. With ``--base PATH`` every pair runs this tree and the
 tree at PATH back to back, alternating which goes first; the JSON records,
 per stage, each side's runs, median and quartiles, and the pairs this tree
 won (ties count for neither). The machine is recorded beside them.
@@ -72,6 +74,11 @@ def measure(s: int, points: int) -> dict:
     from openchain.runner import _numeric_environment, run_realization
     from openchain.series import write_csv
 
+    try:
+        from openchain.lindblad import _reach
+    except ImportError:  # a tree from before the reach cut
+        _reach = None
+
     bath, dt = BathSpec(CASE["beta"], CASE["zeta"]), CASE["dt"]
     t_max = dt * (points - 1)
     dissipative_transport_run(np.linspace(0.0, -1.0, 20), bath, 100.0, 1.0)  # warm numpy and BLAS
@@ -81,6 +88,10 @@ def measure(s: int, points: int) -> dict:
     start = time.perf_counter()
     e, v = diagonalize(energies)
     times["diagonalize"] = time.perf_counter() - start
+    kept = None
+    if _reach is not None:
+        modes, sites = _reach(v, v[0], bath)
+        kept = {"modes": int(modes.sum()), "sites": int(sites.sum())}
 
     gen, p = population_generator(transition_rates(e, bath), bath), v[0] ** 2
     block = 1 << _BLOCK_SQUARINGS
@@ -96,9 +107,9 @@ def measure(s: int, points: int) -> dict:
 
     spent = [0.0]
 
-    def timed_read_out(*args):
+    def timed_read_out(*args, **kwargs):
         begin = time.perf_counter()
-        out = read_out(*args)
+        out = read_out(*args, **kwargs)
         spent[0] += time.perf_counter() - begin
         return out
 
@@ -124,7 +135,7 @@ def measure(s: int, points: int) -> dict:
     start = time.perf_counter()
     run_realization(peak, 0)
     times["peak_scan"] = time.perf_counter() - start
-    return {"stages": times, "environment": _numeric_environment()}
+    return {"stages": times, "kept": kept, "environment": _numeric_environment()}
 
 
 def run_worker(tree: Path, s: int, points: int) -> dict:
@@ -155,6 +166,8 @@ def compare(sizes: list[int], points: int, pairs: int, base: Path | None) -> dic
                 result = run_worker(trees[side], s, points)
                 runs[side].append(result["stages"])
                 environment[side] = result["environment"]
+                if side == "change":
+                    kept = result["kept"]
         stages = {}
         for stage in STAGES:
             times = {side: [r[stage] for r in runs[side]] for side in trees}
@@ -163,7 +176,7 @@ def compare(sizes: list[int], points: int, pairs: int, base: Path | None) -> dic
                 entry["wins"] = sum(c < b for c, b in zip(times["change"], times["base"]))
                 entry["pairs"] = pairs
             stages[stage] = entry
-        cases.append({"s": s, "stages": stages})
+        cases.append({"s": s, "kept": kept, "stages": stages})
     return {
         "case": {**CASE, "points": points},
         "sides": list(trees),

@@ -53,6 +53,8 @@ from .chains import build_chain_hamiltonian, diagonalize
 from .lindblad import (
     BathSpec,
     _coherent_columns,
+    _kept,
+    _reach,
     energy_blocks,
     pure_state_series,
     read_out,
@@ -238,7 +240,11 @@ def run_superposed_input(
     form neither V U nor the cross diagonal. Their cross block is taken as
     zero, since |cross| <= ||u_U|| ||u_D|| < 2^-70 there, so their register
     states are diagonal and their entropy is taken from the sorted diagonal,
-    without an eigensolve.
+    without an eigensolve. A bath run also keeps only the reach of each
+    branch (:func:`openchain.lindblad._reach`): U on the branch's modes, and
+    V U and the cross diagonal on the sites S = S_U | S_D that either branch
+    reaches. A site outside both has |(V U)_j| <= b_j on each branch, so the
+    cross diagonal drops at most (sum b^U_j^2 + sum b^D_j^2) / 2 < 2^-72 there.
     """
     sites_u, idx_up, (e_u, vu) = build_branch(a, "U", disorder, g)
     sites_d, idx_down, (e_d, vd) = build_branch(a, "D", disorder, g)
@@ -252,15 +258,21 @@ def run_superposed_input(
     fidelity = np.full(times.size, np.nan)
     register = np.empty((times.size, 4, 4), dtype=complex)
     squared_u, squared_d = np.square(vu), np.square(vd)  # V*V, once per spectrum
+    (keep_u, cover_u), (keep_d, cover_d) = _reach(vu, vu[0], bath), _reach(vd, vd[0], bath)
+    modes_u, modes_d, sites = _kept(keep_u), _kept(keep_d), _kept(cover_u | cover_d)
+    reach_u, reach_d = (modes_u, sites), (modes_d, sites)
+    rotate_u, rotate_d, pairs = vu[sites][:, modes_u], vd[sites][:, modes_d], pairs[:, sites]
     blocks = zip(
-        energy_blocks(e_u, bath, vu[0], t_max, dt), energy_blocks(e_d, bath, vd[0], t_max, dt)
+        energy_blocks(e_u, bath, vu[0], t_max, dt, modes_u),
+        energy_blocks(e_d, bath, vd[0], t_max, dt, modes_d),
     )
     for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
         keep = max(_coherent_columns(amp_u), _coherent_columns(amp_d))
-        w_u, w_d = site_amplitudes(vu, amp_u[:, :keep]), site_amplitudes(vd, amp_d[:, :keep])
-        diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, squared_u, w_u)  # (8, columns)
-        diag_d = 0.5 * read_out(vd, rows_d, pop_d, amp_d, squared_d, w_d)
-        w_u *= np.conj(w_d)  # in place: the cross diagonal on every coordinate
+        w_u = site_amplitudes(rotate_u, amp_u[:, :keep])  # V U on the sites S
+        w_d = site_amplitudes(rotate_d, amp_d[:, :keep])
+        diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, squared_u, reach_u, w_u)  # (8, columns)
+        diag_d = 0.5 * read_out(vd, rows_d, pop_d, amp_d, squared_d, reach_d, w_d)
+        w_u *= np.conj(w_d)  # in place: the cross diagonal on the sites
         cross = 0.5 * site_amplitudes(pairs, w_u)  # (32, keep): zero after keep
         del w_u, w_d
         trace_uu[cols], trace_dd[cols] = diag_u[:4].sum(axis=0), diag_d[:4].sum(axis=0)

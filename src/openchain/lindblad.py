@@ -69,6 +69,24 @@ bisection, O(n log width) per block); the subtracted |U|^2 of the bath
 correction is kept on every column. The superposed switch stops its cross
 diagonal and its register eigensolve at the same cut. Without a bath
 ||u|| = 1, and every column is read out in full.
+
+With a bath the coherent term is also formed only on the energy modes and
+sites that the start reaches (:func:`_reach`). Every |u_m(t)| <= |c_m|. The
+modes M keep all but the smallest |c_m|, dropped while their norm
+||c_drop|| < ``_REACH`` = 2^-72; replacing u by its rows M, in R |V u|^2 and
+in the subtracted |u|^2 alike, moves row r by at most
+max|R_r| (2 ||c_drop|| + 2 ||c_drop||^2). Each site amplitude of the kept
+modes is bounded at every t, |(V[:, M] u_M)_j| <= b_j = sum_{m in M} |V_jm| |c_m|,
+and the sites S keep all but the smallest b_j, dropped while their tail
+sum b_j^2 < 2^-72. So the coherent term is R[:, S] |V[S, M] U_M|^2 and the
+bath correction subtracts |U|^2 on the rows M alone; the part dropped from
+row r is at most max|R_r| (2^-71 + 2^-72 + 2^-143), below the decay cut's
+own bound max|R_r| 2^-70. :func:`energy_blocks` builds the phase tables and
+U blocks of the modes M alone; P keeps every level, because the bath fills
+them all. Without a bath every mode and site stays and the run is unchanged
+bit for bit: there P is |U|^2 itself, and a cut would move a row that is
+tiny in its own right (the last site of a localized chain at early times,
+1e-44 to 1e-31) by O(1) of its size.
 """
 
 from __future__ import annotations
@@ -83,6 +101,7 @@ from .chains import diagonalize
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
 _DECAYED = 2.0**-70  # ||u||^2 below which the coherences drop under rounding (see above)
+_REACH = 2.0**-72  # ||c_drop|| and the sites' tail sum b_j^2 a bath run leaves out (see above)
 _FLUSH = 1e-150  # entries of S and S^2 .. S^B set to zero below it: no subnormal products
 # degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which they need
 # no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
@@ -268,6 +287,7 @@ def energy_blocks(
     amplitudes: np.ndarray,
     t_max: float,
     dt: float,
+    modes: np.ndarray | slice = slice(None),
 ):
     """(columns, P block or None, U block) of a pure start per cache-sized block of the grid.
 
@@ -275,14 +295,16 @@ def energy_blocks(
     axis raises at the first block. ``amplitudes`` are the initial
     energy-basis amplitudes c. U[m, i] = c_m exp(d_m t_i) with
     d = -i e - zeta G / 2, so the coherences at t_i are u u^H - diag|u|^2
-    with u = U[:, i]. A block spans as many grid columns as fit one complex
-    n x width array of about 1 MiB, and at least B = 32. The phase tables are
-    built once, for the first block; the block from column ``start`` on is
-    that table times exp(d t_start). P advances block by block, carrying the
-    last B columns of each block into the next, so at most two blocks of it
-    are held; without a bath (``None`` or zeta = 0) it is None: the
-    populations are |U|^2, so the coherence correction of :func:`read_out`
-    vanishes and is skipped.
+    with u = U[:, i]. U holds the rows ``modes`` alone (every mode by
+    default; a bath run passes those of :func:`_reach`), while P keeps every
+    level. A block spans as many grid columns as fit one complex n x width
+    array of about 1 MiB, and at least B = 32. The phase tables are built
+    once, for the first block; the block from column ``start`` on is that
+    table times exp(d t_start), formed after the generator has let go of the
+    block before. P advances block by block, carrying the last B columns of
+    each block into the next, so at most two blocks of it are held; without
+    a bath (``None`` or zeta = 0) it is None: the populations are |U|^2, so
+    the coherence correction of :func:`read_out` vanishes and is skipped.
     """
     times = time_grid(t_max, dt)
     e = np.asarray(eigenvalues, dtype=float)
@@ -295,10 +317,15 @@ def energy_blocks(
         gen = population_generator(gamma, bath)
         pops = _population_blocks(gen, np.abs(c) ** 2, step, width, size)
         d = d - 0.5 * bath.zeta * gamma.sum(axis=0)
+    d, c = d[modes], c[modes]
     first = _phases(d, c, step, min(width, size))
     for start in range(0, size, width):
-        amps = first if start == 0 else first[:, : size - start] * np.exp(d * times[start])[:, None]
-        yield slice(start, start + width), None if pops is None else next(pops), amps
+        # no local name holds a yielded block, so the next one is formed without it
+        yield (
+            slice(start, start + width),
+            None if pops is None else next(pops),
+            first if start == 0 else first[:, : size - start] * np.exp(d * times[start])[:, None],
+        )
 
 
 def _coherent_columns(amplitudes: np.ndarray) -> int:
@@ -319,6 +346,37 @@ def _coherent_columns(amplitudes: np.ndarray) -> int:
     return lo
 
 
+def _tail(weights: np.ndarray, budget: float) -> np.ndarray:
+    """Indices of the smallest ``weights`` whose sum stays below ``budget``."""
+    order = np.argsort(weights)
+    return order[: np.count_nonzero(np.cumsum(weights[order]) < budget)]
+
+
+def _reach(
+    eigenvectors: np.ndarray, amplitudes: np.ndarray, bath: BathSpec | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks (modes, sites) of what the coherent term of a pure start c keeps.
+
+    Without a bath (``None`` or zeta = 0) both are True throughout. With a
+    bath the modes drop the smallest |c_m| while ||c_drop|| < ``_REACH``, and
+    the sites drop the smallest bounds b_j = sum_{m in M} |V_jm| |c_m| while
+    their tail sum b_j^2 < ``_REACH``; the module docstring gives the bound.
+    """
+    c = np.abs(amplitudes)
+    modes = np.ones(c.size, dtype=bool)
+    sites = np.ones(eigenvectors.shape[0], dtype=bool)
+    if bath is not None and bath.zeta != 0.0:
+        modes[_tail(np.square(c), _REACH**2)] = False
+        bound = np.abs(eigenvectors[:, modes]) @ c[modes]
+        sites[_tail(np.square(bound), _REACH)] = False
+    return modes, sites
+
+
+def _kept(mask: np.ndarray) -> np.ndarray | slice:
+    """The indices where ``mask`` holds, or ``slice(None)`` (a view) where it holds everywhere."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
 def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """V U for real V: one real product on the interleaved (re, im) view of U.
 
@@ -337,6 +395,7 @@ def read_out(
     populations: np.ndarray | None,
     amplitudes: np.ndarray,
     squared: np.ndarray | None = None,
+    reach: tuple[np.ndarray | slice, np.ndarray | slice] | None = None,
     rotated: np.ndarray | None = None,
 ) -> np.ndarray:
     """``rows`` (k x n) times the site distribution of one block of :func:`energy_blocks`.
@@ -346,28 +405,35 @@ def read_out(
     term R |V U|^2 is added only on the block's leading columns with
     ||u||^2 >= 2^-70 (:func:`_coherent_columns`). Past them the dropped part
     of row r is at most max|R_r| 2^-70, about 2^-17 of the population term's
-    own rounding, eps max|R_r| (eps = 2^-53). ``squared`` is V*V and
-    ``rotated`` is V U, at least on those leading columns, when the caller
-    has them already; both are left intact. The package's runs pass V*V,
-    squared once per spectrum; without it (one-off calls, as in the tests)
-    read_out squares V itself.
+    own rounding, eps max|R_r| (eps = 2^-53). ``reach`` is the pair
+    (modes M, sites S) of a bath run, index arrays or slices (:func:`_reach`
+    and :func:`_kept`): U holds the rows M, the coherent term is
+    R[:, S] |V[S, M] U|^2 and the correction subtracts |U|^2 from the rows M
+    of P. None keeps every mode and site. ``squared`` is V*V and ``rotated``
+    is V[S, M] U, at least on the leading columns, when the caller has them
+    already; both are left intact. The package's runs pass V*V, squared once
+    per spectrum; without it (one-off calls, as in the tests) read_out
+    squares V itself.
     """
+    modes, sites = (slice(None), slice(None)) if reach is None else reach
     keep = amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
     if rotated is None:
-        w = site_amplitudes(eigenvectors, amplitudes[:, :keep])
+        w = site_amplitudes(eigenvectors[sites][:, modes], amplitudes[:, :keep])
     else:
         w = rotated[:, :keep]
     prob = np.square(w.real)
     prob += np.square(w.imag, out=w.imag if rotated is None else None)  # in place when w is ours
     del w  # frees V U before the correction's temporaries
-    coherent = rows @ prob
+    coherent = rows[:, sites] @ prob
     if populations is None:
         return coherent
     if squared is None:
         squared = np.square(eigenvectors)
-    correction = np.abs(amplitudes, out=np.empty(amplitudes.shape))  # P - |U|^2 in one buffer
-    np.square(correction, out=correction)
-    np.subtract(populations, correction, out=correction)
+    magnitude = np.abs(amplitudes, out=np.empty(amplitudes.shape))
+    np.square(magnitude, out=magnitude)
+    correction = np.array(populations)  # P - |U|^2, subtracted on the rows M alone
+    correction[modes] -= magnitude
+    del magnitude
     out = (rows @ squared) @ correction
     out[:, :keep] += coherent
     return out
@@ -393,17 +459,19 @@ def pure_state_series(
     about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision. A
     variance below -1e-9 is a numeric failure and raises
     ``FloatingPointError``; the rounding-level negatives above it are clipped
-    to 0.
+    to 0. With a bath the blocks hold U on the modes of :func:`_reach` alone,
+    and the read-out forms V U on its sites alone.
     """
     (e, v), x = eig, np.asarray(positions, dtype=float)
     times = time_grid(t_max, dt)
     indicator = np.bincount(region, minlength=x.size)
     mean, var, p_region = (np.empty(times.size) for _ in range(3))
     squared = np.square(v)  # V*V, once per spectrum
-    for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt):
+    reach = tuple(_kept(mask) for mask in _reach(v, amplitudes, bath))
+    for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt, reach[0]):
         first = None if p is None else p[:, :1]
-        y = x - read_out(v, x[None], first, u[:, :1], squared)[0, 0]
-        out = read_out(v, np.stack([x, y**2, y, indicator]), p, u, squared)
+        y = x - read_out(v, x[None], first, u[:, :1], squared, reach)[0, 0]
+        out = read_out(v, np.stack([x, y**2, y, indicator]), p, u, squared, reach)
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
     if np.any(var < -1e-9):
         raise FloatingPointError("variance must be nonnegative")
@@ -420,8 +488,12 @@ def arrival_peak(
     is the column sum of each block of :func:`energy_blocks` started from w.
     """
     times = time_grid(t_max, dt)
-    sums = (u.sum(axis=0) for *_, u in energy_blocks(energies, None, weights, t_max, dt))
-    last = np.concatenate([np.square(a.real) + np.square(a.imag) for a in sums])
+    power = []
+    for *_, u in energy_blocks(energies, None, weights, t_max, dt):
+        a = u.sum(axis=0)
+        del u  # so the next block is formed while this one is freed
+        power.append(np.square(a.real) + np.square(a.imag))
+    last = np.concatenate(power)
     i = int(np.argmax(last))
     return float(times[i]), float(last[i])
 

@@ -483,9 +483,11 @@ def closed_series(eig, psi0: np.ndarray, t_max: float, dt: float, region=()):
     return pure_state_series(eig, None, c, t_max, dt, np.arange(1, e.size + 1), rows)
 
 
-def relax_energy_density(eigenvalues, bath, amplitudes, t_max: float, dt: float):
-    """(P or None, U), both n x T: the package's :func:`energy_blocks` of the whole grid, joined."""
-    blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_max, dt))
+def relax_energy_density(
+    eigenvalues, bath, amplitudes, t_max: float, dt: float, modes=slice(None)
+):
+    """(P or None, U), n x T and modes x T: the package's :func:`energy_blocks` of a grid."""
+    blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_max, dt, modes))
     pops = None if blocks[0][1] is None else np.concatenate([p for _, p, _ in blocks], axis=1)
     return pops, np.concatenate([u for *_, u in blocks], axis=1)
 

@@ -175,7 +175,7 @@ def test_criterion_6_coherence_closed_form():
                         widths[i] + widths[j]
                     ) / 2.0
                     expected = rho0[i, j] * np.exp(rate * t)
-                    worst = max(worst, abs(got[i, j] - expected))
+                    worst = np.maximum(worst, abs(got[i, j] - expected))
         c.check(worst <= 1e-10, f"worst deviation {worst:.2e}")
 
 
@@ -195,7 +195,7 @@ def test_criterion_7_conservation_law_and_exact_cnot():
             g = float(rng.uniform(0.0, 3.0))
             h = full_switch_hamiltonian(a, eps, g)
             proj = subspace_projector(sites, registers, s)
-            worst = max(worst, float(np.linalg.norm(h @ proj - proj @ h)))
+            worst = np.maximum(worst, np.linalg.norm(h @ proj - proj @ h))
         c.check(worst <= 1e-12, f"worst commutator norm {worst:.2e}")
 
         disorder = sample_disorder(22, 0.5, 1)

@@ -30,6 +30,8 @@ def test_one_repetition_writes_every_stage(stages):
     assert report["machine"]["environment"]["change"].keys() >= {"python", "numpy", "blas"}
     [case] = report["cases"]
     assert case["s"] == 20 and case["stages"].keys() == set(stages.STAGES)
+    assert case["kept"].keys() == {"modes", "sites"}  # the bath run's reach
+    assert all(0 < count <= 20 for count in case["kept"].values())
     assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
     assert "closed" in case["stages"]  # the case's chain and grid without the bath
     for entry in case["stages"].values():
@@ -44,12 +46,14 @@ def test_pairs_alternate_and_count_wins(stages, monkeypatch):
     def worker(tree, s, points):
         calls.append(tree)
         seconds = 1.0 if tree == stages.TREE else next(base_times)
-        return {"stages": dict.fromkeys(stages.STAGES, seconds), "environment": {}}
+        kept = {"modes": 16, "sites": 11} if tree == stages.TREE else None
+        return {"stages": dict.fromkeys(stages.STAGES, seconds), "kept": kept, "environment": {}}
 
     monkeypatch.setattr(stages, "run_worker", worker)
     base = Path("/parent")
     report = stages.compare([20], 101, 4, base)
     assert calls == [stages.TREE, base, base, stages.TREE] * 2
+    assert report["cases"][0]["kept"] == {"modes": 16, "sites": 11}  # this tree's counts
     entry = report["cases"][0]["stages"]["run"]
     assert entry["pairs"] == 4 and entry["wins"] == 2
     assert entry["base"]["runs"] == [2.0, 0.5, 2.0, 1.0] and entry["base"]["median"] == 1.5

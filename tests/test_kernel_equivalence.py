@@ -15,7 +15,11 @@ distribution, with and without a bath, on a grid that crosses a cache-block
 edge, and with a bath on a grid whose second block holds the cut past which
 read_out drops the coherences (||u||^2 < 2^-70); past both branches' cuts the
 superposed switch must match the dense oracle, with diagonal register states
-whose entropy equals ``von_neumann_entropy`` within 1e-15. The closed chain,
+whose entropy equals ``von_neumann_entropy`` within 1e-15. With a bath the
+switch keeps only the modes and sites its branches reach: against the run
+that keeps all of them, its read-out columns and register move by at most
+2^-70 plus rounding; without a bath nothing is cut, and the closed chain is
+bit for bit the read-out given no modes and no reach. The closed chain,
 evaluated in cache-sized blocks of grid columns, is checked against one
 complex product per 4096-column chunk, on a grid of several blocks that ends
 in a partial one.
@@ -478,6 +482,51 @@ def test_run_superposed_input_past_the_cut():
     assert np.max(np.abs(series["entropy"][cut:] - von_neumann_entropy(past))) <= 1e-15
 
 
+def test_closed_run_keeps_every_mode_and_site(monkeypatch):
+    # Without a bath (None or zeta = 0) the reach keeps everything, and the
+    # run is bit for bit the read-out given no modes and no reach. A cut of
+    # 2^-70 here would swamp the last site of this localized chain, which
+    # holds about 1e-44 at t = 0.5.
+    h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 0.0)
+    e, v = diagonalize(h)
+    for bath in (None, BathSpec(beta=1.0, zeta=0.0)):
+        assert all(mask.all() for mask in lindblad._reach(v, v[0], bath))
+    got = dissipative_transport_run(h, None, 2000.0, 0.5)
+    assert 0.0 < got["p_region"][1] < 1e-40
+    blocks, read = lindblad.energy_blocks, lindblad.read_out
+    monkeypatch.setattr(lindblad, "energy_blocks", lambda *args: blocks(*args[:5]))
+    monkeypatch.setattr(lindblad, "read_out", lambda *args: read(*args[:5]))
+    expected = dissipative_transport_run(h, None, 2000.0, 0.5)
+    assert all(np.array_equal(got[name], expected[name]) for name in expected)
+
+
+def test_superposed_reach_cut_holds_to_the_full_run(monkeypatch):
+    # A bath run of the s = 52 switch at a = 4 keeps 16 of 50 modes on each
+    # branch, and 11 sites on the upper branch and 12 on the lower one; the
+    # cross diagonal is formed on the 12 sites either branch reaches.
+    # Against the same run with every mode and site kept, each
+    # read-out column and register entry moves by at most 2^-70 plus its
+    # rounding, the Bell fidelity times its weight past the gate by 2^-69
+    # plus rounding, and the entropy by eigvalsh's rounding.
+    disorder, bath, axis = sample_disorder(52, 0.5, 0), BATHS["bath"], (2000.0, 1.0)
+    for branch, kept in (("U", [16, 11]), ("D", [16, 12])):
+        *_, (e, v) = build_branch(4, branch, disorder, 2.0)
+        assert [mask.sum() for mask in lindblad._reach(v, v[0], bath)] == kept
+    series, register = run_superposed_input(4, disorder, 2.0, bath, *axis)
+    monkeypatch.setattr(lindblad, "_REACH", 0.0)  # no budget: nothing is cut
+    full, full_register = run_superposed_input(4, disorder, 2.0, bath, *axis)
+    eps = np.finfo(float).eps
+    for name in ("trace_UU", "trace_DD", "p_beyond_gate"):
+        assert np.all(np.abs(series[name] - full[name]) <= 2.0**-70 + 4 * eps * full[name])
+    assert np.max(np.abs(register - full_register)) <= 2.0**-70 + 4 * eps
+    weight, fidelity = full["p_beyond_gate"], full["bell_fidelity"]
+    defined = ~np.isnan(fidelity)
+    assert np.array_equal(np.isnan(series["bell_fidelity"]), ~defined)
+    moved = np.abs(series["bell_fidelity"][defined] - fidelity[defined]) * weight[defined]
+    assert np.all(moved <= 2.0**-69 + 8 * eps * weight[defined])
+    assert np.max(np.abs(series["entropy"] - full["entropy"])) <= 1e-14
+
+
 #: beyond t = 4096 linspace rounds each 0.1 step to the float spacing 2**-40,
 #: so consecutive steps differ by about 1e-12
 LONG_GRID = time_grid(10000.0, 0.1)
@@ -588,7 +637,8 @@ def test_bath_read_out_memory(pipeline):
     # eigenvector, rate, generator, S^32 and V*V matrices (1.5: five of 0.3 at
     # n = 200); one is margin. On top come the O(T) series: the grid and the
     # columns that each block fills in. The whole-grid populations peaked at
-    # 12.5 MiB here.
+    # 12.5 MiB here. The reach cut keeps U and V U on 16 modes and 11 sites
+    # of this chain: measured 3.7 blocks above the series (5.6 without it).
     axis, bath = (5000.0, 1.0), BATHS["bath"]
     if pipeline == "transport":
         h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 2.0)
@@ -616,10 +666,11 @@ def test_superposed_read_out_memory(bath):
     # filled, the one before (2), and both branches' rate, generator and S^32
     # matrices (1: six of 0.3, not all alive at once); the bath correction's
     # buffer (0.5) comes after the site distribution is freed.
-    # Measured: 8.6 blocks without the bath and 11.7 with it; holding the
-    # (columns, n) site arrays, their masked copies and the cross diagonal's
-    # row selection took 10.9 and 13.4. The whole-grid populations peaked at
-    # 28.4 MiB with the bath.
+    # Measured: 8.6 blocks without the bath and 6.2 with it, whose reach cut
+    # keeps U and V U on a few modes and sites (11.7 without the cut); holding
+    # the (columns, n) site arrays, their masked copies and the cross
+    # diagonal's row selection took 10.9 and 13.4. The whole-grid populations
+    # peaked at 28.4 MiB with the bath.
     axis = (5000.0, 1.0)
     times = time_grid(*axis)
     disorder = sample_disorder(200, 0.5, 0)
@@ -637,13 +688,15 @@ def test_peak_scan_memory():
     # blocks it holds four O(T) float series: the grid of arrival_peak and
     # that of energy_blocks, the per-block |A|^2 and their concatenation. At
     # its peak it holds, in units of _BLOCK_BYTES (one complex n x width
-    # array): the first-block phase table, the U block just summed and the
-    # next one being formed (3); one is margin. Measured: 2.9 blocks above the
-    # series (4.4 MiB in all); the s x s eigenvector matrix and its build
-    # peaked at 39.2 MiB.
+    # array): the first-block phase table and the next U block being formed
+    # (2); neither energy_blocks nor arrival_peak still holds the block just
+    # summed. Half a block is margin, so a third block fails the test.
+    # Measured: 1.95 blocks above the series (3.4 MiB in all; 2.9 blocks and
+    # 4.4 MiB while the summed block was held); the s x s eigenvector matrix
+    # and its build peaked at 39.2 MiB.
     config = ExperimentConfig(scenario="peak-scaling", s=1600, sigma=0.0, g=0.0)
     size = time_grid(_scan_t_max(config.s), config.dt).size
     assert size == 48201
     peak = traced_peak(lambda: run_realization(config, 0))
-    bound = 4 * size * np.dtype(float).itemsize + 4 * lindblad._BLOCK_BYTES
+    bound = 4 * size * np.dtype(float).itemsize + 2.5 * lindblad._BLOCK_BYTES
     assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"

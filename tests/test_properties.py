@@ -15,6 +15,11 @@ branches is 1/2 U_U U_D^H, so each entry that links control +1 to control -1
 is at most 1/2 ||u_U|| ||u_D||, and past the gate, where the state sits on
 (-1,-1) and (+1,+1) only, |F - 1/2| <= ||u_U|| ||u_D|| / (2 w), with
 ||u(t)||^2 = sum_m |c_m|^2 exp(-zeta G_m t) computed apart from the kernel.
+
+With a bath the read-out keeps only the modes and sites the start reaches;
+on chains up to the transport size (pinned: the transport chain and a hot
+bath at s = 400) the cut read-out equals the full one within
+max|R_r| 2^-70 plus rounding.
 """
 
 import numpy as np
@@ -218,3 +223,46 @@ def test_read_out_cut_drops_only_decayed_coherences(params):
     uncut = rows @ np.abs(v @ amps) ** 2 + (rows @ np.square(v)) @ (pops - np.abs(amps) ** 2)
     bound = np.finfo(float).eps * np.abs(rows).max() * s
     assert np.max(np.abs(read_out(v, rows, pops, amps) - uncut)) <= bound
+
+
+@st.composite
+def reach_params(draw):
+    """(s, sigma, g, beta, zeta, disorder seed) of a dissipative chain up to the transport size."""
+    s = draw(st.integers(2, 120))
+    sigma, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 3.0))
+    beta, zeta = draw(st.floats(0.1, 5.0)), draw(st.floats(0.01, 0.5))
+    return s, sigma, g, beta, zeta, draw(st.integers(0, 2**16))
+
+
+@DERANDOMIZED
+@given(reach_params())
+@example((100, 0.5, 2.0, 1.0, 0.05, 0))  # the transport chain: 16 modes and 11 sites kept
+@example((400, 0.5, 2.0, 0.1, 0.05, 0))  # the wide-band case: a hot bath fills the most levels
+@example(CLEAN_CHAIN)
+def test_reach_cut_holds_to_the_full_read_out(params):
+    # With a bath the read-out keeps the modes M and sites S of _reach: the
+    # dropped norm ||c_drop|| stays below 2^-72 and so does the dropped sites'
+    # tail sum b_j^2. The cut read-out, on the kernel's U of the modes M
+    # alone, must equal the full one within max|R_r| 2^-70 plus rounding, on
+    # random rows and on rows that live on the dropped sites alone, where the
+    # whole coherent term is dropped. The rounding of a row is counted on the
+    # magnitudes it sums: |R| (|V|^2 (P + |U|^2) + |V U|^2).
+    s, sigma, g, beta, zeta, seed = params
+    e, v = chain_spectrum(s, sigma, g, seed)
+    bath = BathSpec(beta, zeta)
+    modes, sites = lindblad._reach(v, v[0], bath)
+    assert np.sum(np.square(v[0, ~modes])) < 2.0**-144
+    bound = np.abs(v[:, modes]) @ np.abs(v[0, modes])
+    assert np.sum(np.square(bound[~sites])) < 2.0**-72
+    reach = (lindblad._kept(modes), lindblad._kept(sites))
+    pops, amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0)
+    cut_pops, cut_amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0, reach[0])
+    assert np.array_equal(cut_pops, pops) and np.array_equal(cut_amps, amps[modes])
+    rows = np.random.default_rng(seed).standard_normal((4, s))
+    rows[2:, sites] = 0.0
+    full = read_out(v, rows, pops, amps)
+    cut = read_out(v, rows, cut_pops, cut_amps, None, reach)
+    magnitude = np.square(v) @ (pops + np.abs(amps) ** 2) + np.abs(v @ amps) ** 2
+    rounding = 4 * s * np.finfo(float).eps * (np.abs(rows) @ magnitude)
+    limit = np.abs(rows).max(axis=1)[:, None] * 2.0**-70 + rounding
+    assert np.all(np.abs(cut - full) <= limit)
