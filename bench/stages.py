@@ -1,12 +1,17 @@
-"""Stage timings of the bath and closed chains and the peak scan at large s, against a parent.
+"""Stage timings of the bath and closed chains, the peak scan at large s and the CSV writer, against a parent.
 
 The case is the chain of the ``transport`` scenario grown in size: sigma = 0.5,
 g = 2, beta = 1, zeta = 0.05, disorder seed 0, dt = 1 and T = 10001 grid
 points, from site 1, at s = 100, 400 and 800, ten runs of each tree. Each
 measurement runs in a fresh process that imports ``openchain`` from one
-tree's ``src`` with one BLAS thread, and times these stages:
+tree's ``src`` with one BLAS thread, and times these stages, in this order:
 
+* ``csv_tables``: the CSV formatter's constant tables, cold, as the first
+  ``write_csv`` of each CLI process loads them (``series._tables``; on a tree
+  from before the tables file, ``_powers_of_ten`` and ``_layout`` build them);
 * ``diagonalize``: ``chains.diagonalize`` of the chain;
+* ``closed``: ``dissipative_transport_run`` of the same chain and grid
+  without the bath, before any bath run has shaped the heap;
 * ``expm``: S = ``lindblad.expm(A dt)`` and its five squarings to S^32, timed as
   the first block of ``lindblad._population_blocks`` at width 32 (it adds 31
   matrix-vector steps);
@@ -16,20 +21,25 @@ tree's ``src`` with one BLAS thread, and times these stages:
   ``dissipative_transport_run``;
 * ``run``: that ``dissipative_transport_run``, end to end;
 * ``write_csv``: ``series.write_csv`` of the run's columns with their sha256,
-  cold, as each CLI process pays it once (the formatter's tables included);
-* ``closed``: ``dissipative_transport_run`` of the same chain and grid
-  without the bath;
+  the first write of the process (its tables loaded by ``csv_tables``);
+* ``csv_cells``: ``write_csv`` of a 21 x 2001 table of standard normal
+  doubles (the shape of the switch aggregate), warm from the write before
+  it, as a CLI process writes its next table, in ns per cell;
 * ``peak_scan``: ``runner.run_realization`` of a ``peak-scaling`` config at
   the same s, its own window 0 .. 1.5 s + 10 in steps of 0.05 (the clean
   chain: the case's disorder, tilt, bath and grid do not apply).
 
-Each case also records ``kept``: the modes and sites of the bath run's
-coherent term (``lindblad._reach``), counted on this tree; a parent tree from
-before that cut records none. Each stage is imported by name, so a rename
-raises ``ImportError`` instead of dropping the stage. With ``--base PATH`` every pair runs this tree and the
-tree at PATH back to back, alternating which goes first; the JSON records,
-per stage, each side's runs, median and quartiles, and the pairs this tree
-won (ties count for neither). The machine is recorded beside them.
+Beside each stage's time the worker records its minor page faults
+(``ru_minflt``), summed over the calls for ``read_out``. Each case also
+records ``kept``: the modes and sites of the bath run's coherent term
+(``lindblad._reach``), counted on this tree; a parent tree from before that
+cut records none. Each stage is imported by name, so a rename raises
+``ImportError`` instead of dropping the stage. With ``--base PATH`` every pair
+runs this tree and the tree at PATH back to back, alternating which goes
+first; the JSON records, per stage, each side's runs, median and quartiles of
+the time and of the page faults, the pairs this tree won on time and those
+it took fewer faults in (ties count for neither). The machine is recorded
+beside them.
 
     python bench/stages.py --out BENCH.json --base ../parent
 """
@@ -40,6 +50,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -50,15 +61,20 @@ import numpy as np
 
 CASE = {"sigma": 0.5, "g": 2.0, "beta": 1.0, "zeta": 0.05, "seed": 0, "dt": 1.0}
 SIZES, POINTS, PAIRS = (100, 400, 800), 10001, 10
-STAGES = ("diagonalize", "expm", "populations", "read_out", "run", "write_csv", "closed",
-          "peak_scan")
+STAGES = ("csv_tables", "diagonalize", "closed", "expm", "populations", "read_out", "run",
+          "write_csv", "csv_cells", "peak_scan")
+CSV_SHAPE = (21, 2001)  # columns and rows of the csv_cells table
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 TREE = Path(__file__).resolve().parents[1]
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def measure(s: int, points: int) -> dict:
-    """Seconds per stage of one bath chain of s sites on ``points`` grid points."""
-    from openchain import lindblad
+    """Seconds (csv_cells: ns per cell) and minor page faults per stage of one bath chain."""
+    from openchain import lindblad, series
     from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
     from openchain.config import ExperimentConfig
     from openchain.lindblad import (
@@ -78,16 +94,31 @@ def measure(s: int, points: int) -> dict:
         from openchain.lindblad import _reach
     except ImportError:  # a tree from before the reach cut
         _reach = None
+    if hasattr(series, "_tables"):
+        csv_tables = series._tables
+    else:  # a tree from before the tables file
 
+        def csv_tables():
+            series._powers_of_ten()
+            series._layout()
+
+    times, faults = {}, {}
+
+    def timed(stage, run, *args):
+        before, start = minor_faults(), time.perf_counter()
+        out = run(*args)
+        times[stage] = time.perf_counter() - start
+        faults[stage] = minor_faults() - before
+        return out
+
+    timed("csv_tables", csv_tables)
     bath, dt = BathSpec(CASE["beta"], CASE["zeta"]), CASE["dt"]
     t_max = dt * (points - 1)
     dissipative_transport_run(np.linspace(0.0, -1.0, 20), bath, 100.0, 1.0)  # warm numpy and BLAS
     energies = build_chain_hamiltonian(sample_disorder(s, CASE["sigma"], CASE["seed"]), CASE["g"])
-    times = {}
 
-    start = time.perf_counter()
-    e, v = diagonalize(energies)
-    times["diagonalize"] = time.perf_counter() - start
+    e, v = timed("diagonalize", diagonalize, energies)
+    timed("closed", dissipative_transport_run, energies, None, t_max, dt)
     kept = None
     if _reach is not None:
         modes, sites = _reach(v, v[0], bath)
@@ -95,47 +126,36 @@ def measure(s: int, points: int) -> dict:
 
     gen, p = population_generator(transition_rates(e, bath), bath), v[0] ** 2
     block = 1 << _BLOCK_SQUARINGS
-    start = time.perf_counter()
-    next(_population_blocks(gen, p, dt, block, block))
-    times["expm"] = time.perf_counter() - start
-
+    timed("expm", next, _population_blocks(gen, p, dt, block, block))
     width = max(block, _BLOCK_BYTES // (16 * s))
-    start = time.perf_counter()
-    for _ in _population_blocks(gen, p, dt, width, points):
-        pass
-    times["populations"] = time.perf_counter() - start
+    timed("populations", lambda: [None for _ in _population_blocks(gen, p, dt, width, points)])
 
-    spent = [0.0]
+    spent = [0.0, 0]
 
     def timed_read_out(*args, **kwargs):
-        begin = time.perf_counter()
+        before, begin = minor_faults(), time.perf_counter()
         out = read_out(*args, **kwargs)
         spent[0] += time.perf_counter() - begin
+        spent[1] += minor_faults() - before
         return out
 
     lindblad.read_out = timed_read_out
     try:
-        start = time.perf_counter()
-        columns = dissipative_transport_run(energies, bath, t_max, dt)
-        times["run"] = time.perf_counter() - start
+        columns = timed("run", dissipative_transport_run, energies, bath, t_max, dt)
     finally:
         lindblad.read_out = read_out
-    times["read_out"] = spent[0]
+    times["read_out"], faults["read_out"] = spent
 
+    rng = np.random.default_rng(0)
+    table = {f"c{j}": rng.standard_normal(CSV_SHAPE[1]) for j in range(CSV_SHAPE[0])}
     with tempfile.TemporaryDirectory() as scratch:
-        start = time.perf_counter()
-        write_csv(Path(scratch) / "run.csv", columns)
-        times["write_csv"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    dissipative_transport_run(energies, None, t_max, dt)
-    times["closed"] = time.perf_counter() - start
+        timed("write_csv", write_csv, Path(scratch) / "run.csv", columns)
+        timed("csv_cells", write_csv, Path(scratch) / "cells.csv", table)
+    times["csv_cells"] *= 1e9 / (CSV_SHAPE[0] * CSV_SHAPE[1])
 
     peak = ExperimentConfig(scenario="peak-scaling", s=s, sigma=0.0, g=0.0)
-    start = time.perf_counter()
-    run_realization(peak, 0)
-    times["peak_scan"] = time.perf_counter() - start
-    return {"stages": times, "kept": kept, "environment": _numeric_environment()}
+    timed("peak_scan", run_realization, peak, 0)
+    return {"stages": times, "faults": faults, "kept": kept, "environment": _numeric_environment()}
 
 
 def run_worker(tree: Path, s: int, points: int) -> dict:
@@ -164,16 +184,19 @@ def compare(sizes: list[int], points: int, pairs: int, base: Path | None) -> dic
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for side in order:
                 result = run_worker(trees[side], s, points)
-                runs[side].append(result["stages"])
+                runs[side].append(result)
                 environment[side] = result["environment"]
                 if side == "change":
                     kept = result["kept"]
         stages = {}
         for stage in STAGES:
-            times = {side: [r[stage] for r in runs[side]] for side in trees}
-            entry = {side: summary(times[side]) for side in trees}
+            times = {side: [r["stages"][stage] for r in runs[side]] for side in trees}
+            faults = {side: [r["faults"][stage] for r in runs[side]] for side in trees}
+            entry = {side: {**summary(times[side]), "faults": summary(faults[side])}
+                     for side in trees}
             if base is not None:
                 entry["wins"] = sum(c < b for c, b in zip(times["change"], times["base"]))
+                entry["fewer_faults"] = sum(c < b for c, b in zip(faults["change"], faults["base"]))
                 entry["pairs"] = pairs
             stages[stage] = entry
         cases.append({"s": s, "kept": kept, "stages": stages})

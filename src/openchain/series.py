@@ -4,162 +4,231 @@ CSV files carry a header row, a fixed column order, and reals formatted with
 17 significant digits so that values round-trip losslessly. Rows are formatted
 in numpy a block at a time, and the bytes equal ``"%.17g" % x`` per cell: the
 digits are correctly rounded (as in Adams, "Ryū revisited", OOPSLA 2019).
+
+The formatter's constant tables (powers of ten to about 2**-106, and the
+words and byte masks that lay a cell out) are read from ``csv_tables.bin``
+beside this module, once per process at its first write; ``tests/support.py``
+builds the same tables with Python integers and byte strings, and the tests
+hold the file to them bit for bit. Each ``write_csv`` call formats all of its
+blocks in one workspace sized to the table (at most one block), filled in
+place, so that no block allocates its own temporaries.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 
 
 _CSV_BLOCK_ROWS = 1024  # a block of rows formatted at once has at most this many rows
-_CSV_BLOCK_CELLS = 4096  # and cells: about 1 MB of the formatter's temporaries
+_CSV_BLOCK_CELLS = 4096  # and cells: under 1 MB of workspace
 _X_MIN, _X_MAX = -325, 309  # floor(log10|x|) of every double, and one either side
+_XS = _X_MAX - _X_MIN + 1
 _SPLIT = 134217729.0  # 2**27 + 1 splits a double into halves whose products are exact
 _WORD = np.dtype("<u8")  # eight bytes of a formatted cell; its NUL bytes are dropped
+_LEADS, _TAILS = 10000, 10000 + 10 * _XS  # offsets of the lead and tail words
+# the tables in the order of the data file: (dtype, shape) of each
+_TABLE_LAYOUT = (
+    ("<f8", (4, _XS)),  # 10**(16 - X) ~ (hi + lo) * 2**s: rows hi, hi's halves, lo
+    ("<u8", (_TAILS + 2 * _XS,)),  # words: digit groups, leads, tails
+    ("<u8", (4, 18 * 21)),  # byte masks of a cell's words 1-4
+    ("<i8", (_XS,)),  # p + 3 by X, for p integer digits
+    ("<i4", (_XS,)),  # the shift s by X
+    ("<i2", (4, 10000)),  # 21 * significant digits through a digit group, by group
+)
+_PLANES = 20  # words of workspace per cell
+# "nan" and "inf" in a cell's first five words; a sign goes in byte 0
+_NAN_INF = np.frombuffer(b"\0nan" + b"\0" * 36 + b"\0inf" + b"\0" * 36, _WORD).reshape(2, 5)
 
 
 @functools.cache
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    """By X - _X_MIN: rows (hi, hi's halves, lo) and s, 10**(16 - X) ~ (hi + lo) * 2**s."""
-    t, e = (1 << 1100) // 10 ** (_X_MAX - 16), -1100
-    his, los, shifts = [], [], []
-    for _ in range(_X_MAX - _X_MIN + 1):
-        b = t.bit_length() - 106
-        his.append(t >> (b + 53))
-        los.append(t >> b & (1 << 53) - 1)
-        shifts.append(e + b + 52)
-        t *= 10
-        if b > 64:
-            t, e = t >> 64, e + 64
-    hi, lo = np.array([his[::-1], los[::-1]], float) * [[2.0], [2.0**-52]]
-    high = hi * _SPLIT - (hi * _SPLIT - hi)
-    return np.stack([hi, high, hi - high, lo], axis=1), np.array(shifts[::-1], np.int32)
+def _tables() -> tuple[np.ndarray, ...]:
+    """The formatter's tables, read from the package's ``csv_tables.bin``.
 
-
-@functools.cache
-def _layout() -> tuple[np.ndarray, ...]:
-    """Words that lay out a cell as ``%g`` does, and masks of the bytes to keep.
-
-    A cell is six words: sign, "0.000" prefix, first digit and point; four of
-    four digits, each followed by a point slot; exponent and separator. Returned:
-    the words (digit groups, leads by X and first digit, tails by separator and
-    X), each group's significant digits by word, p + 3 by X for p integer
-    digits, and the masks by (significant digits, p + 3).
+    All tables are indexed by X - _X_MIN, where X = floor(log10|x|). A cell is
+    six words: sign, "0.000" prefix and first digit; four of four digits, each
+    digit preceded by a point slot; exponent and separator. The words are the
+    digit groups by value, the leads by (X, first digit) and the tails by
+    (separator, X); the masks are by 21 * (significant digits) + p + 3.
     """
-    x_all = range(_X_MIN, _X_MAX + 1)
-
-    def padded(chunks):  # each chunk NUL-padded to one word
-        return np.frombuffer(b"".join(c.ljust(8, b"\0") for c in chunks), _WORD)
-
-    pairs = np.frombuffer(b"".join(b"%d.%d." % divmod(i, 10) for i in range(100)), "<u4")
-    groups = (pairs[:, None] | pairs.astype(_WORD) << np.uint64(32)).ravel()
-    last = np.array([2 if i % 10 else 1 if i else -99 for i in range(100)], np.int16)
-    sig = np.where(last > 0, last + 2, last[:, None]).ravel() + np.int16([[1], [5], [9], [13]])
-    small = padded(b"\0" + b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in x_all)
-    lead = (small[:, None] | padded(b"\0" * 6 + b"%d." % d for d in range(10))).ravel()
-    # "e+XX" or "e+XXX" (a NUL hundreds digit below 100); nothing in fixed notation
-    exp = padded((b"e%+04d" % x).replace(b"0", b"\0", abs(x) < 100) * (x < -4 or x > 16)
-                 for x in x_all)
-    tail = (exp | np.array([[ord(",") << 40], [ord("\n") << 40]], _WORD)).ravel()
-    integer = np.full(len(x_all), 4)
-    integer[-4 - _X_MIN : 17 - _X_MIN] = np.arange(21)
-    n_sig, p = np.divmod(np.arange(18 * 21)[:, None], 21)
-    p -= 3
-    byte = np.arange(48)
-    at = (byte - 6) // 2  # the digit a byte of words 0-4 holds, or follows
-    point = (at == p - 1) & (n_sig > p)
-    keep = (byte < 6) | (byte >= 40) | np.where(byte % 2 == 0, at < np.maximum(n_sig, p), point)
-    words = np.concatenate([groups, lead, tail])
-    return words, sig, integer, (keep * np.uint8(255)).view(_WORD)
+    raw = np.fromfile(Path(__file__).with_name("csv_tables.bin"), np.uint8)
+    raw.flags.writeable = False
+    tables, offset = [], 0
+    for dtype, shape in _TABLE_LAYOUT:
+        size = np.dtype(dtype).itemsize * math.prod(shape)
+        tables.append(raw[offset : offset + size].view(dtype).reshape(shape))
+        offset += size
+    if offset != raw.size:
+        raise ValueError(f"csv_tables.bin holds {raw.size} bytes, expected {offset}")
+    return tuple(tables)
 
 
-_LEADS, _TAILS = 10000, 10000 + 10 * (_X_MAX - _X_MIN + 1)
-_NAN_INF = np.frombuffer(b"\0" * 6 + b"nan" + b"\0" * 37 + b"inf" + b"\0" * 31, _WORD).reshape(2, 5)
+def _scaled(ax: np.ndarray, xi: np.ndarray, floats: np.ndarray, shift: np.ndarray) -> None:
+    """``ax * 10**(16 - X)`` as hi + lo, to about 2**-104, after an exact ``ax * 2**s``.
+
+    ``floats`` has seven rows: hi, two of scratch, lo and three more of
+    scratch; ``shift`` is scratch.
+    """
+    ten, _, _, _, shifts, _ = _tables()
+    hi, t, u, lo, m, m_high, m_low = floats
+    shifts.take(xi, out=shift, mode="clip")
+    np.ldexp(ax, shift, out=m)  # subnormals and huge values enter at a moderate size
+    ten.take(xi, axis=1, out=floats[:4], mode="clip")  # hi, its halves and lo of each cell
+    hi *= m
+    lo *= m
+    np.multiply(m, _SPLIT, out=m_high)
+    np.subtract(m_high, m, out=m_low)
+    m_high -= m_low
+    np.subtract(m, m_high, out=m_low)
+    # lo = m lo_t + ((m_high hi_high - hi) + m_high hi_low + m_low hi_high) + m_low hi_low
+    np.multiply(m_high, t, out=m)
+    m -= hi
+    t *= m_low
+    m_high *= u
+    m += m_high
+    m += t
+    u *= m_low
+    m += u
+    lo += m
 
 
-def _scaled(ax: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ax * 10**(16 - X)`` as hi + lo, to about 2**-104, after an exact ``ax * 2**s``."""
-    table, shift = _powers_of_ten()
-    m = np.ldexp(ax, shift[xi])  # subnormals and huge values enter at a moderate size
-    ten = np.take(table, xi, axis=0)
-    hi = m * ten[:, 0]
-    m_split = m * _SPLIT
-    m_high = m_split - (m_split - m)
-    m_low = m - m_high
-    err = ((m_high * ten[:, 1] - hi) + m_high * ten[:, 2] + m_low * ten[:, 1]) + m_low * ten[:, 2]
-    return hi, err + m * ten[:, 3]
+def _exact(ax: float, xi: int) -> tuple[int, int]:
+    """D and X - _X_MIN of a finite ``ax > 0`` in integers, from X - _X_MIN within one of ``xi``.
+
+    D is ``ax * 10**(16 - X)`` rounded half to even; it may round up to 10**17.
+    """
+    num, den = ax.as_integer_ratio()
+    while True:
+        k = 16 - _X_MIN - xi
+        top, bottom = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
+        q, r = divmod(top, bottom)
+        if 10**16 <= q < 10**17:
+            return q + (2 * r > bottom or (2 * r == bottom and q & 1)), xi
+        xi += 1 if q >= 10**17 else -1  # X was one off
 
 
-def _digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 correctly rounded significant digits D of finite ``ax > 0``, and X - _X_MIN."""
-    xi = np.floor(np.log10(ax)).astype(np.intp) - _X_MIN
-    hi, lo = _scaled(ax, xi)
-    off = (hi - 1e16) + lo  # in [0, 9e16) unless log10 missed a power of ten
-    fix = np.flatnonzero((off < 0) | (off >= 9e16))
-    if fix.size:
-        xi[fix] += np.where(off[fix] < 0, -1, 1)
-        hi[fix], lo[fix] = _scaled(ax[fix], xi[fix])
-    step = np.rint(lo)
-    d = hi.astype(np.int64) + step.astype(np.int64)
-    for i in np.flatnonzero(np.abs(lo - step) > 0.5 - 1e-9):  # at or near a tie
-        num, den = float(ax[i]).as_integer_ratio()
-        k = 16 - _X_MIN - int(xi[i])
-        num, den = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
-        q, r = divmod(num, den)
-        d[i] = q + (2 * r > den or (2 * r == den and q & 1))  # ties to even
-    carry = np.flatnonzero(d == 10**17)
-    d[carry] = 10**16
-    xi[carry] += 1
-    return d, xi
+def _format_rows(block: list[np.ndarray], work: np.ndarray) -> bytes:
+    """The CSV rows of a block (equal-length column slices): ``"%.17g" % x`` per cell.
 
-
-def _format_rows(block: np.ndarray) -> bytes:
-    """The CSV rows of a (rows, columns) block: ``"%.17g" % x`` per cell."""
-    words_of, sig_of, integer, masks = _layout()
-    x = block.ravel()
-    finite = np.isfinite(x)
-    nonzero = finite & (x != 0)
-    d, xi = _digits(np.abs(np.where(nonzero, x, 1.0)))
-    if not nonzero.all():
-        d[~nonzero] = 0
-        xi[~nonzero] = -_X_MIN  # zeros and non-finite cells lay out as a fixed "0"
-    first, high, low = d // 10**16, d // 10**8 % 10**8, d % 10**8
-    index = np.empty((x.size, 6), np.intp)
-    np.divmod(high, 10**4, out=(index[:, 1], index[:, 2]))
-    np.divmod(low, 10**4, out=(index[:, 3], index[:, 4]))
-    sig = np.maximum(np.maximum(sig_of[0, index[:, 1]], sig_of[1, index[:, 2]]),
-                     np.maximum(sig_of[2, index[:, 3]], sig_of[3, index[:, 4]]))
-    index[:, 0] = xi * 10 + first + _LEADS
-    index[:, 5] = xi + _TAILS
-    index.reshape(block.shape + (6,))[:, -1, 5] += _X_MAX - _X_MIN + 1  # "\n" ends a row
-    words = np.take(words_of, index)
-    words &= np.take(masks, np.maximum(sig, 1) * 21 + integer[xi], axis=0)
-    if not finite.all():
-        words[~finite, :5] = _NAN_INF[np.isinf(x[~finite]).astype(np.intp)]
-    words[:, 0] |= (np.signbit(x) & ~np.isnan(x)) * _WORD.type(ord("-"))
-    return words.tobytes().translate(None, b"\0")
+    ``work`` is the call's workspace, _PLANES words per cell of its largest
+    block. Each block carves from it planes of its own size, one value of
+    every cell each (cells by column, then row), so that every pass is
+    contiguous; the words are laid out by cell only as they become bytes.
+    """
+    _, words_of, masks_of, integer, _, sig_of = _tables()
+    rows, width = block[0].shape[0], len(block)
+    n = rows * width
+    planes = work[: _PLANES * n].reshape(_PLANES, n)
+    ax, hi, _, _, lo, off, step, near = floats = planes[:8]  # |x| and seven of scratch
+    xi, d, q, t, mi = planes[8:13].view(np.intp)
+    index = planes[13:19].view(np.intp)
+    sign, special = planes[19].view(bool).reshape(8, n)[:2]
+    # views of planes while they are free
+    shift = mi.view(np.int32)[:n]  # until the masks' row
+    sig, other = floats[3].view(np.int16).reshape(4, n)[:2]  # from the digits to the words
+    words = floats[2:].view(_WORD)  # once the digits are known
+    masks = index[1:5].view(_WORD)  # once the words are gathered
+    np.concatenate(block, out=ax)
+    np.signbit(ax, out=sign)
+    np.abs(ax, out=ax)
+    plain = np.minimum.reduce(ax) > 0 and np.maximum.reduce(ax) < np.inf  # a nan fails both
+    if not plain:
+        nonfinite = np.flatnonzero(~np.isfinite(ax))
+        inf = np.isinf(ax[nonfinite])
+        np.logical_not((ax > 0) & (ax < np.inf), out=special)
+        ax[special] = 2.0  # zeros and non-finite cells lay out as a fixed "0"
+    np.log10(ax, out=off)
+    np.floor(off, out=off)
+    off -= _X_MIN
+    np.copyto(xi, off, casting="unsafe")
+    _scaled(ax, xi, floats[1:], shift)
+    # the 17 digits D = hi + rint(lo); exact in Python integers where log10
+    # missed a power of ten (hi + lo outside [1e16, 1e17)) or lo is near a tie.
+    # A power of ten itself may come out a rounding below 1e16: down to
+    # 1e16 - 0.04 its digits at X - 1 round up to 10**17 and carry back, so
+    # D = 10**16 at X is already right
+    np.subtract(hi, 1e16, out=off)
+    off += lo
+    np.rint(lo, out=step)
+    np.copyto(d, hi, casting="unsafe")
+    np.copyto(q, step, casting="unsafe")
+    d += q
+    np.subtract(lo, step, out=near)
+    np.abs(near, out=near)
+    if (np.minimum.reduce(off) < -0.04 or np.maximum.reduce(off) >= 9e16
+            or np.maximum.reduce(near) > 0.5 - 1e-9):
+        for i in np.flatnonzero((off < -0.04) | (off >= 9e16) | (near > 0.5 - 1e-9)):
+            d[i], xi[i] = _exact(float(ax[i]), int(xi[i]))
+    if np.maximum.reduce(d) == 10**17:
+        carry = np.flatnonzero(d == 10**17)
+        d[carry] = 10**16
+        xi[carry] += 1
+    if not plain:
+        d[special] = 0
+        xi[special] = -_X_MIN
+    # the first digit and four groups of four digits, one division per level
+    lead, *groups, tail = index
+    np.floor_divide(d, 10**8, out=q)
+    np.multiply(q, 10**8, out=t)
+    d -= t  # the low eight digits
+    np.floor_divide(d, 10**4, out=groups[2])
+    np.multiply(groups[2], 10**4, out=t)
+    np.subtract(d, t, out=groups[3])
+    np.floor_divide(q, 10**8, out=d)  # the first digit
+    np.multiply(d, 10**8, out=t)
+    q -= t  # the high eight digits
+    np.floor_divide(q, 10**4, out=groups[0])
+    np.multiply(groups[0], 10**4, out=t)
+    np.subtract(q, t, out=groups[1])
+    # the masks' row: 21 * (significant digits) + p + 3
+    sig_of[0].take(groups[0], out=sig, mode="clip")
+    for g in range(1, 4):
+        sig_of[g].take(groups[g], out=other, mode="clip")
+        np.maximum(sig, other, out=sig)
+    integer.take(xi, out=mi, mode="clip")
+    mi += sig
+    # the lead by (X, first digit) and the tail by (separator, X)
+    np.multiply(xi, 10, out=lead)
+    lead += d
+    lead += _LEADS
+    np.add(xi, _TAILS, out=tail)
+    tail[-rows:] += _XS  # "\n" ends a row
+    words_of.take(index, out=words, mode="clip")
+    masks_of.take(mi, axis=1, out=masks, mode="clip")
+    words[1:5] &= masks
+    np.multiply(sign, ord("-"), out=t)
+    words[0] |= t.view(_WORD)
+    if not plain:
+        words[:5, nonfinite] = _NAN_INF[inf.astype(np.intp)].T
+        words[0, nonfinite[inf & sign[nonfinite]]] |= _WORD.type(ord("-"))
+    return words.reshape(6, width, rows).transpose(2, 1, 0).tobytes().translate(None, b"\0")
 
 
 def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> str:
     """Write named columns (equal length) as CSV with 17-digit reals; return the file's sha256.
 
-    Rows are formatted a block at a time (bounded memory). The digest is
-    taken of the bytes as they are written, so the file is never read back.
+    Rows are formatted a block at a time (bounded memory), all in one
+    workspace. The digest is taken of the bytes as they are written, so the
+    file is never read back.
     """
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
     if any(a.shape[0] != arrays[0].shape[0] for a in arrays):
         raise ValueError("all columns must have the same length")
+    rows = arrays[0].shape[0]
     step = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_CELLS // len(arrays)))
+    work = np.empty(_PLANES * min(step, rows) * len(arrays))
     digest = hashlib.sha256()
     with open(path, "wb") as out:
-        data = (",".join(columns) + "\n").encode()  # the header goes out with the first block
-        for start in range(0, max(arrays[0].shape[0], 1), step):
-            data += _format_rows(np.column_stack([a[start : start + step] for a in arrays]))
+        data = (",".join(columns) + "\n").encode()
+        digest.update(data)
+        out.write(data)
+        for start in range(0, rows, step):
+            data = _format_rows([a[start : start + step] for a in arrays], work)
             digest.update(data)
             out.write(data)
-            data = b""
+            del data  # not held while the next block is formatted
     return digest.hexdigest()

@@ -31,6 +31,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, expm
 from scipy.special import jv
 
+from openchain import series
 from openchain.chains import diagonalize
 from openchain.feynman import build_branch
 from openchain.lindblad import BathSpec, energy_blocks, pure_state_series, transition_rates
@@ -42,6 +43,63 @@ def read_csv(path) -> dict[str, np.ndarray]:
     names = lines[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return {n: data[:, i] for i, n in enumerate(names)}
+
+
+def csv_tables() -> tuple[np.ndarray, ...]:
+    """The CSV formatter's tables, built with Python integers and byte strings.
+
+    The same arrays, in the same order, dtypes and shapes, as
+    ``openchain.series._tables`` reads from ``csv_tables.bin``; the file is
+    their bytes, concatenated::
+
+        Path("src/openchain/csv_tables.bin").write_bytes(b"".join(t.tobytes() for t in csv_tables()))
+    """
+    x_min, x_max, split, word = series._X_MIN, series._X_MAX, series._SPLIT, series._WORD
+    # 10**(16 - X) ~ (hi + lo) * 2**s for X = x_max .. x_min, hi and lo of 53 bits each
+    t, e = (1 << 1100) // 10 ** (x_max - 16), -1100
+    his, los, shifts = [], [], []
+    for _ in range(x_max - x_min + 1):
+        b = t.bit_length() - 106
+        his.append(t >> (b + 53))
+        los.append(t >> b & (1 << 53) - 1)
+        shifts.append(e + b + 52)
+        t *= 10
+        if b > 64:
+            t, e = t >> 64, e + 64
+    hi, lo = np.array([his[::-1], los[::-1]], float) * [[2.0], [2.0**-52]]
+    high = hi * split - (hi * split - hi)
+    ten = np.stack([hi, high, hi - high, lo])
+
+    x_all = range(x_min, x_max + 1)
+
+    def padded(chunks):  # each chunk NUL-padded to one word
+        return np.frombuffer(b"".join(c.ljust(8, b"\0") for c in chunks), word)
+
+    # four digits, each after its point slot; the last nonzero digit of each
+    # group gives the significant digits through it (at least one)
+    pairs = np.frombuffer(b"".join(b".%d.%d" % divmod(i, 10) for i in range(100)), "<u4")
+    groups = (pairs[:, None] | pairs.astype(word) << np.uint64(32)).ravel()
+    last = np.array([2 if i % 10 else 1 if i else -99 for i in range(100)], np.int16)
+    sig = np.where(last > 0, last + 2, last[:, None]).ravel() + np.int16([[1], [5], [9], [13]])
+    sig = np.maximum(sig, 1) * np.int16(21)
+    # a sign slot, the "0.000" prefix (for -4 <= X < 0) and the first digit
+    small = padded(b"\0" + b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in x_all)
+    lead = (small[:, None] | padded(b"\0" * 6 + b"%d" % d for d in range(10))).ravel()
+    # "e+XX" or "e+XXX" (a NUL hundreds digit below 100); nothing in fixed notation
+    exp = padded((b"e%+04d" % x).replace(b"0", b"\0", abs(x) < 100) * (x < -4 or x > 16)
+                 for x in x_all)
+    tail = (exp | np.array([[ord(",") << 40], [ord("\n") << 40]], word)).ravel()
+    integer = np.full(len(x_all), 4)
+    integer[-4 - x_min : 17 - x_min] = np.arange(21)
+    # words 1-4 keep the digits through max(n_sig, p) and the point before digit p + 1
+    n_sig, p = np.divmod(np.arange(18 * 21)[:, None], 21)
+    p -= 3
+    byte = np.arange(32)
+    digit = byte // 2 + 2  # the digit a byte holds, or precedes
+    keep = np.where(byte % 2, digit <= np.maximum(n_sig, p), (digit == p + 1) & (n_sig > p))
+    words = np.concatenate([groups, lead, tail])
+    masks = np.ascontiguousarray((keep * np.uint8(255)).view(word).T)
+    return ten, words, masks, integer, np.array(shifts[::-1], np.int32), sig
 
 
 def build_free_chain(s: int) -> np.ndarray:

@@ -67,16 +67,20 @@ class Criterion:
 
     def __enter__(self):
         self.started = time.perf_counter()
+        self.cpu_started = time.process_time()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.perf_counter() - self.started
+        # the process's CPU time beside the wall time: a criterion far over its
+        # CPU time was kept waiting, not slow itself (the budget stays wall time)
+        cpu = time.process_time() - self.cpu_started
         in_budget = elapsed < self.budget_s
         ok = exc_type is None and all(self.checks) and in_budget
         verdict = "PASS" if ok else "FAIL"
         print(
             f"ACCEPTANCE {self.number:2d} [{verdict}] {self.title} "
-            f"({elapsed:.2f}s / budget {self.budget_s:.0f}s)"
+            f"({elapsed:.2f}s, cpu {cpu:.2f}s / budget {self.budget_s:.0f}s)"
         )
         if exc_type is None:
             assert all(self.checks), f"criterion {self.number} checks failed"

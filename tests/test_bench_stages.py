@@ -34,10 +34,16 @@ def test_one_repetition_writes_every_stage(stages):
     assert all(0 < count <= 20 for count in case["kept"].values())
     assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
     assert "closed" in case["stages"]  # the case's chain and grid without the bath
+    # the CSV writer's cold tables and its warm cost per cell
+    assert {"csv_tables", "csv_cells"} <= case["stages"].keys()
+    assert stages.STAGES.index("closed") < stages.STAGES.index("run")  # before any bath run
     for entry in case["stages"].values():
         assert entry.keys() == {"change"}
-        assert entry["change"].keys() == {"median", "q25", "q75", "runs"}
+        assert entry["change"].keys() == {"median", "q25", "q75", "runs", "faults"}
         assert len(entry["change"]["runs"]) == 1 and entry["change"]["runs"][0] >= 0.0
+        faults = entry["change"]["faults"]  # the worker's minor page faults in the stage
+        assert faults.keys() == {"median", "q25", "q75", "runs"}
+        assert len(faults["runs"]) == 1 and isinstance(faults["runs"][0], int) and faults["runs"][0] >= 0
 
 
 def test_pairs_alternate_and_count_wins(stages, monkeypatch):
@@ -47,7 +53,9 @@ def test_pairs_alternate_and_count_wins(stages, monkeypatch):
         calls.append(tree)
         seconds = 1.0 if tree == stages.TREE else next(base_times)
         kept = {"modes": 16, "sites": 11} if tree == stages.TREE else None
-        return {"stages": dict.fromkeys(stages.STAGES, seconds), "kept": kept, "environment": {}}
+        faults = 10 if tree == stages.TREE else 20
+        return {"stages": dict.fromkeys(stages.STAGES, seconds),
+                "faults": dict.fromkeys(stages.STAGES, faults), "kept": kept, "environment": {}}
 
     monkeypatch.setattr(stages, "run_worker", worker)
     base = Path("/parent")
@@ -55,5 +63,6 @@ def test_pairs_alternate_and_count_wins(stages, monkeypatch):
     assert calls == [stages.TREE, base, base, stages.TREE] * 2
     assert report["cases"][0]["kept"] == {"modes": 16, "sites": 11}  # this tree's counts
     entry = report["cases"][0]["stages"]["run"]
-    assert entry["pairs"] == 4 and entry["wins"] == 2
+    assert entry["pairs"] == 4 and entry["wins"] == 2 and entry["fewer_faults"] == 4
+    assert entry["base"]["faults"]["median"] == 20 and entry["change"]["faults"]["runs"] == [10] * 4
     assert entry["base"]["runs"] == [2.0, 0.5, 2.0, 1.0] and entry["base"]["median"] == 1.5

@@ -1,14 +1,17 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import read_csv
+from support import csv_tables, read_csv
 
-from openchain.series import _CSV_BLOCK_ROWS, write_csv
+from openchain import series
+from openchain.series import _CSV_BLOCK_CELLS, _CSV_BLOCK_ROWS, write_csv
 
 
 def per_cell(value) -> str:
@@ -145,3 +148,53 @@ class TestFormatter:
     def test_any_doubles_across_blocks(self, tmp_path_factory, table):
         # every table spans two or three blocks of rows
         assert_cells_match(tmp_path_factory.mktemp("cells"), table, table.shape[1])
+
+
+class TestWriter:
+    """The formatter's tables and its per-call workspace."""
+
+    def test_tables_equal_the_oracle(self):
+        # csv_tables.bin, as the writer reads it and byte for byte, against the
+        # big-integer and byte-string builders of tests/support.py
+        oracle = csv_tables()
+        tables = series._tables()
+        assert len(tables) == len(oracle)
+        for got, want in zip(tables, oracle):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        data = Path(series.__file__).with_name("csv_tables.bin").read_bytes()
+        assert data == b"".join(t.tobytes() for t in oracle)
+
+    def test_tables_back_to_back(self, tmp_path):
+        # tables of different shapes written in turn by one process, each in a
+        # workspace sized to it: long cells (21 x 2001: blocks of 195 rows, the
+        # last of 51), then short ones (4 x 3: one block), then 1 x 5000 (four
+        # blocks of 1024 rows and one of 904) and the short table again; no
+        # byte of an earlier block or table may survive into a later one
+        rng = np.random.Generator(np.random.Philox(key=5))
+        long = rng.standard_normal((2001, 21)) * 10.0 ** rng.integers(-300, 300, (2001, 21))
+        short = np.array([[0.0, -0.0, 1.0, np.nan], [2.0, np.inf, -np.inf, 5e-324], [3.0, 10.0, 0.5, 7.0]])
+        single = np.concatenate([np.arange(2500.0), rng.standard_normal(2500)])[:, None]
+        assert 2001 % (_CSV_BLOCK_CELLS // 21) and 5000 % _CSV_BLOCK_ROWS
+        for table in (long, short, single, short):
+            assert_cells_match(tmp_path, table, table.shape[1])
+
+    def test_write_csv_memory(self, tmp_path):
+        # The 21 x 2001 table (the switch aggregate's shape) goes out in blocks
+        # of 195 rows, 4095 cells. Its traced peak is the workspace (20 words
+        # per cell of a block) and the block's 48-byte cells twice (their bytes
+        # and translate's full-size result). Measured: 1.011 MiB, 259 bytes per
+        # cell of a block; the writer that allocated each block's temporaries
+        # peaked at 0.962 MiB. The bound of 270 bytes per cell fails a
+        # workspace two words per cell larger.
+        rng = np.random.Generator(np.random.Philox(key=6))
+        columns = {f"c{j}": rng.standard_normal(2001) for j in range(21)}
+        write_csv(tmp_path / "warm.csv", {"x": np.ones(1)})  # the tables load outside the trace
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "x.csv", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = _CSV_BLOCK_CELLS // 21 * 21
+        assert peak < 270 * cells, f"traced peak {peak / cells:.1f} bytes per cell of a block"
