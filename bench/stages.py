@@ -1,9 +1,15 @@
 """Stage timings of the bath and closed chains, the peak scan at large s and the CSV writer, against a parent.
 
-The case is the chain of the ``transport`` scenario grown in size: sigma = 0.5,
-g = 2, beta = 1, zeta = 0.05, disorder seed 0, dt = 1 and T = 10001 grid
-points, from site 1, at s = 100, 400 and 800, ten runs of each tree. Each
-measurement runs in a fresh process that imports ``openchain`` from one
+Two chains make the cases, each from site 1 on T = 10001 grid points with
+disorder seed 0, beta = 1 and zeta = 0.05 where a bath applies, ten runs of
+each tree:
+
+* ``transport``: the chain of the ``transport`` scenario grown in size,
+  sigma = 0.5, g = 2 and dt = 1, at s = 100, 400 and 800;
+* ``localized``: the chain of the ``closed`` benchmark workload, sigma = 0.5,
+  g = 0 and dt = 0.5, at s = 200.
+
+Each measurement runs in a fresh process that imports ``openchain`` from one
 tree's ``src`` with one BLAS thread, and times these stages, in this order:
 
 * ``csv_tables``: the CSV formatter's constant tables, cold, as the first
@@ -31,9 +37,10 @@ tree's ``src`` with one BLAS thread, and times these stages, in this order:
 
 Beside each stage's time the worker records its minor page faults
 (``ru_minflt``), summed over the calls for ``read_out``. Each case also
-records ``kept``: the modes and sites of the bath run's coherent term
-(``lindblad._reach``), counted on this tree; a parent tree from before that
-cut records none. Each stage is imported by name, so a rename raises
+records ``kept``: the modes and sites that ``lindblad._reach`` keeps in the
+bath run's coherent term (``bath``) and in the closed run's moment rows
+(``closed``), counted on this tree; a count that a parent tree from before
+that cut cannot make is None. Each stage is imported by name, so a rename raises
 ``ImportError`` instead of dropping the stage. With ``--base PATH`` every pair
 runs this tree and the tree at PATH back to back, alternating which goes
 first; the JSON records, per stage, each side's runs, median and quartiles of
@@ -59,8 +66,10 @@ from pathlib import Path
 
 import numpy as np
 
-CASE = {"sigma": 0.5, "g": 2.0, "beta": 1.0, "zeta": 0.05, "seed": 0, "dt": 1.0}
-SIZES, POINTS, PAIRS = (100, 400, 800), 10001, 10
+TRANSPORT = {"sigma": 0.5, "g": 2.0, "beta": 1.0, "zeta": 0.05, "seed": 0, "dt": 1.0}
+CHAINS = {"transport": TRANSPORT, "localized": {**TRANSPORT, "g": 0.0, "dt": 0.5}}
+CASES = (("transport", 100), ("transport", 400), ("transport", 800), ("localized", 200))
+POINTS, PAIRS = 10001, 10
 STAGES = ("csv_tables", "diagonalize", "closed", "expm", "populations", "read_out", "run",
           "write_csv", "csv_cells", "peak_scan")
 CSV_SHAPE = (21, 2001)  # columns and rows of the csv_cells table
@@ -72,8 +81,8 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(s: int, points: int) -> dict:
-    """Seconds (csv_cells: ns per cell) and minor page faults per stage of one bath chain."""
+def measure(chain: str, s: int, points: int) -> dict:
+    """Seconds (csv_cells: ns per cell) and minor page faults per stage of one chain of ``CHAINS``."""
     from openchain import lindblad, series
     from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
     from openchain.config import ExperimentConfig
@@ -112,17 +121,21 @@ def measure(s: int, points: int) -> dict:
         return out
 
     timed("csv_tables", csv_tables)
-    bath, dt = BathSpec(CASE["beta"], CASE["zeta"]), CASE["dt"]
+    case = CHAINS[chain]
+    bath, dt = BathSpec(case["beta"], case["zeta"]), case["dt"]
     t_max = dt * (points - 1)
     dissipative_transport_run(np.linspace(0.0, -1.0, 20), bath, 100.0, 1.0)  # warm numpy and BLAS
-    energies = build_chain_hamiltonian(sample_disorder(s, CASE["sigma"], CASE["seed"]), CASE["g"])
+    energies = build_chain_hamiltonian(sample_disorder(s, case["sigma"], case["seed"]), case["g"])
 
     e, v = timed("diagonalize", diagonalize, energies)
     timed("closed", dissipative_transport_run, energies, None, t_max, dt)
-    kept = None
-    if _reach is not None:
-        modes, sites = _reach(v, v[0], bath)
-        kept = {"modes": int(modes.sum()), "sites": int(sites.sum())}
+    kept = {"bath": None, "closed": None}
+    for run, args in (("bath", (bath,)), ("closed", (None, np.arange(1, s + 1)))):
+        try:
+            modes, sites = _reach(v, v[0], *args)
+        except TypeError:  # a tree from before the cut (_reach None) or before the closed one
+            continue
+        kept[run] = {"modes": int(modes.sum()), "sites": int(sites.sum())}
 
     gen, p = population_generator(transition_rates(e, bath), bath), v[0] ** 2
     block = 1 << _BLOCK_SQUARINGS
@@ -158,15 +171,15 @@ def measure(s: int, points: int) -> dict:
     return {"stages": times, "faults": faults, "kept": kept, "environment": _numeric_environment()}
 
 
-def run_worker(tree: Path, s: int, points: int) -> dict:
-    """``measure(s, points)`` in a fresh process on ``tree``'s ``src``."""
+def run_worker(tree: Path, chain: str, s: int, points: int) -> dict:
+    """``measure(chain, s, points)`` in a fresh process on ``tree``'s ``src``."""
     env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(tree / "src")}
     done = subprocess.run(
-        [sys.executable, __file__, "--worker", str(s), str(points)],
+        [sys.executable, __file__, "--worker", chain, str(s), str(points)],
         env=env, capture_output=True, text=True, check=False,
     )
     if done.returncode:
-        raise RuntimeError(f"worker on {tree} at s={s} failed:\n{done.stderr}")
+        raise RuntimeError(f"worker on {tree} for {chain} at s={s} failed:\n{done.stderr}")
     return json.loads(done.stdout)
 
 
@@ -175,15 +188,16 @@ def summary(runs: list[float]) -> dict:
     return {"median": median, "q25": q25, "q75": q75, "runs": runs}
 
 
-def compare(sizes: list[int], points: int, pairs: int, base: Path | None) -> dict:
+def compare(cases: list[tuple[str, int]], points: int, pairs: int, base: Path | None) -> dict:
+    """Each case (chain, s) run ``pairs`` times per tree, alternating which tree goes first."""
     trees = {"change": TREE} if base is None else {"change": TREE, "base": base}
-    cases, environment = [], {}
-    for s in sizes:
+    report, environment = [], {}
+    for chain, s in cases:
         runs = {side: [] for side in trees}
         for i in range(pairs):
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for side in order:
-                result = run_worker(trees[side], s, points)
+                result = run_worker(trees[side], chain, s, points)
                 runs[side].append(result)
                 environment[side] = result["environment"]
                 if side == "change":
@@ -199,11 +213,12 @@ def compare(sizes: list[int], points: int, pairs: int, base: Path | None) -> dic
                 entry["fewer_faults"] = sum(c < b for c, b in zip(faults["change"], faults["base"]))
                 entry["pairs"] = pairs
             stages[stage] = entry
-        cases.append({"s": s, "kept": kept, "stages": stages})
+        report.append({"chain": chain, "s": s, "kept": kept, "stages": stages})
     return {
-        "case": {**CASE, "points": points},
+        "chains": CHAINS,
+        "points": points,
         "sides": list(trees),
-        "cases": cases,
+        "cases": report,
         "machine": {
             "environment": environment,
             "platform": platform.platform(),
@@ -217,15 +232,16 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="the JSON file to write")
     parser.add_argument("--base", type=Path, help="a parent tree to pair against")
-    parser.add_argument("--worker", type=int, nargs=2, metavar=("S", "POINTS"),
+    parser.add_argument("--worker", nargs=3, metavar=("CHAIN", "S", "POINTS"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(measure(*args.worker)))
+        chain, s, points = args.worker
+        print(json.dumps(measure(chain, int(s), int(points))))
         return
     if args.out is None:
         parser.error("--out is required")
-    report = compare(SIZES, POINTS, PAIRS, args.base and args.base.resolve())
+    report = compare(CASES, POINTS, PAIRS, args.base and args.base.resolve())
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
 

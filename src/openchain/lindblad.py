@@ -83,10 +83,32 @@ bath correction subtracts |U|^2 on the rows M alone; the part dropped from
 row r is at most max|R_r| (2^-71 + 2^-72 + 2^-143), below the decay cut's
 own bound max|R_r| 2^-70. :func:`energy_blocks` builds the phase tables and
 U blocks of the modes M alone; P keeps every level, because the bath fills
-them all. Without a bath every mode and site stays and the run is unchanged
-bit for bit: there P is |U|^2 itself, and a cut would move a row that is
-tiny in its own right (the last site of a localized chain at early times,
-1e-44 to 1e-31) by O(1) of its size.
+them all.
+
+Without a bath P is |U|^2 and no column decays, and a bound against
+max|R_r| would move a row that is tiny in its own right (the last site of a
+localized chain at early times, 1e-44 to 1e-31) by O(1) of its size. So a
+closed chain (:func:`pure_state_series`) reads its region row whole, as
+|V[region] U|^2 on every mode and the region's sites alone: O(n) per column,
+and p_region keeps the accuracy of its own dot products, within
+eps b (2 sqrt(p) + eps b) up to a small factor, b = sum_m |V_jm| |c_m|
+(below (eps b)^2 it is rounding noise with or without a cut). Only the
+moment rows x, y^2 and y, which are O(1) or larger, are cut, by a
+row-weighted bound. Each of their entries is at most
+W_j = max(|x_j|, D_j, D_j^2), D_j = max(x_j - min x, max x - x_j) >= |y_j|
+(the mean that y is taken about lies between min x and max x). Here
+|u_m(t)| = |c_m| at every t, so dropping the modes outside M moves site
+amplitude j by at most d_j = sum_{m not in M} |V_jm| |c_m|, and every site
+amplitude is at most B_j = sum_m |V_jm| |c_m|. The modes M drop the
+smallest |c_m| while sum_j W_j d_j^2 <= E/2, and the sites S drop the
+smallest W_j B_j^2 while the sum of those stays within E - sum_j W_j d_j^2,
+with E = ``_CLOSED_REACH`` = 2^-110. By Cauchy-Schwarz, reading row r as
+R_r[S] |V[S, M] U_M|^2 moves it by at most 2 sqrt(A_r E) + E =
+2^-54 sqrt(A_r) + 2^-110, where A_r is the row read with |R_r| in place of
+R_r (for y^2, and for x >= 0, the row itself): at most
+eps/2 max(A_r, 1) + 2^-110, below the rounding of the row's own sum. The
+blocks hold U on every mode, those of M first, so the moment rows read
+U[:|M|], a view.
 """
 
 from __future__ import annotations
@@ -102,6 +124,7 @@ _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squar
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
 _DECAYED = 2.0**-70  # ||u||^2 below which the coherences drop under rounding (see above)
 _REACH = 2.0**-72  # ||c_drop|| and the sites' tail sum b_j^2 a bath run leaves out (see above)
+_CLOSED_REACH = 2.0**-110  # the weighted sum E that a closed run's moment rows leave out (see above)
 _FLUSH = 1e-150  # entries of S and S^2 .. S^B set to zero below it: no subnormal products
 # degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which they need
 # no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
@@ -295,8 +318,9 @@ def energy_blocks(
     axis raises at the first block. ``amplitudes`` are the initial
     energy-basis amplitudes c. U[m, i] = c_m exp(d_m t_i) with
     d = -i e - zeta G / 2, so the coherences at t_i are u u^H - diag|u|^2
-    with u = U[:, i]. U holds the rows ``modes`` alone (every mode by
-    default; a bath run passes those of :func:`_reach`), while P keeps every
+    with u = U[:, i]. U holds the rows ``modes``, in their order (every mode
+    by default; a bath run passes the modes of :func:`_reach`, a closed run
+    every mode with those first), while P keeps every
     level. A block spans as many grid columns as fit one complex n x width
     array of about 1 MiB, and at least B = 32. The phase tables are built
     once, for the first block; the block from column ``start`` on is that
@@ -353,14 +377,22 @@ def _tail(weights: np.ndarray, budget: float) -> np.ndarray:
 
 
 def _reach(
-    eigenvectors: np.ndarray, amplitudes: np.ndarray, bath: BathSpec | None
+    eigenvectors: np.ndarray,
+    amplitudes: np.ndarray,
+    bath: BathSpec | None,
+    positions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks (modes, sites) of what the coherent term of a pure start c keeps.
 
-    Without a bath (``None`` or zeta = 0) both are True throughout. With a
-    bath the modes drop the smallest |c_m| while ||c_drop|| < ``_REACH``, and
-    the sites drop the smallest bounds b_j = sum_{m in M} |V_jm| |c_m| while
-    their tail sum b_j^2 < ``_REACH``; the module docstring gives the bound.
+    With a bath the modes drop the smallest |c_m| while ||c_drop|| <
+    ``_REACH``, and the sites drop the smallest bounds b_j = sum_{m in M}
+    |V_jm| |c_m| while their tail sum b_j^2 < ``_REACH``. Without a bath
+    (``None`` or zeta = 0) the masks are those of the moment rows x, y^2 and
+    y of the coordinates ``positions``: the modes drop the smallest |c_m|
+    while sum_j W_j d_j^2 <= ``_CLOSED_REACH`` / 2, and the sites drop the
+    smallest W_j B_j^2 within the rest of the budget. Without positions (the
+    superposed switch) both are True throughout. The module docstring gives
+    W, d, B and the bounds.
     """
     c = np.abs(amplitudes)
     modes = np.ones(c.size, dtype=bool)
@@ -369,6 +401,25 @@ def _reach(
         modes[_tail(np.square(c), _REACH**2)] = False
         bound = np.abs(eigenvectors[:, modes]) @ c[modes]
         sites[_tail(np.square(bound), _REACH)] = False
+    elif positions is not None:
+        x = np.asarray(positions, dtype=float)
+        spread = np.maximum(x - x.min(), x.max() - x)  # >= |x - mu| for any mean mu of x
+        weight = np.maximum(np.abs(x), np.maximum(spread, np.square(spread)))
+        size, rank = np.abs(eigenvectors), np.argsort(np.argsort(c))
+
+        def dropped(k: int) -> np.ndarray:  # d_j of the k smallest |c_m|
+            return size @ np.where(rank < k, c, 0.0)
+
+        lo, hi = 0, c.size  # the most modes with sum_j W_j d_j^2 <= budget / 2: d grows with k
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if weight @ np.square(dropped(mid)) <= _CLOSED_REACH / 2:
+                lo = mid
+            else:
+                hi = mid - 1
+        modes = rank >= lo
+        left = _CLOSED_REACH - weight @ np.square(dropped(lo))
+        sites[_tail(weight * np.square(size @ c), left)] = False
     return modes, sites
 
 
@@ -413,17 +464,19 @@ def read_out(
     is V[S, M] U, at least on the leading columns, when the caller has them
     already; both are left intact. The package's runs pass V*V, squared once
     per spectrum; without it (one-off calls, as in the tests) read_out
-    squares V itself.
+    squares V itself. |V U|^2 is re^2 + im^2: read_out squares the float
+    view of its own V U in place and adds the column pairs.
     """
     modes, sites = (slice(None), slice(None)) if reach is None else reach
     keep = amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
-    if rotated is None:
-        w = site_amplitudes(eigenvectors[sites][:, modes], amplitudes[:, :keep])
-    else:
-        w = rotated[:, :keep]
-    prob = np.square(w.real)
-    prob += np.square(w.imag, out=w.imag if rotated is None else None)  # in place when w is ours
-    del w  # frees V U before the correction's temporaries
+    if rotated is None:  # V U is ours: its float view squared in place, in one pass
+        square = site_amplitudes(eigenvectors[sites][:, modes], amplitudes[:, :keep]).view(float)
+        np.square(square, out=square)
+        prob = square[:, ::2] + square[:, 1::2]  # re^2 + im^2
+        del square  # frees V U before the correction's temporaries
+    else:  # the caller's V U, left intact
+        prob = np.square(rotated[:, :keep].real)
+        prob += np.square(rotated[:, :keep].imag)
     coherent = rows[:, sites] @ prob
     if populations is None:
         return coherent
@@ -460,18 +513,34 @@ def pure_state_series(
     variance below -1e-9 is a numeric failure and raises
     ``FloatingPointError``; the rounding-level negatives above it are clipped
     to 0. With a bath the blocks hold U on the modes of :func:`_reach` alone,
-    and the read-out forms V U on its sites alone.
+    and the read-out forms V U on its sites alone. A closed run (``None`` or
+    zeta = 0) reads the rows x, y^2 and y on the modes and sites of
+    :func:`_reach` for ``positions``, from V[S, M] sliced once, and the
+    region row on every mode, from V[region] (module docstring).
     """
     (e, v), x = eig, np.asarray(positions, dtype=float)
     times = time_grid(t_max, dt)
-    indicator = np.bincount(region, minlength=x.size)
+    indicator = np.bincount(region, minlength=x.size).astype(float)
     mean, var, p_region = (np.empty(times.size) for _ in range(3))
-    squared = np.square(v)  # V*V, once per spectrum
-    reach = tuple(_kept(mask) for mask in _reach(v, amplitudes, bath))
-    for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt, reach[0]):
+    keep, cover = _reach(v, amplitudes, bath, x)
+    kept = np.count_nonzero(keep)
+    if bath is None or bath.zeta == 0.0:
+        # U holds every mode, those of M first: the moment rows read V[S, M] U[:kept] and
+        # the region row V[region] U, both sliced once per run
+        modes = np.argsort(~keep, kind="stable")
+        whole = v[region][:, modes]
+        v, x, indicator = v[np.ix_(cover, modes[:kept])], x[cover], indicator[cover]
+        squared = reach = None
+    else:
+        squared = np.square(v)  # V*V, once per spectrum
+        reach = (_kept(keep), _kept(cover))
+        modes, whole = reach[0], None
+    for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt, modes):
         first = None if p is None else p[:, :1]
-        y = x - read_out(v, x[None], first, u[:, :1], squared, reach)[0, 0]
-        out = read_out(v, np.stack([x, y**2, y, indicator]), p, u, squared, reach)
+        y = x - read_out(v, x[None], first, u[:kept, :1], squared, reach)[0, 0]
+        out = read_out(v, np.stack([x, y**2, y, indicator]), p, u[:kept], squared, reach)
+        if whole is not None:  # the region row on every mode, in place of the reach's
+            out[3] = read_out(whole, np.ones((1, region.size)), None, u)[0]
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
     if np.any(var < -1e-9):
         raise FloatingPointError("variance must be nonnegative")

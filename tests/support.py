@@ -34,7 +34,13 @@ from scipy.special import jv
 from openchain import series
 from openchain.chains import diagonalize
 from openchain.feynman import build_branch
-from openchain.lindblad import BathSpec, energy_blocks, pure_state_series, transition_rates
+from openchain.lindblad import (
+    BathSpec,
+    energy_blocks,
+    pure_state_series,
+    time_grid,
+    transition_rates,
+)
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -548,6 +554,37 @@ def relax_energy_density(
     blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_max, dt, modes))
     pops = None if blocks[0][1] is None else np.concatenate([p for _, p, _ in blocks], axis=1)
     return pops, np.concatenate([u for *_, u in blocks], axis=1)
+
+
+def closed_block_series(eig, amplitudes, t_max: float, dt: float, positions, region, dtype=float):
+    """mean_Q, var_Q and p_region of a closed run read out uncut, in ``dtype``.
+
+    The package's float64 V and U blocks (:func:`energy_blocks`) are cast to
+    ``dtype`` (exactly, for ``np.longdouble``), and V U, its squares and the
+    rows are formed in it over every mode and site, in the order of the
+    package's read-out: V times the interleaved (re, im) view of U, re^2 +
+    im^2, then the rows x, y^2, y and the indicator of the 0-based rows
+    ``region`` at once, with y = x - the mean of each block's first column,
+    read from that column alone. With ``float`` this is the closed read-out
+    as the package formed it before it cut the moment rows; with
+    ``np.longdouble`` it is the reference both are held to. The variance is
+    clipped at 0, as the package does.
+    """
+    e, v = eig
+    v, x = np.asarray(v, dtype), np.asarray(positions, dtype)
+    indicator = np.zeros(x.size, dtype)
+    indicator[region] = 1
+    mean, var, p_region = (np.empty(time_grid(t_max, dt).size, dtype) for _ in range(3))
+
+    def squares(u):  # |V u|^2
+        w = v @ np.ascontiguousarray(u).view(float).astype(dtype)
+        return w[:, ::2] ** 2 + w[:, 1::2] ** 2
+
+    for cols, _, u in energy_blocks(e, None, amplitudes, t_max, dt):
+        y = x - (x[None] @ squares(u[:, :1]))[0, 0]
+        out = np.stack([x, y**2, y, indicator]) @ squares(u)
+        mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
+    return {"mean_Q": mean, "var_Q": np.maximum(var, 0), "p_region": p_region}
 
 
 def kernel_at(eigenvalues, bath, amplitudes, t: float):

@@ -1,8 +1,8 @@
 """Smoke test of the stage harness ``bench/stages.py`` (no timing gate).
 
-One repetition of a 20-site chain on 101 grid points runs the harness end to
-end in a fresh worker process; the pairing against a base tree is checked
-with a stand-in worker, so that no second process starts.
+One repetition of each chain at 20 sites on 101 grid points runs the harness
+end to end in fresh worker processes; the pairing against a base tree is
+checked with a stand-in worker, so that no second process starts.
 """
 
 import importlib.util
@@ -23,15 +23,25 @@ def stages():
 
 
 def test_one_repetition_writes_every_stage(stages):
-    report = json.loads(json.dumps(stages.compare([20], 101, 1, None)))
-    assert report.keys() == {"case", "sides", "cases", "machine"}
-    assert report["case"]["points"] == 101 and report["sides"] == ["change"]
+    report = stages.compare([("transport", 20), ("localized", 20)], 101, 1, None)
+    report = json.loads(json.dumps(report))
+    assert report.keys() == {"chains", "points", "sides", "cases", "machine"}
+    assert report["points"] == 101 and report["sides"] == ["change"]
+    # the closed workload's chain beside the transport chain: no tilt, half the step
+    assert report["chains"]["localized"] == {**report["chains"]["transport"], "g": 0.0, "dt": 0.5}
     assert report["machine"].keys() == {"environment", "platform", "processor", "blas_threads"}
     assert report["machine"]["environment"]["change"].keys() >= {"python", "numpy", "blas"}
-    [case] = report["cases"]
-    assert case["s"] == 20 and case["stages"].keys() == set(stages.STAGES)
-    assert case["kept"].keys() == {"modes", "sites"}  # the bath run's reach
-    assert all(0 < count <= 20 for count in case["kept"].values())
+    assert [(case["chain"], case["s"]) for case in report["cases"]] == [
+        ("transport", 20), ("localized", 20)]
+    assert ("localized", 200) in stages.CASES
+    for case in report["cases"]:
+        assert case["stages"].keys() == set(stages.STAGES)
+        # the reach of the bath run's coherent term and of the closed run's moment rows
+        assert case["kept"].keys() == {"bath", "closed"}
+        for kept in case["kept"].values():
+            assert kept.keys() == {"modes", "sites"}
+            assert all(0 < count <= 20 for count in kept.values())
+    [case, _] = report["cases"]
     assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
     assert "closed" in case["stages"]  # the case's chain and grid without the bath
     # the CSV writer's cold tables and its warm cost per cell
@@ -49,19 +59,21 @@ def test_one_repetition_writes_every_stage(stages):
 def test_pairs_alternate_and_count_wins(stages, monkeypatch):
     calls, base_times = [], iter([2.0, 0.5, 2.0, 1.0])  # base wins pair 1, pair 3 ties
 
-    def worker(tree, s, points):
+    def worker(tree, chain, s, points):
         calls.append(tree)
         seconds = 1.0 if tree == stages.TREE else next(base_times)
-        kept = {"modes": 16, "sites": 11} if tree == stages.TREE else None
+        kept = {"bath": {"modes": 16, "sites": 11}, "closed": {"modes": 14, "sites": 17}}
+        if tree != stages.TREE:
+            kept = {"bath": None, "closed": None}
         faults = 10 if tree == stages.TREE else 20
         return {"stages": dict.fromkeys(stages.STAGES, seconds),
                 "faults": dict.fromkeys(stages.STAGES, faults), "kept": kept, "environment": {}}
 
     monkeypatch.setattr(stages, "run_worker", worker)
     base = Path("/parent")
-    report = stages.compare([20], 101, 4, base)
+    report = stages.compare([("transport", 20)], 101, 4, base)
     assert calls == [stages.TREE, base, base, stages.TREE] * 2
-    assert report["cases"][0]["kept"] == {"modes": 16, "sites": 11}  # this tree's counts
+    assert report["cases"][0]["kept"]["bath"] == {"modes": 16, "sites": 11}  # this tree's counts
     entry = report["cases"][0]["stages"]["run"]
     assert entry["pairs"] == 4 and entry["wins"] == 2 and entry["fewer_faults"] == 4
     assert entry["base"]["faults"]["median"] == 20 and entry["change"]["faults"]["runs"] == [10] * 4

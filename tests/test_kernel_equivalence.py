@@ -18,8 +18,14 @@ superposed switch must match the dense oracle, with diagonal register states
 whose entropy equals ``von_neumann_entropy`` within 1e-15. With a bath the
 switch keeps only the modes and sites its branches reach: against the run
 that keeps all of them, its read-out columns and register move by at most
-2^-70 plus rounding; without a bath nothing is cut, and the closed chain is
-bit for bit the read-out given no modes and no reach. The closed chain,
+2^-70 plus rounding. Without a bath the switch keeps every mode and site,
+while the closed chain reads its moment rows on the modes and sites of
+``_reach`` and its region row on every mode: that row equals |V[region] U|^2
+formed in long double within 16 eps b (2 sqrt(p) + eps b), b the row's sum
+of |terms|, at 1e-44 too, and on
+localized, tilted and clean chains every column, held to a long-double
+read-out of the same float64 blocks, errs by at most twice as much as the
+uncut float64 read-out. The closed chain,
 evaluated in cache-sized blocks of grid columns, is checked against one
 complex product per 4096-column chunk, on a grid of several blocks that ends
 in a partial one.
@@ -41,7 +47,8 @@ states of both switch branches and their cross block (the superposed switch,
 with and without a bath) to the same 1e-10. Every pipeline reads out one cache
 block at a time, populations included: at s = 200 on 5001 columns the traced
 peak allocation of the bath pipelines and of the superposed switch (which
-walks the blocks of both branches side by side) stays below a counted number
+walks the blocks of both branches side by side), and at s = 200 on 10001
+columns that of the closed chain, stays below a counted number
 of blocks plus the O(T) series and, for the switch, its (T, 4, 4) register
 stack; so does the peak-scaling run at s = 1600 on 48201 columns, which forms
 no s x s array.
@@ -57,6 +64,7 @@ from scipy.linalg import expm
 from support import (
     _dense_states,
     chunked_unitary_columns,
+    closed_block_series,
     closed_series,
     direct_relax_energy_density,
     dense_classical_columns,
@@ -468,22 +476,67 @@ def test_run_superposed_input_past_the_cut():
     assert np.max(np.abs(series["entropy"][cut:] - von_neumann_entropy(past))) <= 1e-15
 
 
-def test_closed_run_keeps_every_mode_and_site(monkeypatch):
-    # Without a bath (None or zeta = 0) the reach keeps everything, and the
-    # run is bit for bit the read-out given no modes and no reach. A cut of
-    # 2^-70 here would swamp the last site of this localized chain, which
-    # holds about 1e-44 at t = 0.5.
-    h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 0.0)
-    e, v = diagonalize(h)
-    for bath in (None, BathSpec(beta=1.0, zeta=0.0)):
-        assert all(mask.all() for mask in lindblad._reach(v, v[0], bath))
-    got = dissipative_transport_run(h, None, 2000.0, 0.5)
-    assert 0.0 < got["p_region"][1] < 1e-40
-    blocks, read = lindblad.energy_blocks, lindblad.read_out
-    monkeypatch.setattr(lindblad, "energy_blocks", lambda *args: blocks(*args[:5]))
-    monkeypatch.setattr(lindblad, "read_out", lambda *args: read(*args[:5]))
-    expected = dissipative_transport_run(h, None, 2000.0, 0.5)
-    assert all(np.array_equal(got[name], expected[name]) for name in expected)
+def test_closed_run_reads_the_region_row_on_every_mode():
+    # Without a bath (None or zeta = 0) the moment rows are read on the modes
+    # and sites of _reach, 157 of 200 modes on the first of these localized
+    # chains, while the region row is |V[region] U|^2 on every mode. The
+    # last site holds about 1e-44 at t = 0.5 and must equal |V[-1] U|^2,
+    # formed in long double from the same float64 V and U, within
+    # 16 eps b (2 sqrt(p) + eps b), b = sum_m |V_jm| |c_m|: about sqrt(n)
+    # times a dot product's unit rounding eps b (measured: 3.3 on these
+    # chains). On the second chain the modes left out of M move the last
+    # site's amplitude by 720 eps b, so a region row read on M fails. The
+    # superposed switch passes no positions and keeps every mode and site.
+    eps = 2.0**-53
+    for seed, kept in ((0, 157), (2, 159)):
+        h = build_chain_hamiltonian(sample_disorder(200, 0.5, seed), 0.0)
+        e, v = diagonalize(h)
+        x = np.arange(1, 201)
+        modes, sites = lindblad._reach(v, v[0], None, x)
+        assert (modes.sum(), sites.sum()) == (kept, 200)
+        zero = lindblad._reach(v, v[0], BathSpec(beta=1.0, zeta=0.0), x)
+        assert np.array_equal(zero[0], modes) and np.array_equal(zero[1], sites)
+        assert all(mask.all() for mask in lindblad._reach(v, v[0], None))
+        got = dissipative_transport_run(h, None, 2000.0, 0.5)["p_region"]
+        assert 0.0 < got[1] < 1e-40
+        _, amps = relax_energy_density(e, None, v[0], 2000.0, 0.5)
+        last = v[-1].astype(np.longdouble)
+        exact = (last @ amps.real.astype(np.longdouble)) ** 2
+        exact += (last @ amps.imag.astype(np.longdouble)) ** 2
+        unit = eps * (np.abs(v[-1]) @ np.abs(v[0]))
+        assert np.all(np.abs(got - exact) <= 16 * unit * (2 * np.sqrt(exact) + unit))
+
+
+#: closed chains whose read-out is held to the long-double reference: the
+#: localized chain of the closed benchmark (three seeds), the tilted transport
+#: chain at s = 400 and the clean chain; (s, sigma, g, disorder seed)
+CLOSED_CHAINS = {
+    "localized-0": (200, 0.5, 0.0, 0),
+    "localized-1": (200, 0.5, 0.0, 1),
+    "localized-2": (200, 0.5, 0.0, 2),
+    "tilted": (400, 0.5, 2.0, 0),
+    "clean": (200, 0.0, 0.0, 0),
+}
+
+
+@pytest.mark.parametrize("chain", CLOSED_CHAINS)
+def test_closed_cut_rounds_like_the_uncut_read_out(chain):
+    # A closed run reads its moment rows on the modes and sites of _reach
+    # and its region row on every mode. Against the same float64 V and U
+    # blocks read out in long double, each column must err by at most twice
+    # as much as the uncut read-out in float64 (the package's formula before
+    # the cut): the cut moves a row by less than its rounding.
+    s, sigma, g, seed = CLOSED_CHAINS[chain]
+    e, v = diagonalize(build_chain_hamiltonian(sample_disorder(s, sigma, seed), g))
+    x, region, axis = np.arange(1, s + 1), np.array([s - 1]), (400.0, 1.0)
+    if sigma:
+        assert not all(mask.all() for mask in lindblad._reach(v, v[0], None, x))
+    got = lindblad.pure_state_series((e, v), None, v[0], *axis, x, region)
+    exact = closed_block_series((e, v), v[0], *axis, x, region, np.longdouble)
+    uncut = closed_block_series((e, v), v[0], *axis, x, region)
+    for name, ref in exact.items():
+        err, uncut_err = (np.max(np.abs(col[name] - ref)) for col in (got, uncut))
+        assert err <= 2 * uncut_err, f"{name}: {err:.3g} against {uncut_err:.3g} uncut"
 
 
 def test_superposed_reach_cut_holds_to_the_full_run(monkeypatch):
@@ -634,6 +687,25 @@ def test_bath_read_out_memory(pipeline):
         peak = traced_peak(lambda: run_classical_input(9, disorder, 2.0, bath, "U", *axis))
     series = 7 * time_grid(*axis).size * np.dtype(float).itemsize
     bound = series + 7 * lindblad._BLOCK_BYTES
+    assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_closed_read_out_memory():
+    # The closed chain holds one cache block of amplitudes and read-out at a
+    # time. At its peak it holds, in units of _BLOCK_BYTES (one complex
+    # n x width array): the first-block phase table and the U block on every
+    # mode (2), V[S, M] U squared in place and the site distribution (1.5),
+    # and the n x n eigenvector matrix and its V[S, M] (0.6: two of 0.3 at
+    # n = 200); the region row's V[region] U is one row. On top come the
+    # O(T) series: the grids of the run and of energy_blocks, the three
+    # columns and the clipped variance. Measured on this localized chain
+    # (157 of 200 modes kept): 4.0 blocks above the series, 4.46 MiB in all,
+    # against 4.52 MiB when every mode was read. One block is margin.
+    axis = (5000.0, 0.5)
+    h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 0.0)
+    peak = traced_peak(lambda: dissipative_transport_run(h, None, *axis))
+    series = 6 * time_grid(*axis).size * np.dtype(float).itemsize
+    bound = series + 5 * lindblad._BLOCK_BYTES
     assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 

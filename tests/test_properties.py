@@ -266,3 +266,42 @@ def test_reach_cut_holds_to_the_full_read_out(params):
     rounding = 4 * s * np.finfo(float).eps * (np.abs(rows) @ magnitude)
     limit = np.abs(rows).max(axis=1)[:, None] * 2.0**-70 + rounding
     assert np.all(np.abs(cut - full) <= limit)
+
+
+@st.composite
+def closed_params(draw):
+    """(s, sigma, g, disorder seed) of a closed chain up to the transport size."""
+    s = draw(st.integers(2, 120))
+    sigma, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 3.0))
+    return s, sigma, g, draw(st.integers(0, 2**16))
+
+
+@DERANDOMIZED
+@given(closed_params())
+@example((200, 0.5, 0.0, 0))  # the localized chain of the closed benchmark: 157 modes kept
+@example((400, 0.5, 2.0, 0))  # the tilted chain: 14 modes and 17 sites kept
+@example((20, 0.0, 0.0, 0))  # the clean chain
+def test_closed_reach_cut_holds_to_its_bound(params):
+    # Without a bath the moment rows x, y^2 and y are read on the modes M and
+    # sites S of _reach. What that leaves out of row r, on the sites S the
+    # sum of R_rj (|a_j + delta_j|^2 - |a_j|^2), with a and delta the site
+    # amplitudes of the modes M and of the rest, and on the other sites
+    # R_rj |a_j + delta_j|^2, is formed term by term (no cancellation of two
+    # full read-outs) and must stay within the documented bound
+    # 2 sqrt(A_r E) + E, E = _CLOSED_REACH, A_r the row read with |R_r| on
+    # the cut; 1e-6 covers the rounding of the terms. y is taken about the
+    # mean at t = 0, as a block's first column gives it.
+    s, sigma, g, seed = params
+    e, v = chain_spectrum(s, sigma, g, seed)
+    x = np.arange(1.0, s + 1)
+    modes, sites = lindblad._reach(v, v[0], None, x)
+    _, amps = relax_energy_density(e, None, v[0], 1000.0, 5.0)
+    kept, delta = v[:, modes] @ amps[modes], v[:, ~modes] @ amps[~modes]
+    whole = np.abs(kept + delta) ** 2
+    y = x - x @ whole[:, 0]
+    rows = np.stack([x, y**2, y])
+    inside = 2 * (kept.conj() * delta).real + np.abs(delta) ** 2
+    moved = rows[:, sites] @ inside[sites] + rows[:, ~sites] @ whole[~sites]
+    read = np.abs(rows[:, sites]) @ np.abs(kept[sites]) ** 2
+    budget = lindblad._CLOSED_REACH
+    assert np.all(np.abs(moved) <= (2 * np.sqrt(read * budget) + budget) * (1 + 1e-6))
