@@ -16,8 +16,6 @@ tree's ``src`` with one BLAS thread, and times these stages, in this order:
   ``write_csv`` of each CLI process loads them (``series._tables``; on a tree
   from before the tables file, ``_powers_of_ten`` and ``_layout`` build them);
 * ``diagonalize``: ``chains.diagonalize`` of the chain;
-* ``closed``: ``dissipative_transport_run`` of the same chain and grid
-  without the bath, before any bath run has shaped the heap;
 * ``expm``: S = ``lindblad.expm(A dt)`` and its five squarings to S^32, timed as
   the first block of ``lindblad._population_blocks`` at width 32 (it adds 31
   matrix-vector steps);
@@ -26,6 +24,9 @@ tree's ``src`` with one BLAS thread, and times these stages, in this order:
 * ``read_out``: the summed calls of ``lindblad.read_out`` inside one
   ``dissipative_transport_run``;
 * ``run``: that ``dissipative_transport_run``, end to end;
+* ``closed``: ``dissipative_transport_run`` of the same chain and grid
+  without the bath, after the bath stages, so that the heap it leaves cannot
+  move their timings;
 * ``write_csv``: ``series.write_csv`` of the run's columns with their sha256,
   the first write of the process (its tables loaded by ``csv_tables``);
 * ``csv_cells``: ``write_csv`` of a 21 x 2001 table of standard normal
@@ -39,9 +40,11 @@ Beside each stage's time the worker records its minor page faults
 (``ru_minflt``), summed over the calls for ``read_out``. Each case also
 records ``kept``: the modes and sites that ``lindblad._reach`` keeps in the
 bath run's coherent term (``bath``) and in the closed run's moment rows
-(``closed``), counted on this tree; a count that a parent tree from before
-that cut cannot make is None. Each stage is imported by name, so a rename raises
-``ImportError`` instead of dropping the stage. With ``--base PATH`` every pair
+(``closed``), counted on this tree. Both runs take one rule with the same
+weight (``lindblad._moment_weight`` of the sites), so the two counts agree; a
+tree whose ``_reach`` takes no weight (before that rule) records None. Each
+stage is imported by name, so a rename raises ``ImportError`` instead of
+dropping the stage. With ``--base PATH`` every pair
 runs this tree and the tree at PATH back to back, alternating which goes
 first; the JSON records, per stage, each side's runs, median and quartiles of
 the time and of the page faults, the pairs this tree won on time and those
@@ -70,7 +73,7 @@ TRANSPORT = {"sigma": 0.5, "g": 2.0, "beta": 1.0, "zeta": 0.05, "seed": 0, "dt":
 CHAINS = {"transport": TRANSPORT, "localized": {**TRANSPORT, "g": 0.0, "dt": 0.5}}
 CASES = (("transport", 100), ("transport", 400), ("transport", 800), ("localized", 200))
 POINTS, PAIRS = 10001, 10
-STAGES = ("csv_tables", "diagonalize", "closed", "expm", "populations", "read_out", "run",
+STAGES = ("csv_tables", "diagonalize", "expm", "populations", "read_out", "run", "closed",
           "write_csv", "csv_cells", "peak_scan")
 CSV_SHAPE = (21, 2001)  # columns and rows of the csv_cells table
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -100,8 +103,8 @@ def measure(chain: str, s: int, points: int) -> dict:
     from openchain.series import write_csv
 
     try:
-        from openchain.lindblad import _reach
-    except ImportError:  # a tree from before the reach cut
+        from openchain.lindblad import _moment_weight, _reach
+    except ImportError:  # a tree from before the one reach rule: its _reach takes no weight
         _reach = None
     if hasattr(series, "_tables"):
         csv_tables = series._tables
@@ -128,14 +131,10 @@ def measure(chain: str, s: int, points: int) -> dict:
     energies = build_chain_hamiltonian(sample_disorder(s, case["sigma"], case["seed"]), case["g"])
 
     e, v = timed("diagonalize", diagonalize, energies)
-    timed("closed", dissipative_transport_run, energies, None, t_max, dt)
-    kept = {"bath": None, "closed": None}
-    for run, args in (("bath", (bath,)), ("closed", (None, np.arange(1, s + 1)))):
-        try:
-            modes, sites = _reach(v, v[0], *args)
-        except TypeError:  # a tree from before the cut (_reach None) or before the closed one
-            continue
-        kept[run] = {"modes": int(modes.sum()), "sites": int(sites.sum())}
+    kept = dict.fromkeys(("bath", "closed"))
+    if _reach is not None:
+        modes, sites = _reach(v, v[0], _moment_weight(np.arange(1, s + 1)))
+        kept = dict.fromkeys(kept, {"modes": int(modes.sum()), "sites": int(sites.sum())})
 
     gen, p = population_generator(transition_rates(e, bath), bath), v[0] ** 2
     block = 1 << _BLOCK_SQUARINGS
@@ -158,6 +157,7 @@ def measure(chain: str, s: int, points: int) -> dict:
     finally:
         lindblad.read_out = read_out
     times["read_out"], faults["read_out"] = spent
+    timed("closed", dissipative_transport_run, energies, None, t_max, dt)
 
     rng = np.random.default_rng(0)
     table = {f"c{j}": rng.standard_normal(CSV_SHAPE[1]) for j in range(CSV_SHAPE[0])}

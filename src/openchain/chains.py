@@ -56,11 +56,18 @@ def build_chain_hamiltonian(disorder: np.ndarray, g: float) -> np.ndarray:
     """On-site energies of the tilted chain: disorder plus tilt, eps_x - g*x, x = 1..len(disorder).
 
     It serves a switch branch too, whose disorder is read along its
-    path coordinates (:func:`openchain.feynman.build_branch`).
+    path coordinates (:func:`openchain.feynman.build_branch`). A finite tilt
+    whose energies overflow is a numeric failure: ``FloatingPointError``.
     """
     if g < 0:
         raise ValueError(f"tilt strength must be >= 0, got {g}")
-    return disorder - g * np.arange(1, len(disorder) + 1, dtype=float)
+    with np.errstate(over="raise"):
+        try:
+            return disorder - g * np.arange(1, len(disorder) + 1, dtype=float)
+        except FloatingPointError:
+            raise FloatingPointError(
+                f"on-site energies overflow: tilt g={g} on {len(disorder)} sites"
+            ) from None
 
 
 def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:

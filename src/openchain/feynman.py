@@ -241,10 +241,20 @@ def run_superposed_input(
     zero, since |cross| <= ||u_U|| ||u_D|| < 2^-70 there, so their register
     states are diagonal and their entropy is taken from the sorted diagonal,
     without an eigensolve. A bath run also keeps only the reach of each
-    branch (:func:`openchain.lindblad._reach`): U on the branch's modes, and
-    V U and the cross diagonal on the sites S = S_U | S_D that either branch
-    reaches. A site outside both has |(V U)_j| <= b_j on each branch, so the
-    cross diagonal drops at most (sum b^U_j^2 + sum b^D_j^2) / 2 < 2^-72 there.
+    branch (:func:`openchain.lindblad._reach`, with W = 1: the register and
+    pair rows are 0/1): U on the branch's modes M, and V U and the cross
+    diagonal on the sites S = S_U | S_D that either branch reaches. Each
+    branch's rows then move by at most 2 sqrt(A E) + 3E/2, E = 2^-110 (the
+    :mod:`openchain.lindblad` docstring), before the factor 1/2. With a and b
+    the two branches' site amplitudes, d and B their bounds there and
+    sum_j d_j^2 <= E/2 on each branch, a cross diagonal row k moves on S by
+    at most sqrt(E/2) (sqrt(A^U_k) + sqrt(A^D_k)) + E/2, A^U_k =
+    sum_j R_kj |a_j|^2 and A^D_k likewise, and off S by at most
+    sum_{j not in S} (B^U_j^2 + B^D_j^2) / 2 <= E: in all, with the factor 1/2, at most
+    (sqrt(E/2) (sqrt(A^U_k) + sqrt(A^D_k)) + 3E/2) / 2 <= sqrt(E/2) + 3E/4.
+    Without a bath every mode and site is kept: ``p_beyond_gate`` starts near
+    1e-23 there and needs a relative accuracy that an absolute budget cannot
+    give.
     """
     sites_u, idx_up, (e_u, vu) = build_branch(a, "U", disorder, g)
     sites_d, idx_down, (e_d, vd) = build_branch(a, "D", disorder, g)
@@ -258,8 +268,12 @@ def run_superposed_input(
     fidelity = np.full(times.size, np.nan)
     register = np.empty((times.size, 4, 4), dtype=complex)
     squared_u, squared_d = np.square(vu), np.square(vd)  # V*V, once per spectrum
-    (keep_u, cover_u), (keep_d, cover_d) = _reach(vu, vu[0], bath), _reach(vd, vd[0], bath)
-    modes_u, modes_d, sites = _kept(keep_u), _kept(keep_d), _kept(cover_u | cover_d)
+    if bath is None or bath.zeta == 0.0:
+        modes_u = modes_d = sites = slice(None)
+    else:
+        ones = np.ones(vu.shape[0])  # W = 1 bounds the 0/1 register and pair rows
+        (keep_u, cover_u), (keep_d, cover_d) = _reach(vu, vu[0], ones), _reach(vd, vd[0], ones)
+        modes_u, modes_d, sites = _kept(keep_u), _kept(keep_d), _kept(cover_u | cover_d)
     reach_u, reach_d = (modes_u, sites), (modes_d, sites)
     rotate_u, rotate_d, pairs = vu[sites][:, modes_u], vd[sites][:, modes_d], pairs[:, sites]
     blocks = zip(

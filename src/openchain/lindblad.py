@@ -70,45 +70,43 @@ correction is kept on every column. The superposed switch stops its cross
 diagonal and its register eigensolve at the same cut. Without a bath
 ||u|| = 1, and every column is read out in full.
 
-With a bath the coherent term is also formed only on the energy modes and
-sites that the start reaches (:func:`_reach`). Every |u_m(t)| <= |c_m|. The
-modes M keep all but the smallest |c_m|, dropped while their norm
-||c_drop|| < ``_REACH`` = 2^-72; replacing u by its rows M, in R |V u|^2 and
-in the subtracted |u|^2 alike, moves row r by at most
-max|R_r| (2 ||c_drop|| + 2 ||c_drop||^2). Each site amplitude of the kept
-modes is bounded at every t, |(V[:, M] u_M)_j| <= b_j = sum_{m in M} |V_jm| |c_m|,
-and the sites S keep all but the smallest b_j, dropped while their tail
-sum b_j^2 < 2^-72. So the coherent term is R[:, S] |V[S, M] U_M|^2 and the
-bath correction subtracts |U|^2 on the rows M alone; the part dropped from
-row r is at most max|R_r| (2^-71 + 2^-72 + 2^-143), below the decay cut's
-own bound max|R_r| 2^-70. :func:`energy_blocks` builds the phase tables and
-U blocks of the modes M alone; P keeps every level, because the bath fills
-them all.
+The coherent term is also formed only on the energy modes M and sites S that
+the start reaches (:func:`_reach`), by one rule for every run, with and
+without a bath. The caller passes a weight W_j >= |R_rj| for every row r that
+it reads on the reach. Every |u_m(t)| <= |c_m| (the bath only damps them), so
+dropping the modes outside M moves site amplitude j by at most
+d_j = sum_{m not in M} |V_jm| |c_m| at every t, and every site amplitude is
+at most B_j = sum_m |V_jm| |c_m|. The modes M drop the smallest |c_m| while
+sum_j W_j d_j^2 <= E/2, and the sites S drop the smallest W_j B_j^2 while the
+sum of those stays within E - sum_j W_j d_j^2, with E = ``_REACH`` = 2^-110.
+By Cauchy-Schwarz, reading the coherent term of row r as
+R_r[S] |V[S, M] U_M|^2 moves it by at most 2 sqrt(A_r E) + E, where A_r is
+the cut term read with |R_r| in place of R_r (without a bath, for y^2 and for
+x >= 0, the row itself). With a bath the correction subtracts |U|^2 on the
+rows M alone, and the part it leaves out, sum_j R_rj sum_{m not in M} V_jm^2
+|u_m|^2, is at most sum_j W_j d_j^2 <= E/2. So row r moves by at most
+2 sqrt(A_r E) + E, and 2 sqrt(A_r E) + 3E/2 with a bath: that is
+2^-54 sqrt(A_r) + 3 * 2^-111 <= eps/2 max(A_r, 1) + 3 * 2^-111. A bath run's
+blocks hold U on the modes M alone (P keeps every level, because the bath
+fills them all); a closed run's hold U on every mode, those of M first, so its
+moment rows read U[:|M|], a view.
 
-Without a bath P is |U|^2 and no column decays, and a bound against
-max|R_r| would move a row that is tiny in its own right (the last site of a
-localized chain at early times, 1e-44 to 1e-31) by O(1) of its size. So a
-closed chain (:func:`pure_state_series`) reads its region row whole, as
-|V[region] U|^2 on every mode and the region's sites alone: O(n) per column,
-and p_region keeps the accuracy of its own dot products, within
-eps b (2 sqrt(p) + eps b) up to a small factor, b = sum_m |V_jm| |c_m|
-(below (eps b)^2 it is rounding noise with or without a cut). Only the
-moment rows x, y^2 and y, which are O(1) or larger, are cut, by a
-row-weighted bound. Each of their entries is at most
+The chain (:func:`pure_state_series`) weights its rows x, y^2 and y by
 W_j = max(|x_j|, D_j, D_j^2), D_j = max(x_j - min x, max x - x_j) >= |y_j|
-(the mean that y is taken about lies between min x and max x). Here
-|u_m(t)| = |c_m| at every t, so dropping the modes outside M moves site
-amplitude j by at most d_j = sum_{m not in M} |V_jm| |c_m|, and every site
-amplitude is at most B_j = sum_m |V_jm| |c_m|. The modes M drop the
-smallest |c_m| while sum_j W_j d_j^2 <= E/2, and the sites S drop the
-smallest W_j B_j^2 while the sum of those stays within E - sum_j W_j d_j^2,
-with E = ``_CLOSED_REACH`` = 2^-110. By Cauchy-Schwarz, reading row r as
-R_r[S] |V[S, M] U_M|^2 moves it by at most 2 sqrt(A_r E) + E =
-2^-54 sqrt(A_r) + 2^-110, where A_r is the row read with |R_r| in place of
-R_r (for y^2, and for x >= 0, the row itself): at most
-eps/2 max(A_r, 1) + 2^-110, below the rounding of the row's own sum. The
-blocks hold U on every mode, those of M first, so the moment rows read
-U[:|M|], a view.
+(the mean that y is taken about lies between min x and max x, up to a few
+ulps that the bound absorbs). Their move stays below their own rounding. A
+bath run reads its region indicator on the reach too, under the same absolute
+bound, and W covers it while x >= 1, as the sites of every chain and switch
+branch are. Without a bath P is |U|^2 and no column decays, and the region
+row can be tiny in its own right (the last site of a localized chain at early
+times, 1e-44 to 1e-31), where the absolute E would move it by O(1) of its
+size. So a closed chain reads its region row whole, as |V[region] U|^2 on
+every mode and the region's sites alone: O(n) per column, and p_region keeps
+the accuracy of its own dot products, within eps b (2 sqrt(p) + eps b) up to
+a small factor, b = sum_m |V_jm| |c_m| (below (eps b)^2 it is rounding noise
+with or without a cut). The superposed switch
+(:func:`openchain.feynman.run_superposed_input`) reads 0/1 rows and passes
+W = 1 on a bath run; without a bath it keeps every mode and site.
 """
 
 from __future__ import annotations
@@ -123,8 +121,7 @@ from .chains import diagonalize
 _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squarings
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
 _DECAYED = 2.0**-70  # ||u||^2 below which the coherences drop under rounding (see above)
-_REACH = 2.0**-72  # ||c_drop|| and the sites' tail sum b_j^2 a bath run leaves out (see above)
-_CLOSED_REACH = 2.0**-110  # the weighted sum E that a closed run's moment rows leave out (see above)
+_REACH = 2.0**-110  # the weighted sum E that the reach of a run leaves out (see above)
 _FLUSH = 1e-150  # entries of S and S^2 .. S^B set to zero below it: no subnormal products
 # degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which they need
 # no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
@@ -370,57 +367,42 @@ def _coherent_columns(amplitudes: np.ndarray) -> int:
     return lo
 
 
-def _tail(weights: np.ndarray, budget: float) -> np.ndarray:
-    """Indices of the smallest ``weights`` whose sum stays below ``budget``."""
-    order = np.argsort(weights)
-    return order[: np.count_nonzero(np.cumsum(weights[order]) < budget)]
-
-
 def _reach(
-    eigenvectors: np.ndarray,
-    amplitudes: np.ndarray,
-    bath: BathSpec | None,
-    positions: np.ndarray | None = None,
+    eigenvectors: np.ndarray, amplitudes: np.ndarray, weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks (modes, sites) of what the coherent term of a pure start c keeps.
+    """Boolean masks (modes M, sites S) of what the coherent term of a pure start c keeps.
 
-    With a bath the modes drop the smallest |c_m| while ||c_drop|| <
-    ``_REACH``, and the sites drop the smallest bounds b_j = sum_{m in M}
-    |V_jm| |c_m| while their tail sum b_j^2 < ``_REACH``. Without a bath
-    (``None`` or zeta = 0) the masks are those of the moment rows x, y^2 and
-    y of the coordinates ``positions``: the modes drop the smallest |c_m|
-    while sum_j W_j d_j^2 <= ``_CLOSED_REACH`` / 2, and the sites drop the
-    smallest W_j B_j^2 within the rest of the budget. Without positions (the
-    superposed switch) both are True throughout. The module docstring gives
-    W, d, B and the bounds.
+    ``weight`` is W, W_j >= |R_rj| for every row r read on the reach. The
+    modes drop the smallest |c_m| while sum_j W_j d_j^2 <= ``_REACH`` / 2,
+    d_j = sum_{m not in M} |V_jm| |c_m|, and the sites drop the smallest
+    W_j B_j^2, B_j = sum_m |V_jm| |c_m|, within the rest of the budget. The
+    module docstring derives the bound.
     """
-    c = np.abs(amplitudes)
-    modes = np.ones(c.size, dtype=bool)
-    sites = np.ones(eigenvectors.shape[0], dtype=bool)
-    if bath is not None and bath.zeta != 0.0:
-        modes[_tail(np.square(c), _REACH**2)] = False
-        bound = np.abs(eigenvectors[:, modes]) @ c[modes]
-        sites[_tail(np.square(bound), _REACH)] = False
-    elif positions is not None:
-        x = np.asarray(positions, dtype=float)
-        spread = np.maximum(x - x.min(), x.max() - x)  # >= |x - mu| for any mean mu of x
-        weight = np.maximum(np.abs(x), np.maximum(spread, np.square(spread)))
-        size, rank = np.abs(eigenvectors), np.argsort(np.argsort(c))
+    c, size = np.abs(amplitudes), np.abs(eigenvectors)
+    rank = np.argsort(np.argsort(c))
 
-        def dropped(k: int) -> np.ndarray:  # d_j of the k smallest |c_m|
-            return size @ np.where(rank < k, c, 0.0)
+    def dropped(k: int) -> np.ndarray:  # d_j of the k smallest |c_m|
+        return size @ np.where(rank < k, c, 0.0)
 
-        lo, hi = 0, c.size  # the most modes with sum_j W_j d_j^2 <= budget / 2: d grows with k
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if weight @ np.square(dropped(mid)) <= _CLOSED_REACH / 2:
-                lo = mid
-            else:
-                hi = mid - 1
-        modes = rank >= lo
-        left = _CLOSED_REACH - weight @ np.square(dropped(lo))
-        sites[_tail(weight * np.square(size @ c), left)] = False
-    return modes, sites
+    lo, hi = 0, c.size  # the most modes with sum_j W_j d_j^2 <= budget / 2: d grows with k
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if weight @ np.square(dropped(mid)) <= _REACH / 2:
+            lo = mid
+        else:
+            hi = mid - 1
+    tail = weight * np.square(size @ c)  # W_j B_j^2
+    order, left = np.argsort(tail), _REACH - weight @ np.square(dropped(lo))
+    sites = np.ones(tail.size, dtype=bool)
+    sites[order[: np.count_nonzero(np.cumsum(tail[order]) < left)]] = False
+    return rank >= lo, sites
+
+
+def _moment_weight(positions: np.ndarray) -> np.ndarray:
+    """W_j = max(|x_j|, D_j, D_j^2), D_j = max(x_j - min x, max x - x_j): bounds x, y^2 and y."""
+    x = np.asarray(positions, dtype=float)
+    spread = np.maximum(x - x.min(), x.max() - x)  # >= |x - mu| for any mean mu of x
+    return np.maximum(np.abs(x), np.maximum(spread, np.square(spread)))
 
 
 def _kept(mask: np.ndarray) -> np.ndarray | slice:
@@ -512,17 +494,19 @@ def pure_state_series(
     about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision. A
     variance below -1e-9 is a numeric failure and raises
     ``FloatingPointError``; the rounding-level negatives above it are clipped
-    to 0. With a bath the blocks hold U on the modes of :func:`_reach` alone,
-    and the read-out forms V U on its sites alone. A closed run (``None`` or
-    zeta = 0) reads the rows x, y^2 and y on the modes and sites of
-    :func:`_reach` for ``positions``, from V[S, M] sliced once, and the
-    region row on every mode, from V[region] (module docstring).
+    to 0. The rows are read on the modes and sites of :func:`_reach`,
+    weighted by :func:`_moment_weight` of ``positions``, which bounds the
+    region's indicator too while every position is >= 1. With a bath the
+    blocks hold U on the modes of the reach alone, and the read-out forms
+    V U on its sites alone. A closed run (``None`` or zeta = 0) reads the
+    rows x, y^2 and y from V[S, M] sliced once, and the region row on every
+    mode, from V[region] (module docstring).
     """
     (e, v), x = eig, np.asarray(positions, dtype=float)
     times = time_grid(t_max, dt)
     indicator = np.bincount(region, minlength=x.size).astype(float)
     mean, var, p_region = (np.empty(times.size) for _ in range(3))
-    keep, cover = _reach(v, amplitudes, bath, x)
+    keep, cover = _reach(v, amplitudes, _moment_weight(x))
     kept = np.count_nonzero(keep)
     if bath is None or bath.zeta == 0.0:
         # U holds every mode, those of M first: the moment rows read V[S, M] U[:kept] and

@@ -36,17 +36,19 @@ def test_one_repetition_writes_every_stage(stages):
     assert ("localized", 200) in stages.CASES
     for case in report["cases"]:
         assert case["stages"].keys() == set(stages.STAGES)
-        # the reach of the bath run's coherent term and of the closed run's moment rows
+        # the reach of the bath run's coherent term and of the closed run's moment rows:
+        # one rule and one weight, so one count
         assert case["kept"].keys() == {"bath", "closed"}
         for kept in case["kept"].values():
             assert kept.keys() == {"modes", "sites"}
             assert all(0 < count <= 20 for count in kept.values())
+        assert case["kept"]["bath"] == case["kept"]["closed"]
     [case, _] = report["cases"]
     assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
     assert "closed" in case["stages"]  # the case's chain and grid without the bath
     # the CSV writer's cold tables and its warm cost per cell
     assert {"csv_tables", "csv_cells"} <= case["stages"].keys()
-    assert stages.STAGES.index("closed") < stages.STAGES.index("run")  # before any bath run
+    assert stages.STAGES.index("closed") > stages.STAGES.index("run")  # after the bath stages
     for entry in case["stages"].values():
         assert entry.keys() == {"change"}
         assert entry["change"].keys() == {"median", "q25", "q75", "runs", "faults"}

@@ -75,7 +75,7 @@ from support import (
     relax_energy_density,
 )
 
-from openchain import lindblad
+from openchain import feynman, lindblad
 from openchain.chains import (
     build_chain_hamiltonian,
     diagonalize,
@@ -476,7 +476,7 @@ def test_run_superposed_input_past_the_cut():
     assert np.max(np.abs(series["entropy"][cut:] - von_neumann_entropy(past))) <= 1e-15
 
 
-def test_closed_run_reads_the_region_row_on_every_mode():
+def test_closed_run_reads_the_region_row_on_every_mode(monkeypatch):
     # Without a bath (None or zeta = 0) the moment rows are read on the modes
     # and sites of _reach, 157 of 200 modes on the first of these localized
     # chains, while the region row is |V[region] U|^2 on every mode. The
@@ -486,17 +486,14 @@ def test_closed_run_reads_the_region_row_on_every_mode():
     # times a dot product's unit rounding eps b (measured: 3.3 on these
     # chains). On the second chain the modes left out of M move the last
     # site's amplitude by 720 eps b, so a region row read on M fails. The
-    # superposed switch passes no positions and keeps every mode and site.
+    # closed superposed switch takes no reach: it keeps every mode and site.
     eps = 2.0**-53
     for seed, kept in ((0, 157), (2, 159)):
         h = build_chain_hamiltonian(sample_disorder(200, 0.5, seed), 0.0)
         e, v = diagonalize(h)
         x = np.arange(1, 201)
-        modes, sites = lindblad._reach(v, v[0], None, x)
+        modes, sites = lindblad._reach(v, v[0], lindblad._moment_weight(x))
         assert (modes.sum(), sites.sum()) == (kept, 200)
-        zero = lindblad._reach(v, v[0], BathSpec(beta=1.0, zeta=0.0), x)
-        assert np.array_equal(zero[0], modes) and np.array_equal(zero[1], sites)
-        assert all(mask.all() for mask in lindblad._reach(v, v[0], None))
         got = dissipative_transport_run(h, None, 2000.0, 0.5)["p_region"]
         assert 0.0 < got[1] < 1e-40
         _, amps = relax_energy_density(e, None, v[0], 2000.0, 0.5)
@@ -505,6 +502,14 @@ def test_closed_run_reads_the_region_row_on_every_mode():
         exact += (last @ amps.imag.astype(np.longdouble)) ** 2
         unit = eps * (np.abs(v[-1]) @ np.abs(v[0]))
         assert np.all(np.abs(got - exact) <= 16 * unit * (2 * np.sqrt(exact) + unit))
+
+    def no_reach(*args):
+        raise AssertionError("the closed superposed switch took a reach")
+
+    monkeypatch.setattr(feynman, "_reach", no_reach)
+    disorder = sample_disorder(22, 0.5, 0)
+    for bath in (None, BathSpec(beta=1.0, zeta=0.0)):
+        run_superposed_input(4, disorder, 2.0, bath, 50.0, 1.0)
 
 
 #: closed chains whose read-out is held to the long-double reference: the
@@ -530,7 +535,7 @@ def test_closed_cut_rounds_like_the_uncut_read_out(chain):
     e, v = diagonalize(build_chain_hamiltonian(sample_disorder(s, sigma, seed), g))
     x, region, axis = np.arange(1, s + 1), np.array([s - 1]), (400.0, 1.0)
     if sigma:
-        assert not all(mask.all() for mask in lindblad._reach(v, v[0], None, x))
+        assert not all(mask.all() for mask in lindblad._reach(v, v[0], lindblad._moment_weight(x)))
     got = lindblad.pure_state_series((e, v), None, v[0], *axis, x, region)
     exact = closed_block_series((e, v), v[0], *axis, x, region, np.longdouble)
     uncut = closed_block_series((e, v), v[0], *axis, x, region)
@@ -540,17 +545,17 @@ def test_closed_cut_rounds_like_the_uncut_read_out(chain):
 
 
 def test_superposed_reach_cut_holds_to_the_full_run(monkeypatch):
-    # A bath run of the s = 52 switch at a = 4 keeps 16 of 50 modes on each
-    # branch, and 11 sites on the upper branch and 12 on the lower one; the
-    # cross diagonal is formed on the 12 sites either branch reaches.
+    # A bath run of the s = 52 switch at a = 4 keeps 13 of 50 modes and 15
+    # sites on each branch (W = 1); the cross diagonal is formed on the 15
+    # sites either branch reaches.
     # Against the same run with every mode and site kept, each
     # read-out column and register entry moves by at most 2^-70 plus its
     # rounding, the Bell fidelity times its weight past the gate by 2^-69
     # plus rounding, and the entropy by eigvalsh's rounding.
     disorder, bath, axis = sample_disorder(52, 0.5, 0), BATHS["bath"], (2000.0, 1.0)
-    for branch, kept in (("U", [16, 11]), ("D", [16, 12])):
+    for branch in ("U", "D"):
         *_, (e, v) = build_branch(4, branch, disorder, 2.0)
-        assert [mask.sum() for mask in lindblad._reach(v, v[0], bath)] == kept
+        assert [mask.sum() for mask in lindblad._reach(v, v[0], np.ones(50))] == [13, 15]
     series, register = run_superposed_input(4, disorder, 2.0, bath, *axis)
     monkeypatch.setattr(lindblad, "_REACH", 0.0)  # no budget: nothing is cut
     full, full_register = run_superposed_input(4, disorder, 2.0, bath, *axis)
@@ -676,7 +681,7 @@ def test_bath_read_out_memory(pipeline):
     # eigenvector, rate, generator, S^32 and V*V matrices (1.5: five of 0.3 at
     # n = 200); one is margin. On top come the O(T) series: the grid and the
     # columns that each block fills in. The whole-grid populations peaked at
-    # 12.5 MiB here. The reach cut keeps U and V U on 16 modes and 11 sites
+    # 12.5 MiB here. The reach cut keeps U and V U on 14 modes and 17 sites
     # of this chain: measured 3.7 blocks above the series (5.6 without it).
     axis, bath = (5000.0, 1.0), BATHS["bath"]
     if pipeline == "transport":

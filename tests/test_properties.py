@@ -236,30 +236,27 @@ def reach_params(draw):
 
 @DERANDOMIZED
 @given(reach_params())
-@example((100, 0.5, 2.0, 1.0, 0.05, 0))  # the transport chain: 16 modes and 11 sites kept
+@example((100, 0.5, 2.0, 1.0, 0.05, 0))  # the transport chain
 @example((400, 0.5, 2.0, 0.1, 0.05, 0))  # the wide-band case: a hot bath fills the most levels
 @example(CLEAN_CHAIN)
 def test_reach_cut_holds_to_the_full_read_out(params):
-    # With a bath the read-out keeps the modes M and sites S of _reach: the
-    # dropped norm ||c_drop|| stays below 2^-72 and so does the dropped sites'
-    # tail sum b_j^2. The cut read-out, on the kernel's U of the modes M
-    # alone, must equal the full one within max|R_r| 2^-70 plus rounding, on
-    # random rows and on rows that live on the dropped sites alone, where the
-    # whole coherent term is dropped. The rounding of a row is counted on the
-    # magnitudes it sums: |R| (|V|^2 (P + |U|^2) + |V U|^2).
+    # With a bath the read-out keeps the modes M and sites S of _reach, here
+    # for the weight W_j = max_r |R_rj| of the random rows it reads. The cut
+    # read-out, on the kernel's U of the modes M alone, must equal the full
+    # one within max|R_r| 2^-70 plus rounding, on random rows and on rows
+    # that live on the dropped sites alone, where the whole coherent term is
+    # dropped. The rounding of a row is counted on the magnitudes it sums:
+    # |R| (|V|^2 (P + |U|^2) + |V U|^2).
     s, sigma, g, beta, zeta, seed = params
     e, v = chain_spectrum(s, sigma, g, seed)
     bath = BathSpec(beta, zeta)
-    modes, sites = lindblad._reach(v, v[0], bath)
-    assert np.sum(np.square(v[0, ~modes])) < 2.0**-144
-    bound = np.abs(v[:, modes]) @ np.abs(v[0, modes])
-    assert np.sum(np.square(bound[~sites])) < 2.0**-72
+    rows = np.random.default_rng(seed).standard_normal((4, s))
+    modes, sites = lindblad._reach(v, v[0], np.abs(rows).max(axis=0))
+    rows[2:, sites] = 0.0  # within the weight still
     reach = (lindblad._kept(modes), lindblad._kept(sites))
     pops, amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0)
     cut_pops, cut_amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0, reach[0])
     assert np.array_equal(cut_pops, pops) and np.array_equal(cut_amps, amps[modes])
-    rows = np.random.default_rng(seed).standard_normal((4, s))
-    rows[2:, sites] = 0.0
     full = read_out(v, rows, pops, amps)
     cut = read_out(v, rows, cut_pops, cut_amps, None, reach)
     magnitude = np.square(v) @ (pops + np.abs(amps) ** 2) + np.abs(v @ amps) ** 2
@@ -270,38 +267,58 @@ def test_reach_cut_holds_to_the_full_read_out(params):
 
 @st.composite
 def closed_params(draw):
-    """(s, sigma, g, disorder seed) of a closed chain up to the transport size."""
+    """(s, sigma, g, bath or None, disorder seed) of a chain up to the transport size."""
     s = draw(st.integers(2, 120))
     sigma, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 3.0))
-    return s, sigma, g, draw(st.integers(0, 2**16))
+    bath = draw(st.none() | st.builds(BathSpec, st.floats(0.1, 5.0), st.floats(0.01, 0.5)))
+    return s, sigma, g, bath, draw(st.integers(0, 2**16))
 
 
 @DERANDOMIZED
 @given(closed_params())
-@example((200, 0.5, 0.0, 0))  # the localized chain of the closed benchmark: 157 modes kept
-@example((400, 0.5, 2.0, 0))  # the tilted chain: 14 modes and 17 sites kept
-@example((20, 0.0, 0.0, 0))  # the clean chain
+@example((200, 0.5, 0.0, None, 0))  # the localized chain of the closed benchmark: 157 modes kept
+@example((400, 0.5, 2.0, None, 0))  # the tilted chain: 14 modes and 17 sites kept
+@example((20, 0.0, 0.0, None, 0))  # the clean chain
+@example((100, 0.5, 2.0, BathSpec(1.0, 0.05), 0))  # the transport chain: 14 modes, 17 sites
 def test_closed_reach_cut_holds_to_its_bound(params):
-    # Without a bath the moment rows x, y^2 and y are read on the modes M and
-    # sites S of _reach. What that leaves out of row r, on the sites S the
-    # sum of R_rj (|a_j + delta_j|^2 - |a_j|^2), with a and delta the site
-    # amplitudes of the modes M and of the rest, and on the other sites
-    # R_rj |a_j + delta_j|^2, is formed term by term (no cancellation of two
-    # full read-outs) and must stay within the documented bound
-    # 2 sqrt(A_r E) + E, E = _CLOSED_REACH, A_r the row read with |R_r| on
-    # the cut; 1e-6 covers the rounding of the terms. y is taken about the
-    # mean at t = 0, as a block's first column gives it.
-    s, sigma, g, seed = params
+    # The rows are read on the modes M and sites S of _reach for a weight W
+    # that bounds each of their entries: the moment rows x, y^2, y and the
+    # last site's indicator under W = max(|x|, D, D^2), and random rows in
+    # [-1, 1] and a 0/1 row, as the superposed switch reads, under W = 1.
+    # What that leaves out of row r, on the sites S the sum of
+    # R_rj (|a_j + delta_j|^2 - |a_j|^2), with a and delta the site amplitudes
+    # of the modes M and of the rest, and on the other sites
+    # R_rj |a_j + delta_j|^2, less with a bath the part of the correction on
+    # the modes outside M, R_r (V*V)[:, not M] |U_not M|^2, is formed term by
+    # term (no cancellation of two full read-outs) and must stay within the
+    # documented bound 2 sqrt(A_r E) + E, plus E/2 with a bath, E = _REACH,
+    # A_r the coherent term read with |R_r| on the cut; 1e-6 covers the
+    # rounding of the terms. The modes spend sum_j W_j d_j^2 <= E/2 of the
+    # budget, and the dropped sites' part alone stays within the rest. y is
+    # taken about the mean at t = 0, as a block's first column gives it.
+    s, sigma, g, bath, seed = params
     e, v = chain_spectrum(s, sigma, g, seed)
     x = np.arange(1.0, s + 1)
-    modes, sites = lindblad._reach(v, v[0], None, x)
-    _, amps = relax_energy_density(e, None, v[0], 1000.0, 5.0)
-    kept, delta = v[:, modes] @ amps[modes], v[:, ~modes] @ amps[~modes]
-    whole = np.abs(kept + delta) ** 2
-    y = x - x @ whole[:, 0]
-    rows = np.stack([x, y**2, y])
-    inside = 2 * (kept.conj() * delta).real + np.abs(delta) ** 2
-    moved = rows[:, sites] @ inside[sites] + rows[:, ~sites] @ whole[~sites]
-    read = np.abs(rows[:, sites]) @ np.abs(kept[sites]) ** 2
-    budget = lindblad._CLOSED_REACH
-    assert np.all(np.abs(moved) <= (2 * np.sqrt(read * budget) + budget) * (1 + 1e-6))
+    pops, amps = relax_energy_density(e, bath, v[0], 1000.0, 5.0)
+    y = x - x @ np.abs(v @ amps[:, 0]) ** 2
+    rng = np.random.default_rng(seed)
+    unit = np.vstack([rng.uniform(-1.0, 1.0, (2, s)), rng.integers(0, 2, s)])
+    moment = np.stack([x, y**2, y, np.arange(s) == s - 1])
+    budget = lindblad._REACH
+    for rows, weight in ((moment, lindblad._moment_weight(x)), (unit, np.ones(s))):
+        assert np.all(np.abs(rows) <= weight * (1 + 1e-12))  # the mean rounds past min x
+        modes, sites = lindblad._reach(v, v[0], weight)
+        spent = weight @ np.square(np.abs(v[:, ~modes]) @ np.abs(v[0, ~modes]))
+        assert spent <= budget / 2
+        kept, delta = v[:, modes] @ amps[modes], v[:, ~modes] @ amps[~modes]
+        whole = np.abs(kept + delta) ** 2
+        outside = rows[:, ~sites] @ whole[~sites]
+        assert np.all(np.abs(outside) <= (budget - spent) * (1 + 1e-6))
+        inside = 2 * (kept.conj() * delta).real + np.abs(delta) ** 2
+        moved = rows[:, sites] @ inside[sites] + outside
+        read = np.abs(rows[:, sites]) @ np.abs(kept[sites]) ** 2
+        bound = 2 * np.sqrt(read * budget) + budget
+        if pops is not None:  # the correction subtracts |U|^2 on the modes M alone
+            moved -= rows @ (np.square(v[:, ~modes]) @ np.abs(amps[~modes]) ** 2)
+            bound += budget / 2
+        assert np.all(np.abs(moved) <= bound * (1 + 1e-6))

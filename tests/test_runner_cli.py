@@ -487,6 +487,20 @@ class TestCli:
         ]
         assert list(tmp_path.glob("out/*.csv")) == []
 
+    def test_overflowing_tilt_exit_3(self, tmp_path, capsys):
+        # a config that validates, but whose tilt g*x overflows to -inf, is a
+        # numeric failure, not a config or usage error
+        path = self.write_config(
+            tmp_path,
+            f"[experiment]\nscenario = bloch\noutput = {tmp_path / 'out'}\n[chain]\ng = 1e307\n",
+        )
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numeric failure: on-site energies overflow: tilt g=1e+307 on 20 sites"
+        )
+        assert list(tmp_path.glob("out/*.csv")) == []
+
     def test_negative_variance_exit_3(self, tmp_path, monkeypatch, capsys):
         # a variance below -1e-9 is a numeric failure of the read-out, not a
         # usage error
