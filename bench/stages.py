@@ -13,8 +13,7 @@ Each measurement runs in a fresh process that imports ``openchain`` from one
 tree's ``src`` with one BLAS thread, and times these stages, in this order:
 
 * ``csv_tables``: the CSV formatter's constant tables, cold, as the first
-  ``write_csv`` of each CLI process loads them (``series._tables``; on a tree
-  from before the tables file, ``_powers_of_ten`` and ``_layout`` build them);
+  ``write_csv`` of each CLI process loads them (``series._tables``);
 * ``diagonalize``: ``chains.diagonalize`` of the chain;
 * ``expm``: S = ``lindblad.expm(A dt)`` and its five squarings to S^32, timed as
   the first block of ``lindblad._population_blocks`` at width 32 (it adds 31
@@ -41,15 +40,14 @@ Beside each stage's time the worker records its minor page faults
 records ``kept``: the modes and sites that ``lindblad._reach`` keeps in the
 bath run's coherent term (``bath``) and in the closed run's moment rows
 (``closed``), counted on this tree. Both runs take one rule with the same
-weight (``lindblad._moment_weight`` of the sites), so the two counts agree; a
-tree whose ``_reach`` takes no weight (before that rule) records None. Each
-stage is imported by name, so a rename raises ``ImportError`` instead of
-dropping the stage. With ``--base PATH`` every pair
-runs this tree and the tree at PATH back to back, alternating which goes
-first; the JSON records, per stage, each side's runs, median and quartiles of
-the time and of the page faults, the pairs this tree won on time and those
-it took fewer faults in (ties count for neither). The machine is recorded
-beside them.
+weight (``lindblad._moment_weight`` of the sites), so the two counts agree.
+Each stage is imported by name, so a rename raises ``ImportError`` instead of
+dropping the stage; the base tree, the parent commit, has every one. With
+``--base PATH`` every pair runs this tree and the tree at PATH back to back,
+alternating which goes first; the JSON records, per stage, each side's runs,
+median and quartiles of the time and of the page faults, the pairs this tree
+won on time and those it took fewer faults in (ties count for neither). The
+machine is recorded beside them.
 
     python bench/stages.py --out BENCH.json --base ../parent
 """
@@ -86,33 +84,23 @@ def minor_faults() -> int:
 
 def measure(chain: str, s: int, points: int) -> dict:
     """Seconds (csv_cells: ns per cell) and minor page faults per stage of one chain of ``CHAINS``."""
-    from openchain import lindblad, series
+    from openchain import lindblad
     from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
     from openchain.config import ExperimentConfig
     from openchain.lindblad import (
         _BLOCK_BYTES,
         _BLOCK_SQUARINGS,
         BathSpec,
+        _moment_weight,
         _population_blocks,
+        _reach,
         dissipative_transport_run,
         population_generator,
         read_out,
         transition_rates,
     )
     from openchain.runner import _numeric_environment, run_realization
-    from openchain.series import write_csv
-
-    try:
-        from openchain.lindblad import _moment_weight, _reach
-    except ImportError:  # a tree from before the one reach rule: its _reach takes no weight
-        _reach = None
-    if hasattr(series, "_tables"):
-        csv_tables = series._tables
-    else:  # a tree from before the tables file
-
-        def csv_tables():
-            series._powers_of_ten()
-            series._layout()
+    from openchain.series import _tables, write_csv
 
     times, faults = {}, {}
 
@@ -123,7 +111,7 @@ def measure(chain: str, s: int, points: int) -> dict:
         faults[stage] = minor_faults() - before
         return out
 
-    timed("csv_tables", csv_tables)
+    timed("csv_tables", _tables)
     case = CHAINS[chain]
     bath, dt = BathSpec(case["beta"], case["zeta"]), case["dt"]
     t_max = dt * (points - 1)
@@ -131,10 +119,8 @@ def measure(chain: str, s: int, points: int) -> dict:
     energies = build_chain_hamiltonian(sample_disorder(s, case["sigma"], case["seed"]), case["g"])
 
     e, v = timed("diagonalize", diagonalize, energies)
-    kept = dict.fromkeys(("bath", "closed"))
-    if _reach is not None:
-        modes, sites = _reach(v, v[0], _moment_weight(np.arange(1, s + 1)))
-        kept = dict.fromkeys(kept, {"modes": int(modes.sum()), "sites": int(sites.sum())})
+    modes, sites = _reach(v, v[0], _moment_weight(np.arange(1, s + 1)))
+    kept = dict.fromkeys(("bath", "closed"), {"modes": int(modes.sum()), "sites": int(sites.sum())})
 
     gen, p = population_generator(transition_rates(e, bath), bath), v[0] ** 2
     block = 1 << _BLOCK_SQUARINGS

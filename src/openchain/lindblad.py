@@ -8,9 +8,9 @@ at the thermal rates
     emission    n+1 -> n :  1 / (exp(beta*omega) - 1) + 1
 
 with omega the level gap, so detailed balance holds and the Gibbs vector is
-stationary. They form the bare-rate matrix gamma, gamma[m, n] the rate of
-n -> m (:func:`transition_rates`); the chain-bath coupling strength ``zeta``
-multiplies all rates.
+stationary. The rates are two bands of n - 1 entries, absorption k -> k+1
+and emission k+1 -> k (:func:`transition_rates`); the chain-bath coupling
+strength ``zeta`` multiplies all rates.
 
 Under these rates the density matrix decouples in the energy eigenbasis:
 populations follow a classical master equation, while each coherence decays
@@ -18,7 +18,7 @@ autonomously,
 
     rho_mn(t) = rho_mn(0) * exp([-i (e_m - e_n) - zeta (G_m + G_n)/2] t),
 
-where G_m = sum_j gamma[j, m] is the total outflow rate from level m.
+where G_m, the width of level m, is its total outflow rate (:func:`level_widths`).
 ``zeta = 0`` reduces every formula to the closed-system evolution.
 
 Every run in the package starts from a pure state (energy amplitudes c); the
@@ -160,12 +160,8 @@ class BathSpec:
             raise ValueError(f"coupling constant must be finite and >= 0, got {self.zeta}")
 
 
-def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> np.ndarray:
-    """The bare-rate matrix: gamma[m, n] is the thermal rate of the level transition n -> m.
-
-    zeta is excluded. Only nearest-level entries (absorption and emission) are
-    nonzero; column m sums to the total outflow rate G_m of level m.
-    """
+def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(absorption, emission): the only nonzero rates, k -> k+1 and k+1 -> k, zeta excluded."""
     evals = np.asarray(eigenvalues, dtype=float)
     omega = np.diff(evals)
     not_ascending = np.flatnonzero(omega <= 0)
@@ -177,11 +173,14 @@ def transition_rates(eigenvalues: np.ndarray, bath: BathSpec) -> np.ndarray:
         )
     with np.errstate(over="ignore"):
         occupation = 1.0 / np.expm1(bath.beta * omega)
-    k = np.arange(omega.size)
-    gamma = np.zeros((evals.size, evals.size))
-    gamma[k + 1, k] = occupation  # absorption
-    gamma[k, k + 1] = occupation + 1.0  # stimulated + spontaneous emission
-    return gamma
+    return occupation, occupation + 1.0  # emission: stimulated + spontaneous
+
+
+def level_widths(rates: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """G_m, the outflow rate of level m: absorption[m] up plus emission[m - 1] down."""
+    widths = np.append(rates[0], 0.0)
+    widths[1:] += rates[1]
+    return widths
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -223,10 +222,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def population_generator(gamma: np.ndarray, bath: BathSpec) -> np.ndarray:
-    """Generator A of dp/dt = A p from the bare rates; columns sum to zero (trace preserving)."""
-    a = bath.zeta * gamma
-    np.fill_diagonal(a, -bath.zeta * gamma.sum(axis=0))
+def population_generator(rates: tuple[np.ndarray, np.ndarray], bath: BathSpec) -> np.ndarray:
+    """Dense generator A = zeta (rates - diag G) of dp/dt = A p, expm's input; columns sum to 0."""
+    k = np.arange(rates[0].size)
+    a = np.diag(-bath.zeta * level_widths(rates))
+    a[k + 1, k], a[k, k + 1] = bath.zeta * rates[0], bath.zeta * rates[1]
     return a
 
 
@@ -334,10 +334,10 @@ def energy_blocks(
     width = max(1 << _BLOCK_SQUARINGS, _BLOCK_BYTES // (16 * e.size))
     pops, d = None, -1j * e
     if bath is not None and bath.zeta != 0.0:
-        gamma = transition_rates(e, bath)
-        gen = population_generator(gamma, bath)
+        rates = transition_rates(e, bath)
+        gen = population_generator(rates, bath)
         pops = _population_blocks(gen, np.abs(c) ** 2, step, width, size)
-        d = d - 0.5 * bath.zeta * gamma.sum(axis=0)
+        d = d - 0.5 * bath.zeta * level_widths(rates)
     d, c = d[modes], c[modes]
     first = _phases(d, c, step, min(width, size))
     for start in range(0, size, width):

@@ -250,6 +250,21 @@ def full_space_observables(psi: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     return mean_q, rho_reg
 
 
+def rate_matrix(eigenvalues: np.ndarray, bath: BathSpec) -> np.ndarray:
+    """The dense bare-rate matrix: gamma[m, n] the rate of n -> m, from the package's two bands.
+
+    The oracles below take it as their input, and their widths G as its
+    column sums, so that they share no code with ``population_generator``
+    and ``level_widths``.
+    """
+    absorption, emission = transition_rates(eigenvalues, bath)
+    k = np.arange(absorption.size)
+    gamma = np.zeros((k.size + 1, k.size + 1))
+    gamma[k + 1, k] = absorption
+    gamma[k, k + 1] = emission
+    return gamma
+
+
 def brute_force_lindblad(
     eigenvalues: np.ndarray,
     gamma: np.ndarray,
@@ -323,7 +338,7 @@ def direct_relax_energy_density(
     c = np.asarray(amplitudes, dtype=complex)
     if bath is None or bath.zeta == 0.0:
         return None, c[:, None] * np.exp(np.outer(-1j * e, t_grid))
-    gamma = transition_rates(e, bath)
+    gamma = rate_matrix(e, bath)
     widths = gamma.sum(axis=0)
     gen = bath.zeta * (gamma - np.diag(widths))
     steps: dict[float, np.ndarray] = {}
@@ -388,7 +403,7 @@ CLOSED = BathSpec(beta=1.0, zeta=0.0)
 
 def _dense_states(eigenvalues, bath: BathSpec | None, rho0: np.ndarray, t_grid) -> list:
     bath = bath or CLOSED
-    gamma = transition_rates(eigenvalues, bath)
+    gamma = rate_matrix(eigenvalues, bath)
     return relax_energy_density_dense(eigenvalues, gamma, bath.zeta, rho0, t_grid)
 
 
@@ -467,7 +482,7 @@ def dense_superposed_columns(
     uu_states = _dense_states(e_u, bath, 0.5 * np.outer(vu[0], vu[0]), t_grid)
     dd_states = _dense_states(e_d, bath, 0.5 * np.outer(vd[0], vd[0]), t_grid)
     bath = bath or CLOSED
-    widths = [bath.zeta * transition_rates(e, bath).sum(axis=0) for e in (e_u, e_d)]
+    widths = [bath.zeta * rate_matrix(e, bath).sum(axis=0) for e in (e_u, e_d)]
     cross_decay = -1j * np.subtract.outer(e_u, e_d) - 0.5 * (
         widths[0][:, None] + widths[1][None, :]
     )

@@ -38,6 +38,7 @@ from openchain.feynman import (
 from openchain.lindblad import (
     BathSpec,
     arrival_peak,
+    level_widths,
     read_out,
     time_grid,
     transition_rates,
@@ -163,14 +164,14 @@ def test_criterion_6_coherence_closed_form():
             dim = int(rng.integers(2, 11))
             evals = np.cumsum(rng.uniform(0.2, 2.0, dim)) + rng.uniform(-1, 1)
             bath = BathSpec(beta=float(rng.uniform(0.3, 3.0)), zeta=float(rng.uniform(0.0, 1.0)))
-            gamma = transition_rates(evals, bath)
+            rates = transition_rates(evals, bath)
             amp0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             amp0 /= np.linalg.norm(amp0)
             rho0 = np.outer(amp0, amp0.conj())
             t = float(rng.uniform(0.0, 5.0))
             _, amps = kernel_at(evals, bath, amp0, t)
             got = np.outer(amps[:, 0], amps[:, 0].conj())  # off-diagonal: the coherences
-            widths = gamma.sum(axis=0)
+            widths = level_widths(rates)
             for i in range(dim):
                 for j in range(dim):
                     if i == j:

@@ -27,7 +27,7 @@ import pytest
 
 from openchain.chains import sample_disorder
 from openchain.feynman import build_branch, run_classical_input, run_superposed_input
-from openchain.lindblad import BathSpec, transition_rates
+from openchain.lindblad import BathSpec, level_widths, transition_rates
 
 S, A, SIGMA, G, BETA, AXIS, SEEDS = 22, 9, 0.5, 2.0, 1.0, (1000.0, 1.0), range(20)
 #: each zeta (0: no bath) with the bounds on the median p_beyond_gate at t_max
@@ -60,7 +60,7 @@ def secular_ratio(disorder: np.ndarray, g: float, zeta: float) -> float:
     ratios = []
     for branch in "UD":
         *_, (e, _) = build_branch(A, branch, disorder, g)
-        widths = transition_rates(e, BathSpec(BETA, zeta)).sum(axis=0)
+        widths = level_widths(transition_rates(e, BathSpec(BETA, zeta)))
         ratios.append(zeta * widths.max() / np.diff(e).min())
     return float(np.max(ratios))  # np.max, unlike max, keeps a NaN
 

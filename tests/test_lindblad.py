@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from support import (
     brute_force_lindblad,
     free_eigensystem,
     integrate_populations,
     kernel_at,
     kernel_states,
+    rate_matrix,
     relax_energy_density,
     thermal_fixed_point,
 )
@@ -24,6 +27,7 @@ from openchain.lindblad import (
     DegenerateGapError,
     dissipative_transport_run,
     expm,
+    level_widths,
     population_generator,
     pure_state_series,
     read_out,
@@ -77,32 +81,50 @@ class TestBathSpec:
         assert all(np.all(np.isfinite(values)) for values in columns.values())
 
 
+@st.composite
+def ascending_spectra(draw):
+    """(eigenvalues, bath): 2 to 12 ascending levels, beta from hot to zero temperature."""
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=11))
+    origin = draw(st.floats(-10.0, 10.0))
+    beta = draw(st.one_of(st.floats(0.01, 1e3), st.just(np.inf)))
+    return origin + np.cumsum([0.0, *gaps]), BathSpec(beta, draw(st.floats(0.0, 1.0)))
+
+
 class TestTransitionRates:
     def test_bose_factors(self):
-        gamma = transition_rates([0.0, 1.0], BathSpec(beta=1.0, zeta=1.0))
-        assert gamma[1, 0] == pytest.approx(0.58198, abs=1e-5)
-        assert gamma[0, 1] == pytest.approx(1.58198, abs=1e-5)
+        absorption, emission = transition_rates([0.0, 1.0], BathSpec(beta=1.0, zeta=1.0))
+        assert absorption[0] == pytest.approx(0.58198, abs=1e-5)
+        assert emission[0] == pytest.approx(1.58198, abs=1e-5)
 
     def test_zero_temperature_limit(self):
-        gamma = transition_rates([0.0, 1.0], BathSpec(beta=50.0, zeta=1.0))
-        assert gamma[1, 0] < 1e-20
-        assert gamma[0, 1] == pytest.approx(1.0, abs=1e-15)
+        absorption, emission = transition_rates([0.0, 1.0], BathSpec(beta=50.0, zeta=1.0))
+        assert absorption[0] < 1e-20
+        assert emission[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_detailed_balance(self):
         evals = random_spectrum(8, 1)
         beta = 0.7
-        gamma = transition_rates(evals, BathSpec(beta=beta, zeta=1.0))
+        absorption, emission = transition_rates(evals, BathSpec(beta=beta, zeta=1.0))
         for k in range(7):
             omega = evals[k + 1] - evals[k]
-            assert gamma[k + 1, k] / gamma[k, k + 1] == pytest.approx(
-                np.exp(-beta * omega), rel=1e-12
-            )
+            assert absorption[k] / emission[k] == pytest.approx(np.exp(-beta * omega), rel=1e-12)
 
-    def test_nearest_level_only(self):
-        gamma = transition_rates(random_spectrum(6, 2), BathSpec(beta=1.0, zeta=1.0))
-        mask = np.abs(np.subtract.outer(range(6), range(6))) == 1
-        assert np.all(gamma[~mask] == 0.0)
-        assert np.all(gamma >= 0.0)
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(ascending_spectra())
+    @example((np.array([0.0, 0.5, 1.7]), BathSpec(np.inf, 0.3)))  # zero temperature
+    @example((np.array([-1.0, 0.0, 2.0, 2.5]), BathSpec(1e3, 0.05)))  # beta omega > 709
+    def test_generator_matches_dense_rates(self, spectrum):
+        # the generator and widths from the bands against zeta (Gamma - diag(Gamma^T 1)) of
+        # the tests' own dense matrix: equal bit for bit, not only within rounding
+        evals, bath = spectrum
+        rates = transition_rates(evals, bath)
+        assert all(band.shape == (evals.size - 1,) and np.all(band >= 0.0) for band in rates)
+        gamma = rate_matrix(evals, bath)
+        assert np.array_equal(level_widths(rates), gamma.sum(axis=0))
+        gen = population_generator(rates, bath)
+        assert np.array_equal(gen, bath.zeta * (gamma - np.diag(gamma.sum(axis=0))))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(gen.sum(axis=0)) <= 4 * eps * np.abs(gen).sum(axis=0))
 
     def test_degenerate_gap_rejected(self):
         with pytest.raises(DegenerateGapError):
@@ -142,12 +164,12 @@ class TestPropagatePopulations:
     def test_expm_matches_adaptive_integrator(self, dim, seed):
         evals = random_spectrum(dim, seed)
         bath = BathSpec(beta=1.1, zeta=0.7)
-        gamma = transition_rates(evals, bath)
+        rates = transition_rates(evals, bath)
         rng = np.random.Generator(np.random.Philox(key=seed))
         p0 = rng.uniform(0.1, 1.0, dim)
         p0 /= p0.sum()
         a = kernel_populations(evals, bath, p0, 4.0)
-        b = integrate_populations(population_generator(gamma, bath), p0, 4.0)
+        b = integrate_populations(population_generator(rates, bath), p0, 4.0)
         assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -230,7 +252,7 @@ class TestPropagateCoherences:
         for dim, seed in ((3, 12), (6, 13)):
             evals = random_spectrum(dim, seed)
             bath = BathSpec(beta=1.2, zeta=0.4)
-            gamma = transition_rates(evals, bath)
+            gamma = rate_matrix(evals, bath)
             c = random_pure(dim, seed + 100)
             t = 2.5
             oracle = brute_force_lindblad(evals, gamma, bath.zeta, np.outer(c, c.conj()), t)
@@ -251,8 +273,7 @@ class TestThermalFixedPoint:
     def test_generator_annihilates_gibbs(self):
         evals = random_spectrum(10, 15)
         bath = BathSpec(beta=1.4, zeta=0.9)
-        gamma = transition_rates(evals, bath)
-        gen = population_generator(gamma, bath)
+        gen = population_generator(transition_rates(evals, bath), bath)
         resid = gen @ thermal_fixed_point(evals, 1.4)
         assert np.max(np.abs(resid)) < 1e-12
 

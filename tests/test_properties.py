@@ -42,7 +42,7 @@ from openchain.feynman import (
     run_superposed_input,
 )
 from openchain import lindblad
-from openchain.lindblad import BathSpec, read_out, transition_rates
+from openchain.lindblad import BathSpec, level_widths, read_out, transition_rates
 
 settings.register_profile(
     "derandomized", derandomize=True, database=None, max_examples=40, deadline=None
@@ -92,9 +92,9 @@ def test_entropy_bounds_and_branch_weights(params):
 
 
 def branch_norm(a, disorder, g, bath, branch, times):
-    """||u(t)|| of a branch started at path coordinate 1: c = V[0], G the rates' column sums."""
+    """||u(t)|| of a branch started at path coordinate 1: c = V[0], G the level widths."""
     _, _, (e, v) = build_branch(a, branch, disorder, g)
-    outflow = transition_rates(e, bath).sum(axis=0)
+    outflow = level_widths(transition_rates(e, bath))
     return np.sqrt(np.exp(-bath.zeta * np.outer(times, outflow)) @ v[0] ** 2)
 
 
