@@ -1,4 +1,4 @@
-"""Stage timings of the bath and closed chains, the peak scan at large s and the CSV writer, against a parent.
+"""Stage timings of the chains, the superposed switch, the peak scan and the CSV writer.
 
 Two chains make the cases, each from site 1 on T = 10001 grid points with
 disorder seed 0, beta = 1 and zeta = 0.05 where a bath applies, ten runs of
@@ -21,11 +21,16 @@ tree's ``src`` with one BLAS thread, and times these stages, in this order:
 * ``populations``: the whole drain of ``_population_blocks`` at the run's
   block width, the ``expm`` stage included;
 * ``read_out``: the summed calls of ``lindblad.read_out`` inside one
-  ``dissipative_transport_run``;
+  ``dissipative_transport_run`` (the level tables they read are formed by
+  the run, outside these calls);
 * ``run``: that ``dissipative_transport_run``, end to end;
 * ``closed``: ``dissipative_transport_run`` of the same chain and grid
   without the bath, after the bath stages, so that the heap it leaves cannot
   move their timings;
+* ``superposed``: ``feynman.run_superposed_input`` with the switch at
+  a = s // 2 on a clock of s + 2 sites (so each branch has s levels), its
+  disorder drawn with the case's sigma and seed, and the case's tilt, bath
+  and grid;
 * ``write_csv``: ``series.write_csv`` of the run's columns with their sha256,
   the first write of the process (its tables loaded by ``csv_tables``);
 * ``csv_cells``: ``write_csv`` of a 21 x 2001 table of standard normal
@@ -72,7 +77,7 @@ CHAINS = {"transport": TRANSPORT, "localized": {**TRANSPORT, "g": 0.0, "dt": 0.5
 CASES = (("transport", 100), ("transport", 400), ("transport", 800), ("localized", 200))
 POINTS, PAIRS = 10001, 10
 STAGES = ("csv_tables", "diagonalize", "expm", "populations", "read_out", "run", "closed",
-          "write_csv", "csv_cells", "peak_scan")
+          "superposed", "write_csv", "csv_cells", "peak_scan")
 CSV_SHAPE = (21, 2001)  # columns and rows of the csv_cells table
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 TREE = Path(__file__).resolve().parents[1]
@@ -87,6 +92,7 @@ def measure(chain: str, s: int, points: int) -> dict:
     from openchain import lindblad
     from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
     from openchain.config import ExperimentConfig
+    from openchain.feynman import run_superposed_input
     from openchain.lindblad import (
         _BLOCK_BYTES,
         _BLOCK_SQUARINGS,
@@ -144,6 +150,8 @@ def measure(chain: str, s: int, points: int) -> dict:
         lindblad.read_out = read_out
     times["read_out"], faults["read_out"] = spent
     timed("closed", dissipative_transport_run, energies, None, t_max, dt)
+    clock = sample_disorder(s + 2, case["sigma"], case["seed"])
+    timed("superposed", run_superposed_input, s // 2, clock, case["g"], bath, t_max, dt)
 
     rng = np.random.default_rng(0)
     table = {f"c{j}": rng.standard_normal(CSV_SHAPE[1]) for j in range(CSV_SHAPE[0])}

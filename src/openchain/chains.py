@@ -56,18 +56,19 @@ def build_chain_hamiltonian(disorder: np.ndarray, g: float) -> np.ndarray:
     """On-site energies of the tilted chain: disorder plus tilt, eps_x - g*x, x = 1..len(disorder).
 
     It serves a switch branch too, whose disorder is read along its
-    path coordinates (:func:`openchain.feynman.build_branch`). A finite tilt
-    whose energies overflow is a numeric failure: ``FloatingPointError``.
+    path coordinates (:func:`openchain.feynman.build_branch`). Energies that
+    are not finite, from a disorder draw or a tilt that overflows, are a
+    numeric failure: ``FloatingPointError``.
     """
     if g < 0:
         raise ValueError(f"tilt strength must be >= 0, got {g}")
-    with np.errstate(over="raise"):
-        try:
-            return disorder - g * np.arange(1, len(disorder) + 1, dtype=float)
-        except FloatingPointError:
-            raise FloatingPointError(
-                f"on-site energies overflow: tilt g={g} on {len(disorder)} sites"
-            ) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = disorder - g * np.arange(1, len(disorder) + 1, dtype=float)
+    if not np.all(np.isfinite(energies)):
+        bad = disorder[~np.isfinite(disorder)]
+        cause = f"disorder {bad[0]}" if bad.size else f"tilt g={g}"
+        raise FloatingPointError(f"on-site energies overflow: {cause} on {len(disorder)} sites")
+    return energies
 
 
 def _fix_eigenvector_signs(evecs: np.ndarray) -> np.ndarray:

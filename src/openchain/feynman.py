@@ -53,7 +53,6 @@ from .chains import build_chain_hamiltonian, diagonalize
 from .lindblad import (
     BathSpec,
     _coherent_columns,
-    _kept,
     _reach,
     energy_blocks,
     pure_state_series,
@@ -232,8 +231,11 @@ def run_superposed_input(
     register-index rows and the 16 index-pair rows of the cross diagonal on
     the shared coordinates, each over its copy past the gate (``sites`` >= b
     on both branches): they give the state (:func:`register_states`) and the
-    state past the gate, normalized by ``p_beyond_gate``. Only the O(T) series
-    and ``register`` are held across blocks.
+    state past the gate, normalized by ``p_beyond_gate``. The run slices each
+    branch's V[S, M] and the rows on S once, and with a bath forms each
+    branch's 8 x n level table R (V*V) once from its fixed rows, its V*V a
+    temporary (:func:`openchain.lindblad.read_out`). Only the O(T) series,
+    ``register`` and these per-run tables are held across blocks.
 
     With a bath, a block's columns from the later of the two branches' cuts
     on (:func:`openchain.lindblad._coherent_columns`: ||u||^2 < 2^-70 on both)
@@ -267,15 +269,18 @@ def run_superposed_input(
     trace_uu, trace_dd, p_beyond, entropy = (np.empty(times.size) for _ in range(4))
     fidelity = np.full(times.size, np.nan)
     register = np.empty((times.size, 4, 4), dtype=complex)
-    squared_u, squared_d = np.square(vu), np.square(vd)  # V*V, once per spectrum
     if bath is None or bath.zeta == 0.0:
         modes_u = modes_d = sites = slice(None)
+        levels_u = levels_d = None
     else:
         ones = np.ones(vu.shape[0])  # W = 1 bounds the 0/1 register and pair rows
         (keep_u, cover_u), (keep_d, cover_d) = _reach(vu, vu[0], ones), _reach(vd, vd[0], ones)
-        modes_u, modes_d, sites = _kept(keep_u), _kept(keep_d), _kept(cover_u | cover_d)
-    reach_u, reach_d = (modes_u, sites), (modes_d, sites)
-    rotate_u, rotate_d, pairs = vu[sites][:, modes_u], vd[sites][:, modes_d], pairs[:, sites]
+        modes_u, modes_d = np.flatnonzero(keep_u), np.flatnonzero(keep_d)
+        sites = np.flatnonzero(cover_u | cover_d)
+        # each branch's level table R (V*V), once per run: its V*V is a temporary
+        levels_u, levels_d = rows_u @ np.square(vu), rows_d @ np.square(vd)
+    rotate_u, rotate_d = vu[sites][:, modes_u], vd[sites][:, modes_d]
+    rows_u, rows_d, pairs = rows_u[:, sites], rows_d[:, sites], pairs[:, sites]
     blocks = zip(
         energy_blocks(e_u, bath, vu[0], t_max, dt, modes_u),
         energy_blocks(e_d, bath, vd[0], t_max, dt, modes_d),
@@ -284,8 +289,8 @@ def run_superposed_input(
         keep = max(_coherent_columns(amp_u), _coherent_columns(amp_d))
         w_u = site_amplitudes(rotate_u, amp_u[:, :keep])  # V U on the sites S
         w_d = site_amplitudes(rotate_d, amp_d[:, :keep])
-        diag_u = 0.5 * read_out(vu, rows_u, pop_u, amp_u, squared_u, reach_u, w_u)  # (8, columns)
-        diag_d = 0.5 * read_out(vd, rows_d, pop_d, amp_d, squared_d, reach_d, w_d)
+        diag_u = 0.5 * read_out(rotate_u, rows_u, pop_u, amp_u, levels_u, modes_u, w_u)  # 8 rows
+        diag_d = 0.5 * read_out(rotate_d, rows_d, pop_d, amp_d, levels_d, modes_d, w_d)
         w_u *= np.conj(w_d)  # in place: the cross diagonal on the sites
         cross = 0.5 * site_amplitudes(pairs, w_u)  # (32, keep): zero after keep
         del w_u, w_d

@@ -89,7 +89,11 @@ rows M alone, and the part it leaves out, sum_j R_rj sum_{m not in M} V_jm^2
 2^-54 sqrt(A_r) + 3 * 2^-111 <= eps/2 max(A_r, 1) + 3 * 2^-111. A bath run's
 blocks hold U on the modes M alone (P keeps every level, because the bath
 fills them all); a closed run's hold U on every mode, those of M first, so its
-moment rows read U[:|M|], a view.
+moment rows read U[:|M|], a view. :func:`read_out` reads what the run has
+sliced: each run slices V[S, M] and its rows on S once, and with a bath it
+passes the level table L = R (V*V) over every site, with the modes M that U
+holds; the run forms L once for rows that stay fixed, so read_out neither
+squares V nor indexes V or its rows.
 
 The chain (:func:`pure_state_series`) weights its rows x, y^2 and y by
 W_j = max(|x_j|, D_j, D_j^2), D_j = max(x_j - min x, max x - x_j) >= |y_j|
@@ -405,11 +409,6 @@ def _moment_weight(positions: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(x), np.maximum(spread, np.square(spread)))
 
 
-def _kept(mask: np.ndarray) -> np.ndarray | slice:
-    """The indices where ``mask`` holds, or ``slice(None)`` (a view) where it holds everywhere."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
 def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """V U for real V: one real product on the interleaved (re, im) view of U.
 
@@ -427,49 +426,46 @@ def read_out(
     rows: np.ndarray,
     populations: np.ndarray | None,
     amplitudes: np.ndarray,
-    squared: np.ndarray | None = None,
-    reach: tuple[np.ndarray | slice, np.ndarray | slice] | None = None,
+    levels: np.ndarray | None = None,
+    modes: np.ndarray | slice = slice(None),
     rotated: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``rows`` (k x n) times the site distribution of one block of :func:`energy_blocks`.
+    """``rows`` times the site distribution of one block of :func:`energy_blocks`.
 
-    R |V U|^2 + (R (V*V))(P - |U|^2), k x columns: the bath correction is a k x n
-    product; ``populations = None`` (no bath) drops it. With a bath, the
-    term R |V U|^2 is added only on the block's leading columns with
-    ||u||^2 >= 2^-70 (:func:`_coherent_columns`). Past them the dropped part
-    of row r is at most max|R_r| 2^-70, about 2^-17 of the population term's
-    own rounding, eps max|R_r| (eps = 2^-53). ``reach`` is the pair
-    (modes M, sites S) of a bath run, index arrays or slices (:func:`_reach`
-    and :func:`_kept`): U holds the rows M, the coherent term is
-    R[:, S] |V[S, M] U|^2 and the correction subtracts |U|^2 from the rows M
-    of P. None keeps every mode and site. ``squared`` is V*V and ``rotated``
-    is V[S, M] U, at least on the leading columns, when the caller has them
-    already; both are left intact. The package's runs pass V*V, squared once
-    per spectrum; without it (one-off calls, as in the tests) read_out
-    squares V itself. |V U|^2 is re^2 + im^2: read_out squares the float
-    view of its own V U in place and adds the column pairs.
+    read_out reads what the run has sliced: ``eigenvectors`` is V[S, M], the
+    eigenvectors on the sites S and modes M that the run reads (every site and
+    mode by default), ``rows`` is R on the sites S (k x |S|) and U holds the
+    modes M. The result, k x columns, is R |V[S, M] U|^2 + L (P - |U|^2) with
+    |U|^2 subtracted from the rows ``modes`` of P, the modes M in U's order.
+    ``levels`` is the level table L = R (V*V) over every site (k x n), which a
+    run forms once for rows that stay fixed; ``populations = None`` (no bath)
+    drops the correction, and then neither ``levels`` nor ``modes`` is read.
+    With a bath, the term R |V U|^2 is added only on the block's leading
+    columns with ||u||^2 >= 2^-70 (:func:`_coherent_columns`). Past them the
+    dropped part of row r is at most max|R_r| 2^-70, about 2^-17 of the
+    population term's own rounding, eps max|R_r| (eps = 2^-53). ``rotated``
+    is V[S, M] U, at least on the leading columns, when the caller has it
+    already; it is left intact. |V U|^2 is re^2 + im^2: read_out squares the
+    float view of its own V U in place and adds the column pairs.
     """
-    modes, sites = (slice(None), slice(None)) if reach is None else reach
     keep = amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
     if rotated is None:  # V U is ours: its float view squared in place, in one pass
-        square = site_amplitudes(eigenvectors[sites][:, modes], amplitudes[:, :keep]).view(float)
+        square = site_amplitudes(eigenvectors, amplitudes[:, :keep]).view(float)
         np.square(square, out=square)
         prob = square[:, ::2] + square[:, 1::2]  # re^2 + im^2
         del square  # frees V U before the correction's temporaries
     else:  # the caller's V U, left intact
         prob = np.square(rotated[:, :keep].real)
         prob += np.square(rotated[:, :keep].imag)
-    coherent = rows[:, sites] @ prob
+    coherent = rows @ prob
     if populations is None:
         return coherent
-    if squared is None:
-        squared = np.square(eigenvectors)
     magnitude = np.abs(amplitudes, out=np.empty(amplitudes.shape))
     np.square(magnitude, out=magnitude)
     correction = np.array(populations)  # P - |U|^2, subtracted on the rows M alone
     correction[modes] -= magnitude
     del magnitude
-    out = (rows @ squared) @ correction
+    out = levels @ correction
     out[:, :keep] += coherent
     return out
 
@@ -494,13 +490,15 @@ def pure_state_series(
     about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision. A
     variance below -1e-9 is a numeric failure and raises
     ``FloatingPointError``; the rounding-level negatives above it are clipped
-    to 0. The rows are read on the modes and sites of :func:`_reach`,
+    to 0. The rows are read on the modes M and sites S of :func:`_reach`,
     weighted by :func:`_moment_weight` of ``positions``, which bounds the
-    region's indicator too while every position is >= 1. With a bath the
-    blocks hold U on the modes of the reach alone, and the read-out forms
-    V U on its sites alone. A closed run (``None`` or zeta = 0) reads the
-    rows x, y^2 and y from V[S, M] sliced once, and the region row on every
-    mode, from V[region] (module docstring).
+    region's indicator too while every position is >= 1. The run orders the
+    modes once, those of M first, and slices V[S, M] and the rows on S once;
+    a bath run's blocks hold U on M alone, a closed run's (``None`` or
+    zeta = 0) on every mode. With a bath the run squares V once and forms the
+    first mean's level table x (V*V) once; each block forms the level table
+    of its four rows. A closed run reads the region row whole, on every mode
+    from V[region] (module docstring).
     """
     (e, v), x = eig, np.asarray(positions, dtype=float)
     times = time_grid(t_max, dt)
@@ -508,21 +506,19 @@ def pure_state_series(
     mean, var, p_region = (np.empty(times.size) for _ in range(3))
     keep, cover = _reach(v, amplitudes, _moment_weight(x))
     kept = np.count_nonzero(keep)
-    if bath is None or bath.zeta == 0.0:
-        # U holds every mode, those of M first: the moment rows read V[S, M] U[:kept] and
-        # the region row V[region] U, both sliced once per run
-        modes = np.argsort(~keep, kind="stable")
-        whole = v[region][:, modes]
-        v, x, indicator = v[np.ix_(cover, modes[:kept])], x[cover], indicator[cover]
-        squared = reach = None
-    else:
-        squared = np.square(v)  # V*V, once per spectrum
-        reach = (_kept(keep), _kept(cover))
-        modes, whole = reach[0], None
+    order = np.argsort(~keep, kind="stable")  # the modes M first, both parts ascending
+    rotate, near, marked = v[np.ix_(cover, order[:kept])], x[cover], indicator[cover]
+    if bath is None or bath.zeta == 0.0:  # U on every mode; the region row on all of them
+        modes, whole, squared, centre = order, v[region][:, order], None, None
+    else:  # U on the modes M alone
+        modes, whole, squared = order[:kept], None, np.square(v)
+        centre = x[None] @ squared  # the first mean's level table, once per run
     for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt, modes):
         first = None if p is None else p[:, :1]
-        y = x - read_out(v, x[None], first, u[:kept, :1], squared, reach)[0, 0]
-        out = read_out(v, np.stack([x, y**2, y, indicator]), p, u[:kept], squared, reach)
+        mu = read_out(rotate, near[None], first, u[:kept, :1], centre, modes)[0, 0]
+        y = near - mu
+        levels = None if p is None else np.stack([x, (x - mu) ** 2, x - mu, indicator]) @ squared
+        out = read_out(rotate, np.stack([near, y**2, y, marked]), p, u[:kept], levels, modes)
         if whole is not None:  # the region row on every mode, in place of the reach's
             out[3] = read_out(whole, np.ones((1, region.size)), None, u)[0]
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]

@@ -49,7 +49,7 @@ def branch_distribution(eig, bath: BathSpec | None, t_max: float, dt: float) -> 
     """Kernel site distribution (path coordinate x time) of a branch started at coordinate 1."""
     e, v = eig
     pops, amps = relax_energy_density(e, bath, v[0], t_max, dt)
-    return read_out(v, np.eye(v.shape[0]), pops, amps)
+    return read_out(v, np.eye(v.shape[0]), pops, amps, np.square(v))
 
 
 class Criterion:

@@ -46,9 +46,11 @@ def test_one_repetition_writes_every_stage(stages):
     [case, _] = report["cases"]
     assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
     assert "closed" in case["stages"]  # the case's chain and grid without the bath
+    assert "superposed" in case["stages"]  # the switch on the case's parameters and grid
     # the CSV writer's cold tables and its warm cost per cell
     assert {"csv_tables", "csv_cells"} <= case["stages"].keys()
     assert stages.STAGES.index("closed") > stages.STAGES.index("run")  # after the bath stages
+    assert stages.STAGES.index("superposed") == stages.STAGES.index("closed") + 1
     for entry in case["stages"].values():
         assert entry.keys() == {"change"}
         assert entry["change"].keys() == {"median", "q25", "q75", "runs", "faults"}

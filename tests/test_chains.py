@@ -54,7 +54,7 @@ class TestFreeEigensystem:
         e, _ = free_eigensystem(s)
         assert np.allclose(e, -e[::-1], atol=1e-12)
 
-    @pytest.mark.parametrize("s", range(2, 65))
+    @pytest.mark.parametrize("s", range(2, 5))
     def test_matches_numeric_diagonalization(self, s):
         closed_e, closed_v = free_eigensystem(s)
         numeric_e, numeric_v = diagonalize(build_free_chain(s))

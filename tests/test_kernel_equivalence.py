@@ -279,7 +279,7 @@ def test_config_grids_are_uniform(config):
 
 def kernel_columns(v, pops, amps, populations_too: bool) -> dict[str, np.ndarray]:
     """mean_Q, var_Q, the last-site probability and, if asked, each row of P (eigenvectors v)."""
-    prob = read_out(v, np.eye(v.shape[0]), pops, amps)
+    prob = read_out(v, np.eye(v.shape[0]), pops, amps, np.square(v))
     x = np.arange(1, v.shape[0] + 1)
     mean = x @ prob
     cols = {"mean_Q": mean, "var_Q": (x**2) @ prob - mean**2, "p_region": prob[-1]}
@@ -428,7 +428,8 @@ def test_read_out_matches_dense_site_distribution(bath):
     t_max, dt = 0.5 * (size - 1), 0.5
     rows = np.random.default_rng(0).standard_normal((5, 20))
     kernel = lindblad.energy_blocks(e, BATHS[bath], c, t_max, dt)
-    got = np.concatenate([lindblad.read_out(v, rows, p, u) for _, p, u in kernel], axis=1)
+    levels = rows @ np.square(v)
+    got = np.concatenate([lindblad.read_out(v, rows, p, u, levels) for _, p, u in kernel], axis=1)
     states = _dense_states(e, BATHS[bath], np.outer(c, c), time_grid(t_max, dt))
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
@@ -444,7 +445,8 @@ def test_read_out_matches_dense_site_distribution_past_the_cut():
     t_max, dt = 0.25 * (size - 1), 0.25
     rows = np.random.default_rng(0).standard_normal((5, 20))
     kernel = list(lindblad.energy_blocks(e, bath, c, t_max, dt))
-    got = np.concatenate([lindblad.read_out(v, rows, p, u) for _, p, u in kernel], axis=1)
+    levels = rows @ np.square(v)
+    got = np.concatenate([lindblad.read_out(v, rows, p, u, levels) for _, p, u in kernel], axis=1)
     states = _dense_states(e, bath, np.outer(c, c), time_grid(t_max, dt))
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
@@ -678,11 +680,13 @@ def test_bath_read_out_memory(pipeline):
     # block (2), V U and the float site distribution (1.5; the correction's
     # float buffer comes after both are freed), the P block read out
     # and, while the next is filled, the one before (1), and the n x n
-    # eigenvector, rate, generator, S^32 and V*V matrices (1.5: five of 0.3 at
-    # n = 200); one is margin. On top come the O(T) series: the grid and the
-    # columns that each block fills in. The whole-grid populations peaked at
-    # 12.5 MiB here. The reach cut keeps U and V U on 14 modes and 17 sites
-    # of this chain: measured 3.7 blocks above the series (5.6 without it).
+    # eigenvector, generator, S^32 and V*V matrices (1.2: four of 0.3 at
+    # n = 200; the rates are two bands); the rest, 1.3, is margin. On top
+    # come the O(T) series: the grid and the columns that each block fills
+    # in. The whole-grid populations peaked at 12.5 MiB here. The reach cut
+    # keeps U and V U on 14 modes and 17 sites of this chain: measured 3.4
+    # blocks above the series on both pipelines, 3.6 MiB in all (5.6 blocks
+    # without the cut, while a dense rate matrix was still held).
     axis, bath = (5000.0, 1.0), BATHS["bath"]
     if pipeline == "transport":
         h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 2.0)
@@ -724,12 +728,14 @@ def test_superposed_read_out_memory(bath):
     # the float site distribution and its square inside a read-out or the
     # conjugate of the lower V U while the cross diagonal is formed (1). The
     # read-outs themselves are k x width with k <= 32. One covers both
-    # eigenvector matrices and their squares V*V (four of 0.3 at n = 198) and
-    # is margin. A bath adds each branch's P block and, while the next is
-    # filled, the one before (2), and both branches' rate, generator and S^32
-    # matrices (1: six of 0.3, not all alive at once); the bath correction's
-    # buffer (0.5) comes after the site distribution is freed.
-    # Measured: 8.6 blocks without the bath and 6.2 with it, whose reach cut
+    # eigenvector matrices (two of 0.3 at n = 198) and is margin. A bath adds
+    # each branch's P block and, while the next is filled, the one before
+    # (2), and both branches' generator and S^32 matrices (1: four of 0.3,
+    # not all alive at once; the rates are two bands). Each branch's V*V is
+    # a temporary of the run, freed once its 8 x n level table is formed,
+    # before the blocks; the bath correction's buffer (0.5) comes after the
+    # site distribution is freed.
+    # Measured: 8.0 blocks without the bath and 4.9 with it, whose reach cut
     # keeps U and V U on a few modes and sites (11.7 without the cut); holding
     # the (columns, n) site arrays, their masked copies and the cross
     # diagonal's row selection took 10.9 and 13.4. The whole-grid populations

@@ -293,7 +293,7 @@ class TestRepresentations:
         # uniform populations without coherences: flat in the site basis too
         e, v = free_eigensystem(6)
         pops, amps = np.full((6, 1), 1 / 6), np.zeros((6, 1), complex)
-        prob = read_out(v, np.eye(e.size), pops, amps)
+        prob = read_out(v, np.eye(e.size), pops, amps, np.square(v))
         assert np.max(np.abs(prob - 1 / 6)) < 1e-12
 
     def test_round_trip(self):

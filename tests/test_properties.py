@@ -190,7 +190,7 @@ def test_kernel_conserves_trace_and_positivity(params):
     pops, amps = relax_energy_density(e, BathSpec(beta, zeta), v[0], 500.0, 10.0)
     assert np.max(np.abs(pops.sum(axis=0) - 1.0)) < 1e-9
     assert pops.min() > -1e-12
-    prob = read_out(v, np.eye(s), pops, amps)
+    prob = read_out(v, np.eye(s), pops, amps, np.square(v))
     assert np.max(np.abs(prob.sum(axis=0) - 1.0)) < 1e-9
     assert prob.min() > -1e-9
 
@@ -222,7 +222,8 @@ def test_read_out_cut_drops_only_decayed_coherences(params):
     rows = np.random.default_rng(seed).standard_normal((3, s))
     uncut = rows @ np.abs(v @ amps) ** 2 + (rows @ np.square(v)) @ (pops - np.abs(amps) ** 2)
     bound = np.finfo(float).eps * np.abs(rows).max() * s
-    assert np.max(np.abs(read_out(v, rows, pops, amps) - uncut)) <= bound
+    got = read_out(v, rows, pops, amps, rows @ np.square(v))
+    assert np.max(np.abs(got - uncut)) <= bound
 
 
 @st.composite
@@ -242,23 +243,23 @@ def reach_params(draw):
 def test_reach_cut_holds_to_the_full_read_out(params):
     # With a bath the read-out keeps the modes M and sites S of _reach, here
     # for the weight W_j = max_r |R_rj| of the random rows it reads. The cut
-    # read-out, on the kernel's U of the modes M alone, must equal the full
-    # one within max|R_r| 2^-70 plus rounding, on random rows and on rows
-    # that live on the dropped sites alone, where the whole coherent term is
-    # dropped. The rounding of a row is counted on the magnitudes it sums:
-    # |R| (|V|^2 (P + |U|^2) + |V U|^2).
+    # read-out, on V[S, M], the rows on S and the kernel's U of the modes M
+    # alone, must equal the full one within max|R_r| 2^-70 plus rounding, on
+    # random rows and on rows that live on the dropped sites alone, where the
+    # whole coherent term is dropped. The rounding of a row is counted on the
+    # magnitudes it sums: |R| (|V|^2 (P + |U|^2) + |V U|^2).
     s, sigma, g, beta, zeta, seed = params
     e, v = chain_spectrum(s, sigma, g, seed)
     bath = BathSpec(beta, zeta)
     rows = np.random.default_rng(seed).standard_normal((4, s))
     modes, sites = lindblad._reach(v, v[0], np.abs(rows).max(axis=0))
     rows[2:, sites] = 0.0  # within the weight still
-    reach = (lindblad._kept(modes), lindblad._kept(sites))
+    kept, levels = np.flatnonzero(modes), rows @ np.square(v)
     pops, amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0)
-    cut_pops, cut_amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0, reach[0])
+    cut_pops, cut_amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0, kept)
     assert np.array_equal(cut_pops, pops) and np.array_equal(cut_amps, amps[modes])
-    full = read_out(v, rows, pops, amps)
-    cut = read_out(v, rows, cut_pops, cut_amps, None, reach)
+    full = read_out(v, rows, pops, amps, levels)
+    cut = read_out(v[np.ix_(sites, modes)], rows[:, sites], cut_pops, cut_amps, levels, kept)
     magnitude = np.square(v) @ (pops + np.abs(amps) ** 2) + np.abs(v @ amps) ** 2
     rounding = 4 * s * np.finfo(float).eps * (np.abs(rows) @ magnitude)
     limit = np.abs(rows).max(axis=1)[:, None] * 2.0**-70 + rounding

@@ -488,18 +488,25 @@ class TestCli:
         assert list(tmp_path.glob("out/*.csv")) == []
 
     def test_overflowing_tilt_exit_3(self, tmp_path, capsys):
-        # a config that validates, but whose tilt g*x overflows to -inf, is a
-        # numeric failure, not a config or usage error
-        path = self.write_config(
-            tmp_path,
-            f"[experiment]\nscenario = bloch\noutput = {tmp_path / 'out'}\n[chain]\ng = 1e307\n",
-        )
-        assert main(["validate", path]) == 0
-        assert main(["run", path]) == 3
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "numeric failure: on-site energies overflow: tilt g=1e+307 on 20 sites"
-        )
-        assert list(tmp_path.glob("out/*.csv")) == []
+        # a config that validates, but whose on-site energies overflow, is a
+        # numeric failure, not a config or usage error: a tilt g*x past the
+        # float range, or a disorder draw at sigma = 1e308 (seed 0); no CSV
+        cases = {
+            "bloch": ("g = 1e307", "tilt g=1e+307 on 20 sites"),
+            "localized": ("s = 200\nsigma = 1e308", "disorder inf on 200 sites"),
+        }
+        for scenario, (chain, cause) in cases.items():
+            path = self.write_config(
+                tmp_path,
+                f"[experiment]\nscenario = {scenario}\noutput = {tmp_path / scenario}\n"
+                f"[chain]\n{chain}\n",
+            )
+            assert main(["validate", path]) == 0
+            assert main(["run", path]) == 3
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"numeric failure: on-site energies overflow: {cause}"
+            )
+            assert list(tmp_path.glob(f"{scenario}/*.csv")) == []
 
     def test_negative_variance_exit_3(self, tmp_path, monkeypatch, capsys):
         # a variance below -1e-9 is a numeric failure of the read-out, not a
