@@ -1,11 +1,14 @@
 """Stage timings of the chains, the superposed switch, the peak scan and the CSV writer.
 
-Two chains make the cases, each from site 1 on T = 10001 grid points with
+Three chains make the cases, each from site 1 on T = 10001 grid points with
 disorder seed 0, beta = 1 and zeta = 0.05 where a bath applies, ten runs of
 each tree:
 
 * ``transport``: the chain of the ``transport`` scenario grown in size,
   sigma = 0.5, g = 2 and dt = 1, at s = 100, 400 and 800;
+* ``weak_tilt``: the same chain at g = 0.5, at s = 400, where
+  ||A dt||_1 = 1.08 is above the 1/4 up to which ``lindblad.expm`` takes
+  degree 12 (the shipped configs sit at 0.16);
 * ``localized``: the chain of the ``closed`` benchmark workload, sigma = 0.5,
   g = 0 and dt = 0.5, at s = 200.
 
@@ -73,8 +76,13 @@ from pathlib import Path
 import numpy as np
 
 TRANSPORT = {"sigma": 0.5, "g": 2.0, "beta": 1.0, "zeta": 0.05, "seed": 0, "dt": 1.0}
-CHAINS = {"transport": TRANSPORT, "localized": {**TRANSPORT, "g": 0.0, "dt": 0.5}}
-CASES = (("transport", 100), ("transport", 400), ("transport", 800), ("localized", 200))
+CHAINS = {
+    "transport": TRANSPORT,
+    "weak_tilt": {**TRANSPORT, "g": 0.5},
+    "localized": {**TRANSPORT, "g": 0.0, "dt": 0.5},
+}
+CASES = (("transport", 100), ("transport", 400), ("transport", 800), ("weak_tilt", 400),
+         ("localized", 200))
 POINTS, PAIRS = 10001, 10
 STAGES = ("csv_tables", "diagonalize", "expm", "populations", "read_out", "run", "closed",
           "superposed", "write_csv", "csv_cells", "peak_scan")

@@ -48,14 +48,16 @@ later block is that table times exp(d t_start).
 The populations take B matrix-vector steps of S = expm(A dt) and then one
 BLAS-3 product S^B P per B columns, in the same block loop: each block starts
 from the last B columns of the one before it. :func:`expm` is the package's
-own, in numpy: a degree-12 Taylor polynomial (five products, no solve) up to
-1-norm 1/4, which covers the production ||A dt|| of about 0.2, and scaling
-and squaring around the degree-13 Pade approximant above. Far off the band
-S and its powers hold entries whose products turn subnormal, and subnormal
-products run at a fraction of BLAS speed. So S is flushed (entries below
-1e-150 in absolute value set to zero) right after expm and after each of its
-five squarings to S^B: the product of two kept entries is a normal float.
-P is not flushed.
+own, in numpy: one Taylor polynomial with no solve, of degree 12 (five
+products) up to 1-norm 1/4, which covers the production ||A dt|| of about
+0.2, and of degree 28 above it, on A dt scaled to 1-norm <= 3 and squared
+back. A is tridiagonal, so S is banded at every norm: half-bandwidth at
+most 12, or 28 times 2^k after k squarings. Far off the band S and its
+powers hold entries whose products turn subnormal, and subnormal products
+run at a fraction of BLAS speed. So S is flushed (entries below 1e-150 in
+absolute value set to zero) right after expm and after each squaring,
+expm's and the five to S^B (:func:`_squared`): the product of two kept
+entries is a normal float. P is not flushed.
 
 With a bath the coherences die out, and past a cut the read-out skips them.
 The coherent term R_r |V u|^2 of row r is at most max|R_r| ||u(t)||^2 (V is
@@ -126,18 +128,12 @@ _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squar
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
 _DECAYED = 2.0**-70  # ||u||^2 below which the coherences drop under rounding (see above)
 _REACH = 2.0**-110  # the weighted sum E that the reach of a run leaves out (see above)
-_FLUSH = 1e-150  # entries of S and S^2 .. S^B set to zero below it: no subnormal products
-# degree-13 Pade coefficients b_0 .. b_13 and the 1-norm up to which they need
-# no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-# Taylor coefficients 1 / k! of the degree-12 polynomial that expm takes up to 1-norm 1/4
-_TAYLOR12 = tuple(1.0 / math.factorial(k) for k in range(13))
+_FLUSH = 1e-150  # entries of S and of each square set to zero below it: no subnormal products
+# Taylor coefficients 1 / k! up to degree 28; expm takes degree 12 up to 1-norm
+# _TAYLOR_NORM and degree 28 above it, on a scaled to 1-norm <= _SCALED_NORM
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(29))
 _TAYLOR_NORM = 0.25
+_SCALED_NORM = 3.0
 
 
 class DegenerateGapError(ValueError):
@@ -187,43 +183,41 @@ def level_widths(rates: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return widths
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a real matrix: a degree-12 Taylor polynomial up to 1-norm 1/4, Pade-13 above.
+def _squared(s: np.ndarray, times: int) -> np.ndarray:
+    """s squared ``times`` times, its entries below ``_FLUSH`` set to zero after each squaring."""
+    for _ in range(times):
+        s = s @ s
+        s[np.abs(s) < _FLUSH] = 0.0
+    return s
 
-    At ||a||_1 <= 1/4 the Taylor remainder is below ||a||_1^13 / 13! < 3e-18,
-    and the polynomial takes five products and no solve: a^2, a^3 and a^4,
-    then two Horner steps in a^4 (Paterson and Stockmeyer, SIAM J. Comput. 2,
-    60 (1973)). Above 1/4, a is scaled by 2^-k so that its 1-norm is at most
-    theta_13, the degree-13 Pade approximant r = (V - U)^-1 (V + U) is taken
-    in the form I + 2 (V - U)^-1 U, which rounds less at small norms, and r
-    is squared k times. Both add the identity last. A non-finite a gives a
-    non-finite result.
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real matrix: one Taylor polynomial, of degree 12 or 28 by ||a||_1.
+
+    At ||a||_1 <= 1/4 the degree is 12 and a is not scaled: the remainder is
+    below ||a||_1^13 / 13! < 3e-18. Above 1/4 the degree is 28, a is scaled
+    by 2^-k to 1-norm <= 3, and the result is squared k times (flushed after
+    each squaring, as :func:`_squared` does): the remainder is below
+    3^29 / 29! * 1.12 < 1e-17. Both degrees are multiples of 4, so one
+    Paterson-Stockmeyer loop (SIAM J. Comput. 2, 60 (1973)) evaluates them:
+    a^2, a^3 and a^4, then Horner steps in a^4, five products at degree 12
+    and nine at 28, with no solve; the identity is added last. A
+    tridiagonal a gives a result of half-bandwidth at most 12, or 28 times
+    2^k. A non-finite a gives a non-finite result.
     """
     a = np.asarray(a, dtype=float)
     norm = np.linalg.norm(a, 1)
-    ident = np.eye(a.shape[0])
-    if norm <= _TAYLOR_NORM:
-        c = _TAYLOR12
-        a2 = a @ a
-        a3, a4 = a2 @ a, a2 @ a2
-        r = a4 @ (c[12] * a4 + c[11] * a3 + c[10] * a2 + c[9] * a + c[8] * ident)
-        r = a4 @ (r + c[7] * a3 + c[6] * a2 + c[5] * a + c[4] * ident)
-        r += c[3] * a3 + c[2] * a2 + a
-        return r + ident
-    k = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
+    degree = 12 if norm <= _TAYLOR_NORM else 28
+    k = math.ceil(math.log2(norm / _SCALED_NORM)) if _SCALED_NORM < norm < math.inf else 0
     a = a * 2.0**-k
-    b = _PADE13
+    c, ident = _TAYLOR, np.eye(a.shape[0])
     a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-    u = a @ (u + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-    v += b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    r = ident + 2.0 * np.linalg.solve(v - u, u)
-    for _ in range(k):
-        r = r @ r
-    return r
+    a3, a4 = a2 @ a, a2 @ a2
+    r = c[degree] * a4
+    for j in range(degree - 4, 0, -4):
+        r = a4 @ (r + c[j + 3] * a3 + c[j + 2] * a2 + c[j + 1] * a + c[j] * ident)
+    r += c[3] * a3 + c[2] * a2 + a
+    return _squared(r + ident, k)
 
 
 def population_generator(rates: tuple[np.ndarray, np.ndarray], bath: BathSpec) -> np.ndarray:
@@ -281,8 +275,8 @@ def _population_blocks(gen: np.ndarray, p: np.ndarray, dt: float, width: int, si
     alive. Far off the band the entries of S and its powers fall below 1e-150,
     and their products turn subnormal, which slows every product. So entries
     of S below ``_FLUSH`` = 1e-150 in absolute value are set to zero right
-    after :func:`expm` and again after each squaring: the product of two
-    kept entries is then a normal float. P is not flushed.
+    after :func:`expm` and again after each squaring (:func:`_squared`): the
+    product of two kept entries is then a normal float. P is not flushed.
     """
     block = 1 << _BLOCK_SQUARINGS
     step = expm(gen * dt)
@@ -291,9 +285,7 @@ def _population_blocks(gen: np.ndarray, p: np.ndarray, dt: float, width: int, si
     pops[:, block] = p
     for i in range(block + 1, min(2 * block, pops.shape[1])):
         pops[:, i] = step @ pops[:, i - 1]
-    for _ in range(_BLOCK_SQUARINGS):
-        step = step @ step
-        step[np.abs(step) < _FLUSH] = 0.0
+    step = _squared(step, _BLOCK_SQUARINGS)
     for start in range(0, size, width):
         if start:
             carried = np.empty((p.size, block + min(width, size - start)))

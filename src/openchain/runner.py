@@ -6,12 +6,16 @@ derived from the master seed by the splitting rule
     seed_r = SeedSequence(master, spawn_key=(r,)).generate_state(1)[0]
 
 which is independent of execution order, so outputs are byte-identical across
-runs and across worker counts. Sweeps reuse the same realization seeds for
-every parameter value (common random numbers).
+runs and across worker counts. CSV bytes are reproducible for a given numeric
+stack and BLAS thread count, both of which the manifest's ``environment``
+records: the read-out's matrix products round differently on one BLAS thread
+and on two. Sweeps reuse the same realization seeds for every parameter value
+(common random numbers).
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
@@ -134,8 +138,22 @@ def aggregate_columns(results: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
     return out
 
 
+def _blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS; None where its library or symbol is absent."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for name in sorted(os.listdir(libs)) if os.path.isdir(libs) else []:
+        # a name test, not a glob: pathlib's first glob in a process takes about 4 ms
+        if name.startswith("libscipy_openblas64_") and name.endswith(".so"):
+            try:
+                threads = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_get_num_threads64_
+            except (OSError, AttributeError):
+                return None
+            return int(threads())
+    return None
+
+
 def _numeric_environment() -> dict:
-    """Python, numpy and BLAS versions and the CPU count: the stack behind the bytes."""
+    """Python, numpy and BLAS versions, BLAS threads and CPU count: the stack behind the bytes."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 only prints its build config
@@ -145,6 +163,7 @@ def _numeric_environment() -> dict:
         "numpy": np.__version__,
         "blas": blas.get("name", "unknown"),
         "blas_version": blas.get("version", "unknown"),
+        "blas_threads": _blas_threads(),
         "cpu_count": os.cpu_count(),
     }
 
@@ -163,8 +182,8 @@ def _write_outputs(
 
     The manifest (``manifest.json``) holds everything needed to reproduce the
     run bit-exactly, plus the output digests. CSV bytes are reproducible for a
-    given numeric stack, which ``environment`` records. The callers have passed
-    every table through :func:`_require_finite`.
+    given numeric stack and BLAS thread count, which ``environment`` records.
+    The callers have passed every table through :func:`_require_finite`.
     """
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)

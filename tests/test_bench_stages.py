@@ -2,14 +2,19 @@
 
 One repetition of each chain at 20 sites on 101 grid points runs the harness
 end to end in fresh worker processes; the pairing against a base tree is
-checked with a stand-in worker, so that no second process starts.
+checked with a stand-in worker, so that no second process starts. The
+weak-tilt case is checked to lie above 1-norm 1/4, the one case that does.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
+from openchain.lindblad import BathSpec, population_generator, transition_rates
 
 HARNESS = Path(__file__).resolve().parents[1] / "bench" / "stages.py"
 
@@ -23,17 +28,20 @@ def stages():
 
 
 def test_one_repetition_writes_every_stage(stages):
-    report = stages.compare([("transport", 20), ("localized", 20)], 101, 1, None)
+    cases = [("transport", 20), ("weak_tilt", 20), ("localized", 20)]
+    report = stages.compare(cases, 101, 1, None)
     report = json.loads(json.dumps(report))
     assert report.keys() == {"chains", "points", "sides", "cases", "machine"}
     assert report["points"] == 101 and report["sides"] == ["change"]
     # the closed workload's chain beside the transport chain: no tilt, half the step
     assert report["chains"]["localized"] == {**report["chains"]["transport"], "g": 0.0, "dt": 0.5}
+    # the transport chain at a weaker tilt, whose generator has ||A dt||_1 above 1/4
+    assert report["chains"]["weak_tilt"] == {**report["chains"]["transport"], "g": 0.5}
     assert report["machine"].keys() == {"environment", "platform", "processor", "blas_threads"}
     assert report["machine"]["environment"]["change"].keys() >= {"python", "numpy", "blas"}
-    assert [(case["chain"], case["s"]) for case in report["cases"]] == [
-        ("transport", 20), ("localized", 20)]
+    assert [(case["chain"], case["s"]) for case in report["cases"]] == cases
     assert ("localized", 200) in stages.CASES
+    assert ("weak_tilt", 400) in stages.CASES
     for case in report["cases"]:
         assert case["stages"].keys() == set(stages.STAGES)
         # the reach of the bath run's coherent term and of the closed run's moment rows:
@@ -43,7 +51,7 @@ def test_one_repetition_writes_every_stage(stages):
             assert kept.keys() == {"modes", "sites"}
             assert all(0 < count <= 20 for count in kept.values())
         assert case["kept"]["bath"] == case["kept"]["closed"]
-    [case, _] = report["cases"]
+    [case, _, _] = report["cases"]
     assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
     assert "closed" in case["stages"]  # the case's chain and grid without the bath
     assert "superposed" in case["stages"]  # the switch on the case's parameters and grid
@@ -58,6 +66,18 @@ def test_one_repetition_writes_every_stage(stages):
         faults = entry["change"]["faults"]  # the worker's minor page faults in the stage
         assert faults.keys() == {"median", "q25", "q75", "runs"}
         assert len(faults["runs"]) == 1 and isinstance(faults["runs"][0], int) and faults["runs"][0] >= 0
+
+
+def test_weak_tilt_case_is_above_a_quarter(stages):
+    # its generator takes expm's degree-28 path, which the transport cases never reach
+    for chain, s in [("weak_tilt", 400), ("transport", 400)]:
+        case = stages.CHAINS[chain]
+        disorder = sample_disorder(s, case["sigma"], case["seed"])
+        e, _ = diagonalize(build_chain_hamiltonian(disorder, case["g"]))
+        bath = BathSpec(case["beta"], case["zeta"])
+        gen = population_generator(transition_rates(e, bath), bath)
+        norm = np.linalg.norm(gen * case["dt"], 1)
+        assert (norm > 0.25) == (chain == "weak_tilt"), (chain, norm)
 
 
 def test_pairs_alternate_and_count_wins(stages, monkeypatch):

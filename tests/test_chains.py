@@ -54,13 +54,6 @@ class TestFreeEigensystem:
         e, _ = free_eigensystem(s)
         assert np.allclose(e, -e[::-1], atol=1e-12)
 
-    @pytest.mark.parametrize("s", range(2, 5))
-    def test_matches_numeric_diagonalization(self, s):
-        closed_e, closed_v = free_eigensystem(s)
-        numeric_e, numeric_v = diagonalize(build_free_chain(s))
-        assert np.max(np.abs(closed_e - numeric_e)) < 1e-10
-        assert np.max(np.abs(closed_v - numeric_v)) < 1e-10
-
 
 class TestFreeEndWeights:
     """The clean chain's (e, w) that the peak scan takes, without eigenvectors."""

@@ -328,8 +328,9 @@ def flushed_half_bandwidth(e: np.ndarray, bath: BathSpec) -> int:
 def test_flushed_kernel_on_a_wide_band():
     # S^32's band grows with 1/beta: at beta = 0.1 it is wider than at the
     # test above's beta = 1 (half-bandwidths 170 and 111 at s = 400), and
-    # A dt takes expm's Pade path. The kernel, which flushes S and each of its
-    # squares at 1e-150, must still hold the direct formula at the same bound.
+    # ||A dt||_1 is above 1/4, where expm takes its degree-28 polynomial. The
+    # kernel, which flushes S and each of its squares at 1e-150, must still
+    # hold the direct formula at the same bound.
     e, v = diagonalize(build_chain_hamiltonian(sample_disorder(400, 0.5, 0), 2.0))
     wide = BathSpec(beta=0.1, zeta=0.05)
     assert flushed_half_bandwidth(e, wide) > flushed_half_bandwidth(e, BATHS["bath"])

@@ -22,7 +22,6 @@ from openchain.chains import (
     sample_disorder,
 )
 from openchain.lindblad import (
-    _THETA13,
     BathSpec,
     DegenerateGapError,
     dissipative_transport_run,
@@ -173,12 +172,23 @@ class TestPropagatePopulations:
         assert np.max(np.abs(a - b)) < 1e-8
 
 
-class TestExpm:
-    """The package's expm (Taylor up to 1-norm 1/4, Pade above) against scipy.linalg.expm.
+def half_bandwidth(m: np.ndarray) -> int:
+    """max |i - j| over the nonzero entries of m."""
+    rows, cols = np.nonzero(m)
+    return int(np.max(np.abs(rows - cols)))
 
-    The bounds are the worst deviations measured over this grid (2.6e-15 and
-    6.6e-14; column sums 8.9e-16 and 3.0e-13) times about four.
+
+class TestExpm:
+    """The package's expm (Taylor degree 12 up to 1-norm 1/4, 28 above) against scipy.linalg.expm.
+
+    The bounds are about four times the worst deviations over this grid when
+    they were set (2.6e-15 and 6.6e-14; column sums 8.9e-16 and 3.0e-13), on
+    the two classes split at ``CLASS_NORM``. The degree-28 polynomial reads
+    2.6e-15 and 5.3e-14 (column sums 4.4e-16 and 2.6e-13).
     """
+
+    #: the 1-norm that splits the grid into the two classes the bounds were measured on
+    CLASS_NORM = 5.371920351148152
 
     @pytest.mark.parametrize("s", [2, 20, 52, 200])
     def test_matches_scipy_on_population_generators(self, s):
@@ -188,7 +198,7 @@ class TestExpm:
             for zeta, dt in itertools.product([0.05, 0.5], [0.05, 1.0, 32.0, 500.0]):
                 bath = BathSpec(beta=1.0, zeta=zeta)
                 a = population_generator(transition_rates(evals, bath), bath) * dt
-                scaled = np.linalg.norm(a, 1) > _THETA13  # above it expm scales and squares
+                scaled = np.linalg.norm(a, 1) > self.CLASS_NORM
                 paths.add(scaled)
                 out = expm(a)
                 assert np.max(np.abs(out - scipy.linalg.expm(a))) <= (3e-13 if scaled else 1e-14)
@@ -196,23 +206,33 @@ class TestExpm:
         assert paths == {False, True}
 
     @pytest.mark.parametrize("s", [20, 200])
-    def test_taylor_and_pade_meet_at_a_quarter(self, s, monkeypatch):
-        # just below 1-norm 1/4 expm takes the Taylor polynomial, which solves
-        # nothing; just above, the unscaled Pade approximant and its one solve
+    def test_taylor_degrees_meet_at_a_quarter(self, s, monkeypatch):
+        # just below 1-norm 1/4 expm takes degree 12, just above degree 28
+        # unscaled: neither solves anything, and both meet the unscaled bounds
         evals, _ = diagonalize(build_chain_hamiltonian(sample_disorder(s, 0.5, 0), 2.0))
         bath = BathSpec(beta=1.0, zeta=0.05)
         gen = population_generator(transition_rates(evals, bath), bath)
         solves, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
-        paths = set()
+        bands = []
         for factor in (1 - 1e-6, 1 + 1e-6):
             a = gen * (factor * 0.25 / np.linalg.norm(gen, 1))
-            del solves[:]
             out = expm(a)
-            paths.add(len(solves))
+            bands.append(half_bandwidth(out))
             assert np.max(np.abs(out - scipy.linalg.expm(a))) <= 1e-14
             assert np.max(np.abs(out.sum(axis=0) - 1.0)) <= 4e-15
-        assert paths == {0, 1}
+        assert solves == []
+        assert bands == [12, min(28, s - 1)]  # a tridiagonal a: the band is the degree
+
+    def test_band_of_the_weak_tilt_generator(self):
+        # the s = 200, g = 0.5 chain at dt = 0.2, 1, 2 and 5 (||A dt||_1 = 0.22,
+        # 1.08, 2.16 and 5.40): degree 12, then 28, then 28 squared once, so
+        # S = expm(A dt) stays banded at every norm
+        evals, _ = diagonalize(build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 0.5))
+        bath = BathSpec(beta=1.0, zeta=0.05)
+        gen = population_generator(transition_rates(evals, bath), bath)
+        for dt, band in [(0.2, 12), (1.0, 28), (2.0, 28), (5.0, 56)]:
+            assert half_bandwidth(expm(gen * dt)) <= band
 
     def test_zero_is_identity(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from support import read_csv
 
+import openchain
 from openchain.chains import sample_disorder
 from openchain.cli import main
 from openchain.config import validate_config
@@ -182,9 +186,20 @@ class TestRunScenario:
         else:
             sweep(config, "s", [6, 8])
         environment = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
-        keys = {"python", "numpy", "blas", "blas_version", "cpu_count"}
+        keys = {"python", "numpy", "blas", "blas_version", "blas_threads", "cpu_count"}
         assert set(environment) == keys
         assert all(environment[key] for key in keys)
+
+    def test_manifest_reads_the_blas_thread_count(self):
+        # a fresh process, since OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads it
+        src = str(Path(openchain.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from openchain.runner import _numeric_environment as e; "
+             "print(e()['blas_threads'])"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "1"
 
     def test_different_seeds_differ(self, tmp_path):
         extra = "[chain]\nsigma = 0.5\n[grid]\nt_max = 10\ndt = 1\n"
