@@ -34,6 +34,11 @@ tree's ``src`` with one BLAS thread, and times these stages, in this order:
   a = s // 2 on a clock of s + 2 sites (so each branch has s levels), its
   disorder drawn with the case's sigma and seed, and the case's tilt, bath
   and grid;
+* ``superposed_closed``: the same switch without the bath;
+* ``classical_closed``: ``feynman.run_classical_input`` of the upper branch
+  of the same clock without the bath, with the switch at a = 9 (the cnot
+  configs' entry), so that the sites past the gate, read to relative
+  accuracy, span nearly the whole branch;
 * ``write_csv``: ``series.write_csv`` of the run's columns with their sha256,
   the first write of the process (its tables loaded by ``csv_tables``);
 * ``csv_cells``: ``write_csv`` of a 21 x 2001 table of standard normal
@@ -45,10 +50,12 @@ tree's ``src`` with one BLAS thread, and times these stages, in this order:
 
 Beside each stage's time the worker records its minor page faults
 (``ru_minflt``), summed over the calls for ``read_out``. Each case also
-records ``kept``: the modes and sites that ``lindblad._reach`` keeps in the
-bath run's coherent term (``bath``) and in the closed run's moment rows
-(``closed``), counted on this tree. Both runs take one rule with the same
-weight (``lindblad._moment_weight`` of the sites), so the two counts agree.
+records ``kept``: the modes and sites of the reach (``lindblad._reach``)
+that the bath run (``bath``) and the closed run (``closed``) take, read off
+the two runs' own calls, on this tree. Both weight their rows by
+``lindblad._moment_weight`` of the sites; the closed run also reads its
+region, the last site, to relative accuracy, so its reach holds the bath
+run's and may exceed it.
 Each stage is imported by name, so a rename raises ``ImportError`` instead of
 dropping the stage; the base tree, the parent commit, has every one. With
 ``--base PATH`` every pair runs this tree and the tree at PATH back to back,
@@ -85,7 +92,8 @@ CASES = (("transport", 100), ("transport", 400), ("transport", 800), ("weak_tilt
          ("localized", 200))
 POINTS, PAIRS = 10001, 10
 STAGES = ("csv_tables", "diagonalize", "expm", "populations", "read_out", "run", "closed",
-          "superposed", "write_csv", "csv_cells", "peak_scan")
+          "superposed", "superposed_closed", "classical_closed", "write_csv", "csv_cells",
+          "peak_scan")
 CSV_SHAPE = (21, 2001)  # columns and rows of the csv_cells table
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 TREE = Path(__file__).resolve().parents[1]
@@ -100,12 +108,11 @@ def measure(chain: str, s: int, points: int) -> dict:
     from openchain import lindblad
     from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
     from openchain.config import ExperimentConfig
-    from openchain.feynman import run_superposed_input
+    from openchain.feynman import run_classical_input, run_superposed_input
     from openchain.lindblad import (
         _BLOCK_BYTES,
         _BLOCK_SQUARINGS,
         BathSpec,
-        _moment_weight,
         _population_blocks,
         _reach,
         dissipative_transport_run,
@@ -133,16 +140,18 @@ def measure(chain: str, s: int, points: int) -> dict:
     energies = build_chain_hamiltonian(sample_disorder(s, case["sigma"], case["seed"]), case["g"])
 
     e, v = timed("diagonalize", diagonalize, energies)
-    modes, sites = _reach(v, v[0], _moment_weight(np.arange(1, s + 1)))
-    kept = dict.fromkeys(("bath", "closed"), {"modes": int(modes.sum()), "sites": int(sites.sum())})
-
     gen, p = population_generator(transition_rates(e, bath), bath), v[0] ** 2
     block = 1 << _BLOCK_SQUARINGS
     timed("expm", next, _population_blocks(gen, p, dt, block, block))
     width = max(block, _BLOCK_BYTES // (16 * s))
     timed("populations", lambda: [None for _ in _population_blocks(gen, p, dt, width, points)])
 
-    spent = [0.0, 0]
+    spent, reaches = [0.0, 0], []
+
+    def recorded_reach(*args):  # the counts of each reach a run takes: the bath run's, the closed's
+        modes, sites = _reach(*args)
+        reaches.append({"modes": int(modes.sum()), "sites": int(sites.sum())})
+        return modes, sites
 
     def timed_read_out(*args, **kwargs):
         before, begin = minor_faults(), time.perf_counter()
@@ -151,15 +160,19 @@ def measure(chain: str, s: int, points: int) -> dict:
         spent[1] += minor_faults() - before
         return out
 
-    lindblad.read_out = timed_read_out
+    lindblad.read_out, lindblad._reach = timed_read_out, recorded_reach
     try:
         columns = timed("run", dissipative_transport_run, energies, bath, t_max, dt)
-    finally:
         lindblad.read_out = read_out
+        timed("closed", dissipative_transport_run, energies, None, t_max, dt)
+    finally:
+        lindblad.read_out, lindblad._reach = read_out, _reach
     times["read_out"], faults["read_out"] = spent
-    timed("closed", dissipative_transport_run, energies, None, t_max, dt)
+    kept = dict(zip(("bath", "closed"), reaches))
     clock = sample_disorder(s + 2, case["sigma"], case["seed"])
     timed("superposed", run_superposed_input, s // 2, clock, case["g"], bath, t_max, dt)
+    timed("superposed_closed", run_superposed_input, s // 2, clock, case["g"], None, t_max, dt)
+    timed("classical_closed", run_classical_input, 9, clock, case["g"], None, "U", t_max, dt)
 
     rng = np.random.default_rng(0)
     table = {f"c{j}": rng.standard_normal(CSV_SHAPE[1]) for j in range(CSV_SHAPE[0])}

@@ -242,11 +242,11 @@ def run_superposed_input(
     form neither V U nor the cross diagonal. Their cross block is taken as
     zero, since |cross| <= ||u_U|| ||u_D|| < 2^-70 there, so their register
     states are diagonal and their entropy is taken from the sorted diagonal,
-    without an eigensolve. A bath run also keeps only the reach of each
-    branch (:func:`openchain.lindblad._reach`, with W = 1: the register and
-    pair rows are 0/1): U on the branch's modes M, and V U and the cross
-    diagonal on the sites S = S_U | S_D that either branch reaches. Each
-    branch's rows then move by at most 2 sqrt(A E) + 3E/2, E = 2^-110 (the
+    without an eigensolve. Every run keeps only the reach of each branch
+    (:func:`openchain.lindblad._reach`, with W = 1: the register and pair
+    rows are 0/1): U on the branch's modes M, and V U and the cross diagonal
+    on the sites S = S_U | S_D that either branch reaches. Each branch's rows
+    then move by at most 2 sqrt(A E) + 3E/2, E = 2^-110 (the
     :mod:`openchain.lindblad` docstring), before the factor 1/2. With a and b
     the two branches' site amplitudes, d and B their bounds there and
     sum_j d_j^2 <= E/2 on each branch, a cross diagonal row k moves on S by
@@ -254,9 +254,14 @@ def run_superposed_input(
     sum_j R_kj |a_j|^2 and A^D_k likewise, and off S by at most
     sum_{j not in S} (B^U_j^2 + B^D_j^2) / 2 <= E: in all, with the factor 1/2, at most
     (sqrt(E/2) (sqrt(A^U_k) + sqrt(A^D_k)) + 3E/2) / 2 <= sqrt(E/2) + 3E/4.
-    Without a bath every mode and site is kept: ``p_beyond_gate`` starts near
-    1e-23 there and needs a relative accuracy that an absolute budget cannot
-    give.
+    Without a bath ``p_beyond_gate`` starts near 1e-23 on a tilted branch,
+    where that absolute bound would swamp it, so a closed run also passes
+    each branch's sites past the gate (the same path coordinates on both) as
+    the region that :func:`openchain.lindblad._reach` reads to relative
+    accuracy: each of those site amplitudes moves by at most eps B_j / 8, so
+    the rows past the gate and the cross diagonal there, on which the Bell
+    fidelity is conditioned, keep the accuracy of their own dot products.
+    Only a bath run forms the level tables.
     """
     sites_u, idx_up, (e_u, vu) = build_branch(a, "U", disorder, g)
     sites_d, idx_down, (e_d, vd) = build_branch(a, "D", disorder, g)
@@ -269,16 +274,14 @@ def run_superposed_input(
     trace_uu, trace_dd, p_beyond, entropy = (np.empty(times.size) for _ in range(4))
     fidelity = np.full(times.size, np.nan)
     register = np.empty((times.size, 4, 4), dtype=complex)
-    if bath is None or bath.zeta == 0.0:
-        modes_u = modes_d = sites = slice(None)
-        levels_u = levels_d = None
-    else:
-        ones = np.ones(vu.shape[0])  # W = 1 bounds the 0/1 register and pair rows
-        (keep_u, cover_u), (keep_d, cover_d) = _reach(vu, vu[0], ones), _reach(vd, vd[0], ones)
-        modes_u, modes_d = np.flatnonzero(keep_u), np.flatnonzero(keep_d)
-        sites = np.flatnonzero(cover_u | cover_d)
-        # each branch's level table R (V*V), once per run: its V*V is a temporary
-        levels_u, levels_d = rows_u @ np.square(vu), rows_d @ np.square(vd)
+    closed = bath is None or bath.zeta == 0.0
+    ones, region = np.ones(vu.shape[0]), np.flatnonzero(beyond) if closed else ()
+    # W = 1 bounds the 0/1 register and pair rows; a closed run reads those past the gate relatively
+    (keep_u, cover_u), (keep_d, cover_d) = (_reach(v, v[0], ones, region) for v in (vu, vd))
+    modes_u, modes_d = np.flatnonzero(keep_u), np.flatnonzero(keep_d)
+    sites = np.flatnonzero(cover_u | cover_d)
+    # with a bath, each branch's level table R (V*V), once per run: its V*V is a temporary
+    levels_u, levels_d = (None,) * 2 if closed else (rows_u @ np.square(vu), rows_d @ np.square(vd))
     rotate_u, rotate_d = vu[sites][:, modes_u], vd[sites][:, modes_d]
     rows_u, rows_d, pairs = rows_u[:, sites], rows_d[:, sites], pairs[:, sites]
     blocks = zip(

@@ -73,10 +73,11 @@ diagonal and its register eigensolve at the same cut. Without a bath
 ||u|| = 1, and every column is read out in full.
 
 The coherent term is also formed only on the energy modes M and sites S that
-the start reaches (:func:`_reach`), by one rule for every run, with and
-without a bath. The caller passes a weight W_j >= |R_rj| for every row r that
-it reads on the reach. Every |u_m(t)| <= |c_m| (the bath only damps them), so
-dropping the modes outside M moves site amplitude j by at most
+the start reaches (:func:`_reach`): one reach for every run, with and
+without a bath, whose rectangle joins two budgets. The absolute one: the
+caller passes a weight W_j >= |R_rj| for every row r that it reads on the
+reach. Every |u_m(t)| <= |c_m| (the bath only damps them), so dropping the
+modes outside M moves site amplitude j by at most
 d_j = sum_{m not in M} |V_jm| |c_m| at every t, and every site amplitude is
 at most B_j = sum_m |V_jm| |c_m|. The modes M drop the smallest |c_m| while
 sum_j W_j d_j^2 <= E/2, and the sites S drop the smallest W_j B_j^2 while the
@@ -88,31 +89,46 @@ x >= 0, the row itself). With a bath the correction subtracts |U|^2 on the
 rows M alone, and the part it leaves out, sum_j R_rj sum_{m not in M} V_jm^2
 |u_m|^2, is at most sum_j W_j d_j^2 <= E/2. So row r moves by at most
 2 sqrt(A_r E) + E, and 2 sqrt(A_r E) + 3E/2 with a bath: that is
-2^-54 sqrt(A_r) + 3 * 2^-111 <= eps/2 max(A_r, 1) + 3 * 2^-111. A bath run's
-blocks hold U on the modes M alone (P keeps every level, because the bath
-fills them all); a closed run's hold U on every mode, those of M first, so its
-moment rows read U[:|M|], a view. :func:`read_out` reads what the run has
-sliced: each run slices V[S, M] and its rows on S once, and with a bath it
-passes the level table L = R (V*V) over every site, with the modes M that U
-holds; the run forms L once for rows that stay fixed, so read_out neither
-squares V nor indexes V or its rows.
+2^-54 sqrt(A_r) + 3 * 2^-111 <= eps/2 max(A_r, 1) + 3 * 2^-111.
+
+The relative one: a closed run also passes its region, the sites whose rows
+need the accuracy of their own dot products. Without a bath P is |U|^2 and
+no column decays, and a region row can be tiny in its own right (a tilted
+switch branch past its gate, near 1e-23; the last site of a localized chain
+at early times, far below 1e-190), where E would move it by O(1) of its
+size. For each region site j the reach keeps the modes M_j, all but the
+smallest |V_jm| |c_m| whose sum stays within eps B_j / 8 (eps = ``_EPS`` =
+2^-53, the unit roundoff), and j joins S when B_j > 0: B_j = 0 holds its
+amplitude at exactly 0 at every t, so dropping it is exact. Every
+|u_m(t)| <= |c_m|, so site j's amplitude moves by at most eps B_j / 8, below
+its dot product's own rounding eps B_j, and a region row p = sum_j p_j moves
+by at most sum_j eps B_j (2 sqrt(p_j) + eps B_j) / 8. A region row below
+(eps B_j)^2 is rounding noise, with the cut or without: the localized chain
+(s = 200, sigma = 0.5) writes 4e-49 to 6e-44 where its exact last-site
+probability is below 1e-190. The reach is the union of the two rectangles:
+more modes and sites only shrink what either budget leaves out, so both
+bounds hold on it. A bath run passes no region. Its populations are
+accurate to eps absolute, so the absolute budget is already its floor; on
+the s = 52 switch the relative rule would grow a branch's reach from 13
+modes and 15 or 16 sites to 36 and 50.
+
+Every run's blocks hold U on the modes M alone (P keeps every level, because
+the bath fills them all). :func:`read_out` reads what the run has sliced:
+each run slices V[S, M] and its rows on S once, and with a bath it passes
+the level table L = R (V*V) over every site, with the modes M that U holds;
+the run forms L once for rows that stay fixed, so read_out neither squares
+V nor indexes V or its rows.
 
 The chain (:func:`pure_state_series`) weights its rows x, y^2 and y by
 W_j = max(|x_j|, D_j, D_j^2), D_j = max(x_j - min x, max x - x_j) >= |y_j|
 (the mean that y is taken about lies between min x and max x, up to a few
-ulps that the bound absorbs). Their move stays below their own rounding. A
-bath run reads its region indicator on the reach too, under the same absolute
-bound, and W covers it while x >= 1, as the sites of every chain and switch
-branch are. Without a bath P is |U|^2 and no column decays, and the region
-row can be tiny in its own right (the last site of a localized chain at early
-times, 1e-44 to 1e-31), where the absolute E would move it by O(1) of its
-size. So a closed chain reads its region row whole, as |V[region] U|^2 on
-every mode and the region's sites alone: O(n) per column, and p_region keeps
-the accuracy of its own dot products, within eps b (2 sqrt(p) + eps b) up to
-a small factor, b = sum_m |V_jm| |c_m| (below (eps b)^2 it is rounding noise
-with or without a cut). The superposed switch
-(:func:`openchain.feynman.run_superposed_input`) reads 0/1 rows and passes
-W = 1 on a bath run; without a bath it keeps every mode and site.
+ulps that the bound absorbs). Their move stays below their own rounding. W
+covers the region indicator too while x >= 1, as the sites of every chain
+and switch branch are, so a bath run reads that row under the absolute
+bound, and a closed run, which passes the region, under both. The
+superposed switch (:func:`openchain.feynman.run_superposed_input`) reads
+0/1 rows under W = 1, and a closed switch passes each branch's sites past
+the gate as its region.
 """
 
 from __future__ import annotations
@@ -128,6 +144,7 @@ _BLOCK_SQUARINGS = 5  # population blocks of B = 2**5 columns, S^B by five squar
 _BLOCK_BYTES = 1 << 20  # one complex n x block amplitude array: cache-sized
 _DECAYED = 2.0**-70  # ||u||^2 below which the coherences drop under rounding (see above)
 _REACH = 2.0**-110  # the weighted sum E that the reach of a run leaves out (see above)
+_EPS = 2.0**-53  # the unit roundoff: a region site's amplitude moves by at most _EPS B_j / 8
 _FLUSH = 1e-150  # entries of S and of each square set to zero below it: no subnormal products
 # Taylor coefficients 1 / k! up to degree 28; expm takes degree 12 up to 1-norm
 # _TAYLOR_NORM and degree 28 above it, on a scaled to 1-norm <= _SCALED_NORM
@@ -312,9 +329,8 @@ def energy_blocks(
     energy-basis amplitudes c. U[m, i] = c_m exp(d_m t_i) with
     d = -i e - zeta G / 2, so the coherences at t_i are u u^H - diag|u|^2
     with u = U[:, i]. U holds the rows ``modes``, in their order (every mode
-    by default; a bath run passes the modes of :func:`_reach`, a closed run
-    every mode with those first), while P keeps every
-    level. A block spans as many grid columns as fit one complex n x width
+    by default; every run passes the modes of :func:`_reach`), while P keeps
+    every level. A block spans as many grid columns as fit one complex n x width
     array of about 1 MiB, and at least B = 32. The phase tables are built
     once, for the first block; the block from column ``start`` on is that
     table times exp(d t_start), formed after the generator has let go of the
@@ -364,15 +380,20 @@ def _coherent_columns(amplitudes: np.ndarray) -> int:
 
 
 def _reach(
-    eigenvectors: np.ndarray, amplitudes: np.ndarray, weight: np.ndarray
+    eigenvectors: np.ndarray, amplitudes: np.ndarray, weight: np.ndarray, region=()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks (modes M, sites S) of what the coherent term of a pure start c keeps.
 
     ``weight`` is W, W_j >= |R_rj| for every row r read on the reach. The
     modes drop the smallest |c_m| while sum_j W_j d_j^2 <= ``_REACH`` / 2,
     d_j = sum_{m not in M} |V_jm| |c_m|, and the sites drop the smallest
-    W_j B_j^2, B_j = sum_m |V_jm| |c_m|, within the rest of the budget. The
-    module docstring derives the bound.
+    W_j B_j^2, B_j = sum_m |V_jm| |c_m|, within the rest of the budget. Each
+    site j of ``region`` (0-based rows, read to relative accuracy) then keeps
+    the modes M_j: all but the smallest |V_jm| |c_m| whose sum stays
+    <= ``_EPS`` B_j / 8 (a term equal to the least kept one is kept too). It
+    joins S when B_j > 0 (B_j = 0 holds its amplitude at 0), and the modes
+    are the union of M and every M_j. The module docstring derives both
+    bounds.
     """
     c, size = np.abs(amplitudes), np.abs(eigenvectors)
     rank = np.argsort(np.argsort(c))
@@ -383,15 +404,21 @@ def _reach(
     lo, hi = 0, c.size  # the most modes with sum_j W_j d_j^2 <= budget / 2: d grows with k
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if weight @ np.square(dropped(mid)) <= _REACH / 2:
-            lo = mid
-        else:
-            hi = mid - 1
+        lo, hi = (mid, hi) if weight @ np.square(dropped(mid)) <= _REACH / 2 else (lo, mid - 1)
     tail = weight * np.square(size @ c)  # W_j B_j^2
     order, left = np.argsort(tail), _REACH - weight @ np.square(dropped(lo))
     sites = np.ones(tail.size, dtype=bool)
     sites[order[: np.count_nonzero(np.cumsum(tail[order]) < left)]] = False
-    return rank >= lo, sites
+    rows, live = np.asarray(region, dtype=int), np.flatnonzero(c)
+    terms = size[np.ix_(rows, live)] * c[live]  # |V_jm| |c_m| on the region, modes with c_m != 0
+    ranked = np.sort(terms, axis=1)
+    total = ranked.sum(axis=1)  # B_j
+    past = np.cumsum(ranked, axis=1) > _EPS / 8 * total[:, None]  # past the dropped smallest
+    least = np.where(past, ranked, np.inf).min(axis=1, initial=np.inf)  # M_j's smallest term
+    sites[rows[total > 0]] = True
+    modes = rank >= lo
+    modes[live[np.any(terms >= least[:, None], axis=0)]] = True
+    return modes, sites
 
 
 def _moment_weight(positions: np.ndarray) -> np.ndarray:
@@ -484,35 +511,29 @@ def pure_state_series(
     ``FloatingPointError``; the rounding-level negatives above it are clipped
     to 0. The rows are read on the modes M and sites S of :func:`_reach`,
     weighted by :func:`_moment_weight` of ``positions``, which bounds the
-    region's indicator too while every position is >= 1. The run orders the
-    modes once, those of M first, and slices V[S, M] and the rows on S once;
-    a bath run's blocks hold U on M alone, a closed run's (``None`` or
-    zeta = 0) on every mode. With a bath the run squares V once and forms the
-    first mean's level table x (V*V) once; each block forms the level table
-    of its four rows. A closed run reads the region row whole, on every mode
-    from V[region] (module docstring).
+    region's indicator too while every position is >= 1; a closed run
+    (``None`` or zeta = 0) also passes ``region``, whose row it reads to
+    relative accuracy (module docstring). The run slices V[S, M] and the rows
+    on S once, and its blocks hold U on M alone. With a bath the run squares
+    V once and forms the first mean's level table x (V*V) once; each block
+    forms the level table of its four rows.
     """
     (e, v), x = eig, np.asarray(positions, dtype=float)
     times = time_grid(t_max, dt)
     indicator = np.bincount(region, minlength=x.size).astype(float)
     mean, var, p_region = (np.empty(times.size) for _ in range(3))
-    keep, cover = _reach(v, amplitudes, _moment_weight(x))
-    kept = np.count_nonzero(keep)
-    order = np.argsort(~keep, kind="stable")  # the modes M first, both parts ascending
-    rotate, near, marked = v[np.ix_(cover, order[:kept])], x[cover], indicator[cover]
-    if bath is None or bath.zeta == 0.0:  # U on every mode; the region row on all of them
-        modes, whole, squared, centre = order, v[region][:, order], None, None
-    else:  # U on the modes M alone
-        modes, whole, squared = order[:kept], None, np.square(v)
-        centre = x[None] @ squared  # the first mean's level table, once per run
+    closed = bath is None or bath.zeta == 0.0
+    keep, cover = _reach(v, amplitudes, _moment_weight(x), region if closed else ())
+    modes = np.flatnonzero(keep)
+    rotate, near, marked = v[np.ix_(cover, modes)], x[cover], indicator[cover]
+    squared = None if closed else np.square(v)
+    centre = None if closed else x[None] @ squared  # the first mean's level table, once per run
     for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt, modes):
         first = None if p is None else p[:, :1]
-        mu = read_out(rotate, near[None], first, u[:kept, :1], centre, modes)[0, 0]
+        mu = read_out(rotate, near[None], first, u[:, :1], centre, modes)[0, 0]
         y = near - mu
         levels = None if p is None else np.stack([x, (x - mu) ** 2, x - mu, indicator]) @ squared
-        out = read_out(rotate, np.stack([near, y**2, y, marked]), p, u[:kept], levels, modes)
-        if whole is not None:  # the region row on every mode, in place of the reach's
-            out[3] = read_out(whole, np.ones((1, region.size)), None, u)[0]
+        out = read_out(rotate, np.stack([near, y**2, y, marked]), p, u, levels, modes)
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
     if np.any(var < -1e-9):
         raise FloatingPointError("variance must be nonnegative")

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from openchain import lindblad
 from openchain.chains import build_chain_hamiltonian, diagonalize, sample_disorder
 from openchain.lindblad import BathSpec, population_generator, transition_rates
 
@@ -44,21 +45,33 @@ def test_one_repetition_writes_every_stage(stages):
     assert ("weak_tilt", 400) in stages.CASES
     for case in report["cases"]:
         assert case["stages"].keys() == set(stages.STAGES)
-        # the reach of the bath run's coherent term and of the closed run's moment rows:
-        # one rule and one weight, so one count
+        # the reach that the bath run and the closed run take, read off their own calls:
+        # one weight, and the closed run also reads its last site to relative accuracy,
+        # so its reach holds the bath run's
         assert case["kept"].keys() == {"bath", "closed"}
         for kept in case["kept"].values():
             assert kept.keys() == {"modes", "sites"}
             assert all(0 < count <= 20 for count in kept.values())
-        assert case["kept"]["bath"] == case["kept"]["closed"]
+        for count in ("modes", "sites"):
+            assert case["kept"]["closed"][count] >= case["kept"]["bath"][count]
+        params = stages.CHAINS[case["chain"]]
+        disorder = sample_disorder(20, params["sigma"], params["seed"])
+        e, v = diagonalize(build_chain_hamiltonian(disorder, params["g"]))
+        weight = lindblad._moment_weight(np.arange(1, 21))
+        for run, region in (("bath", ()), ("closed", [19])):
+            modes, sites = lindblad._reach(v, v[0], weight, region)
+            assert case["kept"][run] == {"modes": modes.sum(), "sites": sites.sum()}
     [case, _, _] = report["cases"]
     assert "peak_scan" in case["stages"]  # the peak-scaling run at the case's s
     assert "closed" in case["stages"]  # the case's chain and grid without the bath
     assert "superposed" in case["stages"]  # the switch on the case's parameters and grid
+    assert "superposed_closed" in case["stages"]  # the same switch without the bath
+    assert "classical_closed" in case["stages"]  # a closed branch, gate at a = 9
     # the CSV writer's cold tables and its warm cost per cell
     assert {"csv_tables", "csv_cells"} <= case["stages"].keys()
     assert stages.STAGES.index("closed") > stages.STAGES.index("run")  # after the bath stages
     assert stages.STAGES.index("superposed") == stages.STAGES.index("closed") + 1
+    assert stages.STAGES.index("superposed_closed") == stages.STAGES.index("superposed") + 1
     for entry in case["stages"].values():
         assert entry.keys() == {"change"}
         assert entry["change"].keys() == {"median", "q25", "q75", "runs", "faults"}

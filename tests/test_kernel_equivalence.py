@@ -18,14 +18,15 @@ superposed switch must match the dense oracle, with diagonal register states
 whose entropy equals ``von_neumann_entropy`` within 1e-15. With a bath the
 switch keeps only the modes and sites its branches reach: against the run
 that keeps all of them, its read-out columns and register move by at most
-2^-70 plus rounding. Without a bath the switch keeps every mode and site,
-while the closed chain reads its moment rows on the modes and sites of
-``_reach`` and its region row on every mode: that row equals |V[region] U|^2
-formed in long double within 16 eps b (2 sqrt(p) + eps b), b the row's sum
-of |terms|, at 1e-44 too, and on
-localized, tilted and clean chains every column, held to a long-double
-read-out of the same float64 blocks, errs by at most twice as much as the
-uncut float64 read-out. The closed chain,
+2^-70 plus rounding. Without a bath the chain and the switch take one reach
+too, joined with the modes that read their region rows (the last site, the
+sites past the gate) to relative accuracy: the region row equals
+|V[region] U|^2 formed in long double within 16 eps b (2 sqrt(p) + eps b), b
+the row's sum of |terms|, at 1e-44 too, and where the exact row is far below
+that floor the run writes noise below (16 eps b)^2, which the absolute
+budget alone breaks; on localized, tilted and clean chains every column,
+held to a long-double read-out of the same float64 blocks, errs by at most
+twice as much as the uncut float64 read-out. The closed chain,
 evaluated in cache-sized blocks of grid columns, is checked against one
 complex product per 4096-column chunk, on a grid of several blocks that ends
 in a partial one.
@@ -479,18 +480,21 @@ def test_run_superposed_input_past_the_cut():
     assert np.max(np.abs(series["entropy"][cut:] - von_neumann_entropy(past))) <= 1e-15
 
 
-def test_closed_run_reads_the_region_row_on_every_mode(monkeypatch):
-    # Without a bath (None or zeta = 0) the moment rows are read on the modes
-    # and sites of _reach, 157 of 200 modes on the first of these localized
-    # chains, while the region row is |V[region] U|^2 on every mode. The
-    # last site holds about 1e-44 at t = 0.5 and must equal |V[-1] U|^2,
-    # formed in long double from the same float64 V and U, within
+def test_closed_region_row_holds_its_relative_floor(monkeypatch):
+    # Without a bath (None or zeta = 0) the run reads every row on one reach:
+    # the W rule's modes and sites, 157 and 159 of 200 modes on these localized
+    # chains, joined with the modes that read the last site to relative
+    # accuracy. The last site holds about 1e-44 at t = 0.5 and must equal
+    # |V[-1] U|^2, formed in long double from the same float64 V and U, within
     # 16 eps b (2 sqrt(p) + eps b), b = sum_m |V_jm| |c_m|: about sqrt(n)
-    # times a dot product's unit rounding eps b (measured: 3.3 on these
-    # chains). On the second chain the modes left out of M move the last
-    # site's amplitude by 720 eps b, so a region row read on M fails. The
-    # closed superposed switch takes no reach: it keeps every mode and site.
+    # times a dot product's unit rounding eps b. Up to t = 50 the exact row is
+    # below 1e-190, so the run writes rounding noise there, which must stay
+    # below (16 eps b)^2. On the second chain the modes left out by the W rule
+    # alone, an absolute budget, move the last site's amplitude by 720 eps b,
+    # and a row read on them alone breaks that floor.
     eps = 2.0**-53
+    times = time_grid(2000.0, 0.5)
+    early = times <= 50.0
     for seed, kept in ((0, 157), (2, 159)):
         h = build_chain_hamiltonian(sample_disorder(200, 0.5, seed), 0.0)
         e, v = diagonalize(h)
@@ -498,21 +502,32 @@ def test_closed_run_reads_the_region_row_on_every_mode(monkeypatch):
         modes, sites = lindblad._reach(v, v[0], lindblad._moment_weight(x))
         assert (modes.sum(), sites.sum()) == (kept, 200)
         got = dissipative_transport_run(h, None, 2000.0, 0.5)["p_region"]
-        assert 0.0 < got[1] < 1e-40
         _, amps = relax_energy_density(e, None, v[0], 2000.0, 0.5)
         last = v[-1].astype(np.longdouble)
         exact = (last @ amps.real.astype(np.longdouble)) ** 2
         exact += (last @ amps.imag.astype(np.longdouble)) ** 2
         unit = eps * (np.abs(v[-1]) @ np.abs(v[0]))
         assert np.all(np.abs(got - exact) <= 16 * unit * (2 * np.sqrt(exact) + unit))
+        assert np.all(got[early] <= (16 * unit) ** 2)
+        absolute = np.abs(v[-1, modes] @ amps[modes][:, early]) ** 2
+        assert (np.max(absolute) > (16 * unit) ** 2) == (seed == 2)
 
-    def no_reach(*args):
-        raise AssertionError("the closed superposed switch took a reach")
+    # The closed superposed switch takes the reach too, on each branch with W = 1
+    # and the sites past the gate read to relative accuracy: on the tilted s = 52
+    # switch at a = 9 that is 36 modes and 50 sites of each branch, where the W
+    # rule alone keeps 13 modes and 15 or 16 sites.
+    counts, reach = [], feynman._reach
 
-    monkeypatch.setattr(feynman, "_reach", no_reach)
-    disorder = sample_disorder(22, 0.5, 0)
+    def recorded(v, c, weight, region=()):
+        modes, sites = reach(v, c, weight, region)
+        counts.append((int(modes.sum()), int(sites.sum())))
+        return modes, sites
+
+    monkeypatch.setattr(feynman, "_reach", recorded)
+    disorder = sample_disorder(52, 0.5, 0)
     for bath in (None, BathSpec(beta=1.0, zeta=0.0)):
-        run_superposed_input(4, disorder, 2.0, bath, 50.0, 1.0)
+        run_superposed_input(9, disorder, 2.0, bath, 50.0, 1.0)
+    assert counts == [(36, 50)] * 4
 
 
 #: closed chains whose read-out is held to the long-double reference: the
@@ -529,9 +544,10 @@ CLOSED_CHAINS = {
 
 @pytest.mark.parametrize("chain", CLOSED_CHAINS)
 def test_closed_cut_rounds_like_the_uncut_read_out(chain):
-    # A closed run reads its moment rows on the modes and sites of _reach
-    # and its region row on every mode. Against the same float64 V and U
-    # blocks read out in long double, each column must err by at most twice
+    # A closed run reads its moment rows and its region row on one reach:
+    # the modes and sites of _reach's W rule, joined with the modes that read
+    # the region's site to relative accuracy. Against the same float64 V and
+    # U blocks read out in long double, each column must err by at most twice
     # as much as the uncut read-out in float64 (the package's formula before
     # the cut): the cut moves a row by less than its rounding.
     s, sigma, g, seed = CLOSED_CHAINS[chain]
@@ -703,14 +719,15 @@ def test_bath_read_out_memory(pipeline):
 def test_closed_read_out_memory():
     # The closed chain holds one cache block of amplitudes and read-out at a
     # time. At its peak it holds, in units of _BLOCK_BYTES (one complex
-    # n x width array): the first-block phase table and the U block on every
-    # mode (2), V[S, M] U squared in place and the site distribution (1.5),
-    # and the n x n eigenvector matrix and its V[S, M] (0.6: two of 0.3 at
-    # n = 200); the region row's V[region] U is one row. On top come the
-    # O(T) series: the grids of the run and of energy_blocks, the three
-    # columns and the clipped variance. Measured on this localized chain
-    # (157 of 200 modes kept): 4.0 blocks above the series, 4.46 MiB in all,
-    # against 4.52 MiB when every mode was read. One block is margin.
+    # n x width array): the first-block phase table and the U block on the
+    # reach's modes (at most 2), V[S, M] U squared in place and the site
+    # distribution (1.5), and the n x n eigenvector matrix and its V[S, M]
+    # (0.6: two of 0.3 at n = 200). On top come the O(T) series: the grids
+    # of the run and of energy_blocks, the three columns and the clipped
+    # variance. Measured on this localized chain (157 of 200 modes kept):
+    # 3.6 blocks above the series, 4.03 MiB in all (4.0 blocks and 4.46 MiB
+    # while its blocks held U on every mode for the region row). One block
+    # is margin.
     axis = (5000.0, 0.5)
     h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 0.0)
     peak = traced_peak(lambda: dissipative_transport_run(h, None, *axis))
@@ -736,8 +753,10 @@ def test_superposed_read_out_memory(bath):
     # a temporary of the run, freed once its 8 x n level table is formed,
     # before the blocks; the bath correction's buffer (0.5) comes after the
     # site distribution is freed.
-    # Measured: 8.0 blocks without the bath and 4.9 with it, whose reach cut
-    # keeps U and V U on a few modes and sites (11.7 without the cut); holding
+    # Measured: 2.5 blocks without the bath and 4.9 with it; both take the
+    # reach, which keeps U and V U on a few modes and sites (8.0 without the
+    # bath while the closed run kept every mode and site, and 11.7 with the
+    # bath without the cut); holding
     # the (columns, n) site arrays, their masked copies and the cross
     # diagonal's row selection took 10.9 and 13.4. The whole-grid populations
     # peaked at 28.4 MiB with the bath.

@@ -19,7 +19,11 @@ is at most 1/2 ||u_U|| ||u_D||, and past the gate, where the state sits on
 With a bath the read-out keeps only the modes and sites the start reaches;
 on chains up to the transport size (pinned: the transport chain and a hot
 bath at s = 400) the cut read-out equals the full one within
-max|R_r| 2^-70 plus rounding.
+max|R_r| 2^-70 plus rounding. Without a bath the region rows of closed
+chains and closed classical branches (s <= 60; pinned: the tilted branch at
+s = 52, a = 9, whose p_beyond_gate starts near 1e-23) keep the relative
+accuracy of their own dot products against a long-double read-out of the
+same float64 amplitudes.
 """
 
 import numpy as np
@@ -323,3 +327,46 @@ def test_closed_reach_cut_holds_to_its_bound(params):
             moved -= rows @ (np.square(v[:, ~modes]) @ np.abs(amps[~modes]) ** 2)
             bound += budget / 2
         assert np.all(np.abs(moved) <= bound * (1 + 1e-6))
+
+
+@st.composite
+def region_params(draw):
+    """(branch or None, s, a, sigma, g, disorder seed): a closed chain (None) or classical branch."""
+    branch = draw(st.sampled_from([None, "U", "D"]))
+    s = draw(st.integers(2 if branch is None else 7, 60))
+    a = 0 if branch is None else draw(st.integers(1, s - 6))
+    sigma, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 3.0))
+    return branch, s, a, sigma, g, draw(st.integers(0, 2**16))
+
+
+@DERANDOMIZED
+@given(region_params())
+@example(("U", 52, 9, 0.5, 2.0, 0))  # the tilted branch: p_beyond_gate near 1e-23 at early times
+@example((None, 60, 0, 0.5, 0.0, 0))  # a localized chain: the last site far below its floor
+def test_closed_region_rows_keep_their_relative_accuracy(params):
+    # A closed run reads its region rows (the chain's last site, a classical
+    # branch's sites past the gate) on one reach that keeps, for each region
+    # site j, every mode but the smallest |V_jm c_m| within eps b_j / 8,
+    # b_j = sum_m |V_jm| |c_m|. The region row must then equal the sum over the
+    # region of |V_j U|^2, formed in long double from the same float64 V and U,
+    # within sum_j 16 eps b_j (2 sqrt(p_j) + eps b_j): the rounding of its own
+    # dot products, however small the row is. An absolute budget cannot give
+    # that to a row near 1e-23, and breaks the bound there.
+    branch, s, a, sigma, g, seed = params
+    disorder = sample_disorder(s, sigma, seed)
+    if branch is None:
+        energies = build_chain_hamiltonian(disorder, g)
+        e, v = diagonalize(energies)
+        region = np.array([s - 1])
+        got = lindblad.dissipative_transport_run(energies, None, 300.0, 1.0)["p_region"]
+    else:
+        sites, _, (e, v) = build_branch(a, branch, disorder, g)
+        region = np.flatnonzero(sites >= a + 5)
+        got = run_classical_input(a, disorder, g, None, branch, 300.0, 1.0)["p_beyond_gate"]
+    _, amps = relax_energy_density(e, None, v[0], 300.0, 1.0)
+    rows = v[region].astype(np.longdouble)
+    exact = (rows @ amps.real.astype(np.longdouble)) ** 2
+    exact += (rows @ amps.imag.astype(np.longdouble)) ** 2  # p_j, one row per region site
+    unit = 2.0**-53 * (np.abs(v[region]) @ np.abs(v[0]))[:, None]  # eps b_j
+    bound = np.sum(16 * unit * (2 * np.sqrt(exact) + unit), axis=0)
+    assert np.all(np.abs(got - exact.sum(axis=0)) <= bound)
