@@ -24,8 +24,11 @@ tree's ``src`` with one BLAS thread, and times these stages, in this order:
 * ``populations``: the whole drain of ``_population_blocks`` at the run's
   block width, the ``expm`` stage included;
 * ``read_out``: the summed calls of ``lindblad.read_out`` inside one
-  ``dissipative_transport_run`` (the level tables they read are formed by
-  the run, outside these calls);
+  ``dissipative_transport_run``. The level tables they read and each
+  block's V U product are formed by the run, outside these calls; a tree
+  whose ``read_out`` still formed V U itself (before ``read_out`` took the
+  caller's site amplitudes) counts that product in this stage, so a pair
+  against such a tree compares this stage on different work;
 * ``run``: that ``dissipative_transport_run``, end to end;
 * ``closed``: ``dissipative_transport_run`` of the same chain and grid
   without the bath, after the bath stages, so that the heap it leaves cannot

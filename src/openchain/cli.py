@@ -1,7 +1,8 @@
 """Command-line interface: run, sweep, and validate experiment configs.
 
 Exit codes: 0 success, 2 invalid config or usage, 3 numeric failure (a run too
-large for memory included).
+large for memory included), 4 broken install (the package's ``csv_tables.bin``
+of the wrong size).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .lindblad import DegenerateGapError
 from .runner import run_scenario, sweep
+from .series import BrokenInstallError
 
 def _parse_values(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
@@ -61,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateGapError, np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenInstallError as exc:
+        print(f"broken install: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,7 @@ import numpy as np
 from .chains import build_chain_hamiltonian, diagonalize
 from .lindblad import (
     BathSpec,
-    _coherent_columns,
+    _cut,
     _reach,
     energy_blocks,
     pure_state_series,
@@ -227,22 +227,29 @@ def run_superposed_input(
     rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal 1/2 (V_U U_U)_j
     conj((V_D U_D)_j); each branch's V U feeds both its read-out and the cross
     diagonal. Both branches have s - 2 levels, so their blocks span the same
-    columns. The read-out rows, built once per run, are each branch's one-hot
-    register-index rows and the 16 index-pair rows of the cross diagonal on
-    the shared coordinates, each over its copy past the gate (``sites`` >= b
-    on both branches): they give the state (:func:`register_states`) and the
-    state past the gate, normalized by ``p_beyond_gate``. The run slices each
-    branch's V[S, M] and the rows on S once, and with a bath forms each
-    branch's 8 x n level table R (V*V) once from its fixed rows, its V*V a
-    temporary (:func:`openchain.lindblad.read_out`). Only the O(T) series,
-    ``register`` and these per-run tables are held across blocks.
+    columns. Each block takes each branch's cut once
+    (:func:`openchain.lindblad._cut`) and forms each branch's V U once, up to
+    the later of the two cuts: the cross diagonal reads both, then each
+    branch's read-out takes its own V U up to its own cut, which
+    :func:`openchain.lindblad.read_out` squares in place. The read-out rows,
+    built once per run, are each branch's one-hot register-index rows and the
+    16 index-pair rows of the cross diagonal on the shared coordinates, each
+    over its copy past the gate (``sites`` >= b on both branches): they give
+    the state (:func:`register_states`) and the state past the gate,
+    normalized by ``p_beyond_gate``. The run slices each branch's V[S, M] and
+    the rows on S once, and with a bath forms each branch's 8 x n level table
+    R (V*V) once from its fixed rows, its V*V a temporary
+    (:func:`openchain.lindblad.read_out`). Only the O(T) series, ``register``
+    and these per-run tables are held across blocks.
 
-    With a bath, a block's columns from the later of the two branches' cuts
-    on (:func:`openchain.lindblad._coherent_columns`: ||u||^2 < 2^-70 on both)
-    form neither V U nor the cross diagonal. Their cross block is taken as
-    zero, since |cross| <= ||u_U|| ||u_D|| < 2^-70 there, so their register
-    states are diagonal and their entropy is taken from the sorted diagonal,
-    without an eigensolve. Every run keeps only the reach of each branch
+    With a bath a branch's cut is its first column with ||u||^2 < 2^-70,
+    found by bisection; without one ||u|| = 1 and the cut is the whole block,
+    taken with no bisection. A block's columns from the later of the two
+    branches' cuts on (||u||^2 < 2^-70 on both) form neither V U nor the cross
+    diagonal. Their cross block is taken as zero, since |cross| <=
+    ||u_U|| ||u_D|| < 2^-70 there, so their register states are diagonal and
+    their entropy is taken from the sorted diagonal, without an eigensolve.
+    Every run keeps only the reach of each branch
     (:func:`openchain.lindblad._reach`, with W = 1: the register and pair
     rows are 0/1): U on the branch's modes M, and V U and the cross diagonal
     on the sites S = S_U | S_D that either branch reaches. Each branch's rows
@@ -289,13 +296,15 @@ def run_superposed_input(
         energy_blocks(e_d, bath, vd[0], t_max, dt, modes_d),
     )
     for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
-        keep = max(_coherent_columns(amp_u), _coherent_columns(amp_d))
+        cut_u, cut_d = _cut(pop_u, amp_u), _cut(pop_d, amp_d)
+        keep = max(cut_u, cut_d)
         w_u = site_amplitudes(rotate_u, amp_u[:, :keep])  # V U on the sites S
         w_d = site_amplitudes(rotate_d, amp_d[:, :keep])
-        diag_u = 0.5 * read_out(rotate_u, rows_u, pop_u, amp_u, levels_u, modes_u, w_u)  # 8 rows
-        diag_d = 0.5 * read_out(rotate_d, rows_d, pop_d, amp_d, levels_d, modes_d, w_d)
-        w_u *= np.conj(w_d)  # in place: the cross diagonal on the sites
-        cross = 0.5 * site_amplitudes(pairs, w_u)  # (32, keep): zero after keep
+        np.conj(w_d, out=w_d)  # in place: read_out squares it, and |conj w|^2 = |w|^2
+        cross = 0.5 * site_amplitudes(pairs, w_u * w_d)  # (32, keep): zero after keep
+        # each read-out squares its branch's V U in place, up to the branch's own cut
+        diag_u = 0.5 * read_out(rows_u, w_u[:, :cut_u], pop_u, amp_u, levels_u, modes_u)  # 8 rows
+        diag_d = 0.5 * read_out(rows_d, w_d[:, :cut_d], pop_d, amp_d, levels_d, modes_d)
         del w_u, w_d
         trace_uu[cols], trace_dd[cols] = diag_u[:4].sum(axis=0), diag_d[:4].sum(axis=0)
         weight = diag_u[4:].sum(axis=0) + diag_d[4:].sum(axis=0)

@@ -55,9 +55,9 @@ back. A is tridiagonal, so S is banded at every norm: half-bandwidth at
 most 12, or 28 times 2^k after k squarings. Far off the band S and its
 powers hold entries whose products turn subnormal, and subnormal products
 run at a fraction of BLAS speed. So S is flushed (entries below 1e-150 in
-absolute value set to zero) right after expm and after each squaring,
-expm's and the five to S^B (:func:`_squared`): the product of two kept
-entries is a normal float. P is not flushed.
+absolute value set to zero): expm returns it flushed, and each squaring,
+expm's and the five to S^B (:func:`_squared`), is flushed too: the product
+of two kept entries is a normal float. P is not flushed.
 
 With a bath the coherences die out, and past a cut the read-out skips them.
 The coherent term R_r |V u|^2 of row r is at most max|R_r| ||u(t)||^2 (V is
@@ -65,12 +65,15 @@ orthogonal), while the population term (R_r (V*V)) P already rounds by about
 eps max|R_r|, eps = 2^-53 the unit roundoff. Each |u_m(t)|^2 =
 |c_m|^2 exp(-zeta G_m t) can only fall, so once ||u||^2 < ``_DECAYED`` =
 2^-70 the coherent term is below 2^-17 of that rounding, and it only falls
-further. :func:`read_out` therefore forms V U and adds R |V U|^2 only on a
-block's columns before that cut (:func:`_coherent_columns` finds it by
-bisection, O(n log width) per block); the subtracted |U|^2 of the bath
-correction is kept on every column. The superposed switch stops its cross
-diagonal and its register eigensolve at the same cut. Without a bath
-||u|| = 1, and every column is read out in full.
+further. :func:`_cut` states the rule once: with a bath the cut is a block's
+first column with ||u||^2 < 2^-70 (:func:`_coherent_columns` finds it by
+bisection, O(n log width) per block); without a bath ||u|| = 1, and the cut
+is the whole block, taken with no bisection. Each pipeline takes it once per
+block and branch and forms V U on the columns before it alone, and
+:func:`read_out` adds R |V U|^2 on exactly those columns; the subtracted
+|U|^2 of the bath correction is kept on every column. The superposed switch
+stops its cross diagonal and its register eigensolve at the later of its
+two branches' cuts.
 
 The coherent term is also formed only on the energy modes M and sites S that
 the start reaches (:func:`_reach`): one reach for every run, with and
@@ -113,11 +116,13 @@ the s = 52 switch the relative rule would grow a branch's reach from 13
 modes and 15 or 16 sites to 36 and 50.
 
 Every run's blocks hold U on the modes M alone (P keeps every level, because
-the bath fills them all). :func:`read_out` reads what the run has sliced:
-each run slices V[S, M] and its rows on S once, and with a bath it passes
-the level table L = R (V*V) over every site, with the modes M that U holds;
-the run forms L once for rows that stay fixed, so read_out neither squares
-V nor indexes V or its rows.
+the bath fills them all). :func:`read_out` reads what the run has formed:
+each run slices V[S, M] and its rows on S once, and forms one V[S, M] U per
+block and branch, on the columns before the cut (:func:`site_amplitudes`);
+with a bath it passes the level table L = R (V*V) over every site, with the
+modes M that U holds, and forms L once for rows that stay fixed. read_out
+squares the caller's V U in place, re^2 + im^2, and neither forms V U,
+squares V nor indexes V or its rows.
 
 The chain (:func:`pure_state_series`) weights its rows x, y^2 and y by
 W_j = max(|x_j|, D_j, D_j^2), D_j = max(x_j - min x, max x - x_j) >= |y_j|
@@ -220,7 +225,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     a^2, a^3 and a^4, then Horner steps in a^4, five products at degree 12
     and nine at 28, with no solve; the identity is added last. A
     tridiagonal a gives a result of half-bandwidth at most 12, or 28 times
-    2^k. A non-finite a gives a non-finite result.
+    2^k. Every result, squared or not, is returned flushed: its entries below
+    ``_FLUSH`` = 1e-150 in absolute value are zero. A non-finite a gives a
+    non-finite result.
     """
     a = np.asarray(a, dtype=float)
     norm = np.linalg.norm(a, 1)
@@ -234,7 +241,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     for j in range(degree - 4, 0, -4):
         r = a4 @ (r + c[j + 3] * a3 + c[j + 2] * a2 + c[j + 1] * a + c[j] * ident)
     r += c[3] * a3 + c[2] * a2 + a
-    return _squared(r + ident, k)
+    r = _squared(r + ident, k)
+    return np.where(np.abs(r) < _FLUSH, 0.0, r)  # the unsquared polynomial too: all flushed
 
 
 def population_generator(rates: tuple[np.ndarray, np.ndarray], bath: BathSpec) -> np.ndarray:
@@ -291,13 +299,13 @@ def _population_blocks(gen: np.ndarray, p: np.ndarray, dt: float, width: int, si
     from the last B columns of the block before it, so at most two blocks are
     alive. Far off the band the entries of S and its powers fall below 1e-150,
     and their products turn subnormal, which slows every product. So entries
-    of S below ``_FLUSH`` = 1e-150 in absolute value are set to zero right
-    after :func:`expm` and again after each squaring (:func:`_squared`): the
-    product of two kept entries is then a normal float. P is not flushed.
+    below ``_FLUSH`` = 1e-150 in absolute value are zero in S, as
+    :func:`expm` returns it, and are set to zero again after each squaring
+    (:func:`_squared`): the product of two kept entries is then a normal
+    float. P is not flushed.
     """
     block = 1 << _BLOCK_SQUARINGS
     step = expm(gen * dt)
-    step[np.abs(step) < _FLUSH] = 0.0
     pops = np.empty((p.size, block + min(width, size)))  # B carried columns, then the block
     pops[:, block] = p
     for i in range(block + 1, min(2 * block, pops.shape[1])):
@@ -410,14 +418,16 @@ def _reach(
     sites = np.ones(tail.size, dtype=bool)
     sites[order[: np.count_nonzero(np.cumsum(tail[order]) < left)]] = False
     rows, live = np.asarray(region, dtype=int), np.flatnonzero(c)
-    terms = size[np.ix_(rows, live)] * c[live]  # |V_jm| |c_m| on the region, modes with c_m != 0
-    ranked = np.sort(terms, axis=1)
-    total = ranked.sum(axis=1)  # B_j
-    past = np.cumsum(ranked, axis=1) > _EPS / 8 * total[:, None]  # past the dropped smallest
-    least = np.where(past, ranked, np.inf).min(axis=1, initial=np.inf)  # M_j's smallest term
-    sites[rows[total > 0]] = True
     modes = rank >= lo
-    modes[live[np.any(terms >= least[:, None], axis=0)]] = True
+    # chunks of rows whose four float arrays (terms, ranked, the cumsum, the where) fill a block
+    for chunk in np.array_split(rows, 1 + 32 * rows.size * live.size // _BLOCK_BYTES):
+        terms = size[np.ix_(chunk, live)] * c[live]  # |V_jm| |c_m|, modes with c_m != 0
+        ranked = np.sort(terms, axis=1)
+        total = ranked.sum(axis=1)  # B_j
+        past = np.cumsum(ranked, axis=1) > _EPS / 8 * total[:, None]  # past the dropped smallest
+        least = np.where(past, ranked, np.inf).min(axis=1, initial=np.inf)  # M_j's smallest term
+        sites[chunk[total > 0]] = True
+        modes[live[np.any(terms >= least[:, None], axis=0)]] = True
     return modes, sites
 
 
@@ -440,52 +450,53 @@ def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndar
     return (eigenvectors @ u.view(float)).view(complex)
 
 
+def _cut(populations: np.ndarray | None, amplitudes: np.ndarray) -> int:
+    """The decay cut of a block: how many leading columns carry a coherent term.
+
+    With a bath (``populations`` given) the columns before the first with
+    ||u||^2 < ``_DECAYED`` (:func:`_coherent_columns`); without one every
+    column, with no bisection, since ||u|| = 1 throughout.
+    """
+    return amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
+
+
 def read_out(
-    eigenvectors: np.ndarray,
     rows: np.ndarray,
+    vu: np.ndarray,
     populations: np.ndarray | None,
     amplitudes: np.ndarray,
     levels: np.ndarray | None = None,
     modes: np.ndarray | slice = slice(None),
-    rotated: np.ndarray | None = None,
 ) -> np.ndarray:
     """``rows`` times the site distribution of one block of :func:`energy_blocks`.
 
-    read_out reads what the run has sliced: ``eigenvectors`` is V[S, M], the
-    eigenvectors on the sites S and modes M that the run reads (every site and
-    mode by default), ``rows`` is R on the sites S (k x |S|) and U holds the
-    modes M. The result, k x columns, is R |V[S, M] U|^2 + L (P - |U|^2) with
-    |U|^2 subtracted from the rows ``modes`` of P, the modes M in U's order.
-    ``levels`` is the level table L = R (V*V) over every site (k x n), which a
-    run forms once for rows that stay fixed; ``populations = None`` (no bath)
-    drops the correction, and then neither ``levels`` nor ``modes`` is read.
-    With a bath, the term R |V U|^2 is added only on the block's leading
-    columns with ||u||^2 >= 2^-70 (:func:`_coherent_columns`). Past them the
-    dropped part of row r is at most max|R_r| 2^-70, about 2^-17 of the
-    population term's own rounding, eps max|R_r| (eps = 2^-53). ``rotated``
-    is V[S, M] U, at least on the leading columns, when the caller has it
-    already; it is left intact. |V U|^2 is re^2 + im^2: read_out squares the
-    float view of its own V U in place and adds the column pairs.
+    ``vu`` is the block's site amplitudes V[S, M] U on the columns before its
+    cut (:func:`_cut`), which the caller forms (:func:`site_amplitudes`):
+    V[S, M] is the eigenvectors on the sites S and modes M that the run
+    reads, U the block's amplitudes on M, and ``rows`` is R on the sites S
+    (k x |S|). read_out adds R |V U|^2 on exactly the columns of ``vu``;
+    |V U|^2 is re^2 + im^2, formed by squaring the float view of ``vu`` in
+    place and adding the column pairs, so the caller must not read ``vu``
+    afterwards. With a bath it adds L (P - |U|^2) on every column of the
+    block, the populations P less |U|^2 (``amplitudes``) on the rows
+    ``modes`` of P, the modes M in U's order; ``levels`` is the level table
+    L = R (V*V) over every site (k x n), which a run forms once for rows
+    that stay fixed. ``populations = None`` (no bath) drops that correction:
+    the result has the columns of ``vu``, and ``amplitudes``, ``levels`` and
+    ``modes`` are not read. Past the cut the dropped part of row r is at most
+    max|R_r| 2^-70, about 2^-17 of the population term's own rounding,
+    eps max|R_r| (eps = 2^-53).
     """
-    keep = amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
-    if rotated is None:  # V U is ours: its float view squared in place, in one pass
-        square = site_amplitudes(eigenvectors, amplitudes[:, :keep]).view(float)
-        np.square(square, out=square)
-        prob = square[:, ::2] + square[:, 1::2]  # re^2 + im^2
-        del square  # frees V U before the correction's temporaries
-    else:  # the caller's V U, left intact
-        prob = np.square(rotated[:, :keep].real)
-        prob += np.square(rotated[:, :keep].imag)
-    coherent = rows @ prob
+    square = vu.view(float)
+    np.square(square, out=square)
+    coherent = rows @ (square[:, ::2] + square[:, 1::2])  # re^2 + im^2
     if populations is None:
         return coherent
-    magnitude = np.abs(amplitudes, out=np.empty(amplitudes.shape))
-    np.square(magnitude, out=magnitude)
     correction = np.array(populations)  # P - |U|^2, subtracted on the rows M alone
-    correction[modes] -= magnitude
-    del magnitude
+    magnitude = np.abs(amplitudes)
+    correction[modes] -= np.square(magnitude, out=magnitude)
     out = levels @ correction
-    out[:, :keep] += coherent
+    out[:, : coherent.shape[1]] += coherent
     return out
 
 
@@ -505,7 +516,7 @@ def pure_state_series(
     c, ``positions`` the coordinate x of each eigenvector row and ``region``
     the 0-based rows summed into ``p_region`` (an empty array gives zeros).
     Each block is read out on the rows x, y^2, y and the region's indicator,
-    with y = x - the block's first mean, read out from that column alone:
+    with y = x - the block's first mean, read out from its column 0 alone:
     about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision. A
     variance below -1e-9 is a numeric failure and raises
     ``FloatingPointError``; the rounding-level negatives above it are clipped
@@ -514,9 +525,12 @@ def pure_state_series(
     region's indicator too while every position is >= 1; a closed run
     (``None`` or zeta = 0) also passes ``region``, whose row it reads to
     relative accuracy (module docstring). The run slices V[S, M] and the rows
-    on S once, and its blocks hold U on M alone. With a bath the run squares
-    V once and forms the first mean's level table x (V*V) once; each block
-    forms the level table of its four rows.
+    on S once, and its blocks hold U on M alone. Each block takes its cut
+    once (:func:`_cut`: with a bath only, a bisection) and forms one
+    V[S, M] U on the columns before it; the first mean reads column 0 of that
+    product. With a bath the run squares V once and forms the first mean's
+    level table x (V*V) once; each block forms the level table of its four
+    rows.
     """
     (e, v), x = eig, np.asarray(positions, dtype=float)
     times = time_grid(t_max, dt)
@@ -529,11 +543,14 @@ def pure_state_series(
     squared = None if closed else np.square(v)
     centre = None if closed else x[None] @ squared  # the first mean's level table, once per run
     for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt, modes):
+        w = site_amplitudes(rotate, u[:, : _cut(p, u)])  # the block's one V U
         first = None if p is None else p[:, :1]
-        mu = read_out(rotate, near[None], first, u[:, :1], centre, modes)[0, 0]
+        # column 0 of V U, copied: read_out squares what it is given in place
+        mu = read_out(near[None], w[:, :1].copy(), first, u[:, :1], centre, modes)[0, 0]
         y = near - mu
         levels = None if p is None else np.stack([x, (x - mu) ** 2, x - mu, indicator]) @ squared
-        out = read_out(rotate, np.stack([near, y**2, y, marked]), p, u, levels, modes)
+        out = read_out(np.stack([near, y**2, y, marked]), w, p, u, levels, modes)
+        del w  # squared by read_out: freed before the next block is formed
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
     if np.any(var < -1e-9):
         raise FloatingPointError("variance must be nonnegative")

@@ -45,6 +45,10 @@ _PLANES = 20  # words of workspace per cell
 _NAN_INF = np.frombuffer(b"\0nan" + b"\0" * 36 + b"\0inf" + b"\0" * 36, _WORD).reshape(2, 5)
 
 
+class BrokenInstallError(RuntimeError):
+    """The package's ``csv_tables.bin`` does not have the size of its table layout."""
+
+
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
     """The formatter's tables, read from the package's ``csv_tables.bin``.
@@ -53,18 +57,17 @@ def _tables() -> tuple[np.ndarray, ...]:
     six words: sign, "0.000" prefix and first digit; four of four digits, each
     digit preceded by a point slot; exponent and separator. The words are the
     digit groups by value, the leads by (X, first digit) and the tails by
-    (separator, X); the masks are by 21 * (significant digits) + p + 3.
+    (separator, X); the masks are by 21 * (significant digits) + p + 3. A
+    file of any other size than the layout's is a broken install and raises
+    :class:`BrokenInstallError`.
     """
     raw = np.fromfile(Path(__file__).with_name("csv_tables.bin"), np.uint8)
     raw.flags.writeable = False
-    tables, offset = [], 0
-    for dtype, shape in _TABLE_LAYOUT:
-        size = np.dtype(dtype).itemsize * math.prod(shape)
-        tables.append(raw[offset : offset + size].view(dtype).reshape(shape))
-        offset += size
-    if offset != raw.size:
-        raise ValueError(f"csv_tables.bin holds {raw.size} bytes, expected {offset}")
-    return tuple(tables)
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in _TABLE_LAYOUT]
+    if sum(sizes) != raw.size:
+        raise BrokenInstallError(f"csv_tables.bin holds {raw.size} bytes, expected {sum(sizes)}")
+    parts = zip(np.split(raw, np.cumsum(sizes)[:-1]), _TABLE_LAYOUT)
+    return tuple(part.view(dtype).reshape(shape) for part, (dtype, shape) in parts)
 
 
 def _scaled(ax: np.ndarray, xi: np.ndarray, floats: np.ndarray, shift: np.ndarray) -> None:
@@ -219,6 +222,7 @@ def write_csv(path: str | Path, columns: dict[str, np.ndarray]) -> str:
     if any(a.shape[0] != arrays[0].shape[0] for a in arrays):
         raise ValueError("all columns must have the same length")
     rows = arrays[0].shape[0]
+    _tables()  # a broken install raises here, before the file is opened
     step = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_CELLS // len(arrays)))
     work = np.empty(_PLANES * min(step, rows) * len(arrays))
     digest = hashlib.sha256()

@@ -36,8 +36,11 @@ from openchain.chains import diagonalize
 from openchain.feynman import build_branch
 from openchain.lindblad import (
     BathSpec,
+    _cut,
     energy_blocks,
     pure_state_series,
+    read_out,
+    site_amplitudes,
     time_grid,
     transition_rates,
 )
@@ -569,6 +572,12 @@ def relax_energy_density(
     blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_max, dt, modes))
     pops = None if blocks[0][1] is None else np.concatenate([p for _, p, _ in blocks], axis=1)
     return pops, np.concatenate([u for *_, u in blocks], axis=1)
+
+
+def block_read_out(v, rows, populations, amplitudes, levels=None, modes=slice(None)):
+    """``read_out`` of one block on the eigenvectors v, its V U formed up to the cut as runs do."""
+    vu = site_amplitudes(v, amplitudes[:, : _cut(populations, amplitudes)])
+    return read_out(rows, vu, populations, amplitudes, levels, modes)
 
 
 def closed_block_series(eig, amplitudes, t_max: float, dt: float, positions, region, dtype=float):

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 from support import (
+    block_read_out,
     build_free_chain,
     evolve_full,
     evolve_pure,
@@ -39,7 +40,6 @@ from openchain.lindblad import (
     BathSpec,
     arrival_peak,
     level_widths,
-    read_out,
     time_grid,
     transition_rates,
 )
@@ -49,7 +49,7 @@ def branch_distribution(eig, bath: BathSpec | None, t_max: float, dt: float) -> 
     """Kernel site distribution (path coordinate x time) of a branch started at coordinate 1."""
     e, v = eig
     pops, amps = relax_energy_density(e, bath, v[0], t_max, dt)
-    return read_out(v, np.eye(v.shape[0]), pops, amps, np.square(v))
+    return block_read_out(v, np.eye(v.shape[0]), pops, amps, np.square(v))
 
 
 class Criterion:

@@ -64,6 +64,7 @@ import pytest
 from scipy.linalg import expm
 from support import (
     _dense_states,
+    block_read_out,
     chunked_unitary_columns,
     closed_block_series,
     closed_series,
@@ -93,7 +94,6 @@ from openchain.lindblad import (
     BathSpec,
     arrival_peak,
     dissipative_transport_run,
-    read_out,
     time_grid,
 )
 from openchain.runner import run_realization
@@ -217,7 +217,7 @@ def test_unitary_observable_series(seed, grid, region, monkeypatch):
     got = closed_series(eig, psi0, *BLOCKS, sites)
     e, v = eig
     kernel = lindblad.energy_blocks(e, None, v.T @ psi0, *BLOCKS)
-    blocks = [read_out(v, np.eye(e.size), None, u) for *_, u in kernel]
+    blocks = [block_read_out(v, np.eye(e.size), None, u) for *_, u in kernel]
     prob = np.concatenate(blocks, axis=1)
     region_idx = np.asarray(sites, dtype=int) - 1
     expected = chunked_unitary_columns(eig, psi0, time_grid(*BLOCKS), region_idx)
@@ -280,7 +280,7 @@ def test_config_grids_are_uniform(config):
 
 def kernel_columns(v, pops, amps, populations_too: bool) -> dict[str, np.ndarray]:
     """mean_Q, var_Q, the last-site probability and, if asked, each row of P (eigenvectors v)."""
-    prob = read_out(v, np.eye(v.shape[0]), pops, amps, np.square(v))
+    prob = block_read_out(v, np.eye(v.shape[0]), pops, amps, np.square(v))
     x = np.arange(1, v.shape[0] + 1)
     mean = x @ prob
     cols = {"mean_Q": mean, "var_Q": (x**2) @ prob - mean**2, "p_region": prob[-1]}
@@ -431,7 +431,7 @@ def test_read_out_matches_dense_site_distribution(bath):
     rows = np.random.default_rng(0).standard_normal((5, 20))
     kernel = lindblad.energy_blocks(e, BATHS[bath], c, t_max, dt)
     levels = rows @ np.square(v)
-    got = np.concatenate([lindblad.read_out(v, rows, p, u, levels) for _, p, u in kernel], axis=1)
+    got = np.concatenate([block_read_out(v, rows, p, u, levels) for _, p, u in kernel], axis=1)
     states = _dense_states(e, BATHS[bath], np.outer(c, c), time_grid(t_max, dt))
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
@@ -448,13 +448,44 @@ def test_read_out_matches_dense_site_distribution_past_the_cut():
     rows = np.random.default_rng(0).standard_normal((5, 20))
     kernel = list(lindblad.energy_blocks(e, bath, c, t_max, dt))
     levels = rows @ np.square(v)
-    got = np.concatenate([lindblad.read_out(v, rows, p, u, levels) for _, p, u in kernel], axis=1)
+    got = np.concatenate([block_read_out(v, rows, p, u, levels) for _, p, u in kernel], axis=1)
     states = _dense_states(e, bath, np.outer(c, c), time_grid(t_max, dt))
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
     widths = [u.shape[1] for *_, u in kernel]
     cuts = [lindblad._coherent_columns(u) for *_, u in kernel]
     assert cuts[0] == widths[0] and 0 < cuts[1] < widths[1]  # the cut lies inside block 2
+
+
+def test_only_bath_runs_bisect_for_the_cut(monkeypatch):
+    # The decay cut bisects a block's column norms (_coherent_columns) only
+    # with a bath, once per block and branch: the chain's first mean reads
+    # column 0 of its block's one V U, and each switch branch reads its own
+    # cut. A closed run (no bath or zeta = 0), whose ||u|| never falls,
+    # reads every column with no bisection.
+    calls, bisect = [], lindblad._coherent_columns
+    monkeypatch.setattr(lindblad, "_coherent_columns", lambda u: calls.append(1) or bisect(u))
+    disorder, axis = sample_disorder(52, 0.5, 0), (2000.0, 1.0)
+    h = build_chain_hamiltonian(disorder, 2.0)
+    for closed in (None, BathSpec(beta=1.0, zeta=0.0)):
+        dissipative_transport_run(h, closed, *axis)
+        run_classical_input(9, disorder, 2.0, closed, "U", *axis)
+        run_superposed_input(9, disorder, 2.0, closed, *axis)
+    assert calls == []
+
+    def blocks(n: int) -> int:  # the cache blocks of energy_blocks on n levels
+        return sum(1 for _ in lindblad.energy_blocks(np.zeros(n), None, np.ones(n), *axis))
+
+    bath = BATHS["bath"]
+    assert blocks(52) == blocks(50) == 2
+    dissipative_transport_run(h, bath, *axis)
+    assert len(calls) == blocks(52)
+    calls.clear()
+    run_classical_input(9, disorder, 2.0, bath, "U", *axis)
+    assert len(calls) == blocks(50)
+    calls.clear()
+    run_superposed_input(9, disorder, 2.0, bath, *axis)
+    assert len(calls) == 2 * blocks(50)
 
 
 def test_run_superposed_input_past_the_cut():
@@ -695,7 +726,8 @@ def test_bath_read_out_memory(pipeline):
     # squared into the site distribution, they hold in units of _BLOCK_BYTES
     # (one complex n x width array): the first-block phase table and the U
     # block (2), V U and the float site distribution (1.5; the correction's
-    # float buffer comes after both are freed), the P block read out
+    # float buffer comes after the site distribution is freed, and V U is
+    # small on the reach), the P block read out
     # and, while the next is filled, the one before (1), and the n x n
     # eigenvector, generator, S^32 and V*V matrices (1.2: four of 0.3 at
     # n = 200; the rates are two bands); the rest, 1.3, is margin. On top
@@ -720,19 +752,36 @@ def test_closed_read_out_memory():
     # The closed chain holds one cache block of amplitudes and read-out at a
     # time. At its peak it holds, in units of _BLOCK_BYTES (one complex
     # n x width array): the first-block phase table and the U block on the
-    # reach's modes (at most 2), V[S, M] U squared in place and the site
-    # distribution (1.5), and the n x n eigenvector matrix and its V[S, M]
-    # (0.6: two of 0.3 at n = 200). On top come the O(T) series: the grids
-    # of the run and of energy_blocks, the three columns and the clipped
-    # variance. Measured on this localized chain (157 of 200 modes kept):
-    # 3.6 blocks above the series, 4.03 MiB in all (4.0 blocks and 4.46 MiB
-    # while its blocks held U on every mode for the region row). One block
-    # is margin.
+    # reach's modes (at most 2), V[S, M] U, which the run forms and read_out
+    # squares in place, and the site distribution (1.5), and the n x n
+    # eigenvector matrix and its V[S, M] (0.6: two of 0.3 at n = 200). On
+    # top come the O(T) series: the grids of the run and of energy_blocks,
+    # the three columns and the clipped variance. Measured on this localized
+    # chain (157 of 200 modes kept): 3.6 blocks above the series, 4.04 MiB
+    # in all (4.0 blocks and 4.46 MiB while its blocks held U on every mode
+    # for the region row). One block is margin.
     axis = (5000.0, 0.5)
     h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 0.0)
     peak = traced_peak(lambda: dissipative_transport_run(h, None, *axis))
     series = 6 * time_grid(*axis).size * np.dtype(float).itemsize
     bound = series + 5 * lindblad._BLOCK_BYTES
+    assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_reach_memory():
+    # The relative rule of _reach reads the terms |V_jm| |c_m| of its region
+    # sites in chunks of rows, whose four float arrays (the terms, their
+    # sort, its running sum and the masked copy) fill about one _BLOCK_BYTES
+    # in all, beside |V|, one eigenvector matrix. Measured on the closed
+    # upper branch of an 802-site clock (a = 9, g = 0, sigma = 0.5: n = 800,
+    # 789 sites past the gate, 548 modes with c_m != 0, V of 4.9 MiB):
+    # 6.0 MiB, V and 1.1 blocks (15.3 MiB while the whole region was one
+    # chunk). Half a block is margin.
+    sites, _, (_, v) = build_branch(9, "U", sample_disorder(802, 0.5, 0), 0.0)
+    region = np.flatnonzero(sites >= 14)
+    assert region.size == 789 and np.count_nonzero(v[0]) == 548
+    peak = traced_peak(lambda: lindblad._reach(v, v[0], np.ones(v.shape[0]), region))
+    bound = v.nbytes + 1.5 * lindblad._BLOCK_BYTES
     assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
@@ -743,8 +792,9 @@ def test_superposed_read_out_memory(bath):
     # grid and five columns). At its peak one block pair holds, in units of
     # _BLOCK_BYTES (one complex n x width array): the first-block phase tables
     # of both branches (2), their U blocks (2) and their V U (2), plus either
-    # the float site distribution and its square inside a read-out or the
-    # conjugate of the lower V U while the cross diagonal is formed (1). The
+    # the float site distribution inside a read-out or the product of the
+    # upper V U and the conjugated lower one (conjugated in place) while the
+    # cross diagonal is formed (1). The
     # read-outs themselves are k x width with k <= 32. One covers both
     # eigenvector matrices (two of 0.3 at n = 198) and is margin. A bath adds
     # each branch's P block and, while the next is filled, the one before
@@ -753,7 +803,7 @@ def test_superposed_read_out_memory(bath):
     # a temporary of the run, freed once its 8 x n level table is formed,
     # before the blocks; the bath correction's buffer (0.5) comes after the
     # site distribution is freed.
-    # Measured: 2.5 blocks without the bath and 4.9 with it; both take the
+    # Measured: 2.6 blocks without the bath and 4.9 with it; both take the
     # reach, which keeps U and V U on a few modes and sites (8.0 without the
     # bath while the closed run kept every mode and site, and 11.7 with the
     # bath without the cut); holding

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
+    block_read_out,
     brute_force_lindblad,
     free_eigensystem,
     integrate_populations,
@@ -29,7 +30,6 @@ from openchain.lindblad import (
     level_widths,
     population_generator,
     pure_state_series,
-    read_out,
     site_amplitudes,
     transition_rates,
 )
@@ -306,14 +306,14 @@ class TestRepresentations:
         c = np.zeros(5)
         c[2] = 1.0
         pops, amps = kernel_at(e, None, c, 0.0)
-        prob = read_out(v, np.eye(e.size), pops, amps)[:, 0]
+        prob = block_read_out(v, np.eye(e.size), pops, amps)[:, 0]
         assert np.max(np.abs(prob - v[:, 2] ** 2)) < 1e-12
 
     def test_maximally_mixed_invariant(self):
         # uniform populations without coherences: flat in the site basis too
         e, v = free_eigensystem(6)
         pops, amps = np.full((6, 1), 1 / 6), np.zeros((6, 1), complex)
-        prob = read_out(v, np.eye(e.size), pops, amps, np.square(v))
+        prob = block_read_out(v, np.eye(e.size), pops, amps, np.square(v))
         assert np.max(np.abs(prob - 1 / 6)) < 1e-12
 
     def test_round_trip(self):

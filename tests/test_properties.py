@@ -30,6 +30,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import (
+    block_read_out,
     evolve_full,
     full_space_observables,
     full_space_state,
@@ -46,7 +47,7 @@ from openchain.feynman import (
     run_superposed_input,
 )
 from openchain import lindblad
-from openchain.lindblad import BathSpec, level_widths, read_out, transition_rates
+from openchain.lindblad import BathSpec, level_widths, transition_rates
 
 settings.register_profile(
     "derandomized", derandomize=True, database=None, max_examples=40, deadline=None
@@ -194,7 +195,7 @@ def test_kernel_conserves_trace_and_positivity(params):
     pops, amps = relax_energy_density(e, BathSpec(beta, zeta), v[0], 500.0, 10.0)
     assert np.max(np.abs(pops.sum(axis=0) - 1.0)) < 1e-9
     assert pops.min() > -1e-12
-    prob = read_out(v, np.eye(s), pops, amps, np.square(v))
+    prob = block_read_out(v, np.eye(s), pops, amps, np.square(v))
     assert np.max(np.abs(prob.sum(axis=0) - 1.0)) < 1e-9
     assert prob.min() > -1e-9
 
@@ -226,7 +227,7 @@ def test_read_out_cut_drops_only_decayed_coherences(params):
     rows = np.random.default_rng(seed).standard_normal((3, s))
     uncut = rows @ np.abs(v @ amps) ** 2 + (rows @ np.square(v)) @ (pops - np.abs(amps) ** 2)
     bound = np.finfo(float).eps * np.abs(rows).max() * s
-    got = read_out(v, rows, pops, amps, rows @ np.square(v))
+    got = block_read_out(v, rows, pops, amps, rows @ np.square(v))
     assert np.max(np.abs(got - uncut)) <= bound
 
 
@@ -262,8 +263,8 @@ def test_reach_cut_holds_to_the_full_read_out(params):
     pops, amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0)
     cut_pops, cut_amps = relax_energy_density(e, bath, v[0], 3000.0, 5.0, kept)
     assert np.array_equal(cut_pops, pops) and np.array_equal(cut_amps, amps[modes])
-    full = read_out(v, rows, pops, amps, levels)
-    cut = read_out(v[np.ix_(sites, modes)], rows[:, sites], cut_pops, cut_amps, levels, kept)
+    full = block_read_out(v, rows, pops, amps, levels)
+    cut = block_read_out(v[np.ix_(sites, modes)], rows[:, sites], cut_pops, cut_amps, levels, kept)
     magnitude = np.square(v) @ (pops + np.abs(amps) ** 2) + np.abs(v @ amps) ** 2
     rounding = 4 * s * np.finfo(float).eps * (np.abs(rows) @ magnitude)
     limit = np.abs(rows).max(axis=1)[:, None] * 2.0**-70 + rounding

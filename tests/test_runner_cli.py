@@ -530,8 +530,8 @@ class TestCli:
 
         read_out = lindblad.read_out
 
-        def negative_variance(eigenvectors, rows, *args):
-            out = read_out(eigenvectors, rows, *args)
+        def negative_variance(rows, *args):
+            out = read_out(rows, *args)
             if rows.shape[0] == 4:  # the rows x, y^2, y, region: <y^2> - <y>^2 < 0
                 out[1] -= 1.0
             return out
@@ -545,6 +545,31 @@ class TestCli:
         assert main(["run", path]) == 3
         assert "variance must be nonnegative" in capsys.readouterr().err
         assert list((tmp_path / "out").glob("*.csv")) == []
+
+    def test_broken_install_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a csv_tables.bin of the wrong size is a broken install, neither a
+        # usage error (2) nor a numeric failure (3), and no CSV is written
+        from openchain import series
+
+        data = Path(series.__file__).with_name("csv_tables.bin").read_bytes()
+        package = tmp_path / "package"
+        package.mkdir()
+        (package / "csv_tables.bin").write_bytes(data[:-8])  # truncated
+        monkeypatch.setattr(series, "__file__", str(package / "series.py"))
+        series._tables.cache_clear()
+        try:
+            path = self.write_config(
+                tmp_path,
+                f"[experiment]\nscenario = ballistic\noutput = {tmp_path / 'out'}\n"
+                "[grid]\nt_max = 5\ndt = 1\n",
+            )
+            assert main(["run", path]) == 4
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"broken install: csv_tables.bin holds {len(data) - 8} bytes, expected {len(data)}"
+            )
+            assert list((tmp_path / "out").glob("*.csv")) == []
+        finally:
+            series._tables.cache_clear()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "s", "--values", "10,12"]])
     def test_non_finite_value_exit_3(self, tmp_path, monkeypatch, capsys, command):
