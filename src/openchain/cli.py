@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 invalid config or usage, 3 numeric failure (a run too
 large for memory included), 4 broken install (the package's ``csv_tables.bin``
-of the wrong size).
+missing, unreadable or of the wrong size).
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ import numpy as np
 from .chains import build_chain_hamiltonian, diagonalize
 from .lindblad import (
     BathSpec,
-    _cut,
     _reach,
     energy_blocks,
     pure_state_series,
@@ -221,16 +220,16 @@ def run_superposed_input(
     ``bell_fidelity`` is conditioned on the cursor having passed the switch
     (physical site >= b) and is NaN where that probability vanishes.
 
-    This factorization needs the pure initial state. With P_B, U_B the
+    This factorization needs the pure initial state. With q_B, U_B the
     :func:`energy_blocks` of branch B from path coordinate 1, each diagonal
-    block is half its branch run and the cross block is rank one,
-    rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal 1/2 (V_U U_U)_j
-    conj((V_D U_D)_j); each branch's V U feeds both its read-out and the cross
-    diagonal. Both branches have s - 2 levels, so their blocks span the same
-    columns. Each block takes each branch's cut once
-    (:func:`openchain.lindblad._cut`) and forms each branch's V U once, up to
-    the later of the two cuts: the cross diagonal reads both, then each
-    branch's read-out takes its own V U up to its own cut, which
+    block is half its branch run, 1/2 (diag(q_B) + u_B u_B^H), and the cross
+    block is rank one, rho^{UD}(t) = 1/2 U_U U_D^H, with site diagonal
+    1/2 (V_U U_U)_j conj((V_D U_D)_j); each branch's V U feeds both its
+    read-out and the cross diagonal. Both branches have s - 2 levels, so
+    their blocks span the same columns. Each branch's blocks carry its cut,
+    and the run forms each branch's V U once per block, up to the later of
+    the two cuts: the cross diagonal reads both, then each branch is read out
+    once per block, on its own V U up to its own cut, which
     :func:`openchain.lindblad.read_out` squares in place. The read-out rows,
     built once per run, are each branch's one-hot register-index rows and the
     16 index-pair rows of the cross diagonal on the shared coordinates, each
@@ -243,12 +242,13 @@ def run_superposed_input(
     and these per-run tables are held across blocks.
 
     With a bath a branch's cut is its first column with ||u||^2 < 2^-70,
-    found by bisection; without one ||u|| = 1 and the cut is the whole block,
-    taken with no bisection. A block's columns from the later of the two
-    branches' cuts on (||u||^2 < 2^-70 on both) form neither V U nor the cross
-    diagonal. Their cross block is taken as zero, since |cross| <=
-    ||u_U|| ||u_D|| < 2^-70 there, so their register states are diagonal and
-    their entropy is taken from the sorted diagonal, without an eigensolve.
+    found by bisection where its blocks are formed; without one ||u|| = 1 and
+    the cut is the whole block, taken with no bisection. A block's columns
+    from the later of the two branches' cuts on (||u||^2 < 2^-70 on both)
+    form neither V U nor the cross diagonal. Their cross block is taken as
+    zero, since |cross| <= ||u_U|| ||u_D|| < 2^-70 there, so their register
+    states are diagonal and their entropy is taken from the sorted diagonal,
+    without an eigensolve.
     Every run keeps only the reach of each branch
     (:func:`openchain.lindblad._reach`, with W = 1: the register and pair
     rows are 0/1): U on the branch's modes M, and V U and the cross diagonal
@@ -295,16 +295,15 @@ def run_superposed_input(
         energy_blocks(e_u, bath, vu[0], t_max, dt, modes_u),
         energy_blocks(e_d, bath, vd[0], t_max, dt, modes_d),
     )
-    for (cols, pop_u, amp_u), (_, pop_d, amp_d) in blocks:
-        cut_u, cut_d = _cut(pop_u, amp_u), _cut(pop_d, amp_d)
+    for (cols, q_u, amp_u, cut_u), (_, q_d, amp_d, cut_d) in blocks:
         keep = max(cut_u, cut_d)
         w_u = site_amplitudes(rotate_u, amp_u[:, :keep])  # V U on the sites S
         w_d = site_amplitudes(rotate_d, amp_d[:, :keep])
         np.conj(w_d, out=w_d)  # in place: read_out squares it, and |conj w|^2 = |w|^2
         cross = 0.5 * site_amplitudes(pairs, w_u * w_d)  # (32, keep): zero after keep
         # each read-out squares its branch's V U in place, up to the branch's own cut
-        diag_u = 0.5 * read_out(rows_u, w_u[:, :cut_u], pop_u, amp_u, levels_u, modes_u)  # 8 rows
-        diag_d = 0.5 * read_out(rows_d, w_d[:, :cut_d], pop_d, amp_d, levels_d, modes_d)
+        diag_u = 0.5 * read_out(rows_u, w_u[:, :cut_u], q_u, levels_u)  # 8 rows
+        diag_d = 0.5 * read_out(rows_d, w_d[:, :cut_d], q_d, levels_d)
         del w_u, w_d
         trace_uu[cols], trace_dd[cols] = diag_u[:4].sum(axis=0), diag_d[:4].sum(axis=0)
         weight = diag_u[4:].sum(axis=0) + diag_d[4:].sum(axis=0)

@@ -25,12 +25,13 @@ Every run in the package starts from a pure state (energy amplitudes c); the
 chain runs release the excitation at site 1, c = V[0] (the first row of the
 eigenvectors V), and read the last site. From a pure start the decay law
 factorizes: the coherences are the off-diagonal part of u u^H with
-u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t). A run on the T points of
-``time_grid(t_max, dt)`` is then the n x T populations P (exact
-matrix-exponential steps of the master equation) and amplitudes U. No
-pipeline needs the whole site distribution
-|V U|^2 + (V*V)(P - |U|^2), only k rows R of it, R |V U|^2 + (R (V*V))(P - |U|^2)
-(:func:`read_out`; V is real, so V U is a real product). No dense n x n state
+u_m(t) = c_m exp((-i e_m - zeta G_m / 2) t), so the state is exactly
+rho(t) = diag(q) + u u^H with q = P - |u|^2, P the populations (exact
+matrix-exponential steps of the master equation). A run on the T points of
+``time_grid(t_max, dt)`` is then the n x T arrays q and amplitudes U. No
+pipeline needs the whole site distribution |V U|^2 + (V*V) q, only k rows R
+of it, R |V U|^2 + (R (V*V)) q (:func:`read_out`; V is real, so V U is a
+real product). No dense n x n state
 and no n x T array is formed: every pipeline reads this kernel one block at a
 time, in O(n x block) memory plus its O(T) outputs: the chain with or without a
 bath (:func:`pure_state_series`), the arrival-peak scan (:func:`arrival_peak`,
@@ -65,15 +66,15 @@ orthogonal), while the population term (R_r (V*V)) P already rounds by about
 eps max|R_r|, eps = 2^-53 the unit roundoff. Each |u_m(t)|^2 =
 |c_m|^2 exp(-zeta G_m t) can only fall, so once ||u||^2 < ``_DECAYED`` =
 2^-70 the coherent term is below 2^-17 of that rounding, and it only falls
-further. :func:`_cut` states the rule once: with a bath the cut is a block's
-first column with ||u||^2 < 2^-70 (:func:`_coherent_columns` finds it by
-bisection, O(n log width) per block); without a bath ||u|| = 1, and the cut
-is the whole block, taken with no bisection. Each pipeline takes it once per
-block and branch and forms V U on the columns before it alone, and
-:func:`read_out` adds R |V U|^2 on exactly those columns; the subtracted
-|U|^2 of the bath correction is kept on every column. The superposed switch
-stops its cross diagonal and its register eigensolve at the later of its
-two branches' cuts.
+further. The rule lives where U is formed: :func:`energy_blocks` yields each
+block with its cut. With a bath the cut is a block's first column with
+||u||^2 < 2^-70 (:func:`_coherent_columns` finds it by bisection,
+O(n log width) per block); without a bath ||u|| = 1, and the cut is the
+whole block, taken with no bisection. Each pipeline forms V U on the columns
+before the cut alone, and :func:`read_out` adds R |V U|^2 on exactly those
+columns; q, which holds the subtracted |U|^2, is read on every column. The
+superposed switch stops its cross diagonal and its register eigensolve at
+the later of its two branches' cuts.
 
 The coherent term is also formed only on the energy modes M and sites S that
 the start reaches (:func:`_reach`): one reach for every run, with and
@@ -115,14 +116,15 @@ accurate to eps absolute, so the absolute budget is already its floor; on
 the s = 52 switch the relative rule would grow a branch's reach from 13
 modes and 15 or 16 sites to 36 and 50.
 
-Every run's blocks hold U on the modes M alone (P keeps every level, because
-the bath fills them all). :func:`read_out` reads what the run has formed:
-each run slices V[S, M] and its rows on S once, and forms one V[S, M] U per
-block and branch, on the columns before the cut (:func:`site_amplitudes`);
-with a bath it passes the level table L = R (V*V) over every site, with the
-modes M that U holds, and forms L once for rows that stay fixed. read_out
-squares the caller's V U in place, re^2 + im^2, and neither forms V U,
-squares V nor indexes V or its rows.
+Every run's blocks hold U on the modes M alone (q keeps every level,
+because the bath fills them all, and is P - |U|^2 on the modes M). Each
+pipeline calls :func:`read_out` once per block and branch, on what the run
+has formed: each run slices V[S, M] and its rows on S once, and forms one
+V[S, M] U per block and branch, on the columns before the cut
+(:func:`site_amplitudes`); with a bath it passes the block's q and the level
+table L = R (V*V) over every site, which it forms once for rows that stay
+fixed. read_out squares the caller's V U in place, re^2 + im^2, adds L q,
+and neither forms V U, squares V, indexes V or its rows, nor copies q.
 
 The chain (:func:`pure_state_series`) weights its rows x, y^2 and y by
 W_j = max(|x_j|, D_j, D_j^2), D_j = max(x_j - min x, max x - x_j) >= |y_j|
@@ -296,8 +298,10 @@ def _population_blocks(gen: np.ndarray, p: np.ndarray, dt: float, width: int, si
 
     The first B columns take steps of S = expm(A dt); every later column i is
     S^B times column i - B, one BLAS-3 product per B columns. Each block starts
-    from the last B columns of the block before it, so at most two blocks are
-    alive. Far off the band the entries of S and its powers fall below 1e-150,
+    from a copy of the last B columns of the block before it, taken before
+    that block is yielded: every yielded block is a fresh buffer that the
+    caller may keep or overwrite (:func:`energy_blocks` forms P - |u|^2 in
+    it). Far off the band the entries of S and its powers fall below 1e-150,
     and their products turn subnormal, which slows every product. So entries
     below ``_FLUSH`` = 1e-150 in absolute value are zero in S, as
     :func:`expm` returns it, and are set to zero again after each squaring
@@ -313,12 +317,12 @@ def _population_blocks(gen: np.ndarray, p: np.ndarray, dt: float, width: int, si
     step = _squared(step, _BLOCK_SQUARINGS)
     for start in range(0, size, width):
         if start:
-            carried = np.empty((p.size, block + min(width, size - start)))
-            carried[:, :block] = pops[:, -block:]
-            pops = carried
+            pops = np.empty((p.size, block + min(width, size - start)))
+            pops[:, :block] = carried
         for i in range(2 * block if start == 0 else block, pops.shape[1], block):
             stop = min(i + block, pops.shape[1])
             pops[:, i:stop] = step @ pops[:, i - block : stop - block]
+        carried = pops[:, -block:].copy()  # the yielded block is the caller's to overwrite
         yield pops[:, block:]
 
 
@@ -330,22 +334,27 @@ def energy_blocks(
     dt: float,
     modes: np.ndarray | slice = slice(None),
 ):
-    """(columns, P block or None, U block) of a pure start per cache-sized block of the grid.
+    """(columns, q, U, cut) of a pure start per cache-sized block of the grid.
 
-    The grid is ``time_grid(t_max, dt)``, whose ``ValueError`` an invalid
-    axis raises at the first block. ``amplitudes`` are the initial
+    The energy-basis state at a grid time is diag(q) + u u^H, with q and u
+    that time's columns of q and U. The grid is ``time_grid(t_max, dt)``, whose ``ValueError`` an
+    invalid axis raises at the first block. ``amplitudes`` are the initial
     energy-basis amplitudes c. U[m, i] = c_m exp(d_m t_i) with
-    d = -i e - zeta G / 2, so the coherences at t_i are u u^H - diag|u|^2
-    with u = U[:, i]. U holds the rows ``modes``, in their order (every mode
-    by default; every run passes the modes of :func:`_reach`), while P keeps
-    every level. A block spans as many grid columns as fit one complex n x width
-    array of about 1 MiB, and at least B = 32. The phase tables are built
-    once, for the first block; the block from column ``start`` on is that
-    table times exp(d t_start), formed after the generator has let go of the
-    block before. P advances block by block, carrying the last B columns of
-    each block into the next, so at most two blocks of it are held; without
-    a bath (``None`` or zeta = 0) it is None: the populations are |U|^2, so
-    the coherence correction of :func:`read_out` vanishes and is skipped.
+    d = -i e - zeta G / 2. U holds the rows ``modes``, in their order (every
+    mode by default; every run passes the modes of :func:`_reach`), while q
+    keeps every level: q = P - |U|^2, the populations P less |U|^2 on the
+    rows ``modes``, formed in place in the P block, which is the caller's
+    (a fresh buffer per block). Without a bath (``None`` or zeta = 0) q is
+    None: the populations are |U|^2, and the block is u u^H alone. ``cut``
+    is the decay cut, how many leading columns carry a coherent term: with a
+    bath the columns before the first with ||u||^2 < ``_DECAYED``
+    (:func:`_coherent_columns`, a bisection); without one every column, with
+    no bisection, since ||u|| = 1 throughout. A block spans as many grid
+    columns as fit one complex n x width array of about 1 MiB, and at least
+    B = 32. The phase tables are built once, for the first block; the block
+    from column ``start`` on is that table times exp(d t_start), formed
+    after the generator has let go of the block before. P advances block by
+    block from a copy of the last B columns of the block before.
     """
     times = time_grid(t_max, dt)
     e = np.asarray(eigenvalues, dtype=float)
@@ -361,12 +370,13 @@ def energy_blocks(
     d, c = d[modes], c[modes]
     first = _phases(d, c, step, min(width, size))
     for start in range(0, size, width):
-        # no local name holds a yielded block, so the next one is formed without it
-        yield (
-            slice(start, start + width),
-            None if pops is None else next(pops),
-            first if start == 0 else first[:, : size - start] * np.exp(d * times[start])[:, None],
-        )
+        u = first if start == 0 else first[:, : size - start] * np.exp(d * times[start])[:, None]
+        q, cut = None, u.shape[1]
+        if pops is not None:
+            q, cut, magnitude = next(pops), _coherent_columns(u), np.abs(u)
+            q[modes] -= np.square(magnitude, out=magnitude)  # P - |u|^2, in the P block
+        yield slice(start, start + width), q, u, cut
+        del u, q  # so the next block is formed without this one
 
 
 def _coherent_columns(amplitudes: np.ndarray) -> int:
@@ -450,52 +460,32 @@ def site_amplitudes(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndar
     return (eigenvectors @ u.view(float)).view(complex)
 
 
-def _cut(populations: np.ndarray | None, amplitudes: np.ndarray) -> int:
-    """The decay cut of a block: how many leading columns carry a coherent term.
-
-    With a bath (``populations`` given) the columns before the first with
-    ||u||^2 < ``_DECAYED`` (:func:`_coherent_columns`); without one every
-    column, with no bisection, since ||u|| = 1 throughout.
-    """
-    return amplitudes.shape[1] if populations is None else _coherent_columns(amplitudes)
-
-
 def read_out(
-    rows: np.ndarray,
-    vu: np.ndarray,
-    populations: np.ndarray | None,
-    amplitudes: np.ndarray,
-    levels: np.ndarray | None = None,
-    modes: np.ndarray | slice = slice(None),
+    rows: np.ndarray, vu: np.ndarray, q: np.ndarray | None, levels: np.ndarray | None
 ) -> np.ndarray:
-    """``rows`` times the site distribution of one block of :func:`energy_blocks`.
+    """``rows`` times the site distribution of a block diag(q) + u u^H of :func:`energy_blocks`.
 
     ``vu`` is the block's site amplitudes V[S, M] U on the columns before its
-    cut (:func:`_cut`), which the caller forms (:func:`site_amplitudes`):
-    V[S, M] is the eigenvectors on the sites S and modes M that the run
-    reads, U the block's amplitudes on M, and ``rows`` is R on the sites S
-    (k x |S|). read_out adds R |V U|^2 on exactly the columns of ``vu``;
-    |V U|^2 is re^2 + im^2, formed by squaring the float view of ``vu`` in
-    place and adding the column pairs, so the caller must not read ``vu``
-    afterwards. With a bath it adds L (P - |U|^2) on every column of the
-    block, the populations P less |U|^2 (``amplitudes``) on the rows
-    ``modes`` of P, the modes M in U's order; ``levels`` is the level table
-    L = R (V*V) over every site (k x n), which a run forms once for rows
-    that stay fixed. ``populations = None`` (no bath) drops that correction:
-    the result has the columns of ``vu``, and ``amplitudes``, ``levels`` and
-    ``modes`` are not read. Past the cut the dropped part of row r is at most
-    max|R_r| 2^-70, about 2^-17 of the population term's own rounding,
-    eps max|R_r| (eps = 2^-53).
+    decay cut, which the caller forms (:func:`site_amplitudes`): V[S, M] is
+    the eigenvectors on the sites S and modes M that the run reads, U the
+    block's amplitudes on M, and ``rows`` is R on the sites S (k x |S|).
+    read_out adds R |V U|^2 on exactly the columns of ``vu``; |V U|^2 is
+    re^2 + im^2, formed by squaring the float view of ``vu`` in place and
+    adding the column pairs, so the caller must not read ``vu`` afterwards.
+    With a bath it adds L q on every column of the block, q = P - |U|^2 as
+    :func:`energy_blocks` yields it; ``levels`` is the level table
+    L = R (V*V) over every site (k x n), which a run forms once for rows that
+    stay fixed. ``q = None`` (no bath) drops that term: the result has the
+    columns of ``vu``, and ``levels`` is not read. Past the cut the dropped
+    part of row r is at most max|R_r| 2^-70, about 2^-17 of the population
+    term's own rounding, eps max|R_r| (eps = 2^-53).
     """
     square = vu.view(float)
     np.square(square, out=square)
     coherent = rows @ (square[:, ::2] + square[:, 1::2])  # re^2 + im^2
-    if populations is None:
+    if q is None:
         return coherent
-    correction = np.array(populations)  # P - |U|^2, subtracted on the rows M alone
-    magnitude = np.abs(amplitudes)
-    correction[modes] -= np.square(magnitude, out=magnitude)
-    out = levels @ correction
+    out = levels @ q
     out[:, : coherent.shape[1]] += coherent
     return out
 
@@ -515,9 +505,11 @@ def pure_state_series(
     (eigenvalues, eigenvectors), ``amplitudes`` the energy-basis amplitudes
     c, ``positions`` the coordinate x of each eigenvector row and ``region``
     the 0-based rows summed into ``p_region`` (an empty array gives zeros).
-    Each block is read out on the rows x, y^2, y and the region's indicator,
-    with y = x - the block's first mean, read out from its column 0 alone:
-    about the origin, <x^2> - <x>^2 would cancel max(x)^2 of precision. A
+    Each block is read out once, on the rows x, y^2, y and the region's
+    indicator, with y = x - mu, mu the mean of the grid column just before
+    the block, as the block before read it out: about the origin,
+    <x^2> - <x>^2 would cancel max(x)^2 of precision. The first block is
+    centred at the start's mean x |V c|^2, formed once per run. A
     variance below -1e-9 is a numeric failure and raises
     ``FloatingPointError``; the rounding-level negatives above it are clipped
     to 0. The rows are read on the modes M and sites S of :func:`_reach`,
@@ -525,12 +517,10 @@ def pure_state_series(
     region's indicator too while every position is >= 1; a closed run
     (``None`` or zeta = 0) also passes ``region``, whose row it reads to
     relative accuracy (module docstring). The run slices V[S, M] and the rows
-    on S once, and its blocks hold U on M alone. Each block takes its cut
-    once (:func:`_cut`: with a bath only, a bisection) and forms one
-    V[S, M] U on the columns before it; the first mean reads column 0 of that
-    product. With a bath the run squares V once and forms the first mean's
-    level table x (V*V) once; each block forms the level table of its four
-    rows.
+    on S once, and its blocks hold U on M alone. Each block forms one
+    V[S, M] U on the columns before the cut that :func:`energy_blocks`
+    yields with it. With a bath the run squares V once, and each block forms
+    the level table of its four rows.
     """
     (e, v), x = eig, np.asarray(positions, dtype=float)
     times = time_grid(t_max, dt)
@@ -541,17 +531,14 @@ def pure_state_series(
     modes = np.flatnonzero(keep)
     rotate, near, marked = v[np.ix_(cover, modes)], x[cover], indicator[cover]
     squared = None if closed else np.square(v)
-    centre = None if closed else x[None] @ squared  # the first mean's level table, once per run
-    for cols, p, u in energy_blocks(e, bath, amplitudes, t_max, dt, modes):
-        w = site_amplitudes(rotate, u[:, : _cut(p, u)])  # the block's one V U
-        first = None if p is None else p[:, :1]
-        # column 0 of V U, copied: read_out squares what it is given in place
-        mu = read_out(near[None], w[:, :1].copy(), first, u[:, :1], centre, modes)[0, 0]
+    mu = x @ np.square(np.abs(v @ amplitudes))  # the start's mean: the first block's centre
+    for cols, q, u, cut in energy_blocks(e, bath, amplitudes, t_max, dt, modes):
         y = near - mu
-        levels = None if p is None else np.stack([x, (x - mu) ** 2, x - mu, indicator]) @ squared
-        out = read_out(np.stack([near, y**2, y, marked]), w, p, u, levels, modes)
-        del w  # squared by read_out: freed before the next block is formed
+        levels = None if q is None else np.stack([x, (x - mu) ** 2, x - mu, indicator]) @ squared
+        rows = np.stack([near, y**2, y, marked])
+        out = read_out(rows, site_amplitudes(rotate, u[:, :cut]), q, levels)  # the block's one V U
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]
+        mu = out[0, -1]  # the next block's centre: this block's last mean
     if np.any(var < -1e-9):
         raise FloatingPointError("variance must be nonnegative")
     return {"t": times, "mean_Q": mean, "var_Q": np.maximum(var, 0.0), "p_region": p_region}
@@ -568,7 +555,7 @@ def arrival_peak(
     """
     times = time_grid(t_max, dt)
     power = []
-    for *_, u in energy_blocks(energies, None, weights, t_max, dt):
+    for _, _, u, _ in energy_blocks(energies, None, weights, t_max, dt):
         a = u.sum(axis=0)
         del u  # so the next block is formed while this one is freed
         power.append(np.square(a.real) + np.square(a.imag))

@@ -46,7 +46,7 @@ _NAN_INF = np.frombuffer(b"\0nan" + b"\0" * 36 + b"\0inf" + b"\0" * 36, _WORD).r
 
 
 class BrokenInstallError(RuntimeError):
-    """The package's ``csv_tables.bin`` does not have the size of its table layout."""
+    """The package's ``csv_tables.bin`` is missing, unreadable or not the size of its layout."""
 
 
 @functools.cache
@@ -58,10 +58,13 @@ def _tables() -> tuple[np.ndarray, ...]:
     digit preceded by a point slot; exponent and separator. The words are the
     digit groups by value, the leads by (X, first digit) and the tails by
     (separator, X); the masks are by 21 * (significant digits) + p + 3. A
-    file of any other size than the layout's is a broken install and raises
-    :class:`BrokenInstallError`.
+    file that is missing or cannot be read, or of any other size than the
+    layout's, is a broken install and raises :class:`BrokenInstallError`.
     """
-    raw = np.fromfile(Path(__file__).with_name("csv_tables.bin"), np.uint8)
+    try:
+        raw = np.fromfile(Path(__file__).with_name("csv_tables.bin"), np.uint8)
+    except OSError as exc:
+        raise BrokenInstallError(f"csv_tables.bin cannot be read: {exc.strerror}") from None
     raw.flags.writeable = False
     sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in _TABLE_LAYOUT]
     if sum(sizes) != raw.size:

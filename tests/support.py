@@ -36,7 +36,7 @@ from openchain.chains import diagonalize
 from openchain.feynman import build_branch
 from openchain.lindblad import (
     BathSpec,
-    _cut,
+    _coherent_columns,
     energy_blocks,
     pure_state_series,
     read_out,
@@ -568,16 +568,31 @@ def closed_series(eig, psi0: np.ndarray, t_max: float, dt: float, region=()):
 def relax_energy_density(
     eigenvalues, bath, amplitudes, t_max: float, dt: float, modes=slice(None)
 ):
-    """(P or None, U), n x T and modes x T: the package's :func:`energy_blocks` of a grid."""
+    """(P or None, U), n x T and modes x T: the package's :func:`energy_blocks` of a grid.
+
+    Each block's q = P - |U|^2 on the rows ``modes`` gets |U|^2 back.
+    """
     blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_max, dt, modes))
-    pops = None if blocks[0][1] is None else np.concatenate([p for _, p, _ in blocks], axis=1)
-    return pops, np.concatenate([u for *_, u in blocks], axis=1)
+    for _, q, u, _ in blocks:
+        if q is not None:
+            q[modes] += np.abs(u) ** 2
+    pops = None if blocks[0][1] is None else np.concatenate([q for _, q, _, _ in blocks], axis=1)
+    return pops, np.concatenate([u for _, _, u, _ in blocks], axis=1)
 
 
 def block_read_out(v, rows, populations, amplitudes, levels=None, modes=slice(None)):
-    """``read_out`` of one block on the eigenvectors v, its V U formed up to the cut as runs do."""
-    vu = site_amplitudes(v, amplitudes[:, : _cut(populations, amplitudes)])
-    return read_out(rows, vu, populations, amplitudes, levels, modes)
+    """``read_out`` of one block (P or None, U) on the eigenvectors v, cut as the kernel cuts.
+
+    With populations P the block is q = P - |U|^2 on the rows ``modes``, and
+    V U is formed up to the decay cut (:func:`openchain.lindblad._coherent_columns`);
+    without them on every column.
+    """
+    if populations is None:
+        return read_out(rows, site_amplitudes(v, amplitudes), None, levels)
+    q = np.array(populations)
+    q[modes] -= np.abs(amplitudes) ** 2
+    vu = site_amplitudes(v, amplitudes[:, : _coherent_columns(amplitudes)])
+    return read_out(rows, vu, q, levels)
 
 
 def closed_block_series(eig, amplitudes, t_max: float, dt: float, positions, region, dtype=float):
@@ -604,7 +619,7 @@ def closed_block_series(eig, amplitudes, t_max: float, dt: float, positions, reg
         w = v @ np.ascontiguousarray(u).view(float).astype(dtype)
         return w[:, ::2] ** 2 + w[:, 1::2] ** 2
 
-    for cols, _, u in energy_blocks(e, None, amplitudes, t_max, dt):
+    for cols, _, u, _ in energy_blocks(e, None, amplitudes, t_max, dt):
         y = x - (x[None] @ squares(u[:, :1]))[0, 0]
         out = np.stack([x, y**2, y, indicator]) @ squares(u)
         mean[cols], var[cols], p_region[cols] = out[0], out[1] - out[2] ** 2, out[3]

@@ -94,6 +94,8 @@ from openchain.lindblad import (
     BathSpec,
     arrival_peak,
     dissipative_transport_run,
+    read_out,
+    site_amplitudes,
     time_grid,
 )
 from openchain.runner import run_realization
@@ -217,7 +219,7 @@ def test_unitary_observable_series(seed, grid, region, monkeypatch):
     got = closed_series(eig, psi0, *BLOCKS, sites)
     e, v = eig
     kernel = lindblad.energy_blocks(e, None, v.T @ psi0, *BLOCKS)
-    blocks = [block_read_out(v, np.eye(e.size), None, u) for *_, u in kernel]
+    blocks = [block_read_out(v, np.eye(e.size), None, u) for _, _, u, _ in kernel]
     prob = np.concatenate(blocks, axis=1)
     region_idx = np.asarray(sites, dtype=int) - 1
     expected = chunked_unitary_columns(eig, psi0, time_grid(*BLOCKS), region_idx)
@@ -306,6 +308,26 @@ def relax_pair(bath: str, seed: int, t_max: float, dt: float, s: int = 200):
 def test_uniform_path_matches_direct_formula(bath, seed, grid, monkeypatch):
     narrow_blocks(grid, monkeypatch)
     assert_columns_match(*relax_pair(bath, seed, *FAST_GRID))
+
+
+def test_population_blocks_are_the_callers():
+    # energy_blocks forms q = P - |u|^2 in place in each P block it is handed,
+    # so a yielded block is the caller's to overwrite: the last B columns that
+    # the next block starts from are copied before the block is yielded. On
+    # blocks of B = 32 columns (as narrow_blocks gives them: 81 columns, two
+    # carries), a drain that overwrites each block with NaN before it asks
+    # for the next must yield the blocks of an untouched drain.
+    e, v = diagonalize(build_chain_hamiltonian(sample_disorder(20, 0.5, 0), 2.0))
+    gen = lindblad.population_generator(lindblad.transition_rates(e, BATHS["bath"]), BATHS["bath"])
+    block, size = 1 << lindblad._BLOCK_SQUARINGS, time_grid(*GRID).size
+    drain = [v[0] ** 2, GRID[1], block, size]
+    untouched = [p.copy() for p in lindblad._population_blocks(gen, *drain)]
+    assert len(untouched) == 3
+    overwritten = []
+    for p in lindblad._population_blocks(gen, *drain):
+        overwritten.append(p.copy())
+        p[...] = np.nan
+    assert all(np.array_equal(a, b) for a, b in zip(overwritten, untouched, strict=True))
 
 
 def test_flushed_block_step_matches_direct_formula():
@@ -431,7 +453,8 @@ def test_read_out_matches_dense_site_distribution(bath):
     rows = np.random.default_rng(0).standard_normal((5, 20))
     kernel = lindblad.energy_blocks(e, BATHS[bath], c, t_max, dt)
     levels = rows @ np.square(v)
-    got = np.concatenate([block_read_out(v, rows, p, u, levels) for _, p, u in kernel], axis=1)
+    got = [read_out(rows, site_amplitudes(v, u[:, :cut]), q, levels) for _, q, u, cut in kernel]
+    got = np.concatenate(got, axis=1)
     states = _dense_states(e, BATHS[bath], np.outer(c, c), time_grid(t_max, dt))
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
@@ -448,44 +471,52 @@ def test_read_out_matches_dense_site_distribution_past_the_cut():
     rows = np.random.default_rng(0).standard_normal((5, 20))
     kernel = list(lindblad.energy_blocks(e, bath, c, t_max, dt))
     levels = rows @ np.square(v)
-    got = np.concatenate([block_read_out(v, rows, p, u, levels) for _, p, u in kernel], axis=1)
+    got = [read_out(rows, site_amplitudes(v, u[:, :cut]), q, levels) for _, q, u, cut in kernel]
+    got = np.concatenate(got, axis=1)
     states = _dense_states(e, bath, np.outer(c, c), time_grid(t_max, dt))
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
-    widths = [u.shape[1] for *_, u in kernel]
-    cuts = [lindblad._coherent_columns(u) for *_, u in kernel]
+    widths = [u.shape[1] for _, _, u, _ in kernel]
+    cuts = [lindblad._coherent_columns(u) for _, _, u, _ in kernel]
     assert cuts[0] == widths[0] and 0 < cuts[1] < widths[1]  # the cut lies inside block 2
 
 
 def test_only_bath_runs_bisect_for_the_cut(monkeypatch):
     # The decay cut bisects a block's column norms (_coherent_columns) only
-    # with a bath, once per block and branch: the chain's first mean reads
-    # column 0 of its block's one V U, and each switch branch reads its own
-    # cut. A closed run (no bath or zeta = 0), whose ||u|| never falls,
-    # reads every column with no bisection.
+    # with a bath, once per block and branch, where energy_blocks forms the
+    # block's U. A closed run (no bath or zeta = 0), whose ||u|| never falls,
+    # reads every column with no bisection. With a bath or without, each
+    # block and branch is read out once: one read_out per block in the chain
+    # and classical runs, whose rows are centred at the mean before the
+    # block, and two per block in the switch.
     calls, bisect = [], lindblad._coherent_columns
+    reads, read = [], lindblad.read_out
     monkeypatch.setattr(lindblad, "_coherent_columns", lambda u: calls.append(1) or bisect(u))
+    for module in (lindblad, feynman):
+        monkeypatch.setattr(module, "read_out", lambda *args: reads.append(1) or read(*args))
     disorder, axis = sample_disorder(52, 0.5, 0), (2000.0, 1.0)
     h = build_chain_hamiltonian(disorder, 2.0)
-    for closed in (None, BathSpec(beta=1.0, zeta=0.0)):
-        dissipative_transport_run(h, closed, *axis)
-        run_classical_input(9, disorder, 2.0, closed, "U", *axis)
-        run_superposed_input(9, disorder, 2.0, closed, *axis)
-    assert calls == []
 
     def blocks(n: int) -> int:  # the cache blocks of energy_blocks on n levels
         return sum(1 for _ in lindblad.energy_blocks(np.zeros(n), None, np.ones(n), *axis))
 
-    bath = BATHS["bath"]
-    assert blocks(52) == blocks(50) == 2
-    dissipative_transport_run(h, bath, *axis)
-    assert len(calls) == blocks(52)
-    calls.clear()
-    run_classical_input(9, disorder, 2.0, bath, "U", *axis)
-    assert len(calls) == blocks(50)
-    calls.clear()
-    run_superposed_input(9, disorder, 2.0, bath, *axis)
-    assert len(calls) == 2 * blocks(50)
+    def counted(run) -> tuple[int, int]:  # (bisections, read-outs) of one run
+        calls.clear()
+        reads.clear()
+        run()
+        return len(calls), len(reads)
+
+    chain, branch = blocks(52), blocks(50)
+    assert chain == branch == 2
+    for spec in (None, BathSpec(beta=1.0, zeta=0.0), BATHS["bath"]):
+        cut = spec is not None and spec.zeta > 0  # only a bath bisects
+        assert counted(lambda: dissipative_transport_run(h, spec, *axis)) == (cut * chain, chain)
+        assert counted(lambda: run_classical_input(9, disorder, 2.0, spec, "U", *axis)) == (
+            cut * branch, branch
+        )
+        assert counted(lambda: run_superposed_input(9, disorder, 2.0, spec, *axis)) == (
+            2 * cut * branch, 2 * branch
+        )
 
 
 def test_run_superposed_input_past_the_cut():
@@ -499,7 +530,7 @@ def test_run_superposed_input_past_the_cut():
     cut = 0
     for branch in "UD":
         *_, (e, v) = build_branch(4, branch, disorder, 2.0)
-        (_, _, u), = lindblad.energy_blocks(e, bath, v[0], t_max, dt)  # one cache block
+        (_, _, u, _), = lindblad.energy_blocks(e, bath, v[0], t_max, dt)  # one cache block
         cut = max(cut, lindblad._coherent_columns(u))
     times = time_grid(t_max, dt)
     assert 0 < cut < times.size - 100

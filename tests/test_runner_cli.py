@@ -546,15 +546,22 @@ class TestCli:
         assert "variance must be nonnegative" in capsys.readouterr().err
         assert list((tmp_path / "out").glob("*.csv")) == []
 
-    def test_broken_install_exit_4(self, tmp_path, monkeypatch, capsys):
-        # a csv_tables.bin of the wrong size is a broken install, neither a
-        # usage error (2) nor a numeric failure (3), and no CSV is written
+    @pytest.mark.parametrize("damage", ["truncated", "missing"])
+    def test_broken_install_exit_4(self, tmp_path, monkeypatch, capsys, damage):
+        # a csv_tables.bin of the wrong size, or none at all, is a broken
+        # install, neither a usage error (2) nor a numeric failure (3), and no
+        # CSV is written
         from openchain import series
 
         data = Path(series.__file__).with_name("csv_tables.bin").read_bytes()
         package = tmp_path / "package"
         package.mkdir()
-        (package / "csv_tables.bin").write_bytes(data[:-8])  # truncated
+        if damage == "truncated":
+            (package / "csv_tables.bin").write_bytes(data[:-8])
+        message = {
+            "truncated": f"csv_tables.bin holds {len(data) - 8} bytes, expected {len(data)}",
+            "missing": "csv_tables.bin cannot be read: No such file or directory",
+        }[damage]
         monkeypatch.setattr(series, "__file__", str(package / "series.py"))
         series._tables.cache_clear()
         try:
@@ -564,9 +571,7 @@ class TestCli:
                 "[grid]\nt_max = 5\ndt = 1\n",
             )
             assert main(["run", path]) == 4
-            assert capsys.readouterr().err.splitlines()[-1] == (
-                f"broken install: csv_tables.bin holds {len(data) - 8} bytes, expected {len(data)}"
-            )
+            assert capsys.readouterr().err.splitlines()[-1] == f"broken install: {message}"
             assert list((tmp_path / "out").glob("*.csv")) == []
         finally:
             series._tables.cache_clear()
