@@ -241,14 +241,18 @@ def run_superposed_input(
     (:func:`openchain.lindblad.read_out`). Only the O(T) series, ``register``
     and these per-run tables are held across blocks.
 
-    With a bath a branch's cut is its first column with ||u||^2 < 2^-70,
-    found by bisection where its blocks are formed; without one ||u|| = 1 and
-    the cut is the whole block, taken with no bisection. A block's columns
-    from the later of the two branches' cuts on (||u||^2 < 2^-70 on both)
-    form neither V U nor the cross diagonal. Their cross block is taken as
-    zero, since |cross| <= ||u_U|| ||u_D|| < 2^-70 there, so their register
-    states are diagonal and their entropy is taken from the sorted diagonal,
-    without an eigensolve.
+    With a bath each branch's cut is its horizon clipped to the block: the
+    first grid time at which the branch's closed-form ||u(t)||^2 falls below
+    2^-70, which :func:`openchain.lindblad.energy_blocks` finds once per
+    branch before its first block; past it the branch's q is its
+    populations. Without a bath ||u|| = 1 and the cut is the whole block,
+    taken with no bisection. Since the cross diagonal reads both branches,
+    each branch's U is still formed, and its V U too, up to the later of the
+    two cuts. A block's columns from the later cut on (||u||^2 < 2^-70 on
+    both) form neither V U nor the cross diagonal. Their cross block is taken
+    as zero, since |cross| <= ||u_U|| ||u_D|| < 2^-70 there, so their
+    register states are diagonal and their entropy is taken from the sorted
+    diagonal, without an eigensolve.
     Every run keeps only the reach of each branch
     (:func:`openchain.lindblad._reach`, with W = 1: the register and pair
     rows are 0/1): U on the branch's modes M, and V U and the cross diagonal

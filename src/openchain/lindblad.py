@@ -66,15 +66,22 @@ orthogonal), while the population term (R_r (V*V)) P already rounds by about
 eps max|R_r|, eps = 2^-53 the unit roundoff. Each |u_m(t)|^2 =
 |c_m|^2 exp(-zeta G_m t) can only fall, so once ||u||^2 < ``_DECAYED`` =
 2^-70 the coherent term is below 2^-17 of that rounding, and it only falls
-further. The rule lives where U is formed: :func:`energy_blocks` yields each
-block with its cut. With a bath the cut is a block's first column with
-||u||^2 < 2^-70 (:func:`_coherent_columns` finds it by bisection,
-O(n log width) per block); without a bath ||u|| = 1, and the cut is the
-whole block, taken with no bisection. Each pipeline forms V U on the columns
-before the cut alone, and :func:`read_out` adds R |V U|^2 on exactly those
-columns; q, which holds the subtracted |U|^2, is read on every column. The
-superposed switch stops its cross diagonal and its register eigensolve at
-the later of its two branches' cuts.
+further. So the cut is a property of the run, not of a block: ||u(t)||^2 =
+sum_M |c_m|^2 exp(-zeta G_m t) on the modes M that U holds is known in
+closed form, and :func:`energy_blocks` finds the run's horizon, the first
+grid time at which it falls below 2^-70, once, before its block loop
+(:func:`_coherent_columns`, one bisection over the grid, O(|M| log T));
+without a bath ||u|| = 1, and the horizon is the whole grid, taken with no
+bisection. Each block's cut is the horizon clipped to the block. Before its
+cut a bath block is diag(P - |u|^2) + u u^H; from the cut on it is diag(P):
+q is P there, and no |u|^2 is subtracted. So past the cut row r misses
+R_r (|V u|^2 - (V*V) |u|^2) instead of R_r |V u|^2. Both terms are at most
+max|R_r| ||u||^2 in size, and they share a sign for a row of one sign, so a
+row of one sign misses at most max|R_r| 2^-70 and a signed row (y) at most
+twice that. Each pipeline forms V U on the columns before the cut alone, and
+:func:`read_out` adds R |V U|^2 on exactly those columns and L q on every
+column. The superposed switch stops its cross diagonal and its register
+eigensolve at the later of its two branches' cuts.
 
 The coherent term is also formed only on the energy modes M and sites S that
 the start reaches (:func:`_reach`): one reach for every run, with and
@@ -117,7 +124,8 @@ the s = 52 switch the relative rule would grow a branch's reach from 13
 modes and 15 or 16 sites to 36 and 50.
 
 Every run's blocks hold U on the modes M alone (q keeps every level,
-because the bath fills them all, and is P - |U|^2 on the modes M). Each
+because the bath fills them all, and is P - |U|^2 on the modes M before the
+block's cut). Each
 pipeline calls :func:`read_out` once per block and branch, on what the run
 has formed: each run slices V[S, M] and its rows on S once, and forms one
 V[S, M] U per block and branch, on the columns before the cut
@@ -140,6 +148,7 @@ the gate as its region.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -343,13 +352,16 @@ def energy_blocks(
     d = -i e - zeta G / 2. U holds the rows ``modes``, in their order (every
     mode by default; every run passes the modes of :func:`_reach`), while q
     keeps every level: q = P - |U|^2, the populations P less |U|^2 on the
-    rows ``modes``, formed in place in the P block, which is the caller's
-    (a fresh buffer per block). Without a bath (``None`` or zeta = 0) q is
-    None: the populations are |U|^2, and the block is u u^H alone. ``cut``
-    is the decay cut, how many leading columns carry a coherent term: with a
-    bath the columns before the first with ||u||^2 < ``_DECAYED``
-    (:func:`_coherent_columns`, a bisection); without one every column, with
-    no bisection, since ||u|| = 1 throughout. A block spans as many grid
+    rows ``modes`` on the columns before the block's cut and P from it on,
+    formed in place in the P block, which is the caller's (a fresh buffer per
+    block). Without a bath (``None`` or zeta = 0) q is None: the populations
+    are |U|^2, and the block is u u^H alone. ``cut`` is the decay cut, how
+    many leading columns carry a coherent term: the run's horizon, found once
+    before the first block, clipped to the block, min(max(horizon - start,
+    0), width). With a bath the horizon is the first grid time with
+    sum_M |c_m|^2 exp(-zeta G_m t) < ``_DECAYED`` (:func:`_coherent_columns`,
+    one bisection per run); without one it is the whole grid, with no
+    bisection, since ||u|| = 1 throughout. A block spans as many grid
     columns as fit one complex n x width array of about 1 MiB, and at least
     B = 32. The phase tables are built once, for the first block; the block
     from column ``start`` on is that table times exp(d t_start), formed
@@ -361,40 +373,37 @@ def energy_blocks(
     c = np.asarray(amplitudes, dtype=complex)
     step, size = t_max / (times.size - 1), times.size
     width = max(1 << _BLOCK_SQUARINGS, _BLOCK_BYTES // (16 * e.size))
-    pops, d = None, -1j * e
+    pops, d, horizon = None, -1j * e, size
     if bath is not None and bath.zeta != 0.0:
         rates = transition_rates(e, bath)
         gen = population_generator(rates, bath)
         pops = _population_blocks(gen, np.abs(c) ** 2, step, width, size)
         d = d - 0.5 * bath.zeta * level_widths(rates)
+        horizon = _coherent_columns(np.abs(c[modes]) ** 2, 2.0 * d.real[modes], times)
     d, c = d[modes], c[modes]
     first = _phases(d, c, step, min(width, size))
     for start in range(0, size, width):
         u = first if start == 0 else first[:, : size - start] * np.exp(d * times[start])[:, None]
-        q, cut = None, u.shape[1]
+        q, cut = None, min(max(horizon - start, 0), u.shape[1])
         if pops is not None:
-            q, cut, magnitude = next(pops), _coherent_columns(u), np.abs(u)
-            q[modes] -= np.square(magnitude, out=magnitude)  # P - |u|^2, in the P block
+            q, magnitude = next(pops), np.abs(u[:, :cut])
+            q[modes, :cut] -= np.square(magnitude, out=magnitude)  # P - |u|^2, in the P block
         yield slice(start, start + width), q, u, cut
         del u, q  # so the next block is formed without this one
 
 
-def _coherent_columns(amplitudes: np.ndarray) -> int:
-    """How many leading columns u of a U block have ||u||^2 >= ``_DECAYED``.
+def _coherent_columns(weights: np.ndarray, rates: np.ndarray, times: np.ndarray) -> int:
+    """The run's horizon: how many leading ``times`` have sum_m w_m exp(r_m t) >= ``_DECAYED``.
 
-    ||u(t)||^2 = sum |c_m|^2 exp(-zeta G_m t) can only fall along the grid, so
-    the decayed columns are a suffix of the block: a bisection on the norms of
-    single columns finds where it starts.
+    With weights w = |c_m|^2 and rates r = 2 Re d_m = -zeta G_m <= 0 the sum
+    is ||u(t)||^2 in closed form, formed the same way at every grid time, not
+    read off formed columns. Each term can only fall along the grid, so the
+    decayed times are a suffix of the grid: one bisection finds where it
+    starts.
     """
-    lo, hi = 0, amplitudes.shape[1]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        column = amplitudes[:, mid]
-        if np.vdot(column, column).real >= _DECAYED:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect.bisect_left(
+        range(times.size), True, key=lambda i: weights @ np.exp(rates * times[i]) < _DECAYED
+    )
 
 
 def _reach(
@@ -476,9 +485,10 @@ def read_out(
     :func:`energy_blocks` yields it; ``levels`` is the level table
     L = R (V*V) over every site (k x n), which a run forms once for rows that
     stay fixed. ``q = None`` (no bath) drops that term: the result has the
-    columns of ``vu``, and ``levels`` is not read. Past the cut the dropped
-    part of row r is at most max|R_r| 2^-70, about 2^-17 of the population
-    term's own rounding, eps max|R_r| (eps = 2^-53).
+    columns of ``vu``, and ``levels`` is not read. Past the cut q is P, so
+    row r misses R_r (|V u|^2 - (V*V) |u|^2): at most max|R_r| 2^-70 for a
+    row of one sign and twice that for a signed row, about 2^-17 of the
+    population term's own rounding, eps max|R_r| (eps = 2^-53).
     """
     square = vu.view(float)
     np.square(square, out=square)

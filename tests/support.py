@@ -35,8 +35,8 @@ from openchain import series
 from openchain.chains import diagonalize
 from openchain.feynman import build_branch
 from openchain.lindblad import (
+    _DECAYED,
     BathSpec,
-    _coherent_columns,
     energy_blocks,
     pure_state_series,
     read_out,
@@ -570,29 +570,45 @@ def relax_energy_density(
 ):
     """(P or None, U), n x T and modes x T: the package's :func:`energy_blocks` of a grid.
 
-    Each block's q = P - |U|^2 on the rows ``modes`` gets |U|^2 back.
+    Each block's q = P - |U|^2 on the rows ``modes`` before its cut gets
+    |U|^2 back there; from the cut on q is P already.
     """
     blocks = list(energy_blocks(eigenvalues, bath, amplitudes, t_max, dt, modes))
-    for _, q, u, _ in blocks:
+    for _, q, u, cut in blocks:
         if q is not None:
-            q[modes] += np.abs(u) ** 2
+            q[modes, :cut] += np.abs(u[:, :cut]) ** 2
     pops = None if blocks[0][1] is None else np.concatenate([q for _, q, _, _ in blocks], axis=1)
     return pops, np.concatenate([u for _, _, u, _ in blocks], axis=1)
 
 
-def block_read_out(v, rows, populations, amplitudes, levels=None, modes=slice(None)):
-    """``read_out`` of one block (P or None, U) on the eigenvectors v, cut as the kernel cuts.
+def formed_cut(amplitudes: np.ndarray) -> int:
+    """The decay cut read off a formed U block alone: its first column with ||u||^2 < 2^-70.
 
-    With populations P the block is q = P - |U|^2 on the rows ``modes``, and
-    V U is formed up to the decay cut (:func:`openchain.lindblad._coherent_columns`);
-    without them on every column.
+    A bisection on the norms of single columns, which takes the rounded
+    norms to fall along the block; the run's horizon
+    (:func:`openchain.lindblad._coherent_columns`) is held to it.
+    """
+    lo, hi = 0, amplitudes.shape[1]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        column = amplitudes[:, mid]
+        lo, hi = (mid + 1, hi) if np.vdot(column, column).real >= _DECAYED else (lo, mid)
+    return lo
+
+
+def block_read_out(v, rows, populations, amplitudes, levels=None, modes=slice(None)):
+    """``read_out`` of one block (P or None, U) on the eigenvectors v, cut at its own decay cut.
+
+    With populations P the cut is the block's first formed column with
+    ||u||^2 < 2^-70 (:func:`formed_cut`): before it the block is
+    q = P - |U|^2 on the rows ``modes`` and V U is formed, and from it on q is
+    P. Without populations V U is formed on every column.
     """
     if populations is None:
         return read_out(rows, site_amplitudes(v, amplitudes), None, levels)
-    q = np.array(populations)
-    q[modes] -= np.abs(amplitudes) ** 2
-    vu = site_amplitudes(v, amplitudes[:, : _coherent_columns(amplitudes)])
-    return read_out(rows, vu, q, levels)
+    cut, q = formed_cut(amplitudes), np.array(populations)
+    q[modes, :cut] -= np.abs(amplitudes[:, :cut]) ** 2
+    return read_out(rows, site_amplitudes(v, amplitudes[:, :cut]), q, levels)
 
 
 def closed_block_series(eig, amplitudes, t_max: float, dt: float, positions, region, dtype=float):

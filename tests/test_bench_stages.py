@@ -4,6 +4,8 @@ One repetition of each chain at 20 sites on 101 grid points runs the harness
 end to end in fresh worker processes; the pairing against a base tree is
 checked with a stand-in worker, so that no second process starts. The
 weak-tilt case is checked to lie above 1-norm 1/4, the one case that does.
+The code-line count of ``bench/code_lines.py`` is checked on a fixture that
+holds two code lines among docstrings, comments and blank lines.
 """
 
 import importlib.util
@@ -115,3 +117,22 @@ def test_pairs_alternate_and_count_wins(stages, monkeypatch):
     assert entry["pairs"] == 4 and entry["wins"] == 2 and entry["fewer_faults"] == 4
     assert entry["base"]["faults"]["median"] == 20 and entry["change"]["faults"]["runs"] == [10] * 4
     assert entry["base"]["runs"] == [2.0, 0.5, 2.0, 1.0] and entry["base"]["median"] == 1.5
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("code_lines", HARNESS.parent / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(
+        '"""A module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "def twice(x):  # a trailing comment\n"
+        '    """A function docstring."""\n'
+        "\n"
+        "    return 2 * x\n"
+    )
+    assert module.code_lines(fixture.read_text()) == 2
+    module.main([str(tmp_path)])
+    assert capsys.readouterr().out.split() == ["fixture.py", "2", "total", "2"]

@@ -13,9 +13,11 @@ bit for bit.
 ``read_out`` of random rows R must match R times the dense oracle's site
 distribution, with and without a bath, on a grid that crosses a cache-block
 edge, and with a bath on a grid whose second block holds the cut past which
-read_out drops the coherences (||u||^2 < 2^-70); past both branches' cuts the
-superposed switch must match the dense oracle, with diagonal register states
-whose entropy equals ``von_neumann_entropy`` within 1e-15. With a bath the
+read_out drops the coherences (||u||^2 < 2^-70), and from each block's cut on
+the block's q is bit for bit the P block of a plain population drain; past
+both branches' cuts the superposed switch must match the dense oracle, with
+diagonal register states whose entropy equals ``von_neumann_entropy`` within
+1e-15. With a bath the
 switch keeps only the modes and sites its branches reach: against the run
 that keeps all of them, its read-out columns and register move by at most
 2^-70 plus rounding. Without a bath the chain and the switch take one reach
@@ -73,6 +75,7 @@ from support import (
     dense_superposed_columns,
     dense_transport_columns,
     evolve_pure,
+    formed_cut,
     free_eigensystem,
     relax_energy_density,
 )
@@ -477,21 +480,51 @@ def test_read_out_matches_dense_site_distribution_past_the_cut():
     prob = np.array([np.diagonal(v @ rho @ v.T).real for rho in states]).T
     assert_columns_match(dict(enumerate(got)), dict(enumerate(rows @ prob)))
     widths = [u.shape[1] for _, _, u, _ in kernel]
-    cuts = [lindblad._coherent_columns(u) for _, _, u, _ in kernel]
+    cuts = [formed_cut(u) for _, _, u, _ in kernel]
     assert cuts[0] == widths[0] and 0 < cuts[1] < widths[1]  # the cut lies inside block 2
 
 
+def test_bath_block_past_its_cut_is_its_populations():
+    # Past the run's decay horizon a bath block is diag(P): q is the P block
+    # bit for bit on every column at and after the block's cut, and before
+    # the cut it is P - |u|^2 on the modes M (every other level keeps P). On
+    # the tilted transport chain at beta = 1 the decayed levels hold
+    # populations below 2^53 |u_m|^2, so subtracting |u|^2 past the cut would
+    # move them. The grid's three blocks hold the cut inside the second, and
+    # the third lies past it.
+    e, v = diagonalize(build_chain_hamiltonian(sample_disorder(20, 0.5, 0), 2.0))
+    bath = BATHS["bath"]
+    width = lindblad._BLOCK_BYTES // (16 * 20)
+    size = 2 * width + 100
+    t_max, dt = 0.25 * (size - 1), 0.25
+    modes = np.flatnonzero(lindblad._reach(v, v[0], np.ones(20))[0])
+    rest = np.setdiff1d(np.arange(20), modes)
+    assert 0 < modes.size < 20
+    rates = lindblad.transition_rates(e, bath)
+    plain = lindblad._population_blocks(
+        lindblad.population_generator(rates, bath), np.square(v[0]), dt, width, size
+    )
+    cuts = []
+    for (_, q, u, cut), p in zip(lindblad.energy_blocks(e, bath, v[0], t_max, dt, modes), plain):
+        assert np.array_equal(q[:, cut:], p[:, cut:])
+        assert np.array_equal(q[modes, :cut], p[modes, :cut] - np.abs(u[:, :cut]) ** 2)
+        assert np.array_equal(q[rest], p[rest])
+        cuts.append((cut, u.shape[1]))
+    assert cuts[0] == (width, width) and 0 < cuts[1][0] < width and cuts[2] == (0, 100)
+
+
 def test_only_bath_runs_bisect_for_the_cut(monkeypatch):
-    # The decay cut bisects a block's column norms (_coherent_columns) only
-    # with a bath, once per block and branch, where energy_blocks forms the
-    # block's U. A closed run (no bath or zeta = 0), whose ||u|| never falls,
-    # reads every column with no bisection. With a bath or without, each
+    # The decay horizon is found once per bath run and branch, by one
+    # bisection of the closed form ||u(t)||^2 over the grid
+    # (_coherent_columns), before energy_blocks forms any block. A closed run
+    # (no bath or zeta = 0), whose ||u|| never falls, reads every column with
+    # no bisection. With a bath or without, each
     # block and branch is read out once: one read_out per block in the chain
     # and classical runs, whose rows are centred at the mean before the
     # block, and two per block in the switch.
     calls, bisect = [], lindblad._coherent_columns
     reads, read = [], lindblad.read_out
-    monkeypatch.setattr(lindblad, "_coherent_columns", lambda u: calls.append(1) or bisect(u))
+    monkeypatch.setattr(lindblad, "_coherent_columns", lambda *a: calls.append(1) or bisect(*a))
     for module in (lindblad, feynman):
         monkeypatch.setattr(module, "read_out", lambda *args: reads.append(1) or read(*args))
     disorder, axis = sample_disorder(52, 0.5, 0), (2000.0, 1.0)
@@ -509,13 +542,13 @@ def test_only_bath_runs_bisect_for_the_cut(monkeypatch):
     chain, branch = blocks(52), blocks(50)
     assert chain == branch == 2
     for spec in (None, BathSpec(beta=1.0, zeta=0.0), BATHS["bath"]):
-        cut = spec is not None and spec.zeta > 0  # only a bath bisects
-        assert counted(lambda: dissipative_transport_run(h, spec, *axis)) == (cut * chain, chain)
+        cut = spec is not None and spec.zeta > 0  # only a bath bisects, once per run and branch
+        assert counted(lambda: dissipative_transport_run(h, spec, *axis)) == (cut, chain)
         assert counted(lambda: run_classical_input(9, disorder, 2.0, spec, "U", *axis)) == (
-            cut * branch, branch
+            cut, branch
         )
         assert counted(lambda: run_superposed_input(9, disorder, 2.0, spec, *axis)) == (
-            2 * cut * branch, 2 * branch
+            2 * cut, 2 * branch
         )
 
 
@@ -531,7 +564,7 @@ def test_run_superposed_input_past_the_cut():
     for branch in "UD":
         *_, (e, v) = build_branch(4, branch, disorder, 2.0)
         (_, _, u, _), = lindblad.energy_blocks(e, bath, v[0], t_max, dt)  # one cache block
-        cut = max(cut, lindblad._coherent_columns(u))
+        cut = max(cut, formed_cut(u))
     times = time_grid(t_max, dt)
     assert 0 < cut < times.size - 100
     series, register = run_superposed_input(4, disorder, 2.0, bath, t_max, dt)
@@ -753,20 +786,24 @@ def traced_peak(run) -> int:
 @pytest.mark.parametrize("pipeline", ["transport", "classical"])
 def test_bath_read_out_memory(pipeline):
     # The bath pipelines hold one cache block of populations, amplitudes and
-    # read-out at a time, never a whole-grid array. At the peak, while V U is
-    # squared into the site distribution, they hold in units of _BLOCK_BYTES
-    # (one complex n x width array): the first-block phase table and the U
-    # block (2), V U and the float site distribution (1.5; the correction's
-    # float buffer comes after the site distribution is freed, and V U is
-    # small on the reach), the P block read out
-    # and, while the next is filled, the one before (1), and the n x n
-    # eigenvector, generator, S^32 and V*V matrices (1.2: four of 0.3 at
-    # n = 200; the rates are two bands); the rest, 1.3, is margin. On top
-    # come the O(T) series: the grid and the columns that each block fills
-    # in. The whole-grid populations peaked at 12.5 MiB here. The reach cut
-    # keeps U and V U on 14 modes and 17 sites of this chain: measured 3.4
-    # blocks above the series on both pipelines, 3.6 MiB in all (5.6 blocks
-    # without the cut, while a dense rate matrix was still held).
+    # read-out at a time, never a whole-grid array. In units of _BLOCK_BYTES
+    # (one complex n x width array) a block may hold the first-block
+    # phase table and the U block (2), V U and the float site distribution
+    # (1.5), the P block read out and, while the next is filled, the one
+    # before (1), and the n x n eigenvector, generator, S^32 and V*V matrices
+    # (1.2: four of 0.3 at n = 200; the rates are two bands); the rest, 1.3,
+    # is margin. On top come the O(T) series: the grid and the columns that
+    # each block fills in. read_out forms no block-sized buffer: it squares
+    # the caller's V U in place and adds L q, whose q energy_blocks forms in
+    # place in the P block. The reach keeps U and V U on 14 modes and 17
+    # sites of this chain, so the blocks stay far below that count, and the
+    # peak comes before the first block, while expm forms S: its eight n x n
+    # arrays, its argument A dt included (2.44), beside V, V*V and the
+    # generator. Measured: 3.37 blocks above the series on the chain and 3.31
+    # on the classical branch, 3.6 MiB in all; 2.65 on the chain with expm's
+    # result served from a cache. The whole-grid populations peaked at 12.5
+    # MiB here, and 5.6 blocks were held without the reach, while a dense
+    # rate matrix was still held.
     axis, bath = (5000.0, 1.0), BATHS["bath"]
     if pipeline == "transport":
         h = build_chain_hamiltonian(sample_disorder(200, 0.5, 0), 2.0)
@@ -829,12 +866,18 @@ def test_superposed_read_out_memory(bath):
     # read-outs themselves are k x width with k <= 32. One covers both
     # eigenvector matrices (two of 0.3 at n = 198) and is margin. A bath adds
     # each branch's P block and, while the next is filled, the one before
-    # (2), and both branches' generator and S^32 matrices (1: four of 0.3,
-    # not all alive at once; the rates are two bands). Each branch's V*V is
-    # a temporary of the run, freed once its 8 x n level table is formed,
-    # before the blocks; the bath correction's buffer (0.5) comes after the
-    # site distribution is freed.
-    # Measured: 2.6 blocks without the bath and 4.9 with it; both take the
+    # (2), and both branches' generator and S^32 matrices (1: four of 0.3;
+    # the rates are two bands). Each branch's V*V is a temporary of the run,
+    # freed once its 8 x n level table is formed, before the blocks, and
+    # read_out forms no block-sized buffer (it reads the q that energy_blocks
+    # forms in place in the P block).
+    # Measured: 2.6 blocks without the bath and 5.03 with it. With the bath
+    # the peak comes as the lower branch yields its next P block: four P
+    # blocks of 0.55 (each branch's last block, still bound to the loop, and
+    # the one just formed), both branches' V, generator and S^32 (six of
+    # 0.3), and their phase tables, last and new U blocks on 13 modes each,
+    # the last block's cross diagonal, conditioned states and carried
+    # columns (0.6 in all). Both runs take the
     # reach, which keeps U and V U on a few modes and sites (8.0 without the
     # bath while the closed run kept every mode and site, and 11.7 with the
     # bath without the cut); holding

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from support import (
     block_read_out,
     evolve_full,
+    formed_cut,
     full_space_observables,
     full_space_state,
     full_switch_hamiltonian,
@@ -223,12 +224,38 @@ def test_read_out_cut_drops_only_decayed_coherences(params):
     e, v = chain_spectrum(s, sigma, g, seed)
     pops, amps = relax_energy_density(e, BathSpec(beta, zeta), v[0], 3000.0, 5.0)  # one block
     decayed = np.flatnonzero(np.sum(np.abs(amps) ** 2, axis=0) < lindblad._DECAYED)
-    assert lindblad._coherent_columns(amps) == (decayed[0] if decayed.size else amps.shape[1])
+    assert formed_cut(amps) == (decayed[0] if decayed.size else amps.shape[1])
     rows = np.random.default_rng(seed).standard_normal((3, s))
     uncut = rows @ np.abs(v @ amps) ** 2 + (rows @ np.square(v)) @ (pops - np.abs(amps) ** 2)
     bound = np.finfo(float).eps * np.abs(rows).max() * s
     got = block_read_out(v, rows, pops, amps, rows @ np.square(v))
     assert np.max(np.abs(got - uncut)) <= bound
+
+
+@DERANDOMIZED
+@given(chain_params())
+@example(TRANSPORT_CHAIN)
+@example(CLEAN_CHAIN)
+def test_horizon_is_the_first_decayed_grid_time(params):
+    # A bath run's decay horizon is the first grid time at which the closed
+    # form ||u(t)||^2 = sum_M |c_m|^2 exp(-zeta G_m t) falls below 2^-70,
+    # on the modes M the run holds. The one bisection (_coherent_columns)
+    # must find what a scan of every grid time finds, and each block's
+    # yielded cut, the horizon clipped to the block, must be the block's
+    # first formed column with ||u||^2 < 2^-70 (the grid spans up to three
+    # blocks).
+    s, sigma, g, beta, zeta, seed = params
+    e, v = chain_spectrum(s, sigma, g, seed)
+    bath, (t_max, dt) = BathSpec(beta, zeta), (3000.0, 0.5)
+    modes = np.flatnonzero(lindblad._reach(v, v[0], np.ones(s))[0])
+    weights = np.abs(v[0, modes]) ** 2
+    rates = -zeta * level_widths(transition_rates(e, bath))[modes]
+    times = lindblad.time_grid(t_max, dt)
+    decayed = np.flatnonzero([weights @ np.exp(rates * t) < lindblad._DECAYED for t in times])
+    horizon = lindblad._coherent_columns(weights, rates, times)
+    assert horizon == (decayed[0] if decayed.size else times.size)
+    for cols, _, u, cut in lindblad.energy_blocks(e, bath, v[0], t_max, dt, modes):
+        assert cut == min(max(horizon - cols.start, 0), u.shape[1]) == formed_cut(u)
 
 
 @st.composite
